@@ -24,11 +24,11 @@ Backends compared:
 
 Alongside the engine backends, the **solver workloads** benchmark the
 Theorem 4.4 pipeline (grounding + linear-time Horn) on the same three
-workload families, across its three execution forms: the streamed,
+workload families, across its two execution forms: the streamed,
 demand-pruned production path (``quasi-guarded``: ground rules
-instantiated on demand into an online LTUR), the eager interned
-materialization retained as the ablation (``quasi-guarded-eager``, the
-PR 3 path), and the raw-value PR 2 pipeline (``quasi-guarded-raw``):
+instantiated on demand into an online LTUR) and the eager interned
+materialization (``quasi-guarded-eager``, the service's budget
+fallback):
 
 * ``solve-chain-N`` / ``solve-tree-N`` -- the compiled Theorem 4.5
   ``has_neighbor`` MSO program, evaluated over the ``A_td`` encoding
@@ -37,14 +37,13 @@ PR 3 path), and the raw-value PR 2 pipeline (``quasi-guarded-raw``):
   grid solved through the real Theorem 4.5 path (``has_neighbor``
   compiled at width 2 relative to the grid class --
   ``grid_graph_filter``).  Runs the streamed production form (the
-  fold+unfold shrunk program -- ~770 rules since the v8 shrinking
-  passes -- on the single-pass route) against the ``passes=()``
-  ablation (the ~20k-rule program PR 9 served, multi-pass
-  delta-iteration); the eager/raw ablations ground the full cross
-  product -- 1.4M ground rules at N=40 -- and are benchmarked on the
-  width-1 workloads instead.  Gated on exact agreement with *direct
+  folded program -- ~770 rules since the v8 shrinking pass) against
+  the ``passes=()`` ablation (the ~20k-rule program PR 9 served); the
+  eager form grounds the full cross product -- 1.4M ground rules at
+  N=40 -- and is benchmarked on the width-1 workloads instead.  Gated
+  on exact agreement with *direct
   MSO evaluation* and with the hand-written cover DP over the same
-  ``A_td`` encoding, and on the shrunk program beating the ablation
+  ``A_td`` encoding, and on the folded program beating the ablation
   by ``GRID2X_PASSES_SPEEDUP``;
 * ``solve-grid-K`` -- a K x K grid is decomposed at its natural width
   (≈ K, far outside the compiler's envelope), and a Figure-style
@@ -81,11 +80,9 @@ Two entry points:
      eager ablation on the tree solve and >= 1.3x on the chain solve
      (the Theorem 4.5 programs are minimized since PR 5, so eager's
      dead weight -- and the streamed form's headroom -- shrank); the
-     eager interned form stays >= 2x faster than the raw ablation on
-     the grid cover DP; the grid2x answers equal direct MSO
-     evaluation and the hand-written cover DP on the same encoding,
-     and the shrunk (fold+unfold, single-pass) grid2x solve beats the
-     ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP`` (v8);
+     grid2x answers equal direct MSO evaluation and the hand-written
+     cover DP on the same encoding, and the folded grid2x solve beats
+     the ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP``;
   6. ``solve_many`` returns identical (canonically serialized)
      results for 1 worker and N workers;
   7. the checked-in ``BENCH_engine.json`` must match the harness's
@@ -385,27 +382,21 @@ def run_comparison(quick, repeat=3):
 
 # ----------------------------------------------------------------------
 # Solver workloads: the Theorem 4.4 pipeline -- streamed+pruned vs the
-# eager interned ablation vs raw values -- on chain/grid/tree families.
+# eager interned form -- on chain/grid/tree families.
 # ----------------------------------------------------------------------
 
-SCHEMA_VERSION = "bench-engine/v8"
+SCHEMA_VERSION = "bench-engine/v9"
 
-#: the v8 gate on the grid2x solve: the shrunk program (fold + unfold
-#: passes, single-pass evaluation) must beat the passes=() ablation --
-#: the program PR 9 served -- by this factor
+#: the gate on the grid2x solve: the folded program must beat the
+#: passes=() ablation -- the program PR 9 served -- by this factor
 GRID2X_PASSES_SPEEDUP = 3.0
 
-SOLVER_BACKENDS = [
-    "quasi-guarded",
-    "quasi-guarded-eager",
-    "quasi-guarded-raw",
-]
+SOLVER_BACKENDS = ["quasi-guarded", "quasi-guarded-eager"]
 
 #: backend name -> QuasiGuardedEvaluator mode (mirrors CourcelleSolver)
 SOLVER_MODES = {
     "quasi-guarded": "streamed",
     "quasi-guarded-eager": "eager",
-    "quasi-guarded-raw": "raw",
 }
 
 
@@ -508,9 +499,9 @@ def solver_workloads(quick):
         structure_filter=grid_graph_filter,
     )
     # the passes=() ablation: the very same query compiled without the
-    # program-shrinking passes (ROADMAP D) -- the program PR 9 served.
-    # The v8 gate times it on the same encoding; the shrunk program on
-    # the single-pass route must beat it by GRID2X_PASSES_SPEEDUP.
+    # program-shrinking pass (ROADMAP D) -- the program PR 9 served.
+    # The gate times it on the same encoding; the folded program must
+    # beat it by GRID2X_PASSES_SPEEDUP.
     compiled2_ablated = compile_unary_query(
         formulas.has_neighbor("x"),
         GRAPH_SIGNATURE,
@@ -534,7 +525,7 @@ def solver_workloads(quick):
             "encoded": encoded,
             "answer_predicate": ANSWER_PREDICATE,
             "expected": 2 * ladder_n,
-            # streamed only: the eager/raw forms ground the full
+            # streamed only: the eager form grounds the full
             # program x structure cross product (1.4M ground rules at
             # N=40) -- demand pruning is precisely what makes the
             # width-2 compiled program practical
@@ -562,13 +553,12 @@ def solver_workloads(quick):
 
 
 def run_solver_comparison(quick, repeat=3):
-    """The Theorem 4.4 pipeline: streamed vs eager vs raw.
+    """The Theorem 4.4 pipeline: streamed vs eager.
 
     Returns (table rows, per-workload results dict, contract
-    violations).  Contracts: identical unary answers across all three
-    forms; the streamed form prunes rules and is >= 2x faster than
-    eager on the chain and tree solves; eager stays >= 2x faster than
-    raw on the grid solve.
+    violations).  Contracts: identical unary answers across both
+    forms; the streamed form prunes rules and beats eager on the chain
+    and tree solves (see :func:`check_solver_contracts`).
     """
     from repro.core import QuasiGuardedEvaluator
 
@@ -608,14 +598,12 @@ def run_solver_comparison(quick, repeat=3):
                     warm.stats.peak_live_rules
                 )
         if "ablation_program" in workload:
-            # the passes=() arm: same query, unshrunk program, the
-            # multi-pass delta-iteration route (single_pass=False)
+            # the passes=() arm: same query, unshrunk program
             evaluator = QuasiGuardedEvaluator(
                 workload["ablation_program"],
                 dependencies=workload["ablation_dependencies"],
                 mode="streamed",
                 demand=answer_pred,
-                single_pass=False,
             )
             warm = evaluator.evaluate(encoded)
             answers["quasi-guarded-nopasses"] = warm.unary_answers(
@@ -700,26 +688,18 @@ def check_solver_contracts(name, runs):
     compiled programs -- and eager's dead weight -- are much smaller,
     so the chain gate is 1.3x where it used to be 2x (the tree solve
     still clears 2x).  The grid cover DP is the counter-case the
-    eager ablation is retained for: its ground program is fully live,
-    so batch materialization has nothing to prune -- per-round driver
-    batching (ROADMAP (f)) closed most of the per-event overhead
-    (streamed went from 0.49x to ~0.75x of eager there), but there
-    the streamed form still only has to beat the raw-value pipeline,
-    and the eager-vs-raw interning gate of schema v2 still applies.
-    The grid2x workload (width-2 Theorem 4.5 path) runs the streamed
-    form only; its gate is pruning engagement -- the answer
-    conformance pins live in ``run_solver_comparison``.
+    eager form is retained for: its ground program is fully live, so
+    batch materialization has nothing to prune (streamed runs at
+    ~0.75x of eager there) and it carries no speed gate.  The grid2x
+    workload (width-2 Theorem 4.5 path) runs the streamed form only;
+    its gates are pruning engagement and the speedup over the
+    ``passes=()`` ablation -- the answer conformance pins live in
+    ``run_solver_comparison``.
     """
     failures = []
     streamed = runs["quasi-guarded"]
     eager = runs.get("quasi-guarded-eager")
-    raw = runs.get("quasi-guarded-raw")
     chain_or_tree = name.startswith(("solve-chain-", "solve-tree-"))
-    if raw is not None and streamed["ms"] > raw["ms"]:
-        failures.append(
-            f"{name}: streamed quasi-guarded ({streamed['ms']:.1f}ms) "
-            f"is slower than the raw ablation ({raw['ms']:.1f}ms)"
-        )
     if chain_or_tree:
         required = 2.0 if name.startswith("solve-tree-") else 1.3
         if streamed["ms"] * required > eager["ms"]:
@@ -735,21 +715,15 @@ def check_solver_contracts(name, runs):
             f"{name}: streamed grounding pruned no rules -- demand "
             "pruning is not engaging"
         )
-    if name.startswith("solve-grid-") and eager["ms"] * 2 > raw["ms"]:
-        failures.append(
-            f"{name}: eager interned {eager['ms']:.1f}ms vs raw "
-            f"{raw['ms']:.1f}ms -- less than the required 2x speedup "
-            "on the grid solve"
-        )
     nopasses = runs.get("quasi-guarded-nopasses")
     if nopasses is not None and (
         streamed["ms"] * GRID2X_PASSES_SPEEDUP > nopasses["ms"]
     ):
         failures.append(
-            f"{name}: shrunk program {streamed['ms']:.1f}ms vs "
+            f"{name}: folded program {streamed['ms']:.1f}ms vs "
             f"passes=() ablation {nopasses['ms']:.1f}ms -- less than "
             f"the required {GRID2X_PASSES_SPEEDUP:g}x speedup from "
-            "the program-shrinking passes + single-pass route"
+            "the program-shrinking pass"
         )
     return failures
 
@@ -1100,9 +1074,9 @@ def build_payload(
             if backends.get("semi-naive", {}).get("ms")
         },
         "solver_program": (
-            "Theorem 4.5 has_neighbor, minimized + shrinking passes "
+            "Theorem 4.5 has_neighbor, minimized + folded "
             "(chain/tree at width 1; grid2x ladder at width 2 via "
-            "grid_graph_filter, streamed shrunk program vs passes=() "
+            "grid_graph_filter, streamed folded program vs passes=() "
             "ablation, conformance-pinned to direct MSO + cover DP); "
             "A_td cover DP at natural width (grid)"
         ),
@@ -1164,7 +1138,7 @@ def main(argv=None) -> int:
     )
     print(
         "\nsolver workloads (Theorem 4.4 pipeline: "
-        "streamed+pruned vs eager vs raw)"
+        "streamed+pruned vs eager)"
     )
     solver_rows, solver_results, solver_failures = run_solver_comparison(
         args.quick, repeat=repeat
@@ -1250,12 +1224,11 @@ def main(argv=None) -> int:
         "\nok: identical derived facts across full backends; magic derives "
         "strictly fewer facts and is >= 2x faster on the largest chain; "
         "set-at-a-time semi-naive beats tuple-at-a-time; the streamed "
-        "quasi-guarded pipeline matches the eager and raw ablations' "
-        "answers, prunes rules, and beats eager >= 2x on the tree solve "
-        "and >= 1.3x on the chain solve; the width-2 grid2x solve matches "
+        "quasi-guarded pipeline matches the eager form's answers, "
+        "prunes rules, and beats eager >= 2x on the tree solve and "
+        ">= 1.3x on the chain solve; the width-2 grid2x solve matches "
         "direct MSO evaluation and the hand-written cover DP and beats "
-        "the passes=() ablation; eager stays "
-        ">= 2x over raw on the grid solve; the profiled replan matches "
+        "the passes=() ablation; the profiled replan matches "
         "static plans, clears 1.5x on the skewed join, and "
         "MinIndexSelection shares indexes across nested signatures; "
         "solve_many is worker-count-invariant; the baseline schema "

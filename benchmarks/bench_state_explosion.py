@@ -2,8 +2,9 @@
 
 The generic constructions (the Theorem 4.5 compiler and the FTA type
 automaton share the Θ↑ type space) are exponential in the signature,
-width and quantifier depth.  This harness measures construction time,
-type/class/rule counts and witness sizes as each parameter grows, and
+width and quantifier depth.  This harness measures the compiler's
+construction time, type/class/rule counts and witness sizes as each
+parameter grows, and
 shows the unfiltered graph case blowing through its budget -- the
 quantitative version of "even relatively simple MSO formulae may lead
 to a state explosion".
@@ -22,11 +23,10 @@ machine-readable baseline ``BENCH_compiler.json`` to the repo root
    (``classes <= types``) and the width-2 grid program stays under
    ``MAX_GRID2_RULES`` rules (the emitted program must remain
    practically evaluable, not just constructible);
-3b. (v2) the program-shrinking passes only shrink
+3b. the program-shrinking pass only shrinks
    (``rules_after_passes <= rules``, ``classes_folded >= 0``) and the
    width-2 grid program lands under ``MAX_GRID2_RULES_AFTER_PASSES``
-   rules after ⊥-insensitive folding + recursion elimination
-   (ROADMAP D);
+   rules after ⊥-insensitive folding (ROADMAP D);
 4. the unfiltered graph compile still exhausts a 2000-type budget --
    the paper's state explosion is a property of the construction, not
    a bug to be fixed, and this gate fails if a change accidentally
@@ -49,14 +49,14 @@ except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compiler.json"
-SCHEMA_VERSION = "bench-compiler/v2"
+SCHEMA_VERSION = "bench-compiler/v3"
 
 #: contract 3: the width-2 grid-class program must stay evaluable
 MAX_GRID2_RULES = 60000
 
-#: contract 6 (v2): after the program-shrinking passes (ROADMAP D --
-#: ⊥-insensitive folding + recursion elimination) the same width-2
-#: grid-class program must land well under the evaluability bound
+#: contract 3b: after the program-shrinking pass (ROADMAP D --
+#: ⊥-insensitive folding) the same width-2 grid-class program must
+#: land well under the evaluability bound
 MAX_GRID2_RULES_AFTER_PASSES = 10000
 
 #: the per-record fields whose *presence* the drift gate pins
@@ -72,7 +72,6 @@ RECORD_FIELDS = (
     "rules",
     "classes_folded",
     "rules_after_passes",
-    "bounded_predicates",
     "max_reduced_witness",
     "max_witness_typed",
     "type_computations",
@@ -206,7 +205,6 @@ def run_compiles(quick):
             rules=stats.rules,
             classes_folded=stats.classes_folded,
             rules_after_passes=stats.rules_after_passes,
-            bounded_predicates=stats.bounded_predicates,
             max_reduced_witness=stats.max_reduced_witness,
             max_witness_typed=stats.max_witness_typed,
             type_computations=stats.type_computations,
@@ -231,7 +229,7 @@ def run_compiles(quick):
             )
         if stats.rules_after_passes > stats.rules:
             failures.append(
-                f"{name}: the shrinking passes grew the program "
+                f"{name}: the shrinking pass grew the program "
                 f"({stats.rules_after_passes} rules after passes > "
                 f"{stats.rules} emitted)"
             )
@@ -247,7 +245,7 @@ def run_compiles(quick):
     ):
         failures.append(
             f"graph-neighbor-w2-grid: {grid2['rules_after_passes']} "
-            f"rules after the shrinking passes exceeds the "
+            f"rules after the shrinking pass exceeds the "
             f"{MAX_GRID2_RULES_AFTER_PASSES}-rule bound (ROADMAP D)"
         )
     return records, failures
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
     print(
         "\nok: the width-2 grid-class compile clears the default witness "
         "bound; reduced witnesses stay within the bound everywhere; "
-        "minimization and the shrinking passes only shrink (grid-2 under "
+        "minimization and the shrinking pass only shrink (grid-2 under "
         f"{MAX_GRID2_RULES_AFTER_PASSES} rules after passes); the "
         "unfiltered type space still explodes; the baseline schema "
         "matches the harness"

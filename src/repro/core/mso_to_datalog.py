@@ -79,11 +79,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ..datalog.ast import Atom, Literal, Program, Rule, Variable, pos
 from ..datalog.guards import td_key_dependencies
-from ..datalog.passes import (
-    DEFAULT_PASSES,
-    eliminate_recursion,
-    normalize_passes,
-)
+from ..datalog.passes import DEFAULT_PASSES, normalize_passes
 from ..mso.eval import evaluate
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
@@ -147,10 +143,6 @@ class CompilerStats:
     #: rule count of the final program after the pass pipeline
     #: (== ``rules`` when ``passes=()``)
     rules_after_passes: int = 0
-    #: predicates the boundedness detector marked bounded (always 0 for
-    #: the generic construction -- the identity permutation makes every
-    #: Θ↑/Θ↓ class recursive; see :mod:`repro.datalog.passes`)
-    bounded_predicates: int = 0
 
 
 @dataclass
@@ -165,11 +157,10 @@ class CompiledQuery:
     up_type_count: int
     down_type_count: int
     stats: CompilerStats | None = None
-    #: the shrinking passes this program was compiled with -- part of
-    #: every cache identity derived from the query (differently
+    #: the shrinking passes this program was compiled with (differently
     #: optimized variants are different programs with different
-    #: fingerprints, and the solver keys its grounding preparation on
-    #: the pass-dependent single-pass flag as well)
+    #: fingerprints, so every cache identity derived from the query
+    #: tells them apart)
     passes: tuple[str, ...] = ()
 
     @property
@@ -178,22 +169,6 @@ class CompiledQuery:
 
     def dependencies(self):
         return td_key_dependencies(self.width + 2)
-
-    def prepared(self, registry=None, cache=None):
-        """Stratification + join plans for this program, fetched from
-        (or added to) the compiled-program cache under this query's
-        (fingerprint, signature, width) context -- the solver pre-warms
-        through this so planning happens at construction, not first
-        solve."""
-        from ..datalog.backends import default_cache
-
-        cache = cache if cache is not None else default_cache()
-        return cache.prepared(
-            self.program,
-            registry,
-            signature=str(self.signature),
-            width=self.width,
-        )
 
 
 def _atom_patterns(
@@ -275,7 +250,7 @@ class MSOToDatalogCompiler:
         self.max_types = max_types
         self.minimize = minimize
         #: the program-shrinking pipeline (``None`` -> the production
-        #: default, both passes; ``()`` is the retained ablation)
+        #: default, ``("fold",)``; ``()`` is the retained ablation)
         self.passes = normalize_passes(passes)
         #: Optional predicate restricting compilation to a *class* of
         #: structures (e.g. symmetric loop-free graphs).  Sound whenever
@@ -837,13 +812,6 @@ class MSOToDatalogCompiler:
         else:
             rules_emitted = len(program)
 
-        bounded_count = 0
-        if "unfold" in self.passes:
-            program, unfold_report = eliminate_recursion(
-                program, keep=frozenset((ANSWER_PREDICATE,))
-            )
-            bounded_count = len(unfold_report.bounded)
-
         n_emitted = len(set(assign))
         astats = self.algebra.stats
         is_sentence = self.free_var is None
@@ -861,7 +829,6 @@ class MSOToDatalogCompiler:
             glue_pairs=len(self._glue_map),
             classes_folded=classes_folded,
             rules_after_passes=len(program),
-            bounded_predicates=bounded_count,
         )
         return CompiledQuery(
             program=program,
@@ -911,19 +878,23 @@ def grid_graph_filter(structure: Structure) -> bool:
     makes the width-2 type space practical: the rank-1 type count drops
     from ~1000 (all undirected graphs) to a few hundred, and the
     minimized program to a few hundred rules.
+
+    Linear in the number of edges: once every vertex is known to have
+    at most 3 neighbours, the triangle check scans a constant-size
+    neighbourhood per edge.
     """
     edges = structure.relation("e")
-    degree: dict = {}
+    adjacent: dict = {}
     for u, v in edges:
         if u == v or (v, u) not in edges:
             return False
-        count = degree.get(u, 0) + 1
-        if count > 3:
+        neighbours = adjacent.setdefault(u, set())
+        neighbours.add(v)
+        if len(neighbours) > 3:
             return False
-        degree[u] = count
     for u, v in edges:
-        for x, y in edges:
-            if x == v and y != u and (y, u) in edges:
+        for y in adjacent[v]:
+            if y != u and u in adjacent[y]:
                 return False  # triangle u-v-y
     return True
 

@@ -8,7 +8,7 @@ This module packages the two halves
 (:mod:`repro.datalog.grounding` + :mod:`repro.datalog.horn`) behind a
 checked facade and is what the generic Theorem 4.5 programs run on.
 
-Three execution modes share the cached per-program plans:
+Two execution modes share the cached per-program plans:
 
 * ``"streamed"`` (the default, the production path of
   :class:`repro.core.solver.CourcelleSolver`): grounding is a
@@ -18,13 +18,11 @@ Three execution modes share the cached per-program plans:
   whole rules are demand-pruned relative to ``demand`` (magic-style
   relevance at grounding time), and peak live-rule residency is the
   waiting frontier, not the ground program;
-* ``"eager"`` (the PR 3 pipeline, retained as the
-  ``quasi-guarded-eager`` ablation): the full ground program is
-  materialized interned, then solved by batch LTUR;
-* ``"raw"`` (the PR 2 pipeline, the ``quasi-guarded-raw`` ablation):
-  the same eager materialization over raw values.
+* ``"eager"`` (the ``quasi-guarded-eager`` backend, kept as the
+  service layer's budget fallback): the full ground program is
+  materialized interned, then solved by batch LTUR.
 
-All interned modes thread one
+Both modes thread one
 :class:`~repro.datalog.interning.InternPool` from structure load
 through grounding, unit resolution, and result decoding -- a fact is
 interned exactly once per solve, the grounding -> horn boundary is pure
@@ -42,30 +40,27 @@ from ..datalog.builtins import BuiltinRegistry
 from ..datalog.evaluate import Database
 from ..datalog.grounding import (
     GroundingStats,
-    ground_program,
     ground_program_ids,
     ground_program_streamed,
     resolve_demand,
 )
 from ..datalog.guards import KeyDependency, is_quasi_guarded, td_key_dependencies
-from ..datalog.horn import horn_least_model, horn_least_model_ids
+from ..datalog.horn import horn_least_model_ids
 from ..datalog.interning import InternPool
 from ..datalog.setengine import SetDatabase
 from ..structures.structure import Fact, Structure
 
-_MODES = ("streamed", "eager", "raw")
+_MODES = ("streamed", "eager")
 _UNRESOLVED = object()  # sentinel: derive the relevance set here
 
 
 class QuasiGuardedResult:
     """The derived intensional model of one Theorem 4.4 solve.
 
-    Interned solves keep the model as dense atom ids (``pool`` +
-    ``flags``) and decode **lazily**: ``holds`` and ``unary_answers``
-    answer straight off the interned model, and the full ``facts``
-    set is only materialized on first access.  Raw-path results (the
-    ablation) are constructed from an eager fact set and behave
-    identically.
+    The model is kept as dense atom ids (``pool`` + ``flags``) and
+    decoded **lazily**: ``holds`` and ``unary_answers`` answer straight
+    off the interned model, and the full ``facts`` set is only
+    materialized on first access.
 
     A *demand-pruned* solve (streamed mode with ``demand`` set) is
     exact only for the demanded predicates and their relevance cone;
@@ -79,21 +74,17 @@ class QuasiGuardedResult:
 
     def __init__(
         self,
-        facts: frozenset[Fact] | None = None,
+        pool: InternPool,
+        flags: bytearray,
         ground_rules: int = 0,
-        *,
-        pool: InternPool | None = None,
-        flags: bytearray | None = None,
         stats: GroundingStats | None = None,
     ):
-        if facts is None and (pool is None or flags is None):
-            raise ValueError("need either eager facts or pool + flags")
         self.ground_rules = ground_rules
-        #: the solve's shared interning context (``None`` on the raw path)
+        #: the solve's shared interning context
         self.pool = pool
         self.stats = stats
         self._flags = flags
-        self._facts = facts
+        self._facts: frozenset[Fact] | None = None
 
     @property
     def facts(self) -> frozenset[Fact]:
@@ -106,8 +97,6 @@ class QuasiGuardedResult:
         return self._facts
 
     def holds(self, predicate: str, *args) -> bool:
-        if self.pool is None:
-            return Fact(predicate, tuple(args)) in self._facts
         id_of = self.pool.interner.id_of
         ids = []
         for value in args:
@@ -126,18 +115,6 @@ class QuasiGuardedResult:
         non-unary fact to its first argument would mask a compiler or
         program bug.
         """
-        if self.pool is None:
-            answers = []
-            for f in self._facts:
-                if f.predicate != predicate:
-                    continue
-                if len(f.args) != 1:
-                    raise ValueError(
-                        f"unary_answers({predicate!r}): fact {f} has "
-                        f"arity {len(f.args)}, not 1"
-                    )
-                answers.append(f.args[0])
-            return frozenset(answers)
         pool = self.pool
         value_of = pool.interner.value_of
         return frozenset(
@@ -152,9 +129,8 @@ class QuasiGuardedEvaluator:
     ``dependencies`` are the key constraints used to witness functional
     dependence (Definition 4.3); they default to the ``A_td``
     constraints for the given bag arity.  ``mode`` selects the
-    execution form (``"streamed"`` by default; ``"eager"`` /
-    ``"raw"`` are the ablation pipelines); the legacy ``interned``
-    flag maps ``False`` to ``"raw"``.  ``demand`` (streamed mode only)
+    execution form: ``"streamed"`` (the default) or ``"eager"``, which
+    materializes the ground program.  ``demand`` (streamed mode only)
     restricts grounding to rules relevant to the given query
     predicate(s); the result is then exact only for those predicates
     and their relevance cone.
@@ -164,11 +140,11 @@ class QuasiGuardedEvaluator:
     parent resolves them once, workers skip the per-program work).
 
     ``profile`` (a :class:`~repro.datalog.profile.PlanProfile`) turns
-    on profiling: interned solves record per-signature probe fanout and
-    relation sizes into it.  ``replan`` feeds a previously recorded
-    profile back: the per-rule join orders are re-derived under its
-    cost model (cached per (program, profile fingerprint) in the
-    program cache).
+    on profiling: streamed solves record per-signature probe fanout and
+    relation sizes into it (eager solves record sizes only).
+    ``replan`` feeds a previously recorded profile back: the per-rule
+    join orders are re-derived under its cost model (cached per
+    (program, profile fingerprint) in the program cache).
     """
 
     def __init__(
@@ -179,14 +155,12 @@ class QuasiGuardedEvaluator:
         registry: BuiltinRegistry | None = None,
         require_quasi_guarded: bool = True,
         cache: ProgramCache | None = None,
-        interned: bool | None = None,
-        mode: str | None = None,
+        mode: str = "streamed",
         demand=None,
         prepared=None,
         relevant=_UNRESOLVED,
         profile=None,
         replan=None,
-        single_pass: bool = True,
     ):
         self.program = program
         if dependencies is None:
@@ -195,22 +169,15 @@ class QuasiGuardedEvaluator:
             )
         self.dependencies = dependencies
         self.registry = registry
-        if mode is None:
-            mode = "streamed" if interned in (None, True) else "raw"
-        elif interned is not None and interned != (mode != "raw"):
-            raise ValueError(
-                f"mode={mode!r} contradicts interned={interned!r}"
-            )
         if mode not in _MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; expected one of {_MODES}"
             )
         self.mode = mode
-        self.interned = mode != "raw"
         if demand is not None and mode != "streamed":
             raise ValueError(
                 "demand pruning is only available in streamed mode -- "
-                "the eager pipelines materialize everything by design"
+                "the eager pipeline materializes everything by design"
             )
         self.demand = demand
         if require_quasi_guarded and not is_quasi_guarded(program, dependencies):
@@ -219,19 +186,12 @@ class QuasiGuardedEvaluator:
                 "dependencies (Definition 4.3)"
             )
         self.profile = profile
-        if profile is not None and mode == "raw":
-            raise ValueError(
-                "profiling records interned-index fanout; the raw "
-                "ablation path has none to record"
-            )
         if prepared is not None:
             self._prepared = prepared
         else:
             cache = cache if cache is not None else default_cache()
             # body ordering is per-program work; do once, share via cache
-            self._prepared = cache.grounding(
-                program, registry, profile=replan, single_pass=single_pass
-            )
+            self._prepared = cache.grounding(program, registry, profile=replan)
         if relevant is not _UNRESOLVED:
             self._relevant = relevant
         else:
@@ -255,19 +215,6 @@ class QuasiGuardedEvaluator:
         instead of running away on a pathological input."""
         meter = as_meter(budget)
         stats = GroundingStats()
-        if self.mode == "raw":
-            rules = ground_program(
-                self.program,
-                data,
-                registry=self.registry,
-                stats=stats,
-                prepared=self._prepared,
-                meter=meter,
-            )
-            facts = frozenset(horn_least_model(rules))
-            return QuasiGuardedResult(
-                facts, stats.ground_rules, stats=stats
-            )
         # one interning context per solve: structure load, grounding,
         # horn, and result decoding all share sdb.interner via the pool
         sdb = (
@@ -296,9 +243,4 @@ class QuasiGuardedEvaluator:
                 profile=self.profile,
             )
             flags = sink.flags(len(pool))
-        return QuasiGuardedResult(
-            ground_rules=stats.ground_rules,
-            pool=pool,
-            flags=flags,
-            stats=stats,
-        )
+        return QuasiGuardedResult(pool, flags, stats.ground_rules, stats)

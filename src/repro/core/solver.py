@@ -8,7 +8,11 @@
 The datalog program comes from the Theorem 4.5 compiler (built once per
 (query, signature, width) and reusable over any number of structures,
 which is what makes the data complexity linear), and is evaluated by the
-Theorem 4.4 quasi-guarded pipeline.
+Theorem 4.4 quasi-guarded pipeline -- streamed and demand-pruned by
+default, or eagerly materialized (``backend="quasi-guarded-eager"``, the
+service's budget fallback).  These two are the only solve routes; the
+generic bottom-up engines of :mod:`repro.datalog.backends` serve as
+oracles for compiled programs via :func:`repro.datalog.solve`.
 
 Batch workloads go through :meth:`CourcelleSolver.solve_many`, which
 shards independent structures across a ``multiprocessing`` pool: the
@@ -24,7 +28,7 @@ import os
 import pickle
 
 from ..admission import POLICIES, MeterBudget, admit
-from ..datalog.backends import ProgramCache, default_cache, get_backend
+from ..datalog.backends import ProgramCache, default_cache
 from ..datalog.budget import BudgetExceeded, as_meter
 from ..datalog.guards import is_quasi_guarded
 from ..errors import AdmissionRejected, WidthExceeded
@@ -47,8 +51,16 @@ from .quasi_guarded import _UNRESOLVED, QuasiGuardedEvaluator
 _QG_MODES = {
     "quasi-guarded": "streamed",
     "quasi-guarded-eager": "eager",
-    "quasi-guarded-raw": "raw",
 }
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in _QG_MODES:
+        raise ValueError(
+            f"unknown evaluation backend {backend!r} for CourcelleSolver; "
+            f"expected one of {tuple(_QG_MODES)} (the generic engines run "
+            "a compiled program through repro.datalog.solve)"
+        )
 
 
 class CourcelleSolver:
@@ -60,18 +72,13 @@ class CourcelleSolver:
     demand into an online LTUR, rules irrelevant to the answer
     predicate pruned at grounding time, one shared intern pool from
     structure load to answer decoding); ``"quasi-guarded-eager"`` is
-    the same interned pipeline materializing the full ground program
-    (the PR 3 path, kept as the measured ablation);
-    ``"quasi-guarded-raw"`` is the eager pipeline over raw values (the
-    pre-interning ablation); any name registered in
-    :mod:`repro.datalog.backends` (``"naive"``, ``"semi-naive"`` --
-    the set-at-a-time engine, ``"semi-naive-tuple"``, ``"magic"``)
-    runs that bottom-up backend instead, with the magic backend
-    evaluating goal-directed on the answer predicate.  Backends that
-    can stay in interned-id space (``semi-naive``, ``magic``) do, and
-    only the answer relation is decoded.  All choices share the
+    the same interned pipeline materializing the full ground program,
+    kept as the service layer's budget fallback.  Both share the
     compiled-program cache, so per-program planning happens once per
-    (program fingerprint, signature, width).
+    (program fingerprint, signature, width).  The generic bottom-up
+    engines are test oracles for compiled programs, not solver
+    backends: run ``repro.datalog.solve(solver.compiled.program,
+    encoded, backend=...)`` on an ``A_td`` encoding instead.
     """
 
     def __init__(
@@ -91,6 +98,7 @@ class CourcelleSolver:
         admission: str | None = None,
         admission_budget=None,
     ):
+        _check_backend(backend)
         self._formula = formula
         self.backend_name = backend
         self.cache = cache if cache is not None else default_cache()
@@ -110,14 +118,6 @@ class CourcelleSolver:
         #: close the profile -> replan loop
         self.plan_profile = profile
         self._replan = replan
-        if (profile is not None or replan is not None) and (
-            backend not in _QG_MODES
-        ):
-            raise ValueError(
-                "profile=/replan= apply to the quasi-guarded backends; "
-                f"backend {backend!r} plans through the program cache "
-                "directly (use ProgramCache.prepared(profile=...))"
-            )
         if free_var is None:
             self.compiled: CompiledQuery = compile_sentence(
                 formula,
@@ -140,27 +140,17 @@ class CourcelleSolver:
                 passes=passes,
             )
         #: the shrinking-pass configuration actually applied (``passes=None``
-        #: resolved to the production default by the compiler); ``"unfold"``
-        #: additionally routes evaluation through the single-pass
-        #: (fire-once / deferred-sink) engine fast paths
+        #: resolved to the production default by the compiler)
         self.passes = self.compiled.passes
         self._wire_backend()
 
-    @property
-    def _single_pass(self) -> bool:
-        """Whether evaluation takes the single-pass route (tied to the
-        ``"unfold"`` pass so ``passes=()`` ablates the engine fast paths
-        together with the program shrinking)."""
-        return "unfold" in self.passes
-
     def _wire_backend(self, prepared=None, relevant=_UNRESOLVED) -> None:
-        """Build the per-backend evaluation machinery.
+        """Build the quasi-guarded evaluator for ``backend_name``.
 
         ``prepared`` / ``relevant`` are the pickle handoff: a
         ``solve_many`` worker rebuilds from the parent's per-program
         artifacts (and trusts the parent's quasi-guardedness check)
         instead of re-deriving them."""
-        backend = self.backend_name
         trusted = prepared is not None
         if not trusted and not is_quasi_guarded(
             self.compiled.program, self.compiled.dependencies()
@@ -168,29 +158,19 @@ class CourcelleSolver:
             raise AssertionError(
                 "compiled program is not quasi-guarded -- Theorem 4.5 violated"
             )
-        if backend in _QG_MODES:
-            self._backend = None
-            mode = _QG_MODES[backend]
-            self.evaluator = QuasiGuardedEvaluator(
-                self.compiled.program,
-                dependencies=self.compiled.dependencies(),
-                cache=self.cache,
-                mode=mode,
-                demand=ANSWER_PREDICATE if mode == "streamed" else None,
-                require_quasi_guarded=not trusted,
-                prepared=prepared,
-                relevant=relevant,
-                profile=self.plan_profile,
-                replan=self._replan,
-                single_pass=self._single_pass,
-            )
-        else:
-            self._backend = get_backend(backend, self.cache)
-            self.evaluator = None
-            if backend != "magic":
-                # pay the planning cost now, not on the first solve
-                # (magic plans its rewritten program instead)
-                self.compiled.prepared(cache=self.cache)
+        mode = _QG_MODES[self.backend_name]
+        self.evaluator = QuasiGuardedEvaluator(
+            self.compiled.program,
+            dependencies=self.compiled.dependencies(),
+            cache=self.cache,
+            mode=mode,
+            demand=ANSWER_PREDICATE if mode == "streamed" else None,
+            require_quasi_guarded=not trusted,
+            prepared=prepared,
+            relevant=relevant,
+            profile=self.plan_profile,
+            replan=self._replan,
+        )
 
     # -- pickling (the solve_many handoff) -----------------------------
 
@@ -199,23 +179,21 @@ class CourcelleSolver:
         # artifacts (grounding plans + demand relevance), not the
         # runtime wiring: caches hold locks/closures, and a worker must
         # neither recompile the Theorem 4.5 program nor re-derive the
-        # plans it hands to every solve
-        state = {
+        # plans it hands to every solve.  The builtin registry holds
+        # closures; CourcelleSolver always evaluates with the standard
+        # registry, so ship the plans bare and re-attach it on the
+        # other side
+        return {
             "formula": self._formula,
             "compiled": self.compiled,
             "backend": self.backend_name,
             "admission": self.admission,
             "admission_budget": self.admission_budget,
-        }
-        if self.evaluator is not None:
-            # the builtin registry holds closures; CourcelleSolver
-            # always evaluates with the standard registry, so ship the
-            # plans bare and re-attach it on the other side
-            state["prepared"] = dataclasses.replace(
+            "prepared": dataclasses.replace(
                 self.evaluator._prepared, registry=None
-            )
-            state["relevant"] = self.evaluator._relevant
-        return state
+            ),
+            "relevant": self.evaluator._relevant,
+        }
 
     def __setstate__(self, state):
         self._formula = state["formula"]
@@ -229,39 +207,14 @@ class CourcelleSolver:
         # cross the boundary inside the prepared artifact below
         self.plan_profile = None
         self._replan = None
-        prepared = state.get("prepared")
-        if prepared is not None and prepared.registry is None:
-            from ..datalog.builtins import standard_registry
+        from ..datalog.builtins import standard_registry
 
-            prepared = dataclasses.replace(
-                prepared, registry=standard_registry()
-            )
         self._wire_backend(
-            prepared=prepared,
-            relevant=state.get("relevant", _UNRESOLVED),
+            prepared=dataclasses.replace(
+                state["prepared"], registry=standard_registry()
+            ),
+            relevant=state["relevant"],
         )
-
-    def _backend_answers(self, encoded) -> frozenset:
-        """Evaluate via the pluggable backend; the set of phi-tuples.
-
-        Backends exposing ``evaluate_interned`` keep the whole fixpoint
-        in interned-id space and only the answer relation is decoded --
-        the backend-boundary analogue of the quasi-guarded path's lazy
-        result decoding."""
-        program = self.compiled.program
-        if ANSWER_PREDICATE not in program.intensional_predicates():
-            return frozenset()  # the compiler emitted no answer rules
-        context = dict(
-            query=ANSWER_PREDICATE,
-            signature=str(self.compiled.signature),
-            width=self.compiled.width,
-        )
-        interned = getattr(self._backend, "evaluate_interned", None)
-        if interned is not None:
-            sdb = interned(program, encoded, **context)
-            return frozenset(sdb.decode_relation(ANSWER_PREDICATE))
-        db = self._backend.evaluate(program, encoded, **context)
-        return frozenset(db.relation(ANSWER_PREDICATE))
 
     # ------------------------------------------------------------------
 
@@ -299,11 +252,6 @@ class CourcelleSolver:
     def _finish(self, encoded, budget=None):
         """Evaluate an encoded structure and decode the answer
         (``decide`` boolean or ``query`` answer set)."""
-        if self._backend is not None:
-            answers = self._backend_answers(encoded)
-            if self.compiled.is_sentence:
-                return () in answers
-            return frozenset(args[0] for args in answers)
         result = self.evaluator.evaluate(encoded, budget=budget)
         if self.compiled.is_sentence:
             return result.holds(ANSWER_PREDICATE)
@@ -336,8 +284,7 @@ class CourcelleSolver:
         ``budget`` (a :class:`repro.datalog.SolveBudget`) makes the
         quasi-guarded fixpoint loops raise
         :class:`repro.datalog.BudgetExceeded` cooperatively instead of
-        running away; the O(1) small-structure path and the bottom-up
-        ablation backends ignore it.
+        running away; the O(1) small-structure path ignores it.
 
         ``admission`` (or the solver-wide ``admission=`` default) routes
         the request through :func:`repro.admission.admit` first: the
@@ -535,40 +482,12 @@ class CourcelleSolver:
         ``BudgetExceeded`` streamed solve on the eager pipeline.  The
         quasi-guardedness check is trusted from this solver's own
         construction."""
+        _check_backend(backend)
         if backend == self.backend_name:
             return self
-        clone = object.__new__(CourcelleSolver)
-        clone._formula = self._formula
-        clone.compiled = self.compiled
-        clone.passes = self.passes
-        clone.backend_name = backend
-        clone.cache = self.cache
-        clone.admission = self.admission
-        clone.admission_budget = self.admission_budget
-        clone.plan_profile = (
-            self.plan_profile if backend in _QG_MODES else None
-        )
-        clone._replan = self._replan if backend in _QG_MODES else None
-        if backend in _QG_MODES and self.evaluator is not None:
-            clone._wire_backend(
-                prepared=self.evaluator._prepared,
-                relevant=(
-                    self.evaluator._relevant
-                    if _QG_MODES[backend] == "streamed"
-                    else None
-                ),
-            )
-        else:
-            clone._wire_backend(
-                prepared=self.cache.grounding(
-                    self.compiled.program,
-                    self.evaluator.registry if self.evaluator else None,
-                    profile=clone._replan,
-                    single_pass=clone._single_pass,
-                )
-                if backend in _QG_MODES
-                else None,
-            )
+        clone = self._sibling(backend, self.plan_profile, self._replan)
+        # the clone's mode differs, so it resolves its own demand set
+        clone._wire_backend(prepared=self.evaluator._prepared)
         return clone
 
     def replanned(self, profile=None) -> "CourcelleSolver":
@@ -589,35 +508,30 @@ class CourcelleSolver:
                 "no profile to replan from: pass profile= or run solves "
                 "on a solver constructed with profile=PlanProfile()"
             )
-        if self.backend_name not in _QG_MODES:
-            raise ValueError(
-                "replanned() applies to the quasi-guarded backends; "
-                f"backend {self.backend_name!r} plans through the "
-                "program cache (use ProgramCache.prepared(profile=...))"
-            )
+        clone = self._sibling(self.backend_name, None, profile)
+        clone._wire_backend(
+            prepared=self.cache.grounding(
+                self.compiled.program,
+                self.evaluator.registry,
+                profile=profile,
+            ),
+            relevant=self.evaluator._relevant,
+        )
+        return clone
+
+    def _sibling(self, backend, plan_profile, replan) -> "CourcelleSolver":
+        """A clone sharing the compiled program, cache and admission
+        defaults; the caller wires its evaluator."""
         clone = object.__new__(CourcelleSolver)
         clone._formula = self._formula
         clone.compiled = self.compiled
         clone.passes = self.passes
-        clone.backend_name = self.backend_name
+        clone.backend_name = backend
         clone.cache = self.cache
         clone.admission = self.admission
         clone.admission_budget = self.admission_budget
-        clone.plan_profile = None
-        clone._replan = profile
-        clone._wire_backend(
-            prepared=self.cache.grounding(
-                self.compiled.program,
-                self.evaluator.registry if self.evaluator else None,
-                profile=profile,
-                single_pass=self._single_pass,
-            ),
-            relevant=(
-                self.evaluator._relevant
-                if self.evaluator is not None
-                else _UNRESOLVED
-            ),
-        )
+        clone.plan_profile = plan_profile
+        clone._replan = replan
         return clone
 
     def compiled_formula(self) -> Formula:

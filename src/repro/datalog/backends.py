@@ -290,27 +290,18 @@ class ProgramCache:
         signature=None,
         width: int | None = None,
         profile: PlanProfile | None = None,
-        single_pass: bool = True,
     ) -> PreparedGrounding:
-        """Extensional join orders for the Theorem 4.4 pipeline.
-
-        ``single_pass`` is part of the cache key: a prepared grounding
-        with deferred sink predicates is NOT interchangeable with the
-        plain one for the same program, so differently-optimized
-        variants must never alias each other's entries."""
+        """Extensional join orders for the Theorem 4.4 pipeline, keyed
+        like :meth:`prepared`."""
         registry = self._resolve_registry(registry)
         key = (
             "grounding",
             self._fingerprint_of(program),
             profile.fingerprint() if profile is not None else None,
-            single_pass,
         ) + self._context_key(registry, signature, width)
         cost = CostModel(profile) if profile is not None else None
         return self._get_or_build(
-            key,
-            lambda: prepare_grounding(
-                program, registry, cost=cost, single_pass=single_pass
-            ),
+            key, lambda: prepare_grounding(program, registry, cost=cost)
         )
 
     def magic(

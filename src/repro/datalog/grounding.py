@@ -6,16 +6,16 @@ functional key constraints of ``A_td``), so the number of ground
 instances is O(|A|) per rule and O(|P| * |A|) overall.  The extensional
 part of each body -- positive atoms, negated atoms, built-ins -- is
 resolved during grounding; what remains is a propositional Horn program
-over the intensional atoms, which :func:`repro.datalog.horn.horn_least_model`
-solves in linear time.
+over the intensional atoms, which linear-time unit resolution (LTUR,
+:mod:`repro.datalog.horn`) solves.
 
 The same machinery, pointed at *every* candidate instantiation instead
 of only the ones supported by the database, yields the fully
 materialized ground program that Section 6's optimization (2) warns
 about; that variant lives in the benchmark modules.
 
-Three execution forms share the per-rule plans of
-:func:`prepare_grounding`:
+Two execution forms share the per-rule plans of
+:func:`prepare_grounding`, both over dense interned ids:
 
 * the **streamed** form (:func:`ground_program_streamed`, the
   production path of
@@ -34,8 +34,8 @@ Three execution forms share the per-rule plans of
   rules (a positive extensional literal over an empty relation) are
   never instantiated.  Peak live-rule residency is the LTUR's waiting
   frontier, not the ground program;
-* the **eager interned** form (:func:`ground_program_ids`, the PR 3
-  pipeline, retained as the ``quasi-guarded-eager`` ablation): guard
+* the **eager** form (:func:`ground_program_ids`, the
+  ``quasi-guarded-eager`` backend): guard
   instantiation joins over a
   :class:`~repro.datalog.setengine.SetDatabase` of dense-int fact
   tuples and materializes the full ground program as
@@ -43,12 +43,12 @@ Three execution forms share the per-rule plans of
   :class:`~repro.datalog.interning.InternPool` -- no raw-value tuple
   crosses the grounding -> horn boundary, and
   :func:`repro.datalog.horn.horn_least_model_ids` propagates over the
-  same ids;
-* the **raw-value** form (:func:`ground_program`): the original
-  PR 2-era pipeline over value-level databases and
-  :class:`~repro.structures.structure.Fact` atoms, retained as the
-  ablation baseline for ``bench_datalog_engine.py``'s solver workloads
-  and as the debugging-friendly API (ground rules you can read).
+  same ids.  It is the budget fallback of the service layer, and
+  :func:`evaluate_via_grounding` wraps it with a decoded result.
+
+Sink predicates (heads in no rule body, like the compiled answer
+predicate ``phi``) are always deferred by the streamed form: their
+rules fire once, after the recursive fixpoint has settled.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
 from .builtins import UNBOUND, BuiltinRegistry, standard_registry
 from .evaluate import Database
-from .horn import GroundRule, StreamingHorn, horn_least_model, horn_least_model_ids
+from .horn import StreamingHorn, horn_least_model_ids
 from .interning import InternPool
 from .profile import CostModel, IndexSelection, PlanProfile, min_index_selection
 from .setengine import SetDatabase
@@ -113,12 +113,11 @@ class PreparedGrounding:
     #: :func:`ground_program_streamed`
     stream_plans: tuple["StreamRulePlan", ...] = ()
     #: MinIndexSelection over the plans' search signatures; installed
-    #: on the SetDatabase by the interned/streamed forms so nested
-    #: probe patterns share one lexicographic index
+    #: on the SetDatabase by the eager/streamed forms so nested probe
+    #: patterns share one lexicographic index
     index_selection: IndexSelection | None = None
     #: sink predicates (heads occurring in no rule body) whose driven
-    #: rules the streamed grounder defers to a single post-fixpoint
-    #: pass -- empty when prepared with ``single_pass=False``
+    #: rules the streamed grounder defers to a single post-fixpoint pass
     deferred: frozenset[str] = frozenset()
 
 
@@ -126,7 +125,6 @@ def prepare_grounding(
     program: Program,
     registry: BuiltinRegistry | None = None,
     cost: CostModel | None = None,
-    single_pass: bool = True,
 ) -> PreparedGrounding:
     """Order every rule's extensional body ahead of time.
 
@@ -135,17 +133,13 @@ def prepare_grounding(
     equal-bound-slot ties by estimated output cardinality; without it
     the ordering is the static greedy one (textual tie-break).
 
-    ``single_pass`` marks the program's *sink* predicates -- heads
-    that occur in no rule body, like the compiled queries' answer
-    predicate ``phi`` -- for the streamed grounder's deferred route:
-    their rules fire exactly once after the recursive fixpoint settles
-    instead of once per delta round, and their unresolved intensional
-    body atoms are checked against the final model instead of being
-    parked in the online LTUR's waiting frontier.  Pass ``False`` for
-    the every-round ablation (the pre-optimization behaviour);
-    :class:`~repro.datalog.backends.ProgramCache` keys its grounding
-    entries on this flag so both preparations of one program can live
-    side by side.
+    The program's *sink* predicates -- heads that occur in no rule
+    body, like the compiled queries' answer predicate ``phi`` -- are
+    marked ``deferred`` for the streamed grounder: their rules fire
+    exactly once after the recursive fixpoint settles instead of once
+    per delta round, and their unresolved intensional body atoms are
+    checked against the final model instead of being parked in the
+    online LTUR's waiting frontier.
     """
     registry = registry if registry is not None else standard_registry()
     idb = program.intensional_predicates()
@@ -159,14 +153,12 @@ def prepare_grounding(
     selection = min_index_selection(
         _grounding_signatures(plans, stream_plans, registry)
     )
-    deferred: frozenset[str] = frozenset()
-    if single_pass:
-        in_bodies = {
-            literal.atom.predicate
-            for rule in program.rules
-            for literal in rule.body
-        }
-        deferred = frozenset(idb - in_bodies)
+    in_bodies = {
+        literal.atom.predicate
+        for rule in program.rules
+        for literal in rule.body
+    }
+    deferred = frozenset(idb - in_bodies)
     return PreparedGrounding(
         program, registry, plans, stream_plans, selection, deferred
     )
@@ -319,275 +311,6 @@ def _order_body(
     return ordered
 
 
-def ground_program(
-    program: Program,
-    db: Database | Structure,
-    registry: BuiltinRegistry | None = None,
-    stats: GroundingStats | None = None,
-    prepared: PreparedGrounding | None = None,
-    meter=None,
-) -> list[GroundRule]:
-    """All supported ground instances, as propositional Horn rules.
-
-    The raw-value form: propositional atoms are
-    :class:`repro.structures.structure.Fact` values of the intensional
-    predicates.  ``prepared`` (from :func:`prepare_grounding`) skips
-    re-ordering the rule bodies.  ``meter`` (a
-    :class:`repro.datalog.budget.BudgetMeter`) is checked once per
-    program rule.  The production solve path uses the interned form
-    (:func:`ground_program_ids`) instead; this one is the ablation
-    baseline and the readable-output API.
-    """
-    if isinstance(db, Structure):
-        db = Database.from_structure(db)
-    if prepared is None:
-        prepared = prepare_grounding(program, registry)
-    registry = prepared.registry
-    stats = stats if stats is not None else GroundingStats()
-    ground_rules: list[GroundRule] = []
-
-    for rule, (ordered, idb_literals) in zip(
-        prepared.program.rules, prepared.plans
-    ):
-        if meter is not None:
-            meter.check(stats.ground_rules)
-        columns, length = _instantiate_batch(
-            ordered, db, registry, stats
-        )
-        if not length:
-            continue
-
-        # build the propositional rules straight off the columns: no
-        # per-binding substitution dict, no Atom.substitute round-trip
-        def arg_rows(atom: Atom):
-            if not atom.args:
-                return repeat((), length)
-            sources = [
-                repeat(arg.value, length)
-                if isinstance(arg, Constant)
-                else columns[arg]
-                for arg in atom.args
-            ]
-            return zip(*sources)
-
-        head_predicate = rule.head.predicate
-        body_predicates = [lit.atom.predicate for lit in idb_literals]
-        body_rows = [arg_rows(lit.atom) for lit in idb_literals]
-        for head_args, *body_args in zip(arg_rows(rule.head), *body_rows):
-            body = tuple(
-                Fact(predicate, args)
-                for predicate, args in zip(body_predicates, body_args)
-            )
-            ground_rules.append(
-                GroundRule(Fact(head_predicate, head_args), body)
-            )
-        stats.ground_rules += length
-    return ground_rules
-
-
-def _instantiate_batch(
-    ordered: Sequence[Literal],
-    db: Database,
-    registry: BuiltinRegistry,
-    stats: GroundingStats,
-) -> tuple[dict[Variable, list], int]:
-    """Run one rule's extensional join order set-at-a-time.
-
-    The bindings live in a columnar batch (variable -> parallel value
-    list, as in :mod:`repro.datalog.setengine` but over raw values --
-    grounding happens before interning).  Each literal classifies its
-    argument positions once, fetches one incrementally-maintained
-    index from the database, and probes it per row, instead of
-    re-resolving pattern and index per binding.
-
-    NOTE: the join branches below deliberately mirror the interned
-    kernel in ``setengine._join`` / ``_builtin`` / ``_negate``
-    (classification, dup filters, semi-join vs index-probe split).  A
-    semantics fix in one must be applied to the other, or this path
-    silently diverges from the default backend.
-    """
-    columns: dict[Variable, list] = {}
-    length = 1  # the unit batch: one empty binding
-    for literal in ordered:
-        atom = literal.atom
-        consts: list[tuple[int, object]] = []
-        bound: list[tuple[int, Variable]] = []
-        free: list[tuple[int, Variable]] = []
-        dups: list[tuple[int, int]] = []
-        first_pos: dict[Variable, int] = {}
-        for pos, arg in enumerate(atom.args):
-            if isinstance(arg, Constant):
-                consts.append((pos, arg.value))
-            elif arg in columns:
-                bound.append((pos, arg))
-            elif arg in first_pos:
-                dups.append((pos, first_pos[arg]))
-            else:
-                first_pos[arg] = pos
-                free.append((pos, arg))
-
-        if literal.positive and atom.predicate not in registry:
-            columns, length = _join_relation(
-                columns, length, atom, consts, bound, free, dups, db
-            )
-        elif literal.positive:
-            columns, length = _join_builtin(
-                columns,
-                length,
-                atom,
-                consts,
-                bound,
-                free,
-                dups,
-                registry.get(atom.predicate),
-            )
-        else:
-            if free or dups:
-                raise NotGroundableError(
-                    f"negated atom {atom} not bound during grounding"
-                )
-            columns, length = _filter_negation(
-                columns, length, atom, consts, bound, db, registry, stats
-            )
-        stats.bindings_explored += length
-        if not length:
-            break
-    return columns, length
-
-
-def _join_relation(
-    columns, length, atom, consts, bound, free, dups, db: Database
-):
-    key_positions = tuple(
-        sorted([pos for pos, _ in consts] + [pos for pos, _ in bound])
-    )
-    arity = atom.arity
-    if not free and not dups:
-        # semi-join: candidate fact tuples are fully determined
-        rel = db.relation(atom.predicate)
-        sources = [None] * arity
-        for pos, value in consts:
-            sources[pos] = repeat(value, length)
-        for pos, var in bound:
-            sources[pos] = columns[var]
-        if arity == 0:
-            keep = range(length) if () in rel else []
-        else:
-            keep = [
-                r
-                for r, key in enumerate(zip(*sources))
-                if key in rel
-            ]
-        return _take_rows(columns, keep), len(keep)
-
-    out_columns = {v: [] for v in columns}
-    out_columns.update({var: [] for _, var in free})
-    old = [(out_columns[v].append, columns[v]) for v in columns]
-    new = [(out_columns[var].append, pos) for pos, var in free]
-    count = 0
-
-    if not key_positions:  # unrestricted scan / cross product
-        facts = db.relation(atom.predicate)
-        if dups:
-            facts = [
-                f for f in facts if all(f[p] == f[q] for p, q in dups)
-            ]
-        for r in range(length):
-            for fact in facts:
-                for append, col in old:
-                    append(col[r])
-                for append, pos in new:
-                    append(fact[pos])
-                count += 1
-        return out_columns, count
-
-    index = db.lookup(atom.predicate, key_positions)
-    by_pos = {pos: value for pos, value in consts}
-    for pos, var in bound:
-        by_pos[pos] = columns[var]
-    keys = zip(
-        *(
-            by_pos[pos]
-            if isinstance(by_pos[pos], list)
-            else repeat(by_pos[pos], length)
-            for pos in key_positions
-        )
-    )
-    get = index.get
-    for r, key in enumerate(keys):
-        matches = get(key)
-        if not matches:
-            continue
-        if dups:
-            matches = [
-                f for f in matches if all(f[p] == f[q] for p, q in dups)
-            ]
-        for fact in matches:
-            for append, col in old:
-                append(col[r])
-            for append, pos in new:
-                append(fact[pos])
-        count += len(matches)
-    return out_columns, count
-
-
-def _join_builtin(
-    columns, length, atom, consts, bound, free, dups, builtin
-):
-    arity = atom.arity
-    sources: list = [None] * arity
-    for pos, value in consts:
-        sources[pos] = repeat(value, length)
-    for pos, var in bound:
-        sources[pos] = columns[var]
-    for pos, _ in free:
-        sources[pos] = repeat(UNBOUND, length)
-    for pos, _ in dups:
-        sources[pos] = repeat(UNBOUND, length)
-    patterns = zip(*sources) if arity else repeat((), length)
-
-    out_columns = {v: [] for v in columns}
-    out_columns.update({var: [] for _, var in free})
-    old = [(out_columns[v].append, columns[v]) for v in columns]
-    new = [(out_columns[var].append, pos) for pos, var in free]
-    count = 0
-    for r, pattern in enumerate(patterns):
-        for solution in builtin.evaluate(pattern):
-            if dups and not all(
-                solution[p] == solution[q] for p, q in dups
-            ):
-                continue
-            for append, col in old:
-                append(col[r])
-            for append, pos in new:
-                append(solution[pos])
-            count += 1
-    return out_columns, count
-
-
-def _filter_negation(
-    columns, length, atom, consts, bound, db, registry, stats
-):
-    arity = atom.arity
-    sources: list = [None] * arity
-    for pos, value in consts:
-        sources[pos] = repeat(value, length)
-    for pos, var in bound:
-        sources[pos] = columns[var]
-    patterns = zip(*sources) if arity else repeat((), length)
-    if atom.predicate in registry:
-        builtin = registry.get(atom.predicate)
-        held_flags = [
-            bool(any(builtin.evaluate(pattern))) for pattern in patterns
-        ]
-    else:
-        rel = db.relation(atom.predicate)
-        held_flags = [pattern in rel for pattern in patterns]
-    keep = [r for r, held in enumerate(held_flags) if not held]
-    stats.killed_by_extensional += length - len(keep)
-    return _take_rows(columns, keep), len(keep)
-
-
 def _take_rows(columns: dict, keep) -> dict:
     if isinstance(keep, range):
         return columns
@@ -595,11 +318,10 @@ def _take_rows(columns: dict, keep) -> dict:
 
 
 # ----------------------------------------------------------------------
-# The interned form: joins over a SetDatabase of dense-int fact tuples,
-# ground rules emitted as atom ids from a shared InternPool.  Mirrors
-# the raw branches above step for step (and, like them, the kernels in
-# setengine._join/_builtin/_negate); a semantics fix in one variant
-# must be applied to the others.
+# The eager form: joins over a SetDatabase of dense-int fact tuples,
+# ground rules emitted as atom ids from a shared InternPool.  The join
+# branches mirror the kernels in setengine._join/_builtin/_negate; a
+# semantics fix in one must be applied to the other.
 # ----------------------------------------------------------------------
 
 
@@ -674,10 +396,13 @@ def _instantiate_batch_ids(
     registry: BuiltinRegistry,
     stats: GroundingStats,
 ) -> tuple[dict[Variable, list[int]], int]:
-    """The interned twin of :func:`_instantiate_batch`: columns hold
-    dense ids, relation steps probe the interned database's indexes,
-    and only built-in steps touch raw values (decoded on the way in,
-    fresh outputs interned on the way out, as in the set engine)."""
+    """Run one rule's extensional join order set-at-a-time.
+
+    The bindings live in a columnar batch (variable -> parallel list of
+    dense ids).  Each literal classifies its argument positions once
+    and relation steps probe the interned database's indexes; only
+    built-in steps touch raw values (decoded on the way in, fresh
+    outputs interned on the way out, as in the set engine)."""
     columns: dict[Variable, list[int]] = {}
     length = 1  # the unit batch: one empty binding
     for literal in ordered:

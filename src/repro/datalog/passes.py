@@ -1,9 +1,9 @@
-"""Post-minimization program-shrinking passes (ROADMAP D).
+"""The post-minimization program-shrinking pass (ROADMAP D).
 
-Two independently toggleable optimizations run after the Theorem 4.5
-compiler's Myhill-Nerode minimization, named by the ``passes`` tuple
-threaded through :class:`~repro.core.solver.CourcelleSolver` and the
-compiled-program cache:
+One optimization runs after the Theorem 4.5 compiler's Myhill-Nerode
+minimization, named by the ``passes`` tuple threaded through
+:class:`~repro.core.solver.CourcelleSolver` and the compiled-program
+cache:
 
 * ``"fold"`` -- ⊥-insensitive class folding: merge minimized classes
   whose observable differences are confined to *unrealized* step
@@ -12,49 +12,27 @@ compiled-program cache:
   :func:`repro.core.typealg.fold_partition`; the compiler drives it.
   This module only names the pass.
 
-* ``"unfold"`` -- boundedness-based recursion elimination, following
-  Mazowiecki-Ochremiak-Witkowski ("Eliminating Recursion from Monadic
-  Datalog Programs on Trees"): :func:`bounded_predicates` detects
-  predicates whose derivation depth is bounded by a constant
-  independent of the input structure (no path in the IDB dependency
-  graph from the predicate reaches a cycle), and
-  :func:`eliminate_recursion` unfolds single-rule bounded predicates
-  into their consumers, leaving nonrecursive rules.  Enabling the pass
-  also routes evaluation through the single-pass (fire-once /
-  deferred-sink) fast paths of :mod:`repro.datalog.evaluate`,
-  :mod:`repro.datalog.setengine` and
-  :mod:`repro.datalog.grounding` -- nonrecursive strata skip the
-  delta-iteration bookkeeping entirely.
-
-The generic Theorem 4.5 programs are *honestly* recursive -- the
-identity permutation gives every Θ↑/Θ↓ class a self-loop, so
-:func:`bounded_predicates` reports nothing for them and
-:func:`eliminate_recursion` is a no-op; their single-pass gain comes
-from the SCC-refined strata (``phi`` and every nonrecursive synthetic
-predicate land in fire-once strata).  Hand-written programs with
-genuinely bounded predicates shrink outright.
+``passes=()`` is the retained ablation the width-2 benchmark gate
+compares against.  Evaluation-side shortcuts are not passes: the
+SCC-refined strata of :func:`repro.datalog.evaluate.refine_strata`
+(built on :func:`strongly_connected_components` here) and the
+streamed grounder's deferred sink rules are always on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .ast import Atom, Literal, Program, Rule, Variable
-
 #: every pass the pipeline knows, in application order
-KNOWN_PASSES = ("fold", "unfold")
+KNOWN_PASSES = ("fold",)
 
-#: the production default: both passes on (``passes=()`` is the
-#: retained ablation, like ``minimize=False``)
-DEFAULT_PASSES = ("fold", "unfold")
+#: the production default (``passes=()`` is the retained ablation,
+#: like ``minimize=False``)
+DEFAULT_PASSES = ("fold",)
 
 __all__ = [
     "DEFAULT_PASSES",
     "KNOWN_PASSES",
-    "UnfoldReport",
-    "bounded_predicates",
-    "eliminate_recursion",
     "normalize_passes",
     "strongly_connected_components",
 ]
@@ -138,186 +116,3 @@ def strongly_connected_components(
                         break
                 components.append(tuple(component))
     return components
-
-
-def _idb_dependencies(program: Program) -> dict[str, set[str]]:
-    """head predicate -> IDB predicates (either polarity) in its bodies."""
-    idb = program.intensional_predicates()
-    deps: dict[str, set[str]] = {p: set() for p in idb}
-    for rule in program.rules:
-        head = deps[rule.head.predicate]
-        for literal in rule.body:
-            name = literal.atom.predicate
-            if name in idb:
-                head.add(name)
-    return deps
-
-
-def bounded_predicates(program: Program) -> dict[str, int]:
-    """The bounded IDB predicates with their derivation-depth bounds.
-
-    A predicate ``P`` is *bounded* when the depth of every derivation
-    tree for a ``P``-fact is at most a constant independent of the
-    input structure (Mazowiecki-Ochremiak-Witkowski).  Detected
-    syntactically and soundly: ``P`` is bounded iff no path in the IDB
-    dependency graph from ``P`` reaches a cycle; the bound is the
-    longest dependency chain (an EDB-only rule contributes depth 1).
-    Every naive fixpoint then stabilizes ``P`` within ``depth(P)``
-    rounds on *every* database -- the property the hypothesis suite
-    cross-checks by brute force.
-
-    The detector is deliberately incomplete (boundedness is undecidable
-    in general; even the decidable monadic-over-trees case of the paper
-    needs automata machinery): a predicate in a cycle that happens to
-    be semantically bounded is reported unbounded, never vice versa.
-    """
-    deps = _idb_dependencies(program)
-    components = strongly_connected_components(
-        sorted(deps), lambda p: sorted(deps[p])
-    )
-    depth: dict[str, int] = {}
-    unbounded: set[str] = set()
-    # reverse topological order: every dependency is classified before
-    # its dependents, so one sweep suffices
-    for component in components:
-        cyclic = len(component) > 1 or (
-            component[0] in deps[component[0]]
-        )
-        if cyclic or any(d in unbounded for p in component for d in deps[p]):
-            unbounded.update(component)
-            continue
-        p = component[0]
-        depth[p] = 1 + max((depth[d] for d in deps[p]), default=0)
-    return depth
-
-
-@dataclass(frozen=True)
-class UnfoldReport:
-    """What :func:`eliminate_recursion` did to one program."""
-
-    #: every detected bounded predicate with its depth bound
-    bounded: tuple[tuple[str, int], ...]
-    #: the subset actually unfolded away (single positive-only rule,
-    #: distinct-variable head, not protected by ``keep``)
-    inlined: tuple[str, ...]
-    rules_before: int
-    rules_after: int
-
-
-def eliminate_recursion(
-    program: Program, keep: frozenset[str] | set[str] = frozenset()
-) -> tuple[Program, UnfoldReport]:
-    """Unfold bounded predicates out of ``program``.
-
-    A predicate qualifies when it is bounded (:func:`bounded_predicates`),
-    not in ``keep`` (the externally visible answers -- the compiler
-    protects :data:`~repro.core.mso_to_datalog.ANSWER_PREDICATE`),
-    never occurs negated, and is defined by exactly one rule whose head
-    arguments are distinct variables.  Each body occurrence is replaced
-    by that rule's body with head variables bound to the occurrence's
-    arguments and all other rule variables freshly renamed (so nested
-    and repeated occurrences cannot capture each other); the defining
-    rule is then dropped.  Unfolding shallowest-first means deeper
-    bounded predicates inline the already-unfolded bodies of their
-    dependencies, so the result is recursion-free in every predicate
-    that was unfolded.
-
-    The least model restricted to the surviving predicates is unchanged
-    -- standard positive unfold/fold equivalence; the conformance suite
-    pins it against the original program on random structures.
-    """
-    rules = list(program.rules)
-    bounded = bounded_predicates(program)
-    negated = {
-        literal.atom.predicate
-        for rule in rules
-        for literal in rule.body
-        if not literal.positive
-    }
-    rules_of: dict[str, list[int]] = {}
-    for i, rule in enumerate(rules):
-        rules_of.setdefault(rule.head.predicate, []).append(i)
-
-    def unfoldable(name: str) -> bool:
-        if name in keep or name in negated:
-            return False
-        indices = rules_of.get(name, ())
-        if len(indices) != 1:
-            return False
-        head = rules[indices[0]].head
-        seen: set[Variable] = set()
-        for arg in head.args:
-            if not isinstance(arg, Variable) or arg in seen:
-                return False
-            seen.add(arg)
-        return True
-
-    targets = [
-        name
-        for name, _depth in sorted(bounded.items(), key=lambda kv: kv[1])
-        if unfoldable(name)
-    ]
-    fresh_counter = 0
-
-    def instantiate(definition: Rule, call: Atom) -> tuple[Literal, ...]:
-        """The defining body with head vars bound to the call's args
-        and every other variable freshly renamed."""
-        nonlocal fresh_counter
-        mapping: dict[Variable, object] = dict(
-            zip(definition.head.args, call.args)
-        )
-        for v in definition.variables():
-            if v not in mapping:
-                mapping[v] = Variable(f"_u{fresh_counter}_{v.name}")
-        fresh_counter += 1
-        return tuple(
-            Literal(literal.atom.substitute(mapping), literal.positive)
-            for literal in definition.body
-        )
-
-    inlined = []
-    for name in targets:
-        definition = rules[rules_of[name][0]]
-        if not any(
-            rule is not definition
-            and any(
-                literal.positive and literal.atom.predicate == name
-                for literal in rule.body
-            )
-            for rule in rules
-        ):
-            # no consumers: nothing to unfold, and dropping the
-            # defining rule would silently delete the relation
-            continue
-        replaced = []
-        for rule in rules:
-            if rule is definition:
-                continue
-            if not any(
-                literal.positive and literal.atom.predicate == name
-                for literal in rule.body
-            ):
-                replaced.append(rule)
-                continue
-            body: list[Literal] = []
-            for literal in rule.body:
-                if literal.positive and literal.atom.predicate == name:
-                    body.extend(instantiate(definition, literal.atom))
-                else:
-                    body.append(literal)
-            replaced.append(Rule(rule.head, tuple(body)))
-        rules = replaced
-        rules_of = {}
-        for i, rule in enumerate(rules):
-            rules_of.setdefault(rule.head.predicate, []).append(i)
-        inlined.append(name)
-
-    report = UnfoldReport(
-        bounded=tuple(sorted(bounded.items())),
-        inlined=tuple(inlined),
-        rules_before=len(program.rules),
-        rules_after=len(rules),
-    )
-    if not inlined:
-        return program, report
-    return Program(rules, program.builtin_names), report

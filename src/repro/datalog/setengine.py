@@ -817,8 +817,8 @@ class SetSemiNaiveEvaluator:
                 return
         self._project(rule_index, batch, db.interner, out)
 
-    # NOTE: _join/_builtin/_negate have a raw-value twin in
-    # grounding._instantiate_batch (grounding runs before interning).
+    # NOTE: _join/_builtin/_negate have a twin in
+    # grounding._instantiate_batch_ids (the eager grounding joins).
     # A semantics fix here must be mirrored there.
     def _join(
         self,

@@ -6,7 +6,8 @@ that Courcelle-style algorithms traditionally compile into, and whose
 paper's datalog alternative.  We implement the machinery honestly --
 nondeterministic bottom-up automata, the subset (determinization)
 construction, product automata, emptiness -- so that the explosion can
-be *measured* rather than asserted (``benchmarks/bench_state_explosion.py``).
+be exercised rather than asserted (the budgeted construction in
+:mod:`repro.fta.mso_to_fta`).
 """
 
 from __future__ import annotations

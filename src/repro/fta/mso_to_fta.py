@@ -12,8 +12,10 @@ FTA", Section 1).  The explosion lives in the *construction*: the state
 space and the label alphabet are exponential in the signature size and
 the treewidth, and each quantifier alternation of a complementation-
 based pipeline squares it.  ``benchmarks/bench_state_explosion.py``
-measures exactly that, and the budgeted construction below fails fast --
-our analogue of MONA's out-of-memory -- when the budget is exceeded.
+measures that explosion on the Theorem 4.5 compiler, which shares this
+type space; it does not run this module.  The budgeted construction
+below fails fast -- our analogue of MONA's out-of-memory -- when the
+budget is exceeded (``tests/fta/test_mso_to_fta.py`` pins that).
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 
 from ..admission import POLICIES
 from ..core.solver import _QG_MODES, default_worker_count
-from ..datalog.backends import available_backends, program_fingerprint
+from ..datalog.backends import program_fingerprint
 from ..datalog.budget import BudgetExceeded, SolveBudget
 from ..errors import AdmissionRejected
 from ..structures.structure import structure_fingerprint
@@ -691,13 +691,11 @@ class SolverService:
             raise TypeError(
                 f"budget must be a SolveBudget, got {type(budget).__name__}"
             )
-        if fallback_backend is not None:
-            known = set(_QG_MODES) | set(available_backends())
-            if fallback_backend not in known:
-                raise ValueError(
-                    f"unknown fallback backend {fallback_backend!r}; "
-                    f"expected one of {sorted(known)}"
-                )
+        if fallback_backend is not None and fallback_backend not in _QG_MODES:
+            raise ValueError(
+                f"unknown fallback backend {fallback_backend!r}; "
+                f"expected one of {tuple(_QG_MODES)}"
+            )
         if admission is not None and admission not in POLICIES:
             raise ValueError(
                 f"unknown admission policy {admission!r}; "

@@ -11,10 +11,15 @@ from repro.datalog import (
     Atom,
     Constant,
     Database,
+    GroundRule,
+    InternPool,
     Literal,
     Program,
     Rule,
+    SetDatabase,
     Variable,
+    ground_program_ids,
+    prepare_grounding,
 )
 from repro.structures import FunctionalDependency, Graph, RelationalSchema
 
@@ -174,6 +179,19 @@ def datalog_databases(draw, max_facts: int = 12):
         )
         db.add(pred, args)
     return db
+
+
+def ground_decoded(program: Program, db: Database, stats=None):
+    """The eager interned ground program, decoded to readable
+    :class:`~repro.datalog.GroundRule` values over ``Fact`` atoms."""
+    sdb = SetDatabase.from_edb(db)
+    pool = InternPool(sdb.interner)
+    rules = ground_program_ids(prepare_grounding(program), sdb, pool, stats)
+    decode = pool.decode_atom
+    return [
+        GroundRule(decode(head), tuple(decode(b) for b in body))
+        for head, body in rules
+    ]
 
 
 @pytest.fixture

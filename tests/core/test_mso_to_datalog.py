@@ -9,12 +9,13 @@ the decision-variant simplification.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CompilerLimitError,
     compile_sentence,
     compile_unary_query,
+    grid_graph_filter,
     undirected_graph_filter,
 )
 from repro.datalog import is_quasi_guarded
@@ -168,3 +169,65 @@ class TestLimits:
                 width=1,
                 max_types=200,
             )
+
+
+def _quadratic_grid_filter(structure):
+    """The pairwise-edge-scan formulation of ``grid_graph_filter``,
+    kept as the oracle for the linear rewrite."""
+    edges = structure.relation("e")
+    degree = {}
+    for u, v in edges:
+        if u == v or (v, u) not in edges:
+            return False
+        count = degree.get(u, 0) + 1
+        if count > 3:
+            return False
+        degree[u] = count
+    for u, v in edges:
+        for x, y in edges:
+            if x == v and y != u and (y, u) in edges:
+                return False  # triangle u-v-y
+    return True
+
+
+@st.composite
+def _edge_structures(draw, max_vertices: int = 7):
+    """Arbitrary {e}-structures biased toward the grid class boundary:
+    symmetric closure, loops and dense neighbourhoods all occur."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n)))
+    if draw(st.booleans()):
+        edges |= {(v, u) for u, v in edges}
+    if draw(st.booleans()):
+        edges = {(u, v) for u, v in edges if u != v}
+    return Structure(GRAPH_SIGNATURE, range(n), {"e": edges})
+
+
+class TestGridGraphFilter:
+    @settings(max_examples=300)
+    @given(structure=_edge_structures())
+    def test_matches_the_pairwise_oracle(self, structure):
+        assert grid_graph_filter(structure) == _quadratic_grid_filter(
+            structure
+        )
+
+    @pytest.mark.parametrize(
+        "graph, member",
+        [
+            (Graph.grid(2, 6), True),  # the ladder family itself
+            (Graph.cycle(4), True),
+            (Graph.cycle(3), False),  # triangle
+            (Graph(range(5), [(0, i) for i in range(1, 5)]), False),  # degree 4
+        ],
+    )
+    def test_named_boundary_cases(self, graph, member):
+        structure = graph_to_structure(graph)
+        assert grid_graph_filter(structure) is member
+        assert _quadratic_grid_filter(structure) is member
+
+    def test_loops_and_asymmetric_edges_are_rejected(self):
+        loop = Structure(GRAPH_SIGNATURE, range(2), {"e": {(0, 0)}})
+        one_way = Structure(GRAPH_SIGNATURE, range(2), {"e": {(0, 1)}})
+        assert not grid_graph_filter(loop)
+        assert not grid_graph_filter(one_way)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import QuasiGuardedEvaluator
-from repro.datalog import Database, least_fixpoint, parse_program
-from repro.structures import Fact
+from repro.datalog import Database, least_fixpoint, parse_program, solve
 
 
 def tree_db():
@@ -62,40 +61,31 @@ class TestEvaluator:
         assert result.unary_answers("t") == frozenset({"n0", "n1", "n2"})
         assert result.ground_rules == 4
 
-    def test_all_three_modes_agree(self):
+    def test_modes_agree_with_naive_and_semi_naive(self):
         results = {
             mode: QuasiGuardedEvaluator(
                 PROG, bag_arity=3, mode=mode
             ).evaluate(tree_db())
-            for mode in ("streamed", "eager", "raw")
+            for mode in ("streamed", "eager")
         }
-        reference = results["eager"]
-        for mode, result in results.items():
-            assert result.facts == reference.facts, mode
-            assert result.unary_answers("t") == reference.unary_answers(
-                "t"
-            ), mode
-        # eager and raw materialize the same ground program; on this
-        # fully-live program the streamed emitter matches it too
-        assert (
-            results["eager"].ground_rules == results["raw"].ground_rules
-        )
+        for backend in ("naive", "semi-naive"):
+            reference = solve(PROG, tree_db(), backend=backend)
+            for mode, result in results.items():
+                facts = result.facts
+                for predicate in ("t", "ok"):
+                    got = {f.args for f in facts if f.predicate == predicate}
+                    assert got == reference.relation(predicate), (mode, backend)
+        # on this fully-live program the streamed emitter instantiates
+        # no more rules than the eager ground program holds
         assert results["streamed"].ground_rules <= (
             results["eager"].ground_rules
         )
 
-    def test_default_mode_is_streamed_and_legacy_flag_maps_to_raw(self):
+    def test_default_mode_is_streamed_and_raw_mode_is_rejected(self):
         assert QuasiGuardedEvaluator(PROG, bag_arity=3).mode == "streamed"
-        assert (
-            QuasiGuardedEvaluator(PROG, bag_arity=3, interned=False).mode
-            == "raw"
-        )
-        with pytest.raises(ValueError, match="contradicts"):
-            QuasiGuardedEvaluator(
-                PROG, bag_arity=3, mode="streamed", interned=False
-            )
-        with pytest.raises(ValueError, match="unknown mode"):
-            QuasiGuardedEvaluator(PROG, bag_arity=3, mode="batched")
+        for mode in ("raw", "batched"):
+            with pytest.raises(ValueError, match="'streamed', 'eager'"):
+                QuasiGuardedEvaluator(PROG, bag_arity=3, mode=mode)
 
     def test_demand_requires_streamed_mode(self):
         with pytest.raises(ValueError, match="streamed"):
@@ -124,26 +114,26 @@ class TestEvaluator:
             ("n2",),
         }
 
-    @pytest.mark.parametrize("interned", [True, False])
-    def test_unary_answers_validates_arity(self, interned):
+    @pytest.mark.parametrize("streamed", [True, False])
+    def test_unary_answers_validates_arity(self, streamed):
         """A non-unary fact under the queried predicate must raise, not
-        be silently truncated to its first argument."""
+        be silently truncated to its first argument -- in the streamed
+        and the eager mode alike."""
+        mode = "streamed" if streamed else "eager"
         binary = parse_program(
             """
             t(V) :- bag(V, X0, X1), leaf(V), e(X0, X1).
             pair(V, X0) :- bag(V, X0, X1), t(V).
             """
         )
-        evaluator = QuasiGuardedEvaluator(
-            binary, bag_arity=3, interned=interned
-        )
+        evaluator = QuasiGuardedEvaluator(binary, bag_arity=3, mode=mode)
         result = evaluator.evaluate(tree_db())
         assert result.holds("pair", "n2", "c")
         with pytest.raises(ValueError, match="arity 2, not 1"):
             result.unary_answers("pair")
         # nullary facts are rejected the same way
         full = QuasiGuardedEvaluator(
-            PROG, bag_arity=3, interned=interned
+            PROG, bag_arity=3, mode=mode
         ).evaluate(tree_db())
         with pytest.raises(ValueError, match="arity 0, not 1"):
             full.unary_answers("ok")

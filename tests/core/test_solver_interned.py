@@ -1,12 +1,11 @@
 """End-to-end regression tests for the fully interned solve pipeline.
 
-The quasi-guarded default of :class:`CourcelleSolver` now threads one
+Both quasi-guarded backends of :class:`CourcelleSolver` thread one
 shared intern pool from structure load through grounding, unit
-resolution, and (lazy) answer decoding; the PR 2-era raw-value pipeline
-survives as ``backend="quasi-guarded-raw"``.  These tests pin down that
-the switch changed *nothing observable*: identical ``unary_answers`` on
-3-coloring and primality instances, and exactly one interning context
-per solve.
+resolution, and (lazy) answer decoding.  These tests pin the interned
+answers to the generic ``semi-naive`` and ``naive`` engines run on the
+same program and encoding: identical ``unary_answers`` on 3-coloring
+and primality instances, and exactly one interning context per solve.
 
 Scope note: the generic Theorem 4.5 compiler's practical envelope is
 width 1 (wider signatures blow past its witness limits), so the
@@ -27,7 +26,7 @@ from repro.core import (
     QuasiGuardedEvaluator,
     undirected_graph_filter,
 )
-from repro.datalog import td_key_dependencies
+from repro.datalog import solve, td_key_dependencies
 from repro.mso import formulas, query as direct_query
 from repro.problems import random_partial_ktree
 from repro.structures import (
@@ -36,7 +35,19 @@ from repro.structures import (
     graph_to_structure,
     running_example,
 )
-from repro.treewidth import decompose_structure, encode_normalized, normalize
+from repro.treewidth import (
+    decompose_structure,
+    encode_normalized,
+    normalize,
+    widen,
+)
+
+REFERENCE_ENGINES = ("semi-naive", "naive")
+
+
+def _engine_answers(program, encoded, predicate, backend):
+    derived = solve(program, encoded, backend=backend)
+    return frozenset(args[0] for args in derived.relation(predicate))
 
 
 class TestThreeColoringInstances:
@@ -57,21 +68,23 @@ class TestThreeColoringInstances:
                 structure_filter=undirected_graph_filter,
                 backend=backend,
             )
-            for backend in (
-                "quasi-guarded",
-                "quasi-guarded-eager",
-                "quasi-guarded-raw",
-            )
+            for backend in ("quasi-guarded", "quasi-guarded-eager")
         }
+        program = solvers["quasi-guarded"].compiled.program
         rng = random.Random(0x3C01)
         for _ in range(4):
             graph, td = random_partial_ktree(rng, rng.randint(3, 9), 1)
             s = graph_to_structure(graph)
             streamed = solvers["quasi-guarded"].query(s, td)
             eager = solvers["quasi-guarded-eager"].query(s, td)
-            raw = solvers["quasi-guarded-raw"].query(s, td)
-            assert streamed == eager == raw
+            assert streamed == eager
             assert streamed == direct_query(s, formula, "x")
+            encoded = encode_normalized(s, normalize(widen(td, 1)))
+            for backend in REFERENCE_ENGINES:
+                assert (
+                    _engine_answers(program, encoded, ANSWER_PREDICATE, backend)
+                    == streamed
+                ), backend
 
 
 class TestPrimalityInstances:
@@ -96,16 +109,20 @@ class TestPrimalityInstances:
         program = atd_cover_program(td.width + 2)
         dependencies = td_key_dependencies(td.width + 2)
         answers = {}
-        for interned in (True, False):
+        for mode in ("streamed", "eager"):
             evaluator = QuasiGuardedEvaluator(
-                program, dependencies=dependencies, interned=interned
+                program, dependencies=dependencies, mode=mode
             )
             result = evaluator.evaluate(encoded)
             assert result.holds("ok")
-            answers[interned] = result.unary_answers("covered")
-        assert answers[True] == answers[False]
+            answers[mode] = result.unary_answers("covered")
+        for backend in REFERENCE_ENGINES:
+            answers[backend] = _engine_answers(
+                program, encoded, "covered", backend
+            )
         # every element of the schema structure occurs in some bag
-        assert answers[True] == frozenset(structure.domain)
+        for route, got in answers.items():
+            assert got == frozenset(structure.domain), route
 
 
 class TestOneInternPoolPerSolve:

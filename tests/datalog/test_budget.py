@@ -4,8 +4,8 @@ The linear-time guarantee only holds inside the bounded-treewidth
 envelope; a serving layer facing arbitrary inputs bounds each solve
 with a :class:`SolveBudget` instead of letting a pathological one run
 away.  This suite pins the meter itself (trip conditions, consumption
-reporting), the budget threading through all three quasi-guarded
-modes and ``CourcelleSolver.decide/query``, and the
+reporting), the budget threading through both quasi-guarded modes and
+``CourcelleSolver.decide/query``, and the
 ``with_backend`` sibling-clone used as the service's fallback route.
 """
 
@@ -111,8 +111,7 @@ class TestSolverBudgetThreading:
     over-budget solve raises instead of running away."""
 
     @pytest.mark.parametrize(
-        "backend",
-        ["quasi-guarded", "quasi-guarded-eager", "quasi-guarded-raw"],
+        "backend", ["quasi-guarded", "quasi-guarded-eager"]
     )
     def test_ground_rule_cap_trips_in_every_mode(self, backend):
         solver = CourcelleSolver(
@@ -170,16 +169,28 @@ class TestWithBackend:
         assert eager.backend_name == "quasi-guarded-eager"
         assert solver.backend_name == "quasi-guarded"  # original untouched
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["quasi-guarded-eager", "quasi-guarded-raw", "semi-naive"],
-    )
+    @pytest.mark.parametrize("backend", ["quasi-guarded-eager"])
     def test_fallback_conformance(self, solver, backend):
         # the sibling must answer exactly like the primary on in-budget
-        # inputs -- the conformance pin behind graceful degradation
+        # inputs -- the conformance pin behind graceful degradation --
+        # and both like the generic engines on the same program
+        from repro.core import ANSWER_PREDICATE
+        from repro.datalog import solve
+
         sibling = solver.with_backend(backend)
         for n in (2, 7, 19):
-            assert sibling.query(chain(n)) == solver.query(chain(n))
+            want = solver.query(chain(n))
+            assert sibling.query(chain(n)) == want
+            encoded = solver._prepare(chain(n), None)
+            for engine in ("semi-naive", "naive"):
+                derived = solve(solver.compiled.program, encoded, backend=engine)
+                assert {
+                    args[0] for args in derived.relation(ANSWER_PREDICATE)
+                } == want, engine
+
+    def test_generic_engines_are_not_fallbacks(self, solver):
+        with pytest.raises(ValueError, match="quasi-guarded-eager"):
+            solver.with_backend("semi-naive")
 
     def test_sibling_survives_pickling(self, solver):
         import pickle

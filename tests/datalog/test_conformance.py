@@ -10,10 +10,14 @@ databases, and asserts that every route to the least model lands on the
 * ``magic`` with an all-free query derives the full extent of the
   queried predicate;
 * the Theorem 4.4 quasi-guarded pipeline -- the streamed+pruned
-  production form, the eager interned form, and the raw-value ablation
-  -- agrees whenever the program is in its fragment (groundable
-  guard-first), and demand-pruned streaming is exact on the demanded
-  predicate;
+  production form and the eager interned form -- agrees with both
+  ``semi-naive`` and ``naive`` whenever the program is in its fragment
+  (groundable guard-first), demand-pruned streaming is exact on the
+  demanded predicate, and the deferred sink predicates are exactly the
+  heads no rule body mentions;
+* on compiled Theorem 4.5 programs, the generic engines (``naive``,
+  ``semi-naive``, ``magic``) run through ``solve()`` agree with the
+  streamed ``CourcelleSolver.query`` and with direct MSO evaluation;
 * interning round-trips: decoding an interned database and re-interning
   it is the identity on relations, and the interned grounding -> horn
   boundary carries *only* dense integer ids (no raw-value tuples);
@@ -43,10 +47,8 @@ from repro.datalog import (
     SetDatabase,
     Variable,
     evaluate_via_grounding,
-    ground_program,
     ground_program_ids,
     ground_program_streamed,
-    horn_least_model,
     horn_least_model_ids,
     is_magic_predicate,
     normalize_query,
@@ -55,6 +57,7 @@ from repro.datalog import (
     solve,
 )
 from repro.datalog.setengine import SetSemiNaiveEvaluator
+from repro.structures import Fact
 
 from ..conftest import (
     EDB_ARITIES,
@@ -172,31 +175,60 @@ class TestFullFixpointAgreement:
         assert goal.relation(predicate) == reference.relation(predicate)
 
 
+def _sinks(program):
+    """Intensional predicates no rule body mentions, derived
+    independently of the grounder."""
+    mentioned = set()
+    for rule in program.rules:
+        for literal in rule.body:
+            mentioned.add(literal.atom.predicate)
+    return {
+        rule.head.predicate
+        for rule in program.rules
+        if rule.head.predicate not in mentioned
+    }
+
+
 class TestQuasiGuardedAgreement:
     @given(program=monadic_programs(), db=datalog_databases())
-    def test_interned_and_raw_pipelines_match_semi_naive(self, program, db):
+    def test_eager_and_streamed_pipelines_match_naive_and_semi_naive(
+        self, program, db
+    ):
         prepared = _groundable(program)
         if prepared is None:
             return  # outside the Theorem 4.4 fragment; nothing to check
-        interned_facts = evaluate_via_grounding(
-            program, db, prepared=prepared
-        )
-        raw_facts = set(
-            horn_least_model(ground_program(program, db, prepared=prepared))
-        )
-        assert interned_facts == raw_facts
-        reference = solve(program, db, backend="semi-naive")
-        for predicate in program.intensional_predicates():
-            assert {
-                f.args for f in interned_facts if f.predicate == predicate
-            } == reference.relation(predicate)
+        eager = evaluate_via_grounding(program, db, prepared=prepared)
+        sdb = SetDatabase.from_edb(db)
+        pool = InternPool(sdb.interner)
+        sink = ground_program_streamed(prepared, sdb, pool)
+        streamed = {
+            pool.decode_atom(i)
+            for i, flag in enumerate(sink.flags(len(pool)))
+            if flag
+        }
+        assert streamed == eager
+        for backend in ("semi-naive", "naive"):
+            reference = solve(program, db, backend=backend)
+            for predicate in program.intensional_predicates():
+                assert {
+                    f.args for f in eager if f.predicate == predicate
+                } == reference.relation(predicate), backend
+
+    @given(
+        program=st.one_of(monadic_programs(), datalog_programs()),
+    )
+    def test_deferred_predicates_are_the_sinks(self, program):
+        prepared = _groundable(program)
+        if prepared is None:
+            return
+        assert prepared.deferred == _sinks(program)
 
     @given(program=monadic_programs(), db=datalog_databases())
     def test_no_raw_tuples_cross_the_grounding_horn_boundary(
         self, program, db
     ):
         """The interned pipeline's rule stream is pure dense ids, and
-        the Horn model over those ids decodes to the raw model."""
+        the Horn model over those ids decodes to the semi-naive model."""
         prepared = _groundable(program)
         if prepared is None:
             return
@@ -210,9 +242,12 @@ class TestQuasiGuardedAgreement:
         decoded = {
             pool.decode_atom(i) for i, flag in enumerate(flags) if flag
         }
-        assert decoded == set(
-            horn_least_model(ground_program(program, db, prepared=prepared))
-        )
+        reference = solve(program, db, backend="semi-naive")
+        assert decoded == {
+            Fact(predicate, args)
+            for predicate in program.intensional_predicates()
+            for args in reference.relation(predicate)
+        }
 
 
 class TestStreamedGroundingAgreement:
@@ -470,6 +505,80 @@ class TestMagicStaysInterned:
                 )
 
 
+@st.composite
+def _forests(draw, max_vertices: int = 10):
+    """Random forests with at least two vertices (the width-1 solver's
+    compiled route needs |dom| >= w + 1)."""
+    from repro.structures import Graph
+
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    graph = Graph(range(n))
+    for v in range(1, n):
+        parent = draw(st.none() | st.integers(min_value=0, max_value=v - 1))
+        if parent is not None:
+            graph.add_edge(v, parent)
+    return graph
+
+
+class TestCompiledProgramOnGenericEngines:
+    """The generic bottom-up engines are oracles for compiled programs:
+    ``solve(compiled.program, A_td, backend=b)`` for every engine must
+    equal the streamed ``CourcelleSolver.query``, which must equal
+    direct MSO evaluation."""
+
+    _SOLVER_CACHE: list = []
+
+    @classmethod
+    def _solver(cls):
+        if not cls._SOLVER_CACHE:
+            from repro.core import CourcelleSolver, undirected_graph_filter
+            from repro.mso import formulas
+            from repro.structures import GRAPH_SIGNATURE
+
+            cls._SOLVER_CACHE.append(
+                CourcelleSolver(
+                    formulas.has_neighbor("x"),
+                    GRAPH_SIGNATURE,
+                    width=1,
+                    free_var="x",
+                    structure_filter=undirected_graph_filter,
+                )
+            )
+        return cls._SOLVER_CACHE[0]
+
+    @given(graph=_forests())
+    def test_engines_match_streamed_solver_and_direct_mso(self, graph):
+        from repro.core import ANSWER_PREDICATE
+        from repro.mso import formulas, query as mso_query
+        from repro.structures import graph_to_structure
+        from repro.treewidth import (
+            decompose_structure,
+            encode_normalized,
+            normalize,
+            widen,
+        )
+
+        solver = self._solver()
+        structure = graph_to_structure(graph)
+        td = decompose_structure(structure)
+        if td.width < 1:
+            td = widen(td, 1)
+        encoded = encode_normalized(structure, normalize(td))
+        streamed = solver.query(structure)
+        assert streamed == mso_query(
+            structure, formulas.has_neighbor("x"), "x"
+        )
+        for backend in ("naive", "semi-naive", "magic"):
+            derived = solve(
+                solver.compiled.program,
+                encoded,
+                backend=backend,
+                query=ANSWER_PREDICATE if backend == "magic" else None,
+            )
+            answers = {args[0] for args in derived.relation(ANSWER_PREDICATE)}
+            assert answers == streamed, backend
+
+
 class TestCompiledWidth2Conformance:
     """The Theorem 4.5 width-2 envelope, differentially verified.
 
@@ -598,9 +707,9 @@ class TestCompiledWidth2Conformance:
             )
 
     def test_shrinking_passes_match_unoptimized(self):
-        """The program-shrinking passes are conformance-pinned: folded,
-        unfolded, pass-free and unminimized solvers over the same query
-        must answer identically on random in-class structures."""
+        """The program-shrinking pass is conformance-pinned: folded,
+        pass-free and unminimized solvers over the same query must
+        answer identically on random in-class structures."""
         import random
 
         from repro.core import (
@@ -622,10 +731,8 @@ class TestCompiledWidth2Conformance:
             )
 
         variants = [
-            solver(),  # production default: fold + unfold
+            solver(),  # production default: fold
             solver(passes=()),  # passes ablated
-            solver(passes=("fold",)),
-            solver(passes=("unfold",)),
             solver(minimize=False, passes=()),  # fully unoptimized
         ]
         rng = random.Random(0xF01D)

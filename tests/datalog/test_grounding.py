@@ -7,11 +7,12 @@ from repro.datalog import (
     GroundingStats,
     NotGroundableError,
     evaluate_via_grounding,
-    ground_program,
-    least_fixpoint,
     parse_program,
+    solve,
 )
 from repro.structures import Fact
+
+from ..conftest import ground_decoded
 
 
 def tree_db():
@@ -39,7 +40,7 @@ PROG = parse_program(
 
 class TestGroundProgram:
     def test_ground_rule_shapes(self):
-        rules = ground_program(PROG, tree_db())
+        rules = ground_decoded(PROG, tree_db())
         heads = {r.head for r in rules}
         assert Fact("t", ("n2",)) in heads  # leaf rule, EDB satisfied
         assert Fact("ok", ()) in heads
@@ -48,7 +49,7 @@ class TestGroundProgram:
 
     def test_instance_count_linear_in_guard_matches(self):
         stats = GroundingStats()
-        ground_program(PROG, tree_db(), stats=stats)
+        ground_decoded(PROG, tree_db(), stats=stats)
         # one leaf instance + two propagation instances + one root instance
         assert stats.ground_rules == 4
 
@@ -58,7 +59,7 @@ class TestGroundProgram:
             t(V) :- bag(V, X0, X1), leaf(V), not e(X0, X1).
             """
         )
-        rules = ground_program(prog, tree_db())
+        rules = ground_decoded(prog, tree_db())
         assert rules == []  # e(c, d) holds, so the negation kills it
 
     def test_negation_survives_when_atom_absent(self):
@@ -67,13 +68,13 @@ class TestGroundProgram:
             t(V) :- bag(V, X0, X1), root(V), not e(X0, X1).
             """
         )
-        rules = ground_program(prog, tree_db())
+        rules = ground_decoded(prog, tree_db())
         assert [r.head for r in rules] == [Fact("t", ("n0",))]
 
     def test_not_groundable_raises(self):
         prog = parse_program("p(X, Z) :- p(X, Y), q(Y, Z).")
         with pytest.raises(NotGroundableError):
-            ground_program(prog, Database())
+            ground_decoded(prog, Database())
 
     def test_negated_idb_rejected(self):
         prog = parse_program(
@@ -83,18 +84,19 @@ class TestGroundProgram:
             """
         )
         with pytest.raises(NotGroundableError):
-            ground_program(prog, tree_db())
+            ground_decoded(prog, tree_db())
 
 
 class TestPipeline:
     def test_matches_semi_naive(self):
         db = tree_db()
         derived = evaluate_via_grounding(PROG, db)
-        reference = least_fixpoint(PROG, db)
-        for predicate in ("t", "ok"):
-            assert {f.args for f in derived if f.predicate == predicate} == (
-                reference.relation(predicate)
-            )
+        for backend in ("semi-naive", "naive"):
+            reference = solve(PROG, db, backend=backend)
+            for predicate in ("t", "ok"):
+                assert {
+                    f.args for f in derived if f.predicate == predicate
+                } == reference.relation(predicate), backend
 
     def test_from_structure_input(self):
         from repro.structures import Graph, graph_to_structure

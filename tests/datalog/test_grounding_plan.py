@@ -9,12 +9,10 @@ now always picks the most-bound relation atom next.
 """
 
 from repro.datalog import Database, parse_program
-from repro.datalog.grounding import (
-    GroundingStats,
-    _plan_extensional,
-    ground_program,
-)
+from repro.datalog.grounding import GroundingStats, _plan_extensional
 from repro.datalog.builtins import standard_registry
+
+from ..conftest import ground_decoded
 
 
 def down_branch_style_rule():
@@ -66,7 +64,7 @@ class TestPlanOrder:
         counts = {}
         for n in (50, 100):
             stats = GroundingStats()
-            ground_program(program, build_db(n), stats=stats)
+            ground_decoded(program, build_db(n), stats=stats)
             counts[n] = stats.bindings_explored
         # linear: doubling the data roughly doubles the join work (a
         # mis-ordered plan degenerates into an O(n^2) cross product and
@@ -80,7 +78,7 @@ class TestPlanOrder:
             db.add("bag", (name, "x"))
         db.add("child1", ("b", "a"))
         db.add("child2", ("c", "a"))
-        rules = ground_program(program, db)
+        rules = ground_decoded(program, db)
         down_rules = [r for r in rules if r.head.predicate == "down"]
         assert len(down_rules) == 1
         (rule,) = down_rules

@@ -340,5 +340,14 @@ class TestSolverReplanLoop:
     def test_non_quasi_guarded_backends_reject_the_knobs(self):
         import pytest
 
+        # the generic engines are not solver backends at all
         with pytest.raises(ValueError, match="quasi-guarded"):
             self._solver(backend="semi-naive", profile=PlanProfile())
+        # both quasi-guarded modes take them
+        profile = PlanProfile()
+        eager = self._solver(backend="quasi-guarded-eager", profile=profile)
+        structures = self._structures()
+        want = [self._solver().query(s) for s in structures]
+        assert [eager.query(s) for s in structures] == want
+        assert profile.relation_sizes
+        assert [eager.replanned().query(s) for s in structures] == want

@@ -199,12 +199,10 @@ class TestGroundingCache:
         QuasiGuardedEvaluator(program, dependencies=deps, cache=cache)
         assert cache.stats.hits == 1
 
-    def test_single_pass_variants_never_alias(self):
-        """The single-pass flag is part of the grounding cache key: the
-        same program prepared with and without the deferred-sink route
-        must get *distinct* entries (a collision would hand the
-        multi-pass evaluator plans whose sink rules fire only once, or
-        vice versa), and both variants stay warm side by side."""
+    def test_sink_predicates_are_always_deferred(self):
+        """Every prepared grounding defers the program's sink
+        predicates (heads in no rule body), so one cache entry per
+        program serves every evaluator."""
         from repro.core import QuasiGuardedEvaluator
         from repro.datalog import td_key_dependencies
 
@@ -217,32 +215,21 @@ class TestGroundingCache:
         )
         deps = td_key_dependencies(1)
         cache = ProgramCache()
-        fast = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache, single_pass=True
+        streamed = QuasiGuardedEvaluator(
+            program, dependencies=deps, cache=cache
         )
-        slow = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache, single_pass=False
+        eager = QuasiGuardedEvaluator(
+            program, dependencies=deps, cache=cache, mode="eager"
         )
-        assert cache.stats.misses == 2
-        assert fast._prepared is not slow._prepared
-        assert fast._prepared.deferred == frozenset({"top"})
-        assert slow._prepared.deferred == frozenset()
-        # a repeat of each variant hits its own entry, not the other's
-        again_fast = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache, single_pass=True
-        )
-        again_slow = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache, single_pass=False
-        )
-        assert cache.stats.hits == 2
-        assert again_fast._prepared is fast._prepared
-        assert again_slow._prepared is slow._prepared
+        assert cache.stats.misses == 1
+        assert cache.stats.hits == 1
+        assert eager._prepared is streamed._prepared
+        assert streamed._prepared.deferred == frozenset({"top"})
 
     def test_differently_optimized_solvers_share_one_cache(self):
-        """Fold/unfold solver variants cached side by side answer
-        identically: their programs have different fingerprints, and
-        clones via with_backend/replanned keep the variant's own
-        single-pass grounding (the satellite regression for pass-config
+        """Folded and pass-free solver variants cached side by side
+        answer identically, and clones via with_backend keep the
+        variant's own program (the regression for pass-config
         fingerprinting)."""
         from repro.core import CourcelleSolver, undirected_graph_filter
         from repro.mso import formulas
@@ -263,14 +250,16 @@ class TestGroundingCache:
 
         optimized = build(None)
         ablated = build(())
-        assert optimized._single_pass and not ablated._single_pass
+        assert optimized.passes == ("fold",) and ablated.passes == ()
         structure = graph_to_structure(Graph.path(6))
         want = optimized.query(structure)
         assert ablated.query(structure) == want
-        # backend clones inherit their parent's pass configuration and
-        # answer the same; nothing leaks across the shared cache
-        assert optimized.with_backend("semi-naive").query(structure) == want
-        assert ablated.with_backend("semi-naive").query(structure) == want
+        # backend clones inherit their parent's program and answer the
+        # same; nothing leaks across the shared cache
+        for solver in (optimized, ablated):
+            eager = solver.with_backend("quasi-guarded-eager")
+            assert eager.compiled is solver.compiled
+            assert eager.query(structure) == want
         assert optimized.query(structure) == want
         assert ablated.query(structure) == want
 
