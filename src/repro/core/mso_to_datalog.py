@@ -57,8 +57,15 @@ computes the same answers with often orders-of-magnitude fewer rules
 depth-k query can observe).  ``minimize=False`` keeps one predicate
 per raw type id for ablation and testing.
 
-Every step emits one datalog rule; the result is quasi-guarded
-(``bag(v, ...)`` is the guard; v1/v2 hang off v via child1/child2).
+Emission replays every step-map entry through the class assignment as
+a small hashable *rule key* -- kind, head/body class ids and one shape
+parameter (bag EDB, permutation, new-leaf side or answer position) --
+and builds a datalog rule only on a key's first sighting.  Distinct
+keys are exactly distinct rules (the argument is in ``_emit``), so the
+program is the deduplicated step rules in first-seen order, and the
+pre-fold rule count in :class:`CompilerStats` is a key count with no
+second program built.  The result is quasi-guarded (``bag(v, ...)`` is
+the guard; v1/v2 hang off v via child1/child2).
 The program size is exponential in |φ| and w -- the paper says so
 explicitly ("inevitably leads to programs of exponential size") and
 Section 5 exists precisely because of it.  Practical instantiations
@@ -130,6 +137,8 @@ class CompilerStats:
     down_types: int
     up_classes: int
     down_classes: int
+    #: rule count before the pass pipeline: the distinct rule keys over
+    #: the minimized classes (counted, not built, when ``fold`` merges)
     rules: int
     type_computations: int
     max_witness_typed: int
@@ -613,144 +622,52 @@ class MSOToDatalogCompiler:
             literals.append(Literal(Atom(name, args), (name, indices) in present))
         return literals
 
-    def _emit(self, cls: list[int], accept: dict[int, bool]) -> Program:
-        """Replay the step maps through the class assignment.
+    def _rule_keys(
+        self, cls: list[int], accept: dict[int, bool]
+    ) -> Iterator[tuple]:
+        """Replay the step maps through the class assignment, yielding
+        one key per candidate rule in emission order (repeats included).
 
-        Distinct type ids in one class replay to identical rules, which
-        the dedup set collapses -- completeness and soundness of the
-        class-level program are exactly the congruence property of
-        ``cls`` (every member reaches the class's steps, and all
-        members agree on every observation).
+        A key is the rule's kind, the class ids of its head and body
+        predicates, and its one remaining shape parameter -- the bag
+        EDB, the permutation, the new-leaf side or the answer position;
+        :meth:`_rule` builds the rule from it.
         """
-        rules: list[Rule] = []
-        rule_set: set[Rule] = set()
-
-        def add(rule: Rule) -> None:
-            if rule not in rule_set:
-                rule_set.add(rule)
-                rules.append(rule)
-
         unary = self.free_var is not None
         entry_of = self._table.entry_of
-        bag_vars = self._bag_vars
-        v, vc = Variable("V"), Variable("Vc")
-        v1, v2 = Variable("V1"), Variable("V2")
-        up = [f"up{c}" for c in cls]
-        down = [f"down{c}" for c in cls]
 
         # base types: leaf rules (Θ↑) and root rules (Θ↓)
         for i in self._base_ids:
-            edb = self._edb_literals(entry_of(i).edb)
-            add(
-                Rule(
-                    Atom(up[i], (v,)),
-                    (pos("bag", v, *bag_vars), pos("leaf", v), *edb),
-                )
-            )
+            edb = entry_of(i).edb
+            yield ("base", "up", cls[i], edb)
             if unary:
-                add(
-                    Rule(
-                        Atom(down[i], (v,)),
-                        (pos("bag", v, *bag_vars), pos("root", v), *edb),
-                    )
-                )
+                yield ("base", "down", cls[i], edb)
 
         # permutation nodes: the node's bag is a reordering of the
         # neighbour's (child below for Θ↑, parent above for Θ↓)
         for (i, perm), j in self._perm.items():
-            permuted = tuple(bag_vars[perm[p]] for p in range(self.width + 1))
-            add(
-                Rule(
-                    Atom(up[j], (v,)),
-                    (
-                        pos("bag", v, *permuted),
-                        pos("child1", vc, v),
-                        pos(up[i], vc),
-                        pos("bag", vc, *bag_vars),
-                    ),
-                )
-            )
+            yield ("perm", "up", cls[j], cls[i], perm)
             if unary:
-                add(
-                    Rule(
-                        Atom(down[j], (v,)),
-                        (
-                            pos("bag", v, *permuted),
-                            pos("child1", v, vc),
-                            pos(down[i], vc),
-                            pos("bag", vc, *bag_vars),
-                        ),
-                    )
-                )
+                yield ("perm", "down", cls[j], cls[i], perm)
 
         # element-replacement nodes: position 0 is fresh, the EDB over
         # the new bag is part of the result type's rank-0 data
-        old_x0 = Variable("Xold0")
-        neighbour_bag = (old_x0,) + bag_vars[1:]
         for (i, _chosen), j in self._repl.items():
-            edb = self._edb_literals(entry_of(j).edb)
-            add(
-                Rule(
-                    Atom(up[j], (v,)),
-                    (
-                        pos("bag", v, *bag_vars),
-                        pos("child1", vc, v),
-                        pos(up[i], vc),
-                        pos("bag", vc, *neighbour_bag),
-                        *edb,
-                    ),
-                )
-            )
+            edb = entry_of(j).edb
+            yield ("repl", "up", cls[j], cls[i], edb)
             if unary:
-                add(
-                    Rule(
-                        Atom(down[j], (v,)),
-                        (
-                            pos("bag", v, *bag_vars),
-                            pos("child1", v, vc),
-                            pos(down[i], vc),
-                            pos("bag", vc, *neighbour_bag),
-                            *edb,
-                        ),
-                    )
-                )
+                yield ("repl", "down", cls[j], cls[i], edb)
 
         # branch nodes, from the symmetric glue map: Θ↑ combines the
-        # two children below; Θ↓ extends to a new leaf whose sibling
-        # carries a Θ↑ type
+        # two children below; Θ↓ extends to a new leaf (child 1 or 2)
+        # whose sibling carries a Θ↑ type
         for (i, j), g in self._glue_map.items():
             ordered = ((i, j),) if i == j else ((i, j), (j, i))
             for a, b in ordered:
-                add(
-                    Rule(
-                        Atom(up[g], (v,)),
-                        (
-                            pos("bag", v, *bag_vars),
-                            pos("child1", v1, v),
-                            pos(up[a], v1),
-                            pos("child2", v2, v),
-                            pos(up[b], v2),
-                            pos("bag", v1, *bag_vars),
-                            pos("bag", v2, *bag_vars),
-                        ),
-                    )
-                )
+                yield ("glue", "up", cls[g], cls[a], cls[b])
                 if unary:
-                    for new_leaf, sibling in ((v1, v2), (v2, v1)):
-                        add(
-                            Rule(
-                                Atom(down[g], (new_leaf,)),
-                                (
-                                    pos("bag", new_leaf, *bag_vars),
-                                    pos("child1", v1, v),
-                                    pos("child2", v2, v),
-                                    pos(down[a], v),
-                                    pos(up[b], sibling),
-                                    pos("bag", v, *bag_vars),
-                                    pos("bag", sibling, *bag_vars),
-                                ),
-                            )
-                        )
+                    yield ("glue", "down", cls[g], cls[a], cls[b], 1)
+                    yield ("glue", "down", cls[g], cls[a], cls[b], 2)
 
         if unary:
             # element selection (Lemma 3.7): a node whose Θ↑ and Θ↓
@@ -759,30 +676,131 @@ class MSOToDatalogCompiler:
                 ordered = ((i, j),) if i == j else ((i, j), (j, i))
                 for u_id, d_id in ordered:
                     for position in answers:
-                        add(
-                            Rule(
-                                Atom(
-                                    ANSWER_PREDICATE,
-                                    (bag_vars[position],),
-                                ),
-                                (
-                                    pos(up[u_id], v),
-                                    pos(down[d_id], v),
-                                    pos("bag", v, *bag_vars),
-                                ),
-                            )
-                        )
+                        yield ("select", cls[u_id], cls[d_id], position)
         else:
             # decision-variant simplification: φ ← root(v), θ(v)
             for i, accepted in accept.items():
                 if accepted:
-                    add(
-                        Rule(
-                            Atom(ANSWER_PREDICATE, ()),
-                            (pos("root", v), pos(up[i], v)),
-                        )
-                    )
-        return Program(rules)
+                    yield ("accept", cls[i])
+
+    def _rule(self, key: tuple) -> Rule:
+        """The datalog rule a :meth:`_rule_keys` key stands for."""
+        bag_vars = self._bag_vars
+        v, vc = Variable("V"), Variable("Vc")
+        kind = key[0]
+        if kind == "select":
+            _, u, d, position = key
+            return Rule(
+                Atom(ANSWER_PREDICATE, (bag_vars[position],)),
+                (
+                    pos(f"up{u}", v),
+                    pos(f"down{d}", v),
+                    pos("bag", v, *bag_vars),
+                ),
+            )
+        if kind == "accept":
+            return Rule(
+                Atom(ANSWER_PREDICATE, ()),
+                (pos("root", v), pos(f"up{key[1]}", v)),
+            )
+        # the direction doubles as the predicate prefix (up{c}/down{c})
+        direction, head = key[1], key[2]
+        up = direction == "up"
+        if kind == "base":
+            return Rule(
+                Atom(f"{direction}{head}", (v,)),
+                (
+                    pos("bag", v, *bag_vars),
+                    pos("leaf" if up else "root", v),
+                    *self._edb_literals(key[3]),
+                ),
+            )
+        # Θ↑ reads the child below, Θ↓ the parent above
+        step = pos("child1", vc, v) if up else pos("child1", v, vc)
+        if kind == "perm":
+            _, _, _, body, perm = key
+            permuted = tuple(bag_vars[perm[p]] for p in range(self.width + 1))
+            return Rule(
+                Atom(f"{direction}{head}", (v,)),
+                (
+                    pos("bag", v, *permuted),
+                    step,
+                    pos(f"{direction}{body}", vc),
+                    pos("bag", vc, *bag_vars),
+                ),
+            )
+        if kind == "repl":
+            _, _, _, body, edb = key
+            neighbour_bag = (Variable("Xold0"),) + bag_vars[1:]
+            return Rule(
+                Atom(f"{direction}{head}", (v,)),
+                (
+                    pos("bag", v, *bag_vars),
+                    step,
+                    pos(f"{direction}{body}", vc),
+                    pos("bag", vc, *neighbour_bag),
+                    *self._edb_literals(edb),
+                ),
+            )
+        v1, v2 = Variable("V1"), Variable("V2")
+        if up:
+            _, _, _, a, b = key
+            return Rule(
+                Atom(f"up{head}", (v,)),
+                (
+                    pos("bag", v, *bag_vars),
+                    pos("child1", v1, v),
+                    pos(f"up{a}", v1),
+                    pos("child2", v2, v),
+                    pos(f"up{b}", v2),
+                    pos("bag", v1, *bag_vars),
+                    pos("bag", v2, *bag_vars),
+                ),
+            )
+        _, _, _, a, b, side = key
+        new_leaf, sibling = (v1, v2) if side == 1 else (v2, v1)
+        return Rule(
+            Atom(f"down{head}", (new_leaf,)),
+            (
+                pos("bag", new_leaf, *bag_vars),
+                pos("child1", v1, v),
+                pos("child2", v2, v),
+                pos(f"down{a}", v),
+                pos(f"up{b}", sibling),
+                pos("bag", v, *bag_vars),
+                pos("bag", sibling, *bag_vars),
+            ),
+        )
+
+    def _emit(self, cls: list[int], accept: dict[int, bool]) -> Program:
+        """The class-level program: one rule per distinct key of
+        :meth:`_rule_keys`, built on the key's first sighting.
+
+        Distinct type ids in one class replay to equal keys, and equal
+        keys stand for equal rules -- completeness and soundness of the
+        class-level program are exactly the congruence property of
+        ``cls`` (every member reaches the class's steps, and all
+        members agree on every observation).
+
+        **Key invariant: distinct keys <=> distinct rules.**  A rule is
+        a function of its key: the variables are fixed, a predicate is
+        named by its class id (``up{c}``/``down{c}``), the EDB literals
+        are one signed literal per atom pattern (a function of the EDB
+        set), and the permutation, new-leaf side and answer position
+        each fix one variable tuple.  Conversely the rule determines its
+        key: the kind and direction show in the body's shape (the
+        ``leaf``/``root`` guard, the ``child1`` argument order, a
+        ``child2`` literal, the ``Xold0`` neighbour bag, the ``phi``
+        head, the ``V1``/``V2`` head variable), the class ids in the
+        predicate names, the EDB set in the literal signs, the
+        permutation in the node's bag (distinct variables) and the
+        answer position in the head.  So deduplicating keys in first-
+        seen order yields exactly the rules, in exactly the order, that
+        deduplicating the built rules would -- without building the
+        repeats.
+        """
+        keys = dict.fromkeys(self._rule_keys(cls, accept))
+        return Program(map(self._rule, keys))
 
     # ------------------------------------------------------------------
 
@@ -807,8 +825,9 @@ class MSOToDatalogCompiler:
             classes_folded = n_classes - len(set(assign))
         program = self._emit(assign, accept)
         if classes_folded:
-            # the pre-pass rule count backs the fold-only-shrinks gate
-            rules_emitted = len(self._emit(cls, accept))
+            # the pre-pass rule count backs the fold-only-shrinks gate;
+            # distinct keys are distinct rules, so no program is built
+            rules_emitted = len(set(self._rule_keys(cls, accept)))
         else:
             rules_emitted = len(program)
 

@@ -12,13 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    ANSWER_PREDICATE,
     CompilerLimitError,
+    MSOToDatalogCompiler,
     compile_sentence,
     compile_unary_query,
     grid_graph_filter,
     undirected_graph_filter,
 )
-from repro.datalog import is_quasi_guarded
+from repro.core import mso_to_datalog
+from repro.datalog import is_quasi_guarded, program_fingerprint
+from repro.datalog.ast import Atom, Literal, Program, Rule, Variable, pos
 from repro.mso import ExistsInd, Not, RelAtom, And, evaluate, formulas, query
 from repro.structures import GRAPH_SIGNATURE, Graph, Signature, Structure, graph_to_structure
 
@@ -56,6 +60,13 @@ class TestCompiledProgramShape:
         assert neighbor_query.width == 1
         assert neighbor_query.quantifier_depth == 1
         assert not neighbor_query.is_sentence
+
+    def test_program_fingerprint_is_pinned(self, neighbor_query):
+        """Any change to the emitted rules or their order shows here
+        (the width-2 grid program is pinned in the conformance suite)."""
+        assert program_fingerprint(neighbor_query.program) == (
+            "b709b7050ef407200586bb329494e00a0595287fee5a581bb960dacaf82925b0"
+        )
 
 
 _NQ_CACHE: list = []
@@ -231,3 +242,258 @@ class TestGridGraphFilter:
         one_way = Structure(GRAPH_SIGNATURE, range(2), {"e": {(0, 1)}})
         assert not grid_graph_filter(loop)
         assert not grid_graph_filter(one_way)
+
+
+def _rule_set_emit(compiler, cls, accept):
+    """The rule-level emission that key-level deduplication replaced:
+    every candidate is built as a full ``Rule`` and deduplicated by a
+    rule set -- kept as the oracle for the key-level ``_emit``."""
+    rules = []
+    rule_set = set()
+
+    def add(rule):
+        if rule not in rule_set:
+            rule_set.add(rule)
+            rules.append(rule)
+
+    def edb_literals(present):
+        return [
+            Literal(
+                Atom(name, tuple(bag_vars[i] for i in indices)),
+                (name, indices) in present,
+            )
+            for name, indices in compiler.patterns
+        ]
+
+    unary = compiler.free_var is not None
+    entry_of = compiler._table.entry_of
+    bag_vars = compiler._bag_vars
+    v, vc = Variable("V"), Variable("Vc")
+    v1, v2 = Variable("V1"), Variable("V2")
+    up = [f"up{c}" for c in cls]
+    down = [f"down{c}" for c in cls]
+
+    for i in compiler._base_ids:
+        edb = edb_literals(entry_of(i).edb)
+        add(
+            Rule(
+                Atom(up[i], (v,)),
+                (pos("bag", v, *bag_vars), pos("leaf", v), *edb),
+            )
+        )
+        if unary:
+            add(
+                Rule(
+                    Atom(down[i], (v,)),
+                    (pos("bag", v, *bag_vars), pos("root", v), *edb),
+                )
+            )
+    for (i, perm), j in compiler._perm.items():
+        permuted = tuple(bag_vars[perm[p]] for p in range(compiler.width + 1))
+        add(
+            Rule(
+                Atom(up[j], (v,)),
+                (
+                    pos("bag", v, *permuted),
+                    pos("child1", vc, v),
+                    pos(up[i], vc),
+                    pos("bag", vc, *bag_vars),
+                ),
+            )
+        )
+        if unary:
+            add(
+                Rule(
+                    Atom(down[j], (v,)),
+                    (
+                        pos("bag", v, *permuted),
+                        pos("child1", v, vc),
+                        pos(down[i], vc),
+                        pos("bag", vc, *bag_vars),
+                    ),
+                )
+            )
+    neighbour_bag = (Variable("Xold0"),) + bag_vars[1:]
+    for (i, _chosen), j in compiler._repl.items():
+        edb = edb_literals(entry_of(j).edb)
+        add(
+            Rule(
+                Atom(up[j], (v,)),
+                (
+                    pos("bag", v, *bag_vars),
+                    pos("child1", vc, v),
+                    pos(up[i], vc),
+                    pos("bag", vc, *neighbour_bag),
+                    *edb,
+                ),
+            )
+        )
+        if unary:
+            add(
+                Rule(
+                    Atom(down[j], (v,)),
+                    (
+                        pos("bag", v, *bag_vars),
+                        pos("child1", v, vc),
+                        pos(down[i], vc),
+                        pos("bag", vc, *neighbour_bag),
+                        *edb,
+                    ),
+                )
+            )
+    for (i, j), g in compiler._glue_map.items():
+        for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+            add(
+                Rule(
+                    Atom(up[g], (v,)),
+                    (
+                        pos("bag", v, *bag_vars),
+                        pos("child1", v1, v),
+                        pos(up[a], v1),
+                        pos("child2", v2, v),
+                        pos(up[b], v2),
+                        pos("bag", v1, *bag_vars),
+                        pos("bag", v2, *bag_vars),
+                    ),
+                )
+            )
+            if unary:
+                for new_leaf, sibling in ((v1, v2), (v2, v1)):
+                    add(
+                        Rule(
+                            Atom(down[g], (new_leaf,)),
+                            (
+                                pos("bag", new_leaf, *bag_vars),
+                                pos("child1", v1, v),
+                                pos("child2", v2, v),
+                                pos(down[a], v),
+                                pos(up[b], sibling),
+                                pos("bag", v, *bag_vars),
+                                pos("bag", sibling, *bag_vars),
+                            ),
+                        )
+                    )
+    if unary:
+        for (i, j), answers in compiler._sel.items():
+            for u_id, d_id in ((i, j),) if i == j else ((i, j), (j, i)):
+                for position in answers:
+                    add(
+                        Rule(
+                            Atom(ANSWER_PREDICATE, (bag_vars[position],)),
+                            (
+                                pos(up[u_id], v),
+                                pos(down[d_id], v),
+                                pos("bag", v, *bag_vars),
+                            ),
+                        )
+                    )
+    else:
+        for i, accepted in accept.items():
+            if accepted:
+                add(
+                    Rule(
+                        Atom(ANSWER_PREDICATE, ()),
+                        (pos("root", v), pos(up[i], v)),
+                    )
+                )
+    return Program(rules)
+
+
+_D1 = ExistsInd("x", RelAtom("p", ("x",)))
+_D2 = ExistsInd(
+    "x", And(RelAtom("p", ("x",)), ExistsInd("y", Not(RelAtom("p", ("y",)))))
+)
+
+#: the width-1-or-sentence compiles of ``bench_state_explosion.py``:
+#: (formula, signature, width, free variable, structure filter)
+_EMISSION_COMPILES = {
+    "p-sentence-w1-k1": (_D1, PSIG, 1, None, None),
+    "p-sentence-w2-k1": (_D1, PSIG, 2, None, None),
+    "p-sentence-w1-k2": (_D2, PSIG, 1, None, None),
+    "graph-neighbor-w1-undirected": (
+        formulas.has_neighbor("x"),
+        GRAPH_SIGNATURE,
+        1,
+        "x",
+        undirected_graph_filter,
+    ),
+    "graph-neighbor-w1-grid": (
+        formulas.has_neighbor("x"),
+        GRAPH_SIGNATURE,
+        1,
+        "x",
+        grid_graph_filter,
+    ),
+}
+
+_EMISSION_SETTINGS = {
+    "default": {},
+    "no-passes": {"passes": ()},
+    "unminimized": {"minimize": False},
+}
+
+
+class TestKeyLevelEmission:
+    @pytest.mark.parametrize("setting", sorted(_EMISSION_SETTINGS))
+    @pytest.mark.parametrize("name", sorted(_EMISSION_COMPILES))
+    def test_matches_the_rule_set_oracle(self, name, setting):
+        formula, signature, width, free_var, structure_filter = (
+            _EMISSION_COMPILES[name]
+        )
+        compiler = MSOToDatalogCompiler(
+            formula,
+            signature,
+            width,
+            free_var=free_var,
+            structure_filter=structure_filter,
+            **_EMISSION_SETTINGS[setting],
+        )
+        compiled = compiler.compile()
+        # the emission inputs, re-derived the way ``compile`` derives them
+        accept = {}
+        if free_var is None:
+            accept = {
+                entry.type_id: bool(evaluate(entry.structure, formula))
+                for entry in compiler._table
+            }
+        if compiler.minimize:
+            cls = compiler._minimize_classes(accept)
+        else:
+            cls = list(range(len(compiler._table)))
+        assign = cls
+        if "fold" in compiler.passes:
+            assign = compiler._fold_classes(cls, accept)
+
+        oracle = _rule_set_emit(compiler, assign, accept)
+        assert compiler._emit(assign, accept).rules == oracle.rules
+        assert compiled.program.rules == oracle.rules
+        pre_fold = _rule_set_emit(compiler, cls, accept)
+        assert compiled.stats.rules == len(pre_fold)
+
+    @pytest.mark.parametrize(
+        "name", ["p-sentence-w1-k1", "graph-neighbor-w1-undirected"]
+    )
+    def test_builds_only_the_emitted_rules(self, name, monkeypatch):
+        """No candidate is built twice and no pre-fold program is
+        materialized: ``p-sentence-w1-k1`` folds classes (its pre-fold
+        rule count differs from the program's), the neighbour query
+        replays each class's rules from several type ids."""
+        built = []
+        real_rule = mso_to_datalog.Rule
+
+        def counting_rule(*args, **kwargs):
+            built.append(None)
+            return real_rule(*args, **kwargs)
+
+        monkeypatch.setattr(mso_to_datalog, "Rule", counting_rule)
+        formula, signature, width, free_var, structure_filter = (
+            _EMISSION_COMPILES[name]
+        )
+        compiled = MSOToDatalogCompiler(
+            formula,
+            signature,
+            width,
+            free_var=free_var,
+            structure_filter=structure_filter,
+        ).compile()
+        assert len(built) == len(compiled.program)

@@ -613,6 +613,15 @@ class TestCompiledWidth2Conformance:
             )
         return cls._SOLVER_CACHE[0]
 
+    def test_program_fingerprint_is_pinned(self):
+        """The width-2 program, rule for rule and in order (the
+        width-1 program is pinned in the compiler tests)."""
+        from repro.datalog import program_fingerprint
+
+        assert program_fingerprint(self._solver().compiled.program) == (
+            "5b5af3f8e91a459e7308c3479444773cdf319e340bded34378073134ccb668af"
+        )
+
     def test_ladder_matches_direct_mso_and_cover_dp(self):
         from repro.bench import atd_cover_program
         from repro.core import QuasiGuardedEvaluator
