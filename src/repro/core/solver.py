@@ -150,9 +150,9 @@ class CourcelleSolver:
         ``prepared`` / ``relevant`` are the pickle handoff: a
         ``solve_many`` worker rebuilds from the parent's per-program
         artifacts (and trusts the parent's quasi-guardedness check)
-        instead of re-deriving them."""
-        trusted = prepared is not None
-        if not trusted and not is_quasi_guarded(
+        instead of re-deriving them.  The Theorem 4.5 check runs here,
+        once per construction; the evaluator does not repeat it."""
+        if prepared is None and not is_quasi_guarded(
             self.compiled.program, self.compiled.dependencies()
         ):
             raise AssertionError(
@@ -165,7 +165,7 @@ class CourcelleSolver:
             cache=self.cache,
             mode=mode,
             demand=ANSWER_PREDICATE if mode == "streamed" else None,
-            require_quasi_guarded=not trusted,
+            require_quasi_guarded=False,
             prepared=prepared,
             relevant=relevant,
             profile=self.plan_profile,

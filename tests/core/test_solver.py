@@ -156,3 +156,66 @@ class TestPluggableBackends:
                     structure_filter=undirected_graph_filter,
                     backend=backend,
                 )
+
+
+class TestQuasiGuardednessCheck:
+    """The Theorem 4.5 check runs once per solver construction: the
+    solver asserts it, the evaluator it wires does not repeat it."""
+
+    @staticmethod
+    def _build(backend="quasi-guarded"):
+        return CourcelleSolver(
+            formulas.has_neighbor("x"),
+            GRAPH_SIGNATURE,
+            width=1,
+            free_var="x",
+            structure_filter=undirected_graph_filter,
+            backend=backend,
+        )
+
+    @pytest.mark.parametrize(
+        "backend", ["quasi-guarded", "quasi-guarded-eager"]
+    )
+    def test_construction_checks_exactly_once(self, monkeypatch, backend):
+        import repro.core.quasi_guarded as qg_module
+        import repro.core.solver as solver_module
+        from repro.datalog.guards import is_quasi_guarded
+
+        calls = []
+
+        def counting(program, dependencies=()):
+            calls.append(program)
+            return is_quasi_guarded(program, dependencies)
+
+        monkeypatch.setattr(solver_module, "is_quasi_guarded", counting)
+        monkeypatch.setattr(qg_module, "is_quasi_guarded", counting)
+        s = self._build(backend)
+        assert len(calls) == 1
+        assert calls[0] is s.compiled.program
+        path = graph_to_structure(Graph.path(3))
+        assert s.query(path) == query(path, formulas.has_neighbor("x"), "x")
+
+    def test_non_quasi_guarded_program_still_raises(self, monkeypatch):
+        import dataclasses
+
+        import repro.core.solver as solver_module
+        from repro.datalog import Program, parse_rule
+
+        compile_unary_query = solver_module.compile_unary_query
+        unguarded = parse_rule("path(X, Z) :- path(X, Y), e(Y, Z).")
+
+        def compile_with_unguarded_rule(*args, **kwargs):
+            compiled = compile_unary_query(*args, **kwargs)
+            program = compiled.program
+            return dataclasses.replace(
+                compiled,
+                program=Program(
+                    program.rules + (unguarded,), program.builtin_names
+                ),
+            )
+
+        monkeypatch.setattr(
+            solver_module, "compile_unary_query", compile_with_unguarded_rule
+        )
+        with pytest.raises(AssertionError, match="Theorem 4.5"):
+            self._build()

@@ -622,6 +622,45 @@ class TestCompiledWidth2Conformance:
             "5b5af3f8e91a459e7308c3479444773cdf319e340bded34378073134ccb668af"
         )
 
+    def test_type_space_matches_the_checked_in_compiler_record(self):
+        """The width-2 type fixpoint, count for count: the same compile's
+        ``CompilerStats`` (which carry the ``TypeAlgebraStats``) equal
+        the ``graph-neighbor-w2-grid`` record of ``BENCH_compiler.json``
+        and the figures pinned here."""
+        import json
+        from pathlib import Path
+
+        pinned = {
+            "types": 416,
+            "classes": 17,
+            "classes_folded": 191,
+            "rules": 21829,
+            "rules_after_passes": 769,
+            "type_computations": 9934,
+            "glue_pairs": 6151,
+            "max_reduced_witness": 10,
+            "max_witness_typed": 12,
+        }
+        stats = self._solver().compiled.stats
+        measured = {
+            "types": stats.up_types,
+            "classes": stats.up_classes,
+            "classes_folded": stats.classes_folded,
+            "rules": stats.rules,
+            "rules_after_passes": stats.rules_after_passes,
+            "type_computations": stats.type_computations,
+            "glue_pairs": stats.glue_pairs,
+            "max_reduced_witness": stats.max_reduced_witness,
+            "max_witness_typed": stats.max_witness_typed,
+        }
+        bench = Path(__file__).resolve().parents[2] / "BENCH_compiler.json"
+        record = json.loads(bench.read_text())["compiles"][
+            "graph-neighbor-w2-grid"
+        ]
+        assert measured == pinned
+        assert {name: record[name] for name in pinned} == pinned
+        assert (stats.reductions, stats.elements_deleted) == (416, 0)
+
     def test_ladder_matches_direct_mso_and_cover_dp(self):
         from repro.bench import atd_cover_program
         from repro.core import QuasiGuardedEvaluator

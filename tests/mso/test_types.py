@@ -135,3 +135,244 @@ class TestLastRoundSetMoveOptimization:
             for c in sorted(s.domain, key=repr)
         )
         assert computed[2] == full  # the point-successor component
+
+
+def _oracle_submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+class _OracleTypeContext:
+    """The ``TypeContext`` that evaluated every rank-0 type from
+    scratch (one full ``_atomic`` per set successor), kept as the
+    oracle for parent-derived typing.  Bit for bit the same packed
+    layout: blocks of ``j`` eq-tags, relation tags and in-tags."""
+
+    def __init__(self, structure):
+        from itertools import product
+
+        self._product = product
+        self.domain = sorted(structure.domain, key=repr)
+        self._index = {element: i for i, element in enumerate(self.domain)}
+        self._full_mask = (1 << len(self.domain)) - 1
+        self._rels = tuple(
+            (name, structure.signature.arity(name), structure.relation(name))
+            for name in structure.signature
+        )
+        self._cache = {}
+        self._blocks = {}
+
+    def mask_of(self, elements):
+        mask = 0
+        for element in elements:
+            mask |= 1 << self._index[element]
+        return mask
+
+    def _block(self, j, nmasks):
+        found = self._blocks.get((j, nmasks))
+        if found is None:
+            rels = []
+            for name, arity, rel in self._rels:
+                if arity == 0:
+                    if j == 0:
+                        rels.append((rel, ()))
+                    continue
+                for indices in self._product(range(j + 1), repeat=arity):
+                    if max(indices) == j:
+                        rels.append((rel, indices))
+            found = (j, tuple(rels), j + len(rels) + nmasks)
+            self._blocks[(j, nmasks)] = found
+        return found
+
+    def _block_bits(self, pts, block, masks):
+        j, rels, _width = block
+        pj = pts[j]
+        bits = 0
+        b = 1
+        for i in range(j):
+            if pts[i] == pj:
+                bits |= b
+            b <<= 1
+        for rel, indices in rels:
+            if rel and tuple(pts[i] for i in indices) in rel:
+                bits |= b
+            b <<= 1
+        if masks:
+            pbit = 1 << self._index[pj]
+            for mask in masks:
+                if mask & pbit:
+                    bits |= b
+                b <<= 1
+        return bits
+
+    def _atomic(self, pts, masks):
+        nmasks = len(masks)
+        bits = 0
+        shift = 0
+        for j in range(len(pts)):
+            block = self._block(j, nmasks)
+            bits |= self._block_bits(pts, block, masks) << shift
+            shift += block[2]
+        return bits
+
+    def type_of(self, points, depth, sets=()):
+        masks = tuple(self.mask_of(s) for s in sets)
+        return self._rec(tuple(points), masks, depth)
+
+    def _rec(self, pts, masks, depth):
+        key = (pts, masks, depth)
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        base = self._atomic(pts, masks)
+        if depth == 0:
+            result = ("t0", base)
+        elif depth == 1:
+            n = len(pts)
+            block = self._block(n, len(masks))
+            shift = sum(self._block(j, len(masks))[2] for j in range(n))
+            point_successors = frozenset(
+                (
+                    "t0",
+                    base
+                    | (self._block_bits(pts + (c,), block, masks) << shift),
+                )
+                for c in self.domain
+            )
+            set_successors = frozenset(
+                ("t0", self._atomic(pts, masks + (q,)))
+                for q in _oracle_submasks(self.mask_of(pts))
+            )
+            result = ("t", base, point_successors, set_successors)
+        else:
+            point_successors = frozenset(
+                self._rec(pts + (c,), masks, depth - 1) for c in self.domain
+            )
+            set_successors = frozenset(
+                self._rec(pts, masks + (q,), depth - 1)
+                for q in range(self._full_mask + 1)
+            )
+            result = ("t", base, point_successors, set_successors)
+        self._cache[key] = result
+        return result
+
+
+@st.composite
+def _typing_instances(draw, max_depth=2):
+    """A structure over a random signature mixing nullary, unary,
+    binary and ternary relations, a point tuple (repeats allowed),
+    0-2 sets and a depth in 0..max_depth."""
+    arities = draw(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4)
+    )
+    signature = Signature({f"r{i}": a for i, a in enumerate(arities)})
+    n = draw(st.integers(min_value=1, max_value=4))
+    domain = list(range(n))
+    relations = {}
+    for i, arity in enumerate(arities):
+        tuples = [
+            tuple(draw(st.sampled_from(domain)) for _ in range(arity))
+            for _ in range(draw(st.integers(min_value=0, max_value=5)))
+        ]
+        relations[f"r{i}"] = tuples
+    structure = Structure(signature, domain, relations)
+    points = tuple(
+        draw(st.lists(st.sampled_from(domain), min_size=0, max_size=3))
+    )
+    sets = tuple(
+        frozenset(draw(st.lists(st.sampled_from(domain), max_size=n)))
+        for _ in range(draw(st.integers(min_value=0, max_value=2)))
+    )
+    depth = draw(st.integers(min_value=0, max_value=max_depth))
+    return structure, points, sets, depth
+
+
+def _derived_set_bits(context, pts, masks, base, q):
+    """The packed rank-0 type of ``(pts, masks + (q,))`` as
+    ``TypeContext`` derives it from ``base``."""
+    from repro.mso.types import _with_set
+
+    spread, in_bits = context._set_extension(pts, len(masks), base)
+    return _with_set(spread, in_bits, q)
+
+
+class TestParentDerivedTyping:
+    """``TypeContext`` derives every rank-0 type below the top from its
+    parent's bits; the from-scratch oracle pins it bit for bit."""
+
+    @settings(max_examples=150)
+    @given(_typing_instances())
+    def test_types_match_the_from_scratch_oracle(self, instance):
+        from repro.mso.types import TypeContext
+
+        structure, points, sets, depth = instance
+        want = _OracleTypeContext(structure).type_of(points, depth, sets)
+        assert TypeContext(structure).type_of(points, depth, sets) == want
+        assert mso_type(structure, points, depth, sets) == want
+
+    @settings(max_examples=40)
+    @given(_typing_instances())
+    def test_shared_context_matches_the_oracle_across_queries(
+        self, instance
+    ):
+        """One context answers many queries (the compiler's permutation
+        steps): memo hits must equal fresh oracle computations."""
+        from itertools import permutations
+
+        from repro.mso.types import TypeContext
+
+        structure, points, sets, _depth = instance
+        context = TypeContext(structure)
+        oracle = _OracleTypeContext(structure)
+        for order in permutations(points):
+            for depth in (1, 0, 2):
+                assert context.type_of(order, depth, sets) == oracle.type_of(
+                    order, depth, sets
+                )
+
+    @settings(max_examples=150)
+    @given(_typing_instances())
+    def test_derived_set_successor_bits_match_full_retyping(self, instance):
+        from repro.mso.types import TypeContext
+
+        structure, points, sets, _depth = instance
+        context = TypeContext(structure)
+        oracle = _OracleTypeContext(structure)
+        masks = tuple(context.mask_of(s) for s in sets)
+        base = context._atomic(points, masks)
+        assert base == oracle._atomic(points, masks)
+        for q in range(context._full_mask + 1):
+            assert _derived_set_bits(
+                context, points, masks, base, q
+            ) == oracle._atomic(points, masks + (q,)), q
+
+    def test_derived_set_successor_bits_on_a_mixed_signature(self):
+        """Repeated points, a nullary fact, unary/binary/ternary tags
+        and two prior sets: every q's derived bits equal ``_atomic``
+        of the extended mask tuple."""
+        from repro.mso.types import TypeContext
+
+        signature = Signature.of(z=0, u=1, e=2, t=3)
+        structure = Structure(
+            signature,
+            range(4),
+            {
+                "z": [()],
+                "u": [(1,), (3,)],
+                "e": [(0, 1), (1, 1), (2, 0)],
+                "t": [(0, 1, 0), (1, 0, 2)],
+            },
+        )
+        context = TypeContext(structure)
+        oracle = _OracleTypeContext(structure)
+        points = (0, 1, 0)
+        masks = (context.mask_of({0, 2}), context.mask_of({1}))
+        base = context._atomic(points, masks)
+        for q in range(context._full_mask + 1):
+            assert _derived_set_bits(
+                context, points, masks, base, q
+            ) == oracle._atomic(points, masks + (q,))
