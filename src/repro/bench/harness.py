@@ -82,7 +82,7 @@ def compare_backends(
     best-of-``repeat`` wall clock.
 
     The EDB is interned into a :class:`SetDatabase` **once per compare
-    run** (ROADMAP item (e)): interning backends receive that database
+    run**: interning backends receive that database
     and start each evaluation from a cheap
     :meth:`~repro.datalog.setengine.SetDatabase.snapshot` instead of
     re-paying the per-tuple structure load, while the tuple-at-a-time

@@ -135,16 +135,19 @@ class QuasiGuardedEvaluator:
     predicate(s); the result is then exact only for those predicates
     and their relevance cone.
 
+    The per-rule join orders are planned once per program under the
+    static cost model of the same ``dependencies``
+    (:func:`~repro.datalog.guards.key_cost_model`): key probes of
+    ``child1``/``child2`` before ``bag``, ``leaf``/``root`` before the
+    ``bag`` scan.  With no dependencies the plans keep the textual
+    tie-break.  The plans are cached per (program, dependencies) in the
+    program cache; each solve only binds the program's distinct join
+    steps to the structure (see
+    :class:`~repro.datalog.grounding.PreparedGrounding`).
+
     ``prepared`` / ``relevant`` hand pre-computed per-program artifacts
     straight in (the pickle-safe ``solve_many`` worker handoff: the
     parent resolves them once, workers skip the per-program work).
-
-    ``profile`` (a :class:`~repro.datalog.profile.PlanProfile`) turns
-    on profiling: streamed solves record per-signature probe fanout and
-    relation sizes into it (eager solves record sizes only).
-    ``replan`` feeds a previously recorded profile back: the per-rule
-    join orders are re-derived under its cost model (cached per
-    (program, profile fingerprint) in the program cache).
     """
 
     def __init__(
@@ -159,8 +162,6 @@ class QuasiGuardedEvaluator:
         demand=None,
         prepared=None,
         relevant=_UNRESOLVED,
-        profile=None,
-        replan=None,
     ):
         self.program = program
         if dependencies is None:
@@ -185,13 +186,14 @@ class QuasiGuardedEvaluator:
                 "program is not quasi-guarded under the declared key "
                 "dependencies (Definition 4.3)"
             )
-        self.profile = profile
         if prepared is not None:
             self._prepared = prepared
         else:
             cache = cache if cache is not None else default_cache()
             # body ordering is per-program work; do once, share via cache
-            self._prepared = cache.grounding(program, registry, profile=replan)
+            self._prepared = cache.grounding(
+                program, registry, dependencies=dependencies
+            )
         if relevant is not _UNRESOLVED:
             self._relevant = relevant
         else:
@@ -228,10 +230,6 @@ class QuasiGuardedEvaluator:
                 self._prepared, sdb, pool, stats, meter=meter
             )
             flags = horn_least_model_ids(rules, len(pool))
-            if self.profile is not None:
-                # the eager path has no per-probe hooks; sizes alone
-                # still give the cost model its scan estimates
-                self.profile.record_sizes(sdb)
         else:
             sink = ground_program_streamed(
                 self._prepared,
@@ -240,7 +238,6 @@ class QuasiGuardedEvaluator:
                 stats=stats,
                 relevant=self._relevant,
                 meter=meter,
-                profile=self.profile,
             )
             flags = sink.flags(len(pool))
         return QuasiGuardedResult(pool, flags, stats.ground_rules, stats)

@@ -93,8 +93,6 @@ class CourcelleSolver:
         cache: ProgramCache | None = None,
         minimize: bool = True,
         passes=None,
-        profile=None,
-        replan=None,
         admission: str | None = None,
         admission_budget=None,
     ):
@@ -112,12 +110,6 @@ class CourcelleSolver:
             )
         self.admission = admission
         self.admission_budget = admission_budget
-        #: set via ``profile=`` (a PlanProfile): interned quasi-guarded
-        #: solves record probe fanout / relation sizes into it; hand it
-        #: to :meth:`replanned` (or a fresh solver's ``replan=``) to
-        #: close the profile -> replan loop
-        self.plan_profile = profile
-        self._replan = replan
         if free_var is None:
             self.compiled: CompiledQuery = compile_sentence(
                 formula,
@@ -168,8 +160,6 @@ class CourcelleSolver:
             require_quasi_guarded=False,
             prepared=prepared,
             relevant=relevant,
-            profile=self.plan_profile,
-            replan=self._replan,
         )
 
     # -- pickling (the solve_many handoff) -----------------------------
@@ -203,10 +193,6 @@ class CourcelleSolver:
         self.admission = state.get("admission")
         self.admission_budget = state.get("admission_budget")
         self.cache = default_cache()
-        # profiles stay in the parent process; the *replanned plans*
-        # cross the boundary inside the prepared artifact below
-        self.plan_profile = None
-        self._replan = None
         from ..datalog.builtins import standard_registry
 
         self._wire_backend(
@@ -412,9 +398,9 @@ class CourcelleSolver:
         ``multiprocessing`` pool, handing each worker the pickled
         compiled program once (compilation is never repeated) and
         mapping structures in order, so the result list is identical
-        whatever the worker count (ROADMAP item (c): batch workloads
-        scale with cores because each structure's decompose -> encode
-        -> solve chain is independent).  ``workers="auto"`` resolves to
+        whatever the worker count (batch workloads scale with cores
+        because each structure's decompose -> encode -> solve chain is
+        independent).  ``workers="auto"`` resolves to
         :func:`default_worker_count` capped at the batch size.
 
         ``service`` routes the batch through a caller-held persistent
@@ -485,43 +471,6 @@ class CourcelleSolver:
         _check_backend(backend)
         if backend == self.backend_name:
             return self
-        clone = self._sibling(backend, self.plan_profile, self._replan)
-        # the clone's mode differs, so it resolves its own demand set
-        clone._wire_backend(prepared=self.evaluator._prepared)
-        return clone
-
-    def replanned(self, profile=None) -> "CourcelleSolver":
-        """A sibling solver whose join plans are re-derived under a
-        recorded profile's cost model -- the replan half of the
-        profile -> replan loop.
-
-        ``profile`` defaults to this solver's own ``plan_profile``
-        (populated by solves made with ``profile=`` set).  Like
-        :meth:`with_backend`, the clone shares the compiled program and
-        the cache; only the per-rule join orders (and the index
-        selection derived from them) differ, and the replanned prepared
-        plans ride the same pickle handoff to ``solve_many`` workers.
-        """
-        profile = profile if profile is not None else self.plan_profile
-        if profile is None:
-            raise ValueError(
-                "no profile to replan from: pass profile= or run solves "
-                "on a solver constructed with profile=PlanProfile()"
-            )
-        clone = self._sibling(self.backend_name, None, profile)
-        clone._wire_backend(
-            prepared=self.cache.grounding(
-                self.compiled.program,
-                self.evaluator.registry,
-                profile=profile,
-            ),
-            relevant=self.evaluator._relevant,
-        )
-        return clone
-
-    def _sibling(self, backend, plan_profile, replan) -> "CourcelleSolver":
-        """A clone sharing the compiled program, cache and admission
-        defaults; the caller wires its evaluator."""
         clone = object.__new__(CourcelleSolver)
         clone._formula = self._formula
         clone.compiled = self.compiled
@@ -530,8 +479,8 @@ class CourcelleSolver:
         clone.cache = self.cache
         clone.admission = self.admission
         clone.admission_budget = self.admission_budget
-        clone.plan_profile = plan_profile
-        clone._replan = replan
+        # the clone's mode differs, so it resolves its own demand set
+        clone._wire_backend(prepared=self.evaluator._prepared)
         return clone
 
     def compiled_formula(self) -> Formula:

@@ -53,6 +53,7 @@ from .evaluate import (
     prepare_program,
 )
 from .grounding import PreparedGrounding, prepare_grounding
+from .guards import KeyDependency, key_cost_model
 from .magic import MagicRewrite, magic_rewrite, normalize_query
 from .profile import CostModel, PlanProfile
 from .setengine import SetDatabase, SetSemiNaiveEvaluator
@@ -289,19 +290,24 @@ class ProgramCache:
         *,
         signature=None,
         width: int | None = None,
-        profile: PlanProfile | None = None,
+        dependencies: tuple[KeyDependency, ...] = (),
     ) -> PreparedGrounding:
         """Extensional join orders for the Theorem 4.4 pipeline, keyed
-        like :meth:`prepared`."""
+        like :meth:`prepared` plus the key ``dependencies`` the plans
+        are ordered under (:func:`~repro.datalog.guards.key_cost_model`)
+        -- one program planned with and without them is two entries."""
         registry = self._resolve_registry(registry)
+        dependencies = tuple(dependencies)
         key = (
             "grounding",
             self._fingerprint_of(program),
-            profile.fingerprint() if profile is not None else None,
+            dependencies,
         ) + self._context_key(registry, signature, width)
-        cost = CostModel(profile) if profile is not None else None
         return self._get_or_build(
-            key, lambda: prepare_grounding(program, registry, cost=cost)
+            key,
+            lambda: prepare_grounding(
+                program, registry, cost=key_cost_model(dependencies)
+            ),
         )
 
     def magic(

@@ -53,8 +53,9 @@ rules fire once, after the recursive fixpoint has settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
+from operator import itemgetter
 from typing import Sequence
 
 from ..structures.structure import Fact, Structure
@@ -63,7 +64,7 @@ from .builtins import UNBOUND, BuiltinRegistry, standard_registry
 from .evaluate import Database
 from .horn import StreamingHorn, horn_least_model_ids
 from .interning import InternPool
-from .profile import CostModel, IndexSelection, PlanProfile, min_index_selection
+from .profile import CostModel, IndexSelection, min_index_selection
 from .setengine import SetDatabase
 
 
@@ -94,7 +95,8 @@ class GroundingStats:
 
 @dataclass(frozen=True)
 class PreparedGrounding:
-    """Per-rule extensional join orders, computed once per program.
+    """Everything about grounding a program that no structure changes,
+    computed once per program (and cost model).
 
     Grounding the same compiled program over many structures (the
     Theorem 4.5 amortization) re-runs only the data-dependent half;
@@ -102,6 +104,15 @@ class PreparedGrounding:
     :class:`repro.datalog.backends.ProgramCache`.  ``plans`` drives the
     eager forms, ``stream_plans`` the streamed one (same greedy
     ordering, seeded with the driver literal's variables).
+
+    The streamed plans share one **step table**: ``steps`` holds each
+    distinct extensional join step (literal, slot layout, bind code,
+    key order) once, and every :class:`StreamRulePlan` lists its join
+    as ids into it.  A compiled program has far fewer distinct steps
+    than step instances -- the width-2 ``has_neighbor`` program joins
+    3,673 step instances drawn from 45 steps -- so a solve binds each
+    distinct step to the structure once and assembles every rule's op
+    list from those bindings.
     """
 
     program: Program
@@ -119,6 +130,8 @@ class PreparedGrounding:
     #: sink predicates (heads occurring in no rule body) whose driven
     #: rules the streamed grounder defers to a single post-fixpoint pass
     deferred: frozenset[str] = frozenset()
+    #: the step table the stream plans' ``step_ids`` index
+    steps: tuple["_StreamStep", ...] = ()
 
 
 def prepare_grounding(
@@ -128,10 +141,18 @@ def prepare_grounding(
 ) -> PreparedGrounding:
     """Order every rule's extensional body ahead of time.
 
-    ``cost`` (a :class:`~repro.datalog.profile.CostModel` over a
-    recorded :class:`~repro.datalog.profile.PlanProfile`) breaks
+    ``cost`` (a :class:`~repro.datalog.profile.CostModel`) breaks
     equal-bound-slot ties by estimated output cardinality; without it
-    the ordering is the static greedy one (textual tie-break).
+    the ordering is the static greedy one (textual tie-break).  The
+    Theorem 4.4 evaluator passes the static ``A_td`` model of
+    :func:`repro.datalog.guards.key_cost_model` whenever it holds key
+    dependencies, so compiled programs probe ``child1``/``child2`` by
+    key before ``bag`` and scan ``leaf``/``root`` before ``bag``.
+
+    The streamed plans are split into the step table (see
+    :class:`PreparedGrounding`) and per-rule step ids; each step's bind
+    code and probe-key order are fixed here, against the program's
+    index selection.
 
     The program's *sink* predicates -- heads that occur in no rule
     body, like the compiled queries' answer predicate ``phi`` -- are
@@ -147,12 +168,15 @@ def prepare_grounding(
         tuple(map(tuple, _plan_extensional(rule, idb, registry, cost)))
         for rule in program.rules
     )
+    step_table: dict[_StreamStep, int] = {}
     stream_plans = tuple(
-        _stream_plan(rule, idb, registry, cost) for rule in program.rules
+        _stream_plan(rule, idb, registry, cost, step_table)
+        for rule in program.rules
     )
     selection = min_index_selection(
-        _grounding_signatures(plans, stream_plans, registry)
+        _grounding_signatures(plans, step_table, registry)
     )
+    steps = tuple(_finish_step(step, selection) for step in step_table)
     in_bodies = {
         literal.atom.predicate
         for rule in program.rules
@@ -160,16 +184,16 @@ def prepare_grounding(
     }
     deferred = frozenset(idb - in_bodies)
     return PreparedGrounding(
-        program, registry, plans, stream_plans, selection, deferred
+        program, registry, plans, stream_plans, selection, deferred, steps
     )
 
 
 def _grounding_signatures(
-    plans, stream_plans, registry: BuiltinRegistry
+    plans, stream_steps, registry: BuiltinRegistry
 ) -> dict[str, set[tuple[int, ...]]]:
     """The search signatures (bound-position sets of index probes) of
-    every extensional join step, across both the eager and streamed
-    plans -- the MinIndexSelection input."""
+    every extensional join step, across both the eager plans and the
+    streamed step table -- the MinIndexSelection input."""
     signatures: dict[str, set[tuple[int, ...]]] = {}
 
     def record(predicate: str, key: list[int], has_free: bool) -> None:
@@ -194,11 +218,9 @@ def _grounding_signatures(
                         has_free = True
                 record(atom.predicate, key, has_free)
             bound.update(atom.variables())
-    for plan in stream_plans:
-        for step in plan.steps:
-            if step.kind == "rel":
-                key = [p for p, _ in step.consts] + [p for p, _ in step.bound]
-                record(step.predicate, key, bool(step.free))
+    for step in stream_steps:
+        if step.kind == "rel":
+            record(step.predicate, list(step.key), bool(step.free))
     return signatures
 
 
@@ -253,8 +275,8 @@ def _order_body(
     Shared by the guard-first plan (``bound`` starts empty) and the
     streamed driver plans (``bound`` starts at the driver literal's
     variables).  With a ``cost`` model, equal bound-slot scores break
-    by estimated output rows (profiled fanout / relation size) instead
-    of body textual order.
+    by estimated output rows (fanout / relation size) instead of body
+    textual order.
     """
     remaining = list(remaining)
     ordered: list[Literal] = []
@@ -656,8 +678,13 @@ def _filter_negation_ids(
 
 @dataclass(frozen=True)
 class _StreamStep:
-    """One extensional body literal, classified against the slot layout
-    (static per program; interned/resolved per structure)."""
+    """One extensional body literal, classified against the slot layout.
+
+    Everything here is static per program: rules that join the same
+    literal against the same slots share one step, interned into
+    ``PreparedGrounding.steps``.  ``code`` and ``srcs`` are filled in
+    by :func:`prepare_grounding` once the index selection is known;
+    :class:`_Binder` then resolves the step against a structure."""
 
     kind: str  # "rel" | "builtin" | "neg" | "neg-builtin"
     predicate: str
@@ -666,6 +693,18 @@ class _StreamStep:
     bound: tuple[tuple[int, int], ...]  # (pos, slot)
     free: tuple[tuple[int, int], ...]  # (pos, fresh slot)
     dups: tuple[tuple[int, int], ...]  # (pos, first-occurrence pos)
+    #: one of the ``_BIND_*`` codes: how the step binds per structure
+    code: int = -1
+    #: ``(is_slot, slot or raw constant)`` pairs: the key in probe-key
+    #: order for relation probes and membership tests, the argument
+    #: pattern (``UNBOUND`` at free positions) for built-ins
+    srcs: tuple = ()
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The sorted bound positions: the step's search signature."""
+        positions = [p for p, _ in self.consts] + [p for p, _ in self.bound]
+        return tuple(sorted(positions))
 
 
 @dataclass(frozen=True)
@@ -679,19 +718,25 @@ class StreamRulePlan:
     driver_consts: tuple[tuple[int, object], ...]  # (pos, raw value)
     driver_slots: tuple[tuple[int, int], ...]  # (pos, slot)
     driver_dups: tuple[tuple[int, int], ...]  # (pos, earlier pos)
-    steps: tuple[_StreamStep, ...]
+    #: the extensional join, in order, as ids into
+    #: ``PreparedGrounding.steps``
+    step_ids: tuple[int, ...]
     #: (predicate, argsrc, raw consts): argsrc entries are slot indexes
     #: (>= 0) or ``-k-1`` references into the consts tuple
     head: tuple[str, tuple[int, ...], tuple]
     #: the non-driver intensional body literals, same encoding
     others: tuple[tuple[str, tuple[int, ...], tuple], ...]
+    #: no constant in the driver, head or other intensional literals:
+    #: the emission specs need no interning per solve
+    constant_free: bool = True
 
 
 def _stream_plan(
     rule: Rule,
     idb: frozenset[str],
     registry: BuiltinRegistry,
-    cost: CostModel | None = None,
+    cost: CostModel | None,
+    step_table: dict[_StreamStep, int],
 ) -> StreamRulePlan:
     idb_literals: list[Literal] = []
     extensional: list[Literal] = []
@@ -739,7 +784,7 @@ def _stream_plan(
             f"variables {missing} not bound by the extensional body of: {rule}"
         )
 
-    steps: list[_StreamStep] = []
+    step_ids: list[int] = []
     for literal in ordered:
         atom = literal.atom
         consts: list[tuple[int, object]] = []
@@ -765,17 +810,16 @@ def _stream_plan(
                     f"negated atom {atom} not bound during grounding"
                 )
             kind = "neg-builtin" if atom.predicate in registry else "neg"
-        steps.append(
-            _StreamStep(
-                kind,
-                atom.predicate,
-                atom.arity,
-                tuple(consts),
-                tuple(bound),
-                tuple(free),
-                tuple(dups),
-            )
+        step = _StreamStep(
+            kind,
+            atom.predicate,
+            atom.arity,
+            tuple(consts),
+            tuple(bound),
+            tuple(free),
+            tuple(dups),
         )
+        step_ids.append(step_table.setdefault(step, len(step_table)))
 
     def emission_spec(atom: Atom) -> tuple[str, tuple[int, ...], tuple]:
         argsrc: list[int] = []
@@ -788,6 +832,8 @@ def _stream_plan(
                 argsrc.append(slot_of[arg])
         return (atom.predicate, tuple(argsrc), tuple(const_values))
 
+    head = emission_spec(rule.head)
+    other_specs = tuple(emission_spec(lit.atom) for lit in others)
     return StreamRulePlan(
         rule=rule,
         nslots=len(slot_of),
@@ -795,13 +841,90 @@ def _stream_plan(
         driver_consts=tuple(driver_consts),
         driver_slots=tuple(driver_slots),
         driver_dups=tuple(driver_dups),
-        steps=tuple(steps),
-        head=emission_spec(rule.head),
-        others=tuple(emission_spec(lit.atom) for lit in others),
+        step_ids=tuple(step_ids),
+        head=head,
+        others=other_specs,
+        constant_free=not driver_consts
+        and not head[2]
+        and not any(spec[2] for spec in other_specs),
     )
 
 
-# compiled step opcodes (per-structure resolution of _StreamStep)
+# how a step binds against a structure (``_StreamStep.code``); each
+# resolves to an op below, to ``None`` (the step always holds and is
+# dropped) or to ``_DEAD`` (the rule can never fire on this structure).
+# The membership codes serve negated steps too, with the test flipped.
+_BIND_NULLARY = 0  # arity-0 relation: membership
+_BIND_BITS = 1  # unary relation, bound slot
+_BIND_BITS_CONST = 2  # unary relation, constant argument
+_BIND_SET = 3  # fully bound relation with a slot: set membership
+_BIND_SET_CONST = 4  # fully constant tuple: membership
+_BIND_SCAN = 5  # free positions, no key: scan
+_BIND_PROBE_CONST = 6  # constants-only key: probe once
+_BIND_PROBE1 = 7  # single-position key with a slot
+_BIND_PROBE = 8  # multi-position key with a slot
+_BIND_BUILTIN = 9
+
+
+def _finish_step(step: _StreamStep, selection: IndexSelection | None):
+    """Fix a step's bind code and key/pattern sources; relation probes
+    take their key order from the program's index selection (the order
+    :meth:`SetDatabase.probe_plan` resolves the signature to)."""
+    if step.kind in ("builtin", "neg-builtin"):
+        srcs: list = [None] * step.arity
+        for pos, value in step.consts:
+            srcs[pos] = (False, value)
+        for pos, s in step.bound:
+            srcs[pos] = (True, s)
+        for pos, _ in step.free + step.dups:
+            srcs[pos] = (False, UNBOUND)
+        return replace(step, code=_BIND_BUILTIN, srcs=tuple(srcs))
+    if not (step.free or step.dups):
+        # fully determined (every negated step is): membership test
+        if step.arity == 0:
+            code = _BIND_NULLARY
+        elif step.arity == 1:
+            code = _BIND_BITS_CONST if step.consts else _BIND_BITS
+        else:
+            code = _BIND_SET if step.bound else _BIND_SET_CONST
+        return replace(
+            step, code=code, srcs=_key_srcs(step.consts, step.bound)
+        )
+    key = step.key
+    if not key:
+        return replace(step, code=_BIND_SCAN)
+    spec = selection.probe_spec(step.predicate, key) if selection else None
+    order = spec[0][: spec[1]] if spec is not None else key
+    if not step.bound:
+        code = _BIND_PROBE_CONST
+    else:
+        code = _BIND_PROBE1 if len(order) == 1 else _BIND_PROBE
+    by_pos = {pos: (False, value) for pos, value in step.consts}
+    by_pos.update({pos: (True, s) for pos, s in step.bound})
+    return replace(
+        step, code=code, srcs=tuple(by_pos[p] for p in order)
+    )
+
+
+def _key_srcs(consts, bound):
+    """(is_slot, value) pairs in sorted key-position order."""
+    merged = [(pos, False, value) for pos, value in consts]
+    merged += [(pos, True, s) for pos, s in bound]
+    merged.sort(key=lambda item: item[0])
+    return tuple((is_slot, v) for _, is_slot, v in merged)
+
+
+def _row_key(srcs):
+    """The function from a row (slot values) to the tuple key that
+    ``(is_slot, slot or interned constant)`` sources of two or more
+    positions spell; a C-level ``itemgetter`` when every source is a
+    slot."""
+    if all(is_slot for is_slot, _ in srcs):
+        return itemgetter(*(s for _, s in srcs))
+    return lambda r: tuple(r[v] if is_slot else v for is_slot, v in srcs)
+
+
+# the op codes a bound step runs as (``_CompiledStreamRule._run``)
 _OP_BITS = 0  # unary positive relation, bound slot: bitset test
 _OP_SET = 1  # positive relation, fully bound: set membership
 _OP_PROBE1 = 2  # index probe, single key position (bare-id key)
@@ -813,6 +936,133 @@ _OP_NEG_SET = 7  # negated relation, fully bound
 _OP_NEG_BUILTIN = 8  # negated builtin, fully bound
 
 _DEAD = object()  # sentinel: rule statically dead for this structure
+_UNSET = object()  # sentinel: step not bound yet in this solve
+
+
+class _Binder:
+    """One solve's bindings of the program's distinct steps.
+
+    Each step resolves at most once, on first use, to its op, to
+    ``None`` (always holds) or to ``_DEAD``; the database handles the
+    ops close over (bitsets, relations, probe getters) are memoized per
+    predicate and signature, so a solve touches each handle once however
+    many rules share it."""
+
+    __slots__ = (
+        "steps", "ops", "db", "registry", "interner", "_handles", "_joins"
+    )
+
+    def __init__(self, prepared: "PreparedGrounding", db: SetDatabase):
+        self.steps = prepared.steps
+        self.ops = [_UNSET] * len(prepared.steps)
+        self.db = db
+        self.registry = prepared.registry
+        self.interner = db.interner
+        self._handles: dict = {}
+        #: step-id tuple -> op tuple or ``_DEAD`` (rules share joins)
+        self._joins: dict = {}
+
+    def join(self, step_ids: tuple[int, ...]):
+        """A rule's op list: its steps' ops in order, steps that always
+        hold dropped; ``_DEAD`` as soon as one step can never hold
+        (later steps stay unbound, as they would for the rule alone)."""
+        found = self._joins.get(step_ids)
+        if found is None:
+            ops = []
+            for step_id in step_ids:
+                op = self.ops[step_id]
+                if op is _UNSET:
+                    op = self.ops[step_id] = self._bind(self.steps[step_id])
+                if op is _DEAD:
+                    found = _DEAD
+                    break
+                if op is not None:
+                    ops.append(op)
+            else:
+                found = tuple(ops)
+            self._joins[step_ids] = found
+        return found
+
+    def _handle(self, kind: str, predicate: str, key=()):
+        handles = self._handles
+        found = handles.get((kind, predicate, key))
+        if found is None:
+            db = self.db
+            if kind == "bits":
+                found = db.bits(predicate)
+            elif kind == "rel":
+                found = db.relation(predicate)
+            else:
+                found = db.probe_plan(predicate, key)[0]
+            handles[(kind, predicate, key)] = found
+        return found
+
+    def _interned(self, srcs):
+        """Key sources with their constants interned (relation steps
+        compare ids; builtin steps keep raw values and never intern)."""
+        intern = self.interner.intern
+        return tuple(
+            (is_slot, v if is_slot else intern(v)) for is_slot, v in srcs
+        )
+
+    def _bind(self, step: _StreamStep):
+        code = step.code
+        predicate = step.predicate
+        negated = step.kind in ("neg", "neg-builtin")
+
+        def test(held) -> object:
+            # a membership test decided now: drop the step or kill the rule
+            return None if bool(held) != negated else _DEAD
+
+        if code == _BIND_BUILTIN:
+            builtin = self.registry.get(predicate)
+            if not step.free and all(not s for s, _ in step.srcs):
+                pattern = tuple(v for _, v in step.srcs)
+                return test(any(builtin.evaluate(pattern)))
+            value_of = self.interner.value_of
+            if negated:
+                return (_OP_NEG_BUILTIN, builtin, step.srcs, value_of)
+            return (
+                _OP_BUILTIN,
+                builtin,
+                step.srcs,
+                step.free,
+                step.dups,
+                value_of,
+                self.interner.intern,
+            )
+        if code == _BIND_BITS or code == _BIND_BITS_CONST:
+            bits = self._handle("bits", predicate)
+            if not bits:  # an empty relation never holds
+                return test(False)
+            if code == _BIND_BITS:
+                op = _OP_NEG_BITS if negated else _OP_BITS
+                return (op, bits, step.bound[0][1])
+            return test(bits >> self.interner.intern(step.consts[0][1]) & 1)
+        rel = self._handle("rel", predicate)
+        if not rel:
+            return test(False)
+        if code == _BIND_NULLARY:
+            return test(() in rel)
+        srcs = self._interned(step.srcs) if step.consts else step.srcs
+        if code == _BIND_SET:
+            op = _OP_NEG_SET if negated else _OP_SET
+            return (op, rel, _row_key(srcs))
+        if code == _BIND_SET_CONST:
+            return test(tuple(v for _, v in srcs) in rel)
+        if code == _BIND_SCAN:
+            return (_OP_SCAN, tuple(rel), step.free, step.dups)
+        get = self._handle("probe", predicate, step.key)
+        if code == _BIND_PROBE_CONST:
+            matches = get(
+                srcs[0][1] if len(srcs) == 1 else tuple(v for _, v in srcs)
+            )
+            if not matches:
+                return _DEAD
+            return (_OP_SCAN, tuple(matches), step.free, step.dups)
+        if code == _BIND_PROBE1:
+            return (_OP_PROBE1, get, srcs[0][1], step.free, step.dups)
+        return (_OP_PROBE, get, _row_key(srcs), step.free, step.dups)
 
 
 class _CompiledStreamRule:
@@ -828,26 +1078,14 @@ class _CompiledStreamRule:
         "driver_slots",
         "driver_dups",
         "ops",
-        "op_meta",
         "head",
         "others",
         "invoked",
         "finalize",
-        "profile",
     )
 
     def __init__(
-        self,
-        plan,
-        ops,
-        head,
-        others,
-        driver_consts,
-        pool,
-        sink,
-        stats,
-        profile=None,
-        op_meta=(),
+        self, plan, ops, head, others, driver_consts, pool, sink, stats
     ):
         self.plan = plan
         self.pool = pool
@@ -858,9 +1096,6 @@ class _CompiledStreamRule:
         self.driver_slots = plan.driver_slots
         self.driver_dups = plan.driver_dups
         self.ops = ops
-        #: parallel to ``ops``: (predicate, sorted key positions) for
-        #: index-probe ops, None otherwise -- profiling metadata only
-        self.op_meta = op_meta
         self.head = head  # (predicate, argsrc, interned const ids)
         self.others = others
         self.invoked = False
@@ -869,7 +1104,6 @@ class _CompiledStreamRule:
         #: ``_emit`` resolves the remaining intensional body atoms
         #: against the final model instead of parking the rule
         self.finalize = False
-        self.profile = profile
 
     def fire(self, args: tuple[int, ...]) -> None:
         """Instantiate for one freshly derived driver atom."""
@@ -916,10 +1150,7 @@ class _CompiledStreamRule:
 
     def _run(self, rows: list[list[int]]) -> None:
         stats = self.stats
-        profile = self.profile
-        op_meta = self.op_meta
-        for op_index, op in enumerate(self.ops):
-            n_in = len(rows) if profile is not None else 0
+        for op in self.ops:
             code = op[0]
             if code == _OP_BITS:
                 _, bits, s = op
@@ -942,25 +1173,13 @@ class _CompiledStreamRule:
                         out.append(fresh)
                 rows = out
             elif code == _OP_SET:
-                _, rel, key_srcs = op
-                rows = [
-                    r
-                    for r in rows
-                    if tuple(
-                        r[v] if is_slot else v for is_slot, v in key_srcs
-                    )
-                    in rel
-                ]
+                _, rel, key = op
+                rows = [r for r in rows if key(r) in rel]
             elif code == _OP_PROBE:
-                _, get, key_srcs, free, dups = op
+                _, get, key, free, dups = op
                 out = []
                 for r in rows:
-                    matches = get(
-                        tuple(
-                            r[v] if is_slot else v
-                            for is_slot, v in key_srcs
-                        )
-                    )
+                    matches = get(key(r))
                     if not matches:
                         continue
                     for fact in matches:
@@ -995,15 +1214,8 @@ class _CompiledStreamRule:
                 stats.killed_by_extensional += len(rows) - len(kept)
                 rows = kept
             elif code == _OP_NEG_SET:
-                _, rel, key_srcs = op
-                kept = [
-                    r
-                    for r in rows
-                    if tuple(
-                        r[v] if is_slot else v for is_slot, v in key_srcs
-                    )
-                    not in rel
-                ]
+                _, rel, key = op
+                kept = [r for r in rows if key(r) not in rel]
                 stats.killed_by_extensional += len(rows) - len(kept)
                 rows = kept
             else:  # _OP_NEG_BUILTIN
@@ -1022,10 +1234,6 @@ class _CompiledStreamRule:
                 ]
                 stats.killed_by_extensional += len(rows) - len(kept)
                 rows = kept
-            if profile is not None:
-                meta = op_meta[op_index]
-                if meta is not None:
-                    profile.record_probe(meta[0], meta[1], n_in, len(rows))
             if not rows:
                 return
             stats.bindings_explored += len(rows)
@@ -1117,210 +1325,6 @@ class _CompiledStreamRule:
                 add_rule(head, ())
 
 
-def _compile_stream_rule(
-    plan: StreamRulePlan,
-    db: SetDatabase,
-    pool: InternPool,
-    registry: BuiltinRegistry,
-    sink: StreamingHorn,
-    stats: GroundingStats,
-    profile: PlanProfile | None = None,
-):
-    """Resolve one plan against a structure: intern constants, fetch
-    index/bitset/relation handles, statically resolve fully-constant
-    steps.  Returns ``None`` when the rule is dead for this structure
-    (a positive extensional literal can never hold)."""
-    interner = db.interner
-    intern = interner.intern
-    value_of = interner.value_of
-    ops: list[tuple] = []
-    op_meta: list = []
-    for step in plan.steps:
-        # relation steps compare interned ids; builtin steps see raw
-        # values, so their constants must NOT be interned (that would
-        # grow the shared domain interner for nothing)
-        if step.kind == "rel":
-            consts = [(pos, intern(value)) for pos, value in step.consts]
-            op = _compile_rel(step, consts, db)
-        elif step.kind == "neg":
-            consts = [(pos, intern(value)) for pos, value in step.consts]
-            op = _compile_neg(step, consts, db)
-        elif step.kind == "builtin":
-            op = _compile_builtin(step, registry, value_of, intern)
-        else:  # neg-builtin
-            op = _compile_neg_builtin(step, registry, value_of)
-        if op is _DEAD:
-            return None
-        if op is not None:
-            ops.append(op)
-            op_meta.append(
-                (
-                    step.predicate,
-                    tuple(
-                        sorted(
-                            [p for p, _ in step.consts]
-                            + [p for p, _ in step.bound]
-                        )
-                    ),
-                )
-                if op[0] in (_OP_PROBE1, _OP_PROBE)
-                else None
-            )
-
-    def interned_spec(spec):
-        predicate, argsrc, const_values = spec
-        return (
-            predicate,
-            argsrc,
-            tuple(intern(value) for value in const_values),
-        )
-
-    return _CompiledStreamRule(
-        plan,
-        tuple(ops),
-        interned_spec(plan.head),
-        tuple(interned_spec(spec) for spec in plan.others),
-        tuple((pos, intern(value)) for pos, value in plan.driver_consts),
-        pool,
-        sink,
-        stats,
-        profile,
-        tuple(op_meta),
-    )
-
-
-def _key_srcs(consts, bound):
-    """(is_slot, value) pairs in sorted key-position order."""
-    merged = [(pos, False, cid) for pos, cid in consts]
-    merged += [(pos, True, s) for pos, s in bound]
-    merged.sort()
-    return tuple((is_slot, v) for _, is_slot, v in merged)
-
-
-def _key_srcs_ordered(consts, bound, order):
-    """(is_slot, value) pairs following an explicit probe key order
-    (a shared lex index's chain column order)."""
-    by_pos = {pos: (False, cid) for pos, cid in consts}
-    by_pos.update({pos: (True, s) for pos, s in bound})
-    return tuple(by_pos[p] for p in order)
-
-
-def _compile_rel(step, consts, db: SetDatabase):
-    arity = step.arity
-    if not step.free and not step.dups:
-        # fully determined: membership check
-        if arity == 0:
-            return None if () in db.relation(step.predicate) else _DEAD
-        if arity == 1:
-            bits = db.bits(step.predicate)
-            if not bits:
-                return _DEAD  # empty unary relation: can never hold
-            if step.consts:
-                return None if (bits >> consts[0][1]) & 1 else _DEAD
-            return (_OP_BITS, bits, step.bound[0][1])
-        rel = db.relation(step.predicate)
-        if not rel:
-            return _DEAD
-        srcs = _key_srcs(consts, step.bound)
-        if all(not is_slot for is_slot, _ in srcs):
-            key = tuple(v for _, v in srcs)
-            return None if key in rel else _DEAD
-        return (_OP_SET, rel, srcs)
-    # free variables: scan or index probe
-    key_positions = tuple(
-        sorted([pos for pos, _ in consts] + [pos for pos, _ in step.bound])
-    )
-    if not key_positions:
-        facts = db.relation(step.predicate)
-        if not facts:
-            return _DEAD
-        return (_OP_SCAN, tuple(facts), step.free, step.dups)
-    if not db.relation(step.predicate):
-        return _DEAD
-    get, key_order = db.probe_plan(step.predicate, key_positions)
-    if not step.bound:
-        # constants-only key: resolve the probe now
-        by_pos = {pos: cid for pos, cid in consts}
-        if len(key_order) == 1:
-            matches = get(by_pos[key_order[0]])
-        else:
-            matches = get(tuple(by_pos[pos] for pos in key_order))
-        if not matches:
-            return _DEAD
-        return (_OP_SCAN, tuple(matches), step.free, step.dups)
-    if len(key_order) == 1:
-        return (_OP_PROBE1, get, step.bound[0][1], step.free, step.dups)
-    return (
-        _OP_PROBE,
-        get,
-        _key_srcs_ordered(consts, step.bound, key_order),
-        step.free,
-        step.dups,
-    )
-
-
-def _compile_neg(step, consts, db: SetDatabase):
-    arity = step.arity
-    if arity == 0:
-        return _DEAD if () in db.relation(step.predicate) else None
-    if arity == 1:
-        bits = db.bits(step.predicate)
-        if not bits:
-            return None  # negating an empty relation always holds
-        if step.consts:
-            return _DEAD if (bits >> consts[0][1]) & 1 else None
-        return (_OP_NEG_BITS, bits, step.bound[0][1])
-    rel = db.relation(step.predicate)
-    if not rel:
-        return None
-    srcs = _key_srcs(consts, step.bound)
-    if all(not is_slot for is_slot, _ in srcs):
-        key = tuple(v for _, v in srcs)
-        return _DEAD if key in rel else None
-    return (_OP_NEG_SET, rel, srcs)
-
-
-def _pattern_srcs(step):
-    """(is_slot, value) per argument position: raw consts, slots for
-    bound vars, UNBOUND placeholders for free/dup positions."""
-    srcs: list = [None] * step.arity
-    for pos, value in step.consts:
-        srcs[pos] = (False, value)
-    for pos, s in step.bound:
-        srcs[pos] = (True, s)
-    for pos, _ in step.free:
-        srcs[pos] = (False, UNBOUND)
-    for pos, _ in step.dups:
-        srcs[pos] = (False, UNBOUND)
-    return tuple(srcs)
-
-
-def _compile_builtin(step, registry, value_of, intern):
-    builtin = registry.get(step.predicate)
-    pattern_srcs = _pattern_srcs(step)
-    if all(not is_slot for is_slot, _ in pattern_srcs) and not step.free:
-        pattern = tuple(v for _, v in pattern_srcs)
-        return None if any(builtin.evaluate(pattern)) else _DEAD
-    return (
-        _OP_BUILTIN,
-        builtin,
-        pattern_srcs,
-        step.free,
-        step.dups,
-        value_of,
-        intern,
-    )
-
-
-def _compile_neg_builtin(step, registry, value_of):
-    builtin = registry.get(step.predicate)
-    pattern_srcs = _pattern_srcs(step)
-    if all(not is_slot for is_slot, _ in pattern_srcs):
-        pattern = tuple(v for _, v in pattern_srcs)
-        return _DEAD if any(builtin.evaluate(pattern)) else None
-    return (_OP_NEG_BUILTIN, builtin, pattern_srcs, value_of)
-
-
 def ground_program_streamed(
     prepared: PreparedGrounding,
     db: SetDatabase,
@@ -1330,7 +1334,6 @@ def ground_program_streamed(
     demand=None,
     relevant: frozenset[str] | None = None,
     meter=None,
-    profile: PlanProfile | None = None,
 ) -> StreamingHorn:
     """Stream demand-pruned ground instances into an online LTUR.
 
@@ -1351,6 +1354,11 @@ def ground_program_streamed(
     the same program over many structures should resolve the demand
     once via :func:`resolve_demand` and pass ``relevant=`` instead of
     re-deriving it per solve.
+
+    Per solve, each distinct step of ``prepared.steps`` a relevant rule
+    uses is bound to ``db`` once (:class:`_Binder`); rules whose steps
+    all hold get their op lists from those bindings, and a rule with a
+    step that can never hold on ``db`` is dead and never instantiated.
 
     ``meter`` (a :class:`repro.datalog.budget.BudgetMeter`) makes the
     fixpoint loop budget-cooperative: the caps are checked once per
@@ -1378,19 +1386,40 @@ def ground_program_streamed(
     driven: dict[str, list[_CompiledStreamRule]] = {}
     deferred_by_driver: dict[str, list[_CompiledStreamRule]] = {}
     defer_heads = prepared.deferred
-    for rule, plan in zip(prepared.program.rules, prepared.stream_plans):
-        if relevant is not None and rule.head.predicate not in relevant:
+    join = _Binder(prepared, db).join
+    intern = db.interner.intern
+
+    def interned(spec):
+        predicate, argsrc, const_values = spec
+        return predicate, argsrc, tuple(map(intern, const_values))
+
+    for plan in prepared.stream_plans:
+        head_predicate = plan.head[0]
+        if relevant is not None and head_predicate not in relevant:
             stats.rules_pruned += 1
             continue
-        compiled = _compile_stream_rule(
-            plan, db, pool, prepared.registry, sink, stats, profile
-        )
-        if compiled is None:
-            stats.rules_pruned += 1
+        ops = join(plan.step_ids)
+        if ops is _DEAD:
+            stats.rules_pruned += 1  # a step can never hold here
             continue
+        if plan.constant_free:
+            compiled = _CompiledStreamRule(
+                plan, ops, plan.head, plan.others, (), pool, sink, stats
+            )
+        else:
+            compiled = _CompiledStreamRule(
+                plan,
+                ops,
+                interned(plan.head),
+                tuple(map(interned, plan.others)),
+                tuple((pos, intern(v)) for pos, v in plan.driver_consts),
+                pool,
+                sink,
+                stats,
+            )
         if plan.driver is None:
             base_rules.append(compiled)
-        elif rule.head.predicate in defer_heads:
+        elif head_predicate in defer_heads:
             # sink-headed rules feed nothing downstream: accumulate
             # their driver atoms and fire once after the fixpoint
             deferred_by_driver.setdefault(
@@ -1408,19 +1437,17 @@ def ground_program_streamed(
     get_driven = driven.get
     get_deferred = deferred_by_driver.get
     deferred_batches: dict[str, list[tuple[int, ...]]] = {}
-    rounds = 0
     while True:
         if meter is not None:
             meter.check(stats.ground_rules)
         fresh = take_fresh()
         if not fresh:
             break
-        rounds += 1
         # batch the round's driver events per predicate, then hand each
         # driven rule its whole batch in one call: the rule's op list
         # is walked once per (rule, round) instead of once per event
-        # (ROADMAP (f) -- the per-event constants were what kept the
-        # streamed emitter behind eager on fully-live programs)
+        # (the per-event constants were what kept the streamed emitter
+        # behind eager on fully-live programs)
         batches: dict[str, list[tuple[int, ...]]] = {}
         for fresh_id in fresh:
             predicate, args = atom_of(fresh_id)
@@ -1449,9 +1476,6 @@ def ground_program_streamed(
     stats.peak_live_rules = max(
         stats.peak_live_rules, sink.peak_live_rules
     )
-    if profile is not None:
-        profile.record_sizes(db)
-        profile.record_rounds(rounds)
     return sink
 
 

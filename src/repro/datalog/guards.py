@@ -18,14 +18,21 @@ key constraints on the extensional predicates of ``A_td``:
 Those are exactly the dependencies the proof of Theorem 4.5 appeals to
 ("the remaining variables v1 and v2 in this rule are functionally
 dependent on v via the atoms child1(v1, v) and child2(v2, v)").
+
+The same dependencies plan the grounding: :func:`key_cost_model` turns
+them into the static cost model the Theorem 4.4 grounder orders rule
+bodies with, so a key probe (fanout at most one) is preferred over a
+probe that leaves a determinant free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
+from .profile import CostModel, PlanProfile
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,49 @@ def td_key_dependencies(bag_arity: int) -> tuple[KeyDependency, ...]:
         KeyDependency("child2", (0,), (1,)),
         KeyDependency("child2", (1,), (0,)),
     )
+
+
+#: the ``A_td`` relations by increasing size: one root, then at most one
+#: leaf, second-child and first-child fact per node, and one bag per node
+_TD_SIZE_ORDER = ("root", "leaf", "child2", "child1", "bag")
+
+
+def key_cost_model(
+    dependencies: Iterable[KeyDependency],
+) -> CostModel | None:
+    """The static cost model of the ``A_td`` shape, or ``None`` for no
+    dependencies (plans then keep the textual tie-break).
+
+    It is a :class:`~repro.datalog.profile.CostModel` over a profile
+    known before any solve, recording two facts:
+
+    * a probe whose bound positions cover a key determinant has fanout
+      at most one -- below one, in the size order below, so ties
+      between key probes go to the smaller relation;
+    * ``root <= leaf <= child2 <= child1 <= bag`` in size (powers of
+      two, so a probe of ``bag`` by its contents alone, with the node
+      free, estimates above one row).
+
+    This is what a recorded profile of compiled solves learns at run
+    time (``child1``/``child2`` key probes before ``bag``, ``leaf`` and
+    ``root`` before the ``bag`` scan), without the profiling solves.
+    """
+    dependencies = tuple(dependencies)
+    if not dependencies:
+        return None
+    profile = PlanProfile()
+    for rank, predicate in enumerate(_TD_SIZE_ORDER):
+        profile.record_size(predicate, 1 << rank)
+    scale = 1 << len(_TD_SIZE_ORDER)  # above every size: fanouts < 1
+    for dep in dependencies:
+        arity = max(dep.determinants + dep.dependents) + 1
+        rest = [p for p in range(arity) if p not in dep.determinants]
+        matches = profile.size(dep.predicate) or scale
+        for n in range(len(rest) + 1):
+            for more in combinations(rest, n):
+                key = tuple(sorted(dep.determinants + more))
+                profile.record_probe(dep.predicate, key, scale, matches)
+    return CostModel(profile)
 
 
 def _dependency_closure(

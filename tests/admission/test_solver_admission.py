@@ -162,9 +162,3 @@ class TestCloningAndPickling:
     def test_with_backend_carries_admission(self):
         solver = self.solver_with_default()
         assert solver.with_backend("quasi-guarded-eager").admission == "repair"
-
-    def test_replanned_carries_admission(self):
-        from repro.datalog.profile import PlanProfile
-
-        solver = self.solver_with_default()
-        assert solver.replanned(PlanProfile()).admission == "repair"

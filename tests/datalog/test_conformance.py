@@ -29,6 +29,8 @@ skipped or collects zero tests, so a conftest regression can't silently
 turn the suite off.
 """
 
+import pickle
+
 from hypothesis import given, strategies as st
 
 from repro.datalog import (
@@ -74,12 +76,17 @@ _VARS = [Variable(n) for n in ("X", "Y", "Z")]
 _MONADIC_IDB = {"q": 1, "r": 1}
 
 
+#: the width-1 ``A_td`` vocabulary of a graph: the encoding's relations
+TD_ARITIES = {"bag": 3, "child1": 2, "child2": 2, "leaf": 1, "root": 1, "e": 2}
+
+
 @st.composite
-def monadic_programs(draw, max_rules: int = 5):
+def monadic_programs(draw, max_rules: int = 5, edb=EDB_ARITIES):
     """Random safe, stratified *monadic* programs: every IDB predicate
-    is unary (the paper's fragment), EDB atoms may be wider."""
+    is unary (the paper's fragment), EDB atoms (drawn from ``edb``) may
+    be wider."""
     rules = []
-    all_preds = {**EDB_ARITIES, **_MONADIC_IDB}
+    all_preds = {**edb, **_MONADIC_IDB}
     for _ in range(draw(st.integers(min_value=1, max_value=max_rules))):
         body: list[Literal] = []
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -94,7 +101,7 @@ def monadic_programs(draw, max_rules: int = 5):
             key=lambda v: v.name,
         )
         if draw(st.booleans()):  # optional negated EDB literal
-            pred = draw(st.sampled_from(sorted(EDB_ARITIES)))
+            pred = draw(st.sampled_from(sorted(edb)))
             args = tuple(
                 draw(
                     st.one_of(
@@ -102,7 +109,7 @@ def monadic_programs(draw, max_rules: int = 5):
                         st.sampled_from(DATALOG_DOMAIN).map(Constant),
                     )
                 )
-                for _ in range(EDB_ARITIES[pred])
+                for _ in range(edb[pred])
             )
             body.append(Literal(Atom(pred, args), positive=False))
         head_pred = draw(st.sampled_from(sorted(_MONADIC_IDB)))
@@ -114,6 +121,21 @@ def monadic_programs(draw, max_rules: int = 5):
         )
         rules.append(Rule(Atom(head_pred, (head_arg,)), tuple(body)))
     return Program(rules)
+
+
+@st.composite
+def _forests(draw, max_vertices: int = 10):
+    """Random forests with at least two vertices (the width-1 solver's
+    compiled route needs |dom| >= w + 1)."""
+    from repro.structures import Graph
+
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    graph = Graph(range(n))
+    for v in range(1, n):
+        parent = draw(st.none() | st.integers(min_value=0, max_value=v - 1))
+        if parent is not None:
+            graph.add_edge(v, parent)
+    return graph
 
 
 def _derived_relations(db, program):
@@ -309,12 +331,14 @@ class TestStreamedGroundingAgreement:
 
 
 class TestReplannedConformance:
-    """The PR 8 differential: the profile -> replan -> re-index loop is
-    observation-preserving.  A profile recorded from a static run feeds
-    the cost model; the replanned (and minimally indexed) plans must
-    derive exactly the static model on every route -- the set engine
-    with and without shared lex indexes, the magic rewrite whose SIPS
-    follows the replanned order, and both quasi-guarded modes."""
+    """Cost-model plans are observation-preserving.  A profile recorded
+    from a static run feeds the cost model; the replanned (and
+    minimally indexed) plans must derive exactly the static model on
+    the set engine with and without shared lex indexes and on the
+    magic rewrite whose SIPS follows the replanned order.  The static
+    ``A_td`` model the quasi-guarded pipeline plans with must derive
+    the naive model in both modes, on random programs over random
+    databases and over ``A_td`` encodings, and on a compiled program."""
 
     @staticmethod
     def _profiled_reference(program, db):
@@ -358,19 +382,41 @@ class TestReplannedConformance:
             == reference[predicate]
         )
 
-    @given(program=monadic_programs(), db=datalog_databases())
-    def test_replanned_quasi_guarded_modes_match_static(self, program, db):
-        from repro.core import QuasiGuardedEvaluator
+    @staticmethod
+    def _td_encoding(graph):
+        from repro.structures import graph_to_structure
+        from repro.treewidth import (
+            decompose_structure,
+            encode_normalized,
+            normalize,
+            widen,
+        )
 
-        profile, reference = self._profiled_reference(program, db)
+        structure = graph_to_structure(graph)
+        td = decompose_structure(structure)
+        if td.width < 1:
+            td = widen(td, 1)
+        return encode_normalized(structure, normalize(td))
+
+    @staticmethod
+    def _static_model_modes_match_naive(program, db, cache=None):
+        """Both quasi-guarded modes, planned under the static ``A_td``
+        model of the width-1 key dependencies, derive the naive
+        engine's model."""
+        from repro.core import QuasiGuardedEvaluator
+        from repro.datalog.guards import td_key_dependencies
+
+        reference = _derived_relations(
+            solve(program, db, backend="naive"), program
+        )
         for mode in ("streamed", "eager"):
             try:
                 evaluator = QuasiGuardedEvaluator(
                     program,
                     mode=mode,
-                    replan=profile,
+                    dependencies=td_key_dependencies(3),
                     require_quasi_guarded=False,
-                    cache=ProgramCache(),
+                    cache=cache if cache is not None else ProgramCache(),
                 )
             except NotGroundableError:
                 return  # outside the Theorem 4.4 fragment: nothing to pin
@@ -379,6 +425,49 @@ class TestReplannedConformance:
                 assert {
                     f.args for f in facts if f.predicate == predicate
                 } == want, (mode, predicate)
+
+    @given(program=monadic_programs(), db=datalog_databases())
+    def test_static_td_model_quasi_guarded_modes_match_naive(
+        self, program, db
+    ):
+        self._static_model_modes_match_naive(program, db)
+
+    @given(program=monadic_programs(edb=TD_ARITIES), graph=_forests())
+    def test_static_td_model_on_td_encodings_matches_naive(
+        self, program, graph
+    ):
+        """Random monadic programs over the ``A_td`` vocabulary, where
+        the static model reorders bodies, on encodings of random
+        forests."""
+        self._static_model_modes_match_naive(
+            program, self._td_encoding(graph)
+        )
+
+    @given(graph=_forests(max_vertices=6))
+    def test_compiled_program_under_static_model_matches_naive(
+        self, graph
+    ):
+        """The compiled width-1 ``has_neighbor`` program, both modes."""
+        from repro.core import CourcelleSolver, undirected_graph_filter
+        from repro.mso import formulas
+        from repro.structures import GRAPH_SIGNATURE
+
+        if not self._COMPILED:
+            self._COMPILED.append(
+                CourcelleSolver(
+                    formulas.has_neighbor("x"),
+                    GRAPH_SIGNATURE,
+                    width=1,
+                    free_var="x",
+                    structure_filter=undirected_graph_filter,
+                ).compiled.program
+            )
+        self._static_model_modes_match_naive(
+            self._COMPILED[0], self._td_encoding(graph), self._CACHE
+        )
+
+    _COMPILED: list = []
+    _CACHE = ProgramCache()
 
 
 class TestSolveManySharding:
@@ -430,6 +519,20 @@ class TestSolveManySharding:
         # order is positional: a permuted input permutes the output
         reordered = solver.solve_many(list(reversed(structures)), workers=2)
         assert reordered == list(reversed(serial))
+        # the pool's workers rebuild the solver from its pickle: the
+        # statically planned grounding (step table, per-rule step ids,
+        # index selection) arrives intact and answers as in process
+        clone = pickle.loads(pickle.dumps(solver))
+        mine = solver.evaluator._prepared
+        theirs = clone.evaluator._prepared
+        assert theirs.steps == mine.steps
+        assert theirs.stream_plans == mine.stream_plans
+        assert (
+            theirs.index_selection.lex_specs
+            == mine.index_selection.lex_specs
+        )
+        assert theirs.registry is not None
+        assert [clone.query(s) for s in structures] == serial
 
     def test_mismatched_tds_rejected(self):
         import pytest
@@ -503,21 +606,6 @@ class TestMagicStaysInterned:
                 assert sdb.bits(predicate) == sum(
                     1 << args[0] for args in rel
                 )
-
-
-@st.composite
-def _forests(draw, max_vertices: int = 10):
-    """Random forests with at least two vertices (the width-1 solver's
-    compiled route needs |dom| >= w + 1)."""
-    from repro.structures import Graph
-
-    n = draw(st.integers(min_value=2, max_value=max_vertices))
-    graph = Graph(range(n))
-    for v in range(1, n):
-        parent = draw(st.none() | st.integers(min_value=0, max_value=v - 1))
-        if parent is not None:
-            graph.add_edge(v, parent)
-    return graph
 
 
 class TestCompiledProgramOnGenericEngines:

@@ -138,6 +138,39 @@ class TestStreamedModel:
         assert any(f.predicate == "both" for f in streamed)
         assert stats.peak_live_rules >= 1
 
+    def test_builtin_and_constant_steps_match_semi_naive(self):
+        # every per-structure binding outcome of a join step: built-ins
+        # with bound, constant and free (output) arguments, negated
+        # built-ins, and constant-only membership tests that hold
+        # (dropped) or fail (the rule is dead)
+        from repro.datalog import solve
+
+        program = parse_program(
+            """
+            t(V) :- bag(V, X0, X1), leaf(V), X0 != X1.
+            t(V) :- bag(V, X0, X1), child1(V1, V), t(V1), not X0 = z,
+                    not e(c, c).
+            u(V) :- bag(V, X0, X1), t(V), a = a, e(c, d), leaf(n2).
+            w(V) :- bag(V, X0, X1), t(V), a = b.
+            x(V) :- bag(V, X0, X1), t(V), e(d, c).
+            y(V) :- bag(V, X0, X1), t(V), not leaf(n2).
+            s(Y) :- bag(V, X0, X1), t(V), oset_to_set(X0, Y).
+            """
+        )
+        db = tree_db()
+        db.add("bag", ("n3", ("a",), ("b",)))
+        db.add("leaf", ("n3",))
+        eager, streamed, stats = _models(program, db)
+        assert streamed == eager
+        reference = solve(program, db, backend="semi-naive")
+        assert streamed == {
+            fact
+            for fact in reference.facts()
+            if fact.predicate in program.intensional_predicates()
+        }
+        assert {f.predicate for f in streamed} == {"t", "u", "s"}
+        assert stats.rules_pruned == 3  # w, x and y are dead
+
     def test_nullary_driver(self):
         program = parse_program(
             """

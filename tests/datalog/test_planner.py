@@ -16,12 +16,15 @@ Covers the profile -> replan -> re-index loop end to end:
   ``bindings_explored`` under the static plan and collapses after a
   profiled replan -- while static plans stay byte-identical to the old
   textual tie-break;
-* profiled plans are cached per (program, profile fingerprint) and
-  ride the solver's pickle handoff.
+* profiled plans are cached per (program, profile fingerprint);
+* the static ``A_td`` cost model plans compiled programs once: key
+  probes of ``child1``/``child2`` come before any probe of ``bag`` by
+  its contents, the grounding cache keys plans by the dependencies they
+  were planned under, and a solve binds each distinct join step (and
+  each database handle) once.
 """
 
-import pickle
-
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.datalog import (
@@ -33,6 +36,7 @@ from repro.datalog import (
     SetSemiNaiveEvaluator,
     min_index_selection,
     parse_program,
+    prepare_grounding,
     prepare_program,
 )
 
@@ -221,8 +225,8 @@ class TestReplanRegression:
         static_eval, static_q = self._run(static_prepared, profile)
 
         replanned = prepare_program(program, cost=CostModel(profile))
-        replan_profile = PlanProfile()
-        replan_eval, replan_q = self._run(replanned, replan_profile)
+        rerun_profile = PlanProfile()
+        replan_eval, replan_q = self._run(replanned, rerun_profile)
 
         # same answers, reordered q-rule plan
         assert replan_q == static_q and len(static_q) == self.N - 1
@@ -234,7 +238,7 @@ class TestReplanRegression:
         assert static_first >= self.N * (self.N - 1) // 2
         replanned_widest = max(
             rows[1]
-            for (rule, _step), rows in replan_profile.step_rows.items()
+            for (rule, _step), rows in rerun_profile.step_rows.items()
             if rule == 2
         )
         assert static_first >= 10 * replanned_widest
@@ -288,66 +292,152 @@ class TestProfiledCache:
         assert cache.magic(program, query, profile=profile) is profiled
 
 
-class TestSolverReplanLoop:
-    _CACHE: list = []
+class TestStaticTdModel:
+    def test_model_encodes_key_fanout_and_size_order(self):
+        from repro.datalog.guards import key_cost_model, td_key_dependencies
+
+        assert key_cost_model(()) is None
+        cost = key_cost_model(td_key_dependencies(4))
+        # a probe covering a key determinant has fanout at most one,
+        # smaller relations first among them
+        keyed = [
+            cost.estimate("child2", 2, (1,)),
+            cost.estimate("child1", 2, (0,)),
+            cost.estimate("bag", 4, (0,)),
+        ]
+        assert keyed == sorted(keyed) and keyed[-1] <= 1.0
+        assert cost.estimate("bag", 4, (0, 2, 3)) == keyed[-1]
+        # bag by its contents alone (node free) is not a key probe
+        assert cost.estimate("bag", 4, (1, 2, 3)) > 1.0
+        scans = [
+            cost.estimate(p, 1, ())
+            for p in ("root", "leaf", "child2", "child1", "bag")
+        ]
+        assert scans == sorted(scans) and len(set(scans)) == 5
+        # relations outside A_td stay unknown: textual tie-break
+        assert cost.estimate("e", 2, (0,)) is None
+
+
+class TestCompiledPlans:
+    """Planning and binding of the compiled ``has_neighbor`` programs."""
+
+    _SOLVERS: dict = {}
 
     @classmethod
-    def _solver(cls, **kwargs):
-        from repro.core import CourcelleSolver, undirected_graph_filter
-        from repro.mso import formulas
-        from repro.structures import GRAPH_SIGNATURE
+    def _solver(cls, width: int):
+        if width not in cls._SOLVERS:
+            from repro.core import (
+                CourcelleSolver,
+                grid_graph_filter,
+                undirected_graph_filter,
+            )
+            from repro.mso import formulas
+            from repro.structures import GRAPH_SIGNATURE
 
-        return CourcelleSolver(
-            formulas.has_neighbor("x"),
-            GRAPH_SIGNATURE,
-            width=1,
-            free_var="x",
-            structure_filter=undirected_graph_filter,
-            **kwargs,
+            cls._SOLVERS[width] = CourcelleSolver(
+                formulas.has_neighbor("x"),
+                GRAPH_SIGNATURE,
+                width=width,
+                free_var="x",
+                structure_filter=(
+                    grid_graph_filter
+                    if width == 2
+                    else undirected_graph_filter
+                ),
+            )
+        return cls._SOLVERS[width]
+
+    @staticmethod
+    def _encoding(width: int):
+        from repro.structures import Graph, graph_to_structure
+        from repro.treewidth import decompose_structure, encode_normalized
+        from repro.treewidth import normalize
+
+        graph = Graph.grid(2, 24) if width == 2 else Graph.path(40)
+        structure = graph_to_structure(graph)
+        td = decompose_structure(structure)
+        assert td.width == width
+        return structure, encode_normalized(structure, normalize(td))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_no_bag_content_probe_before_a_child_key_probe(self, width):
+        """No rule probes ``bag`` by its contents with the node free
+        while a ``child1``/``child2`` atom that could bind that node by
+        key is still to come."""
+        prepared = self._solver(width).evaluator._prepared
+        for plan in prepared.stream_plans:
+            bound = {s for _, s in plan.driver_slots}
+            steps = [prepared.steps[i] for i in plan.step_ids]
+            for index, step in enumerate(steps):
+                node = dict(step.free).get(0)
+                by_contents = node is not None and bool(step.bound)
+                if step.predicate == "bag" and by_contents:
+                    for later in steps[index + 1 :]:
+                        if later.predicate not in ("child1", "child2"):
+                            continue
+                        slots = {s for _, s in later.bound}
+                        could_bind = node in slots and slots - {node} <= bound
+                        assert not could_bind, plan.rule
+                bound |= {s for _, s in step.free}
+
+    @pytest.mark.parametrize("width, distinct", [(1, 28), (2, 45)])
+    def test_a_solve_binds_each_distinct_step_once(
+        self, monkeypatch, width, distinct
+    ):
+        """The per-solve binding: the database handles (bitsets,
+        relations, probe getters) one solve fetches are at most the
+        program's distinct join steps, not one per step instance."""
+        from repro.core import ANSWER_PREDICATE
+        from repro.mso import formulas, query as mso_query
+
+        solver = self._solver(width)
+        prepared = solver.evaluator._prepared
+        instances = sum(len(plan.step_ids) for plan in prepared.stream_plans)
+        assert len(prepared.steps) == distinct < instances // 10
+        calls = []
+        for name in ("bits", "relation", "probe_plan"):
+            original = getattr(SetDatabase, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls.append((_name,) + args)
+                return _original(self, *args)
+
+            monkeypatch.setattr(SetDatabase, name, counted)
+        structure, encoded = self._encoding(width)
+        db = SetDatabase.from_edb(encoded)
+        calls.clear()
+        result = solver.evaluator.evaluate(db)
+        assert calls and len(calls) <= len(prepared.steps)
+        assert len(set(calls)) == len(calls)  # each handle fetched once
+        assert result.unary_answers(ANSWER_PREDICATE) == mso_query(
+            structure, formulas.has_neighbor("x"), "x"
         )
 
-    @classmethod
-    def _structures(cls):
-        from repro.structures import Graph, graph_to_structure
+    def test_dependencies_key_the_grounding_cache(self):
+        from repro.core import QuasiGuardedEvaluator
+        from repro.datalog.guards import td_key_dependencies
 
-        return [graph_to_structure(Graph.path(n)) for n in (5, 8, 11)]
-
-    def test_profile_replan_round_trip(self):
-        import pytest
-
-        profile = PlanProfile()
-        solver = self._solver(profile=profile)
-        structures = self._structures()
-        want = [solver.query(s) for s in structures]
-        assert profile.relation_sizes  # the solves recorded feedback
-
-        replanned = solver.replanned()
-        assert replanned is not solver
-        assert [replanned.query(s) for s in structures] == want
-
-        # the replanned prepared plans (and their index selection) ride
-        # the existing pickle handoff to solve_many workers
-        clone = pickle.loads(pickle.dumps(replanned))
-        assert [clone.query(s) for s in structures] == want
-        selection = replanned.evaluator._prepared.index_selection
-        cloned = clone.evaluator._prepared.index_selection
-        assert cloned.lex_specs == selection.lex_specs
-        assert cloned.n_indexes == selection.n_indexes
-
-        with pytest.raises(ValueError, match="no profile"):
-            self._solver().replanned()
-
-    def test_non_quasi_guarded_backends_reject_the_knobs(self):
-        import pytest
-
-        # the generic engines are not solver backends at all
-        with pytest.raises(ValueError, match="quasi-guarded"):
-            self._solver(backend="semi-naive", profile=PlanProfile())
-        # both quasi-guarded modes take them
-        profile = PlanProfile()
-        eager = self._solver(backend="quasi-guarded-eager", profile=profile)
-        structures = self._structures()
-        want = [self._solver().query(s) for s in structures]
-        assert [eager.query(s) for s in structures] == want
-        assert profile.relation_sizes
-        assert [eager.replanned().query(s) for s in structures] == want
+        program = self._solver(1).compiled.program
+        deps = td_key_dependencies(3)
+        cache = ProgramCache()
+        static = cache.grounding(program, dependencies=deps)
+        plain = cache.grounding(program)
+        assert static is not plain
+        assert static.stream_plans != plain.stream_plans
+        assert cache.grounding(program, dependencies=deps) is static
+        assert cache.grounding(program) is plain
+        # no dependencies, no model: the textual tie-break of old
+        bare = prepare_grounding(program)
+        assert (plain.plans, plain.stream_plans, plain.steps) == (
+            bare.plans,
+            bare.stream_plans,
+            bare.steps,
+        )
+        with_deps = QuasiGuardedEvaluator(
+            program, dependencies=deps, cache=cache
+        )
+        without = QuasiGuardedEvaluator(
+            program, require_quasi_guarded=False, cache=cache
+        )
+        assert with_deps._prepared is static
+        assert without._prepared is plain
