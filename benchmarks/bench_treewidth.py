@@ -1,33 +1,76 @@
 """Substrate: decomposition construction cost and quality.
 
-The paper assumes Bodlaender's linear-time algorithm [3]; DESIGN.md §5
-records the substitution by greedy heuristics.  This bench tracks their
-cost on growing partial 2-trees, the width quality against the exact DP
-on small instances, and the exponential growth of the exact algorithm.
+The paper assumes Bodlaender's linear-time algorithm [3]; we substitute
+greedy elimination heuristics (min-fill, min-degree), as recorded under
+**Substitutions** in ``src/repro/core/README.md``.  This bench tracks
+their cost on growing partial 2-trees, the width quality against the
+exact DP on small instances, and the exponential growth of the exact
+algorithm.
 
 Run:  pytest benchmarks/bench_treewidth.py --benchmark-only
+
+``python benchmarks/bench_treewidth.py --quick`` is the standalone
+scaling gate: it times ``decompose_structure`` plus one validation of
+the normalized decomposition (the checked work of a td-less solve) on
+full 2 x N ladders, N = 64 ... 512, fits the log-log slope against the
+domain size, and exits 1 if the slope is above ``MAX_SLOPE`` or if the
+min-fill width got worse on the partial-2-tree families below (wider
+than the family's treewidth bound, or a gap to the exact treewidth
+above ``MAX_EXACT_GAP``).  It prints only; no baseline file is written.
 """
 
+import argparse
+import math
 import random
+import sys
+import time
+from pathlib import Path
+
+try:
+    import repro  # noqa: F401
+except ImportError:  # running as a plain script without install
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
 
 from repro.problems import random_partial_ktree
-from repro.structures import Graph
+from repro.structures import Graph, graph_to_structure
 from repro.treewidth import (
     decompose_graph,
+    decompose_structure,
     make_nice,
     normalize,
     treewidth_exact,
+    widen,
 )
 
 SIZES = [25, 50, 100, 200]
 
 
-@pytest.fixture(scope="module")
-def graphs():
+#: --quick: ladder columns N of the full 2 x N ladders timed
+LADDER_COLUMNS = (64, 128, 256, 512)
+#: --quick: the largest tolerated log-log slope of the checked front end
+MAX_SLOPE = 1.15
+#: --quick: the largest tolerated min-fill gap to the exact treewidth
+#: on the small family (every member is exact today)
+MAX_EXACT_GAP = 0
+
+
+def partial_2_trees():
+    """The growing partial-2-tree family, keyed by vertex count."""
     rng = random.Random(31415)
     return {n: random_partial_ktree(rng, n, 2, 0.6)[0] for n in SIZES}
+
+
+def small_partial_2_trees():
+    """Ten 9-vertex partial 2-trees, small enough for the exact DP."""
+    rng = random.Random(999)
+    return [random_partial_ktree(rng, 9, 2, 0.7)[0] for _ in range(10)]
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return partial_2_trees()
 
 
 @pytest.mark.parametrize("method", ["min_fill", "min_degree"])
@@ -63,12 +106,94 @@ def test_exact_dp_growth(benchmark, n):
 
 def test_heuristic_quality_vs_exact(benchmark):
     """min-fill matches the exact width on most small partial 2-trees."""
-    rng = random.Random(999)
-    gaps = []
-    for _ in range(10):
-        graph, _ = random_partial_ktree(rng, 9, 2, 0.7)
-        gaps.append(decompose_graph(graph).width - treewidth_exact(graph))
+    gaps = [
+        decompose_graph(graph).width - treewidth_exact(graph)
+        for graph in small_partial_2_trees()
+    ]
     benchmark.extra_info["max_gap"] = max(gaps)
     benchmark.extra_info["mean_gap"] = sum(gaps) / len(gaps)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert max(gaps) <= 1
+
+
+# ----------------------------------------------------------------------
+# --quick: the standalone scaling and quality gate
+# ----------------------------------------------------------------------
+
+
+def checked_front_end_ms(structure, repeats: int = 5) -> float:
+    """Best-of-``repeats`` ms of ``decompose_structure`` plus one
+    validation of the normalized decomposition against the structure
+    (the normalization itself is untimed)."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        td = decompose_structure(structure)
+        elapsed = time.perf_counter() - start
+        ntd = normalize(widen(td, 2) if td.width < 2 else td)
+        start = time.perf_counter()
+        ntd.validate(structure)
+        elapsed += time.perf_counter() - start
+        best = min(best, elapsed)
+    return best * 1e3
+
+
+def log_log_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum(
+        (a - mx) ** 2 for a in lx
+    )
+
+
+def quick() -> int:
+    failures = []
+    sizes, times = [], []
+    for columns in LADDER_COLUMNS:
+        structure = graph_to_structure(Graph.grid(2, columns))
+        ms = checked_front_end_ms(structure)
+        sizes.append(len(structure.domain))
+        times.append(ms)
+        print(f"ladder 2x{columns:<4} |A|={sizes[-1]:<5} {ms:8.2f} ms")
+    slope = log_log_slope(sizes, times)
+    print(f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE})")
+    if slope > MAX_SLOPE:
+        failures.append(f"front-end slope {slope:.3f} > {MAX_SLOPE}")
+
+    widths = {n: decompose_graph(g).width for n, g in partial_2_trees().items()}
+    print(f"min-fill widths on partial 2-trees: {widths} (gate <= 2)")
+    wide = {n: w for n, w in widths.items() if w > 2}
+    if wide:
+        failures.append(f"min-fill wider than the treewidth bound 2: {wide}")
+    gaps = [
+        decompose_graph(g).width - treewidth_exact(g)
+        for g in small_partial_2_trees()
+    ]
+    print(f"min-fill gaps to the exact width: {gaps} (gate <= {MAX_EXACT_GAP})")
+    if max(gaps) > MAX_EXACT_GAP:
+        failures.append(f"min-fill gap {max(gaps)} > {MAX_EXACT_GAP}")
+
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="run the scaling and width-quality gate",
+    )
+    if not parser.parse_args(argv).quick:
+        parser.error(
+            "the full bench runs under pytest: "
+            "pytest benchmarks/bench_treewidth.py --benchmark-only"
+        )
+    return quick()
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,7 +8,11 @@ MSO-to-FTA baseline the paper argues against, and the Table 1
 experiment harness -- on top of from-scratch substrates for finite
 structures, tree decompositions, datalog and MSO.
 
-See README.md for a tour and DESIGN.md for the system inventory.
+Each layer documents its architecture beside its code:
+``src/repro/core/README.md`` (the compiler, the solver and its front end,
+admission, and the substitutions this reproduction makes for tools the
+paper used), ``src/repro/datalog/README.md`` (evaluation) and
+``src/repro/service/README.md`` (serving).
 """
 
 from . import (

@@ -46,8 +46,8 @@ from .errors import AdmissionRejected, Violation, summarize_violations
 from .mso.eval import Budget as _EvalBudget
 from .structures.signature import Signature
 from .structures.structure import Fact, Structure, structure_fingerprint
-from .treewidth.decomposition import RootedTree, TreeDecomposition
-from .treewidth.heuristics import decompose_structure
+from .treewidth.decomposition import OccurrenceIndex, RootedTree, TreeDecomposition
+from .treewidth.heuristics import ESCALATION, decompose_within
 from .treewidth.normalize import widen
 
 __all__ = [
@@ -398,6 +398,11 @@ def repair_decomposition(
     so passes never undo each other; the price is possible width growth,
     which the caller's envelope check arbitrates.
 
+    One :class:`repro.treewidth.OccurrenceIndex` answers the coverage
+    checks and anchor choices of passes (2) and (3), another the
+    connectedness of pass (4), so a repair is linear in the bags (plus
+    the Steiner closures it splices).
+
     Returns ``(repaired, repairs)`` with ``repaired`` clean under
     :meth:`TreeDecomposition.validate_for_structure`, or ``(None,
     repairs_attempted)`` when the result still fails re-verification.
@@ -418,11 +423,19 @@ def repair_decomposition(
     if dropped:
         repairs.append(f"dropped-alien-elements:{dropped}")
 
+    # leaves added in (2) are indexed as they are added
+    index = OccurrenceIndex(bags, tree.parent)
+
     def best_anchor(needed: frozenset) -> int:
-        return max(
-            bags,
-            key=lambda n: (len(bags[n] & needed), -n),
-        )
+        """The node of maximal overlap with ``needed`` (lowest id on
+        ties); with no overlap anywhere, the lowest node id."""
+        overlap: dict[int, int] = {}
+        for x in needed:
+            for node in index.where.get(x, ()):
+                overlap[node] = overlap.get(node, 0) + 1
+        if not overlap:
+            return min(bags)
+        return max(overlap, key=lambda n: (overlap[n], -n))
 
     # (2) uncovered tuples: a fresh leaf bag holding the whole tuple,
     # attached where the overlap is largest (the splice pass below
@@ -431,20 +444,18 @@ def repair_decomposition(
     for name in structure.signature:
         for tup in structure.relation(name):
             needed = frozenset(tup)
-            if any(needed <= bag for bag in bags.values()):
+            if index.covers(needed):
                 continue
             anchor = best_anchor(needed)
             leaf = tree.add_child(anchor)
             bags[leaf] = needed
+            index.add(leaf)
             patched_tuples += 1
     if patched_tuples:
         repairs.append(f"covered-missing-tuples:{patched_tuples}")
 
     # (3) elements in no bag at all
-    covered: set = set()
-    for bag in bags.values():
-        covered |= bag
-    missing = sorted(domain - covered, key=repr)
+    missing = sorted(domain - frozenset(index.where), key=repr)
     if missing:
         for element in missing:
             leaf = tree.add_child(tree.root)
@@ -453,9 +464,10 @@ def repair_decomposition(
 
     # (4) connectedness: Steiner-splice each disconnected element
     working = TreeDecomposition(tree, bags)
+    index = OccurrenceIndex(working.bags, tree.parent)
     spliced = 0
-    for element in sorted(working.connectedness_violations(), key=repr):
-        occurrences = working.occurrences(element)
+    for element in sorted(index.disconnected(), key=repr):
+        occurrences = set(index.where[element])
         closure: set[int] = set()
         for node in occurrences:
             path = []
@@ -464,22 +476,22 @@ def repair_decomposition(
                 path.append(cursor)
                 cursor = tree.parent(cursor)
             closure.update(path)
-        # prune: peel closure-leaves that are not occurrence nodes
-        changed = True
-        while changed:
-            changed = False
-            for node in list(closure):
-                if node in occurrences:
-                    continue
-                degree = sum(
-                    1 for c in tree.children(node) if c in closure
-                )
-                p = tree.parent(node)
-                if p is not None and p in closure:
-                    degree += 1
-                if degree <= 1:
-                    closure.discard(node)
-                    changed = True
+        # prune: peel closure-leaves that are not occurrence nodes; the
+        # minimal subtree spanning the occurrences is what remains
+        degree = {
+            node: len(_closure_neighbors(tree, node, closure))
+            for node in closure
+        }
+        peel = [n for n in closure if n not in occurrences and degree[n] <= 1]
+        while peel:
+            node = peel.pop()
+            if node not in closure:
+                continue
+            closure.discard(node)
+            for nbr in _closure_neighbors(tree, node, closure):
+                degree[nbr] -= 1
+                if nbr not in occurrences and degree[nbr] <= 1:
+                    peel.append(nbr)
         for node in closure - occurrences:
             working.bags[node] = working.bags[node] | {element}
             spliced += 1
@@ -491,38 +503,53 @@ def repair_decomposition(
     return working, tuple(repairs)
 
 
+def _closure_neighbors(tree: RootedTree, node: int, closure: set) -> list[int]:
+    """The tree neighbours of ``node`` inside ``closure``."""
+    nbrs = [c for c in tree.children(node) if c in closure]
+    above = tree.parent(node)
+    if above is not None and above in closure:
+        nbrs.append(above)
+    return nbrs
+
+
 def redecompose(
     structure: Structure,
     width_limit: int,
     meter: BudgetMeter | None = None,
-    methods: tuple[str, ...] = ("min_fill", "min_degree"),
+    methods: tuple[str, ...] = ESCALATION,
 ) -> tuple[TreeDecomposition | None, str | None]:
     """Build a decomposition from scratch, escalating through ordering
     strategies until one fits the envelope or the budget runs out.
 
-    ``min_fill`` first (it matches the legacy default, so clean
+    The escalation is :func:`repro.treewidth.heuristics.decompose_within`,
+    the one the trusting solve path uses: ``min_fill`` first (so clean
     td-less traffic decomposes identically with or without admission),
-    ``min_degree`` as the escalation.  Returns the best decomposition
-    found (lowest width -- possibly still over the envelope, which the
-    degrade rung then arbitrates) and the strategy that produced it.
+    ``min_degree`` as the escalation, the budget checked before each
+    strategy.  Returns the best decomposition found (lowest width --
+    possibly still over the envelope, which the degrade rung then
+    arbitrates) and the strategy that produced it; the result is
+    checked against the structure once, since the solver trusts what
+    admission hands it.
     """
-    best: TreeDecomposition | None = None
-    best_method: str | None = None
+
+    def within_budget() -> bool:
+        if meter is None:
+            return True
+        try:
+            meter.check()
+        except BudgetExceeded:
+            return False  # keep whatever the budget allowed us to build
+        return True
+
     try:
-        for method in methods:
-            if meter is not None:
-                meter.check()
-            try:
-                candidate = decompose_structure(structure, method=method)
-            except Exception:
-                continue
-            if best is None or candidate.width < best.width:
-                best, best_method = candidate, method
-            if best.width <= width_limit:
-                break
-    except BudgetExceeded:
-        pass  # keep whatever the budget allowed us to build
-    return best, best_method
+        best, method = decompose_within(
+            structure, width_limit, methods, proceed=within_budget
+        )
+        if best is not None:
+            best.validate_for_structure(structure)
+    except Exception:
+        return None, None
+    return best, method
 
 
 # ----------------------------------------------------------------------

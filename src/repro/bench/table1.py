@@ -8,7 +8,8 @@ For each workload row (tw=3; #Att/#FD/#tn growing) we measure:
   interpreter (an extra column the paper did not report);
 * **MONA stand-in** -- direct MSO evaluation of the Example 2.6 query
   under a step budget; "-" marks budget exhaustion, the analogue of the
-  paper's out-of-memory dashes (DESIGN.md §5 records the substitution).
+  paper's out-of-memory dashes (the substitution is recorded under
+  **Substitutions** in ``src/repro/core/README.md``).
 
 The paper's own measurements (1.6 GHz Pentium M, C++, 2007) are kept in
 :data:`PAPER_MD_MS`/:data:`PAPER_MONA_MS` so the shape can be compared

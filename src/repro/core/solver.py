@@ -37,7 +37,7 @@ from ..structures.signature import Signature
 from ..structures.structure import Element, Structure, structure_fingerprint
 from ..treewidth.decomposition import TreeDecomposition
 from ..treewidth.encode import encode_normalized
-from ..treewidth.heuristics import decompose_structure
+from ..treewidth.heuristics import decompose_within
 from ..treewidth.normalize import normalize, widen
 from .mso_to_datalog import (
     ANSWER_PREDICATE,
@@ -211,7 +211,8 @@ class CourcelleSolver:
         verified: bool = False,
     ):
         if td is None:
-            td = decompose_structure(structure)
+            # unchecked: the normalized form below is checked instead
+            td, _ = decompose_within(structure, self.compiled.width)
         if td.width > self.compiled.width:
             raise WidthExceeded(
                 f"decomposition width {td.width} exceeds the compiled "
@@ -224,8 +225,10 @@ class CourcelleSolver:
         if td.width < self.compiled.width:
             td = widen(td, self.compiled.width)
         ntd = normalize(td)
-        # admission already checked the Section 2.2 axioms against the
-        # structure; re-check only the Definition 2.3 shape then
+        # the one Section 2.2 axiom check of a solve, on the
+        # decomposition that gets encoded; admission already checked
+        # the axioms against the structure, so re-check only the
+        # Definition 2.3 shape then
         ntd.validate(None if verified else structure)
         return encode_normalized(structure, ntd)
 

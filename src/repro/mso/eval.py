@@ -10,7 +10,9 @@ This is intentional and load-bearing for the reproduction:
 * under a step budget it stands in for MONA in the Table 1 experiment
   -- an MSO-evaluation route without linear data complexity that blows
   up after the first few instance sizes exactly like the paper's MONA
-  column (see DESIGN.md §5 for the substitution rationale).
+  column.  MONA is an external C tool; a budgeted evaluator with the
+  same non-linear data complexity keeps the comparison's shape inside
+  the package (**Substitutions** in ``src/repro/core/README.md``).
 """
 
 from __future__ import annotations

@@ -228,15 +228,28 @@ class Structure:
         some tuple of some relation.  A tree decomposition of a structure
         is exactly a tree decomposition of its Gaifman graph, which is
         how arbitrary structures are decomposed in this package.
+
+        Each edge is oriented so that ``repr((a, b)) <= repr((b, a))``.
+        Both reprs are ``"(" + X + ")"`` with ``X`` of equal length, so
+        the test compares ``"ra, rb"`` with ``"rb, ra"`` over reprs
+        computed once per element.
         """
         edges: set[tuple[Element, Element]] = set()
+        text: dict[Element, str] = {}
         for rel in self._relations.values():
             for tup in rel:
                 distinct = set(tup)
                 for a in distinct:
+                    ra = text.get(a)
+                    if ra is None:
+                        ra = text[a] = repr(a)
                     for b in distinct:
-                        if a != b and repr((a, b)) <= repr((b, a)):
-                            edges.add((a, b))
+                        if a != b:
+                            rb = text.get(b)
+                            if rb is None:
+                                rb = text[b] = repr(b)
+                            if f"{ra}, {rb}" <= f"{rb}, {ra}":
+                                edges.add((a, b))
         return edges
 
     def atoms_involving(self, element: Element) -> Iterator[Fact]:

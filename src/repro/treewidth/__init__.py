@@ -2,6 +2,7 @@
 
 from .decomposition import (
     NodeId,
+    OccurrenceIndex,
     RootedTree,
     TreeDecomposition,
     refinement_violations,
@@ -11,6 +12,7 @@ from .exact import is_treewidth_at_most, treewidth_exact
 from .heuristics import (
     decompose_graph,
     decompose_structure,
+    decompose_within,
     decomposition_from_order,
     min_degree_order,
     min_fill_order,
@@ -38,11 +40,13 @@ __all__ = [
     "NodeId",
     "NormalizedNodeKind",
     "NormalizedTreeDecomposition",
+    "OccurrenceIndex",
     "RootedTree",
     "TDNode",
     "TreeDecomposition",
     "decompose_graph",
     "decompose_structure",
+    "decompose_within",
     "decomposition_from_order",
     "encode_nice",
     "encode_normalized",

@@ -201,9 +201,6 @@ class TreeDecomposition:
             out |= bag
         return frozenset(out)
 
-    def occurrences(self, element: Element) -> set[NodeId]:
-        return {n for n, bag in self.bags.items() if element in bag}
-
     def copy(self) -> "TreeDecomposition":
         return TreeDecomposition(self.tree.copy(), dict(self.bags))
 
@@ -220,30 +217,7 @@ class TreeDecomposition:
 
     def connectedness_violations(self) -> list[Element]:
         """Elements whose occurrence set is not a connected subtree."""
-        violations = []
-        for element in self.all_elements():
-            nodes = self.occurrences(element)
-            if not self._is_connected(nodes):
-                violations.append(element)
-        return violations
-
-    def _is_connected(self, nodes: set[NodeId]) -> bool:
-        if not nodes:
-            return True
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            neighbors = list(self.tree.children(node))
-            parent = self.tree.parent(node)
-            if parent is not None:
-                neighbors.append(parent)
-            for nbr in neighbors:
-                if nbr in nodes and nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return seen == nodes
+        return OccurrenceIndex(self.bags, self.tree.parent).disconnected()
 
     def graph_violations(self, graph: Graph) -> list[Violation]:
         """All Section 2.2 axiom violations against ``graph`` (no raise).
@@ -253,52 +227,12 @@ class TreeDecomposition:
         subjects are the machine-readable layer the admission control
         of :mod:`repro.admission` consumes.
         """
-        violations: list[Violation] = []
-        elements = self.all_elements()
-        missing = graph.vertices - elements
-        if missing:
-            subject = tuple(sorted(missing, key=repr))
-            violations.append(
-                Violation(
-                    "element-uncovered",
-                    f"vertices never covered: {sorted(missing, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
-        alien = elements - graph.vertices
-        if alien:
-            subject = tuple(sorted(alien, key=repr))
-            violations.append(
-                Violation(
-                    "alien-element",
-                    f"bags mention non-vertices: {sorted(alien, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
-        for u, v in graph.edges():
-            if not any({u, v} <= bag for bag in self.bags.values()):
-                violations.append(
-                    Violation(
-                        "tuple-uncovered",
-                        f"edge ({u!r}, {v!r}) covered by no bag",
-                        subject=(u, v),
-                        repairable=True,
-                    )
-                )
-        bad = self.connectedness_violations()
-        if bad:
-            subject = tuple(sorted(bad, key=repr))
-            violations.append(
-                Violation(
-                    "connectedness",
-                    f"connectedness violated for {sorted(bad, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
-        return violations
+        return self.axiom_violations(
+            graph.vertices,
+            (((u, v), (u, v)) for u, v in graph.edges()),
+            _GRAPH_WORDS,
+            lambda edge: f"edge ({edge[0]!r}, {edge[1]!r}) covered by no bag",
+        )
 
     def structure_violations(self, structure: Structure) -> list[Violation]:
         """All Section 2.2 axiom violations against ``structure``.
@@ -309,50 +243,77 @@ class TreeDecomposition:
         real thing).  Collects *every* violation instead of stopping at
         the first -- the admission layer repairs them as a set.
         """
+        return self.axiom_violations(
+            structure.domain,
+            (
+                (tup, (name, tup))
+                for name in structure.signature
+                for tup in structure.relation(name)
+            ),
+            _STRUCTURE_WORDS,
+            lambda fact: f"tuple {fact[0]}{fact[1]!r} covered by no bag",
+        )
+
+    def axiom_violations(
+        self,
+        domain: Iterable[Element],
+        tuples: Iterable[tuple[tuple, tuple]],
+        words: tuple[str, str],
+        uncovered: Callable[[tuple], str],
+    ) -> list[Violation]:
+        """The one Section 2.2 axiom check, linear in the bags.
+
+        ``domain`` is what the bags must cover, ``tuples`` yields
+        ``(elements, subject)`` per tuple that some bag must hold,
+        ``words`` phrase the element-uncovered and alien-element
+        messages, and ``uncovered(subject)`` the tuple-uncovered one.
+        Violations come in a fixed order: uncovered elements, alien
+        elements, uncovered tuples (in ``tuples`` order), connectedness.
+        """
+        index = OccurrenceIndex(self.bags, self.tree.parent)
+        domain = frozenset(domain)
+        elements = frozenset(index.where)
         violations: list[Violation] = []
-        elements = self.all_elements()
-        missing = structure.domain - elements
+        missing = domain - elements
         if missing:
-            subject = tuple(sorted(missing, key=repr))
+            ordered = sorted(missing, key=repr)
             violations.append(
                 Violation(
                     "element-uncovered",
-                    f"elements never covered: {sorted(missing, key=repr)}",
-                    subject=subject,
+                    f"{words[0]}: {ordered}",
+                    subject=tuple(ordered),
                     repairable=True,
                 )
             )
-        alien = elements - structure.domain
+        alien = elements - domain
         if alien:
-            subject = tuple(sorted(alien, key=repr))
+            ordered = sorted(alien, key=repr)
             violations.append(
                 Violation(
                     "alien-element",
-                    f"bags mention non-elements: {sorted(alien, key=repr)}",
-                    subject=subject,
+                    f"{words[1]}: {ordered}",
+                    subject=tuple(ordered),
                     repairable=True,
                 )
             )
-        for name in structure.signature:
-            for tup in structure.relation(name):
-                needed = set(tup)
-                if not any(needed <= bag for bag in self.bags.values()):
-                    violations.append(
-                        Violation(
-                            "tuple-uncovered",
-                            f"tuple {name}{tup!r} covered by no bag",
-                            subject=(name, tup),
-                            repairable=True,
-                        )
+        for needed, subject in tuples:
+            if not index.covers(needed):
+                violations.append(
+                    Violation(
+                        "tuple-uncovered",
+                        uncovered(subject),
+                        subject=subject,
+                        repairable=True,
                     )
-        bad = self.connectedness_violations()
+                )
+        bad = index.disconnected()
         if bad:
-            subject = tuple(sorted(bad, key=repr))
+            ordered = sorted(bad, key=repr)
             violations.append(
                 Violation(
                     "connectedness",
-                    f"connectedness violated for {sorted(bad, key=repr)}",
-                    subject=subject,
+                    f"connectedness violated for {ordered}",
+                    subject=tuple(ordered),
                     repairable=True,
                 )
             )
@@ -416,6 +377,84 @@ class TreeDecomposition:
         return (
             f"TreeDecomposition(nodes={self.node_count()}, width={self.width})"
         )
+
+
+#: the historical phrasings of the element-uncovered / alien-element messages
+_GRAPH_WORDS = ("vertices never covered", "bags mention non-vertices")
+_STRUCTURE_WORDS = ("elements never covered", "bags mention non-elements")
+
+
+class OccurrenceIndex:
+    """Where each element occurs in a decomposition, built in one pass
+    over its ``bags`` (``parent`` is its tree's parent lookup).
+
+    ``where[x]`` lists the nodes whose bag holds ``x``; ``tops[x]``
+    counts its *top* nodes -- occurrences whose parent's bag lacks
+    ``x`` (or that are the root).  The occurrence set of ``x`` induces
+    one subtree per top node, so ``x`` satisfies the connectedness
+    condition iff it has exactly one.  A tuple is held by some bag iff
+    it is held by a bag among the shortest occurrence list of its
+    elements.  Both checks are thereby linear in the total bag size
+    (for tuples, times the shortest list), where scanning every bag
+    per element and per tuple was quadratic.
+    """
+
+    __slots__ = ("bags", "where", "tops")
+
+    def __init__(
+        self,
+        bags: Mapping[NodeId, frozenset[Element]],
+        parent: Callable[[NodeId], NodeId | None],
+    ):
+        where: dict[Element, list[NodeId]] = {}
+        tops: dict[Element, int] = {}
+        empty: frozenset = frozenset()
+        for node, bag in bags.items():
+            above = parent(node)
+            above_bag = empty if above is None else bags[above]
+            for x in bag:
+                nodes = where.get(x)
+                if nodes is None:
+                    where[x] = [node]
+                else:
+                    nodes.append(node)
+                if x not in above_bag:
+                    tops[x] = tops.get(x, 0) + 1
+        self.bags = bags
+        self.where = where
+        self.tops = tops
+
+    def add(self, node: NodeId) -> None:
+        """Index the bag of ``node``, a leaf added after construction
+        (its occurrence lists only -- connectedness is not tracked)."""
+        for x in self.bags[node]:
+            self.where.setdefault(x, []).append(node)
+
+    def covers(self, needed: Iterable[Element]) -> bool:
+        """Whether some bag holds every element of ``needed``."""
+        where = self.where
+        shortest: list[NodeId] | None = None
+        for x in needed:
+            nodes = where.get(x)
+            if nodes is None:
+                return False
+            if shortest is None or len(nodes) < len(shortest):
+                shortest = nodes
+        if shortest is None:
+            return bool(self.bags)  # the empty tuple: any bag holds it
+        bags = self.bags
+        for node in shortest:
+            bag = bags[node]
+            for x in needed:
+                if x not in bag:
+                    break
+            else:
+                return True
+        return False
+
+    def disconnected(self) -> list[Element]:
+        """Elements whose occurrences do not form one subtree."""
+        return [x for x, count in self.tops.items() if count != 1]
 
 
 # ----------------------------------------------------------------------

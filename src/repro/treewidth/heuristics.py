@@ -8,12 +8,21 @@ with the data).  We substitute the classic greedy elimination heuristics
 -- min-degree and min-fill -- which produce valid decompositions whose
 width is near-optimal on the graph families used here, plus an exact
 branch-and-bound in :mod:`repro.treewidth.exact` for small instances.
-The substitution is recorded in DESIGN.md §5.
+``src/repro/core/README.md`` records the substitution (**Substitutions**)
+and what each front-end stage costs per solve (**The solve front end**).
+
+On bounded-degree graphs the orders cost O(n log n), one heap pop per
+step: a lazy heap keyed ``(cost, repr(v), insertion index)`` replaces a
+``min`` scan over all remaining vertices, and eliminating ``v``
+re-costs only the vertices whose cost it can change.  The order is exactly the one the
+scan picked -- the insertion index breaks ``repr`` ties the way
+``min`` did, by first occurrence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+import heapq
+from typing import Callable, Hashable, Sequence
 
 from ..structures.graphs import Graph, gaifman_graph
 from ..structures.structure import Structure
@@ -37,29 +46,63 @@ def _fill_in_count(adj: dict[Vertex, set[Vertex]], v: Vertex) -> int:
     return missing
 
 
+def _degree(adj: dict[Vertex, set[Vertex]], v: Vertex) -> int:
+    return len(adj[v])
+
+
 def min_degree_order(graph: Graph) -> list[Vertex]:
     """Greedy elimination order, always removing a minimum-degree vertex."""
-    return _greedy_order(graph, lambda adj, v: len(adj[v]))
+    return _greedy_order(graph, _degree, second_ring=False)
 
 
 def min_fill_order(graph: Graph) -> list[Vertex]:
     """Greedy elimination order, always removing a minimum-fill-in vertex."""
-    return _greedy_order(graph, _fill_in_count)
+    return _greedy_order(graph, _fill_in_count, second_ring=True)
 
 
 def _greedy_order(
-    graph: Graph, cost: Callable[[dict[Vertex, set[Vertex]], Vertex], int]
+    graph: Graph,
+    cost: Callable[[dict[Vertex, set[Vertex]], Vertex], int],
+    second_ring: bool,
 ) -> list[Vertex]:
+    """Repeatedly eliminate the vertex of least ``(cost, repr)``.
+
+    Eliminating ``v`` turns ``N(v)`` into a clique, which changes the
+    degree of ``N(v)`` only, and the fill-in of ``N(v)`` and of the
+    neighbours of ``N(v)`` (the only vertices that can see a new edge
+    between two of their neighbours); ``second_ring`` asks for the
+    latter.  Re-costed vertices get a fresh heap entry; entries whose
+    cost is no longer current are skipped when popped.
+    """
     adj = _neighbor_sets(graph)
+    vertices = list(adj)
+    index = {v: i for i, v in enumerate(vertices)}
+    # repr once per vertex keeps the heuristics deterministic across runs
+    keys = [repr(v) for v in vertices]
+    current = [cost(adj, v) for v in vertices]
+    heap = [(c, keys[i], i) for i, c in enumerate(current)]
+    heapq.heapify(heap)
     order: list[Vertex] = []
-    while adj:
-        # repr-based tie-break keeps the heuristics deterministic across runs
-        v = min(adj, key=lambda u: (cost(adj, u), repr(u)))
+    while heap:
+        c, _, i = heapq.heappop(heap)
+        v = vertices[i]
+        if v not in adj or c != current[i]:
+            continue
         order.append(v)
         nbrs = adj.pop(v)
         for a in nbrs:
             adj[a].discard(v)
             adj[a] |= nbrs - {a}
+        touched = set(nbrs)
+        if second_ring:
+            for a in nbrs:
+                touched |= adj[a]
+        for u in touched:
+            j = index[u]
+            c = cost(adj, u)
+            if c != current[j]:
+                current[j] = c
+                heapq.heappush(heap, (c, keys[j], j))
     return order
 
 
@@ -110,20 +153,37 @@ def decomposition_from_order(
     return TreeDecomposition(tree, bags)
 
 
+#: order name -> elimination-order heuristic
+_ORDERS: dict[str, Callable[[Graph], list[Vertex]]] = {
+    "min_fill": min_fill_order,
+    "min_degree": min_degree_order,
+}
+
+#: the escalation of :func:`decompose_within`: min-fill first (usually
+#: the smaller width, and the historical default), then min-degree, which
+#: is exact on treewidth <= 2 -- such a graph always has a vertex of
+#: degree <= 2, and eliminating it contracts an edge, leaving a minor of
+#: treewidth <= 2 again
+ESCALATION = ("min_fill", "min_degree")
+
+
+def _from_method(graph: Graph, method: str) -> TreeDecomposition:
+    try:
+        order = _ORDERS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+    return decomposition_from_order(graph, order(graph))
+
+
 def decompose_graph(graph: Graph, method: str = "min_fill") -> TreeDecomposition:
     """Heuristic tree decomposition of a graph.
 
     ``method`` is ``"min_fill"`` (default, usually smaller width) or
     ``"min_degree"`` (faster).  The result is always a *valid*
-    decomposition; only its width is heuristic.
+    decomposition, checked against ``graph``; only its width is
+    heuristic.
     """
-    if method == "min_fill":
-        order = min_fill_order(graph)
-    elif method == "min_degree":
-        order = min_degree_order(graph)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    td = decomposition_from_order(graph, order)
+    td = _from_method(graph, method)
     td.validate_for_graph(graph)
     return td
 
@@ -134,9 +194,43 @@ def decompose_structure(
     """Heuristic tree decomposition of an arbitrary tau-structure.
 
     Decomposes the Gaifman graph; bags then automatically cover every
-    relation tuple (each tuple's elements form a clique there).
+    relation tuple (each tuple's elements form a clique there).  The
+    result is checked once, against the structure's own tuples (which
+    subsumes the Gaifman edges).
     """
-    graph = gaifman_graph(structure)
-    td = decompose_graph(graph, method=method)
+    td = _from_method(gaifman_graph(structure), method)
     td.validate_for_structure(structure)
     return td
+
+
+def decompose_within(
+    structure: Structure,
+    width: int,
+    methods: Sequence[str] = ESCALATION,
+    proceed: Callable[[], bool] | None = None,
+) -> tuple[TreeDecomposition | None, str | None]:
+    """The lowest-width decomposition of ``structure`` over ``methods``.
+
+    Tries each order in turn on one Gaifman graph and stops at the first
+    decomposition of width <= ``width``; otherwise returns the narrowest
+    one found, with the method that built it.  ``proceed`` is asked
+    before every attempt, and ``False`` ends the escalation early
+    (``(None, None)`` if nothing was built yet).
+
+    The result is **not** checked against the Section 2.2 axioms: an
+    elimination-order decomposition is valid by construction, and the
+    caller checks the decomposition it goes on to use -- the solver
+    its normalized form, admission the rebuilt one -- exactly once.
+    """
+    graph = gaifman_graph(structure)
+    best: TreeDecomposition | None = None
+    best_method: str | None = None
+    for method in methods:
+        if proceed is not None and not proceed():
+            break
+        candidate = _from_method(graph, method)
+        if best is None or candidate.width < best.width:
+            best, best_method = candidate, method
+        if best.width <= width:
+            break
+    return best, best_method
