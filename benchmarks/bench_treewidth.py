@@ -13,13 +13,16 @@ Run:  pytest benchmarks/bench_treewidth.py --benchmark-only
 scaling gate: it times ``decompose_structure`` plus one validation of
 the normalized decomposition (the checked work of a td-less solve) on
 full 2 x N ladders, N = 64 ... 512, fits the log-log slope against the
-domain size, and exits 1 if the slope is above ``MAX_SLOPE`` or if the
-min-fill width got worse on the partial-2-tree families below (wider
-than the family's treewidth bound, or a gap to the exact treewidth
-above ``MAX_EXACT_GAP``).  It prints only; no baseline file is written.
+domain size (best of ``REPEATS`` runs per ladder, garbage collector
+off), and exits 1 if the slope is above ``MAX_SLOPE`` on a first
+measurement and on one re-timing, or if the min-fill width got worse
+on the partial-2-tree families below (wider than the family's
+treewidth bound, or a gap to the exact treewidth above
+``MAX_EXACT_GAP``).  It prints only; no baseline file is written.
 """
 
 import argparse
+import gc
 import math
 import random
 import sys
@@ -51,6 +54,8 @@ SIZES = [25, 50, 100, 200]
 LADDER_COLUMNS = (64, 128, 256, 512)
 #: --quick: the largest tolerated log-log slope of the checked front end
 MAX_SLOPE = 1.15
+#: --quick: timed runs per ladder; the best one counts
+REPEATS = 9
 #: --quick: the largest tolerated min-fill gap to the exact treewidth
 #: on the small family (every member is exact today)
 MAX_EXACT_GAP = 0
@@ -121,21 +126,43 @@ def test_heuristic_quality_vs_exact(benchmark):
 # ----------------------------------------------------------------------
 
 
-def checked_front_end_ms(structure, repeats: int = 5) -> float:
+def checked_front_end_ms(structure, repeats: int = REPEATS) -> float:
     """Best-of-``repeats`` ms of ``decompose_structure`` plus one
     validation of the normalized decomposition against the structure
-    (the normalization itself is untimed)."""
+    (the normalization itself is untimed), with the garbage collector
+    off while timing so a collection does not land on one size only."""
     best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        td = decompose_structure(structure)
-        elapsed = time.perf_counter() - start
-        ntd = normalize(widen(td, 2) if td.width < 2 else td)
-        start = time.perf_counter()
-        ntd.validate(structure)
-        elapsed += time.perf_counter() - start
-        best = min(best, elapsed)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            td = decompose_structure(structure)
+            elapsed = time.perf_counter() - start
+            ntd = normalize(widen(td, 2) if td.width < 2 else td)
+            start = time.perf_counter()
+            ntd.validate(structure)
+            elapsed += time.perf_counter() - start
+            best = min(best, elapsed)
+    finally:
+        if enabled:
+            gc.enable()
     return best * 1e3
+
+
+def front_end_slope() -> float:
+    """Time the checked front end on every ladder and fit the slope."""
+    sizes, times = [], []
+    for columns in LADDER_COLUMNS:
+        structure = graph_to_structure(Graph.grid(2, columns))
+        ms = checked_front_end_ms(structure)
+        sizes.append(len(structure.domain))
+        times.append(ms)
+        print(f"ladder 2x{columns:<4} |A|={sizes[-1]:<5} {ms:8.2f} ms")
+    slope = log_log_slope(sizes, times)
+    print(f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE})")
+    return slope
 
 
 def log_log_slope(xs, ys) -> float:
@@ -150,15 +177,11 @@ def log_log_slope(xs, ys) -> float:
 
 def quick() -> int:
     failures = []
-    sizes, times = [], []
-    for columns in LADDER_COLUMNS:
-        structure = graph_to_structure(Graph.grid(2, columns))
-        ms = checked_front_end_ms(structure)
-        sizes.append(len(structure.domain))
-        times.append(ms)
-        print(f"ladder 2x{columns:<4} |A|={sizes[-1]:<5} {ms:8.2f} ms")
-    slope = log_log_slope(sizes, times)
-    print(f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE})")
+    slope = front_end_slope()
+    if slope > MAX_SLOPE:
+        # host noise reads as a regression once; a real one persists
+        print("slope above the gate; re-timing once")
+        slope = min(slope, front_end_slope())
     if slope > MAX_SLOPE:
         failures.append(f"front-end slope {slope:.3f} > {MAX_SLOPE}")
 

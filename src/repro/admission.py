@@ -42,12 +42,17 @@ import os
 from dataclasses import dataclass, field
 
 from .datalog.budget import BudgetExceeded, BudgetMeter, SolveBudget, as_meter
-from .errors import AdmissionRejected, Violation, summarize_violations
+from .errors import (
+    AdmissionRejected,
+    InvalidDecomposition,
+    Violation,
+    summarize_violations,
+)
 from .mso.eval import Budget as _EvalBudget
 from .structures.signature import Signature
 from .structures.structure import Fact, Structure, structure_fingerprint
 from .treewidth.decomposition import OccurrenceIndex, RootedTree, TreeDecomposition
-from .treewidth.heuristics import ESCALATION, decompose_within
+from .treewidth.heuristics import decompose_within
 from .treewidth.normalize import widen
 
 __all__ = [
@@ -398,10 +403,10 @@ def repair_decomposition(
     so passes never undo each other; the price is possible width growth,
     which the caller's envelope check arbitrates.
 
-    One :class:`repro.treewidth.OccurrenceIndex` answers the coverage
-    checks and anchor choices of passes (2) and (3), another the
-    connectedness of pass (4), so a repair is linear in the bags (plus
-    the Steiner closures it splices).
+    One :class:`repro.treewidth.decomposition.OccurrenceIndex` answers
+    the coverage checks and anchor choices of passes (2) and (3),
+    another the connectedness of pass (4), so a repair is linear in the
+    bags (plus the Steiner closures it splices).
 
     Returns ``(repaired, repairs)`` with ``repaired`` clean under
     :meth:`TreeDecomposition.validate_for_structure`, or ``(None,
@@ -516,7 +521,6 @@ def redecompose(
     structure: Structure,
     width_limit: int,
     meter: BudgetMeter | None = None,
-    methods: tuple[str, ...] = ESCALATION,
 ) -> tuple[TreeDecomposition | None, str | None]:
     """Build a decomposition from scratch, escalating through ordering
     strategies until one fits the envelope or the budget runs out.
@@ -524,12 +528,13 @@ def redecompose(
     The escalation is :func:`repro.treewidth.heuristics.decompose_within`,
     the one the trusting solve path uses: ``min_fill`` first (so clean
     td-less traffic decomposes identically with or without admission),
-    ``min_degree`` as the escalation, the budget checked before each
-    strategy.  Returns the best decomposition found (lowest width --
-    possibly still over the envelope, which the degrade rung then
-    arbitrates) and the strategy that produced it; the result is
-    checked against the structure once, since the solver trusts what
-    admission hands it.
+    ``min_degree`` as the escalation, a strategy that raises skipped,
+    the budget checked before each strategy.  Returns the best
+    decomposition found (lowest width -- possibly still over the
+    envelope, which the degrade rung then arbitrates) and the strategy
+    that produced it, or ``(None, None)`` when no strategy built one;
+    the result is checked against the structure once, since the solver
+    trusts what admission hands it.
     """
 
     def within_budget() -> bool:
@@ -543,12 +548,15 @@ def redecompose(
 
     try:
         best, method = decompose_within(
-            structure, width_limit, methods, proceed=within_budget
+            structure, width_limit, proceed=within_budget
         )
-        if best is not None:
-            best.validate_for_structure(structure)
     except Exception:
-        return None, None
+        return None, None  # every strategy failed
+    if best is not None:
+        try:
+            best.validate_for_structure(structure)
+        except InvalidDecomposition:
+            return None, None
     return best, method
 
 

@@ -2,7 +2,6 @@
 
 from .decomposition import (
     NodeId,
-    OccurrenceIndex,
     RootedTree,
     TreeDecomposition,
     refinement_violations,
@@ -40,7 +39,6 @@ __all__ = [
     "NodeId",
     "NormalizedNodeKind",
     "NormalizedTreeDecomposition",
-    "OccurrenceIndex",
     "RootedTree",
     "TDNode",
     "TreeDecomposition",

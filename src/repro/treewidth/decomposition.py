@@ -215,10 +215,6 @@ class TreeDecomposition:
 
     # -- validation -------------------------------------------------------
 
-    def connectedness_violations(self) -> list[Element]:
-        """Elements whose occurrence set is not a connected subtree."""
-        return OccurrenceIndex(self.bags, self.tree.parent).disconnected()
-
     def graph_violations(self, graph: Graph) -> list[Violation]:
         """All Section 2.2 axiom violations against ``graph`` (no raise).
 
@@ -399,7 +395,7 @@ class OccurrenceIndex:
     per element and per tuple was quadratic.
     """
 
-    __slots__ = ("bags", "where", "tops")
+    __slots__ = ("bags", "parent", "where", "tops")
 
     def __init__(
         self,
@@ -421,14 +417,22 @@ class OccurrenceIndex:
                 if x not in above_bag:
                     tops[x] = tops.get(x, 0) + 1
         self.bags = bags
+        self.parent = parent
         self.where = where
         self.tops = tops
 
     def add(self, node: NodeId) -> None:
-        """Index the bag of ``node``, a leaf added after construction
-        (its occurrence lists only -- connectedness is not tracked)."""
+        """Index the bag of ``node``, a leaf added after construction.
+
+        A leaf has no children, so it is a top node of exactly the
+        elements its parent's bag lacks and changes no other node's."""
+        above = self.parent(node)
+        above_bag = self.bags[above] if above is not None else frozenset()
+        where, tops = self.where, self.tops
         for x in self.bags[node]:
-            self.where.setdefault(x, []).append(node)
+            where.setdefault(x, []).append(node)
+            if x not in above_bag:
+                tops[x] = tops.get(x, 0) + 1
 
     def covers(self, needed: Iterable[Element]) -> bool:
         """Whether some bag holds every element of ``needed``."""

@@ -206,16 +206,17 @@ def decompose_structure(
 def decompose_within(
     structure: Structure,
     width: int,
-    methods: Sequence[str] = ESCALATION,
     proceed: Callable[[], bool] | None = None,
 ) -> tuple[TreeDecomposition | None, str | None]:
-    """The lowest-width decomposition of ``structure`` over ``methods``.
+    """The lowest-width decomposition of ``structure`` over
+    :data:`ESCALATION`.
 
     Tries each order in turn on one Gaifman graph and stops at the first
     decomposition of width <= ``width``; otherwise returns the narrowest
-    one found, with the method that built it.  ``proceed`` is asked
-    before every attempt, and ``False`` ends the escalation early
-    (``(None, None)`` if nothing was built yet).
+    one found, with the method that built it.  A method that raises is
+    skipped, and its error propagates only if no method built anything.
+    ``proceed`` is asked before every attempt, and ``False`` ends the
+    escalation early (``(None, None)`` if nothing was built yet).
 
     The result is **not** checked against the Section 2.2 axioms: an
     elimination-order decomposition is valid by construction, and the
@@ -225,12 +226,19 @@ def decompose_within(
     graph = gaifman_graph(structure)
     best: TreeDecomposition | None = None
     best_method: str | None = None
-    for method in methods:
+    failure: Exception | None = None
+    for method in ESCALATION:
         if proceed is not None and not proceed():
             break
-        candidate = _from_method(graph, method)
+        try:
+            candidate = _from_method(graph, method)
+        except Exception as exc:  # the next strategy may still succeed
+            failure = exc
+            continue
         if best is None or candidate.width < best.width:
             best, best_method = candidate, method
         if best.width <= width:
             break
+    if best is None and failure is not None:
+        raise failure
     return best, best_method

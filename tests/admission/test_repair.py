@@ -5,6 +5,7 @@ import time
 from repro.admission import redecompose, repair_decomposition, verify_decomposition
 from repro.datalog.budget import SolveBudget
 from repro.structures import GRAPH_SIGNATURE, Structure
+from repro.treewidth import heuristics
 
 from .test_verify import corrupt_td, path_structure
 
@@ -106,3 +107,21 @@ class TestRedecompose:
         time.sleep(0.01)  # the meter is already over before any strategy runs
         td, method = redecompose(s, width_limit=1, meter=meter)
         assert td is None and method is None
+
+    def test_failing_strategy_is_skipped(self, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("min-fill failed")
+
+        monkeypatch.setitem(heuristics._ORDERS, "min_fill", broken)
+        s = path_structure(5)
+        td, method = redecompose(s, width_limit=1)
+        assert method == "min_degree"
+        assert td is not None and verify_decomposition(td, s) == []
+
+    def test_every_strategy_failing_yields_nothing(self, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("strategy failed")
+
+        for method in heuristics.ESCALATION:
+            monkeypatch.setitem(heuristics._ORDERS, method, broken)
+        assert redecompose(path_structure(5), width_limit=1) == (None, None)

@@ -20,7 +20,7 @@ from repro.errors import WidthExceeded
 from repro.mso import formulas, query
 from repro.problems import random_partial_ktree
 from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure, subgraph
-from repro.treewidth import TreeDecomposition, decompose_structure
+from repro.treewidth import TreeDecomposition, decompose_structure, heuristics
 
 
 def non_isolated(graph: Graph) -> frozenset:
@@ -101,6 +101,27 @@ class TestWidthTwoExactness:
                         structure, formulas.has_neighbor("x"), "x"
                     )
         assert overshoots > 0 and in_class > 0
+
+
+class TestFailingStrategies:
+    def test_solve_skips_a_failing_strategy(self, path_solver, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("min-fill failed")
+
+        monkeypatch.setitem(heuristics._ORDERS, "min_fill", broken)
+        graph = Graph.path(9)
+        assert path_solver.query(graph_to_structure(graph)) == non_isolated(graph)
+
+    def test_error_surfaces_when_every_strategy_fails(
+        self, path_solver, monkeypatch
+    ):
+        def broken(graph):
+            raise RuntimeError("strategy failed")
+
+        for method in heuristics.ESCALATION:
+            monkeypatch.setitem(heuristics._ORDERS, method, broken)
+        with pytest.raises(RuntimeError, match="strategy failed"):
+            path_solver.query(graph_to_structure(Graph.path(9)))
 
 
 class TestOneValidationPerSolve:

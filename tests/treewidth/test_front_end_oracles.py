@@ -20,6 +20,7 @@ from repro.treewidth import (
     min_degree_order,
     min_fill_order,
 )
+from repro.treewidth.decomposition import OccurrenceIndex
 
 from . import oracles
 
@@ -148,9 +149,6 @@ class TestAxiomCheck:
         assert td.structure_violations(structure) == (
             oracles.structure_violations(td, structure)
         )
-        assert sorted(td.connectedness_violations(), key=repr) == sorted(
-            oracles.connectedness_violations(td), key=repr
-        )
 
     @settings(max_examples=150)
     @given(
@@ -190,3 +188,26 @@ class TestAxiomCheck:
         assert "connectedness" in codes["disconnected"]
         assert "tuple-uncovered" in codes["edge"]
         assert "tuple-uncovered" in codes["triple"]
+
+
+class TestOccurrenceIndex:
+    @given(mixed_arity_structures(), st.integers(0, 2**16))
+    def test_added_leaves_keep_the_index_exact(self, structure, seed):
+        """Leaves indexed by ``add`` leave the index equal to one built
+        from scratch, connectedness included."""
+        rng = random.Random(seed)
+        td = decompose_structure(structure)
+        tree, bags = td.tree.copy(), dict(td.bags)
+        index = OccurrenceIndex(bags, tree.parent)
+        domain = sorted(structure.domain, key=repr)
+        for _ in range(rng.randint(1, 4)):
+            leaf = tree.add_child(rng.choice(sorted(bags)))
+            bags[leaf] = frozenset(rng.sample(domain, rng.randint(0, len(domain))))
+            index.add(leaf)
+        fresh = OccurrenceIndex(bags, tree.parent)
+        assert index.where == fresh.where
+        assert index.tops == fresh.tops
+        assert sorted(index.disconnected(), key=repr) == sorted(
+            oracles.connectedness_violations(TreeDecomposition(tree, bags)),
+            key=repr,
+        )
