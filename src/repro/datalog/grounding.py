@@ -75,11 +75,12 @@ class NotGroundableError(ValueError):
 @dataclass
 class GroundingStats:
     ground_rules: int = 0
-    killed_by_extensional: int = 0
     #: total rows surviving each extensional join step -- the
     #: O(|P| * |A|) *work* measure of Theorem 4.4 (a mis-ordered plan
     #: shows up here as a super-linear blow-up even when the final
-    #: ground-rule count stays linear)
+    #: ground-rule count stays linear).  The streamed form counts a
+    #: group's shared prefix once per group, plus one per row that
+    #: reaches the group's membership tests
     bindings_explored: int = 0
     #: streamed path only: program rules never instantiated at all --
     #: head outside the demanded set (magic-style relevance), a
@@ -111,8 +112,18 @@ class PreparedGrounding:
     as ids into it.  A compiled program has far fewer distinct steps
     than step instances -- the width-2 ``has_neighbor`` program joins
     3,673 step instances drawn from 45 steps -- so a solve binds each
-    distinct step to the structure once and assembles every rule's op
-    list from those bindings.
+    distinct step to the structure once.
+
+    On top of the step table sits the **group table** ``groups``: the
+    stream plans split into :class:`StreamGroup` entries, each holding
+    the rules with the same driver layout and the same *binding
+    prefix* (their steps up to the last one that binds a slot or is
+    more than a membership test).  What follows the prefix in a member
+    is a set of membership tests, so a solve runs each group's prefix
+    once per round and evaluates its distinct tests once per row
+    instead of repeating the shared probes in every rule.  The width-2
+    ``has_neighbor`` program's 755 driven rules fall into 136 groups
+    over 34 driver predicates.
     """
 
     program: Program
@@ -132,6 +143,8 @@ class PreparedGrounding:
     deferred: frozenset[str] = frozenset()
     #: the step table the stream plans' ``step_ids`` index
     steps: tuple["_StreamStep", ...] = ()
+    #: the stream plans grouped by driver and binding prefix
+    groups: tuple["StreamGroup", ...] = ()
 
 
 def prepare_grounding(
@@ -152,7 +165,8 @@ def prepare_grounding(
     The streamed plans are split into the step table (see
     :class:`PreparedGrounding`) and per-rule step ids; each step's bind
     code and probe-key order are fixed here, against the program's
-    index selection.
+    index selection, and the plans are grouped by shared binding
+    prefix (:class:`StreamGroup`).
 
     The program's *sink* predicates -- heads that occur in no rule
     body, like the compiled queries' answer predicate ``phi`` -- are
@@ -184,7 +198,14 @@ def prepare_grounding(
     }
     deferred = frozenset(idb - in_bodies)
     return PreparedGrounding(
-        program, registry, plans, stream_plans, selection, deferred, steps
+        program,
+        registry,
+        plans,
+        stream_plans,
+        selection,
+        deferred,
+        steps,
+        _group_plans(stream_plans, steps, deferred),
     )
 
 
@@ -467,7 +488,7 @@ def _instantiate_batch_ids(
                     f"negated atom {atom} not bound during grounding"
                 )
             columns, length = _filter_negation_ids(
-                columns, length, atom, consts, bound, db, registry, stats
+                columns, length, atom, consts, bound, db, registry
             )
         stats.bindings_explored += length
         if not length:
@@ -621,7 +642,7 @@ def _join_builtin_ids(
 
 
 def _filter_negation_ids(
-    columns, length, atom, consts, bound, db: SetDatabase, registry, stats
+    columns, length, atom, consts, bound, db: SetDatabase, registry
 ):
     arity = atom.arity
     if atom.predicate in registry:
@@ -657,7 +678,6 @@ def _filter_negation_ids(
         patterns = zip(*sources) if arity else repeat((), length)
         held_flags = [pattern in rel for pattern in patterns]
     keep = [r for r, held in enumerate(held_flags) if not held]
-    stats.killed_by_extensional += length - len(keep)
     return _take_rows(columns, keep), len(keep)
 
 
@@ -672,7 +692,9 @@ def _filter_negation_ids(
 # Rules whose driver predicate never derives are never instantiated at
 # all -- that, together with magic-style head relevance and statically
 # dead extensional literals, is the demand pruning measured by
-# ``GroundingStats.rules_pruned``.
+# ``GroundingStats.rules_pruned``.  Rules fire by group
+# (:class:`StreamGroup`): a prefix the members share runs once, and
+# their instances are emitted in plan order.
 # ----------------------------------------------------------------------
 
 
@@ -726,9 +748,6 @@ class StreamRulePlan:
     head: tuple[str, tuple[int, ...], tuple]
     #: the non-driver intensional body literals, same encoding
     others: tuple[tuple[str, tuple[int, ...], tuple], ...]
-    #: no constant in the driver, head or other intensional literals:
-    #: the emission specs need no interning per solve
-    constant_free: bool = True
 
 
 def _stream_plan(
@@ -844,9 +863,6 @@ def _stream_plan(
         step_ids=tuple(step_ids),
         head=head,
         others=other_specs,
-        constant_free=not driver_consts
-        and not head[2]
-        and not any(spec[2] for spec in other_specs),
     )
 
 
@@ -924,7 +940,109 @@ def _row_key(srcs):
     return lambda r: tuple(r[v] if is_slot else v for is_slot, v in srcs)
 
 
-# the op codes a bound step runs as (``_CompiledStreamRule._run``)
+#: the bind codes of plain membership tests: a step with one of these
+#: binds no slot, so it only filters the rows that reach it
+_TEST_CODES = (_BIND_SET, _BIND_BITS)
+
+
+@dataclass(frozen=True)
+class StreamGroup:
+    """Stream plans that share a driver layout and a binding prefix.
+
+    The members have the same driver predicate, driver slots, driver
+    constants and duplicate positions, the same deferral, and the same
+    *prefix*: their join steps up to and including the last one that
+    binds a slot or is not a plain membership test (``_TEST_CODES``).
+    Each member's remaining steps are membership tests of either
+    polarity, so its ground instances are exactly the prefix's rows on
+    which those tests hold.  The streamed grounder runs the prefix once
+    per round for the whole group, evaluates the group's distinct tests
+    once per row, and hands each row to the members whose tests all
+    hold.
+    """
+
+    #: the driver predicate; ``None`` for base rules
+    driver: str | None
+    #: driven members whose heads are sinks (see
+    #: ``PreparedGrounding.deferred``): they fire after the fixpoint
+    deferred: bool
+    #: indexes into ``PreparedGrounding.stream_plans``, in plan order
+    members: tuple[int, ...]
+    #: the shared step ids
+    prefix: tuple[int, ...]
+    #: the distinct test step ids after the prefix, in first-use order
+    tests: tuple[int, ...]
+    #: per member: the positions in ``tests`` that must hold
+    needs: tuple[tuple[int, ...], ...]
+    #: per member: its position among the plans with the same driver
+    #: predicate and deferral, in plan order -- where its instances
+    #: are emitted in a round
+    slots: tuple[int, ...]
+    #: the members' head predicates (one subset test decides demand
+    #: relevance for the whole group)
+    heads: frozenset[str]
+
+
+def _group_plans(stream_plans, steps, deferred) -> tuple[StreamGroup, ...]:
+    """Split the stream plans into :class:`StreamGroup` entries, ordered by
+    their first member."""
+    keyed: dict[tuple, list[int]] = {}
+    cuts: list[int] = []
+    slots: list[int] = []
+    lane_sizes: dict[tuple, int] = {}  # (driver, deferred) -> members
+    for index, plan in enumerate(stream_plans):
+        ids = plan.step_ids
+        cut = len(ids)
+        while cut and steps[ids[cut - 1]].code in _TEST_CODES:
+            cut -= 1
+        cuts.append(cut)
+        # base rules fire once, up front, whatever their heads
+        lane = (
+            (plan.driver.atom.predicate, plan.head[0] in deferred)
+            if plan.driver is not None
+            else (None, False)
+        )
+        slots.append(lane_sizes.get(lane, 0))
+        lane_sizes[lane] = slots[-1] + 1
+        key = (
+            *lane,
+            plan.driver_slots,
+            # typed, so that constants 1 and True never share a group
+            tuple((pos, type(v), v) for pos, v in plan.driver_consts),
+            plan.driver_dups,
+            ids[:cut],
+        )
+        keyed.setdefault(key, []).append(index)
+    groups = []
+    for (driver, is_deferred, _, _, _, prefix), members in keyed.items():
+        tests: dict[int, int] = {}
+        needs = tuple(
+            tuple(
+                sorted(
+                    {
+                        tests.setdefault(step_id, len(tests))
+                        for step_id in stream_plans[m].step_ids[cuts[m] :]
+                    }
+                )
+            )
+            for m in members
+        )
+        groups.append(
+            StreamGroup(
+                driver,
+                is_deferred,
+                tuple(members),
+                prefix,
+                tuple(tests),
+                needs,
+                tuple(slots[m] for m in members),
+                frozenset(stream_plans[m].head[0] for m in members),
+            )
+        )
+    return tuple(groups)
+
+
+# the op codes a bound step runs as (``_run_ops``, ``_test_holds``)
 _OP_BITS = 0  # unary positive relation, bound slot: bitset test
 _OP_SET = 1  # positive relation, fully bound: set membership
 _OP_PROBE1 = 2  # index probe, single key position (bare-id key)
@@ -949,7 +1067,7 @@ class _Binder:
     many rules share it."""
 
     __slots__ = (
-        "steps", "ops", "db", "registry", "interner", "_handles", "_joins"
+        "steps", "ops", "db", "registry", "interner", "_handles", "_holds"
     )
 
     def __init__(self, prepared: "PreparedGrounding", db: SetDatabase):
@@ -959,29 +1077,35 @@ class _Binder:
         self.registry = prepared.registry
         self.interner = db.interner
         self._handles: dict = {}
-        #: step-id tuple -> op tuple or ``_DEAD`` (rules share joins)
-        self._joins: dict = {}
+        self._holds: dict[int, object] = {}
+
+    def op(self, step_id: int):
+        """The step's op, ``None`` or ``_DEAD``, bound on first use."""
+        op = self.ops[step_id]
+        if op is _UNSET:
+            op = self.ops[step_id] = self._bind(self.steps[step_id])
+        return op
+
+    def holds(self, step_id: int):
+        """The row predicate of a bound membership-test step."""
+        found = self._holds.get(step_id)
+        if found is None:
+            found = self._holds[step_id] = _test_holds(self.op(step_id))
+        return found
 
     def join(self, step_ids: tuple[int, ...]):
-        """A rule's op list: its steps' ops in order, steps that always
-        hold dropped; ``_DEAD`` as soon as one step can never hold
-        (later steps stay unbound, as they would for the rule alone)."""
-        found = self._joins.get(step_ids)
-        if found is None:
-            ops = []
-            for step_id in step_ids:
-                op = self.ops[step_id]
-                if op is _UNSET:
-                    op = self.ops[step_id] = self._bind(self.steps[step_id])
-                if op is _DEAD:
-                    found = _DEAD
-                    break
-                if op is not None:
-                    ops.append(op)
-            else:
-                found = tuple(ops)
-            self._joins[step_ids] = found
-        return found
+        """The ops of a step sequence in order, steps that always hold
+        dropped; ``_DEAD`` as soon as one step can never hold (later
+        steps stay unbound)."""
+        ops = []
+        for step_id in step_ids:
+            op = self.op(step_id)
+            if op is _DEAD:
+                return _DEAD
+            if op is not None:
+                ops.append(op)
+        return tuple(ops)
+
 
     def _handle(self, kind: str, predicate: str, key=()):
         handles = self._handles
@@ -1065,264 +1189,406 @@ class _Binder:
         return (_OP_PROBE, get, _row_key(srcs), step.free, step.dups)
 
 
-class _CompiledStreamRule:
-    """One rule's per-structure executable stream plan."""
+def _run_ops(ops, rows: list[list[int]], stats: GroundingStats):
+    """Run a bound op list over a batch of rows (slot-value lists)."""
+    for op in ops:
+        code = op[0]
+        if code == _OP_PROBE1:  # the commonest: a key probe by node
+            _, get, ksrc, free, dups = op
+            out = []
+            for r in rows:
+                matches = get(r[ksrc])
+                if not matches:
+                    continue
+                for fact in matches:
+                    if dups and any(fact[p] != fact[q] for p, q in dups):
+                        continue
+                    fresh = r.copy()
+                    for p, s in free:
+                        fresh[s] = fact[p]
+                    out.append(fresh)
+            rows = out
+        elif code == _OP_BITS:
+            _, bits, s = op
+            rows = [r for r in rows if (bits >> r[s]) & 1]
+        elif code == _OP_SET:
+            _, rel, key = op
+            rows = [r for r in rows if key(r) in rel]
+        elif code == _OP_PROBE:
+            _, get, key, free, dups = op
+            out = []
+            for r in rows:
+                matches = get(key(r))
+                if not matches:
+                    continue
+                for fact in matches:
+                    if dups and any(fact[p] != fact[q] for p, q in dups):
+                        continue
+                    fresh = r.copy()
+                    for p, s in free:
+                        fresh[s] = fact[p]
+                    out.append(fresh)
+            rows = out
+        elif code == _OP_SCAN:
+            _, facts, free, dups = op
+            out = []
+            for r in rows:
+                for fact in facts:
+                    if dups and any(fact[p] != fact[q] for p, q in dups):
+                        continue
+                    fresh = r.copy()
+                    for p, s in free:
+                        fresh[s] = fact[p]
+                    out.append(fresh)
+            rows = out
+        elif code == _OP_BUILTIN:
+            rows = _builtin_rows(op, rows)
+        elif code == _OP_NEG_BITS:
+            _, bits, s = op
+            rows = [r for r in rows if not (bits >> r[s]) & 1]
+        elif code == _OP_NEG_SET:
+            _, rel, key = op
+            rows = [r for r in rows if key(r) not in rel]
+        else:  # _OP_NEG_BUILTIN
+            _, builtin, pattern_srcs, value_of = op
+            rows = [
+                r
+                for r in rows
+                if not any(
+                    builtin.evaluate(
+                        tuple(
+                            value_of(r[v]) if is_slot else v
+                            for is_slot, v in pattern_srcs
+                        )
+                    )
+                )
+            ]
+        if not rows:
+            return rows
+        stats.bindings_explored += len(rows)
+    return rows
+
+
+def _builtin_rows(op, rows):
+    # builtins see raw values: decode bound ids in, intern fresh
+    # outputs (exactly as the eager forms do)
+    _, builtin, pattern_srcs, free, dups, value_of, intern = op
+    out = []
+    for r in rows:
+        pattern = tuple(
+            value_of(r[v]) if is_slot else v for is_slot, v in pattern_srcs
+        )
+        for solution in builtin.evaluate(pattern):
+            if dups and any(solution[p] != solution[q] for p, q in dups):
+                continue
+            fresh = r.copy()
+            for p, s in free:
+                fresh[s] = intern(solution[p])
+            out.append(fresh)
+    return out
+
+
+def _test_holds(op):
+    """Whether a membership-test op holds on one row, as a function."""
+    code = op[0]
+    if code == _OP_BITS:
+        _, bits, s = op
+        return lambda r: bits >> r[s] & 1
+    if code == _OP_NEG_BITS:
+        _, bits, s = op
+        return lambda r: not bits >> r[s] & 1
+    _, rel, key = op
+    if code == _OP_SET:
+        return lambda r: key(r) in rel
+    return lambda r: key(r) not in rel  # _OP_NEG_SET
+
+
+class _LiveGroup:
+    """One :class:`StreamGroup` bound to one solve: the prefix ops, the
+    tests some live member needs (as row predicates), and each live
+    member's needs and lane slot."""
+
+    __slots__ = ("layout", "ops", "tests", "needs", "positions", "memo")
+
+    def __init__(self, layout: int, ops, tests, needs, positions):
+        self.layout = layout  # index into the lane's driver layouts
+        self.ops = ops
+        self.tests = tests
+        #: per live member: the positions in ``tests`` that must hold
+        self.needs = needs
+        #: per live member: its lane slot (``StreamGroup.slots``)
+        self.positions = positions
+        #: test-result tuple -> the lane slots of the live members that
+        #: fire (per solve: the tests' bindings, and so the members'
+        #: liveness, are per structure)
+        self.memo: dict[tuple, tuple[int, ...]] = {}
+
+    def route(self, rows: list[list[int]], outs: dict, stats) -> None:
+        """Run the prefix over ``rows`` and file each surviving row
+        under the lane slot of every live member whose tests hold."""
+        rows = _run_ops(self.ops, rows, stats)
+        if not rows:
+            return
+        if not self.tests:
+            for pos in self.positions:
+                outs[pos] = rows
+            return
+        stats.bindings_explored += len(rows)
+        memo = self.memo
+        columns = [list(map(test, rows)) for test in self.tests]
+        for r, key in zip(rows, zip(*columns)):
+            fired = memo.get(key)
+            if fired is None:
+                fired = memo[key] = tuple(
+                    pos
+                    for pos, need in zip(self.positions, self.needs)
+                    if all(key[c] for c in need)
+                )
+            for pos in fired:
+                out = outs.get(pos)
+                if out is None:
+                    outs[pos] = [r]
+                else:
+                    out.append(r)
+
+
+class _Lane:
+    """One solve's live groups for one driver predicate (or for the
+    base rules); their members emit in lane-slot, that is plan, order."""
 
     __slots__ = (
-        "plan",
-        "pool",
-        "sink",
-        "stats",
-        "nslots",
-        "driver_consts",
-        "driver_slots",
-        "driver_dups",
-        "ops",
-        "head",
-        "others",
-        "invoked",
-        "finalize",
+        "layouts", "groups", "plans", "specs", "spec_of", "finalize", "fired"
     )
 
-    def __init__(
-        self, plan, ops, head, others, driver_consts, pool, sink, stats
-    ):
-        self.plan = plan
-        self.pool = pool
-        self.sink = sink
-        self.stats = stats
-        self.nslots = plan.nslots
-        self.driver_consts = driver_consts  # (pos, interned id)
-        self.driver_slots = plan.driver_slots
-        self.driver_dups = plan.driver_dups
-        self.ops = ops
-        self.head = head  # (predicate, argsrc, interned const ids)
-        self.others = others
-        self.invoked = False
-        #: set by the deferred-sink epilogue of
-        #: :func:`ground_program_streamed`: the fixpoint is complete, so
-        #: ``_emit`` resolves the remaining intensional body atoms
-        #: against the final model instead of parking the rule
-        self.finalize = False
+    def __init__(self, spec_of, finalize: bool = False):
+        #: distinct (nslots, driver slots, interned driver consts,
+        #: driver dups); the groups with one layout share its rows
+        self.layouts: list[tuple] = []
+        self.groups: list[_LiveGroup] = []
+        #: lane slot -> plan index, for every live member
+        self.plans: dict[int, int] = {}
+        #: lane slot -> emission spec (head predicate, head argument
+        #: getter, (predicate, argument getter) per other intensional
+        #: body atom), built when the member first has rows
+        self.specs: dict[int, tuple] = {}
+        self.spec_of = spec_of  # plan index -> emission spec
+        #: set for the deferred-sink epilogue: the fixpoint is
+        #: complete, so emission resolves the remaining intensional
+        #: body atoms against the final model instead of parking rules
+        self.finalize = finalize
+        self.fired = False
 
-    def fire(self, args: tuple[int, ...]) -> None:
-        """Instantiate for one freshly derived driver atom."""
-        self.fire_batch((args,))
+    def layout(self, key: tuple) -> int:
+        try:
+            return self.layouts.index(key)
+        except ValueError:
+            self.layouts.append(key)
+            return len(self.layouts) - 1
 
-    def fire_batch(self, batch) -> None:
-        """Instantiate for a whole round's worth of driver atoms.
 
-        One `_run` walks the op list for all of the round's rows
-        together, so the per-event constants (op dispatch, handle
-        loads, the emit prologue) are paid once per (rule, round)
-        instead of once per derived driver atom -- the lever for
-        fully-live programs like the grid cover DP, where every rule
-        fires for nearly every node and the streamed emitter used to
-        trail the eager batch pipeline on dispatch overhead alone.
-        """
-        self.invoked = True
-        rows = []
-        append = rows.append
-        nslots = self.nslots
-        driver_consts = self.driver_consts
-        driver_dups = self.driver_dups
-        driver_slots = self.driver_slots
-        for args in batch:
-            if driver_consts and any(
-                args[pos] != cid for pos, cid in driver_consts
-            ):
+def _driver_rows(layout, batch) -> list[list[int]]:
+    """The driver atoms of ``batch`` as rows of the layout's slots
+    (``batch`` ``None``: the unit row of the base rules)."""
+    nslots, slots, consts, dups = layout
+    if batch is None:
+        return [[0] * nslots]
+    rows = []
+    append = rows.append
+    for args in batch:
+        if consts and any(args[pos] != cid for pos, cid in consts):
+            continue
+        if dups and any(args[pos] != args[earlier] for pos, earlier in dups):
+            continue
+        row = [0] * nslots
+        for pos, s in slots:
+            row[s] = args[pos]
+        append(row)
+    return rows
+
+
+def _bind_lanes(prepared, binder, relevant, intern, stats):
+    """Bind the group table to one solve: the base lane and the driven
+    and deferred lanes by driver predicate.  Members outside
+    ``relevant`` and members with a step that can never hold are
+    counted as pruned and left out; a lane holds only live members."""
+    plans = prepared.stream_plans
+    getters: dict = {}  # (argsrc, interned consts) -> argument getter
+
+    def getter(spec):
+        predicate, argsrc, const_values = spec
+        key = (argsrc, tuple(map(intern, const_values)))
+        found = getters.get(key)
+        if found is None:
+            found = getters[key] = _arg_getter(*key)
+        return predicate, found
+
+    def spec_of(plan_index: int) -> tuple:
+        plan = plans[plan_index]
+        return (*getter(plan.head), tuple(map(getter, plan.others)))
+
+    base = _Lane(spec_of)
+    driven: dict[str, _Lane] = {}
+    deferred: dict[str, _Lane] = {}
+    for group in prepared.groups:
+        if relevant is None or group.heads <= relevant:
+            live = range(len(group.members))
+        else:
+            live = [
+                index
+                for index, m in enumerate(group.members)
+                if plans[m].head[0] in relevant
+            ]
+            stats.rules_pruned += len(group.members) - len(live)
+            if not live:
                 continue
-            if driver_dups and any(
-                args[pos] != args[earlier] for pos, earlier in driver_dups
-            ):
+        ops = binder.join(group.prefix)
+        if ops is _DEAD:
+            stats.rules_pruned += len(live)  # a step can never hold here
+            continue
+        tests = [binder.op(step_id) for step_id in group.tests]
+        if len(live) == len(group.members) and all(
+            op is not None and op is not _DEAD for op in tests
+        ):
+            # all members live, every test a live op: the static table
+            # stands as it is
+            active = group.tests
+            members, needs, positions = (
+                group.members,
+                group.needs,
+                group.slots,
+            )
+        else:
+            active, members, needs, positions = _decide_tests(
+                group, live, tests
+            )
+            stats.rules_pruned += len(live) - len(members)
+            if not members:
                 continue
-            row = [0] * nslots
-            for pos, s in driver_slots:
-                row[s] = args[pos]
-            append(row)
+        if group.driver is None:
+            lane = base
+        else:
+            lanes = deferred if group.deferred else driven
+            lane = lanes.get(group.driver)
+            if lane is None:
+                lane = lanes[group.driver] = _Lane(spec_of, group.deferred)
+        plan = plans[members[0]]
+        layout = lane.layout(
+            (
+                plan.nslots,
+                plan.driver_slots,
+                tuple((pos, intern(v)) for pos, v in plan.driver_consts),
+                plan.driver_dups,
+            )
+        )
+        lane.groups.append(
+            _LiveGroup(
+                layout,
+                ops,
+                tuple(map(binder.holds, active)),
+                needs,
+                positions,
+            )
+        )
+        lane.plans.update(zip(positions, members))
+    return base, driven, deferred
+
+
+def _decide_tests(group: StreamGroup, live, tests):
+    """The live test step ids and the surviving live members (plan
+    indexes, needs, lane slots) of a group some of whose members are
+    irrelevant or some of whose tests are decided for the whole solve:
+    a test that always holds drops out of the needs, and a member
+    needing a test that never holds is dead (a step can never hold
+    here)."""
+    columns: dict[int, int] = {}  # test position -> live column
+    active = []
+    members, needs, positions = [], [], []
+    for index in live:
+        need = []
+        for position in group.needs[index]:
+            op = tests[position]
+            if op is _DEAD:
+                break
+            if op is not None:
+                if position not in columns:
+                    columns[position] = len(active)
+                    active.append(group.tests[position])
+                need.append(columns[position])
+        else:
+            members.append(group.members[index])
+            needs.append(tuple(need))
+            positions.append(group.slots[index])
+    return active, members, needs, positions
+
+
+def _fire(lane: _Lane, batch, pool: InternPool, sink, stats) -> None:
+    """Instantiate a lane's live members for one batch of driver atoms.
+
+    Each group runs its prefix once over the batch and routes its rows
+    to its members' lane slots; the members' rows are then emitted in
+    slot order, which is plan order, so the online LTUR receives the
+    same ``add_rule`` sequence (and the pool hands out the same atom
+    ids) as firing rule by rule would."""
+    lane.fired = True
+    starts = [_driver_rows(layout, batch) for layout in lane.layouts]
+    outs: dict[int, list] = {}
+    for group in lane.groups:
+        rows = starts[group.layout]
         if rows:
-            self._run(rows)
+            group.route(rows, outs, stats)
+    specs = lane.specs
+    finalize = lane.finalize
+    for pos in sorted(outs):
+        spec = specs.get(pos)
+        if spec is None:
+            spec = specs[pos] = lane.spec_of(lane.plans[pos])
+        _emit(outs[pos], spec, finalize, pool, sink, stats)
 
-    def fire_base(self) -> None:
-        """Instantiate a base rule (no intensional body literal)."""
-        self.invoked = True
-        self._run([[0] * self.nslots])
 
-    def _run(self, rows: list[list[int]]) -> None:
-        stats = self.stats
-        for op in self.ops:
-            code = op[0]
-            if code == _OP_BITS:
-                _, bits, s = op
-                rows = [r for r in rows if (bits >> r[s]) & 1]
-            elif code == _OP_PROBE1:
-                _, get, ksrc, free, dups = op
-                out = []
-                for r in rows:
-                    matches = get(r[ksrc])
-                    if not matches:
-                        continue
-                    for fact in matches:
-                        if dups and any(
-                            fact[p] != fact[q] for p, q in dups
-                        ):
-                            continue
-                        fresh = r.copy()
-                        for p, s in free:
-                            fresh[s] = fact[p]
-                        out.append(fresh)
-                rows = out
-            elif code == _OP_SET:
-                _, rel, key = op
-                rows = [r for r in rows if key(r) in rel]
-            elif code == _OP_PROBE:
-                _, get, key, free, dups = op
-                out = []
-                for r in rows:
-                    matches = get(key(r))
-                    if not matches:
-                        continue
-                    for fact in matches:
-                        if dups and any(
-                            fact[p] != fact[q] for p, q in dups
-                        ):
-                            continue
-                        fresh = r.copy()
-                        for p, s in free:
-                            fresh[s] = fact[p]
-                        out.append(fresh)
-                rows = out
-            elif code == _OP_SCAN:
-                _, facts, free, dups = op
-                out = []
-                for r in rows:
-                    for fact in facts:
-                        if dups and any(
-                            fact[p] != fact[q] for p, q in dups
-                        ):
-                            continue
-                        fresh = r.copy()
-                        for p, s in free:
-                            fresh[s] = fact[p]
-                        out.append(fresh)
-                rows = out
-            elif code == _OP_BUILTIN:
-                rows = self._builtin(op, rows)
-            elif code == _OP_NEG_BITS:
-                _, bits, s = op
-                kept = [r for r in rows if not (bits >> r[s]) & 1]
-                stats.killed_by_extensional += len(rows) - len(kept)
-                rows = kept
-            elif code == _OP_NEG_SET:
-                _, rel, key = op
-                kept = [r for r in rows if key(r) not in rel]
-                stats.killed_by_extensional += len(rows) - len(kept)
-                rows = kept
-            else:  # _OP_NEG_BUILTIN
-                _, builtin, pattern_srcs, value_of = op
-                kept = [
-                    r
-                    for r in rows
-                    if not any(
-                        builtin.evaluate(
-                            tuple(
-                                value_of(r[v]) if is_slot else v
-                                for is_slot, v in pattern_srcs
-                            )
-                        )
-                    )
-                ]
-                stats.killed_by_extensional += len(rows) - len(kept)
-                rows = kept
-            if not rows:
-                return
-            stats.bindings_explored += len(rows)
-        self._emit(rows)
+def _arg_getter(argsrc: tuple[int, ...], consts: tuple):
+    """The function from a row to an atom's argument-id tuple, for an
+    emission spec's ``argsrc`` (slots, or ``-k-1`` into ``consts``)."""
+    if all(x >= 0 for x in argsrc):
+        if len(argsrc) == 1:
+            (x,) = argsrc
+            return lambda r: (r[x],)
+        if argsrc:
+            return itemgetter(*argsrc)
+    return lambda r: tuple(r[x] if x >= 0 else consts[-x - 1] for x in argsrc)
 
-    def _builtin(self, op, rows):
-        # builtins see raw values: decode bound ids in, intern fresh
-        # outputs (exactly as the eager forms do)
-        _, builtin, pattern_srcs, free, dups, value_of, intern = op
-        out = []
+
+def _emit(rows, spec, finalize, pool, sink, stats) -> None:
+    """Hand one member's rows to the sink as ground rules."""
+    head_pred, head_args, others = spec
+    atom_id = pool.atom_id
+    add_rule = sink.add_rule
+    stats.ground_rules += len(rows)
+    if not others:
         for r in rows:
-            pattern = tuple(
-                value_of(r[v]) if is_slot else v
-                for is_slot, v in pattern_srcs
-            )
-            for solution in builtin.evaluate(pattern):
-                if dups and any(
-                    solution[p] != solution[q] for p, q in dups
-                ):
-                    continue
-                fresh = r.copy()
-                for p, s in free:
-                    fresh[s] = intern(solution[p])
-                out.append(fresh)
-        return out
-
-    def _emit(self, rows: list[list[int]]) -> None:
-        atom_id = self.pool.atom_id
-        add_rule = self.sink.add_rule
-        head_pred, head_src, head_consts = self.head
-        others = self.others
-        self.stats.ground_rules += len(rows)
-        if others and self.finalize:
-            # deferred-sink mode: the fixpoint below this rule's head
-            # is already complete, so the remaining intensional body
-            # atoms have their final truth -- check them against the
-            # model (lookup_atom: an atom never interned was never
-            # derived) and emit satisfied instances as facts; nothing
-            # is ever parked in the waiting frontier
-            lookup = self.pool.lookup_atom
-            is_derived = self.sink.is_derived
-            for r in rows:
-                satisfied = True
-                for pred, src, consts in others:
-                    other = lookup(
-                        pred,
-                        tuple(
-                            r[x] if x >= 0 else consts[-x - 1]
-                            for x in src
-                        ),
-                    )
-                    if other is None or not is_derived(other):
-                        satisfied = False
-                        break
-                if not satisfied:
-                    continue
-                head = atom_id(
-                    head_pred,
-                    tuple(
-                        r[x] if x >= 0 else head_consts[-x - 1]
-                        for x in head_src
-                    ),
-                )
-                add_rule(head, ())
-            return
+            add_rule(atom_id(head_pred, head_args(r)), ())
+    elif finalize:
+        # deferred-sink mode: the fixpoint below this rule's head is
+        # already complete, so the remaining intensional body atoms
+        # have their final truth -- check them against the model
+        # (lookup_atom: an atom never interned was never derived) and
+        # emit satisfied instances as facts; nothing is ever parked in
+        # the waiting frontier
+        lookup = pool.lookup_atom
+        is_derived = sink.is_derived
         for r in rows:
-            head = atom_id(
-                head_pred,
-                tuple(
-                    r[x] if x >= 0 else head_consts[-x - 1]
-                    for x in head_src
-                ),
-            )
-            if others:
-                add_rule(
-                    head,
-                    tuple(
-                        atom_id(
-                            pred,
-                            tuple(
-                                r[x] if x >= 0 else consts[-x - 1]
-                                for x in src
-                            ),
-                        )
-                        for pred, src, consts in others
-                    ),
-                )
+            for pred, args in others:
+                other = lookup(pred, args(r))
+                if other is None or not is_derived(other):
+                    break
             else:
-                add_rule(head, ())
+                add_rule(atom_id(head_pred, head_args(r)), ())
+    else:
+        for r in rows:
+            head_id = atom_id(head_pred, head_args(r))
+            add_rule(
+                head_id,
+                tuple([atom_id(pred, args(r)) for pred, args in others]),
+            )
 
 
 def ground_program_streamed(
@@ -1356,9 +1622,13 @@ def ground_program_streamed(
     re-deriving it per solve.
 
     Per solve, each distinct step of ``prepared.steps`` a relevant rule
-    uses is bound to ``db`` once (:class:`_Binder`); rules whose steps
-    all hold get their op lists from those bindings, and a rule with a
+    uses is bound to ``db`` once (:class:`_Binder`), and a rule with a
     step that can never hold on ``db`` is dead and never instantiated.
+    Rules fire by group (``prepared.groups``, see :class:`StreamGroup`):
+    each round batches the fresh driver atoms per predicate, every
+    group of that predicate runs its shared prefix once over the batch
+    and evaluates its distinct tests once per row, and the members'
+    instances are emitted in plan order.
 
     ``meter`` (a :class:`repro.datalog.budget.BudgetMeter`) makes the
     fixpoint loop budget-cooperative: the caps are checked once per
@@ -1382,60 +1652,13 @@ def ground_program_streamed(
     if relevant is None:
         relevant = resolve_demand(prepared.program, demand, prepared.registry)
 
-    base_rules: list[_CompiledStreamRule] = []
-    driven: dict[str, list[_CompiledStreamRule]] = {}
-    deferred_by_driver: dict[str, list[_CompiledStreamRule]] = {}
-    defer_heads = prepared.deferred
-    join = _Binder(prepared, db).join
-    intern = db.interner.intern
-
-    def interned(spec):
-        predicate, argsrc, const_values = spec
-        return predicate, argsrc, tuple(map(intern, const_values))
-
-    for plan in prepared.stream_plans:
-        head_predicate = plan.head[0]
-        if relevant is not None and head_predicate not in relevant:
-            stats.rules_pruned += 1
-            continue
-        ops = join(plan.step_ids)
-        if ops is _DEAD:
-            stats.rules_pruned += 1  # a step can never hold here
-            continue
-        if plan.constant_free:
-            compiled = _CompiledStreamRule(
-                plan, ops, plan.head, plan.others, (), pool, sink, stats
-            )
-        else:
-            compiled = _CompiledStreamRule(
-                plan,
-                ops,
-                interned(plan.head),
-                tuple(map(interned, plan.others)),
-                tuple((pos, intern(v)) for pos, v in plan.driver_consts),
-                pool,
-                sink,
-                stats,
-            )
-        if plan.driver is None:
-            base_rules.append(compiled)
-        elif head_predicate in defer_heads:
-            # sink-headed rules feed nothing downstream: accumulate
-            # their driver atoms and fire once after the fixpoint
-            deferred_by_driver.setdefault(
-                plan.driver.atom.predicate, []
-            ).append(compiled)
-        else:
-            driven.setdefault(plan.driver.atom.predicate, []).append(
-                compiled
-            )
-
-    for compiled in base_rules:
-        compiled.fire_base()
+    base, driven, deferred = _bind_lanes(
+        prepared, _Binder(prepared, db), relevant, db.interner.intern, stats
+    )
+    if base.groups:
+        _fire(base, None, pool, sink, stats)
     atom_of = pool.atom_of
     take_fresh = sink.take_fresh
-    get_driven = driven.get
-    get_deferred = deferred_by_driver.get
     deferred_batches: dict[str, list[tuple[int, ...]]] = {}
     while True:
         if meter is not None:
@@ -1443,21 +1666,18 @@ def ground_program_streamed(
         fresh = take_fresh()
         if not fresh:
             break
-        # batch the round's driver events per predicate, then hand each
-        # driven rule its whole batch in one call: the rule's op list
-        # is walked once per (rule, round) instead of once per event
-        # (the per-event constants were what kept the streamed emitter
-        # behind eager on fully-live programs)
+        # batch the round's driver events per predicate: each group
+        # runs its prefix once per (group, round), not once per event
+        # or per rule
         batches: dict[str, list[tuple[int, ...]]] = {}
         for fresh_id in fresh:
             predicate, args = atom_of(fresh_id)
-            if get_driven(predicate) is not None:
+            if predicate in driven:
                 batches.setdefault(predicate, []).append(args)
-            if get_deferred(predicate) is not None:
+            if predicate in deferred:
                 deferred_batches.setdefault(predicate, []).append(args)
         for predicate, batch in batches.items():
-            for compiled in driven[predicate]:
-                compiled.fire_batch(batch)
+            _fire(driven[predicate], batch, pool, sink, stats)
     # the single-pass epilogue: every deferred rule fires exactly once,
     # against all the driver atoms the whole fixpoint derived; the
     # model below the sinks is final, so finalize-mode emission checks
@@ -1465,18 +1685,16 @@ def ground_program_streamed(
     if meter is not None and deferred_batches:
         meter.check(stats.ground_rules)
     for predicate, batch in deferred_batches.items():
-        for compiled in deferred_by_driver[predicate]:
-            compiled.finalize = True
-            compiled.fire_batch(batch)
-    for rules in (driven, deferred_by_driver):
-        for group in rules.values():
-            for compiled in group:
-                if not compiled.invoked:
-                    stats.rules_pruned += 1
+        _fire(deferred[predicate], batch, pool, sink, stats)
+    for lanes in (driven, deferred):
+        for lane in lanes.values():
+            if not lane.fired:  # driver-starved
+                stats.rules_pruned += len(lane.plans)
     stats.peak_live_rules = max(
         stats.peak_live_rules, sink.peak_live_rules
     )
     return sink
+
 
 
 def resolve_demand(program, demand, registry=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -21,7 +22,12 @@ from repro.datalog import (
     ground_program_ids,
     prepare_grounding,
 )
-from repro.structures import FunctionalDependency, Graph, RelationalSchema
+from repro.structures import (
+    FunctionalDependency,
+    Graph,
+    RelationalSchema,
+    subgraph,
+)
 
 settings.register_profile(
     "repro",
@@ -192,6 +198,40 @@ def ground_decoded(program: Program, db: Database, stats=None):
         GroundRule(decode(head), tuple(decode(b) for b in body))
         for head, body in rules
     ]
+
+
+def deleted_ladders(seed=7, count=300, deleted=0.10):
+    """Random vertex-deleted 2 x N ladders, N in [32, 128]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ladder = Graph.grid(2, rng.randint(32, 128))
+        keep = [v for v in sorted(ladder.vertices) if rng.random() >= deleted]
+        yield subgraph(ladder, keep)
+
+
+@functools.lru_cache(maxsize=None)
+def has_neighbor_solver(width: int):
+    """The compiled ``has_neighbor`` solver -- width 1 over undirected
+    graphs, width 2 over the grid class -- compiled once per session
+    (the width-2 compile takes seconds).  Read-only: tests that change
+    a solver build their own."""
+    from repro.core import (
+        CourcelleSolver,
+        grid_graph_filter,
+        undirected_graph_filter,
+    )
+    from repro.mso import formulas
+    from repro.structures import GRAPH_SIGNATURE
+
+    return CourcelleSolver(
+        formulas.has_neighbor("x"),
+        GRAPH_SIGNATURE,
+        width=width,
+        free_var="x",
+        structure_filter=(
+            grid_graph_filter if width == 2 else undirected_graph_filter
+        ),
+    )
 
 
 @pytest.fixture

@@ -19,8 +19,10 @@ from repro.core import CourcelleSolver, grid_graph_filter, undirected_graph_filt
 from repro.errors import WidthExceeded
 from repro.mso import formulas, query
 from repro.problems import random_partial_ktree
-from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure, subgraph
+from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
 from repro.treewidth import TreeDecomposition, decompose_structure, heuristics
+
+from ..conftest import deleted_ladders
 
 
 def non_isolated(graph: Graph) -> frozenset:
@@ -48,15 +50,6 @@ def path_solver():
         free_var="x",
         structure_filter=undirected_graph_filter,
     )
-
-
-def deleted_ladders(seed=7, count=300, deleted=0.10):
-    """Random vertex-deleted 2 x N ladders, N in [32, 128]."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        ladder = Graph.grid(2, rng.randint(32, 128))
-        keep = [v for v in sorted(ladder.vertices) if rng.random() >= deleted]
-        yield subgraph(ladder, keep)
 
 
 class TestWidthTwoExactness:

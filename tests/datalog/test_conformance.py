@@ -15,6 +15,10 @@ databases, and asserts that every route to the least model lands on the
   (groundable guard-first), demand-pruned streaming is exact on the
   demanded predicate, and the deferred sink predicates are exactly the
   heads no rule body mentions;
+* the streamed grounder's group firing feeds the online LTUR exactly
+  what the per-rule reference form (``stream_oracle.py``) does -- the
+  same ``add_rule`` sequence, counters and derived flags -- on random
+  programs and on the compiled width-1 and width-2 programs;
 * on compiled Theorem 4.5 programs, the generic engines (``naive``,
   ``semi-naive``, ``magic``) run through ``solve()`` agree with the
   streamed ``CourcelleSolver.query`` and with direct MSO evaluation;
@@ -31,7 +35,7 @@ turn the suite off.
 
 import pickle
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
     Atom,
@@ -58,6 +62,7 @@ from repro.datalog import (
     prepare_program,
     solve,
 )
+from repro.datalog.grounding import resolve_demand
 from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.structures import Fact
 
@@ -68,7 +73,10 @@ from ..conftest import (
     chain_edges,
     datalog_databases,
     datalog_programs,
+    deleted_ladders,
+    has_neighbor_solver,
 )
+from .stream_oracle import RecordingHorn, ground_program_per_rule
 
 FULL_BACKENDS = ("naive", "semi-naive", "semi-naive-tuple")
 
@@ -330,6 +338,84 @@ class TestStreamedGroundingAgreement:
         assert streamed <= eager
 
 
+def _grouped_and_per_rule(prepared, db, relevant=None):
+    """Run the grouped streamed grounder and the per-rule oracle over
+    ``db``; return both runs' observations -- the ``add_rule``
+    sequence, the three stream counters, the derived flags -- and both
+    :class:`GroundingStats`."""
+    observed = []
+    for ground in (ground_program_streamed, ground_program_per_rule):
+        sdb = SetDatabase.from_edb(db)
+        pool = InternPool(sdb.interner)
+        sink = RecordingHorn()
+        stats = GroundingStats()
+        ground(prepared, sdb, pool, sink=sink, stats=stats, relevant=relevant)
+        observed.append(
+            (
+                (
+                    sink.log,
+                    stats.ground_rules,
+                    stats.rules_pruned,
+                    stats.peak_live_rules,
+                    bytes(sink.flags(len(pool))),
+                ),
+                stats,
+            )
+        )
+    (grouped, grouped_stats), (per_rule, per_rule_stats) = observed
+    return grouped, per_rule, grouped_stats, per_rule_stats
+
+
+class TestGroupedStreamingMatchesPerRule:
+    """Group firing (one prefix run per group and round, tests once per
+    row, plan-order emission) feeds the online LTUR exactly what firing
+    rule by rule does (``tests/datalog/stream_oracle.py``)."""
+
+    # tiny programs, many draws: a test step only differs from its
+    # oracle on databases where its relation is non-empty
+    @settings(max_examples=150)
+    @given(program=monadic_programs(), db=datalog_databases(), data=st.data())
+    def test_random_programs(self, program, db, data):
+        prepared = _groundable(program)
+        if prepared is None:
+            return  # outside the Theorem 4.4 fragment; nothing to check
+        demand = data.draw(
+            st.none()
+            | st.sampled_from(sorted(program.intensional_predicates())),
+            label="demanded predicate",
+        )
+        relevant = resolve_demand(program, demand, prepared.registry)
+        grouped, per_rule, _, _ = _grouped_and_per_rule(
+            prepared, db, relevant
+        )
+        assert grouped == per_rule
+
+    @staticmethod
+    def _check_compiled(width, graph):
+        from repro.structures import graph_to_structure
+
+        solver = has_neighbor_solver(width)
+        encoded = solver._prepare(graph_to_structure(graph), None)
+        evaluator = solver.evaluator
+        grouped, per_rule, _, _ = _grouped_and_per_rule(
+            evaluator._prepared, encoded, evaluator._relevant
+        )
+        assert grouped == per_rule
+
+    @given(graph=_forests())
+    def test_compiled_width_1_on_forests(self, graph):
+        self._check_compiled(1, graph)
+
+    @given(graph=_forests().filter(lambda g: len(g.vertices) >= 3))
+    def test_compiled_width_2_on_forests(self, graph):
+        self._check_compiled(2, graph)
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_compiled_width_2_on_deleted_ladders(self, seed):
+        self._check_compiled(2, next(deleted_ladders(seed=seed, count=1)))
+
+
 class TestReplannedConformance:
     """Cost-model plans are observation-preserving.  A profile recorded
     from a static run feeds the cost model; the replanned (and
@@ -521,12 +607,14 @@ class TestSolveManySharding:
         assert reordered == list(reversed(serial))
         # the pool's workers rebuild the solver from its pickle: the
         # statically planned grounding (step table, per-rule step ids,
-        # index selection) arrives intact and answers as in process
+        # group table, index selection) arrives intact and answers as
+        # in process
         clone = pickle.loads(pickle.dumps(solver))
         mine = solver.evaluator._prepared
         theirs = clone.evaluator._prepared
         assert theirs.steps == mine.steps
         assert theirs.stream_plans == mine.stream_plans
+        assert theirs.groups == mine.groups
         assert (
             theirs.index_selection.lex_specs
             == mine.index_selection.lex_specs

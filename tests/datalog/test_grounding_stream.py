@@ -7,6 +7,8 @@ three prune classes: irrelevant heads (magic-style demand), statically
 dead extensional literals, and driver-starved rules.
 """
 
+import pickle
+
 import pytest
 
 from repro.datalog import (
@@ -22,7 +24,11 @@ from repro.datalog import (
     parse_program,
     prepare_grounding,
 )
+from repro.datalog import grounding
 from repro.datalog.grounding import resolve_demand
+
+from ..conftest import deleted_ladders, has_neighbor_solver
+from .stream_oracle import RecordingHorn, ground_program_per_rule
 
 
 def tree_db():
@@ -252,3 +258,120 @@ class TestStreamPlans:
         )
         with pytest.raises(NotGroundableError):
             prepare_grounding(bad)
+
+
+class TestGroupTable:
+    """The static group table of ``PreparedGrounding``: stream plans
+    grouped by driver layout and binding prefix, with the distinct
+    membership tests that follow the prefix."""
+
+    def test_shared_prefix_forms_one_group(self):
+        prepared = prepare_grounding(
+            parse_program(
+                """
+                t(V) :- bag(V, X0, X1), leaf(V), e(X0, X1).
+                u(V) :- bag(V, X0, X1), leaf(V), not e(X0, X1).
+                """
+            )
+        )
+        (group,) = prepared.groups
+        assert group.driver is None and group.members == (0, 1)
+        assert [prepared.steps[i].predicate for i in group.prefix] == ["bag"]
+        assert [
+            (prepared.steps[i].kind, prepared.steps[i].predicate)
+            for i in group.tests
+        ] == [("rel", "e"), ("rel", "leaf"), ("neg", "e")]
+        assert group.needs == ((0, 1), (1, 2))
+
+    def test_base_rules_share_one_lane_whatever_their_heads(self):
+        """Base rules fire once, up front, whether or not their heads
+        are sinks, so they take distinct slots of one lane."""
+        program = parse_program(
+            """
+            q(X) :- edge(X, Y).
+            r(X) :- color(X).
+            q(X) :- r(X), color(X).
+            """
+        )
+        prepared = prepare_grounding(program)
+        assert prepared.deferred == {"q"}
+        base = [g for g in prepared.groups if g.driver is None]
+        assert not any(g.deferred for g in base)
+        assert sorted(s for g in base for s in g.slots) == [0, 1]
+        db = Database()
+        db.add("edge", (1, 2))
+        db.add("color", (3,))
+        logs = []
+        for ground in (ground_program_streamed, ground_program_per_rule):
+            sdb = SetDatabase.from_edb(db)
+            sink = RecordingHorn()
+            ground(prepared, sdb, InternPool(sdb.interner), sink=sink)
+            logs.append(sink.log)
+        assert logs[0] == logs[1] and len(logs[0]) == 3
+
+    @pytest.mark.parametrize(
+        "width, drivers, groups", [(1, 10, 40), (2, 34, 136)]
+    )
+    def test_compiled_group_table(self, width, drivers, groups):
+        prepared = has_neighbor_solver(width).evaluator._prepared
+        driven = [g for g in prepared.groups if g.driver is not None]
+        assert len({g.driver for g in driven}) == drivers
+        assert len(driven) == groups
+        # every plan sits in exactly one group, as prefix + its tests
+        members = sorted(m for g in prepared.groups for m in g.members)
+        assert members == list(range(len(prepared.stream_plans)))
+        # a lane's slots number its members in plan order
+        lanes: dict = {}
+        for group in prepared.groups:
+            lanes.setdefault((group.driver, group.deferred), []).extend(
+                zip(group.members, group.slots)
+            )
+        for placed in lanes.values():
+            assert [slot for _, slot in sorted(placed)] == list(
+                range(len(placed))
+            )
+        for group in prepared.groups:
+            for m, need in zip(group.members, group.needs):
+                ids = prepared.stream_plans[m].step_ids
+                tail = ids[len(group.prefix) :]
+                assert ids[: len(group.prefix)] == group.prefix
+                assert set(tail) == {group.tests[j] for j in need}
+                assert all(
+                    prepared.steps[i].code in grounding._TEST_CODES
+                    for i in tail
+                )
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_group_table_survives_pickling(self, width):
+        """The table travels with the plans in the solver's pickle (the
+        ``solve_many`` and service worker handoff)."""
+        solver = has_neighbor_solver(width)
+        clone = pickle.loads(pickle.dumps(solver))
+        mine = solver.evaluator._prepared.groups
+        assert clone.evaluator._prepared.groups == mine
+
+    def test_group_firing_halves_the_bindings_explored(self):
+        """On one deleted ladder, the grouped grounder emits the same
+        ground rules as firing rule by rule while exploring at most
+        half the bindings."""
+        from repro.structures import graph_to_structure
+
+        solver = has_neighbor_solver(2)
+        encoded = solver._prepare(
+            graph_to_structure(next(deleted_ladders())), None
+        )
+        runs = []
+        for ground in (ground_program_streamed, ground_program_per_rule):
+            sdb = SetDatabase.from_edb(encoded)
+            stats = GroundingStats()
+            ground(
+                solver.evaluator._prepared,
+                sdb,
+                InternPool(sdb.interner),
+                stats=stats,
+                relevant=solver.evaluator._relevant,
+            )
+            runs.append(stats)
+        grouped, per_rule = runs
+        assert grouped.ground_rules == per_rule.ground_rules > 0
+        assert 2 * grouped.bindings_explored <= per_rule.bindings_explored
