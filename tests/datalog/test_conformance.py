@@ -340,9 +340,8 @@ class TestStreamedGroundingAgreement:
 
 def _grouped_and_per_rule(prepared, db, relevant=None):
     """Run the grouped streamed grounder and the per-rule oracle over
-    ``db``; return both runs' observations -- the ``add_rule``
-    sequence, the three stream counters, the derived flags -- and both
-    :class:`GroundingStats`."""
+    ``db``; return both runs' observations: the ``add_rule`` sequence,
+    the three stream counters and the derived flags."""
     observed = []
     for ground in (ground_program_streamed, ground_program_per_rule):
         sdb = SetDatabase.from_edb(db)
@@ -352,18 +351,14 @@ def _grouped_and_per_rule(prepared, db, relevant=None):
         ground(prepared, sdb, pool, sink=sink, stats=stats, relevant=relevant)
         observed.append(
             (
-                (
-                    sink.log,
-                    stats.ground_rules,
-                    stats.rules_pruned,
-                    stats.peak_live_rules,
-                    bytes(sink.flags(len(pool))),
-                ),
-                stats,
+                sink.log,
+                stats.ground_rules,
+                stats.rules_pruned,
+                stats.peak_live_rules,
+                bytes(sink.flags(len(pool))),
             )
         )
-    (grouped, grouped_stats), (per_rule, per_rule_stats) = observed
-    return grouped, per_rule, grouped_stats, per_rule_stats
+    return observed
 
 
 class TestGroupedStreamingMatchesPerRule:
@@ -385,9 +380,7 @@ class TestGroupedStreamingMatchesPerRule:
             label="demanded predicate",
         )
         relevant = resolve_demand(program, demand, prepared.registry)
-        grouped, per_rule, _, _ = _grouped_and_per_rule(
-            prepared, db, relevant
-        )
+        grouped, per_rule = _grouped_and_per_rule(prepared, db, relevant)
         assert grouped == per_rule
 
     @staticmethod
@@ -397,7 +390,7 @@ class TestGroupedStreamingMatchesPerRule:
         solver = has_neighbor_solver(width)
         encoded = solver._prepare(graph_to_structure(graph), None)
         evaluator = solver.evaluator
-        grouped, per_rule, _, _ = _grouped_and_per_rule(
+        grouped, per_rule = _grouped_and_per_rule(
             evaluator._prepared, encoded, evaluator._relevant
         )
         assert grouped == per_rule
