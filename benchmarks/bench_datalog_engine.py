@@ -24,11 +24,11 @@ Backends compared:
 
 Alongside the engine backends, the **solver workloads** benchmark the
 Theorem 4.4 pipeline (grounding + linear-time Horn) on the same three
-workload families, across its two execution forms: the streamed,
-demand-pruned production path (``quasi-guarded``: ground rules
-instantiated on demand into an online LTUR) and the eager interned
-materialization (``quasi-guarded-eager``, the service's budget
-fallback):
+workload families: the streamed, demand-pruned solve path
+(``quasi-guarded``: ground rules instantiated on demand into an online
+LTUR) against the eager reference arm (``quasi-guarded-eager``: the
+materializing ``ground_program_ids`` + ``horn_least_model_ids``
+pipeline, run on the same cached grounding plans):
 
 * ``solve-chain-N`` / ``solve-tree-N`` -- the compiled Theorem 4.5
   ``has_neighbor`` MSO program, evaluated over the ``A_td`` encoding
@@ -39,8 +39,8 @@ fallback):
   ``grid_graph_filter``).  Runs the streamed production form (the
   folded program -- ~770 rules since the v8 shrinking pass) against
   the ``passes=()`` ablation (the ~20k-rule program PR 9 served); the
-  eager form grounds the full cross product -- 1.4M ground rules at
-  N=40 -- and is benchmarked on the width-1 workloads instead.  Gated
+  eager reference grounds the full cross product -- 1.4M ground rules
+  at N=40 -- and is benchmarked on the width-1 workloads instead.  Gated
   on exact agreement with *direct
   MSO evaluation* and with the hand-written cover DP over the same
   ``A_td`` encoding, and on the folded program beating the ablation
@@ -54,7 +54,8 @@ fallback):
 
 A **solve_many** workload shards a batch of independent tree
 structures through ``CourcelleSolver.solve_many`` with 1 worker vs a
-small multiprocessing pool and digests the canonicalized answers --
+transient ``SolverService`` of a few workers and digests the
+canonicalized answers --
 the results must be identical whatever the worker count (wall-clock is
 recorded, not gated: CI cores vary).
 
@@ -74,10 +75,11 @@ Two entry points:
      ``semi-naive-tuple`` -- and at chain >= 800 (the default full
      run) it must be >= 3x faster;
   4. on the largest chain, magic is >= 2x faster than full semi-naive;
-  5. all quasi-guarded forms run on a workload derive identical unary
+  5. all quasi-guarded arms run on a workload derive identical unary
      answers; the streamed form prunes rules (``rules_pruned > 0``)
      on the chain, tree and grid2x solves, is >= 2x faster than the
-     eager ablation on the tree solve and >= 1.3x on the chain solve
+     eager reference arm on the tree solve and >= 1.3x on the chain
+     solve
      (the Theorem 4.5 programs are minimized since PR 5, so eager's
      dead weight -- and the streamed form's headroom -- shrank); the
      grid2x answers equal direct MSO evaluation and the hand-written
@@ -112,6 +114,8 @@ from repro.datalog import (
     CostModel,
     Database,
     EvaluationStats,
+    GroundingStats,
+    InternPool,
     PlanProfile,
     ProgramCache,
     SemiNaiveEvaluator,
@@ -119,6 +123,8 @@ from repro.datalog import (
     SetSemiNaiveEvaluator,
     atom,
     const,
+    ground_program_ids,
+    horn_least_model_ids,
     least_fixpoint,
     naive_least_fixpoint,
     parse_program,
@@ -382,7 +388,7 @@ def run_comparison(quick, repeat=3):
 
 # ----------------------------------------------------------------------
 # Solver workloads: the Theorem 4.4 pipeline -- streamed+pruned vs the
-# eager interned form -- on chain/grid/tree families.
+# eager reference grounder -- on chain/grid/tree families.
 # ----------------------------------------------------------------------
 
 SCHEMA_VERSION = "bench-engine/v9"
@@ -393,11 +399,19 @@ GRID2X_PASSES_SPEEDUP = 3.0
 
 SOLVER_BACKENDS = ["quasi-guarded", "quasi-guarded-eager"]
 
-#: backend name -> QuasiGuardedEvaluator mode (mirrors CourcelleSolver)
-SOLVER_MODES = {
-    "quasi-guarded": "streamed",
-    "quasi-guarded-eager": "eager",
-}
+
+def eager_reference(prepared, encoded):
+    """The ``quasi-guarded-eager`` arm: the materializing reference
+    pipeline -- load, ground the full program, batch LTUR -- on the
+    streamed solve's cached ``PreparedGrounding``."""
+    from repro.core import QuasiGuardedResult
+
+    sdb = SetDatabase.from_edb(encoded)
+    pool = InternPool(sdb.interner)
+    stats = GroundingStats()
+    rules = ground_program_ids(prepared, sdb, pool, stats)
+    flags = horn_least_model_ids(rules, len(pool))
+    return QuasiGuardedResult(pool, flags, stats.ground_rules, stats)
 
 
 def graph_grid(k):
@@ -423,7 +437,7 @@ def solver_workloads(quick):
 
     Keys: ``name``, ``program``, ``dependencies``, ``encoded`` (the
     ``A_td``), ``answer_predicate``, ``expected`` (answer count),
-    ``backends`` (the quasi-guarded forms to run), and optionally
+    ``backends`` (the quasi-guarded arms to run), and optionally
     ``reference`` -- the exact answer set from *direct MSO
     evaluation*, cross-checked against the hand-written cover DP on
     the same encoding for the grid2x workload (the Theorem 4.5
@@ -525,7 +539,7 @@ def solver_workloads(quick):
             "encoded": encoded,
             "answer_predicate": ANSWER_PREDICATE,
             "expected": 2 * ladder_n,
-            # streamed only: the eager form grounds the full
+            # streamed only: the eager reference grounds the full
             # program x structure cross product (1.4M ground rules at
             # N=40) -- demand pruning is precisely what makes the
             # width-2 compiled program practical
@@ -553,12 +567,12 @@ def solver_workloads(quick):
 
 
 def run_solver_comparison(quick, repeat=3):
-    """The Theorem 4.4 pipeline: streamed vs eager.
+    """The Theorem 4.4 pipeline: streamed vs the eager reference.
 
     Returns (table rows, per-workload results dict, contract
-    violations).  Contracts: identical unary answers across both
-    forms; the streamed form prunes rules and beats eager on the chain
-    and tree solves (see :func:`check_solver_contracts`).
+    violations).  Contracts: identical unary answers across all arms;
+    the streamed form prunes rules and beats the eager reference on
+    the chain and tree solves (see :func:`check_solver_contracts`).
     """
     from repro.core import QuasiGuardedEvaluator
 
@@ -569,63 +583,45 @@ def run_solver_comparison(quick, repeat=3):
         name = workload["name"]
         encoded = workload["encoded"]
         answer_pred = workload["answer_predicate"]
-        answers = {}
-        runs = {}
-        for backend in workload["backends"]:
-            mode = SOLVER_MODES[backend]
-            evaluator = QuasiGuardedEvaluator(
-                workload["program"],
-                dependencies=workload["dependencies"],
-                mode=mode,
-                demand=answer_pred if mode == "streamed" else None,
+        streamed = QuasiGuardedEvaluator(
+            workload["program"],
+            dependencies=workload["dependencies"],
+            demand=answer_pred,
+        )
+        arms = {"quasi-guarded": lambda: streamed.evaluate(encoded)}
+        if "quasi-guarded-eager" in workload["backends"]:
+            arms["quasi-guarded-eager"] = lambda: eager_reference(
+                streamed._prepared, encoded
             )
-            warm = evaluator.evaluate(encoded)  # warm-up / cache fill
-            answers[backend] = warm.unary_answers(answer_pred)
-            ms = time_ms(
-                lambda: evaluator.evaluate(encoded).unary_answers(
-                    answer_pred
-                ),
-                repeat=repeat,
-            )
-            runs[backend] = {
-                "ms": round(ms, 3),
-                "ground_rules": warm.ground_rules,
-                "answers": len(answers[backend]),
-            }
-            if mode == "streamed":
-                runs[backend]["rules_pruned"] = warm.stats.rules_pruned
-                runs[backend]["peak_live_rules"] = (
-                    warm.stats.peak_live_rules
-                )
         if "ablation_program" in workload:
             # the passes=() arm: same query, unshrunk program
-            evaluator = QuasiGuardedEvaluator(
+            ablated = QuasiGuardedEvaluator(
                 workload["ablation_program"],
                 dependencies=workload["ablation_dependencies"],
-                mode="streamed",
                 demand=answer_pred,
             )
-            warm = evaluator.evaluate(encoded)
-            answers["quasi-guarded-nopasses"] = warm.unary_answers(
-                answer_pred
+            arms["quasi-guarded-nopasses"] = lambda: ablated.evaluate(
+                encoded
             )
+        answers = {}
+        runs = {}
+        for arm, run in arms.items():
+            warm = run()  # warm-up / cache fill
+            answers[arm] = warm.unary_answers(answer_pred)
             ms = time_ms(
-                lambda: evaluator.evaluate(encoded).unary_answers(
-                    answer_pred
-                ),
-                repeat=repeat,
+                lambda: run().unary_answers(answer_pred), repeat=repeat
             )
-            runs["quasi-guarded-nopasses"] = {
+            runs[arm] = {
                 "ms": round(ms, 3),
                 "ground_rules": warm.ground_rules,
-                "answers": len(answers["quasi-guarded-nopasses"]),
-                "rules_pruned": warm.stats.rules_pruned,
-                "peak_live_rules": warm.stats.peak_live_rules,
+                "answers": len(answers[arm]),
             }
+            if arm != "quasi-guarded-eager":
+                runs[arm]["rules_pruned"] = warm.stats.rules_pruned
+                runs[arm]["peak_live_rules"] = warm.stats.peak_live_rules
         results[name] = runs
         streamed_run = runs["quasi-guarded"]
-        arms = list(runs)
-        for backend in arms:
+        for backend in runs:
             run = runs[backend]
             speedup = (
                 run["ms"] / streamed_run["ms"]
@@ -644,7 +640,7 @@ def run_solver_comparison(quick, repeat=3):
                 ]
             )
         reference = answers["quasi-guarded"]
-        for backend in arms:
+        for backend in runs:
             if answers[backend] != reference:
                 failures.append(
                     f"{name}: {backend} disagrees with the streamed "
@@ -682,15 +678,17 @@ def check_solver_contracts(name, runs):
     """The perf contracts of one solver workload; separated out so the
     test-suite can exercise the gate logic on synthetic timings.
 
+    The ``quasi-guarded-eager`` arm is the eager reference grounder,
+    not a solve route; it stays as the yardstick for demand pruning.
     The streamed form must dominate on the compiled-MSO chain/tree
     solves, where most of the eager ground program is dead weight.
     Since the Theorem 4.5 compiler minimizes its type table (PR 5) the
     compiled programs -- and eager's dead weight -- are much smaller,
     so the chain gate is 1.3x where it used to be 2x (the tree solve
-    still clears 2x).  The grid cover DP is the counter-case the
-    eager form is retained for: its ground program is fully live, so
-    batch materialization has nothing to prune (streamed runs at
-    ~0.75x of eager there) and it carries no speed gate.  The grid2x
+    still clears 2x).  The grid cover DP is fully live: the eager
+    reference has nothing extra to ground there (the recorded full run
+    has streamed at 15.1 vs 19.7 ms on ``solve-grid-12``), and it
+    carries no speed gate.  The grid2x
     workload (width-2 Theorem 4.5 path) runs the streamed form only;
     its gates are pruning engagement and the speedup over the
     ``passes=()`` ablation -- the answer conformance pins live in
@@ -929,12 +927,13 @@ def _canonical_digest(results) -> str:
 
 
 def run_solve_many_comparison(quick):
-    """``CourcelleSolver.solve_many`` with 1 worker vs a small pool.
+    """``CourcelleSolver.solve_many`` with 1 worker vs N workers (a
+    transient ``SolverService``).
 
     Returns (results dict, contract violations).  Gated on result
     identity (canonical digests must match); wall-clock for both
     worker counts is recorded but not gated -- CI machines differ in
-    core count, and on a single-core runner the pool can only add
+    core count, and on a single-core runner the workers can only add
     overhead.
     """
     import os
@@ -958,7 +957,7 @@ def run_solve_many_comparison(quick):
         structure_filter=undirected_graph_filter,
     )
     workers = max(2, min(4, os.cpu_count() or 1))
-    # capture the timed run's results: solving (and spawning the pool)
+    # capture the timed run's results: solving (and spawning workers)
     # twice per worker setting would double a multi-second CI step
     serial_runs, sharded_runs = [], []
     serial_ms = time_ms(
@@ -1050,7 +1049,7 @@ def build_payload(
 ):
     """The machine-readable perf trajectory consumed by later PRs.
 
-    ``solver_speedups`` records the eager-vs-streamed grounding ratio;
+    ``solver_speedups`` records the eager-reference-vs-streamed ratio;
     the service sections -- ``service_throughput`` (v4),
     ``service_resilience`` (v5, the fault-injection goodput record)
     and ``admission`` (v7, the untrusted-input overhead + containment
@@ -1138,7 +1137,7 @@ def main(argv=None) -> int:
     )
     print(
         "\nsolver workloads (Theorem 4.4 pipeline: "
-        "streamed+pruned vs eager)"
+        "streamed+pruned vs eager reference)"
     )
     solver_rows, solver_results, solver_failures = run_solver_comparison(
         args.quick, repeat=repeat
@@ -1179,7 +1178,7 @@ def main(argv=None) -> int:
             planner_rows,
         )
     )
-    print("\nsolve_many (sharded batch, 1 worker vs pool)")
+    print("\nsolve_many (sharded batch, 1 worker vs transient service)")
     solve_many_results, solve_many_failures = run_solve_many_comparison(
         args.quick
     )
@@ -1224,8 +1223,8 @@ def main(argv=None) -> int:
         "\nok: identical derived facts across full backends; magic derives "
         "strictly fewer facts and is >= 2x faster on the largest chain; "
         "set-at-a-time semi-naive beats tuple-at-a-time; the streamed "
-        "quasi-guarded pipeline matches the eager form's answers, "
-        "prunes rules, and beats eager >= 2x on the tree solve and "
+        "quasi-guarded pipeline matches the eager reference's answers, "
+        "prunes rules, and beats it >= 2x on the tree solve and "
         ">= 1.3x on the chain solve; the width-2 grid2x solve matches "
         "direct MSO evaluation and the hand-written cover DP and beats "
         "the passes=() ablation; the profiled replan matches "

@@ -26,8 +26,9 @@ Measured, and recorded as ``service_throughput`` in
    per-request latency percentiles (p50/p95, measured from submit to
    future resolution via done-callbacks);
 3. **warm vs cold**: ``CourcelleSolver.solve_many`` through the
-   caller-held service handle vs the one-shot ``multiprocessing.Pool``
-   path that re-pickles the solver and cold-starts workers per call.
+   caller-held service handle vs ``solve_many(workers=N)``, which
+   starts a transient ``SolverService`` per call -- re-pickling the
+   solver and cold-starting its workers (recorded as ``cold_pool_ms``).
 
 Contracts (CI-gated):
 
@@ -258,9 +259,9 @@ def run_service(solvers, traffic, workers, max_shard):
         results = [future.result(timeout=600) for future in futures]
         service_ms = (time.perf_counter() - t0) * 1000.0
 
-        # warm-vs-cold (the solve_many routing satellite): the same
-        # batch through the caller-held service handle vs the one-shot
-        # pool that re-pickles the solver and cold-starts workers
+        # warm-vs-cold: the same batch through the caller-held service
+        # handle vs solve_many(workers=N), whose transient service
+        # re-pickles the solver and cold-starts its workers
         batch = [s for _n, idx, s in traffic if idx == 0]
         t0 = time.perf_counter()
         warm_results = solvers[0].solve_many(batch, service=service)
@@ -271,7 +272,7 @@ def run_service(solvers, traffic, workers, max_shard):
     cold_ms = (time.perf_counter() - t0) * 1000.0
     if warm_results != cold_results:
         raise AssertionError(
-            "service-routed solve_many disagrees with the one-shot pool"
+            "service-routed solve_many disagrees with the transient service"
         )
     warm_vs_cold = {
         "batch_size": len(batch),
@@ -875,7 +876,7 @@ def main(argv=None) -> int:
     )
     print(
         f"  warm vs cold:  service {record['warm_vs_cold']['warm_service_ms']:.0f} ms "
-        f"vs one-shot pool {record['warm_vs_cold']['cold_pool_ms']:.0f} ms "
+        f"vs transient service {record['warm_vs_cold']['cold_pool_ms']:.0f} ms "
         f"({record['warm_vs_cold']['cold_over_warm']}x colder)"
     )
     gate = record["gate"]

@@ -8,27 +8,24 @@ This module packages the two halves
 (:mod:`repro.datalog.grounding` + :mod:`repro.datalog.horn`) behind a
 checked facade and is what the generic Theorem 4.5 programs run on.
 
-Two execution modes share the cached per-program plans:
+The production form is streamed (the solve path of
+:class:`repro.core.solver.CourcelleSolver`): grounding is a push-based
+emitter feeding an online LTUR
+(:class:`~repro.datalog.horn.StreamingHorn`) -- ground rules are
+instantiated on demand as their driving intensional atoms derive, whole
+rules are demand-pruned relative to ``demand`` (magic-style relevance at
+grounding time), and peak live-rule residency is the waiting frontier,
+not the ground program.  The materializing reference pipeline
+(:func:`~repro.datalog.grounding.ground_program_ids` +
+:func:`~repro.datalog.horn.horn_least_model_ids`) is the conformance
+oracle it is tested against.
 
-* ``"streamed"`` (the default, the production path of
-  :class:`repro.core.solver.CourcelleSolver`): grounding is a
-  push-based emitter feeding an online LTUR
-  (:class:`~repro.datalog.horn.StreamingHorn`) -- ground rules are
-  instantiated on demand as their driving intensional atoms derive,
-  whole rules are demand-pruned relative to ``demand`` (magic-style
-  relevance at grounding time), and peak live-rule residency is the
-  waiting frontier, not the ground program;
-* ``"eager"`` (the ``quasi-guarded-eager`` backend, kept as the
-  service layer's budget fallback): the full ground program is
-  materialized interned, then solved by batch LTUR.
-
-Both modes thread one
-:class:`~repro.datalog.interning.InternPool` from structure load
-through grounding, unit resolution, and result decoding -- a fact is
-interned exactly once per solve, the grounding -> horn boundary is pure
-integers, and :class:`QuasiGuardedResult` decodes lazily on access (a
-``query()`` for one unary predicate never materializes the rest of the
-model).
+One :class:`~repro.datalog.interning.InternPool` is threaded from
+structure load through grounding, unit resolution, and result decoding
+-- a fact is interned exactly once per solve, the grounding -> horn
+boundary is pure integers, and :class:`QuasiGuardedResult` decodes
+lazily on access (a ``query()`` for one unary predicate never
+materializes the rest of the model).
 """
 
 from __future__ import annotations
@@ -40,17 +37,14 @@ from ..datalog.builtins import BuiltinRegistry
 from ..datalog.evaluate import Database
 from ..datalog.grounding import (
     GroundingStats,
-    ground_program_ids,
     ground_program_streamed,
     resolve_demand,
 )
 from ..datalog.guards import KeyDependency, is_quasi_guarded, td_key_dependencies
-from ..datalog.horn import horn_least_model_ids
 from ..datalog.interning import InternPool
 from ..datalog.setengine import SetDatabase
 from ..structures.structure import Fact, Structure
 
-_MODES = ("streamed", "eager")
 _UNRESOLVED = object()  # sentinel: derive the relevance set here
 
 
@@ -62,12 +56,12 @@ class QuasiGuardedResult:
     off the interned model, and the full ``facts`` set is only
     materialized on first access.
 
-    A *demand-pruned* solve (streamed mode with ``demand`` set) is
-    exact only for the demanded predicates and their relevance cone;
-    predicates outside it are simply absent from the model.
+    A *demand-pruned* solve (``demand`` set) is exact only for the
+    demanded predicates and their relevance cone; predicates outside it
+    are simply absent from the model.
 
     ``stats`` carries the solve's :class:`GroundingStats` (pruning and
-    residency counters for the streamed mode).
+    residency counters).
     """
 
     __slots__ = ("ground_rules", "pool", "stats", "_flags", "_facts")
@@ -128,12 +122,9 @@ class QuasiGuardedEvaluator:
 
     ``dependencies`` are the key constraints used to witness functional
     dependence (Definition 4.3); they default to the ``A_td``
-    constraints for the given bag arity.  ``mode`` selects the
-    execution form: ``"streamed"`` (the default) or ``"eager"``, which
-    materializes the ground program.  ``demand`` (streamed mode only)
-    restricts grounding to rules relevant to the given query
-    predicate(s); the result is then exact only for those predicates
-    and their relevance cone.
+    constraints for the given bag arity.  ``demand`` restricts grounding
+    to rules relevant to the given query predicate(s); the result is
+    then exact only for those predicates and their relevance cone.
 
     The per-rule join orders are planned once per program under the
     static cost model of the same ``dependencies``
@@ -158,7 +149,6 @@ class QuasiGuardedEvaluator:
         registry: BuiltinRegistry | None = None,
         require_quasi_guarded: bool = True,
         cache: ProgramCache | None = None,
-        mode: str = "streamed",
         demand=None,
         prepared=None,
         relevant=_UNRESOLVED,
@@ -170,16 +160,6 @@ class QuasiGuardedEvaluator:
             )
         self.dependencies = dependencies
         self.registry = registry
-        if mode not in _MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {_MODES}"
-            )
-        self.mode = mode
-        if demand is not None and mode != "streamed":
-            raise ValueError(
-                "demand pruning is only available in streamed mode -- "
-                "the eager pipeline materializes everything by design"
-            )
         self.demand = demand
         if require_quasi_guarded and not is_quasi_guarded(program, dependencies):
             raise ValueError(
@@ -225,19 +205,13 @@ class QuasiGuardedEvaluator:
             else SetDatabase.from_edb(data)
         )
         pool = InternPool(sdb.interner)
-        if self.mode == "eager":
-            rules = ground_program_ids(
-                self._prepared, sdb, pool, stats, meter=meter
-            )
-            flags = horn_least_model_ids(rules, len(pool))
-        else:
-            sink = ground_program_streamed(
-                self._prepared,
-                sdb,
-                pool,
-                stats=stats,
-                relevant=self._relevant,
-                meter=meter,
-            )
-            flags = sink.flags(len(pool))
+        sink = ground_program_streamed(
+            self._prepared,
+            sdb,
+            pool,
+            stats=stats,
+            relevant=self._relevant,
+            meter=meter,
+        )
+        flags = sink.flags(len(pool))
         return QuasiGuardedResult(pool, flags, stats.ground_rules, stats)

@@ -8,24 +8,24 @@
 The datalog program comes from the Theorem 4.5 compiler (built once per
 (query, signature, width) and reusable over any number of structures,
 which is what makes the data complexity linear), and is evaluated by the
-Theorem 4.4 quasi-guarded pipeline -- streamed and demand-pruned by
-default, or eagerly materialized (``backend="quasi-guarded-eager"``, the
-service's budget fallback).  These two are the only solve routes; the
-generic bottom-up engines of :mod:`repro.datalog.backends` serve as
-oracles for compiled programs via :func:`repro.datalog.solve`.
+Theorem 4.4 quasi-guarded pipeline, streamed and demand-pruned.  That
+is the only solve route; the materializing reference grounder
+(:func:`repro.datalog.ground_program_ids`) and the generic bottom-up
+engines of :mod:`repro.datalog.backends` serve as oracles for compiled
+programs.
 
 Batch workloads go through :meth:`CourcelleSolver.solve_many`, which
-shards independent structures across a ``multiprocessing`` pool: the
-solver pickles as (formula, compiled program, backend) -- compilation
-is *not* repeated per worker -- and results come back in input order
-regardless of worker count.
+solves in process or shards independent structures across a
+:class:`repro.service.SolverService`: the solver pickles as (formula,
+compiled program, grounding plans) -- compilation is *not* repeated per
+worker -- and results come back in input order regardless of worker
+count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 
 from ..admission import POLICIES, MeterBudget, admit
 from ..datalog.backends import ProgramCache, default_cache
@@ -47,38 +47,21 @@ from .mso_to_datalog import (
 )
 from .quasi_guarded import _UNRESOLVED, QuasiGuardedEvaluator
 
-#: CourcelleSolver backend name -> QuasiGuardedEvaluator mode
-_QG_MODES = {
-    "quasi-guarded": "streamed",
-    "quasi-guarded-eager": "eager",
-}
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in _QG_MODES:
-        raise ValueError(
-            f"unknown evaluation backend {backend!r} for CourcelleSolver; "
-            f"expected one of {tuple(_QG_MODES)} (the generic engines run "
-            "a compiled program through repro.datalog.solve)"
-        )
-
 
 class CourcelleSolver:
     """Solve one MSO query over arbitrarily many width-w structures.
 
-    ``backend`` selects how the compiled datalog program is evaluated
-    per structure: ``"quasi-guarded"`` (the default) runs the streamed,
-    demand-pruned Theorem 4.4 pipeline (ground rules instantiated on
-    demand into an online LTUR, rules irrelevant to the answer
-    predicate pruned at grounding time, one shared intern pool from
-    structure load to answer decoding); ``"quasi-guarded-eager"`` is
-    the same interned pipeline materializing the full ground program,
-    kept as the service layer's budget fallback.  Both share the
-    compiled-program cache, so per-program planning happens once per
-    (program fingerprint, signature, width).  The generic bottom-up
-    engines are test oracles for compiled programs, not solver
-    backends: run ``repro.datalog.solve(solver.compiled.program,
-    encoded, backend=...)`` on an ``A_td`` encoding instead.
+    Each structure is evaluated by the streamed, demand-pruned
+    Theorem 4.4 pipeline: ground rules instantiated on demand into an
+    online LTUR, rules irrelevant to the answer predicate pruned at
+    grounding time, one shared intern pool from structure load to
+    answer decoding.  Per-program planning goes through the
+    compiled-program cache, so it happens once per (program
+    fingerprint, signature, width).  The reference grounder and the
+    generic bottom-up engines are test oracles for compiled programs:
+    run ``repro.datalog.evaluate_via_grounding`` or
+    ``repro.datalog.solve(solver.compiled.program, encoded,
+    backend=...)`` on an ``A_td`` encoding.
     """
 
     def __init__(
@@ -89,16 +72,13 @@ class CourcelleSolver:
         free_var: str | None = None,
         max_witness_size: int = 16,
         structure_filter=None,
-        backend: str = "quasi-guarded",
         cache: ProgramCache | None = None,
         minimize: bool = True,
         passes=None,
         admission: str | None = None,
         admission_budget=None,
     ):
-        _check_backend(backend)
         self._formula = formula
-        self.backend_name = backend
         self.cache = cache if cache is not None else default_cache()
         #: default admission policy (``"strict"`` / ``"repair"`` /
         #: ``"degrade"``); ``None`` keeps the legacy trusting paths --
@@ -134,10 +114,10 @@ class CourcelleSolver:
         #: the shrinking-pass configuration actually applied (``passes=None``
         #: resolved to the production default by the compiler)
         self.passes = self.compiled.passes
-        self._wire_backend()
+        self._wire_evaluator()
 
-    def _wire_backend(self, prepared=None, relevant=_UNRESOLVED) -> None:
-        """Build the quasi-guarded evaluator for ``backend_name``.
+    def _wire_evaluator(self, prepared=None, relevant=_UNRESOLVED) -> None:
+        """Build the streamed quasi-guarded evaluator.
 
         ``prepared`` / ``relevant`` are the pickle handoff: a
         ``solve_many`` worker rebuilds from the parent's per-program
@@ -150,13 +130,11 @@ class CourcelleSolver:
             raise AssertionError(
                 "compiled program is not quasi-guarded -- Theorem 4.5 violated"
             )
-        mode = _QG_MODES[self.backend_name]
         self.evaluator = QuasiGuardedEvaluator(
             self.compiled.program,
             dependencies=self.compiled.dependencies(),
             cache=self.cache,
-            mode=mode,
-            demand=ANSWER_PREDICATE if mode == "streamed" else None,
+            demand=ANSWER_PREDICATE,
             require_quasi_guarded=False,
             prepared=prepared,
             relevant=relevant,
@@ -176,7 +154,6 @@ class CourcelleSolver:
         return {
             "formula": self._formula,
             "compiled": self.compiled,
-            "backend": self.backend_name,
             "admission": self.admission,
             "admission_budget": self.admission_budget,
             "prepared": dataclasses.replace(
@@ -189,13 +166,12 @@ class CourcelleSolver:
         self._formula = state["formula"]
         self.compiled = state["compiled"]
         self.passes = getattr(self.compiled, "passes", ())
-        self.backend_name = state["backend"]
         self.admission = state.get("admission")
         self.admission_budget = state.get("admission_budget")
         self.cache = default_cache()
         from ..datalog.builtins import standard_registry
 
-        self._wire_backend(
+        self._wire_evaluator(
             prepared=dataclasses.replace(
                 state["prepared"], registry=standard_registry()
             ),
@@ -388,7 +364,6 @@ class CourcelleSolver:
         structures,
         tds=None,
         workers: "int | str | None" = None,
-        chunksize: int | None = None,
         service=None,
         admission: str | None = None,
     ) -> list:
@@ -397,29 +372,30 @@ class CourcelleSolver:
         Returns one result per structure **in input order** --
         ``query()`` answer sets for unary queries, ``decide()`` booleans
         for sentences.  ``workers=None`` or ``1`` solves serially in
-        process; ``workers > 1`` shards the batch across a
-        ``multiprocessing`` pool, handing each worker the pickled
-        compiled program once (compilation is never repeated) and
-        mapping structures in order, so the result list is identical
-        whatever the worker count (batch workloads scale with cores
-        because each structure's decompose -> encode -> solve chain is
-        independent).  ``workers="auto"`` resolves to
-        :func:`default_worker_count` capped at the batch size.
+        process; ``workers > 1`` runs the batch on a transient
+        :class:`repro.service.SolverService` with that many workers,
+        shut down when the batch is done.  ``workers="auto"`` resolves
+        to :func:`default_worker_count` capped at the batch size.
 
         ``service`` routes the batch through a caller-held persistent
-        :class:`repro.service.SolverService` instead of the one-shot
-        pool above: the workers are already running and hold this
-        solver's compiled program warm, so repeated small batches skip
-        the pool startup and solver re-pickle that the one-shot path
-        pays on every call (``workers``/``chunksize`` are then ignored
-        -- the service owns its worker count).
+        :class:`repro.service.SolverService` instead: its workers are
+        already running and hold this solver's compiled program warm,
+        so repeated small batches skip worker startup and the solver
+        pickle (``workers`` is then ignored -- the service owns its
+        worker count).
+
+        On either service route a failing item raises the service's
+        typed error: :class:`repro.service.ShardFailed` (carrying the
+        structure's fingerprint) where the in-process loop would raise
+        the solver's own exception, e.g.
+        :class:`repro.errors.WidthExceeded`.
 
         ``admission`` (or the solver-wide default) runs every item
         through the admission ladder and turns the batch's failure mode
-        per-item: a malformed structure no longer kills the whole
-        batch; its slot holds the :class:`repro.errors.AdmissionRejected`
-        instance (report attached) while every other slot holds its
-        answer.
+        per-item on every route: a malformed structure no longer kills
+        the whole batch; its slot holds the
+        :class:`repro.errors.AdmissionRejected` instance (report
+        attached) while every other slot holds its answer.
         """
         structures = list(structures)
         if tds is None:
@@ -443,48 +419,11 @@ class CourcelleSolver:
                 _solve_item(self, s, td, policy)
                 for s, td in zip(structures, tds)
             ]
-        import multiprocessing
+        # local import: the service module imports this one
+        from ..service import SolverService
 
-        workers = min(workers, len(structures))
-        if chunksize is None:
-            chunksize = max(1, len(structures) // (workers * 4))
-        payload = pickle.dumps(self)
-        context = multiprocessing.get_context()
-        with context.Pool(
-            workers, initializer=_solve_many_init, initargs=(payload,)
-        ) as pool:
-            # Pool.map preserves input order, so the shard assignment
-            # (and any interleaving of completions) cannot reorder or
-            # change the results
-            return pool.map(
-                _solve_many_task,
-                [(s, td, policy) for s, td in zip(structures, tds)],
-                chunksize,
-            )
-
-    def with_backend(self, backend: str) -> "CourcelleSolver":
-        """A sibling solver over the *same* compiled program.
-
-        The clone shares ``compiled`` (and the cache), so no
-        recompilation happens -- only the evaluation wiring differs.
-        This is the service layer's budget-fallback route: e.g. retry a
-        ``BudgetExceeded`` streamed solve on the eager pipeline.  The
-        quasi-guardedness check is trusted from this solver's own
-        construction."""
-        _check_backend(backend)
-        if backend == self.backend_name:
-            return self
-        clone = object.__new__(CourcelleSolver)
-        clone._formula = self._formula
-        clone.compiled = self.compiled
-        clone.passes = self.passes
-        clone.backend_name = backend
-        clone.cache = self.cache
-        clone.admission = self.admission
-        clone.admission_budget = self.admission_budget
-        # the clone's mode differs, so it resolves its own demand set
-        clone._wire_backend(prepared=self.evaluator._prepared)
-        return clone
+        with SolverService(workers=min(workers, len(structures))) as batch:
+            return batch.solve_many(self, structures, tds, admission=policy)
 
     def compiled_formula(self) -> Formula:
         return self._formula
@@ -504,15 +443,6 @@ def default_worker_count(batch_size: int | None = None) -> int:
     return max(1, cpus)
 
 
-#: per-worker solver rebuilt once from the pickled handoff
-_WORKER_SOLVER: CourcelleSolver | None = None
-
-
-def _solve_many_init(payload: bytes) -> None:
-    global _WORKER_SOLVER
-    _WORKER_SOLVER = pickle.loads(payload)
-
-
 def _solve_item(solver, structure, td, admission):
     """One batch slot: the answer, or -- under admission -- the
     ``AdmissionRejected`` instance as a per-item verdict."""
@@ -527,9 +457,3 @@ def _solve_item(solver, structure, td, admission):
     )
     return solve_one(structure, td)
 
-
-def _solve_many_task(item):
-    structure, td, admission = (
-        item if len(item) == 3 else (item[0], item[1], None)
-    )
-    return _solve_item(_WORKER_SOLVER, structure, td, admission)

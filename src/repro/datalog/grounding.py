@@ -34,8 +34,7 @@ Two execution forms share the per-rule plans of
   rules (a positive extensional literal over an empty relation) are
   never instantiated.  Peak live-rule residency is the LTUR's waiting
   frontier, not the ground program;
-* the **eager** form (:func:`ground_program_ids`, the
-  ``quasi-guarded-eager`` backend): guard
+* the **eager** reference form (:func:`ground_program_ids`): guard
   instantiation joins over a
   :class:`~repro.datalog.setengine.SetDatabase` of dense-int fact
   tuples and materializes the full ground program as
@@ -43,7 +42,8 @@ Two execution forms share the per-rule plans of
   :class:`~repro.datalog.interning.InternPool` -- no raw-value tuple
   crosses the grounding -> horn boundary, and
   :func:`repro.datalog.horn.horn_least_model_ids` propagates over the
-  same ids.  It is the budget fallback of the service layer, and
+  same ids.  It is the paper's ground-then-LTUR pipeline taken
+  literally and the conformance oracle of the streamed form;
   :func:`evaluate_via_grounding` wraps it with a decoded result.
 
 Sink predicates (heads in no rule body, like the compiled answer
@@ -373,7 +373,6 @@ def ground_program_ids(
     db: SetDatabase,
     pool: InternPool,
     stats: GroundingStats | None = None,
-    meter=None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """All supported ground instances, as ``(head_id, body_ids)`` pairs.
 
@@ -382,9 +381,7 @@ def ground_program_ids(
     interner) assigns dense ids to the ground intensional atoms, and
     the returned rules are pure integers -- ready for
     :func:`repro.datalog.horn.horn_least_model_ids` with no raw-value
-    tuple crossing the boundary.  ``meter`` (a
-    :class:`repro.datalog.budget.BudgetMeter`) is checked once per
-    program rule.
+    tuple crossing the boundary.
     """
     if pool.interner is not db.interner:
         raise ValueError(
@@ -401,8 +398,6 @@ def ground_program_ids(
     for rule, (ordered, idb_literals) in zip(
         prepared.program.rules, prepared.plans
     ):
-        if meter is not None:
-            meter.check(stats.ground_rules)
         columns, length = _instantiate_batch_ids(ordered, db, registry, stats)
         if not length:
             continue

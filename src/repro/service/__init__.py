@@ -14,8 +14,7 @@ future per request in input order.
 The serving layer is fault-tolerant: per-request deadlines
 (:class:`DeadlineExceeded`), capped retries with exponential backoff
 and shard splitting, poison-input quarantine (:class:`PoisonInput`),
-cooperative solve budgets with an optional fallback backend
-(:class:`repro.datalog.SolveBudget` /
+cooperative solve budgets (:class:`repro.datalog.SolveBudget` /
 :class:`repro.datalog.BudgetExceeded`), and a deterministic
 fault-injection harness (:mod:`repro.service.faults`, the
 ``REPRO_SERVICE_FAULTS`` variable).  See the "Failure semantics"

@@ -1,17 +1,17 @@
 """The persistent solver service and its coalescing batch scheduler.
 
-``CourcelleSolver.solve_many`` shards a batch across a one-shot
-``multiprocessing.Pool``: correct, but every call re-pickles the solver
-and cold-starts a pool, so repeated small batches pay startup each time
--- the opposite of what Theorem 4.5's compile-once amortization
-promises.  :class:`SolverService` keeps the pool alive:
+Theorem 4.5 compiles once and solves many: :class:`SolverService`
+keeps a pool of solver workers alive so that repeated batches pay
+neither worker startup nor a solver re-pickle.  It is the one batch
+route: ``CourcelleSolver.solve_many(service=)`` runs on a caller-held
+service, and ``solve_many(workers=n)`` on a transient one.
 
 * **Long-lived workers.**  Each worker process rebuilds a solver
-  exactly once per registered program from the same pickle handoff the
-  one-shot pool uses (``CourcelleSolver.__getstate__``: compiled
-  program + prepared grounding plans + demand-relevance set), then
-  holds it warm -- ``ProgramCache`` populated, plans resident.
-  Compilation and planning never happen on the request path.
+  exactly once per registered program from its pickle handoff
+  (``CourcelleSolver.__getstate__``: compiled program + prepared
+  grounding plans + demand-relevance set), then holds it warm --
+  ``ProgramCache`` populated, plans resident.  Compilation and
+  planning never happen on the request path.
 * **Coalescing batch scheduler.**  ``submit()`` / ``submit_many()``
   enqueue individual requests and return
   :class:`concurrent.futures.Future`\\ s.  While all workers are busy,
@@ -52,9 +52,7 @@ promises.  :class:`SolverService` keeps the pool alive:
   - a service-wide :class:`repro.datalog.SolveBudget` makes the
     quasi-guarded fixpoint loops raise
     :class:`repro.datalog.BudgetExceeded` *cooperatively* (the worker
-    survives, its warm cache intact); ``fallback_backend`` optionally
-    reroutes over-budget solves to a sibling pipeline (e.g. streamed
-    -> eager) instead of failing them;
+    survives, its warm cache intact);
   - all of it is testable on demand through
     :mod:`repro.service.faults` -- deterministic crash / slow / drop /
     stall injection at named sites.
@@ -85,7 +83,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..admission import POLICIES
-from ..core.solver import _QG_MODES, default_worker_count
+from ..core.solver import default_worker_count
 from ..datalog.backends import program_fingerprint
 from ..datalog.budget import BudgetExceeded, SolveBudget
 from ..errors import AdmissionRejected
@@ -194,8 +192,6 @@ class ServiceStats:
     quarantine_size: int = 0
     #: requests failed with :class:`repro.datalog.BudgetExceeded`
     budget_exceeded: int = 0
-    #: over-budget requests answered by the fallback backend
-    fallback_solves: int = 0
     #: admission verdicts (requests served through the admission
     #: ladder: clean, repaired/re-decomposed, served degraded)
     admitted: int = 0
@@ -259,8 +255,9 @@ class _Request:
         self.future = future
         #: absolute ``time.monotonic()`` deadline, or None
         self.deadline = deadline
-        #: resolved admission policy (request override or service
-        #: default), or None for the legacy trusting path
+        #: resolved admission policy (request override, else the
+        #: solver's default, else the service's), or None for the
+        #: legacy trusting path
         self.admission = admission
         #: how many workers died while this request was in flight
         self.crashes = 0
@@ -342,11 +339,10 @@ class _Worker:
         self.eof = False
 
 
-def _solve_request(solver, structure, td, budget, fallback, key, fallbacks, admission=None):
+def _solve_request(solver, structure, td, budget, admission=None):
     """Solve one request inside a worker; an outcome tuple.
 
-    ``("ok", value)`` / ``("fb", value)`` (answered by the fallback
-    backend) / ``("adm", verdict, value)`` (served through the
+    ``("ok", value)`` / ``("adm", verdict, value)`` (served through the
     admission ladder) / ``("rej", exc)`` (rejected by it) /
     ``("budget", message, dimension, limit, consumed)`` /
     ``("err", brief, traceback)``.  Per-request, so one failing
@@ -365,32 +361,12 @@ def _solve_request(solver, structure, td, budget, fallback, key, fallbacks, admi
         except AdmissionRejected as exc:
             return ("rej", exc)
         except BudgetExceeded as exc:
-            if fallback is None:
-                return ("budget", str(exc), exc.dimension, exc.limit, exc.consumed)
-            sibling = fallbacks.get(key)
-            if sibling is None:
-                sibling = fallbacks[key] = solver.with_backend(fallback)
-            # the fallback runs unbudgeted: it is the degradation path,
-            # and the deadline/overdue-kill backstop still applies
-            if admission is not None:
-                try:
-                    answer, _report = sibling.solve_admitted(
-                        structure, td, policy=admission
-                    )
-                    return ("fb", answer)
-                except AdmissionRejected as rej:
-                    return ("rej", rej)
-            fb_solve = (
-                sibling.decide if sibling.compiled.is_sentence else sibling.query
-            )
-            return ("fb", fb_solve(structure, td))
+            return ("budget", str(exc), exc.dimension, exc.limit, exc.consumed)
     except BaseException as exc:
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
-def _service_worker_main(
-    tasks, results, faults_text=None, budget=None, fallback=None
-) -> None:
+def _service_worker_main(tasks, results, faults_text=None, budget=None) -> None:
     """Worker process loop.
 
     Solvers arrive once per program as a pickled payload (``"load"``)
@@ -404,12 +380,10 @@ def _service_worker_main(
     ``faults_text`` re-parses into this process's own
     :class:`~repro.service.faults.FaultPlan` (fresh counters per
     worker, so "this worker crashes once" survives respawn);
-    ``budget`` / ``fallback`` are the service-wide solve budget and
-    degradation backend.
+    ``budget`` is the service-wide solve budget.
     """
     faults = FaultPlan.parse(faults_text)
     solvers = {}
-    fallbacks = {}
     while True:
         try:
             message = tasks.get()
@@ -432,16 +406,7 @@ def _service_worker_main(
                 if faults and faults.induce("worker.solve") == "crash":
                     os._exit(FAULT_CRASH_EXIT)
                 outcomes.append(
-                    _solve_request(
-                        solver,
-                        structure,
-                        td,
-                        budget,
-                        fallback,
-                        key,
-                        fallbacks,
-                        admission,
-                    )
+                    _solve_request(solver, structure, td, budget, admission)
                 )
         except BaseException as exc:  # report, don't kill the worker
             reply = (
@@ -494,13 +459,29 @@ class ProgramHandle:
     Obtained from :meth:`SolverService.register`; all submissions go
     through a handle so the service knows which warm solver a request
     belongs to (and which requests can coalesce into one shard).
+
+    A request's admission policy resolves as in
+    ``CourcelleSolver.solve_many(service=)``: the request's own
+    ``admission=``, else the registered solver's ``admission=``
+    default, else the service-wide default.
     """
 
-    __slots__ = ("_service", "key")
+    __slots__ = ("_service", "key", "admission")
 
-    def __init__(self, service: "SolverService", key: str):
+    def __init__(
+        self, service: "SolverService", key: str, admission: str | None = None
+    ):
         self._service = service
         self.key = key
+        #: the registered solver's default admission policy
+        self.admission = admission
+
+    def _policy(self, admission: str | None) -> str | None:
+        if admission is not None:
+            return admission
+        if self.admission is not None:
+            return self.admission
+        return self._service.admission
 
     def submit(
         self,
@@ -524,9 +505,9 @@ class ProgramHandle:
         returned future is already resolved.
 
         ``admission`` routes this request through the admission ladder
-        under that policy (overriding the service-wide default);
-        rejected requests fail their future with ``AdmissionRejected``
-        and quarantine their fingerprint."""
+        under that policy (overriding the solver's and the service's
+        defaults); rejected requests fail their future with
+        ``AdmissionRejected`` and quarantine their fingerprint."""
         if timeout is not None:
             if deadline is not None:
                 raise ValueError("pass timeout= or deadline=, not both")
@@ -537,7 +518,7 @@ class ProgramHandle:
             td,
             block=block,
             deadline=deadline,
-            admission=admission,
+            admission=self._policy(admission),
         )
 
     def submit_many(
@@ -586,17 +567,16 @@ class ProgramHandle:
         each wait gets only the remainder -- the total wait is at most
         ``timeout``, never N x timeout.
 
-        With admission active (per-call ``admission=`` or the
-        service-wide default), rejected items resolve **per slot**: the
-        result list holds each rejected request's
+        With admission active (per-call ``admission=``, the solver's
+        default or the service-wide default), rejected items resolve
+        **per slot**: the result list holds each rejected request's
         :class:`repro.errors.AdmissionRejected` in place of an answer
-        instead of the whole batch raising on the first bad input."""
+        instead of the whole batch raising on the first bad input.  Any
+        other failure raises at its slot, e.g. :class:`ShardFailed`."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        effective = (
-            admission if admission is not None else self._service.admission
-        )
+        effective = self._policy(admission)
         futures = self.submit_many(
-            structures, tds, deadline=deadline, admission=admission
+            structures, tds, deadline=deadline, admission=effective
         )
         results = []
         for future in futures:
@@ -634,9 +614,6 @@ class SolverService:
     * ``budget`` -- a :class:`repro.datalog.SolveBudget` applied to
       every solve (cooperative: over-budget solves raise
       :class:`repro.datalog.BudgetExceeded`, the worker survives);
-    * ``fallback_backend`` -- a ``CourcelleSolver`` backend name that
-      answers over-budget solves instead of failing them (e.g.
-      ``"quasi-guarded-eager"``), unbudgeted;
     * ``faults`` -- a :class:`~repro.service.faults.FaultPlan` (or its
       spec string) arming deterministic fault injection; defaults to
       ``FaultPlan.from_env()`` (the ``REPRO_SERVICE_FAULTS``
@@ -670,7 +647,6 @@ class SolverService:
         max_retries: int = 3,
         retry_backoff: float = 0.05,
         budget: SolveBudget | None = None,
-        fallback_backend: str | None = None,
         faults: "FaultPlan | str | None" = None,
         shutdown_grace: float = 5.0,
         admission: str | None = None,
@@ -691,18 +667,14 @@ class SolverService:
             raise TypeError(
                 f"budget must be a SolveBudget, got {type(budget).__name__}"
             )
-        if fallback_backend is not None and fallback_backend not in _QG_MODES:
-            raise ValueError(
-                f"unknown fallback backend {fallback_backend!r}; "
-                f"expected one of {tuple(_QG_MODES)}"
-            )
         if admission is not None and admission not in POLICIES:
             raise ValueError(
                 f"unknown admission policy {admission!r}; "
                 f"expected one of {POLICIES}"
             )
         #: service-wide admission policy default (per-request
-        #: ``admission=`` overrides); None keeps the trusting paths
+        #: ``admission=`` and the solver's own default override it);
+        #: None keeps the trusting paths
         self.admission = admission
         self.max_pending = max_pending
         self.max_shard = max_shard
@@ -712,7 +684,6 @@ class SolverService:
         self.budget = (
             None if budget is not None and budget.unlimited else budget
         )
-        self.fallback_backend = fallback_backend
         if faults is None:
             faults = FaultPlan.from_env()
         elif isinstance(faults, str):
@@ -776,21 +747,22 @@ class SolverService:
         self.shutdown(drain=exc_type is None)
 
     def register(self, solver) -> ProgramHandle:
-        """Register a ``CourcelleSolver``; idempotent per (backend,
-        compiled program).
+        """Register a ``CourcelleSolver``; idempotent per (admission
+        default, admission budget, compiled program).
 
-        The solver is pickled **once** here -- the same
-        ``__getstate__`` handoff the one-shot pool uses (compiled
-        program + prepared plans + relevance set) -- and shipped lazily
-        to each worker the first time a shard of this program reaches
-        it.  Registering an equal solver again (same program
-        fingerprint, backend, width) returns the existing handle
-        without re-pickling.
+        The solver is pickled **once** here (``__getstate__``: compiled
+        program + prepared plans + relevance set + admission defaults)
+        and shipped lazily to each worker the first time a shard of
+        this program reaches it.  Registering an equal solver again
+        (same admission default and budget, program fingerprint, width)
+        returns the existing handle without re-pickling; solvers that
+        differ only in their admission defaults get separate handles.
         """
         compiled = solver.compiled
         key = ":".join(
             (
-                solver.backend_name,
+                str(solver.admission),
+                repr(solver.admission_budget),
                 str(compiled.width),
                 "sentence" if compiled.is_sentence else "unary",
                 program_fingerprint(compiled.program),
@@ -808,7 +780,7 @@ class SolverService:
                 raise ServiceClosed("service is shut down")
             handle = self._handles.get(key)
             if handle is None:
-                handle = ProgramHandle(self, key)
+                handle = ProgramHandle(self, key, solver.admission)
                 self._handles[key] = handle
                 self._payloads[key] = payload
         return handle
@@ -961,13 +933,7 @@ class SolverService:
         admission=None,
     ) -> Future:
         future: Future = Future()
-        request = _Request(
-            structure,
-            td,
-            future,
-            deadline,
-            admission if admission is not None else self.admission,
-        )
+        request = _Request(structure, td, future, deadline, admission)
         reject: BaseException | None = None
         with self._space:
             if self._closed:
@@ -1235,11 +1201,9 @@ class SolverService:
             outcomes = message[2]
             for request, outcome in zip(shard.requests, outcomes):
                 tag = outcome[0]
-                if tag == "ok" or tag == "fb":
+                if tag == "ok":
                     completions.append((request.future, outcome[1], None))
                     self.stats.completed += 1
-                    if tag == "fb":
-                        self.stats.fallback_solves += 1
                 elif tag == "adm":
                     _, verdict, value = outcome
                     completions.append((request.future, value, None))
@@ -1528,7 +1492,6 @@ class SolverService:
                 writer,
                 str(self._faults) if self._faults else None,
                 self.budget,
-                self.fallback_backend,
             ),
             name=f"solver-service-worker-{next(self._worker_seq)}",
             daemon=True,

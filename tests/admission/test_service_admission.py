@@ -5,6 +5,7 @@ worker or hang a future."""
 import pytest
 
 from repro.admission import load_corpus
+from repro.core import CourcelleSolver, undirected_graph_filter
 from repro.errors import AdmissionRejected
 from repro.mso import formulas, query as mso_query
 from repro.service import SolverService
@@ -126,3 +127,50 @@ class TestServiceAdmission:
         assert stats.repaired == 0
         assert stats.degraded == 0
         assert stats.admission_rejected == 0
+
+
+class TestSolverAdmissionDefault:
+    """The service honours a registered solver's own ``admission=``
+    default: a request resolves its policy as request, then solver
+    default, then service default -- as
+    ``CourcelleSolver.solve_many(service=)`` does."""
+
+    @staticmethod
+    def strict_solver():
+        return CourcelleSolver(
+            HAS_NEIGHBOR,
+            GRAPH_SIGNATURE,
+            width=1,
+            free_var="x",
+            structure_filter=undirected_graph_filter,
+            admission="strict",
+        )
+
+    def test_strict_solver_gets_its_own_handle(self, neighbor_solver):
+        from repro.service import ShardFailed
+
+        strict = self.strict_solver()
+        k5 = clique(5)
+        with SolverService(workers=1) as service:
+            trusting = service.register(neighbor_solver)
+            guarded = service.register(strict)
+            assert guarded is not trusting
+            # the strict solver's handle rejects the over-width input
+            # instead of running it on the trusting solver's payload
+            with pytest.raises(AdmissionRejected):
+                guarded.submit(k5).result(timeout=120)
+            service.evict_quarantine()
+            with pytest.raises(ShardFailed, match="WidthExceeded"):
+                trusting.submit(k5).result(timeout=120)
+
+    def test_handle_solve_many_resolves_rejections_per_slot(self):
+        batch = [path_structure(5), clique(5), path_structure(3)]
+        with SolverService(workers=1) as service:
+            handle = service.register(self.strict_solver())
+            results = handle.solve_many(batch, timeout=120)
+            stats = service.stats
+        assert results[0] == frozenset(batch[0].domain)
+        assert isinstance(results[1], AdmissionRejected)
+        assert results[2] == frozenset(batch[2].domain)
+        assert stats.admitted == 2
+        assert stats.admission_rejected == 1

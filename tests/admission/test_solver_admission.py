@@ -158,7 +158,3 @@ class TestCloningAndPickling:
         solver = self.solver_with_default()
         back = pickle.loads(pickle.dumps(solver))
         assert back.admission == "repair"
-
-    def test_with_backend_carries_admission(self):
-        solver = self.solver_with_default()
-        assert solver.with_backend("quasi-guarded-eager").admission == "repair"

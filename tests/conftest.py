@@ -19,6 +19,7 @@ from repro.datalog import (
     Rule,
     SetDatabase,
     Variable,
+    evaluate_via_grounding,
     ground_program_ids,
     prepare_grounding,
 )
@@ -198,6 +199,28 @@ def ground_decoded(program: Program, db: Database, stats=None):
         GroundRule(decode(head), tuple(decode(b) for b in body))
         for head, body in rules
     ]
+
+
+def reference_answers(program, encoded, predicate, prepared=None):
+    """The unary answers of ``predicate`` by the eager reference
+    pipeline (:func:`~repro.datalog.ground_program_ids` + batch LTUR)
+    on an encoding -- the oracle the streamed solver is pinned to."""
+    facts = evaluate_via_grounding(program, encoded, prepared=prepared)
+    return frozenset(f.args[0] for f in facts if f.predicate == predicate)
+
+
+def reference_query(solver, structure, td=None):
+    """``solver.query(structure, td)`` recomputed by the eager reference
+    grounder on the same ``A_td`` encoding, with the solver's own cached
+    grounding plans."""
+    from repro.core import ANSWER_PREDICATE
+
+    return reference_answers(
+        solver.compiled.program,
+        solver._prepare(structure, td),
+        ANSWER_PREDICATE,
+        prepared=solver.evaluator._prepared,
+    )
 
 
 def deleted_ladders(seed=7, count=300, deleted=0.10):

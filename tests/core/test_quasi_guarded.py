@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.core import QuasiGuardedEvaluator
-from repro.datalog import Database, least_fixpoint, parse_program, solve
+from repro.core import QuasiGuardedEvaluator, QuasiGuardedResult
+from repro.datalog import (
+    Database,
+    InternPool,
+    SetDatabase,
+    ground_program_ids,
+    horn_least_model_ids,
+    least_fixpoint,
+    parse_program,
+    prepare_grounding,
+    solve,
+)
 
 
 def tree_db():
@@ -26,6 +36,18 @@ PROG = parse_program(
     ok :- root(V), t(V).
     """
 )
+
+
+def reference_result(program, db):
+    """The eager reference pipeline's model of ``program`` over ``db``
+    (full ground program, then batch LTUR), as a
+    :class:`QuasiGuardedResult`."""
+    sdb = SetDatabase.from_edb(db)
+    pool = InternPool(sdb.interner)
+    rules = ground_program_ids(prepare_grounding(program), sdb, pool)
+    return QuasiGuardedResult(
+        pool, horn_least_model_ids(rules, len(pool)), len(rules)
+    )
 
 
 class TestEvaluator:
@@ -62,11 +84,12 @@ class TestEvaluator:
         assert result.ground_rules == 4
 
     def test_modes_agree_with_naive_and_semi_naive(self):
+        """The streamed solve and the eager reference grounder."""
         results = {
-            mode: QuasiGuardedEvaluator(
-                PROG, bag_arity=3, mode=mode
-            ).evaluate(tree_db())
-            for mode in ("streamed", "eager")
+            "streamed": QuasiGuardedEvaluator(PROG, bag_arity=3).evaluate(
+                tree_db()
+            ),
+            "eager": reference_result(PROG, tree_db()),
         }
         for backend in ("naive", "semi-naive"):
             reference = solve(PROG, tree_db(), backend=backend)
@@ -80,18 +103,6 @@ class TestEvaluator:
         assert results["streamed"].ground_rules <= (
             results["eager"].ground_rules
         )
-
-    def test_default_mode_is_streamed_and_raw_mode_is_rejected(self):
-        assert QuasiGuardedEvaluator(PROG, bag_arity=3).mode == "streamed"
-        for mode in ("raw", "batched"):
-            with pytest.raises(ValueError, match="'streamed', 'eager'"):
-                QuasiGuardedEvaluator(PROG, bag_arity=3, mode=mode)
-
-    def test_demand_requires_streamed_mode(self):
-        with pytest.raises(ValueError, match="streamed"):
-            QuasiGuardedEvaluator(
-                PROG, bag_arity=3, mode="eager", demand="ok"
-            )
 
     def test_demand_pruned_solve_is_exact_on_the_demanded_cone(self):
         demanded = QuasiGuardedEvaluator(
@@ -117,24 +128,28 @@ class TestEvaluator:
     @pytest.mark.parametrize("streamed", [True, False])
     def test_unary_answers_validates_arity(self, streamed):
         """A non-unary fact under the queried predicate must raise, not
-        be silently truncated to its first argument -- in the streamed
-        and the eager mode alike."""
-        mode = "streamed" if streamed else "eager"
+        be silently truncated to its first argument -- on the streamed
+        solve's model and the eager reference grounder's alike."""
+
+        def evaluate(program):
+            if streamed:
+                return QuasiGuardedEvaluator(program, bag_arity=3).evaluate(
+                    tree_db()
+                )
+            return reference_result(program, tree_db())
+
         binary = parse_program(
             """
             t(V) :- bag(V, X0, X1), leaf(V), e(X0, X1).
             pair(V, X0) :- bag(V, X0, X1), t(V).
             """
         )
-        evaluator = QuasiGuardedEvaluator(binary, bag_arity=3, mode=mode)
-        result = evaluator.evaluate(tree_db())
+        result = evaluate(binary)
         assert result.holds("pair", "n2", "c")
         with pytest.raises(ValueError, match="arity 2, not 1"):
             result.unary_answers("pair")
         # nullary facts are rejected the same way
-        full = QuasiGuardedEvaluator(
-            PROG, bag_arity=3, mode=mode
-        ).evaluate(tree_db())
+        full = evaluate(PROG)
         with pytest.raises(ValueError, match="arity 0, not 1"):
             full.unary_answers("ok")
         # absent predicates simply have no answers

@@ -144,39 +144,22 @@ class TestPluggableBackends:
             assert derived.contains(ANSWER_PREDICATE, ()) is want
             assert s.decide(structure) == evaluate(structure, sentence) is want
 
-    def test_unknown_backend_rejected(self):
-        # the generic engines included: they are not solver backends
-        for backend in ("quantum", "semi-naive", "naive", "magic"):
-            with pytest.raises(ValueError, match="quasi-guarded-eager"):
-                CourcelleSolver(
-                    formulas.has_neighbor("x"),
-                    GRAPH_SIGNATURE,
-                    width=1,
-                    free_var="x",
-                    structure_filter=undirected_graph_filter,
-                    backend=backend,
-                )
-
 
 class TestQuasiGuardednessCheck:
     """The Theorem 4.5 check runs once per solver construction: the
     solver asserts it, the evaluator it wires does not repeat it."""
 
     @staticmethod
-    def _build(backend="quasi-guarded"):
+    def _build():
         return CourcelleSolver(
             formulas.has_neighbor("x"),
             GRAPH_SIGNATURE,
             width=1,
             free_var="x",
             structure_filter=undirected_graph_filter,
-            backend=backend,
         )
 
-    @pytest.mark.parametrize(
-        "backend", ["quasi-guarded", "quasi-guarded-eager"]
-    )
-    def test_construction_checks_exactly_once(self, monkeypatch, backend):
+    def test_construction_checks_exactly_once(self, monkeypatch):
         import repro.core.quasi_guarded as qg_module
         import repro.core.solver as solver_module
         from repro.datalog.guards import is_quasi_guarded
@@ -189,7 +172,7 @@ class TestQuasiGuardednessCheck:
 
         monkeypatch.setattr(solver_module, "is_quasi_guarded", counting)
         monkeypatch.setattr(qg_module, "is_quasi_guarded", counting)
-        s = self._build(backend)
+        s = self._build()
         assert len(calls) == 1
         assert calls[0] is s.compiled.program
         path = graph_to_structure(Graph.path(3))

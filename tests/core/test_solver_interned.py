@@ -1,11 +1,12 @@
 """End-to-end regression tests for the fully interned solve pipeline.
 
-Both quasi-guarded backends of :class:`CourcelleSolver` thread one
-shared intern pool from structure load through grounding, unit
-resolution, and (lazy) answer decoding.  These tests pin the interned
-answers to the generic ``semi-naive`` and ``naive`` engines run on the
-same program and encoding: identical ``unary_answers`` on 3-coloring
-and primality instances, and exactly one interning context per solve.
+The streamed solve of :class:`CourcelleSolver` threads one shared
+intern pool from structure load through grounding, unit resolution,
+and (lazy) answer decoding.  These tests pin the interned answers to
+the eager reference grounder and to the generic ``semi-naive`` and
+``naive`` engines run on the same program and encoding: identical
+``unary_answers`` on 3-coloring and primality instances, and exactly
+one interning context per solve.
 
 Scope note: the generic Theorem 4.5 compiler's practical envelope is
 width 1 (wider signatures blow past its witness limits), so the
@@ -42,6 +43,8 @@ from repro.treewidth import (
     widen,
 )
 
+from ..conftest import reference_answers, reference_query
+
 REFERENCE_ENGINES = ("semi-naive", "naive")
 
 
@@ -59,25 +62,20 @@ class TestThreeColoringInstances:
         self, formula_name
     ):
         formula = getattr(formulas, formula_name)("x")
-        solvers = {
-            backend: CourcelleSolver(
-                formula,
-                GRAPH_SIGNATURE,
-                width=1,
-                free_var="x",
-                structure_filter=undirected_graph_filter,
-                backend=backend,
-            )
-            for backend in ("quasi-guarded", "quasi-guarded-eager")
-        }
-        program = solvers["quasi-guarded"].compiled.program
+        solver = CourcelleSolver(
+            formula,
+            GRAPH_SIGNATURE,
+            width=1,
+            free_var="x",
+            structure_filter=undirected_graph_filter,
+        )
+        program = solver.compiled.program
         rng = random.Random(0x3C01)
         for _ in range(4):
             graph, td = random_partial_ktree(rng, rng.randint(3, 9), 1)
             s = graph_to_structure(graph)
-            streamed = solvers["quasi-guarded"].query(s, td)
-            eager = solvers["quasi-guarded-eager"].query(s, td)
-            assert streamed == eager
+            streamed = solver.query(s, td)
+            assert streamed == reference_query(solver, s, td)
             assert streamed == direct_query(s, formula, "x")
             encoded = encode_normalized(s, normalize(widen(td, 1)))
             for backend in REFERENCE_ENGINES:
@@ -108,14 +106,13 @@ class TestPrimalityInstances:
         encoded = encode_normalized(structure, normalize(td))
         program = atd_cover_program(td.width + 2)
         dependencies = td_key_dependencies(td.width + 2)
-        answers = {}
-        for mode in ("streamed", "eager"):
-            evaluator = QuasiGuardedEvaluator(
-                program, dependencies=dependencies, mode=mode
-            )
-            result = evaluator.evaluate(encoded)
-            assert result.holds("ok")
-            answers[mode] = result.unary_answers("covered")
+        evaluator = QuasiGuardedEvaluator(program, dependencies=dependencies)
+        result = evaluator.evaluate(encoded)
+        assert result.holds("ok")
+        answers = {
+            "streamed": result.unary_answers("covered"),
+            "reference": reference_answers(program, encoded, "covered"),
+        }
         for backend in REFERENCE_ENGINES:
             answers[backend] = _engine_answers(
                 program, encoded, "covered", backend

@@ -4,9 +4,8 @@ The linear-time guarantee only holds inside the bounded-treewidth
 envelope; a serving layer facing arbitrary inputs bounds each solve
 with a :class:`SolveBudget` instead of letting a pathological one run
 away.  This suite pins the meter itself (trip conditions, consumption
-reporting), the budget threading through both quasi-guarded modes and
-``CourcelleSolver.decide/query``, and the
-``with_backend`` sibling-clone used as the service's fallback route.
+reporting), and the budget threading through the streamed
+quasi-guarded solve and ``CourcelleSolver.decide/query``.
 """
 
 import time
@@ -107,21 +106,10 @@ class TestBudgetMeter:
 
 
 class TestSolverBudgetThreading:
-    """The budget reaches the fixpoint loops of every mode, and an
+    """The budget reaches the streamed fixpoint loops, and an
     over-budget solve raises instead of running away."""
 
-    @pytest.mark.parametrize(
-        "backend", ["quasi-guarded", "quasi-guarded-eager"]
-    )
-    def test_ground_rule_cap_trips_in_every_mode(self, backend):
-        solver = CourcelleSolver(
-            formulas.has_neighbor("x"),
-            GRAPH_SIGNATURE,
-            width=1,
-            free_var="x",
-            structure_filter=undirected_graph_filter,
-            backend=backend,
-        )
+    def test_ground_rule_cap_trips_the_solve(self, solver):
         tight = SolveBudget(max_ground_rules=5)
         with pytest.raises(BudgetExceeded) as info:
             solver.query(chain(40), budget=tight)
@@ -156,45 +144,21 @@ class TestSolverBudgetThreading:
         second = solver.query(chain(8), budget=meter)
         assert first == second
 
-
-class TestWithBackend:
-    """``with_backend`` -- the service's budget-fallback route."""
-
-    def test_same_backend_returns_self(self, solver):
-        assert solver.with_backend("quasi-guarded") is solver
-
-    def test_sibling_shares_compiled_program(self, solver):
-        eager = solver.with_backend("quasi-guarded-eager")
-        assert eager.compiled is solver.compiled  # no recompilation
-        assert eager.backend_name == "quasi-guarded-eager"
-        assert solver.backend_name == "quasi-guarded"  # original untouched
-
-    @pytest.mark.parametrize("backend", ["quasi-guarded-eager"])
-    def test_fallback_conformance(self, solver, backend):
-        # the sibling must answer exactly like the primary on in-budget
-        # inputs -- the conformance pin behind graceful degradation --
-        # and both like the generic engines on the same program
+    def test_budgeted_solve_matches_reference_grounder(self, solver):
+        # an in-budget solve answers exactly like the eager reference
+        # grounder and the generic engines on the same A_td encoding
         from repro.core import ANSWER_PREDICATE
         from repro.datalog import solve
 
-        sibling = solver.with_backend(backend)
+        from ..conftest import reference_query
+
+        roomy = SolveBudget(max_seconds=120, max_ground_rules=10**8)
         for n in (2, 7, 19):
-            want = solver.query(chain(n))
-            assert sibling.query(chain(n)) == want
+            want = solver.query(chain(n), budget=roomy)
+            assert reference_query(solver, chain(n)) == want
             encoded = solver._prepare(chain(n), None)
             for engine in ("semi-naive", "naive"):
                 derived = solve(solver.compiled.program, encoded, backend=engine)
                 assert {
                     args[0] for args in derived.relation(ANSWER_PREDICATE)
                 } == want, engine
-
-    def test_generic_engines_are_not_fallbacks(self, solver):
-        with pytest.raises(ValueError, match="quasi-guarded-eager"):
-            solver.with_backend("semi-naive")
-
-    def test_sibling_survives_pickling(self, solver):
-        import pickle
-
-        sibling = solver.with_backend("quasi-guarded-eager")
-        clone = pickle.loads(pickle.dumps(sibling))
-        assert clone.query(chain(9)) == solver.query(chain(9))

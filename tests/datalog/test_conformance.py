@@ -479,31 +479,35 @@ class TestReplannedConformance:
 
     @staticmethod
     def _static_model_modes_match_naive(program, db, cache=None):
-        """Both quasi-guarded modes, planned under the static ``A_td``
-        model of the width-1 key dependencies, derive the naive
-        engine's model."""
+        """The streamed solve and the eager reference grounder, both
+        planned under the static ``A_td`` model of the width-1 key
+        dependencies, derive the naive engine's model."""
         from repro.core import QuasiGuardedEvaluator
         from repro.datalog.guards import td_key_dependencies
 
         reference = _derived_relations(
             solve(program, db, backend="naive"), program
         )
-        for mode in ("streamed", "eager"):
-            try:
-                evaluator = QuasiGuardedEvaluator(
-                    program,
-                    mode=mode,
-                    dependencies=td_key_dependencies(3),
-                    require_quasi_guarded=False,
-                    cache=cache if cache is not None else ProgramCache(),
-                )
-            except NotGroundableError:
-                return  # outside the Theorem 4.4 fragment: nothing to pin
-            facts = evaluator.evaluate(db).facts
+        try:
+            evaluator = QuasiGuardedEvaluator(
+                program,
+                dependencies=td_key_dependencies(3),
+                require_quasi_guarded=False,
+                cache=cache if cache is not None else ProgramCache(),
+            )
+        except NotGroundableError:
+            return  # outside the Theorem 4.4 fragment: nothing to pin
+        models = {
+            "streamed": evaluator.evaluate(db).facts,
+            "eager": evaluate_via_grounding(
+                program, db, prepared=evaluator._prepared
+            ),
+        }
+        for route, facts in models.items():
             for predicate, want in reference.items():
                 assert {
                     f.args for f in facts if f.predicate == predicate
-                } == want, (mode, predicate)
+                } == want, (route, predicate)
 
     @given(program=monadic_programs(), db=datalog_databases())
     def test_static_td_model_quasi_guarded_modes_match_naive(
@@ -598,7 +602,7 @@ class TestSolveManySharding:
         # order is positional: a permuted input permutes the output
         reordered = solver.solve_many(list(reversed(structures)), workers=2)
         assert reordered == list(reversed(serial))
-        # the pool's workers rebuild the solver from its pickle: the
+        # the service's workers rebuild the solver from its pickle: the
         # statically planned grounding (step table, per-rule step ids,
         # group table, index selection) arrives intact and answers as
         # in process
@@ -614,6 +618,20 @@ class TestSolveManySharding:
         )
         assert theirs.registry is not None
         assert [clone.query(s) for s in structures] == serial
+
+    def test_pool_failure_raises_shard_failed_with_fingerprint(self):
+        import pytest
+
+        from repro.service import ShardFailed
+        from repro.structures import Graph, graph_to_structure
+        from repro.structures.structure import structure_fingerprint
+
+        solver = self._solver()
+        wide = graph_to_structure(Graph.complete(5))
+        batch = self._structures()[:2] + [wide] + self._structures()[2:3]
+        with pytest.raises(ShardFailed, match="WidthExceeded") as info:
+            solver.solve_many(batch, workers=2)
+        assert info.value.fingerprint == structure_fingerprint(wide)
 
     def test_mismatched_tds_rejected(self):
         import pytest

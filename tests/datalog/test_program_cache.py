@@ -14,7 +14,7 @@ from repro.datalog import (
     var,
 )
 
-from ..conftest import TC_TEXT, chain_edges as chain_db
+from ..conftest import TC_TEXT, chain_edges as chain_db, reference_query
 
 
 class TestFingerprint:
@@ -215,22 +215,21 @@ class TestGroundingCache:
         )
         deps = td_key_dependencies(1)
         cache = ProgramCache()
-        streamed = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache
-        )
-        eager = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache, mode="eager"
+        full = QuasiGuardedEvaluator(program, dependencies=deps, cache=cache)
+        demanded = QuasiGuardedEvaluator(
+            program, dependencies=deps, cache=cache, demand="top"
         )
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
-        assert eager._prepared is streamed._prepared
-        assert streamed._prepared.deferred == frozenset({"top"})
+        assert demanded._prepared is full._prepared
+        assert full._prepared.deferred == frozenset({"top"})
 
     def test_differently_optimized_solvers_share_one_cache(self):
         """Folded and pass-free solver variants cached side by side
-        answer identically, and clones via with_backend keep the
-        variant's own program (the regression for pass-config
-        fingerprinting)."""
+        answer identically, and pickled clones keep the variant's own
+        program (the regression for pass-config fingerprinting)."""
+        import pickle
+
         from repro.core import CourcelleSolver, undirected_graph_filter
         from repro.mso import formulas
         from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
@@ -254,12 +253,16 @@ class TestGroundingCache:
         structure = graph_to_structure(Graph.path(6))
         want = optimized.query(structure)
         assert ablated.query(structure) == want
-        # backend clones inherit their parent's program and answer the
-        # same; nothing leaks across the shared cache
+        # each variant's own plans answer like the reference grounder,
+        # pickled clones carry their parent's program, and nothing leaks
+        # across the shared cache
         for solver in (optimized, ablated):
-            eager = solver.with_backend("quasi-guarded-eager")
-            assert eager.compiled is solver.compiled
-            assert eager.query(structure) == want
+            assert reference_query(solver, structure) == want
+            clone = pickle.loads(pickle.dumps(solver))
+            assert program_fingerprint(clone.compiled.program) == (
+                program_fingerprint(solver.compiled.program)
+            )
+            assert clone.query(structure) == want
         assert optimized.query(structure) == want
         assert ablated.query(structure) == want
 

@@ -6,8 +6,8 @@ request fails with ``PoisonInput`` after exactly ``max_retries``
 attempts and the pool stays healthy), deadline enforcement at every
 stage (submit, queue, in-flight via the overdue-kill backstop),
 injected crash/slow/drop/stall faults, cooperative budgets over the
-service with fallback conformance, crash-during-drain, and shutdown
-escalation for hung workers.
+service, crash-during-drain, and shutdown escalation for hung
+workers.
 
 Fault recipes here use ``+SKIP`` windows deliberately: worker-side
 arrival counters reset when a crashed worker is respawned, so a bare
@@ -357,24 +357,6 @@ class TestServiceBudgets:
             # a 1-vertex chain takes the below-threshold direct path
             assert handle.submit(chain(1)).result(timeout=120) == frozenset()
             assert service.stats.worker_restarts == 0
-
-    def test_fallback_backend_answers_over_budget_solves(self, solver):
-        structures = [chain(n) for n in (40, 25, 33)]
-        serial = [solver.query(s) for s in structures]
-        with SolverService(
-            workers=1,
-            budget=SolveBudget(max_ground_rules=5),
-            fallback_backend="quasi-guarded-eager",
-        ) as service:
-            handle = service.register(solver)
-            assert handle.solve_many(structures, timeout=120) == serial
-            stats = service.stats
-        assert stats.fallback_solves == 3
-        assert stats.failed == 0
-
-    def test_fallback_backend_validated_at_construction(self):
-        with pytest.raises(ValueError):
-            SolverService(workers=1, fallback_backend="no-such-backend")
 
     def test_budget_type_checked(self):
         with pytest.raises(TypeError):
