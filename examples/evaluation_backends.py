@@ -1,10 +1,10 @@
-"""Pluggable evaluation backends: naive, semi-naive (set-at-a-time and
+"""The generic datalog engines: naive, semi-naive (set-at-a-time and
 tuple-at-a-time), and magic sets.
 
-The engine evaluates any program through a named backend
-(``repro.datalog.backends``).  This example runs single-source
+``repro.datalog.solve(program, edb, backend=...)`` evaluates any
+program on the engine it names.  This example runs single-source
 reachability -- the query-driven workload where the difference is
-asymptotic -- on all of them, shows the magic-set rewrite itself, and
+asymptotic -- on all four, shows the magic-set rewrite itself, and
 demonstrates the compiled-program cache amortizing planning across
 structures, which is exactly how Theorem 4.5 amortizes compilation
 "over any number of structures".

@@ -56,9 +56,6 @@ def main() -> None:
 
     datalog = PrimalityDatalog(schema)
     print(f"Datalog interpreter agrees on 'a': {datalog.decide('a', td)}")
-    goal_directed = PrimalityDatalog(schema, backend="magic")
-    print(f"Magic-set backend agrees on 'a': {goal_directed.decide('a', td)}"
-          "  (see examples/evaluation_backends.py)")
     print(f"Datalog interpreter agrees on 'e': {not datalog.decide('e', td)}")
 
     phi = formulas.primality("x")

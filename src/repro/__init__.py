@@ -3,9 +3,8 @@
 A full reproduction of Gottlob, Pichler & Wei (PODS 2007 / arXiv
 0809.3140): the quasi-guarded monadic datalog evaluation pipeline
 (Theorem 4.4), the generic MSO-to-datalog compiler (Theorem 4.5), the
-hand-crafted 3-Colorability and PRIMALITY programs (Section 5), the
-MSO-to-FTA baseline the paper argues against, and the Table 1
-experiment harness -- on top of from-scratch substrates for finite
+hand-crafted 3-Colorability and PRIMALITY programs (Section 5), and the
+Table 1 experiment harness -- on top of from-scratch substrates for finite
 structures, tree decompositions, datalog and MSO.
 
 Each layer documents its architecture beside its code:
@@ -21,7 +20,6 @@ from . import (
     core,
     datalog,
     errors,
-    fta,
     mso,
     problems,
     service,
@@ -37,7 +35,6 @@ __all__ = [
     "core",
     "datalog",
     "errors",
-    "fta",
     "mso",
     "problems",
     "service",

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..datalog.backends import get_backend
+from ..datalog.backends import solve
 from ..datalog.evaluate import EvaluationStats
 from ..datalog.setengine import SetDatabase
 
@@ -82,8 +82,8 @@ def compare_backends(
     best-of-``repeat`` wall clock.
 
     The EDB is interned into a :class:`SetDatabase` **once per compare
-    run**: interning backends receive that database
-    and start each evaluation from a cheap
+    run**: the set-at-a-time backends (``semi-naive``, ``magic``)
+    receive that database and start each evaluation from a cheap
     :meth:`~repro.datalog.setengine.SetDatabase.snapshot` instead of
     re-paying the per-tuple structure load, while the tuple-at-a-time
     ablations keep receiving the raw EDB they operate on.
@@ -97,21 +97,28 @@ def compare_backends(
     interned_edb = None  # built on the first backend that can use it
     runs: list[BackendRun] = []
     for name in backends:
-        backend = get_backend(name, cache)
-        if hasattr(backend, "evaluate_interned"):
+        if name in ("semi-naive", "magic"):
             if interned_edb is None:
                 interned_edb = SetDatabase.from_edb(edb)
             source = interned_edb
         else:
             source = edb
-        # every backend accepts query=; non-goal-directed ones ignore it
-        backend.evaluate(program, source, query=query)  # warm-up / cache fill
+
+        def run(stats=None):
+            # every backend checks query=; only magic evaluates goal-directed
+            return solve(
+                program,
+                source,
+                backend=name,
+                query=query,
+                stats=stats,
+                cache=cache,
+            )
+
+        run()  # warm-up / cache fill
         stats = EvaluationStats()
-        backend.evaluate(program, source, query=query, stats=stats)
-        ms = time_ms(
-            lambda: backend.evaluate(program, source, query=query),
-            repeat=repeat,
-        )
+        run(stats)
+        ms = time_ms(run, repeat=repeat)
         runs.append(
             BackendRun(name, ms, stats.facts_derived, stats.rule_firings)
         )

@@ -11,8 +11,8 @@ which is what makes the data complexity linear), and is evaluated by the
 Theorem 4.4 quasi-guarded pipeline, streamed and demand-pruned.  That
 is the only solve route; the materializing reference grounder
 (:func:`repro.datalog.ground_program_ids`) and the generic bottom-up
-engines of :mod:`repro.datalog.backends` serve as oracles for compiled
-programs.
+engines behind :func:`repro.datalog.solve` serve as oracles for
+compiled programs.
 
 Batch workloads go through :meth:`CourcelleSolver.solve_many`, which
 solves in process or shards independent structures across a
@@ -56,8 +56,8 @@ class CourcelleSolver:
     online LTUR, rules irrelevant to the answer predicate pruned at
     grounding time, one shared intern pool from structure load to
     answer decoding.  Per-program planning goes through the
-    compiled-program cache, so it happens once per (program
-    fingerprint, signature, width).  The reference grounder and the
+    compiled-program cache, so it happens once per program
+    fingerprint.  The reference grounder and the
     generic bottom-up engines are test oracles for compiled programs:
     run ``repro.datalog.evaluate_via_grounding`` or
     ``repro.datalog.solve(solver.compiled.program, encoded,

@@ -1,9 +1,8 @@
-"""Pluggable evaluation backends and the compiled-program cache.
+"""The generic evaluation engines behind :func:`solve`, and the
+compiled-program cache.
 
-The engine exposes one narrow seam -- :class:`EvaluationBackend` -- so
-callers (``core/solver.py``, the problem modules, the benchmark
-harness) pick *how* a program is evaluated without knowing the
-mechanics.  Three backends ship:
+:func:`solve` is the one entry to the generic engines; its ``backend=``
+names one of four:
 
 * ``naive``            -- Jacobi-style re-derivation each round
                           (ablation baseline);
@@ -23,15 +22,12 @@ mechanics.  Three backends ship:
                           goal-directed, derives only query-relevant
                           facts.
 
-All of them share :class:`ProgramCache`, keyed by ``(program
-fingerprint, signature, width)`` (plus the query pattern for magic
-rewrites), so repeated solves over different structures skip rule
-planning, stratification, and the magic rewriting itself -- the
+All of them share :class:`ProgramCache`, keyed by the program
+fingerprint and the built-in registry (plus the query pattern for
+magic rewrites), so repeated solves over different structures skip
+rule planning, stratification, and the magic rewriting itself -- the
 per-program cost that Theorem 4.5 amortizes over "any number of
 structures".
-
-Adding a backend is ``register_backend("name", factory)``; future
-candidates (sharded, async, external-solver) plug in the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 from .ast import Atom, Program, Variable
 from .builtins import BuiltinRegistry, standard_registry
@@ -55,7 +51,6 @@ from .evaluate import (
 from .grounding import PreparedGrounding, prepare_grounding
 from .guards import KeyDependency, key_cost_model
 from .magic import MagicRewrite, magic_rewrite, normalize_query
-from .profile import CostModel, PlanProfile
 from .setengine import SetDatabase, SetSemiNaiveEvaluator
 
 #: the registry that ``registry=None`` resolves to inside the cache, so
@@ -148,11 +143,10 @@ class CacheStats:
 class ProgramCache:
     """LRU cache of per-program compilation artifacts.
 
-    Entries are keyed by ``(kind, program fingerprint, signature,
-    width, registry)``; the magic-rewrite kind adds the query pattern
-    (predicate, adornment, bound constants).  ``signature`` and
-    ``width`` are the solver-level context -- the same datalog program
-    compiled for a different signature or width is a different entry.
+    Entries are keyed by ``(kind, program fingerprint, registry)``; the
+    grounding kind adds the key dependencies its plans are ordered
+    under and the magic-rewrite kind the query pattern (predicate,
+    adornment, bound constants).
 
     Built-in registries enter the key by *identity*: two registries
     with the same predicate names may give them different semantics
@@ -247,40 +241,14 @@ class ProgramCache:
     ) -> BuiltinRegistry:
         return registry if registry is not None else _SHARED_STANDARD
 
-    @staticmethod
-    def _context_key(
-        registry: BuiltinRegistry,
-        signature=None,
-        width: int | None = None,
-    ) -> tuple:
-        sig = str(signature) if signature is not None else None
-        return (sig, width, id(registry))
-
     def prepared(
-        self,
-        program: Program,
-        registry: BuiltinRegistry | None = None,
-        *,
-        signature=None,
-        width: int | None = None,
-        profile: PlanProfile | None = None,
+        self, program: Program, registry: BuiltinRegistry | None = None
     ) -> PreparedProgram:
-        """Stratification + join plans, computed once per fingerprint.
-
-        ``profile`` (a recorded :class:`PlanProfile`) replans with its
-        cost model; profiled entries are keyed by the profile's bucketed
-        fingerprint, so the static plans and any materially different
-        replans coexist -- and warm service workers looking up the same
-        (program, profile) pair hit the cached replanned entry."""
+        """Stratification + join plans, computed once per program."""
         registry = self._resolve_registry(registry)
-        key = (
-            "prepared",
-            self._fingerprint_of(program),
-            profile.fingerprint() if profile is not None else None,
-        ) + self._context_key(registry, signature, width)
-        cost = CostModel(profile) if profile is not None else None
+        key = ("prepared", self._fingerprint_of(program), id(registry))
         return self._get_or_build(
-            key, lambda: prepare_program(program, registry, cost=cost)
+            key, lambda: prepare_program(program, registry)
         )
 
     def grounding(
@@ -288,8 +256,6 @@ class ProgramCache:
         program: Program,
         registry: BuiltinRegistry | None = None,
         *,
-        signature=None,
-        width: int | None = None,
         dependencies: tuple[KeyDependency, ...] = (),
     ) -> PreparedGrounding:
         """Extensional join orders for the Theorem 4.4 pipeline, keyed
@@ -302,7 +268,8 @@ class ProgramCache:
             "grounding",
             self._fingerprint_of(program),
             dependencies,
-        ) + self._context_key(registry, signature, width)
+            id(registry),
+        )
         return self._get_or_build(
             key,
             lambda: prepare_grounding(
@@ -315,27 +282,19 @@ class ProgramCache:
         program: Program,
         query: Atom,
         registry: BuiltinRegistry | None = None,
-        *,
-        signature=None,
-        width: int | None = None,
-        profile: PlanProfile | None = None,
     ) -> tuple[MagicRewrite, PreparedProgram]:
         """The magic rewrite for (program, query), plus its prepared form."""
         registry = self._resolve_registry(registry)
-        query_key = _query_key(query)
         key = (
             "magic",
             self._fingerprint_of(program),
-            query_key,
-            profile.fingerprint() if profile is not None else None,
-        ) + self._context_key(registry, signature, width)
-        cost = CostModel(profile) if profile is not None else None
+            _query_key(query),
+            id(registry),
+        )
 
         def build() -> tuple[MagicRewrite, PreparedProgram]:
-            rewrite = magic_rewrite(program, query, registry, cost=cost)
-            return rewrite, prepare_program(
-                rewrite.program, registry, cost=cost
-            )
+            rewrite = magic_rewrite(program, query, registry)
+            return rewrite, prepare_program(rewrite.program, registry)
 
         return self._get_or_build(key, build)
 
@@ -349,258 +308,53 @@ def default_cache() -> ProgramCache:
 
 
 # ----------------------------------------------------------------------
-# The backend protocol and the three shipped backends
+# The engines
 # ----------------------------------------------------------------------
 
-
-@runtime_checkable
-class EvaluationBackend(Protocol):
-    """Anything that can compute (a query-relevant part of) the least
-    fixpoint of ``P ∪ A`` and hand it back as a :class:`Database`."""
-
-    name: str
-
-    def evaluate(
-        self,
-        program: Program,
-        edb,
-        *,
-        query: "Atom | str | None" = None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> Database: ...
+#: the engine names :func:`solve` accepts
+_ENGINES = ("naive", "semi-naive", "semi-naive-tuple", "magic")
 
 
-class NaiveBackend:
-    """Re-fire every rule each round until nothing changes."""
-
-    name = "naive"
-
-    def __init__(self, cache: ProgramCache | None = None):
-        self.cache = cache if cache is not None else default_cache()
-
-    def evaluate(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> Database:
-        prepared = self.cache.prepared(
-            program, registry, signature=signature, width=width
-        )
-        return naive_least_fixpoint(
-            program, edb, registry, stats=stats, prepared=prepared
-        )
+def _semi_naive_interned(
+    program: Program,
+    edb,
+    *,
+    registry: BuiltinRegistry | None,
+    stats: EvaluationStats | None,
+    cache: ProgramCache,
+) -> SetDatabase:
+    """The set-at-a-time fixpoint, still in interned-id space."""
+    evaluator = SetSemiNaiveEvaluator.from_prepared(
+        cache.prepared(program, registry)
+    )
+    if stats is not None:
+        evaluator.stats = stats
+    return evaluator.run(SetDatabase.from_edb(edb))
 
 
-class SemiNaiveBackend:
-    """Stratified delta-driven fixpoint, executed set-at-a-time (the
-    default backend): interned constants, columnar batches,
-    relation-level hash joins, bitset unary relations."""
+def _magic_interned(
+    program: Program,
+    edb,
+    query: Atom,
+    *,
+    registry: BuiltinRegistry | None,
+    stats: EvaluationStats | None,
+    cache: ProgramCache,
+) -> SetDatabase:
+    """Demand-transform relative to the normalized ``query`` and
+    evaluate without leaving id space.
 
-    name = "semi-naive"
-
-    def __init__(self, cache: ProgramCache | None = None):
-        self.cache = cache if cache is not None else default_cache()
-
-    def evaluate_interned(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> SetDatabase:
-        """The fixpoint, still in interned-id space.  Goal-directed
-        callers (``CourcelleSolver``) decode only the relation they
-        need instead of the whole database."""
-        prepared = self.cache.prepared(
-            program, registry, signature=signature, width=width
-        )
-        evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
-        if stats is not None:
-            evaluator.stats = stats
-        return evaluator.run(SetDatabase.from_edb(edb))
-
-    def evaluate(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> Database:
-        return self.evaluate_interned(
-            program,
-            edb,
-            query=query,
-            registry=registry,
-            stats=stats,
-            signature=signature,
-            width=width,
-        ).decode()
-
-
-class TupleSemiNaiveBackend:
-    """The tuple-at-a-time execution of the same semi-naive plans.
-
-    Semantically identical to ``semi-naive``; retained as the ablation
-    baseline so ``bench_datalog_engine.py`` can measure what the
-    set-at-a-time representation buys."""
-
-    name = "semi-naive-tuple"
-
-    def __init__(self, cache: ProgramCache | None = None):
-        self.cache = cache if cache is not None else default_cache()
-
-    def evaluate(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> Database:
-        prepared = self.cache.prepared(
-            program, registry, signature=signature, width=width
-        )
-        evaluator = SemiNaiveEvaluator.from_prepared(prepared)
-        if stats is not None:
-            evaluator.stats = stats
-        return evaluator.evaluate(edb)
-
-
-class MagicSetBackend:
-    """Demand-transform relative to ``query``, then run semi-naive.
-
-    The returned database holds the extensional facts, the magic and
-    adorned bookkeeping predicates, and -- surfaced back under the
-    original predicate name -- every fact of the query predicate that
-    the demanded bindings reach.  Facts of *other* intensional
-    predicates are only present in adorned form: this backend answers
-    the query, it does not materialize the full least fixpoint (that is
-    the point).
-    """
-
-    name = "magic"
-
-    def __init__(self, cache: ProgramCache | None = None):
-        self.cache = cache if cache is not None else default_cache()
-
-    def evaluate_interned(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> SetDatabase:
-        """Demand-transform and evaluate without leaving id space.
-
-        The magic predicates of a monadic program are nullary or unary,
-        so the demand sets this evaluation propagates live as big-int
-        bitsets inside the set engine from seed to answer; the adorned
-        answers are aliased under the original predicate name while
-        still interned.  Nothing is decoded here -- the caller picks
-        the relation(s) it wants decoded (or calls :meth:`evaluate`
-        for the full value-level database)."""
-        if query is None:
-            raise ValueError(
-                "the magic-set backend is goal-directed: pass query="
-                "either a predicate name or an Atom with bound constants"
-            )
-        query_atom = normalize_query(program, query)
-        rewrite, prepared = self.cache.magic(
-            program,
-            query_atom,
-            registry,
-            signature=signature,
-            width=width,
-        )
-        evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
-        if stats is not None:
-            evaluator.stats = stats
-        db = evaluator.run(SetDatabase.from_edb(edb))
-        db.copy_relation(rewrite.answer_predicate, query_atom.predicate)
-        return db
-
-    def evaluate(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> Database:
-        return self.evaluate_interned(
-            program,
-            edb,
-            query=query,
-            registry=registry,
-            stats=stats,
-            signature=signature,
-            width=width,
-        ).decode()
-
-
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-
-_BACKENDS: dict[str, Callable[..., EvaluationBackend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[..., EvaluationBackend]
-) -> None:
-    """Register a backend factory; ``factory(cache=...)`` must build an
-    object satisfying :class:`EvaluationBackend`."""
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(
-    name: str, cache: ProgramCache | None = None
-) -> EvaluationBackend:
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown evaluation backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-    return factory(cache=cache)
-
-
-register_backend(NaiveBackend.name, NaiveBackend)
-register_backend(SemiNaiveBackend.name, SemiNaiveBackend)
-register_backend(TupleSemiNaiveBackend.name, TupleSemiNaiveBackend)
-register_backend(MagicSetBackend.name, MagicSetBackend)
+    The magic predicates of a monadic program are nullary or unary, so
+    the demand sets this evaluation propagates live as big-int bitsets
+    inside the set engine from seed to answer; the adorned answers are
+    aliased under the original predicate name while still interned."""
+    rewrite, prepared = cache.magic(program, query, registry)
+    evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
+    if stats is not None:
+        evaluator.stats = stats
+    db = evaluator.run(SetDatabase.from_edb(edb))
+    db.copy_relation(rewrite.answer_predicate, query.predicate)
+    return db
 
 
 def solve(
@@ -613,7 +367,47 @@ def solve(
     stats: EvaluationStats | None = None,
     cache: ProgramCache | None = None,
 ) -> Database:
-    """One-shot evaluation through a named backend."""
-    return get_backend(backend, cache).evaluate(
-        program, edb, query=query, registry=registry, stats=stats
-    )
+    """Evaluate ``program`` over ``edb`` on the engine named ``backend``.
+
+    ``query`` (a predicate name or an :class:`Atom` with bound
+    constants) must name an intensional predicate of ``program`` on
+    every engine; ``magic`` requires it and evaluates goal-directed,
+    the other three compute the full least fixpoint.  The ``magic``
+    result holds the extensional facts, the magic and adorned
+    bookkeeping predicates, and -- under the original predicate name
+    -- every fact of the query predicate the demanded bindings reach;
+    other intensional predicates exist only in adorned form.
+
+    ``semi-naive`` and ``magic`` accept a pre-interned
+    :class:`SetDatabase` as ``edb`` and start from a snapshot of it.
+    """
+    if backend not in _ENGINES:
+        raise ValueError(
+            f"unknown evaluation backend {backend!r}; "
+            f"available: {', '.join(_ENGINES)}"
+        )
+    if query is not None:
+        query = normalize_query(program, query)
+    cache = cache if cache is not None else default_cache()
+    if backend == "magic":
+        if query is None:
+            raise ValueError(
+                "the magic-set backend is goal-directed: pass query= "
+                "either a predicate name or an Atom with bound constants"
+            )
+        return _magic_interned(
+            program, edb, query, registry=registry, stats=stats, cache=cache
+        ).decode()
+    if backend == "semi-naive":
+        return _semi_naive_interned(
+            program, edb, registry=registry, stats=stats, cache=cache
+        ).decode()
+    prepared = cache.prepared(program, registry)
+    if backend == "naive":
+        return naive_least_fixpoint(
+            program, edb, registry, stats=stats, prepared=prepared
+        )
+    evaluator = SemiNaiveEvaluator.from_prepared(prepared)
+    if stats is not None:
+        evaluator.stats = stats
+    return evaluator.evaluate(edb)

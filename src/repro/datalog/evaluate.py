@@ -1,20 +1,19 @@
-"""Bottom-up datalog evaluation (the naive and semi-naive backends).
+"""Bottom-up datalog evaluation (the naive and tuple semi-naive engines).
 
 The least fixpoint of ``P ∪ A`` (Section 2.4) is computed bottom-up.
-This module is the substrate for the three pluggable evaluation
-backends registered in :mod:`repro.datalog.backends`:
+This module holds two of the engines :func:`repro.datalog.solve`
+dispatches to, and the join planning all of them share:
 
 * ``naive`` -- :func:`naive_least_fixpoint`, Jacobi-style re-derivation
   each round; the ablation baseline for the engine benchmark;
-* ``semi-naive`` -- :class:`SemiNaiveEvaluator`, stratified delta-driven
-  evaluation with on-demand hash indexes and built-in predicates; the
-  "interpreter" of Section 6, whose lazy behaviour is the paper's
-  optimization (2): "generating only those ground instances of rules
-  which actually produce new facts";
-* ``magic`` -- the demand transformation of :mod:`repro.datalog.magic`,
-  which rewrites the program relative to a query atom and then runs the
-  semi-naive evaluator on the rewritten program, deriving only facts
-  relevant to the query.
+* ``semi-naive-tuple`` -- :class:`SemiNaiveEvaluator`, stratified
+  delta-driven evaluation with on-demand hash indexes and built-in
+  predicates; the "interpreter" of Section 6, whose lazy behaviour is
+  the paper's optimization (2): "generating only those ground
+  instances of rules which actually produce new facts".  The default
+  ``semi-naive`` engine runs the same plans set-at-a-time
+  (:mod:`repro.datalog.setengine`), and ``magic`` runs them on the
+  demand-rewritten program (:mod:`repro.datalog.magic`).
 
 Stratification and per-rule join plans are computed once per program by
 :func:`prepare_program` and reused across structures (and cached across

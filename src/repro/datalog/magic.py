@@ -108,28 +108,29 @@ def normalize_query(program: Program, query: "Atom | str") -> Atom:
     """Turn a query spec into an atom: constants bound, variables free.
 
     A bare predicate name means "all arguments free"; the arity is read
-    off the program's rule heads.
+    off the program's rule heads.  The predicate must be intensional
+    (defined by some rule head) and an atom must match its arity.
     """
-    if isinstance(query, Atom):
-        for rule in program.rules:
-            if rule.head.predicate == query.predicate:
-                if rule.head.arity != query.arity:
-                    raise ValueError(
-                        f"query {query} has arity {query.arity} but "
-                        f"{query.predicate!r} is defined with arity "
-                        f"{rule.head.arity}"
-                    )
-                break
-        return query
-    for rule in program.rules:
-        if rule.head.predicate == query:
-            arity = rule.head.arity
-            return Atom(
-                query, tuple(Variable(f"_Q{i}") for i in range(arity))
-            )
-    raise ValueError(
-        f"query predicate {query!r} is not defined by any rule head"
+    predicate = query.predicate if isinstance(query, Atom) else query
+    head = next(
+        (r.head for r in program.rules if r.head.predicate == predicate),
+        None,
     )
+    if head is None:
+        raise ValueError(
+            f"query predicate {predicate!r} is not intensional: "
+            "not defined by any rule head"
+        )
+    if not isinstance(query, Atom):
+        return Atom(
+            query, tuple(Variable(f"_Q{i}") for i in range(head.arity))
+        )
+    if head.arity != query.arity:
+        raise ValueError(
+            f"query {query} has arity {query.arity} but "
+            f"{query.predicate!r} is defined with arity {head.arity}"
+        )
+    return query
 
 
 def _adornment_of(atom: Atom, bound: set[Variable]) -> str:
@@ -222,10 +223,6 @@ def magic_rewrite(
     registry = registry if registry is not None else standard_registry()
     query_atom = normalize_query(program, query)
     idb = program.intensional_predicates()
-    if query_atom.predicate not in idb:
-        raise ValueError(
-            f"query predicate {query_atom.predicate!r} is not intensional"
-        )
     totals = _total_predicates(program, idb)
     rules_for: dict[str, list[Rule]] = {}
     for rule in program.rules:

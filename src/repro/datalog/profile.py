@@ -7,8 +7,7 @@ profile-then-recompile per LOPSTR 2022):
 
 * :class:`PlanProfile` -- observed cardinalities from one or more
   evaluation runs: per-relation sizes, per-access-pattern probe fanout,
-  and per-plan-step input/output row counts.  Picklable, mergeable,
-  and fingerprintable so profiled plans can be cached per program.
+  and per-plan-step input/output row counts.
 * :class:`CostModel` -- turns a profile into the selectivity estimate
   `plan_rule` / `_order_body` use as a tie-break on equal bound-slot
   scores: exact recorded fanout when the access pattern was observed,
@@ -25,7 +24,6 @@ profile-then-recompile per LOPSTR 2022):
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -102,15 +100,6 @@ class PlanProfile:
         if rounds > self.rounds:
             self.rounds = rounds
 
-    def merge(self, other: "PlanProfile") -> None:
-        for predicate, size in other.relation_sizes.items():
-            self.record_size(predicate, size)
-        self.record_rounds(other.rounds)
-        for key, (probes, matches) in other.probe_counts.items():
-            self.record_probe(key[0], key[1], probes, matches)
-        for (rule, step), (rin, rout) in other.step_rows.items():
-            self.record_step(rule, step, rin, rout)
-
     # -- queries -------------------------------------------------------
 
     def size(self, predicate: str) -> int | None:
@@ -123,25 +112,6 @@ class PlanProfile:
         if counts is None or counts[0] <= 0:
             return None
         return counts[1] / counts[0]
-
-    def fingerprint(self) -> str:
-        """A stable digest of the profile *as the cost model sees it*.
-
-        Sizes and fanouts are bucketed by power of two before hashing:
-        the planner only reacts to relative magnitudes, so run-to-run
-        jitter in exact counts must not fragment the program cache.
-        """
-        items: list = [self.rounds.bit_length()]
-        for predicate in sorted(self.relation_sizes):
-            items.append(
-                (predicate, self.relation_sizes[predicate].bit_length())
-            )
-        for key in sorted(self.probe_counts):
-            fan = self.fanout(key[0], key[1])
-            bucket = -1 if fan is None else int(max(fan, 0.0) * 4).bit_length()
-            items.append((key, bucket))
-        digest = hashlib.sha256(repr(items).encode("utf-8"))
-        return digest.hexdigest()[:16]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,7 +28,7 @@ execution differs) relation-at-a-time:
 
 Semi-naive control flow (strata, round 0, delta-restricted rounds) is
 byte-for-byte the same shape as :class:`SemiNaiveEvaluator`, so both
-engines derive identical fact sets; the tuple path stays registered as
+engines derive identical fact sets; the tuple path stays available as
 the ``semi-naive-tuple`` backend for the ablation benchmark.
 """
 

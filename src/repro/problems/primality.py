@@ -41,7 +41,7 @@ from ..datalog.builtins import (
     make_function,
     standard_registry,
 )
-from ..datalog.backends import ProgramCache, get_backend
+from ..datalog.backends import ProgramCache, solve as backend_solve
 from ..datalog.evaluate import Database, SemiNaiveEvaluator
 from ..structures.schema import Attribute, RelationalSchema
 from ..structures.structure import Structure
@@ -806,19 +806,16 @@ def primality_program(attribute: Attribute) -> Program:
 
 
 class PrimalityDatalog:
-    """Figure 6, executed by a pluggable datalog backend.
+    """Figure 6, executed by the set-at-a-time semi-naive engine.
 
-    ``backend`` is any name registered in
-    :mod:`repro.datalog.backends`; ``"magic"`` evaluates goal-directed
-    on the 0-ary ``success`` predicate.  The cache is per-instance
-    because :func:`primality_registry` bakes the schema into its
-    built-ins (same names, schema-specific semantics).
+    The cache is per-instance because :func:`primality_registry` bakes
+    the schema into its built-ins (same names, schema-specific
+    semantics).
     """
 
-    def __init__(self, schema: RelationalSchema, backend: str = "semi-naive"):
+    def __init__(self, schema: RelationalSchema):
         self.schema = schema
         self.registry = primality_registry(schema)
-        self.backend_name = backend
         self._cache = ProgramCache()
 
     def decide(
@@ -829,9 +826,12 @@ class PrimalityDatalog:
         nice = prepare_decision_decomposition(self.schema, attribute, td)
         encoded = encode_for_primality(self.schema, nice)
         program = primality_program(attribute)
-        backend = get_backend(self.backend_name, self._cache)
-        db = backend.evaluate(
-            program, encoded, registry=self.registry, query="success"
+        db = backend_solve(
+            program,
+            encoded,
+            query="success",
+            registry=self.registry,
+            cache=self._cache,
         )
         return db.contains("success", ())
 

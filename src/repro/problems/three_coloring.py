@@ -27,7 +27,6 @@ from ..datalog.ast import Program, Rule, atom, pos, rule, var
 from ..datalog.builtins import standard_registry
 from ..datalog.backends import solve as backend_solve
 from ..datalog.evaluate import Database, SemiNaiveEvaluator
-from ..datalog.magic import adorned_base, is_magic_predicate
 from ..structures.graphs import Graph, graph_to_structure
 from ..structures.structure import Fact, Structure
 from ..treewidth.decomposition import TreeDecomposition
@@ -195,17 +194,10 @@ class ThreeColoringRun:
 
 
 class ThreeColoringDatalog:
-    """Figure 5, executed by a pluggable datalog backend.
+    """Figure 5, executed by the set-at-a-time semi-naive engine."""
 
-    ``backend`` names any evaluation backend registered in
-    :mod:`repro.datalog.backends`; the magic-set backend is evaluated
-    goal-directed on the 0-ary ``success`` predicate, in which case
-    ``solve`` facts exist only in adorned form (counted all the same).
-    """
-
-    def __init__(self, backend: str = "semi-naive") -> None:
+    def __init__(self) -> None:
         self.program = three_coloring_program()
-        self.backend_name = backend
 
     def run(
         self, graph: Graph, td: TreeDecomposition | None = None
@@ -216,20 +208,10 @@ class ThreeColoringDatalog:
         encoded = encode_for_three_coloring(graph, nice)
         # registry=None resolves to the shared standard registry so the
         # compiled-program cache hits across runs and instances
-        db = backend_solve(
-            self.program,
-            encoded,
-            backend=self.backend_name,
-            query="success",
-        )
-        solve_facts = sum(
-            len(db.relation(p))
-            for p in db.predicates()
-            if not is_magic_predicate(p) and adorned_base(p) == "solve"
-        )
+        db = backend_solve(self.program, encoded, query="success")
         return ThreeColoringRun(
             colorable=db.contains("success", ()),
-            solve_fact_count=solve_facts,
+            solve_fact_count=len(db.relation("solve")),
             database=db,
         )
 

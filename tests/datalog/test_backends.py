@@ -1,4 +1,5 @@
-"""The pluggable backends: registry, agreement, magic-set rewriting."""
+"""The generic engines behind ``solve``: names, agreement, magic-set
+rewriting."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,15 +9,10 @@ from repro.datalog import (
     Constant,
     Database,
     EvaluationStats,
-    MagicSetBackend,
-    NaiveBackend,
     ProgramCache,
-    SemiNaiveBackend,
     Variable,
     atom,
-    available_backends,
     const,
-    get_backend,
     is_magic_predicate,
     magic_rewrite,
     normalize_query,
@@ -36,36 +32,37 @@ TC = parse_program(TC_TEXT)
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Engine names and query validation
 # ----------------------------------------------------------------------
+
+BACKENDS = ("naive", "semi-naive", "semi-naive-tuple", "magic")
 
 
 class TestRegistry:
-    def test_shipped_backends(self):
-        assert {
-            "naive",
-            "semi-naive",
-            "semi-naive-tuple",
-            "magic",
-        } <= set(available_backends())
-
-    def test_get_backend_instances(self):
-        from repro.datalog import TupleSemiNaiveBackend
-
-        assert isinstance(get_backend("naive"), NaiveBackend)
-        assert isinstance(get_backend("semi-naive"), SemiNaiveBackend)
-        assert isinstance(
-            get_backend("semi-naive-tuple"), TupleSemiNaiveBackend
-        )
-        assert isinstance(get_backend("magic"), MagicSetBackend)
-
     def test_unknown_backend_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown evaluation backend"):
-            get_backend("quantum")
+        with pytest.raises(ValueError, match="unknown evaluation") as err:
+            solve(TC, chain_db(3), backend="quantum")
+        assert str(err.value).endswith("available: " + ", ".join(BACKENDS))
 
     def test_magic_requires_a_query(self):
-        with pytest.raises(ValueError, match="goal-directed"):
+        with pytest.raises(ValueError, match="goal-directed") as err:
             solve(TC, chain_db(3), backend="magic")
+        assert "pass query= either" in str(err.value)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_query_is_validated_on_every_engine(self, backend):
+        db = solve(TC, chain_db(4), backend=backend, query="path")
+        assert db.relation("path") == {
+            (i, j) for i in range(4) for j in range(i + 1, 4)
+        }
+        # a full-fixpoint engine must not hand back the whole database
+        # for a query it cannot answer: db.relation("nosuch") would read
+        # as a plausible empty answer
+        with pytest.raises(ValueError, match="'nosuch' is not intensional"):
+            solve(TC, chain_db(3), backend=backend, query="nosuch")
+        unary = atom("path", var("X"))
+        with pytest.raises(ValueError, match="arity"):
+            solve(TC, chain_db(3), backend=backend, query=unary)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.datalog import (
     GroundingStats,
     InternPool,
     Literal,
-    MagicSetBackend,
     NotGroundableError,
     PlanProfile,
     Program,
@@ -57,11 +56,12 @@ from repro.datalog import (
     ground_program_streamed,
     horn_least_model_ids,
     is_magic_predicate,
-    normalize_query,
+    magic_rewrite,
     prepare_grounding,
     prepare_program,
     solve,
 )
+from repro.datalog.backends import _magic_interned
 from repro.datalog.grounding import resolve_demand
 from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.structures import Fact
@@ -452,9 +452,9 @@ class TestReplannedConformance:
             st.sampled_from(sorted(program.intensional_predicates())),
             label="query predicate",
         )
-        rewrite, prepared = ProgramCache().magic(
-            program, normalize_query(program, predicate), profile=profile
-        )
+        cost = CostModel(profile)
+        rewrite = magic_rewrite(program, predicate, cost=cost)
+        prepared = prepare_program(rewrite.program, cost=cost)
         derived = SetSemiNaiveEvaluator.from_prepared(prepared).evaluate(db)
         assert (
             derived.relation(rewrite.answer_predicate)
@@ -680,8 +680,11 @@ class TestMagicStaysInterned:
 
         monkeypatch.setattr(setengine.SetDatabase, "decode", counting)
         tc = parse_program(TC_TEXT)
-        MagicSetBackend().evaluate(
-            tc, chain_edges(12), query=atom("path", const(0), var("Y"))
+        solve(
+            tc,
+            chain_edges(12),
+            backend="magic",
+            query=atom("path", const(0), var("Y")),
         )
         assert len(decodes) == 1
 
@@ -689,8 +692,13 @@ class TestMagicStaysInterned:
         from repro.datalog import atom, const, parse_program, var
 
         tc = parse_program(TC_TEXT)
-        sdb = MagicSetBackend().evaluate_interned(
-            tc, chain_edges(12), query=atom("path", const(0), var("Y"))
+        sdb = _magic_interned(
+            tc,
+            chain_edges(12),
+            atom("path", const(0), var("Y")),
+            registry=None,
+            stats=None,
+            cache=ProgramCache(),
         )
         magic_preds = [
             p for p in sdb.decode().predicates() if is_magic_predicate(p)

@@ -10,13 +10,15 @@ Covers the profile -> replan -> re-index loop end to end:
   indexes on random data;
 * :class:`PlanProfile` / :class:`CostModel` record and estimate as
   documented (exact fanout first, independence fallback, delta-round
-  scaling), and the fingerprint buckets away run-to-run jitter;
+  scaling);
 * the satellite regression: a rule whose textual order joins a huge
   intensional relation before its EDB guard explodes
   ``bindings_explored`` under the static plan and collapses after a
   profiled replan -- while static plans stay byte-identical to the old
   textual tie-break;
-* profiled plans are cached per (program, profile fingerprint);
+* profiled plans and profiled magic rewrites are built directly
+  (``prepare_program(cost=)``, ``magic_rewrite(cost=)``) and derive the
+  static answers, while the program cache keeps the static plans;
 * the static ``A_td`` cost model plans compiled programs once: key
   probes of ``child1``/``child2`` come before any probe of ``bag`` by
   its contents, the grounding cache keys plans by the dependencies they
@@ -40,7 +42,7 @@ from repro.datalog import (
     prepare_program,
 )
 
-from ..conftest import TC_TEXT
+from ..conftest import TC_TEXT, chain_edges
 
 #: transitive closure plus a guarded projection whose textual body
 #: order (huge IDB first, tiny EDB guard second) is the satellite bug
@@ -157,25 +159,6 @@ class TestPlanProfile:
         assert profile.fanout("edge", (0,)) == 2.0
         assert profile.fanout("edge", (1,)) is None
 
-    def test_merge_accumulates(self):
-        a, b = PlanProfile(), PlanProfile()
-        a.record_probe("r", (0,), 5, 5)
-        b.record_probe("r", (0,), 5, 15)
-        b.record_size("r", 40)
-        b.record_rounds(7)
-        a.merge(b)
-        assert a.fanout("r", (0,)) == 2.0
-        assert a.size("r") == 40
-        assert a.rounds == 7
-
-    def test_fingerprint_buckets_away_jitter(self):
-        a, b, c = PlanProfile(), PlanProfile(), PlanProfile()
-        a.record_size("edge", 100)
-        b.record_size("edge", 101)  # same power-of-two bucket
-        c.record_size("edge", 400)  # different magnitude
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-
     def test_cost_model_prefers_exact_fanout(self):
         profile = PlanProfile()
         profile.record_size("r", 10_000)
@@ -258,38 +241,49 @@ class TestReplanRegression:
         assert rec_plan == ["path", "edge"]
 
 
-class TestProfiledCache:
-    def test_profiled_plans_key_on_fingerprint(self):
+class TestProfiledPlans:
+    def test_profiled_plans_leave_the_cache_static(self):
         cache = ProgramCache()
         program = parse_program(GUARDED_TC_TEXT)
+        static = cache.prepared(program)
         profile = PlanProfile()
         evaluator = SetSemiNaiveEvaluator(
-            program,
-            prepared=cache.prepared(program),
-            profile=profile,
+            program, prepared=static, profile=profile
         )
-        evaluator.run(SetDatabase.from_edb(_guarded_chain(30)))
+        static_q = (
+            evaluator.run(SetDatabase.from_edb(_guarded_chain(30)))
+            .decode()
+            .relation("q")
+        )
+        assert len(static_q) == 29
 
-        static = cache.prepared(program)
-        replanned = cache.prepared(program, profile=profile)
-        assert replanned is not static
-        assert cache.prepared(program, profile=profile) is replanned
-        again = PlanProfile()
-        again.merge(profile)  # same contents -> same fingerprint -> hit
-        assert cache.prepared(program, profile=again) is replanned
+        replanned = prepare_program(program, cost=CostModel(profile))
+        q_plan = [s.literal.atom.predicate for s in replanned.plans[2]]
+        assert q_plan == ["src", "path"]
+        replanned_q = (
+            SetSemiNaiveEvaluator.from_prepared(replanned)
+            .run(SetDatabase.from_edb(_guarded_chain(30)))
+            .decode()
+            .relation("q")
+        )
+        assert replanned_q == static_q
+        assert cache.prepared(program) is static and len(cache) == 1
 
-    def test_magic_entries_key_on_profile_too(self):
-        from repro.datalog import atom, const, var
+    def test_profiled_magic_matches_static(self):
+        from repro.datalog import atom, const, magic_rewrite, solve, var
 
-        cache = ProgramCache()
         program = parse_program(TC_TEXT)
         query = atom("path", const(0), var("Y"))
         profile = PlanProfile()
         profile.record_size("edge", 64)
-        static = cache.magic(program, query)
-        profiled = cache.magic(program, query, profile=profile)
-        assert profiled is not static
-        assert cache.magic(program, query, profile=profile) is profiled
+        cost = CostModel(profile)
+        rewrite = magic_rewrite(program, query, cost=cost)
+        prepared = prepare_program(rewrite.program, cost=cost)
+        edb = chain_edges(12)
+        derived = SetSemiNaiveEvaluator.from_prepared(prepared).evaluate(edb)
+        static = solve(program, edb, backend="magic", query=query)
+        answers = derived.relation(rewrite.answer_predicate)
+        assert answers == static.relation("path") and len(answers) == 11
 
 
 class TestStaticTdModel:

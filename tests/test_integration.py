@@ -1,8 +1,8 @@
 """Cross-system integration tests: every route to the same answer.
 
 The paper's central claim is that the datalog route, the generic
-MSO-to-datalog route, the MSO-to-FTA route and direct MSO evaluation all
-compute the same queries -- these tests pin that down end-to-end on
+MSO-to-datalog route and direct MSO evaluation all compute the same
+queries -- these tests pin that down end-to-end on
 shared instances.
 """
 
