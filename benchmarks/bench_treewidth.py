@@ -18,7 +18,14 @@ off), and exits 1 if the slope is above ``MAX_SLOPE`` on a first
 measurement and on one re-timing, or if the min-fill width got worse
 on the partial-2-tree families below (wider than the family's
 treewidth bound, or a gap to the exact treewidth above
-``MAX_EXACT_GAP``).  It prints only; no baseline file is written.
+``MAX_EXACT_GAP``).
+
+The same run gates the ``A_td`` load: on full 2 x N ladders, N = 64 ...
+256, ``load_normalized`` (the solve path's one-pass interned load) must
+be at least ``MIN_LOAD_SPEEDUP`` times faster than its value-level
+oracle, ``encode_normalized`` followed by ``SetDatabase.from_edb``
+(best of ``REPEATS`` each), and both must decode to the same EDB.  It
+prints only; no baseline file is written.
 """
 
 import argparse
@@ -36,11 +43,14 @@ except ImportError:  # running as a plain script without install
 
 import pytest
 
+from repro.datalog import SetDatabase
 from repro.problems import random_partial_ktree
 from repro.structures import Graph, graph_to_structure
 from repro.treewidth import (
     decompose_graph,
     decompose_structure,
+    encode_normalized,
+    load_normalized,
     make_nice,
     normalize,
     treewidth_exact,
@@ -59,6 +69,11 @@ REPEATS = 9
 #: --quick: the largest tolerated min-fill gap to the exact treewidth
 #: on the small family (every member is exact today)
 MAX_EXACT_GAP = 0
+#: --quick: ladder columns N of the A_td load gate
+LOAD_COLUMNS = (64, 128, 256)
+#: --quick: the smallest tolerated speedup of ``load_normalized`` over
+#: ``encode_normalized`` + ``SetDatabase.from_edb``
+MIN_LOAD_SPEEDUP = 3.0
 
 
 def partial_2_trees():
@@ -165,6 +180,56 @@ def front_end_slope() -> float:
     return slope
 
 
+def best_ms(run, repeats: int = REPEATS) -> float:
+    """Best-of-``repeats`` ms of ``run()``, garbage collector off."""
+    best = math.inf
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
+    return best * 1e3
+
+
+def decoded(db):
+    """A loaded database as value-level relations."""
+    return {p: db.decode_relation(p) for p in db.predicates()}
+
+
+def load_gate() -> list[str]:
+    """Time both ``A_td`` loads on every ladder; the failures."""
+    failures = []
+    for columns in LOAD_COLUMNS:
+        structure = graph_to_structure(Graph.grid(2, columns))
+        ntd = normalize(decompose_structure(structure))
+
+        def oracle():
+            return SetDatabase.from_edb(encode_normalized(structure, ntd))
+
+        if decoded(load_normalized(structure, ntd)) != decoded(oracle()):
+            failures.append(f"ladder 2x{columns}: the loaded EDBs differ")
+            continue
+        fast = best_ms(lambda: load_normalized(structure, ntd))
+        slow = best_ms(oracle)
+        speedup = slow / fast
+        print(
+            f"ladder 2x{columns:<4} load {fast:6.2f} ms, encode + from_edb "
+            f"{slow:6.2f} ms: {speedup:.1f}x (gate >= {MIN_LOAD_SPEEDUP})"
+        )
+        if speedup < MIN_LOAD_SPEEDUP:
+            failures.append(
+                f"ladder 2x{columns}: load speedup {speedup:.1f}x < "
+                f"{MIN_LOAD_SPEEDUP}"
+            )
+    return failures
+
+
 def log_log_slope(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
     lx = [math.log(x) for x in xs]
@@ -197,6 +262,7 @@ def quick() -> int:
     print(f"min-fill gaps to the exact width: {gaps} (gate <= {MAX_EXACT_GAP})")
     if max(gaps) > MAX_EXACT_GAP:
         failures.append(f"min-fill gap {max(gaps)} > {MAX_EXACT_GAP}")
+    failures += load_gate()
 
     for failure in failures:
         print(f"FAIL: {failure}")
@@ -208,7 +274,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="run the scaling and width-quality gate",
+        help="run the scaling, width-quality and A_td load gates",
     )
     if not parser.parse_args(argv).quick:
         parser.error(

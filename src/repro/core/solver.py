@@ -3,7 +3,11 @@
 ``CourcelleSolver`` wires the whole pipeline together:
 
     structure  --decompose-->  TD  --normalize-->  Def. 2.3 form
-              --encode-->  A_td  --compiled datalog-->  answers
+              --load-->  A_td in interned ids  --compiled datalog-->  answers
+
+The load (:func:`repro.treewidth.encode.load_normalized`) writes
+``A_td`` straight into a :class:`~repro.datalog.setengine.SetDatabase`
+in one pass over the normalized decomposition.
 
 The datalog program comes from the Theorem 4.5 compiler (built once per
 (query, signature, width) and reusable over any number of structures,
@@ -31,14 +35,15 @@ from ..admission import POLICIES, MeterBudget, admit
 from ..datalog.backends import ProgramCache, default_cache
 from ..datalog.budget import BudgetExceeded, as_meter
 from ..datalog.guards import is_quasi_guarded
+from ..datalog.setengine import SetDatabase
 from ..errors import AdmissionRejected, WidthExceeded
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
 from ..structures.structure import Element, Structure, structure_fingerprint
 from ..treewidth.decomposition import TreeDecomposition
-from ..treewidth.encode import encode_normalized
+from ..treewidth.encode import load_normalized
 from ..treewidth.heuristics import decompose_within
-from ..treewidth.normalize import normalize, widen
+from ..treewidth.normalize import NormalizedTreeDecomposition, normalize, widen
 from .mso_to_datalog import (
     ANSWER_PREDICATE,
     CompiledQuery,
@@ -61,7 +66,8 @@ class CourcelleSolver:
     generic bottom-up engines are test oracles for compiled programs:
     run ``repro.datalog.evaluate_via_grounding`` or
     ``repro.datalog.solve(solver.compiled.program, encoded,
-    backend=...)`` on an ``A_td`` encoding.
+    backend=...)`` on the value-level ``A_td`` encoding
+    ``encode_normalized(structure, solver._normalize(structure, td))``.
     """
 
     def __init__(
@@ -185,7 +191,20 @@ class CourcelleSolver:
         structure: Structure,
         td: TreeDecomposition | None,
         verified: bool = False,
-    ):
+    ) -> SetDatabase:
+        """``A_td`` loaded into interned ids, ready for the evaluator."""
+        return load_normalized(
+            structure, self._normalize(structure, td, verified)
+        )
+
+    def _normalize(
+        self,
+        structure: Structure,
+        td: TreeDecomposition | None,
+        verified: bool = False,
+    ) -> NormalizedTreeDecomposition:
+        """The checked Definition 2.3 decomposition a solve loads
+        (decomposing first when ``td`` is ``None``)."""
         if td is None:
             # unchecked: the normalized form below is checked instead
             td, _ = decompose_within(structure, self.compiled.width)
@@ -206,7 +225,7 @@ class CourcelleSolver:
         # the axioms against the structure, so re-check only the
         # Definition 2.3 shape then
         ntd.validate(None if verified else structure)
-        return encode_normalized(structure, ntd)
+        return ntd
 
     def _too_small(self, structure: Structure) -> bool:
         """Theorem 4.5 assumes |dom| >= w + 1; below that threshold the
@@ -214,10 +233,10 @@ class CourcelleSolver:
         "w.l.o.g." escape hatch (still O(1) per structure)."""
         return len(structure.domain) < self.compiled.width + 1
 
-    def _finish(self, encoded, budget=None):
-        """Evaluate an encoded structure and decode the answer
-        (``decide`` boolean or ``query`` answer set)."""
-        result = self.evaluator.evaluate(encoded, budget=budget)
+    def _finish(self, loaded: SetDatabase, budget=None):
+        """Evaluate a loaded ``A_td`` and decode the answer (``decide``
+        boolean or ``query`` answer set)."""
+        result = self.evaluator.evaluate(loaded, budget=budget)
         if self.compiled.is_sentence:
             return result.holds(ANSWER_PREDICATE)
         return result.unary_answers(ANSWER_PREDICATE)
@@ -267,8 +286,7 @@ class CourcelleSolver:
             return answer
         if self._too_small(structure):
             return self._direct_answer(structure)
-        encoded = self._prepare(structure, td)
-        return self._finish(encoded, budget)
+        return self._finish(self._prepare(structure, td), budget)
 
     def query(
         self,
@@ -290,8 +308,7 @@ class CourcelleSolver:
             return answer
         if self._too_small(structure):
             return self._direct_answer(structure)
-        encoded = self._prepare(structure, td)
-        return self._finish(encoded, budget)
+        return self._finish(self._prepare(structure, td), budget)
 
     def solve_admitted(
         self,
@@ -356,8 +373,8 @@ class CourcelleSolver:
                     report=report,
                 ) from exc
             return answer, report
-        encoded = self._prepare(result.structure, result.td, verified=True)
-        return self._finish(encoded, budget=meter), report
+        loaded = self._prepare(result.structure, result.td, verified=True)
+        return self._finish(loaded, budget=meter), report
 
     def solve_many(
         self,

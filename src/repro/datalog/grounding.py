@@ -64,7 +64,7 @@ from .builtins import UNBOUND, BuiltinRegistry, standard_registry
 from .evaluate import Database
 from .horn import StreamingHorn, horn_least_model_ids
 from .interning import InternPool
-from .profile import CostModel, IndexSelection, min_index_selection
+from .profile import CostModel
 from .setengine import SetDatabase
 
 
@@ -134,10 +134,6 @@ class PreparedGrounding:
     #: parallel to ``program.rules``: slot-indexed driver plans for
     #: :func:`ground_program_streamed`
     stream_plans: tuple["StreamRulePlan", ...] = ()
-    #: MinIndexSelection over the plans' search signatures; installed
-    #: on the SetDatabase by the eager/streamed forms so nested probe
-    #: patterns share one lexicographic index
-    index_selection: IndexSelection | None = None
     #: sink predicates (heads occurring in no rule body) whose driven
     #: rules the streamed grounder defers to a single post-fixpoint pass
     deferred: frozenset[str] = frozenset()
@@ -164,9 +160,9 @@ def prepare_grounding(
 
     The streamed plans are split into the step table (see
     :class:`PreparedGrounding`) and per-rule step ids; each step's bind
-    code and probe-key order are fixed here, against the program's
-    index selection, and the plans are grouped by shared binding
-    prefix (:class:`StreamGroup`).
+    code and probe key (its sorted bound positions, one hash index per
+    search signature) are fixed here, and the plans are grouped by
+    shared binding prefix (:class:`StreamGroup`).
 
     The program's *sink* predicates -- heads that occur in no rule
     body, like the compiled queries' answer predicate ``phi`` -- are
@@ -187,10 +183,7 @@ def prepare_grounding(
         _stream_plan(rule, idb, registry, cost, step_table)
         for rule in program.rules
     )
-    selection = min_index_selection(
-        _grounding_signatures(plans, step_table, registry)
-    )
-    steps = tuple(_finish_step(step, selection) for step in step_table)
+    steps = tuple(_finish_step(step) for step in step_table)
     in_bodies = {
         literal.atom.predicate
         for rule in program.rules
@@ -202,47 +195,10 @@ def prepare_grounding(
         registry,
         plans,
         stream_plans,
-        selection,
         deferred,
         steps,
         _group_plans(stream_plans, steps, deferred),
     )
-
-
-def _grounding_signatures(
-    plans, stream_steps, registry: BuiltinRegistry
-) -> dict[str, set[tuple[int, ...]]]:
-    """The search signatures (bound-position sets of index probes) of
-    every extensional join step, across both the eager plans and the
-    streamed step table -- the MinIndexSelection input."""
-    signatures: dict[str, set[tuple[int, ...]]] = {}
-
-    def record(predicate: str, key: list[int], has_free: bool) -> None:
-        # only steps with both a key and free positions probe an index;
-        # fully-bound steps are membership checks, keyless ones scans
-        if key and has_free:
-            signatures.setdefault(predicate, set()).add(tuple(sorted(key)))
-
-    for ordered, _idb_literals in plans:
-        bound: set[Variable] = set()
-        for literal in ordered:
-            atom = literal.atom
-            if literal.positive and atom.predicate not in registry:
-                key: list[int] = []
-                seen: set[Variable] = set()
-                has_free = False
-                for pos, arg in enumerate(atom.args):
-                    if isinstance(arg, Constant) or arg in bound:
-                        key.append(pos)
-                    elif arg not in seen:
-                        seen.add(arg)
-                        has_free = True
-                record(atom.predicate, key, has_free)
-            bound.update(atom.variables())
-    for step in stream_steps:
-        if step.kind == "rel":
-            record(step.predicate, list(step.key), bool(step.free))
-    return signatures
 
 
 def _plan_extensional(
@@ -390,8 +346,6 @@ def ground_program_ids(
         )
     registry = prepared.registry
     stats = stats if stats is not None else GroundingStats()
-    if prepared.index_selection is not None:
-        db.use_index_selection(prepared.index_selection)
     intern = db.interner.intern
     ground_rules: list[tuple[int, tuple[int, ...]]] = []
 
@@ -559,13 +513,13 @@ def _join_relation_ids(
                 count += 1
         return out_columns, count
 
-    get, key_order = db.probe_plan(atom.predicate, key_positions)
+    get = db.index_for(atom.predicate, key_positions).get
     by_pos = {pos: cid for pos, cid in consts}
     for pos, var in bound:
         by_pos[pos] = columns[var]
-    if len(key_order) == 1:
-        # single-position indexes key on the bare id (hash and lex both)
-        key_source = by_pos[key_order[0]]
+    if len(key_positions) == 1:
+        # single-position indexes key on the bare id
+        key_source = by_pos[key_positions[0]]
         keys = (
             key_source
             if isinstance(key_source, list)
@@ -577,7 +531,7 @@ def _join_relation_ids(
                 by_pos[pos]
                 if isinstance(by_pos[pos], list)
                 else repeat(by_pos[pos], length)
-                for pos in key_order
+                for pos in key_positions
             )
         )
     for r, key in enumerate(keys):
@@ -700,7 +654,7 @@ class _StreamStep:
     Everything here is static per program: rules that join the same
     literal against the same slots share one step, interned into
     ``PreparedGrounding.steps``.  ``code`` and ``srcs`` are filled in
-    by :func:`prepare_grounding` once the index selection is known;
+    by :func:`prepare_grounding` (:func:`_finish_step`);
     :class:`_Binder` then resolves the step against a structure."""
 
     kind: str  # "rel" | "builtin" | "neg" | "neg-builtin"
@@ -877,10 +831,10 @@ _BIND_PROBE = 8  # multi-position key with a slot
 _BIND_BUILTIN = 9
 
 
-def _finish_step(step: _StreamStep, selection: IndexSelection | None):
-    """Fix a step's bind code and key/pattern sources; relation probes
-    take their key order from the program's index selection (the order
-    :meth:`SetDatabase.probe_plan` resolves the signature to)."""
+def _finish_step(step: _StreamStep):
+    """Fix a step's bind code and key/pattern sources; a relation probe
+    keys the hash index of its search signature, in sorted position
+    order (:meth:`SetDatabase.index_for`)."""
     if step.kind in ("builtin", "neg-builtin"):
         srcs: list = [None] * step.arity
         for pos, value in step.consts:
@@ -904,17 +858,11 @@ def _finish_step(step: _StreamStep, selection: IndexSelection | None):
     key = step.key
     if not key:
         return replace(step, code=_BIND_SCAN)
-    spec = selection.probe_spec(step.predicate, key) if selection else None
-    order = spec[0][: spec[1]] if spec is not None else key
     if not step.bound:
         code = _BIND_PROBE_CONST
     else:
-        code = _BIND_PROBE1 if len(order) == 1 else _BIND_PROBE
-    by_pos = {pos: (False, value) for pos, value in step.consts}
-    by_pos.update({pos: (True, s) for pos, s in step.bound})
-    return replace(
-        step, code=code, srcs=tuple(by_pos[p] for p in order)
-    )
+        code = _BIND_PROBE1 if len(key) == 1 else _BIND_PROBE
+    return replace(step, code=code, srcs=_key_srcs(step.consts, step.bound))
 
 
 def _key_srcs(consts, bound):
@@ -1112,7 +1060,7 @@ class _Binder:
             elif kind == "rel":
                 found = db.relation(predicate)
             else:
-                found = db.probe_plan(predicate, key)[0]
+                found = db.index_for(predicate, key).get
             handles[(kind, predicate, key)] = found
         return found
 
@@ -1639,8 +1587,6 @@ def ground_program_streamed(
         )
     sink = sink if sink is not None else StreamingHorn()
     stats = stats if stats is not None else GroundingStats()
-    if prepared.index_selection is not None:
-        db.use_index_selection(prepared.index_selection)
     if meter is not None:
         sink.meter = meter
         meter.check(stats.ground_rules)

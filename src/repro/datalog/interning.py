@@ -63,9 +63,25 @@ class Interner:
         interner._ids = {i: i for i in range(width)}
         return interner
 
+    @classmethod
+    def of_distinct(cls, values: list) -> "Interner":
+        """An interner giving ``values[i]`` the id ``i``, built in one
+        C-speed pass; ``values`` must be pairwise distinct (raises
+        :class:`ValueError` otherwise) and is adopted, not copied."""
+        interner = cls()
+        interner._ids = dict(zip(values, range(len(values))))
+        if len(interner._ids) != len(values):
+            raise ValueError("interned values must be pairwise distinct")
+        interner._values = values
+        interner._identity = all(
+            type(v) is int and v == i for i, v in enumerate(values)
+        )
+        return interner
+
     @property
     def is_identity(self) -> bool:
-        """True iff ``value_of(i) == i`` for every allocated id."""
+        """True iff ``value_of(i)`` is the ``int`` ``i`` for every
+        allocated id (a ``bool`` never counts, though ``True == 1``)."""
         return self._identity
 
     def __len__(self) -> int:
@@ -83,7 +99,9 @@ class Interner:
         fresh = len(self._values)
         ids[value] = fresh
         self._values.append(value)
-        if self._identity and value != fresh:
+        # compare types too: ``True == 1``, but decoding id 1 as itself
+        # would turn a stored ``True`` into ``1``
+        if self._identity and (type(value) is not int or value != fresh):
             self._identity = False
         return fresh
 

@@ -50,7 +50,7 @@ from .evaluate import (
     UnsafeRuleError,
     prepare_program,
 )
-from .interning import Interner, iter_bits
+from .interning import Interner, bitset_of, iter_bits
 from .profile import IndexSelection, PlanProfile
 
 __all__ = [
@@ -183,11 +183,15 @@ class SetDatabase:
         built-ins extend the id space above them.
 
         When every constant is already a dense non-negative int (the
-        shape every generated workload and the ``A_td`` encoding use),
-        an identity interner is seeded instead and the input fact
-        tuples are adopted as the interned tuples -- loading and
-        decoding then copy sets at C speed with no per-tuple
-        translation.
+        shape of every generated reachability workload), an identity
+        interner is seeded instead and the input fact tuples are
+        adopted as the interned tuples -- loading and decoding then
+        copy sets at C speed with no per-tuple translation.  An
+        ``A_td`` encoding never takes that path: its tree nodes are
+        :class:`~repro.treewidth.encode.TDNode` values, not ints.  The
+        solver loads ``A_td`` with
+        :func:`repro.treewidth.encode.load_normalized` instead, which
+        interns it in one pass over the normalized decomposition.
         """
         if isinstance(edb, SetDatabase):
             # already interned: snapshot instead of re-interning (the
@@ -234,6 +238,33 @@ class SetDatabase:
         for predicate, rel in relations.items():
             for tup in rel:
                 db.add(predicate, tuple(map(intern, tup)))
+        return db
+
+    @classmethod
+    def from_interned(
+        cls,
+        interner: Interner,
+        facts: dict[str, set[tuple[int, ...]]],
+        indexes: dict[str, dict[tuple[int, ...], dict]] | None = None,
+    ) -> "SetDatabase":
+        """Adopt relations that are already in ``interner``'s id space.
+
+        ``facts`` maps each predicate to its set of id tuples; the sets
+        are adopted, not copied, and empty ones are dropped.  Unary
+        relations get their bitsets here.  ``indexes`` optionally
+        pre-fills hash indexes in the :meth:`index_for` layout
+        (predicate -> positions -> key -> rows).  The caller
+        guarantees that every id is allocated in ``interner`` and that
+        each index holds exactly the relation's rows."""
+        db = cls(interner)
+        for predicate, rel in facts.items():
+            if not rel:
+                continue
+            db._facts[predicate] = rel
+            if len(next(iter(rel))) == 1:
+                db._bits[predicate] = bitset_of(args[0] for args in rel)
+        if indexes:
+            db._indexes.update(indexes)
         return db
 
     def spawn_delta(self) -> "SetDatabase":

@@ -31,7 +31,7 @@ from .normalize import (
     pad_bags_to_full_size,
     widen,
 )
-from .encode import TDNode, encode_nice, encode_normalized
+from .encode import TDNode, encode_nice, encode_normalized, load_normalized
 
 __all__ = [
     "NiceNodeKind",
@@ -50,6 +50,7 @@ __all__ = [
     "encode_normalized",
     "ensure_elements_in_leaves",
     "is_treewidth_at_most",
+    "load_normalized",
     "make_nice",
     "min_degree_order",
     "min_fill_order",

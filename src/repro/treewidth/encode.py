@@ -15,6 +15,12 @@ PRIMALITY's ``bag(t, At, Fd)``.
 Tree nodes live in the same domain as the structure's elements
 (Section 4: "The domain of A_td is the union of dom(A) and the nodes of
 T"); :class:`TDNode` wrappers keep them collision-free.
+
+:func:`load_normalized` is the solve path's form of
+:func:`encode_normalized`: it writes ``A_td`` straight into an interned
+:class:`~repro.datalog.setengine.SetDatabase` in one pass, with the
+node-keyed indexes the Theorem 4.4 grounder probes already filled.
+``encode_normalized`` stays as its value-level oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..structures.signature import Signature
+from ..datalog.interning import Interner
+from ..datalog.setengine import SetDatabase
 from ..structures.structure import Element, Structure
 from .decomposition import NodeId
 from .nice import NiceTreeDecomposition
@@ -82,6 +89,89 @@ def encode_normalized(
         root=roots, leaf=leaves, child1=child1, child2=child2, bag=bags
     )
     return Structure(signature, domain, relations)
+
+
+def load_normalized(
+    structure: Structure, ntd: NormalizedTreeDecomposition
+) -> SetDatabase:
+    """``A_td`` for a Definition 2.3 decomposition, loaded into ids.
+
+    The database equals ``SetDatabase.from_edb(encode_normalized(
+    structure, ntd))`` up to the choice of ids, built in one pass over
+    the decomposition with no value-level ``Structure`` in between.  The
+    elements get the ids ``0 .. |dom| - 1`` and the nodes the ids after
+    them; the stored values stay the elements and ``TDNode(n)``, so
+    every decode is unchanged.
+
+    The same pass fills the single-position hash indexes the grounder
+    probes by node: ``bag`` on its node and ``child1``/``child2`` on
+    either end.  By the key dependencies of Definition 4.3 every bucket
+    holds one row.
+
+    Raises :class:`ValueError` on a bag element outside the domain and
+    on a node with more than two children.
+    """
+    # raises, as in encode_normalized, if the structure already has a
+    # tau_td predicate name with another arity
+    structure.signature.extended(
+        {"root": 1, "leaf": 1, "child1": 2, "child2": 2, "bag": ntd.width + 2}
+    )
+    elements = list(structure.domain)
+    element_id = dict(zip(elements, range(len(elements))))
+    tree = ntd.tree
+    tuples = ntd.tuples
+    node_id = dict(
+        zip(tuples, range(len(elements), len(elements) + len(tuples)))
+    )
+    bag_by_node: dict[int, list] = {}
+    child1_by_child: dict[int, list] = {}
+    child1_by_parent: dict[int, list] = {}
+    child2_by_child: dict[int, list] = {}
+    child2_by_parent: dict[int, list] = {}
+    leaves = set()
+    for node, bag in tuples.items():
+        t = node_id[node]
+        try:
+            bag_by_node[t] = [(t, *map(element_id.__getitem__, bag))]
+        except KeyError as missing:
+            raise ValueError(
+                f"element {missing.args[0]!r} of the bag of node {node} "
+                "is not in the domain"
+            ) from None
+        children = tree.children(node)
+        if not children:
+            leaves.add((t,))
+            continue
+        if len(children) > 2:
+            raise ValueError(f"node {node} has more than two children")
+        # one bucket list per index: SetDatabase.add appends to them
+        row = (node_id[children[0]], t)
+        child1_by_child[row[0]] = [row]
+        child1_by_parent[t] = [row]
+        if len(children) == 2:
+            row = (node_id[children[1]], t)
+            child2_by_child[row[0]] = [row]
+            child2_by_parent[t] = [row]
+
+    to_id = element_id.__getitem__
+    facts = {
+        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
+        for name in structure.signature
+    }
+    facts.update(
+        root={(node_id[tree.root],)},
+        leaf=leaves,
+        child1={rows[0] for rows in child1_by_child.values()},
+        child2={rows[0] for rows in child2_by_child.values()},
+        bag={rows[0] for rows in bag_by_node.values()},
+    )
+    indexes = {
+        "bag": {(0,): bag_by_node},
+        "child1": {(0,): child1_by_child, (1,): child1_by_parent},
+        "child2": {(0,): child2_by_child, (1,): child2_by_parent},
+    }
+    interner = Interner.of_distinct(elements + [TDNode(n) for n in tuples])
+    return SetDatabase.from_interned(interner, facts, indexes)
 
 
 def encode_nice(

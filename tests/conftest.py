@@ -209,15 +209,24 @@ def reference_answers(program, encoded, predicate, prepared=None):
     return frozenset(f.args[0] for f in facts if f.predicate == predicate)
 
 
+def oracle_encoding(solver, structure, td=None):
+    """The value-level ``A_td`` of ``structure`` (``encode_normalized``)
+    on the normalized decomposition the solver's own load would use --
+    the oracle form of ``solver._prepare(structure, td)``."""
+    from repro.treewidth import encode_normalized
+
+    return encode_normalized(structure, solver._normalize(structure, td))
+
+
 def reference_query(solver, structure, td=None):
     """``solver.query(structure, td)`` recomputed by the eager reference
-    grounder on the same ``A_td`` encoding, with the solver's own cached
-    grounding plans."""
+    grounder on the value-level ``A_td`` encoding of the same normalized
+    decomposition, with the solver's own cached grounding plans."""
     from repro.core import ANSWER_PREDICATE
 
     return reference_answers(
         solver.compiled.program,
-        solver._prepare(structure, td),
+        oracle_encoding(solver, structure, td),
         ANSWER_PREDICATE,
         prepared=solver.evaluator._prepared,
     )

@@ -154,17 +154,14 @@ class TestOneInternPoolPerSolve:
         )
 
         loads = []
-        original_from_edb = setengine.SetDatabase.from_edb.__func__
+        original_db_init = setengine.SetDatabase.__init__
 
-        def counting_from_edb(cls, edb):
-            db = original_from_edb(cls, edb)
-            loads.append(db)
-            return db
+        def counting_db_init(self, interner=None):
+            original_db_init(self, interner)
+            loads.append(self)
 
         monkeypatch.setattr(
-            setengine.SetDatabase,
-            "from_edb",
-            classmethod(counting_from_edb),
+            setengine.SetDatabase, "__init__", counting_db_init
         )
 
         from repro.structures import Graph

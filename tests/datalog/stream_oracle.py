@@ -194,8 +194,6 @@ def ground_program_per_rule(
     """The streamed grounder, one rule at a time; returns the sink."""
     sink = sink if sink is not None else StreamingHorn()
     stats = stats if stats is not None else GroundingStats()
-    if prepared.index_selection is not None:
-        db.use_index_selection(prepared.index_selection)
     if relevant is None:
         relevant = resolve_demand(prepared.program, demand, prepared.registry)
     intern = db.interner.intern

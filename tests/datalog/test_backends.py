@@ -64,6 +64,19 @@ class TestRegistry:
         with pytest.raises(ValueError, match="arity"):
             solve(TC, chain_db(3), backend=backend, query=unary)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bool_constants_decode_as_bools(self, backend):
+        """``True == 1``, so an interner that gives ``True`` the id 1
+        must not count as the identity: decoding would return ``1``.
+        Compared with ``==`` the two answers look equal, hence the
+        type check."""
+        program = parse_program("r(X) :- q(X).")
+        db = Database.from_relations({"q": {(0,), (True,)}})
+        derived = solve(program, db, backend=backend, query="r")
+        values = sorted(args[0] for args in derived.relation("r"))
+        assert values == [0, True]
+        assert [type(v) for v in values] == [int, bool]
+
 
 # ----------------------------------------------------------------------
 # Magic-set rewriting

@@ -150,13 +150,13 @@ class TestSolverBudgetThreading:
         from repro.core import ANSWER_PREDICATE
         from repro.datalog import solve
 
-        from ..conftest import reference_query
+        from ..conftest import oracle_encoding, reference_query
 
         roomy = SolveBudget(max_seconds=120, max_ground_rules=10**8)
         for n in (2, 7, 19):
             want = solver.query(chain(n), budget=roomy)
             assert reference_query(solver, chain(n)) == want
-            encoded = solver._prepare(chain(n), None)
+            encoded = oracle_encoding(solver, chain(n))
             for engine in ("semi-naive", "naive"):
                 derived = solve(solver.compiled.program, encoded, backend=engine)
                 assert {

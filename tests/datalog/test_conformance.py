@@ -75,6 +75,7 @@ from ..conftest import (
     datalog_programs,
     deleted_ladders,
     has_neighbor_solver,
+    oracle_encoding,
 )
 from .stream_oracle import RecordingHorn, ground_program_per_rule
 
@@ -388,7 +389,7 @@ class TestGroupedStreamingMatchesPerRule:
         from repro.structures import graph_to_structure
 
         solver = has_neighbor_solver(width)
-        encoded = solver._prepare(graph_to_structure(graph), None)
+        encoded = oracle_encoding(solver, graph_to_structure(graph))
         evaluator = solver.evaluator
         grouped, per_rule = _grouped_and_per_rule(
             evaluator._prepared, encoded, evaluator._relevant
@@ -604,18 +605,13 @@ class TestSolveManySharding:
         assert reordered == list(reversed(serial))
         # the service's workers rebuild the solver from its pickle: the
         # statically planned grounding (step table, per-rule step ids,
-        # group table, index selection) arrives intact and answers as
-        # in process
+        # group table) arrives intact and answers as in process
         clone = pickle.loads(pickle.dumps(solver))
         mine = solver.evaluator._prepared
         theirs = clone.evaluator._prepared
         assert theirs.steps == mine.steps
         assert theirs.stream_plans == mine.stream_plans
         assert theirs.groups == mine.groups
-        assert (
-            theirs.index_selection.lex_specs
-            == mine.index_selection.lex_specs
-        )
         assert theirs.registry is not None
         assert [clone.query(s) for s in structures] == serial
 

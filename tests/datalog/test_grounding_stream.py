@@ -27,7 +27,7 @@ from repro.datalog import (
 from repro.datalog import grounding
 from repro.datalog.grounding import resolve_demand
 
-from ..conftest import deleted_ladders, has_neighbor_solver
+from ..conftest import deleted_ladders, has_neighbor_solver, oracle_encoding
 from .stream_oracle import RecordingHorn, ground_program_per_rule
 
 
@@ -357,8 +357,8 @@ class TestGroupTable:
         from repro.structures import graph_to_structure
 
         solver = has_neighbor_solver(2)
-        encoded = solver._prepare(
-            graph_to_structure(next(deleted_ladders())), None
+        encoded = oracle_encoding(
+            solver, graph_to_structure(next(deleted_ladders()))
         )
         runs = []
         for ground in (ground_program_streamed, ground_program_per_rule):

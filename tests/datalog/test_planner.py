@@ -389,7 +389,7 @@ class TestCompiledPlans:
         instances = sum(len(plan.step_ids) for plan in prepared.stream_plans)
         assert len(prepared.steps) == distinct < instances // 10
         calls = []
-        for name in ("bits", "relation", "probe_plan"):
+        for name in ("bits", "relation", "index_for"):
             original = getattr(SetDatabase, name)
 
             def counted(self, *args, _original=original, _name=name):

@@ -1,14 +1,27 @@
 """Tests for the tau_td encodings (Section 4 / Section 5)."""
 
-from repro.structures import Graph, graph_to_structure, running_example
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.datalog import SetDatabase
+from repro.datalog.interning import iter_bits
+from repro.problems import random_partial_ktree
+from repro.structures import Graph, graph_to_structure, relabel, running_example
 from repro.treewidth import (
+    NormalizedTreeDecomposition,
+    RootedTree,
     TDNode,
     decompose_graph,
     decompose_structure,
+    decompose_within,
     encode_nice,
     encode_normalized,
+    load_normalized,
     make_nice,
     normalize,
+    widen,
 )
 
 
@@ -102,3 +115,123 @@ class TestEncodeNice:
         encoded = encode_nice(structure, nice)
         for _, bag in encoded.relation("bag"):
             assert bag in encoded.domain
+
+
+# ----------------------------------------------------------------------
+# load_normalized: A_td straight into interned ids
+# ----------------------------------------------------------------------
+
+#: vertex labellings: sparse ints (no identity interner), strings and
+#: tuples (no int fast path at all)
+LABELS = {
+    "int": lambda v: 3 * v + 5,
+    "str": lambda v: f"v{v}",
+    "tuple": lambda v: (v % 3, v // 3),
+}
+
+
+@st.composite
+def labelled_graphs(draw):
+    """``(width, graph)``: a random forest (width 1) or partial 2-tree
+    (width 2), some isolated vertices, relabelled with ints, strings or
+    tuples."""
+    width = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(min_value=width + 1, max_value=14))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if width == 1:
+        graph = Graph(range(n))
+        for v in range(1, n):
+            if rng.random() < 0.8:
+                graph.add_edge(v, rng.randrange(v))
+    else:
+        graph, _ = random_partial_ktree(rng, n, 2, 0.6)
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    graph = Graph(range(n + isolated), graph.edges())
+    label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
+    return width, relabel(graph, {v: label(v) for v in graph.vertices})
+
+
+def normalized_at(structure, width):
+    td, _ = decompose_within(structure, width)
+    if td.width < width:
+        td = widen(td, width)
+    return normalize(td)
+
+
+#: the node-keyed indexes load_normalized fills in its one pass
+PREFILLED = (
+    ("bag", (0,)),
+    ("child1", (0,)),
+    ("child1", (1,)),
+    ("child2", (0,)),
+    ("child2", (1,)),
+)
+
+
+class TestLoadNormalized:
+    @given(case=labelled_graphs())
+    def test_equals_the_encode_then_load_oracle(self, case):
+        width, graph = case
+        structure = graph_to_structure(graph)
+        ntd = normalized_at(structure, width)
+        loaded = load_normalized(structure, ntd)
+        oracle = SetDatabase.from_edb(encode_normalized(structure, ntd))
+        assert set(loaded.predicates()) == set(oracle.predicates())
+        for predicate in oracle.predicates():
+            assert loaded.decode_relation(predicate) == oracle.decode_relation(
+                predicate
+            ), predicate
+        assert sorted(map(repr, loaded.interner.values())) == sorted(
+            map(repr, oracle.interner.values())
+        )
+        # elements take the low ids, nodes the ids after them
+        n = len(structure.domain)
+        assert {loaded.interner.value_of(i) for i in range(n)} == set(
+            structure.domain
+        )
+        assert all(
+            type(loaded.interner.value_of(i)) is TDNode
+            for i in range(n, len(loaded.interner))
+        )
+        # unary relations carry their bitsets
+        for predicate in ("root", "leaf"):
+            assert {
+                (i,) for i in iter_bits(loaded.bits(predicate))
+            } == loaded.relation(predicate), predicate
+
+    @given(case=labelled_graphs())
+    def test_prefilled_indexes_equal_the_lazy_ones(self, case):
+        width, graph = case
+        structure = graph_to_structure(graph)
+        loaded = load_normalized(structure, normalized_at(structure, width))
+        lazy = loaded.snapshot()  # the same facts, no indexes
+        for predicate, positions in PREFILLED:
+            index = loaded.index_for(predicate, positions)
+            assert index == lazy.index_for(predicate, positions)
+            # Definition 4.3's key dependencies: one row per bucket
+            assert all(len(rows) == 1 for rows in index.values())
+        assert loaded.index_stats.builds == 0  # none was built lazily
+        assert lazy.index_stats.builds == len(PREFILLED)
+
+    def test_bag_element_outside_the_domain_raises(self):
+        structure = graph_to_structure(Graph([0, 1], [(0, 1)]))
+        tree = RootedTree(0)
+        tree.add_child(0)
+        ntd = NormalizedTreeDecomposition(tree, {0: (0, 1), 1: (0, 7)})
+        with pytest.raises(ValueError, match="7 of the bag of node 1"):
+            load_normalized(structure, ntd)
+        with pytest.raises(ValueError, match="not in the domain"):
+            encode_normalized(structure, ntd)
+
+    def test_node_with_three_children_raises(self):
+        structure = graph_to_structure(Graph([0, 1], [(0, 1)]))
+        tree = RootedTree(0)
+        for _ in range(3):
+            tree.add_child(0)
+        ntd = NormalizedTreeDecomposition(
+            tree, {n: (0, 1) for n in tree.nodes()}
+        )
+        with pytest.raises(ValueError, match="more than two children"):
+            load_normalized(structure, ntd)
+        with pytest.raises(ValueError, match="more than two children"):
+            encode_normalized(structure, ntd)
