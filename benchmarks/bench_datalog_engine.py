@@ -133,7 +133,6 @@ from repro.datalog import (
     td_key_dependencies,
     var,
 )
-from repro.datalog.evaluate import _search_signatures
 
 TC = parse_program(
     """
@@ -824,9 +823,7 @@ def run_planner_comparison(quick, repeat=3):
             repeat=repeat,
         )
         selection = replanned.index_selection
-        signatures = _search_signatures(
-            replanned.program, replanned.plans, replanned.idb
-        )
+        signatures = replanned.search_signatures()
         covered = all(
             selection.covers(predicate, sig)
             for predicate, sigs in signatures.items()

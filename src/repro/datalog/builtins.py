@@ -10,7 +10,15 @@ A built-in receives a tuple of argument *slots*; bound slots carry the
 concrete value, unbound slots carry :data:`UNBOUND`.  It yields one
 tuple of concrete values per solution.  ``can_evaluate`` advertises the
 binding patterns a built-in supports, which the rule planner uses to
-order body literals.
+order body literals; ``is_functional`` marks the patterns that admit at
+most one solution, which the delta-first planner runs early.
+
+``Builtin.evaluate`` is the reference semantics (the tuple engine runs
+it per binding).  The set engine and the grounder run built-ins through
+one kernel instead: ``Builtin.compile`` checks a binding mask once and
+returns a solver with bound-argument fast paths, and
+:class:`BuiltinCall` runs it over a columnar batch of interned ids,
+memoized per evaluation.
 
 Set-valued constants are frozensets; ordered sets (``Co`` in Figure 6)
 are tuples.  All of these are "fixed-size" in the paper's sense -- their
@@ -20,6 +28,7 @@ the succinct programs equivalent to monadic ones (Theorem 5.1/5.3).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .._util import interleavings, powerset
@@ -46,31 +55,92 @@ def _mask(slots: Slots) -> tuple[bool, ...]:
     return tuple(s is not UNBOUND for s in slots)
 
 
+def _covers(mask: tuple[bool, ...], patterns) -> bool:
+    # a pattern with fewer bound slots than the mask is still fine
+    return any(
+        all(b or not need for b, need in zip(mask, pattern))
+        for pattern in patterns
+    )
+
+
+Solver = Callable[[Slots], "list[tuple] | tuple[tuple, ...]"]
+
+
 class Builtin:
     """Base class: subclasses implement ``solutions`` for the patterns
     they declare in ``patterns`` (a set of bound-masks, or ``None`` for
-    "all arguments must be bound")."""
+    "all arguments must be bound").
+
+    **Purity contract.**  A built-in is a pure function of its bound
+    arguments: equal bound values always give the same solutions, and
+    a call has no side effects.  Engines rely on it -- the set engine
+    and the grounder memoize solutions for one evaluation, keyed by the
+    interned ids of the bound arguments (:class:`BuiltinCall`).
+    """
 
     name: str
     arity: int
     #: supported binding masks; True = bound.  ``None`` means fully bound only.
     patterns: frozenset[tuple[bool, ...]] | None = None
+    #: binding masks with at most one solution (fully bound is always one)
+    functional: frozenset[tuple[bool, ...]] = frozenset()
 
     def can_evaluate(self, mask: tuple[bool, ...]) -> bool:
         if all(mask):
             return True
         if self.patterns is None:
             return False
-        # a pattern with fewer bound slots than we have is still fine
-        return any(
-            all(b or not need for b, need in zip(mask, pattern))
-            for pattern in self.patterns
-        )
+        return _covers(mask, self.patterns)
+
+    def is_functional(self, mask: tuple[bool, ...]) -> bool:
+        """Whether ``mask`` leaves at most one solution per call."""
+        return all(mask) or _covers(mask, self.functional)
 
     def solutions(self, slots: Slots) -> Iterator[tuple]:
         raise NotImplementedError
 
+    def compile(self, mask: tuple[bool, ...]) -> Solver:
+        """The solver for one binding mask, checked once, here.
+
+        The returned function takes a slots tuple with exactly the
+        bound positions of ``mask`` filled and returns the list of
+        solutions :meth:`evaluate` yields, in the same order.  An
+        unsupported mask raises :class:`ValueError` now instead of on
+        every call."""
+        mask = tuple(bool(b) for b in mask)
+        if len(mask) != self.arity:
+            raise ValueError(
+                f"{self.name}/{self.arity} compiled with {len(mask)} slots"
+            )
+        if not self.can_evaluate(mask):
+            raise ValueError(
+                f"built-in {self.name} cannot run with binding {mask}"
+            )
+        fast = self._fast_path(mask)
+        if fast is not None:
+            return fast
+        bound = tuple(i for i, b in enumerate(mask) if b)
+        solutions = self.solutions
+
+        def solve(slots: Slots) -> list[tuple]:
+            # the consistency filter compares the bound positions only
+            return [
+                solution
+                for solution in solutions(slots)
+                if all(solution[i] == slots[i] for i in bound)
+            ]
+
+        return solve
+
+    def _fast_path(self, mask: tuple[bool, ...]) -> Solver | None:
+        """A specialised solver for ``mask``, or None for the generic
+        enumerate-and-filter one.  It must return what :meth:`evaluate`
+        yields."""
+        return None
+
     def evaluate(self, slots: Slots) -> Iterator[tuple]:
+        """The reference semantics: enumerate, then keep the solutions
+        that agree with every bound slot."""
         if len(slots) != self.arity:
             raise ValueError(
                 f"{self.name}/{self.arity} called with {len(slots)} slots"
@@ -98,6 +168,10 @@ class _CheckBuiltin(Builtin):
         if self._test(*slots):
             yield tuple(slots)
 
+    def _fast_path(self, mask: tuple[bool, ...]) -> Solver:
+        test = self._test
+        return lambda slots: [slots] if test(*slots) else []
+
 
 class _FunctionBuiltin(Builtin):
     """Last argument computed from the others; also usable as a check."""
@@ -106,7 +180,7 @@ class _FunctionBuiltin(Builtin):
         self.name = name
         self.arity = arity
         self._fn = fn
-        self.patterns = frozenset(
+        self.patterns = self.functional = frozenset(
             {tuple([True] * (arity - 1) + [False])}
         )
 
@@ -116,12 +190,19 @@ class _FunctionBuiltin(Builtin):
             raise ValueError(f"{self.name}: inputs must be bound")
         yield tuple(inputs) + (self._fn(*inputs),)
 
+    def _fast_path(self, mask: tuple[bool, ...]) -> Solver | None:
+        if mask[-1]:
+            return None
+        fn = self._fn
+        return lambda slots: [slots[:-1] + (fn(*slots[:-1]),)]
+
 
 class AddElement(Builtin):
     """``add(S, V, T)``: ``T = S ⊎ {V}`` (V not already in S).
 
     Patterns: (S, V bound -> T), (T bound -> enumerate S, V),
-    (T, V bound -> S), (T, S bound -> V).
+    (T, V bound -> S), (T, S bound -> V); all but the second are
+    functional and run in O(|T|) with no enumeration.
     """
 
     name = "add"
@@ -132,6 +213,40 @@ class AddElement(Builtin):
             (False, False, True),
         }
     )
+    functional = frozenset(
+        {(True, True, False), (True, False, True), (False, True, True)}
+    )
+
+    def _fast_path(self, mask: tuple[bool, ...]) -> Solver | None:
+        if mask == (True, True, False):
+
+            def grow(slots: Slots) -> list[tuple]:
+                s, v, _ = slots
+                return [] if v in s else [(s, v, frozenset(s) | {v})]
+
+            return grow
+        if mask == (True, False, True):
+
+            def difference(slots: Slots) -> list[tuple]:
+                s, _, t = slots
+                if type(s) is not frozenset or type(t) is not frozenset:
+                    return list(self.evaluate(slots))
+                if len(t) != len(s) + 1 or not s < t:
+                    return []
+                (v,) = t - s
+                return [(s, v, t)]
+
+            return difference
+        if mask == (False, True, True):
+
+            def remove(slots: Slots) -> list[tuple]:
+                _, v, t = slots
+                if type(t) is not frozenset:
+                    return list(self.evaluate(slots))
+                return [(t - {v}, v, t)] if v in t else []
+
+            return remove
+        return None
 
     def solutions(self, slots: Slots) -> Iterator[tuple]:
         s, v, t = slots
@@ -174,6 +289,7 @@ class PartitionTwo(Builtin):
     patterns = frozenset(
         {(True, False, False), (True, True, False), (True, False, True)}
     )
+    functional = frozenset({(True, True, False), (True, False, True)})
 
     def solutions(self, slots: Slots) -> Iterator[tuple]:
         x, y, z = slots
@@ -197,11 +313,45 @@ class PartitionThree(Builtin):
     """``partition3(X, R, G, B)``: R, G, B partition X.
 
     The ``partition`` helper of the 3-Colorability program (Figure 5).
+    With X and at least two parts bound the call is a check (the third
+    part is X minus the other two), not an enumeration of 3^|X|
+    assignments.
     """
 
     name = "partition3"
     arity = 4
     patterns = frozenset({(True, False, False, False)})
+    functional = frozenset(
+        {
+            (True, True, True, False),
+            (True, True, False, True),
+            (True, False, True, True),
+        }
+    )
+
+    def _fast_path(self, mask: tuple[bool, ...]) -> Solver | None:
+        if not self.is_functional(mask):
+            return None
+        parts = tuple(i for i in (1, 2, 3) if mask[i])
+        missing = next((i for i in (1, 2, 3) if not mask[i]), None)
+
+        def check(slots: Slots) -> list[tuple]:
+            if any(type(slots[i]) is not frozenset for i in (0,) + parts):
+                return list(self.evaluate(slots))
+            x = slots[0]
+            seen: frozenset = frozenset()
+            for i in parts:
+                part = slots[i]
+                if part & seen or not part <= x:
+                    return []
+                seen |= part
+            if missing is None:
+                return [slots] if seen == x else []
+            solution = list(slots)
+            solution[missing] = x - seen
+            return [tuple(solution)]
+
+        return check
 
     def solutions(self, slots: Slots) -> Iterator[tuple]:
         x = frozenset(slots[0])
@@ -270,6 +420,128 @@ class OrderedSubsets(Builtin):
         for sub in powerset(sorted(frozenset(x), key=repr)):
             for arrangement in permutations(sub):
                 yield (x, arrangement)
+
+
+class BuiltinCall:
+    """One built-in body literal, compiled for its binding pattern: the
+    kernel the set engine and the grounder share.
+
+    The literal's positions are classified once -- ``consts`` as
+    ``(pos, raw value)``, ``bound`` and ``free`` as ``(pos, variable)``,
+    ``dups`` as ``(pos, first pos)`` for a repeated free variable -- and
+    the mask they spell is checked once, by :meth:`Builtin.compile`.
+
+    Rows arrive as interned ids.  A row's bound ids form its memo key;
+    on a miss the ids are decoded, the compiled solver runs and the
+    outputs at the unbound positions are interned.  ``memo`` is one dict
+    per evaluation, shared by every call of the same built-in and mask:
+    the purity contract of :class:`Builtin` makes the key sound, and an
+    id stands for one value because the interner belongs to the
+    database being evaluated.
+    """
+
+    __slots__ = (
+        "_arity", "_solve", "_key", "_inputs", "_outs", "_picks", "_same"
+    )
+
+    def __init__(self, builtin: Builtin, consts, bound, free, dups):
+        self._arity = builtin.arity
+        mask = [False] * builtin.arity
+        for pos, _ in (*consts, *bound):
+            mask[pos] = True
+        mask = tuple(mask)
+        self._solve = builtin.compile(mask)
+        self._key = (builtin, mask)
+        #: the key sources in position order: (pos, is_variable, value)
+        self._inputs = tuple(
+            sorted(
+                [(pos, False, value) for pos, value in consts]
+                + [(pos, True, var) for pos, var in bound],
+                key=lambda item: item[0],
+            )
+        )
+        self._outs = tuple(i for i, b in enumerate(mask) if not b)
+        slot = {pos: k for k, pos in enumerate(self._outs)}
+        #: (variable, index into a memoized output tuple)
+        self._picks = tuple((var, slot[pos]) for pos, var in free)
+        self._same = tuple((slot[pos], slot[first]) for pos, first in dups)
+
+    def _table(self, memo: dict) -> dict:
+        table = memo.get(self._key)
+        if table is None:
+            table = memo[self._key] = {}
+        return table
+
+    def _keys(self, columns, length: int, intern):
+        sources = [
+            columns[value] if is_var else repeat(intern(value), length)
+            for _, is_var, value in self._inputs
+        ]
+        return zip(*sources) if sources else repeat((), length)
+
+    def _miss(self, key: tuple, interner) -> tuple[tuple[int, ...], ...]:
+        value_of = interner.value_of
+        intern = interner.intern
+        slots = [UNBOUND] * self._arity
+        for (pos, _, _), cid in zip(self._inputs, key):
+            slots[pos] = value_of(cid)
+        outs = self._outs
+        return tuple(
+            tuple(intern(solution[p]) for p in outs)
+            for solution in self._solve(tuple(slots))
+        )
+
+    def join(self, columns: dict, length: int, live, interner, memo: dict):
+        """Extend a columnar batch (variable -> id list) by the call's
+        solutions; returns ``(columns, length)``.  Input columns outside
+        ``live`` are dropped (``None`` keeps them all)."""
+        table = self._table(memo)
+        get = table.get
+        out_columns = {
+            v: [] for v in columns if live is None or v in live
+        }
+        out_columns.update(
+            {var: [] for var, _ in self._picks if live is None or var in live}
+        )
+        old = [
+            (out_columns[v].append, columns[v])
+            for v in out_columns
+            if v in columns
+        ]
+        new = [
+            (out_columns[var].append, k)
+            for var, k in self._picks
+            if var in out_columns
+        ]
+        same = self._same
+        count = 0
+        for r, key in enumerate(self._keys(columns, length, interner.intern)):
+            found = get(key)
+            if found is None:
+                found = table[key] = self._miss(key, interner)
+            for out in found:
+                if same and any(out[i] != out[j] for i, j in same):
+                    continue
+                for append, col in old:
+                    append(col[r])
+                for append, k in new:
+                    append(out[k])
+                count += 1
+        return out_columns, count
+
+    def holds(
+        self, columns: dict, length: int, interner, memo: dict
+    ) -> list[bool]:
+        """Per row, whether the fully bound call has a solution (the
+        negated-built-in test)."""
+        table = self._table(memo)
+        flags = []
+        for key in self._keys(columns, length, interner.intern):
+            found = table.get(key)
+            if found is None:
+                found = table[key] = self._miss(key, interner)
+            flags.append(bool(found))
+        return flags
 
 
 def make_check(name: str, arity: int, test: Callable[..., bool]) -> Builtin:

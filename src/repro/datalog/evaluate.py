@@ -18,16 +18,21 @@ dispatches to, and the join planning all of them share:
 Stratification and per-rule join plans are computed once per program by
 :func:`prepare_program` and reused across structures (and cached across
 solver instances by :class:`repro.datalog.backends.ProgramCache`).
+Each rule has a round-0 plan (:func:`plan_rule`) and, per recursive
+body atom, a *delta variant* that starts at that atom
+(:func:`plan_delta_rule`): the semi-naive rounds of both semi-naive
+engines fire the variants, so a round costs what its delta touches,
+not a re-run of the round-0 join over every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
-from .builtins import UNBOUND, BuiltinRegistry, standard_registry
+from .builtins import UNBOUND, BuiltinCall, BuiltinRegistry, standard_registry
 from .passes import strongly_connected_components
 from .profile import CostModel, IndexSelection, min_index_selection
 
@@ -261,6 +266,160 @@ class PlanStep:
     kind: str  # "relation" | "builtin" | "negation"
 
 
+Choice = tuple[int, Literal, str]
+
+
+def _mask_of(a: Atom, bound: set[Variable]) -> tuple[bool, ...]:
+    return tuple(isinstance(arg, Constant) or arg in bound for arg in a.args)
+
+
+def _is_builtin(
+    a: Atom, idb: frozenset[str], registry: BuiltinRegistry
+) -> bool:
+    return a.predicate in registry and a.predicate not in idb
+
+
+def _greedy_choice(
+    remaining: Sequence[tuple[int, Literal]],
+    bound: set[Variable],
+    idb: frozenset[str],
+    registry: BuiltinRegistry,
+    cost: CostModel | None,
+    delta_predicates: frozenset[str],
+) -> Choice | None:
+    """The round-0 order's next step: the positive relation atom with
+    the most bound slots (ties on the cost estimate, then body order),
+    else the first runnable built-in, else the first fully bound
+    negation."""
+    chosen: Choice | None = None
+    best_key: tuple | None = None
+    for index, literal in remaining:
+        a = literal.atom
+        if literal.positive and not _is_builtin(a, idb, registry):
+            mask = _mask_of(a, bound)
+            est = _estimate(cost, a, mask, delta_predicates)
+            key = (-sum(mask), est, index)
+            if best_key is None or key < best_key:
+                best_key = key
+                chosen = (index, literal, "relation")
+    if chosen is not None:
+        return chosen
+    for index, literal in remaining:
+        a = literal.atom
+        if (
+            literal.positive
+            and _is_builtin(a, idb, registry)
+            and registry.get(a.predicate).can_evaluate(_mask_of(a, bound))
+        ):
+            return (index, literal, "builtin")
+    for index, literal in remaining:
+        if not literal.positive and all(_mask_of(literal.atom, bound)):
+            return (index, literal, "negation")
+    return None
+
+
+def _estimate(
+    cost: CostModel | None,
+    a: Atom,
+    mask: tuple[bool, ...],
+    delta_predicates: frozenset[str],
+) -> float:
+    if cost is None:
+        return float("inf")
+    got = cost.estimate(
+        a.predicate,
+        len(a.args),
+        tuple(i for i, b in enumerate(mask) if b),
+        delta=a.predicate in delta_predicates,
+    )
+    return float("inf") if got is None else got
+
+
+def _delta_choice(
+    remaining: Sequence[tuple[int, Literal]],
+    bound: set[Variable],
+    idb: frozenset[str],
+    registry: BuiltinRegistry,
+    cost: CostModel | None,
+) -> Choice | None:
+    """The next step of a delta variant, after its delta atom:
+
+    1. a fully bound step (semi-join, built-in check, negation);
+    2. a built-in in a functional binding pattern;
+    3. a relation atom with a bound position -- extensional before
+       intensional, then most bound first;
+    4. otherwise the round-0 choice.
+
+    Classes 1 and 2 take their first candidate in body order; class 3
+    breaks ties on the cost estimate, then body order.  Extensional
+    first is what keeps a round linear in its delta: the key
+    dependencies of the encoding (``child1(S1, S)`` by ``S1``) are
+    probed before an intensional relation whose fanout grows with the
+    input."""
+    probe: Choice | None = None
+    probe_key: tuple | None = None
+    functional: Choice | None = None
+    for index, literal in remaining:
+        a = literal.atom
+        mask = _mask_of(a, bound)
+        if not literal.positive:
+            if all(mask):
+                return (index, literal, "negation")
+        elif _is_builtin(a, idb, registry):
+            builtin = registry.get(a.predicate)
+            if all(mask):
+                return (index, literal, "builtin")
+            if functional is None and builtin.can_evaluate(mask) and (
+                builtin.is_functional(mask)
+            ):
+                functional = (index, literal, "builtin")
+        elif all(mask):
+            return (index, literal, "relation")
+        elif any(mask):
+            key = (
+                a.predicate in idb,
+                -sum(mask),
+                _estimate(cost, a, mask, frozenset()),
+                index,
+            )
+            if probe_key is None or key < probe_key:
+                probe_key = key
+                probe = (index, literal, "relation")
+    if functional is not None:
+        return functional
+    if probe is not None:
+        return probe
+    return _greedy_choice(remaining, bound, idb, registry, cost, frozenset())
+
+
+def _order_body(
+    rule: Rule,
+    remaining: list[tuple[int, Literal]],
+    bound: set[Variable],
+    plan: list[PlanStep],
+    choose,
+) -> tuple[PlanStep, ...]:
+    while remaining:
+        chosen = choose(remaining, bound)
+        if chosen is None:
+            raise UnsafeRuleError(
+                f"cannot order body of rule: {rule} (bound so far: "
+                f"{sorted(v.name for v in bound)})"
+            )
+        index, literal, kind = chosen
+        remaining.remove((index, literal))
+        bound.update(literal.atom.variables())
+        plan.append(PlanStep(literal, index, kind))
+
+    unbound_head = set(rule.head.variables()) - bound
+    if unbound_head:
+        raise UnsafeRuleError(
+            f"head variables {sorted(v.name for v in unbound_head)} "
+            f"never bound in rule: {rule}"
+        )
+    return tuple(plan)
+
+
 def plan_rule(
     rule: Rule,
     idb: frozenset[str],
@@ -292,70 +451,156 @@ def plan_rule(
     cardinality feedback never demotes a recursive atom behind a full
     extensional scan it would beat on every delta round.
     """
-    remaining: list[tuple[int, Literal]] = list(enumerate(rule.body))
-    bound: set[Variable] = set(initial_bound)
-    plan: list[PlanStep] = []
+    return _order_body(
+        rule,
+        list(enumerate(rule.body)),
+        set(initial_bound),
+        [],
+        lambda remaining, bound: _greedy_choice(
+            remaining, bound, idb, registry, cost, delta_predicates
+        ),
+    )
 
-    def atom_mask(a: Atom) -> tuple[bool, ...]:
-        return tuple(
-            isinstance(arg, Constant) or arg in bound for arg in a.args
-        )
 
-    while remaining:
-        chosen: tuple[int, Literal, str] | None = None
-        best_key: tuple | None = None
-        for index, literal in remaining:
-            a = literal.atom
-            is_builtin = a.predicate in registry and a.predicate not in idb
-            mask = atom_mask(a)
-            if literal.positive and not is_builtin:
-                score = sum(mask)
-                est = float("inf")
-                if cost is not None:
-                    got = cost.estimate(
-                        a.predicate,
-                        len(a.args),
-                        tuple(i for i, b in enumerate(mask) if b),
-                        delta=a.predicate in delta_predicates,
-                    )
-                    if got is not None:
-                        est = got
-                key = (-score, est, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    chosen = (index, literal, "relation")
-        if chosen is None:
-            for index, literal in remaining:
-                a = literal.atom
-                is_builtin = a.predicate in registry and a.predicate not in idb
-                mask = atom_mask(a)
-                if literal.positive and is_builtin and registry.get(
-                    a.predicate
-                ).can_evaluate(mask):
-                    chosen = (index, literal, "builtin")
-                    break
-        if chosen is None:
-            for index, literal in remaining:
-                if not literal.positive and all(atom_mask(literal.atom)):
-                    chosen = (index, literal, "negation")
-                    break
-        if chosen is None:
-            raise UnsafeRuleError(
-                f"cannot order body of rule: {rule} (bound so far: "
-                f"{sorted(v.name for v in bound)})"
+def plan_delta_rule(
+    rule: Rule,
+    delta_index: int,
+    idb: frozenset[str],
+    registry: BuiltinRegistry,
+    *,
+    cost: CostModel | None = None,
+) -> tuple[PlanStep, ...]:
+    """The delta variant of ``rule`` for the recursive body atom at
+    ``delta_index``: that atom runs first, as a scan of the round's
+    delta, and the rest follows :func:`_delta_choice`.  A semi-naive
+    round then pays per delta fact instead of re-running the round-0
+    plan, which scans the extensional guards over every node before it
+    reaches the delta."""
+    first = rule.body[delta_index]
+    return _order_body(
+        rule,
+        [(i, lit) for i, lit in enumerate(rule.body) if i != delta_index],
+        set(first.atom.variables()),
+        [PlanStep(first, delta_index, "relation")],
+        lambda remaining, bound: _delta_choice(
+            remaining, bound, idb, registry, cost
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
+# Step compilation: classify each atom position once per plan, not once
+# per binding (the classification is static given the join order).
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompiledStep:
+    kind: str  # "relation" | "builtin" | "negation"
+    body_index: int
+    predicate: str
+    arity: int
+    atom: Atom
+    consts: tuple[tuple[int, object], ...]  # (position, raw value)
+    bound: tuple[tuple[int, Variable], ...]  # already-bound variables
+    free: tuple[tuple[int, Variable], ...]  # first occurrences
+    dups: tuple[tuple[int, int], ...]  # repeated free var: (pos, first pos)
+    #: variables still needed by later steps or the head -- batch
+    #: columns outside this set are projected away by the step
+    live: frozenset[Variable]
+    #: ``(predicate, sorted key positions)`` of a relation step that
+    #: probes an index (it has both a key and free positions), else None
+    signature: tuple[str, tuple[int, ...]] | None
+    #: the built-in kernel of a built-in step or a negated built-in
+    call: BuiltinCall | None
+
+
+@dataclass(frozen=True)
+class CompiledHead:
+    predicate: str
+    arity: int
+    consts: tuple[tuple[int, object], ...]
+    vars: tuple[tuple[int, Variable], ...]
+
+
+def compile_plan(
+    rule: Rule,
+    plan: Sequence[PlanStep],
+    registry: BuiltinRegistry,
+    idb: frozenset[str],
+) -> tuple[CompiledStep, ...]:
+    """Classify every step of ``plan`` once.  Built-in steps get their
+    :class:`BuiltinCall`, so an unsupported binding mask raises
+    :class:`ValueError` here, not per row."""
+    # live-after set per step: the head's variables plus everything a
+    # later step still reads (classic projection push-down)
+    acc = set(rule.head.variables())
+    live_after: list[frozenset[Variable]] = [frozenset()] * len(plan)
+    for i in range(len(plan) - 1, -1, -1):
+        live_after[i] = frozenset(acc)
+        acc.update(plan[i].literal.atom.variables())
+
+    bound_vars: set[Variable] = set()
+    out: list[CompiledStep] = []
+    for step_index, step in enumerate(plan):
+        atom = step.literal.atom
+        consts: list[tuple[int, object]] = []
+        bound: list[tuple[int, Variable]] = []
+        free: list[tuple[int, Variable]] = []
+        dups: list[tuple[int, int]] = []
+        first_pos: dict[Variable, int] = {}
+        for pos, arg in enumerate(atom.args):
+            if isinstance(arg, Constant):
+                consts.append((pos, arg.value))
+            elif arg in bound_vars:
+                bound.append((pos, arg))
+            elif arg in first_pos:
+                dups.append((pos, first_pos[arg]))
+            else:
+                first_pos[arg] = pos
+                free.append((pos, arg))
+        key = tuple(sorted([p for p, _ in consts] + [p for p, _ in bound]))
+        signature = None
+        if step.kind == "relation" and free and key:
+            signature = (atom.predicate, key)
+        call = None
+        if _is_builtin(atom, idb, registry) and (
+            step.kind == "builtin" or not (free or dups)
+        ):
+            call = BuiltinCall(
+                registry.get(atom.predicate), consts, bound, free, dups
             )
-        index, literal, kind = chosen
-        remaining.remove((index, literal))
-        bound.update(literal.atom.variables())
-        plan.append(PlanStep(literal, index, kind))
-
-    unbound_head = set(rule.head.variables()) - bound
-    if unbound_head:
-        raise UnsafeRuleError(
-            f"head variables {sorted(v.name for v in unbound_head)} "
-            f"never bound in rule: {rule}"
+        out.append(
+            CompiledStep(
+                kind=step.kind,
+                body_index=step.body_index,
+                predicate=atom.predicate,
+                arity=atom.arity,
+                atom=atom,
+                consts=tuple(consts),
+                bound=tuple(bound),
+                free=tuple(free),
+                dups=tuple(dups),
+                live=live_after[step_index],
+                signature=signature,
+                call=call,
+            )
         )
-    return tuple(plan)
+        bound_vars.update(atom.variables())
+    return tuple(out)
+
+
+def compile_head(head: Atom) -> CompiledHead:
+    consts: list[tuple[int, object]] = []
+    hvars: list[tuple[int, Variable]] = []
+    for pos, arg in enumerate(head.args):
+        if isinstance(arg, Constant):
+            consts.append((pos, arg.value))
+        else:
+            hvars.append((pos, arg))
+    return CompiledHead(
+        head.predicate, head.arity, tuple(consts), tuple(hvars)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -409,13 +654,33 @@ class EvaluationStats:
 
 
 @dataclass(frozen=True)
+class DeltaVariant:
+    """One rule planned to start at one of its recursive body atoms.
+
+    A semi-naive round fires the variant with that atom restricted to
+    the round's delta.  ``plan`` is what the tuple engine walks;
+    ``steps`` is the same plan compiled for the set engine, kept here
+    so an evaluator never recompiles it."""
+
+    body_index: int
+    plan: tuple[PlanStep, ...]
+    steps: tuple[CompiledStep, ...]
+
+
+@dataclass(frozen=True)
 class StratumPlan:
     """The rules of one stratum, pre-resolved for the fixpoint loop."""
 
     rule_indices: tuple[int, ...]
-    #: per rule (parallel to ``rule_indices``): body positions holding a
-    #: positive atom of this stratum -- the delta-restriction targets.
-    recursive_positions: tuple[tuple[int, ...], ...]
+    #: per rule (parallel to ``rule_indices``): one delta variant per
+    #: body position holding a positive atom of this stratum
+    variants: tuple[tuple[DeltaVariant, ...], ...]
+
+    @property
+    def recursive(self) -> bool:
+        """Whether some rule consumes the stratum's own output; a
+        stratum that does not reaches its fixpoint in one firing."""
+        return any(self.variants)
 
 
 @dataclass(frozen=True)
@@ -423,11 +688,15 @@ class PreparedProgram:
     """A program with stratification and join plans computed once.
 
     Building one of these is the per-program cost of evaluation (plan
-    ordering, stratification, the safety checks); evaluating a prepared
-    program over a structure is the per-structure cost.  Prepared
-    programs are immutable and shared freely across evaluator instances
-    -- :class:`repro.datalog.backends.ProgramCache` keeps them keyed by
-    program fingerprint so repeated solves skip this work entirely.
+    ordering, stratification, the safety checks, step compilation);
+    evaluating a prepared program over a structure is the per-structure
+    cost.  Prepared programs are immutable and shared freely across
+    evaluator instances -- :class:`repro.datalog.backends.ProgramCache`
+    keeps them keyed by program fingerprint so repeated solves skip
+    this work entirely.
+
+    ``plans`` run in round 0 and in the fire-once strata; the delta
+    rounds of a recursive stratum run its :class:`DeltaVariant` plans.
     """
 
     program: Program
@@ -436,45 +705,33 @@ class PreparedProgram:
     strata: tuple[frozenset[str], ...]
     plans: tuple[tuple[PlanStep, ...], ...]  # parallel to program.rules
     stratum_plans: tuple[StratumPlan, ...]  # parallel to strata
+    #: ``plans`` compiled for the set engine (parallel to program.rules)
+    steps: tuple[tuple[CompiledStep, ...], ...] = field(
+        compare=False, repr=False
+    )
+    heads: tuple[CompiledHead, ...] = field(compare=False, repr=False)
     #: MinIndexSelection over the plans' extensional search signatures;
     #: installed on the SetDatabase by the set-at-a-time evaluator so
     #: nested access patterns share one lexicographic index
     index_selection: IndexSelection | None = None
 
-
-def _search_signatures(
-    program: Program,
-    plans: Sequence[tuple[PlanStep, ...]],
-    idb: frozenset[str],
-) -> dict[str, set[tuple[int, ...]]]:
-    """The extensional search signatures of the planned probe steps:
-    predicate -> set of sorted bound-position tuples.  Mirrors the
-    classification of ``setengine._compile_steps`` (constants plus
-    already-bound variables form the probe key; a step with no free
-    positions is a semi-join, not an index probe).  Intensional
-    predicates are excluded -- they mutate every delta round, and the
-    shared lexicographic indexes are rebuilt, not maintained."""
-    signatures: dict[str, set[tuple[int, ...]]] = {}
-    for rule, plan in zip(program.rules, plans):
-        bound: set[Variable] = set()
-        for step in plan:
-            atom = step.literal.atom
-            if step.kind == "relation" and atom.predicate not in idb:
-                key: list[int] = []
-                free = 0
-                seen: set[Variable] = set()
-                for pos, arg in enumerate(atom.args):
-                    if isinstance(arg, Constant) or arg in bound:
-                        key.append(pos)
-                    elif arg not in seen:
-                        seen.add(arg)
-                        free += 1
-                if key and free:
-                    signatures.setdefault(atom.predicate, set()).add(
-                        tuple(key)
-                    )
-            bound.update(step.literal.atom.variables())
-    return signatures
+    def search_signatures(self) -> dict[str, set[tuple[int, ...]]]:
+        """The extensional search signatures of every compiled probe
+        step, round 0 and delta variants alike: predicate -> sorted
+        bound-position tuples.  Intensional predicates are excluded --
+        they mutate every delta round, and the shared lexicographic
+        indexes are rebuilt, not maintained."""
+        signatures: dict[str, set[tuple[int, ...]]] = {}
+        compiled = list(self.steps)
+        for stratum_plan in self.stratum_plans:
+            for variants in stratum_plan.variants:
+                compiled.extend(variant.steps for variant in variants)
+        for steps in compiled:
+            for cstep in steps:
+                sig = cstep.signature
+                if sig is not None and sig[0] not in self.idb:
+                    signatures.setdefault(sig[0], set()).add(sig[1])
+        return signatures
 
 
 def prepare_program(
@@ -519,25 +776,36 @@ def prepare_program(
             for i, rule in enumerate(program.rules)
             if rule.head.predicate in stratum
         )
-        recursive = tuple(
-            tuple(
-                pos
-                for pos, literal in enumerate(program.rules[i].body)
-                if literal.positive and literal.atom.predicate in stratum
-            )
-            for i in indices
-        )
-        stratum_plans.append(StratumPlan(indices, recursive))
-    return PreparedProgram(
+        variants = []
+        for i in indices:
+            rule = program.rules[i]
+            rule_variants = []
+            for pos, literal in enumerate(rule.body):
+                if literal.positive and literal.atom.predicate in stratum:
+                    plan = plan_delta_rule(rule, pos, idb, registry, cost=cost)
+                    rule_variants.append(
+                        DeltaVariant(
+                            pos, plan, compile_plan(rule, plan, registry, idb)
+                        )
+                    )
+            variants.append(tuple(rule_variants))
+        stratum_plans.append(StratumPlan(indices, tuple(variants)))
+    prepared = PreparedProgram(
         program=program,
         registry=registry,
         idb=idb,
         strata=strata,
         plans=plans,
         stratum_plans=tuple(stratum_plans),
-        index_selection=min_index_selection(
-            _search_signatures(program, plans, idb)
+        steps=tuple(
+            compile_plan(rule, plan, registry, idb)
+            for rule, plan in zip(program.rules, plans)
         ),
+        heads=tuple(compile_head(rule.head) for rule in program.rules),
+    )
+    return replace(
+        prepared,
+        index_selection=min_index_selection(prepared.search_signatures()),
     )
 
 
@@ -643,11 +911,16 @@ class SemiNaiveEvaluator:
         rule_index: int,
         db: Database,
         out: list[Fact],
-        delta_index: int | None = None,
+        variant: DeltaVariant | None = None,
         delta: Database | None = None,
     ) -> None:
+        """Fire one rule: its round-0 plan, or a delta variant with the
+        variant's first atom read from ``delta``."""
         rule = self.program.rules[rule_index]
-        plan = self.prepared.plans[rule_index]
+        if variant is None:
+            plan, delta_index = self.prepared.plans[rule_index], None
+        else:
+            plan, delta_index = variant.plan, variant.body_index
         for binding in self._solutions(plan, db, delta_index, delta):
             self.stats.rule_firings += 1
             head = rule.head.substitute(
@@ -668,7 +941,7 @@ class SemiNaiveEvaluator:
             db = Database.from_facts(edb)
 
         for stratum_plan in self.prepared.stratum_plans:
-            if not any(stratum_plan.recursive_positions):
+            if not stratum_plan.recursive:
                 # single-pass route: no rule of this stratum consumes
                 # the stratum's own output (an SCC-refined nonrecursive
                 # stratum), so one firing is the fixpoint -- skip the
@@ -695,17 +968,11 @@ class SemiNaiveEvaluator:
                 self.stats.iterations += 1
                 new_delta = Database()
                 derived = []
-                for rule_index, positions in zip(
-                    stratum_plan.rule_indices, stratum_plan.recursive_positions
+                for rule_index, variants in zip(
+                    stratum_plan.rule_indices, stratum_plan.variants
                 ):
-                    for body_index in positions:
-                        self._fire(
-                            rule_index,
-                            db,
-                            derived,
-                            delta_index=body_index,
-                            delta=delta,
-                        )
+                    for variant in variants:
+                        self._fire(rule_index, db, derived, variant, delta)
                 for fact in derived:
                     if db.add(fact.predicate, fact.args):
                         new_delta.add(fact.predicate, fact.args)

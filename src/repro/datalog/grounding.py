@@ -60,7 +60,7 @@ from typing import Sequence
 
 from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
-from .builtins import UNBOUND, BuiltinRegistry, standard_registry
+from .builtins import UNBOUND, BuiltinCall, BuiltinRegistry, standard_registry
 from .evaluate import Database
 from .horn import StreamingHorn, horn_least_model_ids
 from .interning import InternPool
@@ -318,9 +318,8 @@ def _take_rows(columns: dict, keep) -> dict:
 
 # ----------------------------------------------------------------------
 # The eager form: joins over a SetDatabase of dense-int fact tuples,
-# ground rules emitted as atom ids from a shared InternPool.  The join
-# branches mirror the kernels in setengine._join/_builtin/_negate; a
-# semantics fix in one must be applied to the other.
+# ground rules emitted as atom ids from a shared InternPool.  Built-in
+# steps run through the set engine's kernel (builtins.BuiltinCall).
 # ----------------------------------------------------------------------
 
 
@@ -348,11 +347,14 @@ def ground_program_ids(
     stats = stats if stats is not None else GroundingStats()
     intern = db.interner.intern
     ground_rules: list[tuple[int, tuple[int, ...]]] = []
+    memo: dict = {}  # built-in results of this grounding (BuiltinCall)
 
     for rule, (ordered, idb_literals) in zip(
         prepared.program.rules, prepared.plans
     ):
-        columns, length = _instantiate_batch_ids(ordered, db, registry, stats)
+        columns, length = _instantiate_batch_ids(
+            ordered, db, registry, stats, memo
+        )
         if not length:
             continue
 
@@ -387,14 +389,15 @@ def _instantiate_batch_ids(
     db: SetDatabase,
     registry: BuiltinRegistry,
     stats: GroundingStats,
+    memo: dict,
 ) -> tuple[dict[Variable, list[int]], int]:
     """Run one rule's extensional join order set-at-a-time.
 
     The bindings live in a columnar batch (variable -> parallel list of
     dense ids).  Each literal classifies its argument positions once
-    and relation steps probe the interned database's indexes; only
-    built-in steps touch raw values (decoded on the way in, fresh
-    outputs interned on the way out, as in the set engine)."""
+    and relation steps probe the interned database's indexes; built-in
+    steps run the set engine's :class:`BuiltinCall` kernel with the
+    grounding's ``memo``."""
     columns: dict[Variable, list[int]] = {}
     length = 1  # the unit batch: one empty binding
     for literal in ordered:
@@ -420,25 +423,26 @@ def _instantiate_batch_ids(
                 columns, length, atom, consts, bound, free, dups, db
             )
         elif literal.positive:
-            columns, length = _join_builtin_ids(
-                columns,
-                length,
-                atom,
-                consts,
-                bound,
-                free,
-                dups,
-                registry.get(atom.predicate),
-                db,
+            call = BuiltinCall(
+                registry.get(atom.predicate), consts, bound, free, dups
+            )
+            columns, length = call.join(
+                columns, length, None, db.interner, memo
             )
         else:
             if free or dups:
                 raise NotGroundableError(
                     f"negated atom {atom} not bound during grounding"
                 )
-            columns, length = _filter_negation_ids(
-                columns, length, atom, consts, bound, db, registry
-            )
+            if atom.predicate in registry:
+                call = BuiltinCall(
+                    registry.get(atom.predicate), consts, bound, (), ()
+                )
+                held = call.holds(columns, length, db.interner, memo)
+            else:
+                held = _held_ids(columns, length, atom, consts, bound, db)
+            keep = [r for r in range(length) if not held[r]]
+            columns, length = _take_rows(columns, keep), len(keep)
         stats.bindings_explored += length
         if not length:
             break
@@ -551,83 +555,25 @@ def _join_relation_ids(
     return out_columns, count
 
 
-def _join_builtin_ids(
-    columns, length, atom, consts, bound, free, dups, builtin, db: SetDatabase
-):
-    # built-ins see raw values: decode bound ids on the way in, intern
-    # fresh outputs on the way out (exactly as setengine._builtin does)
-    interner = db.interner
-    value_of = interner.value_of
-    intern = interner.intern
+def _held_ids(columns, length, atom, consts, bound, db: SetDatabase):
+    """Per row, whether a fully bound relation atom is a fact."""
     arity = atom.arity
-    sources: list = [None] * arity
-    for pos, value in consts:
-        sources[pos] = repeat(value, length)
-    for pos, var in bound:
-        sources[pos] = [value_of(i) for i in columns[var]]
-    for pos, _ in free:
-        sources[pos] = repeat(UNBOUND, length)
-    for pos, _ in dups:
-        sources[pos] = repeat(UNBOUND, length)
-    patterns = zip(*sources) if arity else repeat((), length)
-
-    out_columns = {v: [] for v in columns}
-    out_columns.update({var: [] for _, var in free})
-    old = [(out_columns[v].append, columns[v]) for v in columns]
-    new = [(out_columns[var].append, pos) for pos, var in free]
-    count = 0
-    for r, pattern in enumerate(patterns):
-        for solution in builtin.evaluate(pattern):
-            if dups and not all(
-                solution[p] == solution[q] for p, q in dups
-            ):
-                continue
-            for append, col in old:
-                append(col[r])
-            for append, pos in new:
-                append(intern(solution[pos]))
-            count += 1
-    return out_columns, count
-
-
-def _filter_negation_ids(
-    columns, length, atom, consts, bound, db: SetDatabase, registry
-):
-    arity = atom.arity
-    if atom.predicate in registry:
-        builtin = registry.get(atom.predicate)
-        value_of = db.interner.value_of
-        sources: list = [None] * arity
-        for pos, value in consts:
-            sources[pos] = repeat(value, length)
-        for pos, var in bound:
-            sources[pos] = [value_of(i) for i in columns[var]]
-        patterns = zip(*sources) if arity else repeat((), length)
-        held_flags = [
-            bool(any(builtin.evaluate(pattern))) for pattern in patterns
-        ]
-    elif arity == 1:
+    if arity == 1:
         bits = db.bits(atom.predicate)
         if consts:
             cid = db.interner.intern(consts[0][1])
-            held_flags = [bool((bits >> cid) & 1)] * length
-        else:
-            column = columns[bound[0][1]]
-            held_flags = [
-                bool((bits >> column[r]) & 1) for r in range(length)
-            ]
-    else:
-        intern = db.interner.intern
-        rel = db.relation(atom.predicate)
-        sources = [None] * arity
-        for pos, value in consts:
-            sources[pos] = repeat(intern(value), length)
-        for pos, var in bound:
-            sources[pos] = columns[var]
-        patterns = zip(*sources) if arity else repeat((), length)
-        held_flags = [pattern in rel for pattern in patterns]
-    keep = [r for r, held in enumerate(held_flags) if not held]
-    return _take_rows(columns, keep), len(keep)
+            return [bool((bits >> cid) & 1)] * length
+        column = columns[bound[0][1]]
+        return [bool((bits >> column[r]) & 1) for r in range(length)]
+    intern = db.interner.intern
+    rel = db.relation(atom.predicate)
+    sources = [None] * arity
+    for pos, value in consts:
+        sources[pos] = repeat(intern(value), length)
+    for pos, var in bound:
+        sources[pos] = columns[var]
+    patterns = zip(*sources) if arity else repeat((), length)
+    return [pattern in rel for pattern in patterns]
 
 
 # ----------------------------------------------------------------------
@@ -991,7 +937,7 @@ _OP_SET = 1  # positive relation, fully bound: set membership
 _OP_PROBE1 = 2  # index probe, single key position (bare-id key)
 _OP_PROBE = 3  # index probe, multi-position key
 _OP_SCAN = 4  # unrestricted scan / cross product
-_OP_BUILTIN = 5  # builtin evaluation (decode in, intern out)
+_OP_BUILTIN = 5  # compiled builtin (decode in, intern out)
 _OP_NEG_BITS = 6  # negated unary relation, bound slot
 _OP_NEG_SET = 7  # negated relation, fully bound
 _OP_NEG_BUILTIN = 8  # negated builtin, fully bound
@@ -1082,16 +1028,18 @@ class _Binder:
             return None if bool(held) != negated else _DEAD
 
         if code == _BIND_BUILTIN:
-            builtin = self.registry.get(predicate)
+            # the binding mask is checked once, here, not per row
+            solve = self.registry.get(predicate).compile(
+                tuple(is_slot or v is not UNBOUND for is_slot, v in step.srcs)
+            )
             if not step.free and all(not s for s, _ in step.srcs):
-                pattern = tuple(v for _, v in step.srcs)
-                return test(any(builtin.evaluate(pattern)))
+                return test(solve(tuple(v for _, v in step.srcs)))
             value_of = self.interner.value_of
             if negated:
-                return (_OP_NEG_BUILTIN, builtin, step.srcs, value_of)
+                return (_OP_NEG_BUILTIN, solve, step.srcs, value_of)
             return (
                 _OP_BUILTIN,
-                builtin,
+                solve,
                 step.srcs,
                 step.free,
                 step.dups,
@@ -1193,16 +1141,14 @@ def _run_ops(ops, rows: list[list[int]], stats: GroundingStats):
             _, rel, key = op
             rows = [r for r in rows if key(r) not in rel]
         else:  # _OP_NEG_BUILTIN
-            _, builtin, pattern_srcs, value_of = op
+            _, solve, pattern_srcs, value_of = op
             rows = [
                 r
                 for r in rows
-                if not any(
-                    builtin.evaluate(
-                        tuple(
-                            value_of(r[v]) if is_slot else v
-                            for is_slot, v in pattern_srcs
-                        )
+                if not solve(
+                    tuple(
+                        value_of(r[v]) if is_slot else v
+                        for is_slot, v in pattern_srcs
                     )
                 )
             ]
@@ -1215,13 +1161,13 @@ def _run_ops(ops, rows: list[list[int]], stats: GroundingStats):
 def _builtin_rows(op, rows):
     # builtins see raw values: decode bound ids in, intern fresh
     # outputs (exactly as the eager forms do)
-    _, builtin, pattern_srcs, free, dups, value_of, intern = op
+    _, solve, pattern_srcs, free, dups, value_of, intern = op
     out = []
     for r in rows:
         pattern = tuple(
             value_of(r[v]) if is_slot else v for is_slot, v in pattern_srcs
         )
-        for solution in builtin.evaluate(pattern):
+        for solution in solve(pattern):
             if dups and any(solution[p] != solution[q] for p, q in dups):
                 continue
             fresh = r.copy()

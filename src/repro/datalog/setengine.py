@@ -6,8 +6,8 @@ rule's join plan one binding dict at a time: every extension copies a
 ``Atom.substitute``.  Those per-tuple constant factors are exactly what
 Section 6 of the paper warns decide the practical viability of the
 monadic-datalog route, so this module re-executes the *same* join plans
-(:func:`repro.datalog.evaluate.plan_rule` -- planning is shared, only
-execution differs) relation-at-a-time:
+(:func:`repro.datalog.evaluate.prepare_program` -- planning and step
+compilation are shared, only execution differs) relation-at-a-time:
 
 * Constants are interned into dense integer ids
   (:class:`repro.datalog.interning.Interner`) when the extensional
@@ -20,14 +20,22 @@ execution differs) relation-at-a-time:
   ``q(X) :- p(X), r(X), not s(X)`` then run as word-parallel ``&`` /
   ``& ~`` on ints with no per-row Python at all.
 * Relation steps are hash joins at the relation level: the bound
-  positions are classified once per step (they are static given the
-  plan), one incrementally-maintained index is fetched per step, and
-  the batch probes it row by row.  The tuple engine's per-binding
-  ``Database.match`` (pattern tuple + index resolution per tuple) is
-  gone.
+  positions are classified once per plan (the prepared program keeps
+  the compiled steps), one incrementally-maintained index is fetched
+  per step, and the batch probes it row by row.  The tuple engine's
+  per-binding ``Database.match`` (pattern tuple + index resolution per
+  tuple) is gone.
+* Built-in steps run the shared kernel
+  (:class:`repro.datalog.builtins.BuiltinCall`, also used by the eager
+  grounder): the binding mask was checked when the step was compiled,
+  bound-argument fast paths skip enumeration, and results are memoized
+  for one :meth:`SetSemiNaiveEvaluator.run`, keyed by the rows' input
+  ids.
 
-Semi-naive control flow (strata, round 0, delta-restricted rounds) is
-byte-for-byte the same shape as :class:`SemiNaiveEvaluator`, so both
+The strata and their fixpoint loops are those of
+:class:`SemiNaiveEvaluator`: fire-once strata and round 0 run the
+round-0 plans, and every later round fires each rule's delta variants
+(the recursive atom first, read from the round's delta), so both
 engines derive identical fact sets; the tuple path stays available as
 the ``semi-naive-tuple`` backend for the ablation benchmark.
 """
@@ -40,12 +48,12 @@ from itertools import repeat
 from typing import Iterable
 
 from ..structures.structure import Fact, Structure
-from .ast import Atom, Constant, Program, Rule, Variable
-from .builtins import UNBOUND, BuiltinRegistry
+from .ast import Program, Variable
+from .builtins import BuiltinRegistry
 from .evaluate import (
+    CompiledStep,
     Database,
     EvaluationStats,
-    PlanStep,
     PreparedProgram,
     UnsafeRuleError,
     prepare_program,
@@ -560,98 +568,7 @@ def _take(batch: Batch, keep: list[int]) -> Batch:
     )
 
 
-# ----------------------------------------------------------------------
-# Step compilation: classify each atom position once per plan, not once
-# per binding (the classification is static given the join order).
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _CompiledStep:
-    kind: str  # "relation" | "builtin" | "negation"
-    body_index: int
-    predicate: str
-    arity: int
-    atom: Atom
-    consts: tuple[tuple[int, object], ...]  # (position, raw value)
-    bound: tuple[tuple[int, Variable], ...]  # already-bound variables
-    free: tuple[tuple[int, Variable], ...]  # first occurrences
-    dups: tuple[tuple[int, int], ...]  # repeated free var: (pos, first pos)
-    #: variables still needed by later steps or the head -- batch
-    #: columns outside this set are projected away by the step
-    live: frozenset[Variable]
-
-
-@dataclass(frozen=True)
-class _CompiledHead:
-    predicate: str
-    arity: int
-    consts: tuple[tuple[int, object], ...]
-    vars: tuple[tuple[int, Variable], ...]
-
-
-def _compile_steps(
-    rule: Rule, plan: tuple[PlanStep, ...]
-) -> tuple[_CompiledStep, ...]:
-    # live-after set per step: the head's variables plus everything a
-    # later step still reads (classic projection push-down)
-    acc = set(rule.head.variables())
-    live_after: list[frozenset[Variable]] = [frozenset()] * len(plan)
-    for i in range(len(plan) - 1, -1, -1):
-        live_after[i] = frozenset(acc)
-        acc.update(plan[i].literal.atom.variables())
-
-    bound_vars: set[Variable] = set()
-    out: list[_CompiledStep] = []
-    for step_index, step in enumerate(plan):
-        atom = step.literal.atom
-        consts: list[tuple[int, object]] = []
-        bound: list[tuple[int, Variable]] = []
-        free: list[tuple[int, Variable]] = []
-        dups: list[tuple[int, int]] = []
-        first_pos: dict[Variable, int] = {}
-        for pos, arg in enumerate(atom.args):
-            if isinstance(arg, Constant):
-                consts.append((pos, arg.value))
-            elif arg in bound_vars:
-                bound.append((pos, arg))
-            elif arg in first_pos:
-                dups.append((pos, first_pos[arg]))
-            else:
-                first_pos[arg] = pos
-                free.append((pos, arg))
-        out.append(
-            _CompiledStep(
-                kind=step.kind,
-                body_index=step.body_index,
-                predicate=atom.predicate,
-                arity=atom.arity,
-                atom=atom,
-                consts=tuple(consts),
-                bound=tuple(bound),
-                free=tuple(free),
-                dups=tuple(dups),
-                live=live_after[step_index],
-            )
-        )
-        bound_vars.update(atom.variables())
-    return tuple(out)
-
-
-def _compile_head(head: Atom) -> _CompiledHead:
-    consts: list[tuple[int, object]] = []
-    hvars: list[tuple[int, Variable]] = []
-    for pos, arg in enumerate(head.args):
-        if isinstance(arg, Constant):
-            consts.append((pos, arg.value))
-        else:
-            hvars.append((pos, arg))
-    return _CompiledHead(
-        head.predicate, head.arity, tuple(consts), tuple(hvars)
-    )
-
-
-def _fact_shaped_keys(cstep: _CompiledStep, batch: Batch, consts):
+def _fact_shaped_keys(cstep: CompiledStep, batch: Batch, consts):
     """Per-row candidate fact tuples for fully-bound (semi-join /
     negation) steps; position order, so they compare against the
     stored facts directly."""
@@ -702,35 +619,8 @@ class SetSemiNaiveEvaluator:
         #: profiling half of the profile -> replan loop)
         self.profile = profile
         self._apply_selection = apply_index_selection
-        self._steps = tuple(
-            _compile_steps(rule, plan)
-            for rule, plan in zip(prepared.program.rules, prepared.plans)
-        )
-        self._heads = tuple(
-            _compile_head(rule.head) for rule in prepared.program.rules
-        )
-        #: per (rule, step): the probe step's (predicate, sorted key
-        #: positions) search signature, or None for non-probe steps --
-        #: what the profiler keys probe counts by
-        self._probe_sigs = tuple(
-            tuple(
-                (
-                    cstep.predicate,
-                    tuple(
-                        sorted(
-                            [p for p, _ in cstep.consts]
-                            + [p for p, _ in cstep.bound]
-                        )
-                    ),
-                )
-                if cstep.kind == "relation"
-                and cstep.free
-                and (cstep.consts or cstep.bound)
-                else None
-                for cstep in steps
-            )
-            for steps in self._steps
-        )
+        #: built-in results of the running evaluation (BuiltinCall memo)
+        self._memo: dict = {}
 
     @classmethod
     def from_prepared(
@@ -754,14 +644,20 @@ class SetSemiNaiveEvaluator:
             and self.prepared.index_selection is not None
         ):
             db.use_index_selection(self.prepared.index_selection)
-        for stratum_plan in self.prepared.stratum_plans:
-            if not any(stratum_plan.recursive_positions):
+        # built-ins are pure and ids are the database's: results stay
+        # valid for this evaluation only
+        self._memo = {}
+        prepared = self.prepared
+        for stratum_plan in prepared.stratum_plans:
+            if not stratum_plan.recursive:
                 # single-pass route: an SCC-refined nonrecursive
                 # stratum never consumes its own output, so one firing
                 # is its fixpoint -- no delta database, no re-fire
                 derived: list[tuple[str, tuple[int, ...]]] = []
                 for rule_index in stratum_plan.rule_indices:
-                    self._fire(rule_index, db, derived, None, None)
+                    self._fire(
+                        rule_index, prepared.steps[rule_index], db, derived
+                    )
                 stats = self.stats
                 add = db.add
                 for predicate, args in derived:
@@ -772,24 +668,30 @@ class SetSemiNaiveEvaluator:
             delta = db.spawn_delta()
             derived = []
             for rule_index in stratum_plan.rule_indices:
-                self._fire(rule_index, db, derived, None, None)
+                self._fire(rule_index, prepared.steps[rule_index], db, derived)
             self._flush(db, delta, derived)
 
-            # subsequent rounds: delta-restricted re-evaluation
+            # subsequent rounds: each rule's delta variants, the first
+            # step reading the round's delta
             while delta.fact_count():
                 self.stats.iterations += 1
                 new_delta = db.spawn_delta()
                 derived = []
-                for rule_index, positions in zip(
-                    stratum_plan.rule_indices,
-                    stratum_plan.recursive_positions,
+                for rule_index, variants in zip(
+                    stratum_plan.rule_indices, stratum_plan.variants
                 ):
-                    for body_index in positions:
+                    for variant in variants:
                         self._fire(
-                            rule_index, db, derived, body_index, delta
+                            rule_index,
+                            variant.steps,
+                            db,
+                            derived,
+                            variant.body_index,
+                            delta,
                         )
                 self._flush(db, new_delta, derived)
                 delta = new_delta
+        self._memo = {}
         if self.profile is not None:
             self.profile.record_sizes(db)
             self.profile.record_rounds(self.stats.iterations)
@@ -814,15 +716,19 @@ class SetSemiNaiveEvaluator:
     def _fire(
         self,
         rule_index: int,
+        steps: tuple[CompiledStep, ...],
         db: SetDatabase,
         out: list[tuple[str, tuple[int, ...]]],
-        delta_index: int | None,
-        delta: SetDatabase | None,
+        delta_index: int | None = None,
+        delta: SetDatabase | None = None,
     ) -> None:
         batch: Batch | BitBatch = Batch({}, 1)
         profile = self.profile
+        # step rows are profiled for the round-0 plans only: their
+        # (rule, step) positions index ``prepared.plans``
+        record_steps = profile is not None and delta_index is None
         stats = self.stats
-        for step_index, cstep in enumerate(self._steps[rule_index]):
+        for step_index, cstep in enumerate(steps):
             n_in = _size(batch) if profile is not None else 0
             from_delta = (
                 delta_index is not None
@@ -838,8 +744,9 @@ class SetSemiNaiveEvaluator:
             n_out = _size(batch)
             stats.bindings_explored += n_out
             if profile is not None:
-                profile.record_step(rule_index, step_index, n_in, n_out)
-                sig = self._probe_sigs[rule_index][step_index]
+                if record_steps:
+                    profile.record_step(rule_index, step_index, n_in, n_out)
+                sig = cstep.signature
                 if sig is not None and not from_delta:
                     # fanout of the full relation only: a delta probe's
                     # hit rate says nothing about the stored index
@@ -848,13 +755,10 @@ class SetSemiNaiveEvaluator:
                 return
         self._project(rule_index, batch, db.interner, out)
 
-    # NOTE: _join/_builtin/_negate have a twin in
-    # grounding._instantiate_batch_ids (the eager grounding joins).
-    # A semantics fix here must be mirrored there.
     def _join(
         self,
         batch: "Batch | BitBatch",
-        cstep: _CompiledStep,
+        cstep: CompiledStep,
         source: SetDatabase,
         interner: Interner,
     ) -> "Batch | BitBatch":
@@ -1027,7 +931,7 @@ class SetSemiNaiveEvaluator:
     def _negate(
         self,
         batch: "Batch | BitBatch",
-        cstep: _CompiledStep,
+        cstep: CompiledStep,
         db: SetDatabase,
     ) -> "Batch | BitBatch":
         predicate = cstep.predicate
@@ -1035,12 +939,11 @@ class SetSemiNaiveEvaluator:
             raise UnsafeRuleError(
                 f"negated atom {cstep.atom} not fully bound"
             )
-        registry = self.registry
-        is_builtin = predicate in registry and predicate not in self.idb
+        call = cstep.call
         interner = db.interner
 
         if type(batch) is BitBatch:
-            if cstep.arity == 1 and not is_builtin:
+            if cstep.arity == 1 and call is None:
                 if cstep.bound:
                     # complement against the batch, which is a subset of
                     # the interned domain -- no unbounded ~ needed
@@ -1055,27 +958,13 @@ class SetSemiNaiveEvaluator:
 
         n = batch.length
         columns = batch.columns
+        if call is not None:
+            held = call.holds(columns, n, interner, self._memo)
+            return _take(batch, [r for r in range(n) if not held[r]])
+
         consts = [
             (pos, interner.intern(value)) for pos, value in cstep.consts
         ]
-
-        if is_builtin:
-            builtin = registry.get(predicate)
-            value_of = interner.value_of
-            sources: list = [None] * cstep.arity
-            for pos, value in cstep.consts:
-                sources[pos] = repeat(value, n)
-            for pos, var in cstep.bound:
-                sources[pos] = [value_of(i) for i in columns[var]]
-            patterns = (
-                zip(*sources) if cstep.arity else repeat((), n)
-            )
-            keep = [
-                r
-                for r, pattern in enumerate(patterns)
-                if not any(builtin.evaluate(pattern))
-            ]
-            return _take(batch, keep)
 
         if cstep.arity == 0:
             if () in db.relation(predicate):
@@ -1103,59 +992,15 @@ class SetSemiNaiveEvaluator:
     def _builtin(
         self,
         batch: "Batch | BitBatch",
-        cstep: _CompiledStep,
+        cstep: CompiledStep,
         interner: Interner,
     ) -> Batch:
         if type(batch) is BitBatch:
             batch = _materialize(batch)
-        builtin = self.registry.get(cstep.predicate)
-        n = batch.length
-        columns = batch.columns
-        value_of = interner.value_of
-        intern = interner.intern
-
-        # built-ins see raw values; ids are decoded on the way in and
-        # fresh values (e.g. built sets) interned on the way out
-        sources: list = [None] * cstep.arity
-        for pos, value in cstep.consts:
-            sources[pos] = repeat(value, n)
-        for pos, var in cstep.bound:
-            sources[pos] = [value_of(i) for i in columns[var]]
-        for pos, _ in cstep.free:
-            sources[pos] = repeat(UNBOUND, n)
-        for pos, _ in cstep.dups:
-            sources[pos] = repeat(UNBOUND, n)
-        patterns = zip(*sources) if cstep.arity else repeat((), n)
-
-        live = cstep.live
-        out_columns = {v: [] for v in columns if v in live}
-        out_columns.update(
-            {var: [] for _, var in cstep.free if var in live}
+        columns, count = cstep.call.join(
+            batch.columns, batch.length, cstep.live, interner, self._memo
         )
-        old = [
-            (out_columns[v].append, columns[v])
-            for v in columns
-            if v in live
-        ]
-        new = [
-            (out_columns[var].append, pos)
-            for pos, var in cstep.free
-            if var in live
-        ]
-        dups = cstep.dups
-        count = 0
-        for r, pattern in enumerate(patterns):
-            for solution in builtin.evaluate(pattern):
-                if dups and not all(
-                    solution[p] == solution[q] for p, q in dups
-                ):
-                    continue
-                for append, col in old:
-                    append(col[r])
-                for append, pos in new:
-                    append(intern(solution[pos]))
-                count += 1
-        return Batch(out_columns, count)
+        return Batch(columns, count)
 
     def _project(
         self,
@@ -1164,7 +1009,7 @@ class SetSemiNaiveEvaluator:
         interner: Interner,
         out: list[tuple[str, tuple[int, ...]]],
     ) -> None:
-        head = self._heads[rule_index]
+        head = self.prepared.heads[rule_index]
         predicate = head.predicate
         if type(batch) is BitBatch:
             if head.arity == 1 and not head.consts:

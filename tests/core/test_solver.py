@@ -77,6 +77,30 @@ class TestIsolatedQuery:
         s = graph_to_structure(g)
         assert isolated_solver.query(s) == frozenset({2, 3})
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known silent wrong answer (ROADMAP): single-child rules "
+            "also fire at branch nodes through child1 via the "
+            "identity-permutation rules, and replacement rules fire "
+            "when Xold0 = X0, so one node derives several classes; "
+            "the query returns {2, 3}"
+        ),
+    )
+    def test_isolated_next_to_a_path(self):
+        isolated_solver = CourcelleSolver(
+            formulas.isolated("x"),
+            GRAPH_SIGNATURE,
+            width=1,
+            free_var="x",
+            structure_filter=undirected_graph_filter,
+        )
+        g = Graph(vertices=[0, 1, 2, 3], edges=[(0, 1), (1, 2)])
+        s = graph_to_structure(g)
+        want = query(s, formulas.isolated("x"), "x")
+        assert want == frozenset({3})
+        assert isolated_solver.query(s) == want
+
 
 def _encode(structure, width):
     """The ``A_td`` encoding ``CourcelleSolver`` evaluates."""
