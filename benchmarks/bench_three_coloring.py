@@ -8,14 +8,17 @@ Run:  pytest benchmarks/bench_three_coloring.py --benchmark-only
 
 ``python benchmarks/bench_three_coloring.py --quick`` is the standalone
 scaling gate for the datalog route: it runs Figure 5 through
-``ThreeColoringDatalog.decide`` (decompose, nice form, encode, and the
-semi-naive set engine) on seeded random partial 3-trees with n = 32 ...
-512 vertices, ``GRAPHS`` graphs per size.  Each graph counts with its
-best of ``REPEATS`` runs (garbage collector off), each size with the
-median over its graphs.  It exits 1 if any answer differs from
-``three_coloring_direct`` or if the log-log slope of time against n is
-above ``MAX_SLOPE`` on a first timing and on one re-timing.  It prints
-only; no baseline file is written.
+``ThreeColoringDatalog.decide`` (decompose, nice form, the id-space
+load, and the semi-naive set engine) on seeded random partial 3-trees
+with n = 32 ... 512 vertices, ``GRAPHS`` graphs per size.  Each graph
+counts with its best of ``REPEATS`` runs (garbage collector off), each
+size with the median over its graphs.  It exits 1 if any answer differs
+from ``three_coloring_direct`` or if the log-log slope of time against
+n is above ``MAX_SLOPE`` on a first timing and on one re-timing.  Per
+size it also prints Figure 5's time divided by that of
+``three_coloring_direct``, the hand-written DP of the same recurrences,
+timed the same way (not gated).  It prints only; no baseline file is
+written.
 """
 
 import argparse
@@ -142,15 +145,22 @@ def log_log_slope(xs, ys) -> float:
 
 
 def datalog_slope(solver, graphs) -> float:
-    """Time ``decide`` on every graph and fit the slope."""
+    """Time ``decide`` and ``three_coloring_direct`` on every graph,
+    print their ratio per size and fit the slope of ``decide``."""
     sizes, times = [], []
     for n, family in graphs.items():
         ms = statistics.median(
             best_ms(lambda g=g: solver.decide(g)) for g in family
         )
+        direct = statistics.median(
+            best_ms(lambda g=g: three_coloring_direct(g)) for g in family
+        )
         sizes.append(n)
         times.append(ms)
-        print(f"n={n:<4} {ms:9.1f} ms (median of {len(family)} graphs)")
+        print(
+            f"n={n:<4} {ms:9.1f} ms (median of {len(family)} graphs); "
+            f"direct DP {direct:7.1f} ms, Figure 5 / direct {ms / direct:5.2f}"
+        )
     slope = log_log_slope(sizes, times)
     print(f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE})")
     return slope

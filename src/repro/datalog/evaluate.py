@@ -22,7 +22,10 @@ Each rule has a round-0 plan (:func:`plan_rule`) and, per recursive
 body atom, a *delta variant* that starts at that atom
 (:func:`plan_delta_rule`): the semi-naive rounds of both semi-naive
 engines fire the variants, so a round costs what its delta touches,
-not a re-run of the round-0 join over every node.
+not a re-run of the round-0 join over every node.  The set engine
+fires them through a prefix trie (:func:`group_delta_variants`), so
+the steps that variants share up to variable renaming run once per
+round; the tuple engine fires them one by one.
 """
 
 from __future__ import annotations
@@ -502,12 +505,15 @@ class CompiledStep:
     arity: int
     atom: Atom
     consts: tuple[tuple[int, object], ...]  # (position, raw value)
-    bound: tuple[tuple[int, Variable], ...]  # already-bound variables
-    free: tuple[tuple[int, Variable], ...]  # first occurrences
+    #: ``(position, slot)`` pairs; a slot is the variable's number in
+    #: first-occurrence order along the plan (:func:`plan_slots`), and
+    #: the set engine keys its batch columns by slot
+    bound: tuple[tuple[int, int], ...]  # already-bound variables
+    free: tuple[tuple[int, int], ...]  # first occurrences
     dups: tuple[tuple[int, int], ...]  # repeated free var: (pos, first pos)
-    #: variables still needed by later steps or the head -- batch
-    #: columns outside this set are projected away by the step
-    live: frozenset[Variable]
+    #: slots still needed by later steps or the head -- batch columns
+    #: outside this set are projected away by the step
+    live: frozenset[int]
     #: ``(predicate, sorted key positions)`` of a relation step that
     #: probes an index (it has both a key and free positions), else None
     signature: tuple[str, tuple[int, ...]] | None
@@ -520,7 +526,21 @@ class CompiledHead:
     predicate: str
     arity: int
     consts: tuple[tuple[int, object], ...]
-    vars: tuple[tuple[int, Variable], ...]
+    vars: tuple[tuple[int, int], ...]  # (position, slot)
+
+
+def plan_slots(plan: Sequence[PlanStep]) -> dict[Variable, int]:
+    """Number the variables of ``plan`` in order of first occurrence.
+
+    Two plans whose first ``k`` steps are equal up to a renaming of
+    variables then compile those steps to equal slot patterns, which is
+    what lets :func:`group_delta_variants` share them."""
+    slots: dict[Variable, int] = {}
+    for step in plan:
+        for arg in step.literal.atom.args:
+            if isinstance(arg, Variable) and arg not in slots:
+                slots[arg] = len(slots)
+    return slots
 
 
 def compile_plan(
@@ -529,36 +549,40 @@ def compile_plan(
     registry: BuiltinRegistry,
     idb: frozenset[str],
 ) -> tuple[CompiledStep, ...]:
-    """Classify every step of ``plan`` once.  Built-in steps get their
+    """Classify every step of ``plan`` once, over the plan's slots
+    (:func:`plan_slots`).  Built-in steps get their
     :class:`BuiltinCall`, so an unsupported binding mask raises
     :class:`ValueError` here, not per row."""
+    slot_of = plan_slots(plan)
     # live-after set per step: the head's variables plus everything a
     # later step still reads (classic projection push-down)
-    acc = set(rule.head.variables())
-    live_after: list[frozenset[Variable]] = [frozenset()] * len(plan)
+    acc = {slot_of[v] for v in rule.head.variables()}
+    live_after: list[frozenset[int]] = [frozenset()] * len(plan)
     for i in range(len(plan) - 1, -1, -1):
         live_after[i] = frozenset(acc)
-        acc.update(plan[i].literal.atom.variables())
+        acc.update(slot_of[v] for v in plan[i].literal.atom.variables())
 
-    bound_vars: set[Variable] = set()
+    bound_slots: set[int] = set()
     out: list[CompiledStep] = []
     for step_index, step in enumerate(plan):
         atom = step.literal.atom
         consts: list[tuple[int, object]] = []
-        bound: list[tuple[int, Variable]] = []
-        free: list[tuple[int, Variable]] = []
+        bound: list[tuple[int, int]] = []
+        free: list[tuple[int, int]] = []
         dups: list[tuple[int, int]] = []
-        first_pos: dict[Variable, int] = {}
+        first_pos: dict[int, int] = {}
         for pos, arg in enumerate(atom.args):
             if isinstance(arg, Constant):
                 consts.append((pos, arg.value))
-            elif arg in bound_vars:
-                bound.append((pos, arg))
-            elif arg in first_pos:
-                dups.append((pos, first_pos[arg]))
+                continue
+            slot = slot_of[arg]
+            if slot in bound_slots:
+                bound.append((pos, slot))
+            elif slot in first_pos:
+                dups.append((pos, first_pos[slot]))
             else:
-                first_pos[arg] = pos
-                free.append((pos, arg))
+                first_pos[slot] = pos
+                free.append((pos, slot))
         key = tuple(sorted([p for p, _ in consts] + [p for p, _ in bound]))
         signature = None
         if step.kind == "relation" and free and key:
@@ -586,18 +610,20 @@ def compile_plan(
                 call=call,
             )
         )
-        bound_vars.update(atom.variables())
+        bound_slots.update(first_pos)
     return tuple(out)
 
 
-def compile_head(head: Atom) -> CompiledHead:
+def compile_head(head: Atom, plan: Sequence[PlanStep]) -> CompiledHead:
+    """The head over ``plan``'s slots (:func:`plan_slots`)."""
+    slot_of = plan_slots(plan)
     consts: list[tuple[int, object]] = []
-    hvars: list[tuple[int, Variable]] = []
+    hvars: list[tuple[int, int]] = []
     for pos, arg in enumerate(head.args):
         if isinstance(arg, Constant):
             consts.append((pos, arg.value))
         else:
-            hvars.append((pos, arg))
+            hvars.append((pos, slot_of[arg]))
     return CompiledHead(
         head.predicate, head.arity, tuple(consts), tuple(hvars)
     )
@@ -659,12 +685,110 @@ class DeltaVariant:
 
     A semi-naive round fires the variant with that atom restricted to
     the round's delta.  ``plan`` is what the tuple engine walks;
-    ``steps`` is the same plan compiled for the set engine, kept here
-    so an evaluator never recompiles it."""
+    ``steps`` and ``head`` are the same plan compiled for the set
+    engine, kept here so an evaluator never recompiles it."""
 
     body_index: int
     plan: tuple[PlanStep, ...]
     steps: tuple[CompiledStep, ...]
+    head: CompiledHead
+
+
+@dataclass(frozen=True)
+class PrefixGroup:
+    """A node of a recursive stratum's delta-variant trie.
+
+    Every variant below this node starts with the steps on the path
+    from the root to here, up to a renaming of variables (equal slot
+    patterns, :func:`plan_slots`).  The set engine runs ``steps`` once
+    per round on the batch its parent produced, projects the ``heads``
+    of the variants that end here, and hands the batch on to each of
+    the ``children``.  A shared step keeps the union of its members'
+    live slots."""
+
+    steps: tuple[CompiledStep, ...]
+    #: ``(rule index, head)`` of the variants whose plan ends here
+    heads: tuple[tuple[int, CompiledHead], ...]
+    children: tuple["PrefixGroup", ...]
+    #: ``(rule index, delta body index)`` of every variant through here
+    members: tuple[tuple[int, int], ...]
+
+
+def _step_key(step: PlanStep, slot_of: Mapping[Variable, int]) -> tuple:
+    """What a compiled step depends on, given the steps before it:
+    two variants whose keys agree up to depth ``k`` compile their
+    first ``k`` steps to equal slot patterns."""
+    return (
+        step.kind,
+        step.literal.atom.predicate,
+        tuple(
+            slot_of[arg]
+            if isinstance(arg, Variable)
+            else (type(arg.value), arg.value)
+            for arg in step.literal.atom.args
+        ),
+    )
+
+
+class _TrieNode:
+    __slots__ = ("children", "variants", "ends")
+
+    def __init__(self) -> None:
+        self.children: dict[tuple, _TrieNode] = {}
+        #: (rule index, variant) of every variant through here
+        self.variants: list[tuple[int, DeltaVariant]] = []
+        #: (rule index, head) of the variants that end here
+        self.ends: list[tuple[int, CompiledHead]] = []
+
+
+def group_delta_variants(
+    rule_indices: Sequence[int],
+    variants: Sequence[Sequence[DeltaVariant]],
+) -> tuple[PrefixGroup, ...]:
+    """The prefix trie of one stratum's delta variants: variants whose
+    first steps are equal up to variable renaming share them, with
+    chains of single-child nodes merged into one group."""
+    root = _TrieNode()
+    for rule_index, rule_variants in zip(rule_indices, variants):
+        for variant in rule_variants:
+            slot_of = plan_slots(variant.plan)
+            node = root
+            for step in variant.plan:
+                key = _step_key(step, slot_of)
+                child = node.children.get(key)
+                if child is None:
+                    child = node.children[key] = _TrieNode()
+                child.variants.append((rule_index, variant))
+                node = child
+            node.ends.append((rule_index, variant.head))
+    return tuple(_freeze(child, 0) for child in root.children.values())
+
+
+def _freeze(node: _TrieNode, depth: int) -> PrefixGroup:
+    """The group starting at ``node``, the step at ``depth`` of each of
+    its variants."""
+    members = tuple(
+        (rule_index, variant.body_index) for rule_index, variant in node.variants
+    )
+    steps = []
+    while True:
+        step = node.variants[0][1].steps[depth]
+        live = frozenset().union(
+            *(variant.steps[depth].live for _, variant in node.variants)
+        )
+        steps.append(replace(step, live=live) if live != step.live else step)
+        depth += 1
+        if node.ends or len(node.children) != 1:
+            break
+        (node,) = node.children.values()
+    return PrefixGroup(
+        steps=tuple(steps),
+        heads=tuple(node.ends),
+        children=tuple(
+            _freeze(child, depth) for child in node.children.values()
+        ),
+        members=members,
+    )
 
 
 @dataclass(frozen=True)
@@ -675,6 +799,10 @@ class StratumPlan:
     #: per rule (parallel to ``rule_indices``): one delta variant per
     #: body position holding a positive atom of this stratum
     variants: tuple[tuple[DeltaVariant, ...], ...]
+    #: the same variants as a prefix trie (:func:`group_delta_variants`):
+    #: what the set engine fires in the delta rounds; the tuple engine
+    #: walks ``variants`` one by one
+    groups: tuple[PrefixGroup, ...]
 
     @property
     def recursive(self) -> bool:
@@ -696,7 +824,8 @@ class PreparedProgram:
     this work entirely.
 
     ``plans`` run in round 0 and in the fire-once strata; the delta
-    rounds of a recursive stratum run its :class:`DeltaVariant` plans.
+    rounds of a recursive stratum run its :class:`DeltaVariant` plans,
+    grouped by shared prefix (:class:`PrefixGroup`) on the set engine.
     """
 
     program: Program
@@ -709,6 +838,7 @@ class PreparedProgram:
     steps: tuple[tuple[CompiledStep, ...], ...] = field(
         compare=False, repr=False
     )
+    #: each rule's head over its round-0 plan's slots
     heads: tuple[CompiledHead, ...] = field(compare=False, repr=False)
     #: MinIndexSelection over the plans' extensional search signatures;
     #: installed on the SetDatabase by the set-at-a-time evaluator so
@@ -785,11 +915,20 @@ def prepare_program(
                     plan = plan_delta_rule(rule, pos, idb, registry, cost=cost)
                     rule_variants.append(
                         DeltaVariant(
-                            pos, plan, compile_plan(rule, plan, registry, idb)
+                            pos,
+                            plan,
+                            compile_plan(rule, plan, registry, idb),
+                            compile_head(rule.head, plan),
                         )
                     )
             variants.append(tuple(rule_variants))
-        stratum_plans.append(StratumPlan(indices, tuple(variants)))
+        stratum_plans.append(
+            StratumPlan(
+                indices,
+                tuple(variants),
+                group_delta_variants(indices, variants),
+            )
+        )
     prepared = PreparedProgram(
         program=program,
         registry=registry,
@@ -801,7 +940,10 @@ def prepare_program(
             compile_plan(rule, plan, registry, idb)
             for rule, plan in zip(program.rules, plans)
         ),
-        heads=tuple(compile_head(rule.head) for rule in program.rules),
+        heads=tuple(
+            compile_head(rule.head, plan)
+            for rule, plan in zip(program.rules, plans)
+        ),
     )
     return replace(
         prepared,

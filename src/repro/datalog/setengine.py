@@ -14,8 +14,9 @@ compilation are shared, only execution differs) relation-at-a-time:
   database is loaded, so facts are int tuples and unary relations are
   mirrored as big-int bitsets.
 * Each plan step consumes and produces a *columnar batch* of bindings:
-  a dict of variable -> column list (parallel lists, one entry per
-  surviving binding), or -- while the batch tracks a single variable of
+  a dict of variable slot -> column list (parallel lists, one entry per
+  surviving binding; a slot is a small int, so column lookups hash
+  cheaply), or -- while the batch tracks a single variable of
   a unary chain -- a plain bitset.  Monadic rule bodies such as
   ``q(X) :- p(X), r(X), not s(X)`` then run as word-parallel ``&`` /
   ``& ~`` on ints with no per-row Python at all.
@@ -37,7 +38,11 @@ The strata and their fixpoint loops are those of
 round-0 plans, and every later round fires each rule's delta variants
 (the recursive atom first, read from the round's delta), so both
 engines derive identical fact sets; the tuple path stays available as
-the ``semi-naive-tuple`` backend for the ablation benchmark.
+the ``semi-naive-tuple`` backend for the ablation benchmark.  This
+engine fires the variants through their prefix trie
+(:class:`~repro.datalog.evaluate.PrefixGroup`): steps that several
+variants share up to variable renaming run once per round, and
+``bindings_explored`` counts them once.
 """
 
 from __future__ import annotations
@@ -48,13 +53,15 @@ from itertools import repeat
 from typing import Iterable
 
 from ..structures.structure import Fact, Structure
-from .ast import Program, Variable
+from .ast import Program
 from .builtins import BuiltinRegistry
 from .evaluate import (
+    CompiledHead,
     CompiledStep,
     Database,
     EvaluationStats,
     PreparedProgram,
+    PrefixGroup,
     UnsafeRuleError,
     prepare_program,
 )
@@ -524,11 +531,13 @@ class SetDatabase:
 
 
 class Batch:
-    """A set of bindings, stored columnar: variable -> parallel list."""
+    """A set of bindings, stored columnar: variable slot -> parallel
+    list (slots number a plan's variables, see
+    :func:`repro.datalog.evaluate.plan_slots`)."""
 
     __slots__ = ("columns", "length")
 
-    def __init__(self, columns: dict[Variable, list[int]], length: int):
+    def __init__(self, columns: dict[int, list[int]], length: int):
         self.columns = columns
         self.length = length
 
@@ -543,7 +552,7 @@ class BitBatch:
 
     __slots__ = ("var", "bits")
 
-    def __init__(self, var: Variable, bits: int):
+    def __init__(self, var: int, bits: int):
         self.var = var
         self.bits = bits
 
@@ -655,9 +664,7 @@ class SetSemiNaiveEvaluator:
                 # is its fixpoint -- no delta database, no re-fire
                 derived: list[tuple[str, tuple[int, ...]]] = []
                 for rule_index in stratum_plan.rule_indices:
-                    self._fire(
-                        rule_index, prepared.steps[rule_index], db, derived
-                    )
+                    self._fire(rule_index, db, derived)
                 stats = self.stats
                 add = db.add
                 for predicate, args in derived:
@@ -668,27 +675,18 @@ class SetSemiNaiveEvaluator:
             delta = db.spawn_delta()
             derived = []
             for rule_index in stratum_plan.rule_indices:
-                self._fire(rule_index, prepared.steps[rule_index], db, derived)
+                self._fire(rule_index, db, derived)
             self._flush(db, delta, derived)
 
-            # subsequent rounds: each rule's delta variants, the first
-            # step reading the round's delta
+            # subsequent rounds: the delta variants, grouped by shared
+            # prefix; the first step of each root group reads the
+            # round's delta
             while delta.fact_count():
                 self.stats.iterations += 1
                 new_delta = db.spawn_delta()
                 derived = []
-                for rule_index, variants in zip(
-                    stratum_plan.rule_indices, stratum_plan.variants
-                ):
-                    for variant in variants:
-                        self._fire(
-                            rule_index,
-                            variant.steps,
-                            db,
-                            derived,
-                            variant.body_index,
-                            delta,
-                        )
+                for group in stratum_plan.groups:
+                    self._fire_group(group, Batch({}, 1), db, derived, delta)
                 self._flush(db, new_delta, derived)
                 delta = new_delta
         self._memo = {}
@@ -716,29 +714,62 @@ class SetSemiNaiveEvaluator:
     def _fire(
         self,
         rule_index: int,
-        steps: tuple[CompiledStep, ...],
         db: SetDatabase,
         out: list[tuple[str, tuple[int, ...]]],
-        delta_index: int | None = None,
+    ) -> None:
+        """Fire one rule's round-0 plan."""
+        batch = self._run_steps(
+            self.prepared.steps[rule_index], Batch({}, 1), db, None, rule_index
+        )
+        if batch is not None:
+            self._project(
+                self.prepared.heads[rule_index], batch, db.interner, out
+            )
+
+    def _fire_group(
+        self,
+        group: PrefixGroup,
+        batch: "Batch | BitBatch",
+        db: SetDatabase,
+        out: list[tuple[str, tuple[int, ...]]],
         delta: SetDatabase | None = None,
     ) -> None:
-        batch: Batch | BitBatch = Batch({}, 1)
+        """Run a prefix group's steps once on ``batch``, project the
+        heads of the variants that end there, and hand the result to
+        each child group.  ``delta`` feeds the first step of a root
+        group, the delta atom of every variant below it."""
+        batch = self._run_steps(group.steps, batch, db, delta)
+        if batch is None:
+            return
+        for _, head in group.heads:
+            self._project(head, batch, db.interner, out)
+        for child in group.children:
+            self._fire_group(child, batch, db, out)
+
+    def _run_steps(
+        self,
+        steps: tuple[CompiledStep, ...],
+        batch: "Batch | BitBatch",
+        db: SetDatabase,
+        delta: SetDatabase | None,
+        rule_index: int | None = None,
+    ) -> "Batch | BitBatch | None":
+        """Run ``steps`` over ``batch``; the first reads ``delta`` when
+        one is given.  Returns None as soon as a step leaves no
+        binding.  ``rule_index`` names a round-0 plan, whose step rows
+        a profile records (their positions index ``prepared.plans``)."""
         profile = self.profile
-        # step rows are profiled for the round-0 plans only: their
-        # (rule, step) positions index ``prepared.plans``
-        record_steps = profile is not None and delta_index is None
+        record_steps = profile is not None and rule_index is not None
         stats = self.stats
+        interner = db.interner
+        source = db if delta is None else delta
         for step_index, cstep in enumerate(steps):
             n_in = _size(batch) if profile is not None else 0
-            from_delta = (
-                delta_index is not None
-                and cstep.body_index == delta_index
-            )
-            if cstep.kind == "relation":
-                source = delta if from_delta else db
-                batch = self._join(batch, cstep, source, db.interner)
-            elif cstep.kind == "builtin":
-                batch = self._builtin(batch, cstep, db.interner)
+            kind = cstep.kind
+            if kind == "relation":
+                batch = self._join(batch, cstep, source, interner)
+            elif kind == "builtin":
+                batch = self._builtin(batch, cstep, interner)
             else:
                 batch = self._negate(batch, cstep, db)
             n_out = _size(batch)
@@ -747,13 +778,14 @@ class SetSemiNaiveEvaluator:
                 if record_steps:
                     profile.record_step(rule_index, step_index, n_in, n_out)
                 sig = cstep.signature
-                if sig is not None and not from_delta:
+                if sig is not None and source is db:
                     # fanout of the full relation only: a delta probe's
                     # hit rate says nothing about the stored index
                     profile.record_probe(sig[0], sig[1], n_in, n_out)
             if not n_out:
-                return
-        self._project(rule_index, batch, db.interner, out)
+                return None
+            source = db
+        return batch
 
     def _join(
         self,
@@ -1004,12 +1036,11 @@ class SetSemiNaiveEvaluator:
 
     def _project(
         self,
-        rule_index: int,
+        head: CompiledHead,
         batch: "Batch | BitBatch",
         interner: Interner,
         out: list[tuple[str, tuple[int, ...]]],
     ) -> None:
-        head = self.prepared.heads[rule_index]
         predicate = head.predicate
         if type(batch) is BitBatch:
             if head.arity == 1 and not head.consts:

@@ -24,6 +24,15 @@ Implementations (cross-validated in the test-suite):
 * :func:`prime_attributes_rerooting` -- the quadratic strawman that
   Section 5.3 opens with (one decision run per attribute, re-rooted);
 * ground truth: :meth:`RelationalSchema.is_prime_bruteforce`.
+
+Both datalog programs run on the set-at-a-time semi-naive engine over
+an input loaded in id space: :func:`load_for_primality` writes ``A_td``
+with the split ``bag(s, At, Fd)`` and the ``copynode`` tags straight
+into a :class:`~repro.datalog.setengine.SetDatabase`
+(:func:`repro.treewidth.encode.load_nice`).  The decision reads the
+nullary ``success`` fact in id space; the enumeration decodes only the
+``prime`` relation.  :func:`encode_for_primality` is the value-level
+form of the same input, the load's oracle.
 """
 
 from __future__ import annotations
@@ -41,12 +50,12 @@ from ..datalog.builtins import (
     make_function,
     standard_registry,
 )
-from ..datalog.backends import ProgramCache, solve as backend_solve
-from ..datalog.evaluate import Database, SemiNaiveEvaluator
+from ..datalog.backends import ProgramCache
+from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.schema import Attribute, RelationalSchema
 from ..structures.structure import Structure
-from ..treewidth.decomposition import TreeDecomposition
-from ..treewidth.encode import TDNode, encode_nice
+from ..treewidth.decomposition import NodeId, TreeDecomposition
+from ..treewidth.encode import TDNode, encode_nice, load_nice
 from ..treewidth.heuristics import decompose_structure
 from ..treewidth.nice import (
     NiceNodeKind,
@@ -152,11 +161,8 @@ def _check_rhs_invariant(
                 )
 
 
-def encode_for_primality(
-    schema: RelationalSchema, nice: NiceTreeDecomposition
-) -> Structure:
-    """``A_td`` with bags split as ``bag(s, At, Fd)`` plus copy-node tags."""
-    structure = schema.to_structure()
+def _bag_splitter(schema: RelationalSchema):
+    """The ``bag(s, At, Fd)`` payload: a bag's attributes and FDs."""
     fd_names = {f.name for f in schema.fds}
 
     def payload(bag: frozenset) -> tuple:
@@ -164,7 +170,16 @@ def encode_for_primality(
         fd = frozenset(e for e in bag if e in fd_names)
         return (at, fd)
 
-    encoded = encode_nice(structure, nice, bag_payload=payload)
+    return payload
+
+
+def encode_for_primality(
+    schema: RelationalSchema, nice: NiceTreeDecomposition
+) -> Structure:
+    """``A_td`` with bags split as ``bag(s, At, Fd)`` plus copy-node
+    tags; the value-level oracle of :func:`load_for_primality`."""
+    structure = schema.to_structure()
+    encoded = encode_nice(structure, nice, bag_payload=_bag_splitter(schema))
     copynode = {
         (TDNode(node),)
         for node in nice.tree.nodes()
@@ -174,6 +189,24 @@ def encode_for_primality(
     relations = {name: set(encoded.relation(name)) for name in encoded.signature}
     relations["copynode"] = copynode
     return Structure(signature, encoded.domain, relations)
+
+
+def load_for_primality(
+    schema: RelationalSchema, nice: NiceTreeDecomposition
+) -> SetDatabase:
+    """:func:`encode_for_primality`, loaded straight into ids
+    (:func:`~repro.treewidth.encode.load_nice`)."""
+    copy = NiceNodeKind.COPY
+
+    def node_facts(node: NodeId) -> tuple:
+        return (("copynode", ()),) if nice.node_kind(node) is copy else ()
+
+    return load_nice(
+        schema.to_structure(),
+        nice,
+        bag_payload=_bag_splitter(schema),
+        extra=node_facts,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -824,15 +857,10 @@ class PrimalityDatalog:
         td: TreeDecomposition | None = None,
     ) -> bool:
         nice = prepare_decision_decomposition(self.schema, attribute, td)
-        encoded = encode_for_primality(self.schema, nice)
-        program = primality_program(attribute)
-        db = backend_solve(
-            program,
-            encoded,
-            query="success",
-            registry=self.registry,
-            cache=self._cache,
+        evaluator = SetSemiNaiveEvaluator.from_prepared(
+            self._cache.prepared(primality_program(attribute), self.registry)
         )
+        db = evaluator.run(load_for_primality(self.schema, nice))
         return db.contains("success", ())
 
 
@@ -1079,9 +1107,8 @@ def prime_attributes_datalog(
 ) -> frozenset[Attribute]:
     """All prime attributes via the Monadic-Primality datalog program."""
     nice = prepare_enumeration_decomposition(schema, td)
-    encoded = encode_for_primality(schema, nice)
-    evaluator = SemiNaiveEvaluator(
+    evaluator = SetSemiNaiveEvaluator(
         enumeration_program(), primality_registry(schema)
     )
-    db = evaluator.evaluate(encoded)
-    return frozenset(args[0] for args in db.relation("prime"))
+    db = evaluator.run(load_for_primality(schema, nice))
+    return frozenset(args[0] for args in db.decode_relation("prime"))

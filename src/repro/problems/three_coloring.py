@@ -9,6 +9,14 @@ test-suite:
   fixed-size subsets of the bag (Theorem 5.1 explains why this is a
   succinct monadic program); ``partition`` and ``allowed`` are the
   helper predicates the paper precomputes alongside the decomposition.
+  Its input is loaded in id space: :func:`load_for_three_coloring`
+  writes ``A_td`` with the ``allowed`` and ``copynode`` facts straight
+  into a :class:`~repro.datalog.setengine.SetDatabase`
+  (:func:`repro.treewidth.encode.load_nice`), the set engine runs the
+  fixpoint there, and :meth:`ThreeColoringDatalog.decide` reads the one
+  nullary fact ``success`` without decoding anything.
+  :func:`encode_for_three_coloring` is the value-level form of the same
+  input, the load's oracle.
 * :func:`three_coloring_direct` -- the same dynamic program hand-coded
   in Python ("one can of course go one step further and implement our
   algorithms directly in Java, C++, etc.", Section 1), including witness
@@ -19,18 +27,19 @@ test-suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
-from ..datalog.ast import Program, Rule, atom, pos, rule, var
-from ..datalog.builtins import standard_registry
-from ..datalog.backends import solve as backend_solve
-from ..datalog.evaluate import Database, SemiNaiveEvaluator
+from ..datalog.ast import Program, atom, pos, rule, var
+from ..datalog.backends import default_cache
+from ..datalog.evaluate import Database
+from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.graphs import Graph, graph_to_structure
-from ..structures.structure import Fact, Structure
-from ..treewidth.decomposition import TreeDecomposition
-from ..treewidth.encode import TDNode, encode_nice
+from ..structures.structure import Structure
+from ..treewidth.decomposition import NodeId, TreeDecomposition
+from ..treewidth.encode import TDNode, encode_nice, load_nice
 from ..treewidth.heuristics import decompose_graph
 from ..treewidth.nice import NiceNodeKind, NiceTreeDecomposition, make_nice
 from .._util import powerset
@@ -86,6 +95,31 @@ def encode_for_three_coloring(
     return Structure(
         signature, set(encoded.domain) | extra_domain, relations
     )
+
+
+def load_for_three_coloring(
+    graph: Graph, nice: NiceTreeDecomposition
+) -> SetDatabase:
+    """:func:`encode_for_three_coloring`, loaded straight into ids
+    (:func:`~repro.treewidth.encode.load_nice`).  Nodes with equal
+    bags share one list of ``allowed`` facts."""
+    allowed_by_bag: dict[frozenset, list] = {}
+    copy = NiceNodeKind.COPY
+
+    def node_facts(node: NodeId) -> list:
+        bag = nice.bag(node)
+        facts = allowed_by_bag.get(bag)
+        if facts is None:
+            facts = allowed_by_bag[bag] = [
+                ("allowed", (chosen,))
+                for chosen in map(frozenset, powerset(sorted(bag, key=repr)))
+                if not _has_internal_edge(graph, chosen)
+            ]
+        if nice.node_kind(node) is copy:
+            return facts + [("copynode", ())]
+        return facts
+
+    return load_nice(graph_to_structure(graph), nice, extra=node_facts)
 
 
 def _has_internal_edge(graph: Graph, vertices: frozenset) -> bool:
@@ -190,11 +224,21 @@ def three_coloring_program() -> Program:
 class ThreeColoringRun:
     colorable: bool
     solve_fact_count: int
-    database: Database
+    #: the fixpoint in id space (None for the empty graph)
+    interned: SetDatabase | None = field(default=None, repr=False)
+
+    @cached_property
+    def database(self) -> Database:
+        """The fixpoint as a value-level database, decoded on first
+        access."""
+        if self.interned is None:
+            return Database()
+        return self.interned.decode()
 
 
 class ThreeColoringDatalog:
-    """Figure 5, executed by the set-at-a-time semi-naive engine."""
+    """Figure 5, executed by the set-at-a-time semi-naive engine on
+    the input :func:`load_for_three_coloring` writes in id space."""
 
     def __init__(self) -> None:
         self.program = three_coloring_program()
@@ -203,16 +247,18 @@ class ThreeColoringDatalog:
         self, graph: Graph, td: TreeDecomposition | None = None
     ) -> ThreeColoringRun:
         if graph.vertex_count() == 0:
-            return ThreeColoringRun(True, 0, Database())
+            return ThreeColoringRun(True, 0)
         nice = prepare_decomposition(graph, td)
-        encoded = encode_for_three_coloring(graph, nice)
-        # registry=None resolves to the shared standard registry so the
-        # compiled-program cache hits across runs and instances
-        db = backend_solve(self.program, encoded, query="success")
+        # the shared cache resolves registry=None to the one standard
+        # registry, so the prepared program is reused across instances
+        evaluator = SetSemiNaiveEvaluator.from_prepared(
+            default_cache().prepared(self.program)
+        )
+        db = evaluator.run(load_for_three_coloring(graph, nice))
         return ThreeColoringRun(
             colorable=db.contains("success", ()),
             solve_fact_count=len(db.relation("solve")),
-            database=db,
+            interned=db,
         )
 
     def decide(self, graph: Graph, td: TreeDecomposition | None = None) -> bool:

@@ -31,7 +31,13 @@ from .normalize import (
     pad_bags_to_full_size,
     widen,
 )
-from .encode import TDNode, encode_nice, encode_normalized, load_normalized
+from .encode import (
+    TDNode,
+    encode_nice,
+    encode_normalized,
+    load_nice,
+    load_normalized,
+)
 
 __all__ = [
     "NiceNodeKind",
@@ -50,6 +56,7 @@ __all__ = [
     "encode_normalized",
     "ensure_elements_in_leaves",
     "is_treewidth_at_most",
+    "load_nice",
     "load_normalized",
     "make_nice",
     "min_degree_order",

@@ -17,16 +17,19 @@ Tree nodes live in the same domain as the structure's elements
 T"); :class:`TDNode` wrappers keep them collision-free.
 
 :func:`load_normalized` is the solve path's form of
-:func:`encode_normalized`: it writes ``A_td`` straight into an interned
-:class:`~repro.datalog.setengine.SetDatabase` in one pass, with the
-node-keyed indexes the Theorem 4.4 grounder probes already filled.
+:func:`encode_normalized`: it writes ``A_td`` from the decomposition
+straight into an interned :class:`~repro.datalog.setengine.SetDatabase`,
+with the node-keyed indexes the Theorem 4.4 grounder probes already
+filled.
 ``encode_normalized`` stays as its value-level oracle.
+:func:`load_nice` does the same for :func:`encode_nice` and the Section
+5 programs, together with each problem's precomputed per-node facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..datalog.interning import Interner
 from ..datalog.setengine import SetDatabase
@@ -97,13 +100,13 @@ def load_normalized(
     """``A_td`` for a Definition 2.3 decomposition, loaded into ids.
 
     The database equals ``SetDatabase.from_edb(encode_normalized(
-    structure, ntd))`` up to the choice of ids, built in one pass over
-    the decomposition with no value-level ``Structure`` in between.  The
+    structure, ntd))`` up to the choice of ids, built straight from the
+    decomposition with no value-level ``Structure`` in between.  The
     elements get the ids ``0 .. |dom| - 1`` and the nodes the ids after
     them; the stored values stay the elements and ``TDNode(n)``, so
     every decode is unchanged.
 
-    The same pass fills the single-position hash indexes the grounder
+    The load also fills the single-position hash indexes the grounder
     probes by node: ``bag`` on its node and ``child1``/``child2`` on
     either end.  By the key dependencies of Definition 4.3 every bucket
     holds one row.
@@ -124,11 +127,6 @@ def load_normalized(
         zip(tuples, range(len(elements), len(elements) + len(tuples)))
     )
     bag_by_node: dict[int, list] = {}
-    child1_by_child: dict[int, list] = {}
-    child1_by_parent: dict[int, list] = {}
-    child2_by_child: dict[int, list] = {}
-    child2_by_parent: dict[int, list] = {}
-    leaves = set()
     for node, bag in tuples.items():
         t = node_id[node]
         try:
@@ -138,6 +136,32 @@ def load_normalized(
                 f"element {missing.args[0]!r} of the bag of node {node} "
                 "is not in the domain"
             ) from None
+    tree_facts, indexes = _tree_relations(tree, node_id)
+    to_id = element_id.__getitem__
+    facts = {
+        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
+        for name in structure.signature
+    }
+    facts.update(tree_facts, bag={rows[0] for rows in bag_by_node.values()})
+    indexes["bag"] = {(0,): bag_by_node}
+    interner = Interner.of_distinct(elements + [TDNode(n) for n in tuples])
+    return SetDatabase.from_interned(interner, facts, indexes)
+
+
+def _tree_relations(
+    tree, node_id: dict[NodeId, int]
+) -> tuple[dict[str, set], dict[str, dict]]:
+    """``root``, ``leaf``, ``child1`` and ``child2`` over node ids, with
+    the ``child1``/``child2`` hash indexes on either end.  By the key
+    dependencies of Definition 4.3 every bucket holds one row.
+
+    Raises :class:`ValueError` on a node with more than two children."""
+    child1_by_child: dict[int, list] = {}
+    child1_by_parent: dict[int, list] = {}
+    child2_by_child: dict[int, list] = {}
+    child2_by_parent: dict[int, list] = {}
+    leaves = set()
+    for node, t in node_id.items():
         children = tree.children(node)
         if not children:
             leaves.add((t,))
@@ -152,26 +176,17 @@ def load_normalized(
             row = (node_id[children[1]], t)
             child2_by_child[row[0]] = [row]
             child2_by_parent[t] = [row]
-
-    to_id = element_id.__getitem__
     facts = {
-        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
-        for name in structure.signature
+        "root": {(node_id[tree.root],)},
+        "leaf": leaves,
+        "child1": {rows[0] for rows in child1_by_child.values()},
+        "child2": {rows[0] for rows in child2_by_child.values()},
     }
-    facts.update(
-        root={(node_id[tree.root],)},
-        leaf=leaves,
-        child1={rows[0] for rows in child1_by_child.values()},
-        child2={rows[0] for rows in child2_by_child.values()},
-        bag={rows[0] for rows in bag_by_node.values()},
-    )
     indexes = {
-        "bag": {(0,): bag_by_node},
         "child1": {(0,): child1_by_child, (1,): child1_by_parent},
         "child2": {(0,): child2_by_child, (1,): child2_by_parent},
     }
-    interner = Interner.of_distinct(elements + [TDNode(n) for n in tuples])
-    return SetDatabase.from_interned(interner, facts, indexes)
+    return facts, indexes
 
 
 def encode_nice(
@@ -218,3 +233,105 @@ def encode_nice(
         root=roots, leaf=leaves, child1=child1, child2=child2, bag=bags
     )
     return Structure(signature, domain, relations)
+
+
+#: the ``tau_td`` predicates a Section 5 encoding adds
+_NICE_PREDICATES = ("root", "leaf", "child1", "child2", "bag")
+
+
+def load_nice(
+    structure: Structure,
+    nice: NiceTreeDecomposition,
+    bag_payload: Callable[[frozenset[Element]], tuple] | None = None,
+    extra: Callable[[NodeId], Iterable[tuple[str, tuple]]] | None = None,
+) -> SetDatabase:
+    """``A_td`` for a Section 5 decomposition, loaded into ids, plus
+    the problem's precomputed facts about each node.
+
+    ``bag_payload`` is that of :func:`encode_nice`.  ``extra(node)``
+    yields ``(predicate, values)`` pairs, each stored as the fact
+    ``predicate(TDNode(node), *values)``: Figure 5's ``allowed`` and
+    ``copynode``, say.  Its predicates must be new names, each of one
+    arity.
+
+    The database equals ``SetDatabase.from_edb`` of ``encode_nice(
+    structure, nice, bag_payload)`` with ``extra``'s facts added, up to
+    the choice of ids, and is built straight from the decomposition
+    with no value-level ``Structure`` in between.  The elements get the
+    ids ``0 .. |dom| - 1``; the nodes, bag payloads and ``extra``
+    values the ids after them, in the order first met.  A value met
+    twice, as an element and as a payload say, keeps one id, as it is
+    one element of the encoded domain.
+
+    The load also fills the node-keyed hash indexes: ``bag`` and every
+    ``extra`` relation of arity two or more on the node,
+    ``child1``/``child2`` on either end.
+    """
+    if bag_payload is None:
+        bag_payload = lambda bag: (bag,)
+    values = list(structure.domain)
+    ids = dict(zip(values, range(len(values))))
+
+    def intern(value) -> int:
+        found = ids.get(value)
+        if found is None:
+            found = ids[value] = len(values)
+            values.append(value)
+        return found
+
+    payload_arity = None
+    bag_by_node: dict[int, list] = {}
+    extra_facts: dict[str, set] = {}
+    extra_by_node: dict[str, dict[int, list]] = {}
+    node_id: dict[NodeId, int] = {}
+    for node, bag in nice.bags.items():
+        t = node_id[node] = intern(TDNode(node))
+        payload = tuple(map(intern, bag_payload(bag)))
+        if payload_arity is None:
+            payload_arity = len(payload)
+        elif payload_arity != len(payload):
+            raise ValueError("bag_payload must have a fixed arity")
+        bag_by_node[t] = [(t, *payload)]
+        if extra is not None:
+            for predicate, args in extra(node):
+                row = (t, *map(intern, args))
+                rel = extra_facts.get(predicate)
+                if rel is None:
+                    rel = extra_facts[predicate] = set()
+                    extra_by_node[predicate] = {}
+                if row not in rel:
+                    rel.add(row)
+                    extra_by_node[predicate].setdefault(t, []).append(row)
+    tree_facts, indexes = _tree_relations(nice.tree, node_id)
+
+    # raises, as in encode_nice, if the structure already has a tau_td
+    # predicate name with another arity
+    structure.signature.extended(
+        {
+            "root": 1,
+            "leaf": 1,
+            "child1": 2,
+            "child2": 2,
+            "bag": 1 + (payload_arity or 1),
+        }
+    )
+    for predicate, rel in extra_facts.items():
+        if predicate in structure.signature or predicate in _NICE_PREDICATES:
+            raise ValueError(
+                f"extra predicate {predicate!r} is already in the encoding"
+            )
+        if len({len(row) for row in rel}) > 1:
+            raise ValueError(f"extra predicate {predicate!r} mixes arities")
+
+    to_id = ids.__getitem__
+    facts = {
+        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
+        for name in structure.signature
+    }
+    facts.update(tree_facts, bag={rows[0] for rows in bag_by_node.values()})
+    facts.update(extra_facts)
+    indexes["bag"] = {(0,): bag_by_node}
+    for predicate, by_node in extra_by_node.items():
+        if len(next(iter(extra_facts[predicate]))) > 1:
+            indexes[predicate] = {(0,): by_node}
+    return SetDatabase.from_interned(Interner.of_distinct(values), facts, indexes)

@@ -36,14 +36,12 @@ def _neighbor_sets(graph: Graph) -> dict[Vertex, set[Vertex]]:
 
 
 def _fill_in_count(adj: dict[Vertex, set[Vertex]], v: Vertex) -> int:
-    """Number of edges that eliminating ``v`` would add."""
-    nbrs = list(adj[v])
-    missing = 0
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1 :]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
+    """Number of edges that eliminating ``v`` would add: the pairs of
+    its neighbours less the edges among them, each of which the set
+    intersections see from both ends."""
+    nbrs = adj[v]
+    k = len(nbrs)
+    return k * (k - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
 
 
 def _degree(adj: dict[Vertex, set[Vertex]], v: Vertex) -> int:
@@ -69,10 +67,13 @@ def _greedy_order(
 
     Eliminating ``v`` turns ``N(v)`` into a clique, which changes the
     degree of ``N(v)`` only, and the fill-in of ``N(v)`` and of the
-    neighbours of ``N(v)`` (the only vertices that can see a new edge
-    between two of their neighbours); ``second_ring`` asks for the
-    latter.  Re-costed vertices get a fresh heap entry; entries whose
-    cost is no longer current are skipped when popped.
+    neighbours of those members of ``N(v)`` that gained an edge (the
+    only vertices that can see a new edge between two of their
+    neighbours); ``second_ring`` asks for the latter.  Re-costed
+    vertices get a fresh heap entry; entries whose cost is no longer
+    current are skipped when popped.  Leaving out the neighbours of a
+    member that gained nothing keeps the order and saves re-costing the
+    whole neighbourhood of a hub each time one of its leaves goes.
     """
     adj = _neighbor_sets(graph)
     vertices = list(adj)
@@ -90,13 +91,15 @@ def _greedy_order(
             continue
         order.append(v)
         nbrs = adj.pop(v)
-        for a in nbrs:
-            adj[a].discard(v)
-            adj[a] |= nbrs - {a}
         touched = set(nbrs)
-        if second_ring:
-            for a in nbrs:
-                touched |= adj[a]
+        for a in nbrs:
+            row = adj[a]
+            row.discard(v)
+            before = len(row)
+            row |= nbrs
+            row.discard(a)
+            if second_ring and len(row) > before:
+                touched |= row
         for u in touched:
             j = index[u]
             c = cost(adj, u)

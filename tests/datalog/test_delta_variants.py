@@ -5,7 +5,9 @@ atom that starts at that atom (``plan_delta_rule``).  The variants must
 derive exactly the round-0 plans' least model on every engine, order
 the extensional key probes before intensional ones, and make Figure 5
 pay per delta fact: ``bindings_explored`` roughly doubles when the
-graph doubles.
+graph doubles.  The set engine fires them through their prefix trie
+(``group_delta_variants``): steps equal up to variable renaming run
+once per round.
 """
 
 import random
@@ -15,11 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
     Atom,
+    Constant,
+    Database,
     EvaluationStats,
     Literal,
     Program,
     Rule,
     Variable,
+    parse_program,
     prepare_program,
     solve,
     standard_registry,
@@ -40,7 +45,12 @@ from repro.problems.three_coloring import (
     three_coloring_program,
 )
 
-from ..conftest import datalog_databases, datalog_programs
+from ..conftest import (
+    DATALOG_DOMAIN,
+    IDB_ARITIES,
+    datalog_databases,
+    datalog_programs,
+)
 
 ENGINES = ("naive", "semi-naive", "semi-naive-tuple")
 
@@ -141,6 +151,105 @@ class TestFigure5Plans:
         assert solve(prepared.program, edb).relation("solve") == want
 
 
+def _walk(groups, depth=0):
+    """Every node of a prefix trie with the prefix length at its end,
+    depth first."""
+    for group in groups:
+        end = depth + len(group.steps)
+        yield group, end
+        yield from _walk(group.children, end)
+
+
+def _figure5_stratum():
+    prepared = prepare_program(three_coloring_program())
+    (stratum,) = [sp for sp in prepared.stratum_plans if sp.recursive]
+    return stratum
+
+
+class TestFigure5PrefixGroups:
+    """Which delta variants share which prefix: variants are named
+    ``(rule index, delta body index)``; rules 1-3 introduce a vertex,
+    4-6 remove one, 7 is the branch rule, 8 the copy rule."""
+
+    INTRO = {(1, 4), (2, 4), (3, 4)}
+    FORGET = {(4, 4), (5, 4), (6, 4)}
+    BRANCH = {(7, 5), (7, 6)}
+    COPY = {(8, 2)}
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return {
+            frozenset(group.members): end
+            for group, end in _walk(_figure5_stratum().groups)
+        }
+
+    def test_shared_prefix_lengths(self, table):
+        everyone = self.INTRO | self.FORGET | self.BRANCH | self.COPY
+        assert table == {
+            # Δsolve(S1, R, G, B): every variant's delta scan
+            frozenset(everyone): 1,
+            # child1(S1, S): all but the branch rule's second variant
+            frozenset(everyone - {(7, 6)}): 2,
+            # bag(S, _): introduction, removal and the first branch
+            frozenset(self.INTRO | self.FORGET | {(7, 5)}): 3,
+            # bag(S1, _) with a fresh variable: introduction and removal
+            frozenset(self.INTRO | self.FORGET): 4,
+            # add(X, V, XV) vs add(XV', V, X'): one 5-step prefix each
+            frozenset(self.INTRO): 5,
+            frozenset(self.FORGET): 5,
+            # the tails
+            **{frozenset({v}): 7 for v in self.INTRO},
+            **{frozenset({v}): 6 for v in self.FORGET},
+            frozenset({(7, 5)}): 7,
+            frozenset({(7, 6)}): 7,
+            frozenset(self.COPY): 3,
+        }
+
+    def test_every_variant_ends_once(self):
+        ends = [
+            rule
+            for group, _ in _walk(_figure5_stratum().groups)
+            for rule, _ in group.heads
+        ]
+        assert sorted(ends) == [1, 2, 3, 4, 5, 6, 7, 7, 8]
+
+    def test_shared_steps_keep_every_members_columns(self):
+        stratum = _figure5_stratum()
+        variants = {
+            (rule, v.body_index): v
+            for rule, vs in zip(stratum.rule_indices, stratum.variants)
+            for v in vs
+        }
+
+        def check(groups, depth):
+            for group in groups:
+                for offset, step in enumerate(group.steps):
+                    for member in group.members:
+                        own = variants[member].steps[depth + offset]
+                        assert own.live <= step.live
+                        assert (own.bound, own.free) == (step.bound, step.free)
+                check(group.children, depth + len(group.steps))
+
+        check(stratum.groups, 0)
+
+    def test_bindings_drop_against_per_rule_variants(self):
+        """One seeded n = 256 instance: firing each variant on its own
+        (the per-rule delta rounds before prefix sharing) explored
+        156,926 bindings; sharing must keep at most 65% of that."""
+        stats = EvaluationStats()
+        db = solve(
+            three_coloring_program(),
+            _figure5_instance("count", 256),
+            query="success",
+            stats=stats,
+        )
+        per_rule_bindings = 156_926
+        assert stats.bindings_explored <= 0.65 * per_rule_bindings
+        # sharing changes what is explored, not what is derived
+        assert (stats.rule_firings, stats.facts_derived) == (4632, 4056)
+        assert not db.contains("success", ())
+
+
 class TestEngineAgreement:
     @pytest.mark.parametrize("seed", range(3))
     def test_figure5(self, seed):
@@ -234,3 +343,133 @@ class TestRandomPrograms:
         hits: list[bool] = []
         probe()
         assert any(hits)
+
+
+_RENAMED = {
+    Variable("X"): Variable("U"),
+    Variable("Y"): Variable("W"),
+    Variable("Z"): Variable("X"),
+}
+
+
+def _rename(atom, shift=0):
+    """``atom`` with its variables renamed apart and its constants
+    shifted by ``shift`` within the shared domain."""
+    return Atom(
+        atom.predicate,
+        tuple(
+            _RENAMED[a]
+            if isinstance(a, Variable)
+            else Constant((a.value + shift) % len(DATALOG_DOMAIN))
+            for a in atom.args
+        ),
+    )
+
+
+@st.composite
+def prefix_families(draw):
+    """Random programs in which some rules come with copies renamed
+    apart (``X, Y, Z -> U, W, X``) that differ only in their head, in
+    one extra body literal at the end, or in their body constants, so
+    that their delta variants share prefixes up to renaming."""
+    base = draw(datalog_programs(max_rules=4))
+    rules = []
+    for rule in base.rules:
+        rules.append(rule)
+        for _ in range(draw(st.integers(0, 2))):
+            variation = draw(st.sampled_from(("head", "literal", "constants")))
+            shift = draw(st.integers(0, 1)) if variation == "constants" else 0
+            body = [
+                Literal(_rename(lit.atom, shift), lit.positive)
+                for lit in rule.body
+            ]
+            bound = sorted(
+                {
+                    a
+                    for lit in body
+                    if lit.positive
+                    for a in lit.atom.args
+                    if isinstance(a, Variable)
+                },
+                key=lambda v: v.name,
+            )
+            head = _rename(rule.head)
+            if variation == "head":
+                predicate = draw(st.sampled_from(sorted(IDB_ARITIES)))
+                head = Atom(
+                    predicate,
+                    tuple(
+                        draw(st.sampled_from(bound))
+                        for _ in range(IDB_ARITIES[predicate])
+                    ),
+                )
+            elif variation == "literal" and bound:
+                pair = tuple(draw(st.sampled_from(bound)) for _ in range(2))
+                value = Constant(draw(st.sampled_from(DATALOG_DOMAIN)))
+                extra = draw(
+                    st.sampled_from(
+                        [
+                            Atom("neq", pair),
+                            Atom("edge", pair),
+                            Atom("edge", (pair[0], value)),
+                            Atom("color", pair[:1]),
+                        ]
+                    )
+                )
+                body.append(Literal(extra, positive=draw(st.booleans())))
+            rules.append(Rule(head, tuple(body)))
+    return Program(rules, builtin_names=("neq",))
+
+
+def _shares_a_join(program):
+    """Whether two delta variants share more than their delta scan."""
+    prepared = prepare_program(program, standard_registry())
+    return any(
+        len(group.members) > 1 and end > 1
+        for stratum_plan in prepared.stratum_plans
+        for group, end in _walk(stratum_plan.groups)
+    )
+
+
+class TestPrefixFamilies:
+    @settings(max_examples=150)
+    @given(program=prefix_families(), db=datalog_databases(max_facts=16))
+    def test_engines_agree(self, program, db):
+        _assert_engines_agree(program, db)
+
+    def test_a_constant_splits_the_prefix(self):
+        """Two rules equal up to one constant share the two steps
+        before it and keep their own semi-joins."""
+        program = parse_program(
+            """
+            q(X) :- color(X).
+            q(Y) :- q(X), edge(X, Y), edge(Y, 1).
+            q(Y) :- q(X), edge(X, Y), edge(Y, 2).
+            """
+        )
+        (stratum,) = prepare_program(program).stratum_plans
+        table = {
+            frozenset(group.members): end
+            for group, end in _walk(stratum.groups)
+        }
+        assert table == {
+            frozenset({(1, 0), (2, 0)}): 2,
+            frozenset({(1, 0)}): 3,
+            frozenset({(2, 0)}): 3,
+        }
+        db = Database()
+        db.add("color", (0,))
+        for edge in ((0, 1), (0, 2), (1, 1), (2, 2)):
+            db.add("edge", edge)
+        model = _assert_engines_agree(program, db)
+        assert model["q"] == {(0,), (1,), (2,)}
+
+    def test_strategy_shares_prefixes(self):
+        @settings(max_examples=60, database=None)
+        @given(program=prefix_families())
+        def probe(program):
+            hits.append(_shares_a_join(program))
+
+        hits: list[bool] = []
+        probe()
+        assert sum(hits) >= 5

@@ -1,5 +1,7 @@
 """Cross-validation of the PRIMALITY algorithms (Sections 5.2, 5.3)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +17,9 @@ from repro.problems import (
     prime_attributes_datalog,
     prime_attributes_direct,
     prime_attributes_rerooting,
+    random_schema,
 )
+from repro.datalog import SetDatabase
 from repro.structures import RelationalSchema, running_example
 
 from ..conftest import small_schemas
@@ -95,6 +99,13 @@ class TestAgainstBruteforce:
     def test_datalog_agrees(self, schema):
         want = schema.prime_attributes_bruteforce()
         assert prime_attributes_datalog(schema) == want
+
+    @given(small_schemas(max_attrs=4, max_fds=3))
+    @settings(max_examples=8, deadline=None)
+    def test_decision_datalog_agrees(self, schema):
+        solver = PrimalityDatalog(schema)
+        got = {a for a in schema.attributes if solver.decide(a)}
+        assert got == set(schema.prime_attributes_bruteforce())
 
     @given(small_schemas(max_attrs=5, max_fds=4))
     @settings(max_examples=8, deadline=None)
@@ -212,3 +223,26 @@ class TestPrograms:
         for node, at, fd in encoded.relation("bag"):
             assert not (at & fd_names)
             assert fd <= fd_names
+
+
+class TestIdSpaceEvaluation:
+    """Both programs run on the set engine over the id-space load and
+    decode only what they answer with."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_enumeration_on_random_schemas(self, seed):
+        schema = random_schema(random.Random(seed), 8, 6)
+        assert prime_attributes_datalog(schema) == prime_attributes_direct(
+            schema
+        )
+
+    def test_decision_never_decodes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decision decoded a relation")
+
+        monkeypatch.setattr(SetDatabase, "decode", refuse)
+        monkeypatch.setattr(SetDatabase, "decode_relation", refuse)
+        schema = running_example()
+        solver = PrimalityDatalog(schema)
+        got = {a for a in schema.attributes if solver.decide(a)}
+        assert got == set(prime_attributes_direct(schema))

@@ -1,12 +1,16 @@
 """Cross-validation of the three 3-Colorability solvers (Section 5.1)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from repro.datalog import SetDatabase, solve
 from repro.problems import (
     ThreeColoringDatalog,
     encode_for_three_coloring,
     is_valid_coloring,
+    random_partial_ktree,
     three_coloring_bruteforce,
     three_coloring_direct,
     three_coloring_program,
@@ -122,3 +126,37 @@ class TestProgramShape:
         assert colorable == three_coloring_bruteforce(g)
         if witness is not None:
             assert is_valid_coloring(g, witness)
+
+
+class TestIdSpaceRun:
+    """``decide`` loads ``A_td`` in ids and reads ``success`` there;
+    ``run`` keeps its contract, decoding its database on first access."""
+
+    def test_decide_never_decodes(self, monkeypatch, datalog_solver):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decide decoded a relation")
+
+        monkeypatch.setattr(SetDatabase, "decode", refuse)
+        monkeypatch.setattr(SetDatabase, "decode_relation", refuse)
+        for graph, expected in KNOWN:
+            assert datalog_solver.decide(graph) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_matches_the_value_level_solve(self, seed, datalog_solver):
+        graph, _ = random_partial_ktree(random.Random(seed), 24, 3, 0.3)
+        nice = prepare_decomposition(graph)
+        want = solve(
+            datalog_solver.program, encode_for_three_coloring(graph, nice)
+        )
+        run = datalog_solver.run(graph)
+        assert run.colorable == want.contains("success", ())
+        assert run.colorable == three_coloring_direct(graph)[0]
+        assert run.solve_fact_count == len(want.relation("solve"))
+        assert "database" not in vars(run)  # not decoded yet
+        assert run.database.relation("solve") == want.relation("solve")
+        assert run.database is run.database
+
+    def test_empty_graph_run(self, datalog_solver):
+        run = datalog_solver.run(Graph())
+        assert run.colorable and run.solve_fact_count == 0
+        assert run.database.fact_count() == 0

@@ -12,7 +12,7 @@ subjects, order).
 from __future__ import annotations
 
 from repro.errors import Violation
-from repro.treewidth.heuristics import _fill_in_count, _neighbor_sets
+from repro.treewidth.heuristics import _neighbor_sets
 
 
 def greedy_order(graph, cost):
@@ -33,8 +33,19 @@ def min_degree_order(graph):
     return greedy_order(graph, lambda adj, v: len(adj[v]))
 
 
+def fill_in_count(adj, v):
+    """The edges eliminating ``v`` would add, pair by pair."""
+    nbrs = list(adj[v])
+    missing = 0
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1 :]:
+            if b not in adj[a]:
+                missing += 1
+    return missing
+
+
 def min_fill_order(graph):
-    return greedy_order(graph, _fill_in_count)
+    return greedy_order(graph, fill_in_count)
 
 
 def gaifman_edges(structure):

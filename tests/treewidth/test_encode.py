@@ -7,7 +7,16 @@ from hypothesis import given, strategies as st
 
 from repro.datalog import SetDatabase
 from repro.datalog.interning import iter_bits
-from repro.problems import random_partial_ktree
+from repro.problems import (
+    encode_for_primality,
+    encode_for_three_coloring,
+    load_for_primality,
+    load_for_three_coloring,
+    prepare_decision_decomposition,
+    prepare_enumeration_decomposition,
+    random_partial_ktree,
+    random_schema,
+)
 from repro.structures import Graph, graph_to_structure, relabel, running_example
 from repro.treewidth import (
     NormalizedTreeDecomposition,
@@ -18,6 +27,7 @@ from repro.treewidth import (
     decompose_within,
     encode_nice,
     encode_normalized,
+    load_nice,
     load_normalized,
     make_nice,
     normalize,
@@ -235,3 +245,119 @@ class TestLoadNormalized:
             load_normalized(structure, ntd)
         with pytest.raises(ValueError, match="more than two children"):
             encode_normalized(structure, ntd)
+
+
+# ----------------------------------------------------------------------
+# load_nice: a Section 5 A_td plus the problem's node facts, in ids
+# ----------------------------------------------------------------------
+
+#: LABELS plus frozensets; ``frozenset(range(0))`` is the empty set,
+#: which is also an ``allowed`` subset of every bag
+NICE_LABELS = {**LABELS, "frozenset": lambda v: frozenset(range(v))}
+
+
+def assert_same_database(loaded, oracle):
+    """Equal relations after decoding, and the same value set."""
+    assert set(loaded.predicates()) == set(oracle.predicates())
+    for predicate in oracle.predicates():
+        assert loaded.decode_relation(predicate) == oracle.decode_relation(
+            predicate
+        ), predicate
+    assert len(loaded.interner) == len(oracle.interner)
+    assert set(loaded.interner.values()) == set(oracle.interner.values())
+    for predicate in loaded.predicates():
+        rel = loaded.relation(predicate)
+        if len(next(iter(rel))) == 1:
+            assert {(i,) for i in iter_bits(loaded.bits(predicate))} == rel
+
+
+@st.composite
+def partial_3_trees(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    graph, _ = random_partial_ktree(rng, n, 3, draw(st.sampled_from((0.2, 0.6))))
+    label = NICE_LABELS[draw(st.sampled_from(sorted(NICE_LABELS)))]
+    return relabel(graph, {v: label(v) for v in graph.vertices})
+
+
+#: the node-keyed indexes load_nice fills for Figure 5's input
+NICE_PREFILLED = PREFILLED + (("allowed", (0,)),)
+
+
+class TestLoadNice:
+    @given(graph=partial_3_trees())
+    def test_three_coloring_equals_the_encode_then_load_oracle(self, graph):
+        nice = make_nice(decompose_graph(graph))
+        assert_same_database(
+            load_for_three_coloring(graph, nice),
+            SetDatabase.from_edb(encode_for_three_coloring(graph, nice)),
+        )
+
+    @given(
+        seed=st.integers(0, 2**16),
+        attributes=st.integers(2, 7),
+        fds=st.integers(1, 6),
+        enumeration=st.booleans(),
+    )
+    def test_primality_equals_the_encode_then_load_oracle(
+        self, seed, attributes, fds, enumeration
+    ):
+        schema = random_schema(random.Random(seed), attributes, fds)
+        if enumeration:
+            nice = prepare_enumeration_decomposition(schema)
+        else:
+            nice = prepare_decision_decomposition(schema, "a")
+        assert_same_database(
+            load_for_primality(schema, nice),
+            SetDatabase.from_edb(encode_for_primality(schema, nice)),
+        )
+
+    @given(graph=partial_3_trees())
+    def test_prefilled_indexes_equal_the_lazy_ones(self, graph):
+        loaded = load_for_three_coloring(
+            graph, make_nice(decompose_graph(graph))
+        )
+        lazy = loaded.snapshot()
+        for predicate, positions in NICE_PREFILLED:
+            buckets = [
+                {key: sorted(rows) for key, rows in db.index_for(
+                    predicate, positions
+                ).items()}
+                for db in (loaded, lazy)
+            ]
+            assert buckets[0] == buckets[1], predicate
+        assert loaded.index_stats.builds == 0
+
+    def test_extra_facts_of_a_node(self):
+        g = Graph.path(3)
+        nice = make_nice(decompose_graph(g))
+        loaded = load_nice(
+            graph_to_structure(g),
+            nice,
+            extra=lambda node: [("size", (len(nice.bag(node)),))] * 2,
+        )
+        assert loaded.decode_relation("size") == {
+            (TDNode(node), len(bag)) for node, bag in nice.bags.items()
+        }
+
+    def test_extra_predicate_must_be_new(self):
+        g = Graph.path(3)
+        nice = make_nice(decompose_graph(g))
+        with pytest.raises(ValueError, match="'bag' is already"):
+            load_nice(
+                graph_to_structure(g), nice, extra=lambda node: [("bag", (1,))]
+            )
+        with pytest.raises(ValueError, match="mixes arities"):
+            load_nice(
+                graph_to_structure(g),
+                nice,
+                extra=lambda node: [("tag", ()), ("tag", (node,))],
+            )
+
+    def test_payload_arity_must_be_fixed(self):
+        g = Graph.path(4)
+        nice = make_nice(decompose_graph(g))
+        with pytest.raises(ValueError, match="fixed arity"):
+            load_nice(graph_to_structure(g), nice, bag_payload=tuple)
+        with pytest.raises(ValueError, match="fixed arity"):
+            encode_nice(graph_to_structure(g), nice, bag_payload=tuple)

@@ -9,9 +9,11 @@ repairs.  The oracles live in :mod:`tests.treewidth.oracles`.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.problems import random_partial_ktree
 from repro.structures import Graph, Signature, Structure, graph_to_structure
 from repro.structures.graphs import gaifman_graph, subgraph
 from repro.treewidth import (
@@ -127,6 +129,18 @@ class TestEliminationOrders:
             graph = subgraph(ladder, keep)
             assert min_fill_order(graph) == oracles.min_fill_order(graph)
             assert min_degree_order(graph) == oracles.min_degree_order(graph)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partial_3_trees_match_the_scan(self, seed):
+        """Partial k-trees grow hubs whose degree grows with n: min-fill
+        re-costs a hub's neighbourhood only when an elimination adds an
+        edge next to it."""
+        graph, _ = random_partial_ktree(
+            random.Random(f"front-end-oracles:{seed}"), 90, 3, 0.2
+        )
+        assert max(len(graph.neighbors(v)) for v in graph.vertices) >= 10
+        assert min_fill_order(graph) == oracles.min_fill_order(graph)
+        assert min_degree_order(graph) == oracles.min_degree_order(graph)
 
 
 class TestGaifmanEdges:
