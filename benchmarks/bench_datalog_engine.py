@@ -89,13 +89,7 @@ Two entry points:
      results for 1 worker and N workers;
   7. the checked-in ``BENCH_engine.json`` must match the harness's
      schema version and workload/backend shape (drift fails CI until
-     the baseline is regenerated);
-  8. the **planner workloads** gate the feedback loop (PR 8): a
-     profiled replan derives identical relations, is never slower
-     than the static textual plans (1.25x jitter tolerance), clears
-     >= 1.5x wall-clock on the skewed join, and MinIndexSelection
-     covers every search signature of the nested-signature workload
-     with strictly fewer indexes than one-per-pattern.
+     the baseline is regenerated).
 """
 
 import argparse
@@ -111,16 +105,13 @@ except ImportError:  # running as a plain script without install
 
 from repro.bench import compare_backends, format_ms, format_table, time_ms
 from repro.datalog import (
-    CostModel,
     Database,
     EvaluationStats,
     GroundingStats,
     InternPool,
-    PlanProfile,
     ProgramCache,
     SemiNaiveEvaluator,
     SetDatabase,
-    SetSemiNaiveEvaluator,
     atom,
     const,
     ground_program_ids,
@@ -128,7 +119,6 @@ from repro.datalog import (
     least_fixpoint,
     naive_least_fixpoint,
     parse_program,
-    prepare_program,
     solve,
     td_key_dependencies,
     var,
@@ -390,7 +380,7 @@ def run_comparison(quick, repeat=3):
 # eager reference grounder -- on chain/grid/tree families.
 # ----------------------------------------------------------------------
 
-SCHEMA_VERSION = "bench-engine/v9"
+SCHEMA_VERSION = "bench-engine/v10"
 
 #: the gate on the grid2x solve: the folded program must beat the
 #: passes=() ablation -- the program PR 9 served -- by this factor
@@ -726,189 +716,6 @@ def check_solver_contracts(name, runs):
 
 
 # ----------------------------------------------------------------------
-# Feedback-directed planning: profile -> replan -> re-index (PR 8)
-# ----------------------------------------------------------------------
-
-SKEW_PROGRAM = parse_program("match(X, Z) :- big(X, Y), tiny(Y, Z).")
-
-NESTED_PROGRAM = parse_program(
-    """
-    viaA(Z) :- arc(0, Y, Z).
-    viaB(Z) :- arc(0, 1, Z).
-    """
-)
-
-
-def skew_db(n):
-    """A skewed join: ``big`` is n facts, ``tiny`` is 10.  The textual
-    body order scans ``big`` and probes ``tiny`` (n probes, 10 hits);
-    the profiled replan scans ``tiny`` and probes ``big``."""
-    db = Database()
-    for i in range(n):
-        db.add("big", (i, i))
-    for j in range(10):
-        db.add("tiny", (j, j))
-    return db
-
-
-def nested_db(n):
-    """A ternary relation probed on the nested signatures {0} and
-    {0, 1} -- the MinChainCover showcase: one shared lexicographic
-    index replaces two per-pattern hash indexes."""
-    db = Database()
-    for i in range(n):
-        db.add("arc", (i % 50, i % 7, i))
-    return db
-
-
-def planner_workloads(quick):
-    big_n, arc_n = (20_000, 20_000) if quick else (60_000, 50_000)
-    return [
-        ("skew-join", SKEW_PROGRAM, skew_db(big_n)),
-        ("nested-sigs", NESTED_PROGRAM, nested_db(arc_n)),
-    ]
-
-
-def _planner_arm(prepared, db, apply_selection, profile=None):
-    evaluator = SetSemiNaiveEvaluator.from_prepared(
-        prepared, profile=profile, apply_index_selection=apply_selection
-    )
-    evaluator.run(db)
-    return evaluator
-
-
-def run_planner_comparison(quick, repeat=3):
-    """The profile -> replan -> re-index loop on the set engine.
-
-    Per workload: a profiled static run (textual plans, no shared
-    indexes) feeds the cost model; the replanned prepared program (with
-    its MinIndexSelection installed) re-runs the same workload.  Each
-    arm interns and warms its database once, outside the timed region;
-    the timings are warm re-evaluations of the full fixpoint, so they
-    compare the *plans and probes*, not EDB interning (identical in
-    both arms by construction).  Returns (table rows, per-workload
-    results dict, contract violations).  Contracts: identical derived
-    relations; replanned never slower than static (1.25x tolerance for
-    timer jitter); >= 1.5x wall-clock on the skewed join;
-    MinIndexSelection covers every search signature of the nested
-    workload with strictly fewer indexes than one-per-pattern.
-    """
-    rows = []
-    results = {}
-    failures = []
-    for name, program, db in planner_workloads(quick):
-        static_prepared = prepare_program(program)
-        profile = PlanProfile()
-        static_db = SetDatabase.from_edb(db)
-        static_eval = _planner_arm(
-            static_prepared, static_db, False, profile=profile
-        )
-        replanned = prepare_program(program, cost=CostModel(profile))
-        replan_db = SetDatabase.from_edb(db)
-        replan_eval = _planner_arm(replanned, replan_db, True)
-        for predicate in program.intensional_predicates():
-            if replan_db.decode_relation(predicate) != static_db.decode_relation(
-                predicate
-            ):
-                failures.append(
-                    f"{name}: replanned plans derive a different "
-                    f"{predicate!r} relation"
-                )
-        static_ms = time_ms(
-            lambda: _planner_arm(static_prepared, static_db, False),
-            repeat=repeat,
-        )
-        replanned_ms = time_ms(
-            lambda: _planner_arm(replanned, replan_db, True),
-            repeat=repeat,
-        )
-        selection = replanned.index_selection
-        signatures = replanned.search_signatures()
-        covered = all(
-            selection.covers(predicate, sig)
-            for predicate, sigs in signatures.items()
-            for sig in sigs
-        )
-        results[name] = {
-            "static_ms": round(static_ms, 3),
-            "replanned_ms": round(replanned_ms, 3),
-            "speedup": round(static_ms / replanned_ms, 2)
-            if replanned_ms
-            else float("inf"),
-            "bindings_static": static_eval.stats.bindings_explored,
-            "bindings_replanned": replan_eval.stats.bindings_explored,
-            "indexes_before": selection.n_signatures,
-            "indexes_after": selection.n_indexes,
-            "lex_indexes": len(selection.lex_specs),
-            "covered": covered,
-        }
-        for arm, ms, stats in (
-            ("static", static_ms, static_eval.stats),
-            ("replanned", replanned_ms, replan_eval.stats),
-        ):
-            rows.append(
-                [
-                    name,
-                    arm,
-                    stats.facts_derived,
-                    stats.bindings_explored,
-                    format_ms(ms),
-                    f"{static_ms / ms:.1f}x" if ms else "inf",
-                ]
-            )
-        failures.extend(check_planner_contracts(name, results[name]))
-    return rows, results, failures
-
-
-def check_planner_contracts(name, record):
-    """The perf and coverage contracts of one planner workload;
-    separated out so the test-suite can exercise the gate logic on
-    synthetic records.
-
-    The replanned arm must never lose to static (1.25x tolerance: the
-    nested workload's arms run the same plans, so the comparison is
-    shared-lex vs per-pattern-hash index builds and sits near 1x).
-    The skewed join is where feedback pays: the profiled replan scans
-    the 10-row guard first, so >= 1.5x wall-clock and strictly fewer
-    explored bindings are both required.  MinIndexSelection must cover
-    every search signature, and on the nested workload with strictly
-    fewer indexes than the one-hash-per-pattern baseline.
-    """
-    failures = []
-    if record["replanned_ms"] > record["static_ms"] * 1.25:
-        failures.append(
-            f"{name}: replanned ({record['replanned_ms']:.1f}ms) is "
-            f"slower than static ({record['static_ms']:.1f}ms)"
-        )
-    if not record["covered"]:
-        failures.append(
-            f"{name}: MinIndexSelection left a search signature "
-            "uncovered"
-        )
-    if name == "skew-join":
-        if record["replanned_ms"] * 1.5 > record["static_ms"]:
-            failures.append(
-                f"{name}: replanned {record['replanned_ms']:.1f}ms vs "
-                f"static {record['static_ms']:.1f}ms -- less than the "
-                "required 1.5x speedup"
-            )
-        if not record["bindings_replanned"] < record["bindings_static"]:
-            failures.append(
-                f"{name}: replanned explored "
-                f"{record['bindings_replanned']} bindings, static "
-                f"{record['bindings_static']} -- not strictly fewer"
-            )
-    if name == "nested-sigs":
-        if not record["indexes_after"] < record["indexes_before"]:
-            failures.append(
-                f"{name}: MinIndexSelection kept "
-                f"{record['indexes_after']} indexes for "
-                f"{record['indexes_before']} signatures -- no sharing"
-            )
-    return failures
-
-
-# ----------------------------------------------------------------------
 # solve_many: sharded batch solving (ROADMAP item (c))
 # ----------------------------------------------------------------------
 
@@ -1014,7 +821,7 @@ def check_baseline_drift(previous, payload):
         )
         return failures  # shape comparisons are meaningless across schemas
     if previous.get("quick") == payload["quick"]:
-        for section in ("workloads", "solver_workloads", "planner"):
+        for section in ("workloads", "solver_workloads"):
             old_keys = set(previous.get(section, ()))
             new_keys = set(payload.get(section, ()))
             if old_keys != new_keys:
@@ -1039,7 +846,6 @@ def build_payload(
     solver_results,
     solve_many_results,
     quick,
-    planner_results=None,
     service_throughput=None,
     service_resilience=None,
     admission=None,
@@ -1089,12 +895,6 @@ def build_payload(
         },
         "solve_many": solve_many_results,
     }
-    if planner_results is not None:
-        payload["planner"] = planner_results
-        payload["planner_speedups"] = {
-            name: record["speedup"]
-            for name, record in planner_results.items()
-        }
     if service_throughput is not None:
         payload["service_throughput"] = service_throughput
     if service_resilience is not None:
@@ -1154,27 +954,6 @@ def main(argv=None) -> int:
             solver_rows,
         )
     )
-    print(
-        "\nplanner workloads (feedback-directed replan + "
-        "MinIndexSelection vs static plans)"
-    )
-    planner_rows, planner_results, planner_failures = (
-        run_planner_comparison(args.quick, repeat=repeat)
-    )
-    failures.extend(planner_failures)
-    print(
-        format_table(
-            [
-                "workload",
-                "arm",
-                "facts",
-                "bindings",
-                "ms",
-                "vs static",
-            ],
-            planner_rows,
-        )
-    )
     print("\nsolve_many (sharded batch, 1 worker vs transient service)")
     solve_many_results, solve_many_failures = run_solve_many_comparison(
         args.quick
@@ -1193,7 +972,6 @@ def main(argv=None) -> int:
         solver_results,
         solve_many_results,
         args.quick,
-        planner_results=planner_results,
         service_throughput=(
             previous.get("service_throughput")
             if previous is not None
@@ -1224,10 +1002,7 @@ def main(argv=None) -> int:
         "prunes rules, and beats it >= 2x on the tree solve and "
         ">= 1.3x on the chain solve; the width-2 grid2x solve matches "
         "direct MSO evaluation and the hand-written cover DP and beats "
-        "the passes=() ablation; the profiled replan matches "
-        "static plans, clears 1.5x on the skewed join, and "
-        "MinIndexSelection shares indexes across nested signatures; "
-        "solve_many is worker-count-invariant; the baseline schema "
+        "the passes=() ablation; solve_many is worker-count-invariant; the baseline schema "
         "matches the harness"
     )
     return 0

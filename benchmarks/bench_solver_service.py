@@ -17,7 +17,7 @@ Frochaux-Schweikardt unranked-tree workloads in PAPERS.md motivate):
   here, never on the request path.
 
 Measured, and recorded as ``service_throughput`` in
-``BENCH_engine.json`` (schema ``bench-engine/v9``):
+``BENCH_engine.json`` (schema ``bench-engine/v10``):
 
 1. **serial**: the in-process loop over the whole traffic (the
    baseline the service must beat);
@@ -85,7 +85,7 @@ BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 
 #: must match bench_datalog_engine.SCHEMA_VERSION -- both harnesses
 #: write sections of the same baseline file
-ENGINE_SCHEMA = "bench-engine/v9"
+ENGINE_SCHEMA = "bench-engine/v10"
 
 #: the acceptance gate: at >= GATE_WORKERS workers on >= GATE_WORKERS
 #: cores, the service must clear GATE_SPEEDUP x the serial loop

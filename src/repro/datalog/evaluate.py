@@ -37,7 +37,6 @@ from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
 from .builtins import UNBOUND, BuiltinCall, BuiltinRegistry, standard_registry
 from .passes import strongly_connected_components
-from .profile import CostModel, IndexSelection, min_index_selection
 
 
 class UnsafeRuleError(ValueError):
@@ -287,55 +286,51 @@ def _greedy_choice(
     bound: set[Variable],
     idb: frozenset[str],
     registry: BuiltinRegistry,
-    cost: CostModel | None,
-    delta_predicates: frozenset[str],
 ) -> Choice | None:
     """The round-0 order's next step: the positive relation atom with
-    the most bound slots (ties on the cost estimate, then body order),
-    else the first runnable built-in, else the first fully bound
-    negation."""
+    the most bound slots (ties on body order) when it is fully bound,
+    else the first built-in in a functional binding pattern, else that
+    relation atom, else the first runnable built-in, else the first
+    fully bound negation.
+
+    A functional built-in binds its outputs at most once per row, so
+    running it before a relation atom that still has a free position
+    never widens the batch -- and it turns the later atoms over its
+    outputs into bound checks instead of cross products."""
     chosen: Choice | None = None
     best_key: tuple | None = None
+    full = False
     for index, literal in remaining:
         a = literal.atom
         if literal.positive and not _is_builtin(a, idb, registry):
             mask = _mask_of(a, bound)
-            est = _estimate(cost, a, mask, delta_predicates)
-            key = (-sum(mask), est, index)
+            key = (-sum(mask), index)
             if best_key is None or key < best_key:
                 best_key = key
                 chosen = (index, literal, "relation")
-    if chosen is not None:
+                full = all(mask)
+    if full:
         return chosen
+    runnable: Choice | None = None
     for index, literal in remaining:
         a = literal.atom
-        if (
-            literal.positive
-            and _is_builtin(a, idb, registry)
-            and registry.get(a.predicate).can_evaluate(_mask_of(a, bound))
-        ):
-            return (index, literal, "builtin")
+        if literal.positive and _is_builtin(a, idb, registry):
+            mask = _mask_of(a, bound)
+            builtin = registry.get(a.predicate)
+            if not builtin.can_evaluate(mask):
+                continue
+            if builtin.is_functional(mask):
+                return (index, literal, "builtin")
+            if runnable is None:
+                runnable = (index, literal, "builtin")
+    if chosen is not None:
+        return chosen
+    if runnable is not None:
+        return runnable
     for index, literal in remaining:
         if not literal.positive and all(_mask_of(literal.atom, bound)):
             return (index, literal, "negation")
     return None
-
-
-def _estimate(
-    cost: CostModel | None,
-    a: Atom,
-    mask: tuple[bool, ...],
-    delta_predicates: frozenset[str],
-) -> float:
-    if cost is None:
-        return float("inf")
-    got = cost.estimate(
-        a.predicate,
-        len(a.args),
-        tuple(i for i, b in enumerate(mask) if b),
-        delta=a.predicate in delta_predicates,
-    )
-    return float("inf") if got is None else got
 
 
 def _delta_choice(
@@ -343,7 +338,6 @@ def _delta_choice(
     bound: set[Variable],
     idb: frozenset[str],
     registry: BuiltinRegistry,
-    cost: CostModel | None,
 ) -> Choice | None:
     """The next step of a delta variant, after its delta atom:
 
@@ -353,12 +347,11 @@ def _delta_choice(
        intensional, then most bound first;
     4. otherwise the round-0 choice.
 
-    Classes 1 and 2 take their first candidate in body order; class 3
-    breaks ties on the cost estimate, then body order.  Extensional
-    first is what keeps a round linear in its delta: the key
-    dependencies of the encoding (``child1(S1, S)`` by ``S1``) are
-    probed before an intensional relation whose fanout grows with the
-    input."""
+    Every class takes its first candidate in body order (class 3 after
+    its ranking).  Extensional first is what keeps a round linear in
+    its delta: the key dependencies of the encoding (``child1(S1, S)``
+    by ``S1``) are probed before an intensional relation whose fanout
+    grows with the input."""
     probe: Choice | None = None
     probe_key: tuple | None = None
     functional: Choice | None = None
@@ -379,12 +372,7 @@ def _delta_choice(
         elif all(mask):
             return (index, literal, "relation")
         elif any(mask):
-            key = (
-                a.predicate in idb,
-                -sum(mask),
-                _estimate(cost, a, mask, frozenset()),
-                index,
-            )
+            key = (a.predicate in idb, -sum(mask), index)
             if probe_key is None or key < probe_key:
                 probe_key = key
                 probe = (index, literal, "relation")
@@ -392,7 +380,7 @@ def _delta_choice(
         return functional
     if probe is not None:
         return probe
-    return _greedy_choice(remaining, bound, idb, registry, cost, frozenset())
+    return _greedy_choice(remaining, bound, idb, registry)
 
 
 def _order_body(
@@ -429,30 +417,20 @@ def plan_rule(
     registry: BuiltinRegistry,
     *,
     initial_bound: Iterable[Variable] = (),
-    cost: CostModel | None = None,
-    delta_predicates: frozenset[str] = frozenset(),
 ) -> tuple[PlanStep, ...]:
     """Order the body so every step can run with earlier bindings.
 
-    Greedy: prefer positive relation atoms (most bound slots first),
-    then built-ins whose binding pattern is satisfied, then fully-bound
-    negations.  Raises :class:`UnsafeRuleError` when stuck, which also
-    catches the classic safety violations.
+    Greedy (:func:`_greedy_choice`): prefer positive relation atoms
+    (most bound slots first, equal scores in body textual order), with
+    a built-in in a functional binding pattern ahead of any relation
+    atom that is not fully bound, then built-ins whose binding pattern
+    is satisfied, then fully-bound negations.  Raises
+    :class:`UnsafeRuleError` when stuck, which also catches the classic
+    safety violations.
 
     ``initial_bound`` lists variables already bound before the body
     runs; the magic-set rewriting uses it as the sideways-information-
     passing order with the head's bound arguments pre-bound.
-
-    Atoms with equal bound-slot scores tie-break on the ``cost``
-    model's estimated output cardinality (feedback from a profiled
-    run), so a tiny guard relation is joined before a huge one instead
-    of whichever came first in the rule text; atoms the model knows
-    nothing about, and all atoms when ``cost`` is None, keep body
-    textual order.  ``delta_predicates`` names the predicates that are
-    delta-restricted in the semi-naive rounds of this rule's stratum --
-    their scan estimate is scaled down to a per-round delta so
-    cardinality feedback never demotes a recursive atom behind a full
-    extensional scan it would beat on every delta round.
     """
     return _order_body(
         rule,
@@ -460,7 +438,7 @@ def plan_rule(
         set(initial_bound),
         [],
         lambda remaining, bound: _greedy_choice(
-            remaining, bound, idb, registry, cost, delta_predicates
+            remaining, bound, idb, registry
         ),
     )
 
@@ -470,8 +448,6 @@ def plan_delta_rule(
     delta_index: int,
     idb: frozenset[str],
     registry: BuiltinRegistry,
-    *,
-    cost: CostModel | None = None,
 ) -> tuple[PlanStep, ...]:
     """The delta variant of ``rule`` for the recursive body atom at
     ``delta_index``: that atom runs first, as a scan of the round's
@@ -486,7 +462,7 @@ def plan_delta_rule(
         set(first.atom.variables()),
         [PlanStep(first, delta_index, "relation")],
         lambda remaining, bound: _delta_choice(
-            remaining, bound, idb, registry, cost
+            remaining, bound, idb, registry
         ),
     )
 
@@ -514,9 +490,6 @@ class CompiledStep:
     #: slots still needed by later steps or the head -- batch columns
     #: outside this set are projected away by the step
     live: frozenset[int]
-    #: ``(predicate, sorted key positions)`` of a relation step that
-    #: probes an index (it has both a key and free positions), else None
-    signature: tuple[str, tuple[int, ...]] | None
     #: the built-in kernel of a built-in step or a negated built-in
     call: BuiltinCall | None
 
@@ -583,10 +556,6 @@ def compile_plan(
             else:
                 first_pos[slot] = pos
                 free.append((pos, slot))
-        key = tuple(sorted([p for p, _ in consts] + [p for p, _ in bound]))
-        signature = None
-        if step.kind == "relation" and free and key:
-            signature = (atom.predicate, key)
         call = None
         if _is_builtin(atom, idb, registry) and (
             step.kind == "builtin" or not (free or dups)
@@ -606,7 +575,6 @@ def compile_plan(
                 free=tuple(free),
                 dups=tuple(dups),
                 live=live_after[step_index],
-                signature=signature,
                 call=call,
             )
         )
@@ -840,40 +808,13 @@ class PreparedProgram:
     )
     #: each rule's head over its round-0 plan's slots
     heads: tuple[CompiledHead, ...] = field(compare=False, repr=False)
-    #: MinIndexSelection over the plans' extensional search signatures;
-    #: installed on the SetDatabase by the set-at-a-time evaluator so
-    #: nested access patterns share one lexicographic index
-    index_selection: IndexSelection | None = None
-
-    def search_signatures(self) -> dict[str, set[tuple[int, ...]]]:
-        """The extensional search signatures of every compiled probe
-        step, round 0 and delta variants alike: predicate -> sorted
-        bound-position tuples.  Intensional predicates are excluded --
-        they mutate every delta round, and the shared lexicographic
-        indexes are rebuilt, not maintained."""
-        signatures: dict[str, set[tuple[int, ...]]] = {}
-        compiled = list(self.steps)
-        for stratum_plan in self.stratum_plans:
-            for variants in stratum_plan.variants:
-                compiled.extend(variant.steps for variant in variants)
-        for steps in compiled:
-            for cstep in steps:
-                sig = cstep.signature
-                if sig is not None and sig[0] not in self.idb:
-                    signatures.setdefault(sig[0], set()).add(sig[1])
-        return signatures
 
 
 def prepare_program(
     program: Program,
     registry: BuiltinRegistry | None = None,
-    cost: CostModel | None = None,
 ) -> PreparedProgram:
-    """Stratify, safety-check, and plan every rule of ``program``.
-
-    ``cost`` replans with cardinality feedback: plan_rule tie-breaks on
-    the model's estimates instead of body textual order, producing the
-    "replanned" prepared program of the profile -> replan loop."""
+    """Stratify, safety-check, and plan every rule of ``program``."""
     registry = registry if registry is not None else standard_registry()
     idb = program.intensional_predicates()
     overlap = idb & registry.names()
@@ -883,22 +824,7 @@ def prepare_program(
         )
     strata = refine_strata(program, stratify(program))
     _check_negation_stratified(program, idb, strata)
-    stratum_of: dict[str, frozenset[str]] = {}
-    for stratum in strata:
-        for predicate in stratum:
-            stratum_of[predicate] = stratum
-    plans = tuple(
-        plan_rule(
-            rule,
-            idb,
-            registry,
-            cost=cost,
-            delta_predicates=stratum_of.get(
-                rule.head.predicate, frozenset()
-            ),
-        )
-        for rule in program.rules
-    )
+    plans = tuple(plan_rule(rule, idb, registry) for rule in program.rules)
     stratum_plans = []
     for stratum in strata:
         indices = tuple(
@@ -912,7 +838,7 @@ def prepare_program(
             rule_variants = []
             for pos, literal in enumerate(rule.body):
                 if literal.positive and literal.atom.predicate in stratum:
-                    plan = plan_delta_rule(rule, pos, idb, registry, cost=cost)
+                    plan = plan_delta_rule(rule, pos, idb, registry)
                     rule_variants.append(
                         DeltaVariant(
                             pos,
@@ -929,7 +855,7 @@ def prepare_program(
                 group_delta_variants(indices, variants),
             )
         )
-    prepared = PreparedProgram(
+    return PreparedProgram(
         program=program,
         registry=registry,
         idb=idb,
@@ -944,10 +870,6 @@ def prepare_program(
             compile_head(rule.head, plan)
             for rule, plan in zip(program.rules, plans)
         ),
-    )
-    return replace(
-        prepared,
-        index_selection=min_index_selection(prepared.search_signatures()),
     )
 
 

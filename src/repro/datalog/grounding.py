@@ -62,9 +62,9 @@ from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
 from .builtins import UNBOUND, BuiltinCall, BuiltinRegistry, standard_registry
 from .evaluate import Database
+from .guards import CostModel
 from .horn import StreamingHorn, horn_least_model_ids
 from .interning import InternPool
-from .profile import CostModel
 from .setengine import SetDatabase
 
 
@@ -150,7 +150,7 @@ def prepare_grounding(
 ) -> PreparedGrounding:
     """Order every rule's extensional body ahead of time.
 
-    ``cost`` (a :class:`~repro.datalog.profile.CostModel`) breaks
+    ``cost`` (a :class:`~repro.datalog.guards.CostModel`) breaks
     equal-bound-slot ties by estimated output cardinality; without it
     the ordering is the static greedy one (textual tie-break).  The
     Theorem 4.4 evaluator passes the static ``A_td`` model of

@@ -32,7 +32,6 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
-from .profile import CostModel, PlanProfile
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,54 @@ def td_key_dependencies(bag_arity: int) -> tuple[KeyDependency, ...]:
 _TD_SIZE_ORDER = ("root", "leaf", "child2", "child1", "bag")
 
 
+class CostModel:
+    """Static selectivity estimates: relation sizes plus the fanout of
+    every access pattern a key covers.
+
+    ``estimate(predicate, arity, bound_positions)`` returns the
+    expected number of rows a probe of ``predicate`` with those bound
+    positions produces, or ``None`` when the model knows nothing about
+    ``predicate`` (the planner then keeps the textual tie-break):
+
+    1. the recorded fanout of a key-covered access pattern;
+    2. otherwise ``size ** (1 - bound/arity)`` -- the classic
+       attribute-independence estimate from the relation size.
+    """
+
+    __slots__ = ("sizes", "fanouts")
+
+    def __init__(
+        self,
+        sizes: Mapping[str, int],
+        fanouts: Mapping[tuple[str, tuple[int, ...]], float],
+    ) -> None:
+        self.sizes = dict(sizes)
+        self.fanouts = dict(fanouts)
+
+    def estimate(
+        self, predicate: str, arity: int, bound_positions: Iterable[int]
+    ) -> float | None:
+        positions = tuple(sorted(bound_positions))
+        fan = self.fanouts.get((predicate, positions))
+        if fan is not None:
+            return fan
+        size = self.sizes.get(predicate)
+        if size is None:
+            return None
+        if not positions:
+            return float(size)
+        if arity <= 0 or len(positions) >= arity:
+            return 1.0
+        return float(size) ** (1.0 - len(positions) / arity)
+
+
 def key_cost_model(
     dependencies: Iterable[KeyDependency],
 ) -> CostModel | None:
     """The static cost model of the ``A_td`` shape, or ``None`` for no
     dependencies (plans then keep the textual tie-break).
 
-    It is a :class:`~repro.datalog.profile.CostModel` over a profile
-    known before any solve, recording two facts:
+    It is fixed before any solve and records two facts:
 
     * a probe whose bound positions cover a key determinant has fanout
       at most one -- below one, in the size order below, so ties
@@ -77,26 +116,28 @@ def key_cost_model(
       two, so a probe of ``bag`` by its contents alone, with the node
       free, estimates above one row).
 
-    This is what a recorded profile of compiled solves learns at run
-    time (``child1``/``child2`` key probes before ``bag``, ``leaf`` and
-    ``root`` before the ``bag`` scan), without the profiling solves.
+    The grounder then probes ``child1``/``child2`` by key before
+    ``bag`` and scans ``leaf`` and ``root`` before ``bag``: the fixed
+    join orders of the linear-time bound, chosen from the ``A_td``
+    shape alone.
     """
     dependencies = tuple(dependencies)
     if not dependencies:
         return None
-    profile = PlanProfile()
-    for rank, predicate in enumerate(_TD_SIZE_ORDER):
-        profile.record_size(predicate, 1 << rank)
+    sizes = {
+        predicate: 1 << rank for rank, predicate in enumerate(_TD_SIZE_ORDER)
+    }
     scale = 1 << len(_TD_SIZE_ORDER)  # above every size: fanouts < 1
+    fanouts: dict[tuple[str, tuple[int, ...]], float] = {}
     for dep in dependencies:
         arity = max(dep.determinants + dep.dependents) + 1
         rest = [p for p in range(arity) if p not in dep.determinants]
-        matches = profile.size(dep.predicate) or scale
+        fan = sizes.get(dep.predicate, scale) / scale
         for n in range(len(rest) + 1):
             for more in combinations(rest, n):
                 key = tuple(sorted(dep.determinants + more))
-                profile.record_probe(dep.predicate, key, scale, matches)
-    return CostModel(profile)
+                fanouts[(dep.predicate, key)] = fan
+    return CostModel(sizes, fanouts)
 
 
 def _dependency_closure(

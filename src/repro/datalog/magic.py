@@ -207,7 +207,6 @@ def magic_rewrite(
     program: Program,
     query: "Atom | str",
     registry: BuiltinRegistry | None = None,
-    cost=None,
 ) -> MagicRewrite:
     """Rewrite ``program`` so bottom-up evaluation answers only ``query``.
 
@@ -215,10 +214,6 @@ def magic_rewrite(
     predicate ``<q>@a`` whose facts are exactly the facts of ``<q>``
     relevant to the demanded bindings (a superset of the facts matching
     the query's constants, and a subset of the full extent of ``<q>``).
-
-    ``cost`` (a :class:`~repro.datalog.profile.CostModel`) feeds the
-    sideways-information-passing order: demand then flows along the
-    replanned join order, the same one the rewritten program will run.
     """
     registry = registry if registry is not None else standard_registry()
     query_atom = normalize_query(program, query)
@@ -254,7 +249,7 @@ def magic_rewrite(
                     if c == "b" and isinstance(arg, Variable)
                 }
                 plan = plan_rule(
-                    rule, idb, registry, initial_bound=head_bound, cost=cost
+                    rule, idb, registry, initial_bound=head_bound
                 )
                 magic_head = Literal(
                     Atom(

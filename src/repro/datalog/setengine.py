@@ -23,9 +23,13 @@ compilation are shared, only execution differs) relation-at-a-time:
 * Relation steps are hash joins at the relation level: the bound
   positions are classified once per plan (the prepared program keeps
   the compiled steps), one incrementally-maintained index is fetched
-  per step, and the batch probes it row by row.  The tuple engine's
-  per-binding ``Database.match`` (pattern tuple + index resolution per
-  tuple) is gone.
+  per step, and the batch probes it row by row.  There is one index
+  kind: the hash index of a search signature, keyed by its sorted
+  bound positions (:meth:`SetDatabase.index_for`);
+  :func:`~repro.treewidth.encode.load_normalized` and
+  :func:`~repro.treewidth.encode.load_nice` prefill the node-keyed
+  ones.  The tuple engine's per-binding ``Database.match`` (pattern
+  tuple + index resolution per tuple) is gone.
 * Built-in steps run the shared kernel
   (:class:`repro.datalog.builtins.BuiltinCall`, also used by the eager
   grounder): the binding mask was checked when the step was compiled,
@@ -35,10 +39,12 @@ compilation are shared, only execution differs) relation-at-a-time:
 
 The strata and their fixpoint loops are those of
 :class:`SemiNaiveEvaluator`: fire-once strata and round 0 run the
-round-0 plans, and every later round fires each rule's delta variants
-(the recursive atom first, read from the round's delta), so both
-engines derive identical fact sets; the tuple path stays available as
-the ``semi-naive-tuple`` backend for the ablation benchmark.  This
+round-0 plans (skipping a rule whose positive relation atoms include a
+still-empty relation: it cannot fire), and every later round fires
+each rule's delta variants (the recursive atom first, read from the
+round's delta), so both engines derive identical fact sets; the tuple
+path stays available as the ``semi-naive-tuple`` backend for the
+ablation benchmark.  This
 engine fires the variants through their prefix trie
 (:class:`~repro.datalog.evaluate.PrefixGroup`): steps that several
 variants share up to variable renaming run once per round, and
@@ -47,7 +53,6 @@ variants share up to variable renaming run once per round, and
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable
@@ -66,7 +71,6 @@ from .evaluate import (
     prepare_program,
 )
 from .interning import Interner, bitset_of, iter_bits
-from .profile import IndexSelection, PlanProfile
 
 __all__ = [
     "Batch",
@@ -78,10 +82,6 @@ __all__ = [
 ]
 
 _EMPTY_SET: frozenset = frozenset()
-
-#: upper sentinel for lexicographic prefix probes: compares greater
-#: than every interned id (ids are ints)
-_SUP = float("inf")
 
 
 @dataclass
@@ -96,51 +96,6 @@ class IndexStats:
 
     builds: int = 0
     rebuilds: int = 0
-    lex_builds: int = 0
-    lex_rebuilds: int = 0
-
-
-class _LexIndex:
-    """One shared lexicographic index: the relation's facts sorted by a
-    column permutation.  Every search signature covered by the owning
-    MinChainCover chain probes the same sorted array on a key *prefix*
-    (two binary searches per probe), which is what lets one index
-    replace a hash index per access pattern."""
-
-    __slots__ = ("order", "keys", "rows")
-
-    def __init__(
-        self, order: tuple[int, ...], facts: Iterable[tuple[int, ...]]
-    ):
-        pairs = sorted(
-            (tuple(f[p] for p in order), f) for f in facts
-        )
-        self.order = order
-        self.keys = [key for key, _ in pairs]
-        self.rows = [row for _, row in pairs]
-
-    def prober(self, prefix_len: int):
-        """A ``get`` callable probing on the first ``prefix_len`` lex
-        columns; takes a bare id when ``prefix_len == 1`` (matching the
-        single-position hash-index contract), a tuple otherwise.
-        Returns the matching rows or None."""
-        keys = self.keys
-        rows = self.rows
-        if prefix_len == 1:
-
-            def get(value):
-                lo = bisect_left(keys, (value,))
-                hi = bisect_left(keys, (value, _SUP), lo)
-                return rows[lo:hi] if hi > lo else None
-
-        else:
-
-            def get(key):
-                lo = bisect_left(keys, key)
-                hi = bisect_left(keys, key + (_SUP,), lo)
-                return rows[lo:hi] if hi > lo else None
-
-        return get
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +119,6 @@ class SetDatabase:
         "_facts",
         "_bits",
         "_indexes",
-        "_lex",
-        "_selection",
         "_ever_built",
         "index_stats",
     )
@@ -177,10 +130,6 @@ class SetDatabase:
         #: predicate -> {positions -> {key -> rows}}; keys are scalar
         #: ids for single-position indexes, tuples otherwise.
         self._indexes: dict[str, dict[tuple[int, ...], dict]] = {}
-        #: predicate -> {lex column order -> _LexIndex} (built lazily
-        #: when an installed IndexSelection routes a probe here)
-        self._lex: dict[str, dict[tuple[int, ...], _LexIndex]] = {}
-        self._selection: IndexSelection | None = None
         #: (predicate, positions) patterns ever built on this database
         #: -- a second build of the same pattern is a rebuild
         self._ever_built: set = set()
@@ -323,8 +272,6 @@ class SetDatabase:
                 else:
                     key = tuple(args[i] for i in positions)
                 index.setdefault(key, []).append(args)
-        if self._lex and predicate in self._lex:
-            del self._lex[predicate]
 
     def add(self, predicate: str, args: tuple[int, ...]) -> bool:
         """Insert an interned fact; True iff new."""
@@ -344,8 +291,6 @@ class SetDatabase:
                 else:
                     key = tuple(args[i] for i in positions)
                 index.setdefault(key, []).append(args)
-        if self._lex and predicate in self._lex:
-            del self._lex[predicate]
         return True
 
     def relation(self, predicate: str) -> set[tuple[int, ...]]:
@@ -409,50 +354,6 @@ class SetDatabase:
             per_pred[positions] = index
         return index
 
-    def use_index_selection(self, selection: IndexSelection | None) -> None:
-        """Install a MinIndexSelection result: search signatures it
-        covers with a shared lexicographic index resolve through
-        :meth:`probe_plan` to prefix probes of one `_LexIndex` per
-        chain; uncovered signatures keep per-pattern hash indexes."""
-        self._selection = selection
-
-    def _lex_for(
-        self, predicate: str, order: tuple[int, ...]
-    ) -> _LexIndex:
-        per_pred = self._lex.setdefault(predicate, {})
-        lex = per_pred.get(order)
-        if lex is None:
-            self._check_positions(predicate, order)
-            stats = self.index_stats
-            stats.lex_builds += 1
-            pattern = (predicate, ("lex",) + order)
-            if pattern in self._ever_built:
-                stats.lex_rebuilds += 1
-            else:
-                self._ever_built.add(pattern)
-            lex = _LexIndex(order, self._facts.get(predicate, ()))
-            per_pred[order] = lex
-        return lex
-
-    def probe_plan(self, predicate: str, positions: tuple[int, ...]):
-        """Resolve a search signature to ``(get, key_order)``.
-
-        ``get`` maps a probe key to matching rows (or None);
-        ``key_order`` lists the positions in the order the key tuple
-        must be assembled -- sorted positions for a hash index, the
-        chain's lexicographic column order for a shared lex index.  A
-        bare id is accepted instead of a 1-tuple when the key has one
-        position (both index kinds honour the single-position
-        fast path)."""
-        selection = self._selection
-        if selection is not None:
-            spec = selection.probe_spec(predicate, positions)
-            if spec is not None:
-                order, prefix_len = spec
-                lex = self._lex_for(predicate, order)
-                return lex.prober(prefix_len), order[:prefix_len]
-        return self.index_for(predicate, positions).get, positions
-
     def decode_relation(self, predicate: str) -> set[tuple]:
         """Decode one relation to raw-value tuples (the lazy boundary:
         a goal-directed caller decodes its answer predicate and nothing
@@ -502,8 +403,6 @@ class SetDatabase:
                     for args in fresh:
                         key = tuple(args[i] for i in positions)
                         index.setdefault(key, []).append(args)
-        if self._lex and dst in self._lex:
-            del self._lex[dst]  # sorted arrays rebuild lazily
 
     def decode(self) -> Database:
         """Materialize a plain value-level :class:`Database`."""
@@ -612,8 +511,6 @@ class SetSemiNaiveEvaluator:
         program: Program,
         registry: BuiltinRegistry | None = None,
         prepared: PreparedProgram | None = None,
-        profile: PlanProfile | None = None,
-        apply_index_selection: bool = True,
     ):
         if prepared is None:
             prepared = prepare_program(program, registry)
@@ -623,19 +520,14 @@ class SetSemiNaiveEvaluator:
         self.idb = prepared.idb
         self.strata = list(prepared.strata)
         self.stats = EvaluationStats()
-        #: set to a PlanProfile to record per-step cardinalities and
-        #: per-signature probe fanout during :meth:`run` (the
-        #: profiling half of the profile -> replan loop)
-        self.profile = profile
-        self._apply_selection = apply_index_selection
         #: built-in results of the running evaluation (BuiltinCall memo)
         self._memo: dict = {}
 
     @classmethod
     def from_prepared(
-        cls, prepared: PreparedProgram, **kwargs
+        cls, prepared: PreparedProgram
     ) -> "SetSemiNaiveEvaluator":
-        return cls(prepared.program, prepared=prepared, **kwargs)
+        return cls(prepared.program, prepared=prepared)
 
     # -- public API -----------------------------------------------------
 
@@ -648,11 +540,6 @@ class SetSemiNaiveEvaluator:
     def run(self, db: SetDatabase) -> SetDatabase:
         """The fixpoint over an already-interned database (kept
         interned; :meth:`evaluate` is the decoding wrapper)."""
-        if (
-            self._apply_selection
-            and self.prepared.index_selection is not None
-        ):
-            db.use_index_selection(self.prepared.index_selection)
         # built-ins are pure and ids are the database's: results stay
         # valid for this evaluation only
         self._memo = {}
@@ -690,9 +577,6 @@ class SetSemiNaiveEvaluator:
                 self._flush(db, new_delta, derived)
                 delta = new_delta
         self._memo = {}
-        if self.profile is not None:
-            self.profile.record_sizes(db)
-            self.profile.record_rounds(self.stats.iterations)
         return db
 
     def _flush(
@@ -717,10 +601,16 @@ class SetSemiNaiveEvaluator:
         db: SetDatabase,
         out: list[tuple[str, tuple[int, ...]]],
     ) -> None:
-        """Fire one rule's round-0 plan."""
-        batch = self._run_steps(
-            self.prepared.steps[rule_index], Batch({}, 1), db, None, rule_index
-        )
+        """Fire one rule's round-0 plan -- unless one of its positive
+        relation atoms is still empty, so the rule cannot fire (in
+        round 0 the recursive relations are empty, and scanning the
+        guards before the empty probe would cost a pass over the
+        input for nothing)."""
+        steps = self.prepared.steps[rule_index]
+        for cstep in steps:
+            if cstep.kind == "relation" and not db.relation(cstep.predicate):
+                return
+        batch = self._run_steps(steps, Batch({}, 1), db, None)
         if batch is not None:
             self._project(
                 self.prepared.heads[rule_index], batch, db.interner, out
@@ -752,19 +642,14 @@ class SetSemiNaiveEvaluator:
         batch: "Batch | BitBatch",
         db: SetDatabase,
         delta: SetDatabase | None,
-        rule_index: int | None = None,
     ) -> "Batch | BitBatch | None":
         """Run ``steps`` over ``batch``; the first reads ``delta`` when
         one is given.  Returns None as soon as a step leaves no
-        binding.  ``rule_index`` names a round-0 plan, whose step rows
-        a profile records (their positions index ``prepared.plans``)."""
-        profile = self.profile
-        record_steps = profile is not None and rule_index is not None
+        binding."""
         stats = self.stats
         interner = db.interner
         source = db if delta is None else delta
-        for step_index, cstep in enumerate(steps):
-            n_in = _size(batch) if profile is not None else 0
+        for cstep in steps:
             kind = cstep.kind
             if kind == "relation":
                 batch = self._join(batch, cstep, source, interner)
@@ -774,14 +659,6 @@ class SetSemiNaiveEvaluator:
                 batch = self._negate(batch, cstep, db)
             n_out = _size(batch)
             stats.bindings_explored += n_out
-            if profile is not None:
-                if record_steps:
-                    profile.record_step(rule_index, step_index, n_in, n_out)
-                sig = cstep.signature
-                if sig is not None and source is db:
-                    # fanout of the full relation only: a delta probe's
-                    # hit rate says nothing about the stored index
-                    profile.record_probe(sig[0], sig[1], n_in, n_out)
             if not n_out:
                 return None
             source = db
@@ -898,16 +775,14 @@ class SetSemiNaiveEvaluator:
                         append(fact[pos])
             return Batch(out_columns, n * len(facts))
 
-        # relation-level join: one index probe handle per step, probed
-        # per row.  probe_plan resolves the search signature to either
-        # the per-pattern hash index or a shared lexicographic index
-        # (key assembled in the chain's column order, not sorted order)
-        get, key_order = source.probe_plan(predicate, key_positions)
+        # relation-level join: one hash index per search signature,
+        # probed per row with the key in sorted-position order
+        get = source.index_for(predicate, key_positions).get
         by_pos: dict[int, object] = {pos: cid for pos, cid in consts}
         for pos, var in cstep.bound:
             by_pos[pos] = columns[var]
-        if len(key_order) == 1:
-            key_source = by_pos[key_order[0]]
+        if len(key_positions) == 1:
+            key_source = by_pos[key_positions[0]]
             keys = (
                 repeat(key_source, n)
                 if not isinstance(key_source, list)
@@ -919,7 +794,7 @@ class SetSemiNaiveEvaluator:
                     repeat(by_pos[pos], n)
                     if not isinstance(by_pos[pos], list)
                     else by_pos[pos]
-                    for pos in key_order
+                    for pos in key_positions
                 )
             )
 

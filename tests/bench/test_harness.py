@@ -64,8 +64,8 @@ def _runs(streamed_ms, eager_ms, pruned=100):
 class TestEngineBaseline:
     """The checked-in BENCH_engine.json baseline and the CI gate logic
     around its quasi-guarded solver entries (streamed vs eager, the
-    solve_many shard record, the planner section, and the service
-    sections owned by bench_solver_service.py)."""
+    solve_many shard record, and the service sections owned by
+    bench_solver_service.py)."""
 
     @pytest.fixture(scope="class")
     def payload(self):
@@ -73,7 +73,7 @@ class TestEngineBaseline:
 
     def test_schema_version(self, payload):
         bench = _bench_module()
-        assert payload["schema"] == "bench-engine/v9"
+        assert payload["schema"] == "bench-engine/v10"
         assert payload["schema"] == bench.SCHEMA_VERSION
         assert payload["benchmark"] == "benchmarks/bench_datalog_engine.py"
 
@@ -226,7 +226,7 @@ class TestBaselineDrift:
     checked-in BENCH_engine.json."""
 
     @staticmethod
-    def _payload(schema="bench-engine/v9", quick=True):
+    def _payload(schema="bench-engine/v10", quick=True):
         return {
             "schema": schema,
             "quick": quick,
@@ -237,7 +237,6 @@ class TestBaselineDrift:
                     "quasi-guarded-eager": {},
                 }
             },
-            "planner": {"skew-join": {}, "nested-sigs": {}},
         }
 
     def test_no_previous_baseline_is_fine(self):
@@ -279,104 +278,12 @@ class TestBaselineDrift:
         failures = bench.check_baseline_drift(old, self._payload())
         assert any("backends" in f for f in failures)
 
-    def test_planner_workload_set_change_fails(self):
-        bench = _bench_module()
-        old = self._payload()
-        old["planner"] = {"skew-join": {}}
-        failures = bench.check_baseline_drift(old, self._payload())
-        assert any("planner" in f for f in failures)
-
     def test_checked_in_baseline_matches_harness_schema(self):
         bench = _bench_module()
         checked_in = json.loads(
             (REPO_ROOT / "BENCH_engine.json").read_text()
         )
         assert checked_in["schema"] == bench.SCHEMA_VERSION
-
-
-def _planner_record(
-    static_ms=30.0,
-    replanned_ms=10.0,
-    bindings_static=1000,
-    bindings_replanned=100,
-    indexes_before=3,
-    indexes_after=1,
-    covered=True,
-):
-    return {
-        "static_ms": static_ms,
-        "replanned_ms": replanned_ms,
-        "speedup": round(static_ms / replanned_ms, 2),
-        "bindings_static": bindings_static,
-        "bindings_replanned": bindings_replanned,
-        "indexes_before": indexes_before,
-        "indexes_after": indexes_after,
-        "lex_indexes": indexes_after,
-        "covered": covered,
-    }
-
-
-class TestPlannerBaseline:
-    """The planner section of BENCH_engine.json (the schema-v6
-    feedback-directed replanning comparison) and its CI gate logic."""
-
-    @pytest.fixture(scope="class")
-    def planner(self):
-        payload = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
-        return payload["planner"]
-
-    def test_checked_in_records_shape(self, planner):
-        assert set(planner) == {"skew-join", "nested-sigs"}
-        for name, record in planner.items():
-            assert record["static_ms"] > 0, name
-            assert record["replanned_ms"] > 0, name
-            assert record["bindings_static"] > 0, name
-            assert record["covered"] is True, name
-            assert (
-                record["indexes_after"] <= record["indexes_before"]
-            ), name
-
-    def test_checked_in_records_pass_the_gates(self, planner):
-        bench = _bench_module()
-        for name, record in planner.items():
-            assert bench.check_planner_contracts(name, record) == [], name
-
-    def test_gate_fails_when_replanned_is_slower(self):
-        bench = _bench_module()
-        failures = bench.check_planner_contracts(
-            "nested-sigs",
-            _planner_record(static_ms=10.0, replanned_ms=20.0),
-        )
-        assert any("slower" in f for f in failures)
-
-    def test_gate_requires_1_5x_on_the_skewed_join(self):
-        bench = _bench_module()
-        failures = bench.check_planner_contracts(
-            "skew-join", _planner_record(static_ms=12.0, replanned_ms=10.0)
-        )
-        assert any("1.5x" in f for f in failures)
-
-    def test_gate_requires_fewer_bindings_on_the_skewed_join(self):
-        bench = _bench_module()
-        failures = bench.check_planner_contracts(
-            "skew-join", _planner_record(bindings_replanned=1000)
-        )
-        assert any("bindings" in f for f in failures)
-
-    def test_gate_requires_index_sharing_on_nested_sigs(self):
-        bench = _bench_module()
-        failures = bench.check_planner_contracts(
-            "nested-sigs",
-            _planner_record(indexes_before=2, indexes_after=2),
-        )
-        assert any("sharing" in f for f in failures)
-
-    def test_gate_requires_signature_coverage(self):
-        bench = _bench_module()
-        failures = bench.check_planner_contracts(
-            "skew-join", _planner_record(covered=False)
-        )
-        assert any("uncovered" in f for f in failures)
 
 
 def _service_bench_module():

@@ -40,12 +40,10 @@ from hypothesis import given, settings, strategies as st
 from repro.datalog import (
     Atom,
     Constant,
-    CostModel,
     GroundingStats,
     InternPool,
     Literal,
     NotGroundableError,
-    PlanProfile,
     Program,
     ProgramCache,
     Rule,
@@ -56,9 +54,7 @@ from repro.datalog import (
     ground_program_streamed,
     horn_least_model_ids,
     is_magic_predicate,
-    magic_rewrite,
     prepare_grounding,
-    prepare_program,
     solve,
 )
 from repro.datalog.backends import _magic_interned
@@ -411,56 +407,10 @@ class TestGroupedStreamingMatchesPerRule:
 
 
 class TestReplannedConformance:
-    """Cost-model plans are observation-preserving.  A profile recorded
-    from a static run feeds the cost model; the replanned (and
-    minimally indexed) plans must derive exactly the static model on
-    the set engine with and without shared lex indexes and on the
-    magic rewrite whose SIPS follows the replanned order.  The static
+    """Cost-model plans are observation-preserving.  The static
     ``A_td`` model the quasi-guarded pipeline plans with must derive
     the naive model in both modes, on random programs over random
     databases and over ``A_td`` encodings, and on a compiled program."""
-
-    @staticmethod
-    def _profiled_reference(program, db):
-        profile = PlanProfile()
-        evaluator = SetSemiNaiveEvaluator(
-            program, profile=profile, apply_index_selection=False
-        )
-        reference = _derived_relations(evaluator.evaluate(db), program)
-        return profile, reference
-
-    @given(program=monadic_programs(), db=datalog_databases())
-    def test_replanned_set_engine_matches_static(self, program, db):
-        profile, reference = self._profiled_reference(program, db)
-        replanned = prepare_program(program, cost=CostModel(profile))
-        with_selection = _derived_relations(
-            SetSemiNaiveEvaluator.from_prepared(replanned).evaluate(db),
-            program,
-        )
-        assert with_selection == reference
-        without_selection = _derived_relations(
-            SetSemiNaiveEvaluator.from_prepared(
-                replanned, apply_index_selection=False
-            ).evaluate(db),
-            program,
-        )
-        assert without_selection == reference
-
-    @given(program=monadic_programs(), db=datalog_databases(), data=st.data())
-    def test_replanned_magic_matches_full_extent(self, program, db, data):
-        profile, reference = self._profiled_reference(program, db)
-        predicate = data.draw(
-            st.sampled_from(sorted(program.intensional_predicates())),
-            label="query predicate",
-        )
-        cost = CostModel(profile)
-        rewrite = magic_rewrite(program, predicate, cost=cost)
-        prepared = prepare_program(rewrite.program, cost=cost)
-        derived = SetSemiNaiveEvaluator.from_prepared(prepared).evaluate(db)
-        assert (
-            derived.relation(rewrite.answer_predicate)
-            == reference[predicate]
-        )
 
     @staticmethod
     def _td_encoding(graph):

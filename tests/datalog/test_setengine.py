@@ -1,6 +1,8 @@
 """The set-at-a-time engine: interning, bitsets, batch joins, and
 agreement with the tuple-at-a-time ablation path."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -293,6 +295,44 @@ class TestSetEngine:
 # ----------------------------------------------------------------------
 
 
+class TestRoundZeroSkip:
+    """Round 0 and the fire-once strata skip a rule whose positive
+    relation atoms include a still-empty relation: it cannot fire, so
+    its guard scans would explore bindings for nothing."""
+
+    def test_rule_over_an_empty_relation_explores_nothing(self):
+        program = parse_program("q(X) :- edge(X, Y), none(Y).")
+        evaluator = SetSemiNaiveEvaluator(program)
+        db = evaluator.run(SetDatabase.from_edb(chain_edges(30)))
+        assert not db.relation("q")
+        assert evaluator.stats.bindings_explored == 0
+
+    def test_figure5_round_zero_fires_only_the_leaf_rule(self, monkeypatch):
+        from repro.problems import random_partial_ktree
+        from repro.problems.three_coloring import (
+            ThreeColoringDatalog,
+            three_coloring_direct,
+        )
+
+        fired = []
+        run_steps = SetSemiNaiveEvaluator._run_steps
+
+        def record(self, steps, *args):
+            if steps in self.prepared.steps:
+                fired.append(self.prepared.steps.index(steps))
+            return run_steps(self, steps, *args)
+
+        monkeypatch.setattr(SetSemiNaiveEvaluator, "_run_steps", record)
+        graph, td = random_partial_ktree(
+            random.Random("round-zero"), 24, 3, edge_probability=0.5
+        )
+        colorable, _ = three_coloring_direct(graph, td)
+        assert ThreeColoringDatalog().decide(graph, td) == colorable
+        # the leaf rule in round 0, then the fire-once success rule; the
+        # rules probing the empty solve relation never start a scan
+        assert fired == [0, 9]
+
+
 class TestEngineAgreement:
     @given(program=datalog_programs(), db=datalog_databases())
     def test_all_full_backends_agree(self, program, db):
@@ -423,4 +463,3 @@ class TestIndexStatsAndValidation:
         assert len(db.relation("path")) == 20 * 19 // 2
         assert db.index_stats.builds > 0
         assert db.index_stats.rebuilds == 0
-        assert db.index_stats.lex_rebuilds == 0

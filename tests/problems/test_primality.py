@@ -246,3 +246,48 @@ class TestIdSpaceEvaluation:
         solver = PrimalityDatalog(schema)
         got = {a for a in schema.attributes if solver.decide(a)}
         assert got == set(prime_attributes_direct(schema))
+
+    def test_decision_probes_the_prefilled_bag_index(self, monkeypatch):
+        """The node-keyed ``bag`` probes hit the hash index ``load_nice``
+        prefilled: no index on ``bag``'s node column is built during the
+        solve, and every build is a signature the load leaves out."""
+        from repro.problems import primality as primality_module
+
+        loaded = []
+        load = primality_module.load_for_primality
+
+        def capture(*args, **kwargs):
+            db = load(*args, **kwargs)
+            prefilled = {
+                (predicate, positions)
+                for predicate, per in db._indexes.items()
+                for positions in per
+            }
+            loaded.append((db, prefilled))
+            return db
+
+        probed = []
+        index_for = SetDatabase.index_for
+
+        def record(self, predicate, positions):
+            probed.append((predicate, positions))
+            return index_for(self, predicate, positions)
+
+        monkeypatch.setattr(primality_module, "load_for_primality", capture)
+        monkeypatch.setattr(SetDatabase, "index_for", record)
+        schema = random_schema(random.Random(0), 8, 6)
+        solver = PrimalityDatalog(schema)
+        got = {a for a in schema.attributes if solver.decide(a)}
+        assert got == set(prime_attributes_direct(schema))
+        assert loaded and ("bag", (0,)) in probed
+        for db, prefilled in loaded:
+            assert ("bag", (0,)) in prefilled
+            patterns = {
+                (predicate, positions)
+                for predicate, per in db._indexes.items()
+                for positions in per
+            }
+            built = patterns - prefilled
+            assert ("bag", (0,)) not in built
+            assert db.index_stats.builds == len(built)
+            assert db.index_stats.rebuilds == 0
