@@ -52,12 +52,8 @@ pipeline, run on the same cached grounding plans):
   (bag-guarded leaf/child1/child2 recursion + monadic projections),
   genuinely wide guards.
 
-A **solve_many** workload shards a batch of independent tree
-structures through ``CourcelleSolver.solve_many`` with 1 worker vs a
-transient ``SolverService`` of a few workers and digests the
-canonicalized answers --
-the results must be identical whatever the worker count (wall-clock is
-recorded, not gated: CI cores vary).
+Batch solving on a ``SolverService`` is benchmarked, and its answers
+gated against the serial loop, by ``bench_solver_service.py``.
 
 Two entry points:
 
@@ -85,9 +81,7 @@ Two entry points:
      grid2x answers equal direct MSO evaluation and the hand-written
      cover DP on the same encoding, and the folded grid2x solve beats
      the ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP``;
-  6. ``solve_many`` returns identical (canonically serialized)
-     results for 1 worker and N workers;
-  7. the checked-in ``BENCH_engine.json`` must match the harness's
+  6. the checked-in ``BENCH_engine.json`` must match the harness's
      schema version and workload/backend shape (drift fails CI until
      the baseline is regenerated).
 """
@@ -380,7 +374,7 @@ def run_comparison(quick, repeat=3):
 # eager reference grounder -- on chain/grid/tree families.
 # ----------------------------------------------------------------------
 
-SCHEMA_VERSION = "bench-engine/v10"
+SCHEMA_VERSION = "bench-engine/v11"
 
 #: the gate on the grid2x solve: the folded program must beat the
 #: passes=() ablation -- the program PR 9 served -- by this factor
@@ -716,88 +710,6 @@ def check_solver_contracts(name, runs):
 
 
 # ----------------------------------------------------------------------
-# solve_many: sharded batch solving (ROADMAP item (c))
-# ----------------------------------------------------------------------
-
-
-def _canonical_digest(results) -> str:
-    """A worker-count-independent digest of a solve_many result list."""
-    import hashlib
-
-    canonical = repr(
-        [tuple(sorted(answers, key=repr)) for answers in results]
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def run_solve_many_comparison(quick):
-    """``CourcelleSolver.solve_many`` with 1 worker vs N workers (a
-    transient ``SolverService``).
-
-    Returns (results dict, contract violations).  Gated on result
-    identity (canonical digests must match); wall-clock for both
-    worker counts is recorded but not gated -- CI machines differ in
-    core count, and on a single-core runner the workers can only add
-    overhead.
-    """
-    import os
-
-    from repro.core import CourcelleSolver, undirected_graph_filter
-    from repro.mso import formulas
-    from repro.problems import random_tree_graph
-    from repro.structures import GRAPH_SIGNATURE, graph_to_structure
-
-    batch_size, tree_n = (8, 48) if quick else (16, 120)
-    rng = random.Random(0xBEEF)
-    structures = [
-        graph_to_structure(random_tree_graph(rng, tree_n))
-        for _ in range(batch_size)
-    ]
-    solver = CourcelleSolver(
-        formulas.has_neighbor("x"),
-        GRAPH_SIGNATURE,
-        width=1,
-        free_var="x",
-        structure_filter=undirected_graph_filter,
-    )
-    workers = max(2, min(4, os.cpu_count() or 1))
-    # capture the timed run's results: solving (and spawning workers)
-    # twice per worker setting would double a multi-second CI step
-    serial_runs, sharded_runs = [], []
-    serial_ms = time_ms(
-        lambda: serial_runs.append(solver.solve_many(structures, workers=1)),
-        repeat=1,
-    )
-    sharded_ms = time_ms(
-        lambda: sharded_runs.append(
-            solver.solve_many(structures, workers=workers)
-        ),
-        repeat=1,
-    )
-    serial, sharded = serial_runs[-1], sharded_runs[-1]
-    digest_serial = _canonical_digest(serial)
-    digest_sharded = _canonical_digest(sharded)
-    identical = serial == sharded and digest_serial == digest_sharded
-    failures = []
-    if not identical:
-        failures.append(
-            f"solve_many: 1-worker and {workers}-worker results differ "
-            f"(digests {digest_serial[:12]} vs {digest_sharded[:12]})"
-        )
-    results = {
-        "batch_size": batch_size,
-        "tree_n": tree_n,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "ms_workers_1": round(serial_ms, 3),
-        f"ms_workers_{workers}": round(sharded_ms, 3),
-        "identical": identical,
-        "digest": digest_serial[:16],
-    }
-    return results, failures
-
-
-# ----------------------------------------------------------------------
 # Baseline drift: the checked-in JSON must match the harness
 # ----------------------------------------------------------------------
 
@@ -844,7 +756,6 @@ def check_baseline_drift(previous, payload):
 def build_payload(
     results,
     solver_results,
-    solve_many_results,
     quick,
     service_throughput=None,
     service_resilience=None,
@@ -893,7 +804,6 @@ def build_payload(
             if backends.get("quasi-guarded", {}).get("ms")
             and "quasi-guarded-eager" in backends
         },
-        "solve_many": solve_many_results,
     }
     if service_throughput is not None:
         payload["service_throughput"] = service_throughput
@@ -954,13 +864,6 @@ def main(argv=None) -> int:
             solver_rows,
         )
     )
-    print("\nsolve_many (sharded batch, 1 worker vs transient service)")
-    solve_many_results, solve_many_failures = run_solve_many_comparison(
-        args.quick
-    )
-    failures.extend(solve_many_failures)
-    for key, value in sorted(solve_many_results.items()):
-        print(f"  {key}: {value}")
     previous = None
     if args.out.exists():
         try:
@@ -970,7 +873,6 @@ def main(argv=None) -> int:
     payload = build_payload(
         results,
         solver_results,
-        solve_many_results,
         args.quick,
         service_throughput=(
             previous.get("service_throughput")
@@ -1002,8 +904,7 @@ def main(argv=None) -> int:
         "prunes rules, and beats it >= 2x on the tree solve and "
         ">= 1.3x on the chain solve; the width-2 grid2x solve matches "
         "direct MSO evaluation and the hand-written cover DP and beats "
-        "the passes=() ablation; solve_many is worker-count-invariant; the baseline schema "
-        "matches the harness"
+        "the passes=() ablation; the baseline schema matches the harness"
     )
     return 0
 

@@ -1,11 +1,11 @@
-"""Untrusted-input admission: the verify -> repair -> degrade ladder.
+"""Untrusted-input admission: the verify -> rebuild -> degrade ladder.
 
 A solver compiled at width 1 (Theorem 4.5: compile once, solve many)
 is handed progressively worse inputs: a clean path with a valid
 decomposition, the same path with a corrupted decomposition (alien bag
 elements, a broken connectedness run), a clique outside the width
 envelope, and a structure whose facts escape its own domain.  The
-admission layer repairs what it can, re-decomposes what it must,
+admission layer rebuilds the broken decomposition from the structure,
 serves the over-width clique by budgeted direct MSO evaluation, and
 rejects only the genuinely unservable input -- with a machine-readable
 report at every step.
@@ -70,7 +70,7 @@ def main() -> None:
     show("path-6 with its valid decomposition", report)
     assert answer == frozenset(path.domain)
 
-    # 2. corrupted decomposition: repaired in place, same answer
+    # 2. corrupted decomposition: rebuilt, same answer
     answer, report = solver.solve_admitted(
         path, corrupted_copy(td), policy="repair"
     )
@@ -94,7 +94,7 @@ def main() -> None:
         print(f"    raised: {type(exc).__name__} "
               f"(still a ValueError: {isinstance(exc, ValueError)})")
 
-    print("\nEvery input resolved: two served as-is or repaired, one")
+    print("\nEvery input resolved: one served as-is, one rebuilt, one")
     print("degraded, one rejected with a full report -- and the same")
     print("ladder guards SolverService workers (admission= on the")
     print("service or per request).")

@@ -1,4 +1,4 @@
-"""Untrusted-input admission control: verify, repair, degrade, reject.
+"""Untrusted-input admission control: verify, rebuild, degrade, reject.
 
 Theorem 4.4's linear-time guarantee presupposes that every structure
 arrives well-formed *and* with a valid width-<=k tree decomposition --
@@ -14,14 +14,15 @@ pipeline sees the input.  The policy ladder:
    since a corrupted ``RootedTree`` can make ``preorder()`` spin
    forever) and then the Section 2.2 axioms, collecting **all**
    violations as structured :class:`repro.errors.Violation` records.
-2. **Repair.**  :func:`repair_decomposition` fixes repairable
-   decompositions in place: drops alien bag elements, covers missed
-   elements and tuples with fresh leaf bags, splices connectedness
-   violations along Steiner paths, and widens under-width trees.  When
-   in-place repair fails (or no decomposition was supplied),
-   :func:`redecompose` rebuilds one from scratch via the
-   :mod:`repro.treewidth.heuristics` orderings, escalating through
-   strategies under a time budget.
+2. **Rebuild.**  A decomposition that fails verification is never
+   patched: :func:`redecompose` discards it and builds one from the
+   structure with :func:`repro.treewidth.heuristics.decompose_within`,
+   the same ``min_fill`` -> ``min_degree`` escalation a td-less solve
+   uses, under the request's budget.  A structure that arrives without
+   a decomposition takes the same route.  At the widths that compile
+   (1 and 2) the escalation reaches the width whenever the structure
+   has it (see :func:`admit`); Gottlob--Pichler--Wei likewise take the
+   decomposition from the structure, never from the caller.
 3. **Degrade.**  When the width still exceeds the compiled envelope,
    policy ``"degrade"`` falls back to direct MSO evaluation
    (:mod:`repro.mso.eval`) under a :class:`repro.datalog.SolveBudget`
@@ -51,9 +52,8 @@ from .errors import (
 from .mso.eval import Budget as _EvalBudget
 from .structures.signature import Signature
 from .structures.structure import Fact, Structure, structure_fingerprint
-from .treewidth.decomposition import OccurrenceIndex, RootedTree, TreeDecomposition
+from .treewidth.decomposition import RootedTree, TreeDecomposition
 from .treewidth.heuristics import decompose_within
-from .treewidth.normalize import widen
 
 __all__ = [
     "DEFAULT_ADMISSION_BUDGET",
@@ -68,7 +68,6 @@ __all__ = [
     "load_corpus",
     "load_corpus_case",
     "redecompose",
-    "repair_decomposition",
     "structure_from_spec",
     "tree_violations",
     "verify_decomposition",
@@ -90,10 +89,12 @@ class AdmissionReport:
     """The machine-readable outcome of one trip through the ladder.
 
     ``verdict`` is ``"admitted"`` (input was clean), ``"repaired"``
-    (violations found and fixed -- in place or by re-decomposition),
-    ``"degraded"`` (served by direct MSO evaluation outside the
-    compiled envelope) or ``"rejected"``.  ``violations`` is everything
-    verification found, ``repairs`` what the repair pass did about it,
+    (violations found and fixed -- the structure restricted to the
+    signature, the decomposition rebuilt), ``"degraded"`` (served by
+    direct MSO evaluation outside the compiled envelope) or
+    ``"rejected"``.  ``violations`` is everything verification found,
+    ``repairs`` what the ladder did about it
+    (``restricted-structure-to-signature``, ``redecomposed:<method>``),
     ``residual`` what was still standing when the ladder stopped.
     """
 
@@ -385,136 +386,8 @@ def _width_violation(width: int, limit: int) -> Violation:
 
 
 # ----------------------------------------------------------------------
-# Repair
+# Rebuild
 # ----------------------------------------------------------------------
-
-
-def repair_decomposition(
-    td, structure: Structure
-) -> tuple[TreeDecomposition | None, tuple[str, ...]]:
-    """Fix a repairable decomposition in place (on a copy).
-
-    Four passes: (1) intersect every bag with the domain (alien
-    elements), (2) attach a fresh leaf bag per uncovered tuple at the
-    node of maximal overlap, (3) attach leaf bags for elements covered
-    by no bag, (4) splice each disconnected element along the Steiner
-    closure of its occurrence nodes (union of root-paths, pruned back
-    to the occurrences).  Splicing only ever *adds* elements to bags,
-    so passes never undo each other; the price is possible width growth,
-    which the caller's envelope check arbitrates.
-
-    One :class:`repro.treewidth.decomposition.OccurrenceIndex` answers
-    the coverage checks and anchor choices of passes (2) and (3),
-    another the connectedness of pass (4), so a repair is linear in the
-    bags (plus the Steiner closures it splices).
-
-    Returns ``(repaired, repairs)`` with ``repaired`` clean under
-    :meth:`TreeDecomposition.validate_for_structure`, or ``(None,
-    repairs_attempted)`` when the result still fails re-verification.
-    The tree must already be integrity-clean (:func:`tree_violations`).
-    """
-    tree = td.tree.copy()
-    bags = {n: frozenset(b) for n, b in td.bags.items()}
-    domain = structure.domain
-    repairs: list[str] = []
-
-    # (1) alien elements: bags may only mention domain elements
-    dropped = 0
-    for node, bag in bags.items():
-        kept = bag & domain
-        if kept != bag:
-            dropped += len(bag - kept)
-            bags[node] = kept
-    if dropped:
-        repairs.append(f"dropped-alien-elements:{dropped}")
-
-    # leaves added in (2) are indexed as they are added
-    index = OccurrenceIndex(bags, tree.parent)
-
-    def best_anchor(needed: frozenset) -> int:
-        """The node of maximal overlap with ``needed`` (lowest id on
-        ties); with no overlap anywhere, the lowest node id."""
-        overlap: dict[int, int] = {}
-        for x in needed:
-            for node in index.where.get(x, ()):
-                overlap[node] = overlap.get(node, 0) + 1
-        if not overlap:
-            return min(bags)
-        return max(overlap, key=lambda n: (overlap[n], -n))
-
-    # (2) uncovered tuples: a fresh leaf bag holding the whole tuple,
-    # attached where the overlap is largest (the splice pass below
-    # reconnects any element this leaves with split occurrences)
-    patched_tuples = 0
-    for name in structure.signature:
-        for tup in structure.relation(name):
-            needed = frozenset(tup)
-            if index.covers(needed):
-                continue
-            anchor = best_anchor(needed)
-            leaf = tree.add_child(anchor)
-            bags[leaf] = needed
-            index.add(leaf)
-            patched_tuples += 1
-    if patched_tuples:
-        repairs.append(f"covered-missing-tuples:{patched_tuples}")
-
-    # (3) elements in no bag at all
-    missing = sorted(domain - frozenset(index.where), key=repr)
-    if missing:
-        for element in missing:
-            leaf = tree.add_child(tree.root)
-            bags[leaf] = frozenset((element,))
-        repairs.append(f"covered-missing-elements:{len(missing)}")
-
-    # (4) connectedness: Steiner-splice each disconnected element
-    working = TreeDecomposition(tree, bags)
-    index = OccurrenceIndex(working.bags, tree.parent)
-    spliced = 0
-    for element in sorted(index.disconnected(), key=repr):
-        occurrences = set(index.where[element])
-        closure: set[int] = set()
-        for node in occurrences:
-            path = []
-            cursor: int | None = node
-            while cursor is not None and cursor not in closure:
-                path.append(cursor)
-                cursor = tree.parent(cursor)
-            closure.update(path)
-        # prune: peel closure-leaves that are not occurrence nodes; the
-        # minimal subtree spanning the occurrences is what remains
-        degree = {
-            node: len(_closure_neighbors(tree, node, closure))
-            for node in closure
-        }
-        peel = [n for n in closure if n not in occurrences and degree[n] <= 1]
-        while peel:
-            node = peel.pop()
-            if node not in closure:
-                continue
-            closure.discard(node)
-            for nbr in _closure_neighbors(tree, node, closure):
-                degree[nbr] -= 1
-                if nbr not in occurrences and degree[nbr] <= 1:
-                    peel.append(nbr)
-        for node in closure - occurrences:
-            working.bags[node] = working.bags[node] | {element}
-            spliced += 1
-    if spliced:
-        repairs.append(f"spliced-connectedness:{spliced}")
-
-    if working.structure_violations(structure):
-        return None, tuple(repairs)
-    return working, tuple(repairs)
-
-
-def _closure_neighbors(tree: RootedTree, node: int, closure: set) -> list[int]:
-    """The tree neighbours of ``node`` inside ``closure``."""
-    nbrs = [c for c in tree.children(node) if c in closure]
-    above = tree.parent(node)
-    if above is not None and above in closure:
-        nbrs.append(above)
-    return nbrs
 
 
 def redecompose(
@@ -578,21 +451,35 @@ def admit(
 
     Verifies the structure against ``signature`` and the (optional)
     decomposition against the Section 2.2 axioms and the ``width``
-    envelope; repairs or re-decomposes what the ``policy`` allows;
-    returns an :class:`AdmissionResult` telling the solver how to
-    serve the request (``solve`` / ``direct`` / ``degrade``).  Raises
+    envelope; restricts the structure to the signature and rebuilds a
+    failing decomposition where the ``policy`` allows; returns an
+    :class:`AdmissionResult` telling the solver how to serve the
+    request (``solve`` / ``direct`` / ``degrade``).  Raises
     :class:`repro.errors.AdmissionRejected` -- carrying the full
     :class:`AdmissionReport` -- when the ladder runs out of rungs:
-    immediately on any violation under ``"strict"``, after repair and
-    re-decomposition fail under ``"repair"``, and only when even the
+    immediately on any violation under ``"strict"``, when the rebuild
+    stays over the width under ``"repair"``, and only when even the
     degraded direct evaluation is unavailable under ``"degrade"``
     (the degrade *budget* rung lives in the solver, which owns the
     formula).
 
+    A supplied decomposition that fails verification is replaced by
+    :func:`redecompose`; ``report.repairs`` then ends with
+    ``redecomposed:<method>``.  Nothing is lost against a patch at the
+    widths a program compiles at (1 and 2): the ``min_degree`` rung is
+    exact there -- a graph of treewidth <= 2 always has a vertex of
+    degree <= 2, and eliminating it leaves a minor -- so a structure of
+    treewidth <= ``width`` is always rebuilt within ``width``.  From
+    width 3 on the heuristics are not exact, and a structure of
+    treewidth w >= 3 can be rebuilt over the envelope and then degraded
+    or rejected; no compiled program reaches that case today.
+
     ``budget`` (a ``SolveBudget`` or armed ``BudgetMeter``) spans the
-    admission work itself -- re-decomposition attempts check it
-    between strategies -- and rides the result for the degrade path;
-    ``None`` arms :data:`DEFAULT_ADMISSION_BUDGET`.
+    admission work itself -- the rebuild checks it before each
+    ordering strategy -- and rides the result for the degrade path;
+    ``None`` arms :data:`DEFAULT_ADMISSION_BUDGET`.  A request whose
+    budget is already spent when the rebuild starts gets no
+    decomposition, so it is degraded or rejected with its report.
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -635,27 +522,8 @@ def admit(
             report.fingerprint = structure_fingerprint(structure)
         if policy == "strict":
             _reject(report)
-        # a width overshoot alone does not block the in-place attempt:
-        # dropping alien bag elements can bring the width back under
-        # the envelope, and the repaired result is re-checked anyway
-        blocking = [
-            v
-            for v in violations
-            if not v.repairable and v.code != "width-exceeded"
-        ]
-        if not blocking and any(v.repairable for v in violations):
-            repaired, attempted = repair_decomposition(td, structure)
-            report.repairs += attempted
-            if repaired is not None and repaired.width <= width:
-                if repaired.width < width:
-                    before = repaired.width
-                    repaired = widen(repaired, width)
-                    report.repairs += (f"widened:{before}->{width}",)
-                report.width = repaired.width
-                report.verdict = "repaired"
-                return AdmissionResult(
-                    report, structure, repaired, "solve", meter
-                )
+        # a failing decomposition is discarded, never patched: rung 3
+        # rebuilds one from the structure
 
     # -- rung 3: re-decompose from scratch -----------------------------
     rebuilt, method = redecompose(structure, width, meter)

@@ -12,7 +12,7 @@ from .mso_to_datalog import (
     undirected_graph_filter,
 )
 from .quasi_guarded import QuasiGuardedEvaluator, QuasiGuardedResult
-from .solver import CourcelleSolver, default_worker_count
+from .solver import CourcelleSolver
 from .typealg import (
     TypeAlgebra,
     TypeEntry,
@@ -34,7 +34,6 @@ __all__ = [
     "TypeEntry",
     "TypeTable",
     "compile_sentence",
-    "default_worker_count",
     "fold_partition",
     "grid_graph_filter",
     "reduce_witness",

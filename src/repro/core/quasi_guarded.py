@@ -137,7 +137,7 @@ class QuasiGuardedEvaluator:
     :class:`~repro.datalog.grounding.PreparedGrounding`).
 
     ``prepared`` / ``relevant`` hand pre-computed per-program artifacts
-    straight in (the pickle-safe ``solve_many`` worker handoff: the
+    straight in (the pickle-safe service worker handoff: the
     parent resolves them once, workers skip the per-program work).
     """
 

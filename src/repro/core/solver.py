@@ -19,17 +19,16 @@ engines behind :func:`repro.datalog.solve` serve as oracles for
 compiled programs.
 
 Batch workloads go through :meth:`CourcelleSolver.solve_many`, which
-solves in process or shards independent structures across a
-:class:`repro.service.SolverService`: the solver pickles as (formula,
-compiled program, grounding plans) -- compilation is *not* repeated per
-worker -- and results come back in input order regardless of worker
-count.
+solves in process, or on a caller-held
+:class:`repro.service.SolverService` whose warm workers shard the
+batch: the solver pickles as (formula, compiled program, grounding
+plans) -- compilation is *not* repeated per worker -- and results come
+back in input order regardless of worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from ..admission import POLICIES, MeterBudget, admit
 from ..datalog.backends import ProgramCache, default_cache
@@ -126,7 +125,7 @@ class CourcelleSolver:
         """Build the streamed quasi-guarded evaluator.
 
         ``prepared`` / ``relevant`` are the pickle handoff: a
-        ``solve_many`` worker rebuilds from the parent's per-program
+        service worker rebuilds from the parent's per-program
         artifacts (and trusts the parent's quasi-guardedness check)
         instead of re-deriving them.  The Theorem 4.5 check runs here,
         once per construction; the evaluator does not repeat it."""
@@ -146,7 +145,7 @@ class CourcelleSolver:
             relevant=relevant,
         )
 
-    # -- pickling (the solve_many handoff) -----------------------------
+    # -- pickling (the service handoff) --------------------------------
 
     def __getstate__(self):
         # carry the compiled program and its per-program solve
@@ -325,7 +324,7 @@ class CourcelleSolver:
         input was served (``admitted`` / ``repaired`` / ``degraded``).
         Raises :class:`repro.errors.AdmissionRejected` when the policy
         ladder runs out: on any violation under ``"strict"``, when
-        repair and re-decomposition fail under ``"repair"``, and when
+        re-decomposition fails under ``"repair"``, and when
         even the budgeted direct evaluation cannot finish under
         ``"degrade"``.
 
@@ -380,28 +379,21 @@ class CourcelleSolver:
         self,
         structures,
         tds=None,
-        workers: "int | str | None" = None,
         service=None,
         admission: str | None = None,
     ) -> list:
-        """Solve a batch of independent structures, optionally sharded.
+        """Solve a batch of independent structures.
 
         Returns one result per structure **in input order** --
         ``query()`` answer sets for unary queries, ``decide()`` booleans
-        for sentences.  ``workers=None`` or ``1`` solves serially in
-        process; ``workers > 1`` runs the batch on a transient
-        :class:`repro.service.SolverService` with that many workers,
-        shut down when the batch is done.  ``workers="auto"`` resolves
-        to :func:`default_worker_count` capped at the batch size.
+        for sentences.  Without ``service`` the batch is solved in
+        process, one structure after another.
 
         ``service`` routes the batch through a caller-held persistent
         :class:`repro.service.SolverService` instead: its workers are
         already running and hold this solver's compiled program warm,
-        so repeated small batches skip worker startup and the solver
-        pickle (``workers`` is then ignored -- the service owns its
-        worker count).
-
-        On either service route a failing item raises the service's
+        so the batch is sharded across them and repeated batches skip
+        worker startup and the solver pickle.  There a failing item raises the service's
         typed error: :class:`repro.service.ShardFailed` (carrying the
         structure's fingerprint) where the in-process loop would raise
         the solver's own exception, e.g.
@@ -409,7 +401,7 @@ class CourcelleSolver:
 
         ``admission`` (or the solver-wide default) runs every item
         through the admission ladder and turns the batch's failure mode
-        per-item on every route: a malformed structure no longer kills
+        per-item on both routes: a malformed structure no longer kills
         the whole batch; its slot holds the
         :class:`repro.errors.AdmissionRejected` instance (report
         attached) while every other slot holds its answer.
@@ -427,37 +419,10 @@ class CourcelleSolver:
         policy = admission if admission is not None else self.admission
         if service is not None:
             return service.solve_many(self, structures, tds, admission=policy)
-        if workers == "auto":
-            workers = default_worker_count(len(structures))
-        elif workers is None:
-            workers = 1
-        if workers <= 1 or len(structures) <= 1:
-            return [
-                _solve_item(self, s, td, policy)
-                for s, td in zip(structures, tds)
-            ]
-        # local import: the service module imports this one
-        from ..service import SolverService
-
-        with SolverService(workers=min(workers, len(structures))) as batch:
-            return batch.solve_many(self, structures, tds, admission=policy)
+        return [_solve_item(self, s, td, policy) for s, td in zip(structures, tds)]
 
     def compiled_formula(self) -> Formula:
         return self._formula
-
-
-def default_worker_count(batch_size: int | None = None) -> int:
-    """A sensible ``workers=`` for :meth:`CourcelleSolver.solve_many`:
-    the scheduler-visible CPU count, capped at ``batch_size`` so small
-    batches on big machines don't drown in pool startup (a 4-structure
-    batch on a 64-core machine gets 4 workers, not 64)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    if batch_size is not None:
-        cpus = min(cpus, batch_size)
-    return max(1, cpus)
 
 
 def _solve_item(solver, structure, td, admission):

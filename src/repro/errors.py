@@ -15,8 +15,10 @@ Design constraints:
   ``code`` (stable machine identifier), ``message`` (human text,
   preserving the legacy substrings callers match on), ``subject`` (the
   offending elements/nodes/predicates) and ``repairable`` (whether
-  :func:`repro.admission.repair_decomposition` knows how to fix it in
-  place).
+  the ladder can fix it without rejecting: a structure defect that
+  :func:`repro.admission.coerce_structure` drops, or a bag-content
+  defect of a decomposition, which :func:`repro.admission.redecompose`
+  clears by rebuilding the decomposition from the structure).
 * **Picklable.**  These exceptions cross the solver service's worker
   pipes; each defines ``__reduce__`` so a rejection raised in a worker
   arrives intact (violations, report and all) on the caller's future.
@@ -43,9 +45,16 @@ class Violation:
     ``code`` is a stable identifier (``"element-uncovered"``,
     ``"arity-mismatch"``, ...); ``subject`` pins the offending values
     (elements, tree nodes, predicate names) as a tuple so reports stay
-    hashable and picklable; ``repairable`` marks defects the in-place
-    repair pass can fix (as opposed to ones that force a re-decompose
-    or a rejection).
+    hashable and picklable; ``repairable`` marks defects the ladder
+    fixes without rejecting.  On a structure it decides whether rung 1
+    may restrict the structure to the signature (an unknown or missing
+    predicate) or must reject (an arity or domain-closure break).  On a
+    decomposition it marks the Section 2.2 axiom defects (alien,
+    uncovered, disconnected); a corrupt tree or a width overshoot is not
+    repairable.  No decomposition is patched: under ``"repair"`` and
+    ``"degrade"`` every failing one is rebuilt from the structure, and
+    ``repairable`` only decides which violations a rejection's report
+    lists as ``residual``.
     """
 
     code: str
@@ -105,10 +114,9 @@ class InvalidDecomposition(ViolationError):
 class WidthExceeded(InvalidDecomposition):
     """The decomposition's width exceeds the compiled envelope.
 
-    Tractability (Theorem 4.4) holds only within the compiled width, so
-    this is the one violation that cannot be repaired in place -- only
-    re-decomposed below the envelope, degraded to direct MSO
-    evaluation, or rejected.  ``width`` / ``limit`` quantify the
+    Tractability (Theorem 4.4) holds only within the compiled width,
+    so an overshoot is re-decomposed below the envelope, degraded to
+    direct MSO evaluation, or rejected.  ``width`` / ``limit`` quantify the
     overshoot; ``fingerprint`` identifies the structure
     (:func:`repro.structures.structure_fingerprint`) so the caller can
     act on the rejection without holding the structure."""

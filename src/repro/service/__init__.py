@@ -36,6 +36,7 @@ from .service import (
     ShardFailed,
     SolverService,
     coalesce,
+    default_worker_count,
     structure_fingerprint,
 )
 
@@ -53,5 +54,6 @@ __all__ = [
     "ShardFailed",
     "SolverService",
     "coalesce",
+    "default_worker_count",
     "structure_fingerprint",
 ]

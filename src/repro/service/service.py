@@ -3,8 +3,8 @@
 Theorem 4.5 compiles once and solves many: :class:`SolverService`
 keeps a pool of solver workers alive so that repeated batches pay
 neither worker startup nor a solver re-pickle.  It is the one batch
-route: ``CourcelleSolver.solve_many(service=)`` runs on a caller-held
-service, and ``solve_many(workers=n)`` on a transient one.
+route: ``CourcelleSolver.solve_many(service=)`` shards a batch across a
+caller-held service; without ``service=`` a batch is solved in process.
 
 * **Long-lived workers.**  Each worker process rebuilds a solver
   exactly once per registered program from its pickle handoff
@@ -83,7 +83,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..admission import POLICIES
-from ..core.solver import default_worker_count
 from ..datalog.backends import program_fingerprint
 from ..datalog.budget import BudgetExceeded, SolveBudget
 from ..errors import AdmissionRejected
@@ -101,6 +100,7 @@ __all__ = [
     "ShardFailed",
     "SolverService",
     "coalesce",
+    "default_worker_count",
     "structure_fingerprint",
 ]
 
@@ -193,7 +193,8 @@ class ServiceStats:
     #: requests failed with :class:`repro.datalog.BudgetExceeded`
     budget_exceeded: int = 0
     #: admission verdicts (requests served through the admission
-    #: ladder: clean, repaired/re-decomposed, served degraded)
+    #: ladder: clean, repaired (restricted or re-decomposed), served
+    #: degraded)
     admitted: int = 0
     repaired: int = 0
     degraded: int = 0
@@ -592,6 +593,16 @@ class ProgramHandle:
                     raise
                 results.append(exc)
         return results
+
+
+def default_worker_count() -> int:
+    """The default ``workers`` of a :class:`SolverService`: the
+    scheduler-visible CPU count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        cpus = os.cpu_count() or 1
+    return max(1, cpus)
 
 
 class SolverService:

@@ -421,19 +421,6 @@ class OccurrenceIndex:
         self.where = where
         self.tops = tops
 
-    def add(self, node: NodeId) -> None:
-        """Index the bag of ``node``, a leaf added after construction.
-
-        A leaf has no children, so it is a top node of exactly the
-        elements its parent's bag lacks and changes no other node's."""
-        above = self.parent(node)
-        above_bag = self.bags[above] if above is not None else frozenset()
-        where, tops = self.where, self.tops
-        for x in self.bags[node]:
-            where.setdefault(x, []).append(node)
-            if x not in above_bag:
-                tops[x] = tops.get(x, 0) + 1
-
     def covers(self, needed: Iterable[Element]) -> bool:
         """Whether some bag holds every element of ``needed``."""
         where = self.where

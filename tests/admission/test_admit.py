@@ -1,9 +1,9 @@
-"""The admission ladder itself: verify -> repair -> redecompose ->
-degrade -> reject, arbitrated by policy."""
+"""The admission ladder itself: verify -> rebuild -> degrade -> reject,
+arbitrated by policy."""
 
 import pytest
 
-from repro.admission import POLICIES, admit
+from repro.admission import POLICIES, admit, verify_decomposition
 from repro.errors import AdmissionRejected
 from repro.structures import GRAPH_SIGNATURE, Signature, Structure
 from repro.treewidth import decompose_structure
@@ -96,15 +96,17 @@ class TestRepair:
             {0: [0, 1, 99], 1: [1, 2], 2: [2, 3]},
             {0: [1], 1: [2], 2: []},
         )
+        # the alien element 99 sends the decomposition to the rebuild
         result = admit(s, signature=GRAPH_SIGNATURE, width=1, td=td)
         assert result.action == "solve"
         assert result.report.verdict == "repaired"
-        assert "dropped-alien-elements:1" in result.report.repairs
-        assert not result.report.redecomposed
+        assert result.report.repairs == ("redecomposed:min_fill",)
+        assert result.report.redecomposed
+        assert verify_decomposition(result.td, s, 1) == []
 
     def test_redecompose_on_corrupt_tree(self):
         s = path_structure(4)
-        td = corrupt_td(  # cycle: unrepairable in place
+        td = corrupt_td(  # a cycle: a corrupt tree
             {0: [0, 1], 1: [1, 2], 2: [2, 3]},
             {0: [1], 1: [2], 2: [0]},
         )

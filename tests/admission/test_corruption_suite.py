@@ -1,6 +1,6 @@
 """Property-based corruption suite: take a valid decomposition, mutate
 it randomly (drop bag elements, inject aliens, clear bags, rewire tree
-edges), and assert the admission layer either repairs it to a clean
+edges), and assert the admission layer either rebuilds it to a clean
 decomposition or rejects with a report naming a real violation -- and
 that answers served through admission always agree with direct MSO
 evaluation."""
@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 from repro.admission import admit, verify_decomposition
 from repro.errors import AdmissionRejected
 from repro.mso import formulas, query as mso_query
-from repro.structures import GRAPH_SIGNATURE, graph_to_structure
+from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
+from repro.structures.graphs import subgraph
 from repro.treewidth import RootedTree, TreeDecomposition, decompose_structure
+from repro.treewidth.heuristics import ESCALATION, decompose_within
 
 from ..conftest import small_graphs, small_trees
 
@@ -140,3 +142,66 @@ def test_admitted_answers_agree_with_direct_evaluation(
     expected = mso_query(structure, HAS_NEIGHBOR, "x")
     got = neighbor_solver.query(structure, mutated, admission="degrade")
     assert got == expected
+
+
+@st.composite
+def forests(draw, max_vertices: int = 12):
+    """Random labelled forests (treewidth <= 1) of at least 2 vertices."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    graph = Graph(range(n))
+    for v in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=v - 1))
+        if parent >= 0:
+            graph.add_edge(v, parent)
+    return graph
+
+
+@st.composite
+def deleted_ladders(draw, max_columns: int = 12):
+    """Vertex-deleted 2 x N ladders (treewidth <= 2), at least 3 vertices
+    kept."""
+    ladder = Graph.grid(2, draw(st.integers(min_value=2, max_value=max_columns)))
+    vertices = sorted(ladder.vertices)
+    keep = draw(
+        st.lists(st.sampled_from(vertices), min_size=3, unique=True)
+    )
+    return subgraph(ladder, sorted(keep))
+
+
+@given(
+    case=st.one_of(
+        st.tuples(forests(), st.just(1)),
+        st.tuples(deleted_ladders(), st.just(2)),
+    ),
+    directives=mutations(),
+)
+def test_rebuild_is_complete_at_the_compiled_widths(case, directives):
+    """At widths 1 and 2 the rebuild never loses a request: whatever the
+    mutations did to a valid decomposition, ``"repair"`` serves a
+    decomposition that verifies clean at the width, and the report
+    names the rebuild and nothing else -- no bag is patched."""
+    graph, width = case
+    structure = graph_to_structure(graph)
+    td, _ = decompose_within(structure, width)
+    assert verify_decomposition(td, structure, width) == []
+    mutated = clone_td(td)
+    apply_mutations(mutated, directives)
+    defects = verify_decomposition(mutated, structure, width)
+    result = admit(
+        structure,
+        signature=GRAPH_SIGNATURE,
+        width=width,
+        td=mutated,
+        policy="repair",
+    )  # never rejected
+    assert result.action == "solve"
+    assert verify_decomposition(result.td, result.structure, width) == []
+    if defects:
+        assert result.report.verdict == "repaired"
+        assert result.report.redecomposed
+        assert result.report.repairs in {
+            (f"redecomposed:{method}",) for method in ESCALATION
+        }
+    else:
+        assert result.report.verdict == "admitted"
+        assert result.report.repairs == ()

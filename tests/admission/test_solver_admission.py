@@ -135,9 +135,12 @@ class TestSolveMany:
     def test_pool_matches_serial(self, neighbor_solver):
         batch = self.mixed_batch()
         serial = neighbor_solver.solve_many(batch, admission="degrade")
-        pooled = neighbor_solver.solve_many(
-            batch, admission="degrade", workers=2
-        )
+        from repro.service import SolverService
+
+        with SolverService(workers=2) as service:
+            pooled = neighbor_solver.solve_many(
+                batch, admission="degrade", service=service
+            )
         assert pooled == serial
 
 

@@ -63,9 +63,8 @@ def _runs(streamed_ms, eager_ms, pruned=100):
 
 class TestEngineBaseline:
     """The checked-in BENCH_engine.json baseline and the CI gate logic
-    around its quasi-guarded solver entries (streamed vs eager, the
-    solve_many shard record, and the service sections owned by
-    bench_solver_service.py)."""
+    around its quasi-guarded solver entries (streamed vs eager, and the
+    service sections owned by bench_solver_service.py)."""
 
     @pytest.fixture(scope="class")
     def payload(self):
@@ -73,7 +72,7 @@ class TestEngineBaseline:
 
     def test_schema_version(self, payload):
         bench = _bench_module()
-        assert payload["schema"] == "bench-engine/v10"
+        assert payload["schema"] == "bench-engine/v11"
         assert payload["schema"] == bench.SCHEMA_VERSION
         assert payload["benchmark"] == "benchmarks/bench_datalog_engine.py"
 
@@ -134,13 +133,6 @@ class TestEngineBaseline:
             # Theorem 4.5 programs shrank eager's dead weight)
             required = 2 if name.startswith("solve-tree-") else 1.3
             assert payload["solver_speedups"][name] >= required, name
-
-    def test_solve_many_record(self, payload):
-        record = payload["solve_many"]
-        assert record["identical"] is True
-        assert record["batch_size"] > 1
-        assert record["workers"] >= 2
-        assert record["ms_workers_1"] > 0
 
     def test_solver_contract_gate_fires_below_2x_on_tree(self):
         bench = _bench_module()
@@ -226,7 +218,7 @@ class TestBaselineDrift:
     checked-in BENCH_engine.json."""
 
     @staticmethod
-    def _payload(schema="bench-engine/v10", quick=True):
+    def _payload(schema="bench-engine/v11", quick=True):
         return {
             "schema": schema,
             "quick": quick,

@@ -25,8 +25,8 @@ databases, and asserts that every route to the least model lands on the
 * interning round-trips: decoding an interned database and re-interning
   it is the identity on relations, and the interned grounding -> horn
   boundary carries *only* dense integer ids (no raw-value tuples);
-* ``CourcelleSolver.solve_many`` returns identical results for 1
-  worker and a multiprocessing pool, in input order.
+* ``CourcelleSolver.solve_many`` returns identical results in process
+  and on a 1- or 2-worker ``SolverService``, in input order.
 
 CI runs this file through a dedicated gate step that fails if it is
 skipped or collects zero tests, so a conftest regression can't silently
@@ -505,7 +505,8 @@ class TestReplannedConformance:
 
 
 class TestSolveManySharding:
-    """solve_many: deterministic order, worker-count-invariant."""
+    """solve_many: deterministic order, the same in process and on a
+    service of any worker count."""
 
     @classmethod
     def _solver(cls):
@@ -539,19 +540,28 @@ class TestSolveManySharding:
         return [graph_to_structure(g) for g in graphs]
 
     def test_one_worker_matches_sequential_solves(self):
+        from repro.service import SolverService
+
         solver = self._solver()
         structures = self._structures()
-        batch = solver.solve_many(structures, workers=1)
+        batch = solver.solve_many(structures)
         assert batch == [solver.query(s) for s in structures]
+        with SolverService(workers=1) as service:
+            assert solver.solve_many(structures, service=service) == batch
 
     def test_pool_results_identical_and_in_input_order(self):
+        from repro.service import SolverService
+
         solver = self._solver()
         structures = self._structures()
-        serial = solver.solve_many(structures, workers=1)
-        sharded = solver.solve_many(structures, workers=2)
+        serial = solver.solve_many(structures)
+        with SolverService(workers=2) as service:
+            sharded = solver.solve_many(structures, service=service)
+            # order is positional: a permuted input permutes the output
+            reordered = solver.solve_many(
+                list(reversed(structures)), service=service
+            )
         assert serial == sharded
-        # order is positional: a permuted input permutes the output
-        reordered = solver.solve_many(list(reversed(structures)), workers=2)
         assert reordered == list(reversed(serial))
         # the service's workers rebuild the solver from its pickle: the
         # statically planned grounding (step table, per-rule step ids,
@@ -568,15 +578,16 @@ class TestSolveManySharding:
     def test_pool_failure_raises_shard_failed_with_fingerprint(self):
         import pytest
 
-        from repro.service import ShardFailed
+        from repro.service import ShardFailed, SolverService
         from repro.structures import Graph, graph_to_structure
         from repro.structures.structure import structure_fingerprint
 
         solver = self._solver()
         wide = graph_to_structure(Graph.complete(5))
         batch = self._structures()[:2] + [wide] + self._structures()[2:3]
-        with pytest.raises(ShardFailed, match="WidthExceeded") as info:
-            solver.solve_many(batch, workers=2)
+        with SolverService(workers=2) as service:
+            with pytest.raises(ShardFailed, match="WidthExceeded") as info:
+                solver.solve_many(batch, service=service)
         assert info.value.fingerprint == structure_fingerprint(wide)
 
     def test_mismatched_tds_rejected(self):

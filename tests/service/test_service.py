@@ -18,11 +18,7 @@ import time
 
 import pytest
 
-from repro.core import (
-    CourcelleSolver,
-    default_worker_count,
-    undirected_graph_filter,
-)
+from repro.core import CourcelleSolver, undirected_graph_filter
 from repro.mso import formulas
 from repro.problems import random_tree_graph
 from repro.service import (
@@ -32,6 +28,7 @@ from repro.service import (
     ShardFailed,
     SolverService,
     coalesce,
+    default_worker_count,
 )
 from repro.structures import GRAPH_SIGNATURE, Graph, Structure, graph_to_structure
 
@@ -87,21 +84,14 @@ class TestCoalesce:
 
 
 # ----------------------------------------------------------------------
-# default_worker_count (the satellite cap fix)
+# default_worker_count
 # ----------------------------------------------------------------------
 
 
 class TestDefaultWorkerCount:
-    def test_capped_by_batch_size(self):
-        assert default_worker_count(batch_size=1) == 1
-
-    def test_never_below_one(self):
-        assert default_worker_count(batch_size=0) == 1
-
     def test_uncapped_matches_affinity(self):
         cpus = len(os.sched_getaffinity(0))
         assert default_worker_count() == max(1, cpus)
-        assert default_worker_count(batch_size=10**6) == max(1, cpus)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +109,7 @@ class TestIdentity:
 
     def test_solve_many_routes_through_service(self, solver):
         structures = [chain(12), tree(10), chain(5)]
-        serial = solver.solve_many(structures, workers=1)
+        serial = solver.solve_many(structures)
         with SolverService(workers=2) as service:
             assert solver.solve_many(structures, service=service) == serial
 

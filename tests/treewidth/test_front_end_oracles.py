@@ -4,7 +4,7 @@ The heap-ordered elimination must pick exactly the vertex the ``min``
 scan picked at every step, and the occurrence-indexed axiom check must
 report exactly the violations the per-bag scans reported -- on valid
 decompositions and on each kind of corruption the admission layer
-repairs.  The oracles live in :mod:`tests.treewidth.oracles`.
+verifies.  The oracles live in :mod:`tests.treewidth.oracles`.
 """
 
 import random
@@ -22,7 +22,6 @@ from repro.treewidth import (
     min_degree_order,
     min_fill_order,
 )
-from repro.treewidth.decomposition import OccurrenceIndex
 
 from . import oracles
 
@@ -202,26 +201,3 @@ class TestAxiomCheck:
         assert "connectedness" in codes["disconnected"]
         assert "tuple-uncovered" in codes["edge"]
         assert "tuple-uncovered" in codes["triple"]
-
-
-class TestOccurrenceIndex:
-    @given(mixed_arity_structures(), st.integers(0, 2**16))
-    def test_added_leaves_keep_the_index_exact(self, structure, seed):
-        """Leaves indexed by ``add`` leave the index equal to one built
-        from scratch, connectedness included."""
-        rng = random.Random(seed)
-        td = decompose_structure(structure)
-        tree, bags = td.tree.copy(), dict(td.bags)
-        index = OccurrenceIndex(bags, tree.parent)
-        domain = sorted(structure.domain, key=repr)
-        for _ in range(rng.randint(1, 4)):
-            leaf = tree.add_child(rng.choice(sorted(bags)))
-            bags[leaf] = frozenset(rng.sample(domain, rng.randint(0, len(domain))))
-            index.add(leaf)
-        fresh = OccurrenceIndex(bags, tree.parent)
-        assert index.where == fresh.where
-        assert index.tops == fresh.tops
-        assert sorted(index.disconnected(), key=repr) == sorted(
-            oracles.connectedness_violations(TreeDecomposition(tree, bags)),
-            key=repr,
-        )
