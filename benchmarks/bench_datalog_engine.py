@@ -44,7 +44,9 @@ pipeline, run on the same cached grounding plans):
   on exact agreement with *direct
   MSO evaluation* and with the hand-written cover DP over the same
   ``A_td`` encoding, and on the folded program beating the ablation
-  by ``GRID2X_PASSES_SPEEDUP``;
+  by ``GRID2X_PASSES_SPEEDUP`` (each arm best of ``GRID2X_REPEAT``,
+  re-timed once before failing) while grounding at most
+  1/``GRID2X_GROUND_RULES_SHRINK`` of its rules;
 * ``solve-grid-K`` -- a K x K grid is decomposed at its natural width
   (≈ K, far outside the compiler's envelope), and a Figure-style
   quasi-guarded dynamic program over its wide-bag ``A_td`` encoding
@@ -80,7 +82,10 @@ Two entry points:
      dead weight -- and the streamed form's headroom -- shrank); the
      grid2x answers equal direct MSO evaluation and the hand-written
      cover DP on the same encoding, and the folded grid2x solve beats
-     the ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP``;
+     the ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP`` on a
+     first timing or on one re-timing, and grounds at most
+     1/``GRID2X_GROUND_RULES_SHRINK`` of the ablation's rules (a count,
+     so this half of the gate is deterministic);
   6. the checked-in ``BENCH_engine.json`` must match the harness's
      schema version and workload/backend shape (drift fails CI until
      the baseline is regenerated).
@@ -379,6 +384,11 @@ SCHEMA_VERSION = "bench-engine/v11"
 #: the gate on the grid2x solve: the folded program must beat the
 #: passes=() ablation -- the program PR 9 served -- by this factor
 GRID2X_PASSES_SPEEDUP = 3.0
+#: ... and ground at most this fraction's inverse of its rules (the
+#: recorded solve-grid2x-40 counts are 803 against 2,959)
+GRID2X_GROUND_RULES_SHRINK = 3
+#: best-of count of each grid2x arm (the speedup gate's timings)
+GRID2X_REPEAT = 5
 
 SOLVER_BACKENDS = ["quasi-guarded", "quasi-guarded-eager"]
 
@@ -588,11 +598,13 @@ def run_solver_comparison(quick, repeat=3):
             )
         answers = {}
         runs = {}
+        # the grid2x arms carry a timed gate: more repeats there
+        arm_repeat = GRID2X_REPEAT if "ablation_program" in workload else repeat
         for arm, run in arms.items():
             warm = run()  # warm-up / cache fill
             answers[arm] = warm.unary_answers(answer_pred)
             ms = time_ms(
-                lambda: run().unary_answers(answer_pred), repeat=repeat
+                lambda: run().unary_answers(answer_pred), repeat=arm_repeat
             )
             runs[arm] = {
                 "ms": round(ms, 3),
@@ -602,6 +614,21 @@ def run_solver_comparison(quick, repeat=3):
             if arm != "quasi-guarded-eager":
                 runs[arm]["rules_pruned"] = warm.stats.rules_pruned
                 runs[arm]["peak_live_rules"] = warm.stats.peak_live_rules
+        if _below_passes_speedup(runs):
+            # host noise reads as a regression once; a real one persists
+            print(f"{name}: below the passes=() speedup; re-timing once")
+            retimed = {
+                arm: time_ms(
+                    lambda run=arms[arm]: run().unary_answers(answer_pred),
+                    repeat=arm_repeat,
+                )
+                for arm in ("quasi-guarded", "quasi-guarded-nopasses")
+            }
+            if not _below_passes_speedup(
+                {arm: {"ms": ms} for arm, ms in retimed.items()}
+            ):
+                for arm, ms in retimed.items():
+                    runs[arm]["ms"] = round(ms, 3)
         results[name] = runs
         streamed_run = runs["quasi-guarded"]
         for backend in runs:
@@ -657,6 +684,15 @@ def run_solver_comparison(quick, repeat=3):
     return rows, results, failures
 
 
+def _below_passes_speedup(runs):
+    """Whether a grid2x workload's folded solve misses the
+    ``GRID2X_PASSES_SPEEDUP`` over the ``passes=()`` ablation."""
+    nopasses = runs.get("quasi-guarded-nopasses")
+    return nopasses is not None and (
+        runs["quasi-guarded"]["ms"] * GRID2X_PASSES_SPEEDUP > nopasses["ms"]
+    )
+
+
 def check_solver_contracts(name, runs):
     """The perf contracts of one solver workload; separated out so the
     test-suite can exercise the gate logic on synthetic timings.
@@ -673,8 +709,9 @@ def check_solver_contracts(name, runs):
     has streamed at 15.1 vs 19.7 ms on ``solve-grid-12``), and it
     carries no speed gate.  The grid2x
     workload (width-2 Theorem 4.5 path) runs the streamed form only;
-    its gates are pruning engagement and the speedup over the
-    ``passes=()`` ablation -- the answer conformance pins live in
+    its gates are pruning engagement, and the speedup and the
+    ground-rule shrink over the ``passes=()`` ablation -- the answer
+    conformance pins and the one re-timing live in
     ``run_solver_comparison``.
     """
     failures = []
@@ -697,14 +734,22 @@ def check_solver_contracts(name, runs):
             "pruning is not engaging"
         )
     nopasses = runs.get("quasi-guarded-nopasses")
-    if nopasses is not None and (
-        streamed["ms"] * GRID2X_PASSES_SPEEDUP > nopasses["ms"]
-    ):
+    if _below_passes_speedup(runs):
         failures.append(
             f"{name}: folded program {streamed['ms']:.1f}ms vs "
             f"passes=() ablation {nopasses['ms']:.1f}ms -- less than "
             f"the required {GRID2X_PASSES_SPEEDUP:g}x speedup from "
             "the program-shrinking pass"
+        )
+    if nopasses is not None and (
+        streamed["ground_rules"] * GRID2X_GROUND_RULES_SHRINK
+        > nopasses["ground_rules"]
+    ):
+        failures.append(
+            f"{name}: folded program grounds {streamed['ground_rules']} "
+            f"rules vs {nopasses['ground_rules']} for the passes=() "
+            f"ablation -- not the required "
+            f"{GRID2X_GROUND_RULES_SHRINK}x fewer"
         )
     return failures
 
@@ -903,8 +948,9 @@ def main(argv=None) -> int:
         "quasi-guarded pipeline matches the eager reference's answers, "
         "prunes rules, and beats it >= 2x on the tree solve and "
         ">= 1.3x on the chain solve; the width-2 grid2x solve matches "
-        "direct MSO evaluation and the hand-written cover DP and beats "
-        "the passes=() ablation; the baseline schema matches the harness"
+        "direct MSO evaluation and the hand-written cover DP, beats "
+        "the passes=() ablation and grounds under a third of its rules; "
+        "the baseline schema matches the harness"
     )
     return 0
 

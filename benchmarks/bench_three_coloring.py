@@ -13,12 +13,12 @@ load, and the semi-naive set engine) on seeded random partial 3-trees
 with n = 32 ... 512 vertices, ``GRAPHS`` graphs per size.  Each graph
 counts with its best of ``REPEATS`` runs (garbage collector off), each
 size with the median over its graphs.  It exits 1 if any answer differs
-from ``three_coloring_direct`` or if the log-log slope of time against
-n is above ``MAX_SLOPE`` on a first timing and on one re-timing.  Per
-size it also prints Figure 5's time divided by that of
-``three_coloring_direct``, the hand-written DP of the same recurrences,
-timed the same way (not gated).  It prints only; no baseline file is
-written.
+from ``three_coloring_direct``, if the log-log slope of time against
+n is above ``MAX_SLOPE``, or if Figure 5's time divided by that of
+``three_coloring_direct`` (the hand-written DP of the same
+recurrences, timed the same way) is above ``MAX_RATIO`` at any size
+n >= ``RATIO_FROM``; a gate fails only if it fails on a first timing
+and on one re-timing.  It prints only; no baseline file is written.
 """
 
 import argparse
@@ -96,6 +96,11 @@ GRAPHS = 3
 REPEATS = 2
 #: --quick: the largest tolerated log-log slope of time against n
 MAX_SLOPE = 1.15
+#: --quick: the largest tolerated Figure 5 / direct-DP time ratio ...
+MAX_RATIO = 2.5
+#: --quick: ... at the sizes from this one up (the small sizes are
+#: dominated by per-call fixed costs)
+RATIO_FROM = 128
 #: --quick: the partial k-tree family
 K = 3
 EDGE_PROBABILITY = 0.2
@@ -144,10 +149,11 @@ def log_log_slope(xs, ys) -> float:
     )
 
 
-def datalog_slope(solver, graphs) -> float:
-    """Time ``decide`` and ``three_coloring_direct`` on every graph,
-    print their ratio per size and fit the slope of ``decide``."""
-    sizes, times = [], []
+def datalog_timings(solver, graphs) -> tuple[float, float]:
+    """Time ``decide`` and ``three_coloring_direct`` on every graph and
+    print their ratio per size; returns the fitted slope of ``decide``
+    and its largest ratio at the sizes from ``RATIO_FROM`` up."""
+    sizes, times, ratios = [], [], []
     for n, family in graphs.items():
         ms = statistics.median(
             best_ms(lambda g=g: solver.decide(g)) for g in family
@@ -157,13 +163,19 @@ def datalog_slope(solver, graphs) -> float:
         )
         sizes.append(n)
         times.append(ms)
+        if n >= RATIO_FROM:
+            ratios.append(ms / direct)
         print(
             f"n={n:<4} {ms:9.1f} ms (median of {len(family)} graphs); "
             f"direct DP {direct:7.1f} ms, Figure 5 / direct {ms / direct:5.2f}"
         )
     slope = log_log_slope(sizes, times)
-    print(f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE})")
-    return slope
+    ratio = max(ratios)
+    print(
+        f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE}); Figure 5 / "
+        f"direct {ratio:.2f} at n >= {RATIO_FROM} (gate <= {MAX_RATIO})"
+    )
+    return slope, ratio
 
 
 def quick() -> int:
@@ -178,13 +190,18 @@ def quick() -> int:
                     f"n={n} graph {i}: the datalog answer differs from "
                     "three_coloring_direct"
                 )
-    slope = datalog_slope(solver, graphs)
-    if slope > MAX_SLOPE:
+    slope, ratio = datalog_timings(solver, graphs)
+    if slope > MAX_SLOPE or ratio > MAX_RATIO:
         # host noise reads as a regression once; a real one persists
-        print("slope above the gate; re-timing once")
-        slope = min(slope, datalog_slope(solver, graphs))
+        print("above a gate; re-timing once")
+        again = datalog_timings(solver, graphs)
+        slope, ratio = min(slope, again[0]), min(ratio, again[1])
     if slope > MAX_SLOPE:
         failures.append(f"Figure 5 slope {slope:.3f} > {MAX_SLOPE}")
+    if ratio > MAX_RATIO:
+        failures.append(
+            f"Figure 5 / direct {ratio:.2f} > {MAX_RATIO} at n >= {RATIO_FROM}"
+        )
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
@@ -195,7 +212,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="run the Figure 5 answer and scaling gate",
+        help="run the Figure 5 answer, scaling and ratio gates",
     )
     if not parser.parse_args(argv).quick:
         parser.error(

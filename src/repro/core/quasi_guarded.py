@@ -177,11 +177,9 @@ class QuasiGuardedEvaluator:
         if relevant is not _UNRESOLVED:
             self._relevant = relevant
         else:
-            # demand resolution (the adorned relevance traversal) is
+            # demand resolution (the backward relevance traversal) is
             # also per-program work: resolve it here, not per structure
-            self._relevant = resolve_demand(
-                program, demand, self._prepared.registry
-            )
+            self._relevant = resolve_demand(program, demand)
 
     def evaluate(
         self, data: Structure | Database | SetDatabase, budget=None

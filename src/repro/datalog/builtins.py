@@ -28,7 +28,8 @@ the succinct programs equivalent to monadic ones (Theorem 5.1/5.3).
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .._util import interleavings, powerset
@@ -334,10 +335,12 @@ class PartitionThree(Builtin):
             return None
         parts = tuple(i for i in (1, 2, 3) if mask[i])
         missing = next((i for i in (1, 2, 3) if not mask[i]), None)
+        sets = (0, *parts)
 
         def check(slots: Slots) -> list[tuple]:
-            if any(type(slots[i]) is not frozenset for i in (0,) + parts):
-                return list(self.evaluate(slots))
+            for i in sets:
+                if type(slots[i]) is not frozenset:
+                    return list(self.evaluate(slots))
             x = slots[0]
             seen: frozenset = frozenset()
             for i in parts:
@@ -480,68 +483,84 @@ class BuiltinCall:
         return zip(*sources) if sources else repeat((), length)
 
     def _miss(self, key: tuple, interner) -> tuple[tuple[int, ...], ...]:
-        value_of = interner.value_of
-        intern = interner.intern
         slots = [UNBOUND] * self._arity
-        for (pos, _, _), cid in zip(self._inputs, key):
-            slots[pos] = value_of(cid)
+        for (pos, _, _), value in zip(self._inputs, map(interner.value_of, key)):
+            slots[pos] = value
+        intern = interner.intern
         outs = self._outs
         return tuple(
-            tuple(intern(solution[p]) for p in outs)
-            for solution in self._solve(tuple(slots))
+            [
+                tuple(map(intern, map(solution.__getitem__, outs)))
+                for solution in self._solve(tuple(slots))
+            ]
         )
+
+    def _lookup(self, columns, length: int, interner, memo: dict) -> list:
+        """Per row, the memoized solutions: a tuple of output-id tuples
+        (one per solution).  Only the keys missing from the memo run
+        the solver."""
+        table = self._table(memo)
+        keys = list(self._keys(columns, length, interner.intern))
+        for key in set(keys).difference(table):
+            table[key] = self._miss(key, interner)
+        return list(map(table.__getitem__, keys))
 
     def join(self, columns: dict, length: int, live, interner, memo: dict):
         """Extend a columnar batch (variable -> id list) by the call's
         solutions; returns ``(columns, length)``.  Input columns outside
-        ``live`` are dropped (``None`` keeps them all)."""
-        table = self._table(memo)
-        get = table.get
-        out_columns = {
-            v: [] for v in columns if live is None or v in live
-        }
-        out_columns.update(
-            {var: [] for var, _ in self._picks if live is None or var in live}
-        )
-        old = [
-            (out_columns[v].append, columns[v])
-            for v in out_columns
-            if v in columns
-        ]
-        new = [
-            (out_columns[var].append, k)
-            for var, k in self._picks
-            if var in out_columns
-        ]
+        ``live`` are dropped (``None`` keeps them all); the others are
+        gathered by :func:`gather_columns`, so the input lists are
+        never mutated."""
+        found = self._lookup(columns, length, interner, memo)
         same = self._same
-        count = 0
-        for r, key in enumerate(self._keys(columns, length, interner.intern)):
-            found = get(key)
-            if found is None:
-                found = table[key] = self._miss(key, interner)
-            for out in found:
-                if same and any(out[i] != out[j] for i, j in same):
-                    continue
-                for append, col in old:
-                    append(col[r])
-                for append, k in new:
-                    append(out[k])
-                count += 1
-        return out_columns, count
+        if same:
+            found = [
+                [out for out in outs if all(out[i] == out[j] for i, j in same)]
+                for outs in found
+            ]
+        hits = list(chain.from_iterable(found))
+        out_columns = gather_columns(
+            columns, live, list(map(len, found)), len(hits)
+        )
+        for var, k in self._picks:
+            if live is None or var in live:
+                out_columns[var] = list(map(itemgetter(k), hits))
+        return out_columns, len(hits)
 
     def holds(
         self, columns: dict, length: int, interner, memo: dict
     ) -> list[bool]:
         """Per row, whether the fully bound call has a solution (the
         negated-built-in test)."""
-        table = self._table(memo)
-        flags = []
-        for key in self._keys(columns, length, interner.intern):
-            found = table.get(key)
-            if found is None:
-                found = table[key] = self._miss(key, interner)
-            flags.append(bool(found))
-        return flags
+        return list(map(bool, self._lookup(columns, length, interner, memo)))
+
+
+def gather_columns(columns: dict, live, counts: list[int], total: int) -> dict:
+    """The carried columns of a step in which input row ``r`` yields
+    ``counts[r]`` output rows, ``total`` in all; columns outside
+    ``live`` are dropped (``None`` keeps them all).
+
+    Every column is built at C speed, by the cheapest of three shapes:
+    when each row yields exactly one row the input lists are passed
+    through as they are; when each yields at most one they are
+    compressed; otherwise they are gathered by the repeated row
+    indices.  No input list is ever mutated: a passed-through list is
+    shared with the input batch, which may feed several prefix groups.
+    The returned dict is new, so the caller may add its own columns."""
+    carried = [
+        (v, col) for v, col in columns.items() if live is None or v in live
+    ]
+    n = len(counts)
+    if total == n and 0 not in counts:
+        return dict(carried)
+    if not carried:
+        return {}
+    if not total:
+        return {v: [] for v, _ in carried}
+    if max(counts) == 1:
+        return {v: list(compress(col, counts)) for v, col in carried}
+    rows = list(chain.from_iterable(map(repeat, range(n), counts)))
+    return {v: list(map(col.__getitem__, rows)) for v, col in carried}
 
 
 def make_check(name: str, arity: int, test: Callable[..., bool]) -> Builtin:

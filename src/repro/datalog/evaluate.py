@@ -492,6 +492,9 @@ class CompiledStep:
     live: frozenset[int]
     #: the built-in kernel of a built-in step or a negated built-in
     call: BuiltinCall | None
+    #: the bound and constant positions, sorted: the search signature
+    #: of the hash index a relation step probes
+    key: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -576,6 +579,7 @@ def compile_plan(
                 dups=tuple(dups),
                 live=live_after[step_index],
                 call=call,
+                key=tuple(sorted(pos for pos, _ in (*consts, *bound))),
             )
         )
         bound_slots.update(first_pos)

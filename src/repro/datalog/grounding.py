@@ -29,7 +29,7 @@ Two execution forms share the per-rule plans of
   least model -- Section 6's optimization (2) ("generate only those
   ground instances of rules which actually produce new facts"),
   realized at grounding time.  Demand pruning
-  (:func:`repro.datalog.magic.demanded_predicates`) additionally skips
+  (:func:`relevant_predicates`) additionally skips
   whole rules whose heads cannot reach the query, and statically dead
   rules (a positive extensional literal over an empty relation) are
   never instantiated.  Peak live-rule residency is the LTUR's waiting
@@ -1500,7 +1500,7 @@ def ground_program_streamed(
     query predicate name, query :class:`~repro.datalog.ast.Atom`, or
     iterable of predicate names -- additionally restricts grounding to
     rules whose heads can reach the demanded predicates
-    (:func:`repro.datalog.magic.demanded_predicates`); the resulting
+    (:func:`relevant_predicates`); the resulting
     model is exact for the demanded predicates and their relevance
     cone, and empty elsewhere.
 
@@ -1537,7 +1537,7 @@ def ground_program_streamed(
         sink.meter = meter
         meter.check(stats.ground_rules)
     if relevant is None:
-        relevant = resolve_demand(prepared.program, demand, prepared.registry)
+        relevant = resolve_demand(prepared.program, demand)
 
     base, driven, deferred = _bind_lanes(
         prepared, _Binder(prepared, db), relevant, db.interner.intern, stats
@@ -1584,21 +1584,57 @@ def ground_program_streamed(
 
 
 
-def resolve_demand(program, demand, registry=None):
+def resolve_demand(program, demand):
     """Normalize a demand spec (query predicate name, query atom, or an
     iterable of either) into the relevant-predicate set, or ``None``
     for no pruning.  Per-program work -- resolve once and reuse across
     structures."""
     if demand is None:
         return None
-    from .magic import demanded_predicates
-
     if isinstance(demand, (str, Atom)):
-        return demanded_predicates(program, demand, registry)
+        return relevant_predicates(program, demand)
     relevant: set[str] = set()
     for query in demand:
-        relevant |= demanded_predicates(program, query, registry)
+        relevant |= relevant_predicates(program, query)
     return frozenset(relevant)
+
+
+def relevant_predicates(program: Program, query: "Atom | str") -> frozenset[str]:
+    """The intensional predicates whose extent ``query`` can observe.
+
+    Backward reachability over the intensional dependencies: the query
+    predicate, and every intensional predicate that occurs, positively
+    or negated, in the body of a rule defining a predicate already in
+    the set.  A rule whose head is outside the set can never contribute
+    to the query's answers, so demand-pruned grounding skips it.  A
+    query predicate that no rule defines demands nothing: the result is
+    empty.  An atom query must have the arity of the predicate's
+    rules."""
+    predicate = query.predicate if isinstance(query, Atom) else query
+    depends: dict[str, set[str]] = {}
+    for rule in program.rules:
+        depends.setdefault(rule.head.predicate, set()).update(
+            literal.atom.predicate for literal in rule.body
+        )
+        if (
+            isinstance(query, Atom)
+            and rule.head.predicate == predicate
+            and rule.head.arity != query.arity
+        ):
+            raise ValueError(
+                f"query {query} has arity {query.arity} but "
+                f"{predicate!r} is defined with arity {rule.head.arity}"
+            )
+    if predicate not in depends:
+        return frozenset()
+    seen = {predicate}
+    stack = [predicate]
+    while stack:
+        for dep in depends[stack.pop()]:
+            if dep in depends and dep not in seen:
+                seen.add(dep)
+                stack.append(dep)
+    return frozenset(seen)
 
 
 def evaluate_via_grounding(

@@ -21,21 +21,34 @@ compilation are shared, only execution differs) relation-at-a-time:
   ``q(X) :- p(X), r(X), not s(X)`` then run as word-parallel ``&`` /
   ``& ~`` on ints with no per-row Python at all.
 * Relation steps are hash joins at the relation level: the bound
-  positions are classified once per plan (the prepared program keeps
-  the compiled steps), one incrementally-maintained index is fetched
-  per step, and the batch probes it row by row.  There is one index
-  kind: the hash index of a search signature, keyed by its sorted
-  bound positions (:meth:`SetDatabase.index_for`);
+  positions and the sorted key of the probed index are fixed when the
+  plan is compiled (:class:`~repro.datalog.evaluate.CompiledStep`),
+  one incrementally-maintained index is fetched per step, and the
+  batch probes it.  There is one index kind: the hash index of a
+  search signature, keyed by its sorted bound positions
+  (:meth:`SetDatabase.index_for`);
   :func:`~repro.treewidth.encode.load_normalized` and
   :func:`~repro.treewidth.encode.load_nice` prefill the node-keyed
-  ones.  The tuple engine's per-binding ``Database.match`` (pattern
-  tuple + index resolution per tuple) is gone.
+  ones.
+* Steps are gather kernels, built in two passes with no Python loop
+  per row and column: one C-level pass collects every row's matches
+  (facts, or built-in solutions), then each carried column is built by
+  :func:`~repro.datalog.builtins.gather_columns` -- passed through
+  unchanged when every row matched exactly once, compressed when each
+  matched at most once, gathered by repeated row indices otherwise --
+  and each new column with ``map(itemgetter(pos), hits)``.  Semi-joins
+  and negations are one membership ``map`` and a compress.  No kernel
+  mutates a column it was handed: a passed-through list is shared with
+  the input batch, and one batch may feed several prefix groups.
 * Built-in steps run the shared kernel
   (:class:`repro.datalog.builtins.BuiltinCall`, also used by the eager
   grounder): the binding mask was checked when the step was compiled,
   bound-argument fast paths skip enumeration, and results are memoized
   for one :meth:`SetSemiNaiveEvaluator.run`, keyed by the rows' input
   ids.
+* A round's derived facts are flushed per predicate with set algebra
+  (:meth:`SetDatabase.merge`); the next round's delta adopts the
+  fresh sets.
 
 The strata and their fixpoint loops are those of
 :class:`SemiNaiveEvaluator`: fire-once strata and round 0 run the
@@ -54,12 +67,13 @@ variants share up to variable renaming run once per round, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_
 from typing import Iterable
 
 from ..structures.structure import Fact, Structure
 from .ast import Program
-from .builtins import BuiltinRegistry
+from .builtins import BuiltinRegistry, gather_columns
 from .evaluate import (
     CompiledHead,
     CompiledStep,
@@ -107,11 +121,11 @@ class SetDatabase:
     """Facts over interned ids, with bitset mirrors of unary relations
     and incrementally-maintained per-predicate hash indexes.
 
-    ``add`` touches only the indexes of the inserted fact's predicate
-    (they are registered per predicate), keeping bulk insertion linear.
-    Arity-1 facts additionally set their element's bit in the
-    predicate's bitset, which is what the monadic fast paths of the
-    evaluator operate on.
+    :meth:`merge` touches only the indexes of the inserted facts'
+    predicate (they are registered per predicate), keeping bulk
+    insertion linear.  Arity-1 facts additionally set their element's
+    bit in the predicate's bitset, which is what the monadic fast paths
+    of the evaluator operate on.
     """
 
     __slots__ = (
@@ -190,8 +204,7 @@ class SetDatabase:
         if dense:
             db = cls(Interner.identity(max(values) + 1))
             for predicate, rel in relations.items():
-                for tup in rel:
-                    db.add(predicate, tup)
+                db.merge(predicate, rel)
             return db
 
         db = cls()
@@ -200,8 +213,7 @@ class SetDatabase:
             for element in sorted(domain, key=repr):
                 intern(element)
         for predicate, rel in relations.items():
-            for tup in rel:
-                db.add(predicate, tuple(map(intern, tup)))
+            db.merge(predicate, (tuple(map(intern, tup)) for tup in rel))
         return db
 
     @classmethod
@@ -231,11 +243,6 @@ class SetDatabase:
             db._indexes.update(indexes)
         return db
 
-    def spawn_delta(self) -> "SetDatabase":
-        """An empty database sharing this one's interner (the per-round
-        delta of the semi-naive loop)."""
-        return SetDatabase(self.interner)
-
     def snapshot(self) -> "SetDatabase":
         """A mutation-isolated copy sharing this one's interner.
 
@@ -254,44 +261,34 @@ class SetDatabase:
         copy._bits = dict(self._bits)
         return copy
 
-    def add_new(self, predicate: str, args: tuple[int, ...]) -> None:
-        """Insert a fact the caller guarantees is absent (the delta
-        side of the flush: the main database's ``add`` already
-        deduplicated it).  Skips the membership test; indexes are
-        still maintained."""
-        self._facts.setdefault(predicate, set()).add(args)
-        if len(args) == 1:
-            self._bits[predicate] = self._bits.get(predicate, 0) | (
-                1 << args[0]
-            )
-        indexes = self._indexes.get(predicate)
-        if indexes:
-            for positions, index in indexes.items():
-                if len(positions) == 1:
-                    key = args[positions[0]]
-                else:
-                    key = tuple(args[i] for i in positions)
-                index.setdefault(key, []).append(args)
+    def merge(
+        self, predicate: str, rows: Iterable[tuple[int, ...]]
+    ) -> set[tuple[int, ...]]:
+        """Insert interned facts in bulk; returns the set of those that
+        were new.
 
-    def add(self, predicate: str, args: tuple[int, ...]) -> bool:
-        """Insert an interned fact; True iff new."""
-        rel = self._facts.setdefault(predicate, set())
-        if args in rel:
-            return False
-        rel.add(args)
-        if len(args) == 1:
-            self._bits[predicate] = self._bits.get(predicate, 0) | (
-                1 << args[0]
+        Deduplication is set algebra at C speed (``fresh = rows -
+        rel``); the unary bitset and the existing hash indexes are then
+        extended by the fresh facts only."""
+        rel = self._facts.get(predicate)
+        if rel:
+            fresh = set(rows).difference(rel)
+            rel |= fresh
+        else:
+            fresh = set(rows)
+            if fresh:
+                self._facts[predicate] = set(fresh)
+        if not fresh:
+            return fresh
+        if len(next(iter(fresh))) == 1:
+            self._bits[predicate] = self._bits.get(predicate, 0) | bitset_of(
+                args[0] for args in fresh
             )
         indexes = self._indexes.get(predicate)
         if indexes:
             for positions, index in indexes.items():
-                if len(positions) == 1:
-                    key = args[positions[0]]
-                else:
-                    key = tuple(args[i] for i in positions)
-                index.setdefault(key, []).append(args)
-        return True
+                _file(index, positions, fresh)
+        return fresh
 
     def relation(self, predicate: str) -> set[tuple[int, ...]]:
         return self._facts.get(predicate, _EMPTY_SET)
@@ -328,10 +325,12 @@ class SetDatabase:
 
     def index_for(self, predicate: str, positions: tuple[int, ...]) -> dict:
         """The hash index of ``predicate`` on ``positions``; built
-        lazily, maintained incrementally by :meth:`add`.  Single-
+        lazily, maintained incrementally by :meth:`merge`.  Single-
         position indexes use the bare id as key (no tuple allocation on
         the probe side)."""
-        per_pred = self._indexes.setdefault(predicate, {})
+        per_pred = self._indexes.get(predicate)
+        if per_pred is None:
+            per_pred = self._indexes[predicate] = {}
         index = per_pred.get(positions)
         if index is None:
             self._check_positions(predicate, positions)
@@ -343,14 +342,7 @@ class SetDatabase:
             else:
                 self._ever_built.add(pattern)
             index = {}
-            if len(positions) == 1:
-                p = positions[0]
-                for args in self._facts.get(predicate, ()):
-                    index.setdefault(args[p], []).append(args)
-            else:
-                for args in self._facts.get(predicate, ()):
-                    key = tuple(args[i] for i in positions)
-                    index.setdefault(key, []).append(args)
+            _file(index, positions, self._facts.get(predicate, ()))
             per_pred[positions] = index
         return index
 
@@ -366,43 +358,16 @@ class SetDatabase:
 
     def copy_relation(self, src: str, dst: str) -> None:
         """Alias ``src``'s facts under predicate ``dst`` -- entirely in
-        interned-id space, and in bulk: the fact set is copied/unioned
-        at C speed like :meth:`snapshot` (the old tuple-at-a-time loop
-        through :meth:`add` re-maintained bitsets and indexes per
-        fact), and the unary bitset is OR-ed in one big-int op.  Any
-        existing hash indexes of ``dst`` are *extended* with the facts
-        the union actually added (this used to invalidate them
-        wholesale, so every copy/probe cycle rebuilt ``dst``'s indexes
-        from scratch -- `IndexStats.rebuilds` now stays flat across
-        such churn).  This is how the magic backend surfaces adorned
-        answers under the original predicate name without decoding at
-        the backend boundary."""
+        interned-id space, and in bulk through :meth:`merge`: the fact
+        sets are unioned at C speed, and any existing hash indexes of
+        ``dst`` are *extended* with the facts the union actually added
+        (never dropped and rebuilt, so `IndexStats.rebuilds` stays flat
+        across copy/probe churn).  This is how the magic backend
+        surfaces adorned answers under the original predicate name
+        without decoding at the backend boundary."""
         src_rel = self._facts.get(src)
-        if not src_rel:
-            return
-        dst_rel = self._facts.get(dst)
-        if dst_rel:
-            fresh: "set | frozenset" = src_rel - dst_rel
-            dst_rel |= fresh
-        else:
-            fresh = src_rel
-            self._facts[dst] = set(src_rel)
-        if not fresh:
-            return
-        src_bits = self._bits.get(src)
-        if src_bits is not None:
-            self._bits[dst] = self._bits.get(dst, 0) | src_bits
-        indexes = self._indexes.get(dst)
-        if indexes:
-            for positions, index in indexes.items():
-                if len(positions) == 1:
-                    p = positions[0]
-                    for args in fresh:
-                        index.setdefault(args[p], []).append(args)
-                else:
-                    for args in fresh:
-                        key = tuple(args[i] for i in positions)
-                        index.setdefault(key, []).append(args)
+        if src_rel:
+            self.merge(dst, src_rel)
 
     def decode(self) -> Database:
         """Materialize a plain value-level :class:`Database`."""
@@ -424,6 +389,14 @@ class SetDatabase:
         )
 
 
+def _file(index: dict, positions: tuple[int, ...], facts) -> None:
+    """Append ``facts`` to a hash index on ``positions`` (never empty):
+    keyed by the bare id for one position, by a tuple otherwise."""
+    key_of = itemgetter(*positions)
+    for args in facts:
+        index.setdefault(key_of(args), []).append(args)
+
+
 # ----------------------------------------------------------------------
 # Columnar batches
 # ----------------------------------------------------------------------
@@ -432,7 +405,11 @@ class SetDatabase:
 class Batch:
     """A set of bindings, stored columnar: variable slot -> parallel
     list (slots number a plan's variables, see
-    :func:`repro.datalog.evaluate.plan_slots`)."""
+    :func:`repro.datalog.evaluate.plan_slots`).
+
+    A column list is never mutated once a batch holds it: steps build
+    new lists or pass their input lists through unchanged, and one
+    batch may feed several prefix groups."""
 
     __slots__ = ("columns", "length")
 
@@ -467,12 +444,15 @@ def _size(batch: "Batch | BitBatch") -> int:
     return batch.length
 
 
-def _take(batch: Batch, keep: list[int]) -> Batch:
-    if len(keep) == batch.length:
+def _take(batch: Batch, keep: list[bool]) -> Batch:
+    """The rows of ``batch`` whose ``keep`` flag is true, compressed
+    column by column at C speed; ``batch`` itself when every flag is
+    set."""
+    if all(keep):
         return batch
     return Batch(
-        {v: [col[r] for r in keep] for v, col in batch.columns.items()},
-        len(keep),
+        {v: list(compress(col, keep)) for v, col in batch.columns.items()},
+        sum(keep),
     )
 
 
@@ -481,6 +461,8 @@ def _fact_shaped_keys(cstep: CompiledStep, batch: Batch, consts):
     negation) steps; position order, so they compare against the
     stored facts directly."""
     n = batch.length
+    if not cstep.arity:
+        return repeat((), n)
     sources: list = [None] * cstep.arity
     for pos, cid in consts:
         sources[pos] = repeat(cid, n)
@@ -489,9 +471,27 @@ def _fact_shaped_keys(cstep: CompiledStep, batch: Batch, consts):
     return zip(*sources)
 
 
+def _probe_keys(cstep: CompiledStep, columns: dict, n: int, consts):
+    """Per-row keys of a hash-join probe, in ``cstep.key`` order: bare
+    ids for a one-position key (the index's key shape), tuples
+    otherwise."""
+    if consts:
+        source_of: dict[int, object] = {
+            pos: repeat(cid, n) for pos, cid in consts
+        }
+        source_of.update((pos, columns[var]) for pos, var in cstep.bound)
+        sources = [source_of[pos] for pos in cstep.key]
+    else:  # ``bound`` is in position order already
+        sources = [columns[var] for _, var in cstep.bound]
+    return sources[0] if len(sources) == 1 else zip(*sources)
+
+
 # ----------------------------------------------------------------------
 # The evaluator
 # ----------------------------------------------------------------------
+
+#: a round's derived facts: predicate -> id tuples, duplicates allowed
+Derived = dict[str, list[tuple[int, ...]]]
 
 
 class SetSemiNaiveEvaluator:
@@ -543,64 +543,46 @@ class SetSemiNaiveEvaluator:
         # built-ins are pure and ids are the database's: results stay
         # valid for this evaluation only
         self._memo = {}
-        prepared = self.prepared
-        for stratum_plan in prepared.stratum_plans:
-            if not stratum_plan.recursive:
-                # single-pass route: an SCC-refined nonrecursive
-                # stratum never consumes its own output, so one firing
-                # is its fixpoint -- no delta database, no re-fire
-                derived: list[tuple[str, tuple[int, ...]]] = []
-                for rule_index in stratum_plan.rule_indices:
-                    self._fire(rule_index, db, derived)
-                stats = self.stats
-                add = db.add
-                for predicate, args in derived:
-                    if add(predicate, args):
-                        stats.facts_derived += 1
-                continue
-            # round 0: every rule once against the current database
-            delta = db.spawn_delta()
-            derived = []
+        interner = db.interner
+        for stratum_plan in self.prepared.stratum_plans:
+            # round 0: every rule once against the current database.
+            # An SCC-refined nonrecursive stratum never consumes its own
+            # output, so this one firing is its fixpoint.
+            derived: Derived = {}
             for rule_index in stratum_plan.rule_indices:
                 self._fire(rule_index, db, derived)
-            self._flush(db, delta, derived)
-
+            fresh = self._flush(db, derived)
+            if not stratum_plan.recursive:
+                continue
             # subsequent rounds: the delta variants, grouped by shared
             # prefix; the first step of each root group reads the
-            # round's delta
-            while delta.fact_count():
+            # round's delta (the facts the last flush found new)
+            while fresh:
                 self.stats.iterations += 1
-                new_delta = db.spawn_delta()
-                derived = []
+                delta = SetDatabase.from_interned(interner, fresh)
+                derived = {}
                 for group in stratum_plan.groups:
                     self._fire_group(group, Batch({}, 1), db, derived, delta)
-                self._flush(db, new_delta, derived)
-                delta = new_delta
+                fresh = self._flush(db, derived)
         self._memo = {}
         return db
 
     def _flush(
-        self,
-        db: SetDatabase,
-        delta: SetDatabase,
-        derived: list[tuple[str, tuple[int, ...]]],
-    ) -> None:
-        stats = self.stats
-        add = db.add
-        delta_add = delta.add_new
-        for predicate, args in derived:
-            if add(predicate, args):
-                delta_add(predicate, args)
-                stats.facts_derived += 1
+        self, db: SetDatabase, derived: Derived
+    ) -> dict[str, set[tuple[int, ...]]]:
+        """Merge a round's derived facts into ``db``, one set operation
+        per predicate; returns the new ones per predicate."""
+        fresh = {}
+        for predicate, rows in derived.items():
+            new = db.merge(predicate, rows)
+            if new:
+                fresh[predicate] = new
+                self.stats.facts_derived += len(new)
+        return fresh
 
     # -- rule execution -------------------------------------------------
 
-    def _fire(
-        self,
-        rule_index: int,
-        db: SetDatabase,
-        out: list[tuple[str, tuple[int, ...]]],
-    ) -> None:
+    def _fire(self, rule_index: int, db: SetDatabase, out: Derived) -> None:
         """Fire one rule's round-0 plan -- unless one of its positive
         relation atoms is still empty, so the rule cannot fire (in
         round 0 the recursive relations are empty, and scanning the
@@ -621,7 +603,7 @@ class SetSemiNaiveEvaluator:
         group: PrefixGroup,
         batch: "Batch | BitBatch",
         db: SetDatabase,
-        out: list[tuple[str, tuple[int, ...]]],
+        out: Derived,
         delta: SetDatabase | None = None,
     ) -> None:
         """Run a prefix group's steps once on ``batch``, project the
@@ -686,46 +668,20 @@ class SetSemiNaiveEvaluator:
 
         n = batch.length
         columns = batch.columns
-        consts = [
+        consts = cstep.consts and [
             (pos, interner.intern(value)) for pos, value in cstep.consts
         ]
 
         if not cstep.free:  # semi-join: every position already bound
-            if cstep.arity == 0:
-                rel = source.relation(predicate)
-                return batch if () in rel else Batch(
-                    {v: [] for v in columns}, 0
-                )
-            if cstep.arity == 1:
-                bits = source.bits(predicate)
-                if consts:
-                    if (bits >> consts[0][1]) & 1:
-                        return batch
-                    return Batch({v: [] for v in columns}, 0)
-                column = columns[cstep.bound[0][1]]
-                keep = [
-                    r for r in range(n) if (bits >> column[r]) & 1
-                ]
-                return _take(batch, keep)
-            rel = source.relation(predicate)
-            keep = [
-                r
-                for r, key in enumerate(
-                    _fact_shaped_keys(cstep, batch, consts)
-                )
-                if key in rel
-            ]
-            return _take(batch, keep)
+            contains = source.relation(predicate).__contains__
+            return _take(
+                batch,
+                list(map(contains, _fact_shaped_keys(cstep, batch, consts))),
+            )
 
         dups = cstep.dups
-        key_positions = tuple(
-            sorted(
-                [pos for pos, _ in consts] + [pos for pos, _ in cstep.bound]
-            )
-        )
-
         live = cstep.live
-        if not key_positions:  # relation scan (round-0 first steps)
+        if not cstep.key:  # relation scan (round-0 first steps)
             facts = source.relation(predicate)
             if dups:
                 facts = [
@@ -753,87 +709,28 @@ class SetSemiNaiveEvaluator:
             # cross product against an unrestricted relation: rare (the
             # planner prefers bound steps), but keep it correct.
             facts = list(facts)
-            out_columns = {v: [] for v in columns if v in live}
-            out_columns.update(
-                {var: [] for _, var in cstep.free if var in live}
-            )
-            old = [
-                (out_columns[v].append, columns[v])
-                for v in columns
-                if v in live
-            ]
-            new = [
-                (out_columns[var].append, pos)
-                for pos, var in cstep.free
-                if var in live
-            ]
-            for r in range(n):
-                for fact in facts:
-                    for append, col in old:
-                        append(col[r])
-                    for append, pos in new:
-                        append(fact[pos])
-            return Batch(out_columns, n * len(facts))
-
-        # relation-level join: one hash index per search signature,
-        # probed per row with the key in sorted-position order
-        get = source.index_for(predicate, key_positions).get
-        by_pos: dict[int, object] = {pos: cid for pos, cid in consts}
-        for pos, var in cstep.bound:
-            by_pos[pos] = columns[var]
-        if len(key_positions) == 1:
-            key_source = by_pos[key_positions[0]]
-            keys = (
-                repeat(key_source, n)
-                if not isinstance(key_source, list)
-                else key_source
-            )
+            hits = facts * n
+            counts = [len(facts)] * n
         else:
-            keys = zip(
-                *(
-                    repeat(by_pos[pos], n)
-                    if not isinstance(by_pos[pos], list)
-                    else by_pos[pos]
-                    for pos in key_positions
-                )
+            # relation-level join over the hash index of the step's
+            # search signature, in two passes: first each row's
+            # matches, then every output column at C speed
+            get = source.index_for(predicate, cstep.key).get
+            found = list(
+                map(get, _probe_keys(cstep, columns, n, consts), repeat(()))
             )
-
-        out_columns = {v: [] for v in columns if v in live}
-        out_columns.update(
-            {var: [] for _, var in cstep.free if var in live}
-        )
-        old = [
-            (out_columns[v].append, columns[v])
-            for v in columns
-            if v in live
-        ]
-        new = [
-            (out_columns[var].append, pos)
-            for pos, var in cstep.free
-            if var in live
-        ]
-        count = 0
-        for r, key in enumerate(keys):
-            matches = get(key)
-            if not matches:
-                continue
             if dups:
-                matches = [
-                    f
-                    for f in matches
-                    if all(f[p] == f[q] for p, q in dups)
+                found = [
+                    [f for f in facts if all(f[p] == f[q] for p, q in dups)]
+                    for facts in found
                 ]
-                if not matches:
-                    continue
-            for append, col in old:
-                value = col[r]
-                for _ in matches:
-                    append(value)
-            for append, pos in new:
-                for fact in matches:
-                    append(fact[pos])
-            count += len(matches)
-        return Batch(out_columns, count)
+            hits = list(chain.from_iterable(found))
+            counts = list(map(len, found))
+        out_columns = gather_columns(columns, live, counts, len(hits))
+        for pos, var in cstep.free:
+            if var in live:
+                out_columns[var] = list(map(itemgetter(pos), hits))
+        return Batch(out_columns, len(hits))
 
     def _negate(
         self,
@@ -863,38 +760,17 @@ class SetSemiNaiveEvaluator:
                 return batch
             batch = _materialize(batch)
 
-        n = batch.length
-        columns = batch.columns
         if call is not None:
-            held = call.holds(columns, n, interner, self._memo)
-            return _take(batch, [r for r in range(n) if not held[r]])
-
-        consts = [
-            (pos, interner.intern(value)) for pos, value in cstep.consts
-        ]
-
-        if cstep.arity == 0:
-            if () in db.relation(predicate):
-                return Batch({v: [] for v in columns}, 0)
-            return batch
-        if cstep.arity == 1:
-            bits = db.bits(predicate)
-            if consts:
-                if (bits >> consts[0][1]) & 1:
-                    return Batch({v: [] for v in columns}, 0)
-                return batch
-            column = columns[cstep.bound[0][1]]
-            keep = [
-                r for r in range(n) if not (bits >> column[r]) & 1
+            held = call.holds(batch.columns, batch.length, interner, self._memo)
+        else:
+            consts = [
+                (pos, interner.intern(value)) for pos, value in cstep.consts
             ]
-            return _take(batch, keep)
-        rel = db.relation(predicate)
-        keep = [
-            r
-            for r, key in enumerate(_fact_shaped_keys(cstep, batch, consts))
-            if key not in rel
-        ]
-        return _take(batch, keep)
+            held = map(
+                db.relation(predicate).__contains__,
+                _fact_shaped_keys(cstep, batch, consts),
+            )
+        return _take(batch, list(map(not_, held)))
 
     def _builtin(
         self,
@@ -914,31 +790,29 @@ class SetSemiNaiveEvaluator:
         head: CompiledHead,
         batch: "Batch | BitBatch",
         interner: Interner,
-        out: list[tuple[str, tuple[int, ...]]],
+        out: Derived,
     ) -> None:
-        predicate = head.predicate
+        """Append the head instances of ``batch``'s rows to ``out``."""
+        rows = out.setdefault(head.predicate, [])
         if type(batch) is BitBatch:
             if head.arity == 1 and not head.consts:
                 bits = batch.bits
                 self.stats.rule_firings += bits.bit_count()
-                out.extend((predicate, (i,)) for i in iter_bits(bits))
+                rows.extend(zip(iter_bits(bits)))
                 return
             batch = _materialize(batch)
         n = batch.length
         self.stats.rule_firings += n
         if head.arity == 0:
             if n:
-                out.append((predicate, ()))
+                rows.append(())
             return
         sources: list = [None] * head.arity
         for pos, value in head.consts:
             sources[pos] = repeat(interner.intern(value), n)
         for pos, var in head.vars:
             sources[pos] = batch.columns[var]
-        if head.arity == 1:
-            out.extend((predicate, (x,)) for x in sources[0])
-        else:
-            out.extend((predicate, args) for args in zip(*sources))
+        rows.extend(zip(*sources))
 
 
 def set_least_fixpoint(

@@ -56,11 +56,16 @@ Coloring = dict[Vertex, str]
 def prepare_decomposition(
     graph: Graph, td: TreeDecomposition | None = None
 ) -> NiceTreeDecomposition:
-    """Heuristic decomposition + Section 5 normal form."""
+    """Heuristic decomposition + Section 5 normal form.
+
+    ``make_nice`` has already checked the normal-form shape, so only
+    the Section 2.2 axioms are checked here, against the graph."""
     if td is None:
         td = decompose_graph(graph)
     nice = make_nice(td)
-    nice.validate(graph_to_structure(graph))
+    nice.as_set_decomposition().validate_for_structure(
+        graph_to_structure(graph)
+    )
     return nice
 
 

@@ -168,7 +168,7 @@ def _tree_relations(
             continue
         if len(children) > 2:
             raise ValueError(f"node {node} has more than two children")
-        # one bucket list per index: SetDatabase.add appends to them
+        # one bucket list per index: SetDatabase.merge appends to them
         row = (node_id[children[0]], t)
         child1_by_child[row[0]] = [row]
         child1_by_parent[t] = [row]

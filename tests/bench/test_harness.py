@@ -185,14 +185,35 @@ class TestEngineBaseline:
         runs = {
             "quasi-guarded": {
                 "ms": 5.0,
+                "ground_rules": 803,
                 "rules_pruned": 10,
                 "peak_live_rules": 1,
             },
-            "quasi-guarded-nopasses": {"ms": 10.0},
+            "quasi-guarded-nopasses": {"ms": 10.0, "ground_rules": 2959},
         }
         failures = bench.check_solver_contracts("solve-grid2x-20", runs)
-        assert any("passes=()" in f for f in failures)
+        assert any("speedup" in f for f in failures)
         runs["quasi-guarded-nopasses"]["ms"] = 50.0
+        assert bench.check_solver_contracts("solve-grid2x-20", runs) == []
+
+    def test_solver_contract_gate_requires_the_ground_rule_shrink_on_grid2x(
+        self,
+    ):
+        """The deterministic half of the fold gate: a count, not a
+        timing, so host noise cannot trip it."""
+        bench = _bench_module()
+        runs = {
+            "quasi-guarded": {
+                "ms": 5.0,
+                "ground_rules": 1000,
+                "rules_pruned": 10,
+                "peak_live_rules": 1,
+            },
+            "quasi-guarded-nopasses": {"ms": 50.0, "ground_rules": 2959},
+        }
+        failures = bench.check_solver_contracts("solve-grid2x-20", runs)
+        assert len(failures) == 1 and "fewer" in failures[0]
+        runs["quasi-guarded"]["ground_rules"] = 803
         assert bench.check_solver_contracts("solve-grid2x-20", runs) == []
 
     def test_grid_cover_dp_carries_no_speed_gate(self):

@@ -195,7 +195,7 @@ def ground_program_per_rule(
     sink = sink if sink is not None else StreamingHorn()
     stats = stats if stats is not None else GroundingStats()
     if relevant is None:
-        relevant = resolve_demand(prepared.program, demand, prepared.registry)
+        relevant = resolve_demand(prepared.program, demand)
     intern = db.interner.intern
 
     def interned(spec):

@@ -376,7 +376,7 @@ class TestGroupedStreamingMatchesPerRule:
             | st.sampled_from(sorted(program.intensional_predicates())),
             label="demanded predicate",
         )
-        relevant = resolve_demand(program, demand, prepared.registry)
+        relevant = resolve_demand(program, demand)
         grouped, per_rule = _grouped_and_per_rule(prepared, db, relevant)
         assert grouped == per_rule
 

@@ -10,24 +10,39 @@ dead extensional literals, and driver-starved rules.
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
+    Atom,
+    Constant,
     Database,
     GroundingStats,
     InternPool,
+    Literal,
+    Program,
+    Rule,
     SetDatabase,
     StreamingHorn,
+    Variable,
     demanded_predicates,
     ground_program_ids,
     ground_program_streamed,
     horn_least_model_ids,
     parse_program,
     prepare_grounding,
+    relevant_predicates,
 )
 from repro.datalog import grounding
 from repro.datalog.grounding import resolve_demand
 
-from ..conftest import deleted_ladders, has_neighbor_solver, oracle_encoding
+from ..conftest import (
+    DATALOG_DOMAIN,
+    IDB_ARITIES,
+    datalog_programs,
+    deleted_ladders,
+    has_neighbor_solver,
+    oracle_encoding,
+)
 from .stream_oracle import RecordingHorn, ground_program_per_rule
 
 
@@ -231,6 +246,87 @@ class TestDemandPruning:
         assert resolve_demand(PROG, None) is None
         assert resolve_demand(PROG, "t") == {"t"}
         assert resolve_demand(PROG, ["t", "ok"]) == {"t", "ok"}
+
+    def test_atom_query_must_match_the_arity(self):
+        with pytest.raises(ValueError, match="arity"):
+            relevant_predicates(PROG, Atom("t", ()))
+
+
+@st.composite
+def programs_with_negation(draw):
+    """The shared random programs, where a rule may also negate an
+    intensional atom over variables its positive literals bind."""
+    rules = []
+    for rule in draw(datalog_programs()).rules:
+        body = list(rule.body)
+        bound = sorted(
+            {
+                a
+                for lit in body
+                if lit.positive
+                for a in lit.atom.args
+                if isinstance(a, Variable)
+            },
+            key=lambda v: v.name,
+        )
+        if bound and draw(st.booleans()):
+            predicate = draw(st.sampled_from(sorted(IDB_ARITIES)))
+            args = tuple(
+                draw(st.sampled_from(bound))
+                for _ in range(IDB_ARITIES[predicate])
+            )
+            body.append(Literal(Atom(predicate, args), positive=False))
+        rules.append(Rule(rule.head, tuple(body)))
+    return Program(rules)
+
+
+@st.composite
+def queries(draw, program):
+    """A defined predicate by name or as an atom with some arguments
+    bound, or a name no rule defines."""
+    defined = sorted(program.intensional_predicates())
+    predicate = draw(st.sampled_from(defined + ["nothing"]))
+    if predicate == "nothing" or draw(st.booleans()):
+        return predicate
+    return Atom(
+        predicate,
+        tuple(
+            draw(
+                st.one_of(
+                    st.just(Variable(f"Q{i}")),
+                    st.sampled_from(DATALOG_DOMAIN).map(Constant),
+                )
+            )
+            for i in range(IDB_ARITIES[predicate])
+        ),
+    )
+
+
+class TestRelevantPredicates:
+    """Backward reachability must find exactly the predicates the
+    adorned magic-set traversal (``demanded_predicates``) touches."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), program=programs_with_negation())
+    def test_matches_the_adorned_demand(self, data, program):
+        query = data.draw(queries(program))
+        assert relevant_predicates(program, query) == demanded_predicates(
+            program, query
+        )
+
+    def test_negation_pulls_in_the_negated_cone(self):
+        program = parse_program(
+            """
+            r(X) :- color(X).
+            q(X) :- r(X).
+            p(X, Y) :- edge(X, Y), not q(X).
+            s(X) :- color(X).
+            """
+        )
+        assert relevant_predicates(program, "p") == {"p", "q", "r"}
+        assert relevant_predicates(program, "p") == demanded_predicates(
+            program, "p"
+        )
 
 
 class TestStreamPlans:

@@ -146,8 +146,8 @@ class TestSetDatabase:
 
     def test_unary_bitset_mirrors_relation(self):
         sdb = SetDatabase(Interner())
-        for v in ("a", "b", "c"):
-            sdb.add("p", (sdb.interner.intern(v),))
+        sdb.merge("p", [(sdb.interner.intern(v),) for v in ("a", "b")])
+        sdb.merge("p", [(sdb.interner.intern("c"),)])
         assert set(iter_bits(sdb.bits("p"))) == {
             args[0] for args in sdb.relation("p")
         }
@@ -159,11 +159,12 @@ class TestSetDatabase:
         assert index[0] == [(0, 1)]
         # inserting after the index exists must keep it current --
         # this is the per-predicate incremental maintenance fix
-        sdb.add("edge", (0, 9))
+        assert sdb.merge("edge", [(0, 9), (0, 1)]) == {(0, 9)}
         assert sorted(index[0]) == [(0, 1), (0, 9)]
         pair_index = sdb.index_for("edge", (0, 1))
         assert pair_index[(0, 9)] == [(0, 9)]
-        sdb.add("edge", (0, 9))  # duplicate: no index churn
+        # duplicates: nothing new, no index churn
+        assert sdb.merge("edge", [(0, 9), (0, 9)]) == set()
         assert sorted(index[0]) == [(0, 1), (0, 9)]
 
 
@@ -361,7 +362,7 @@ class TestEngineAgreement:
 
 # ----------------------------------------------------------------------
 # copy_relation: bulk aliasing in interned-id space (the PR 6 fix for
-# the old tuple-at-a-time loop through add())
+# the old tuple-at-a-time loop through a per-fact insert)
 # ----------------------------------------------------------------------
 
 
@@ -369,8 +370,7 @@ class TestCopyRelation:
     @staticmethod
     def _db_with(predicate, facts):
         db = SetDatabase()
-        for args in facts:
-            db.add(predicate, args)
+        db.merge(predicate, facts)
         return db
 
     def test_copy_into_fresh_predicate(self):
@@ -378,26 +378,26 @@ class TestCopyRelation:
         db.copy_relation("src", "dst")
         assert db.relation("dst") == {(1,), (2,), (3,)}
         # a copy, not an alias: growing dst must not grow src
-        db.add("dst", (9,))
+        db.merge("dst", [(9,)])
         assert db.relation("src") == {(1,), (2,), (3,)}
 
     def test_copy_unions_into_existing_predicate(self):
         db = self._db_with("src", [(1,), (2,)])
-        db.add("dst", (2,))
-        db.add("dst", (5,))
+        db.merge("dst", [(2,)])
+        db.merge("dst", [(5,)])
         db.copy_relation("src", "dst")
         assert db.relation("dst") == {(1,), (2,), (5,)}
 
     def test_unary_bitset_is_ored_in_bulk(self):
         db = self._db_with("src", [(1,), (3,)])
-        db.add("dst", (2,))
+        db.merge("dst", [(2,)])
         db.copy_relation("src", "dst")
         assert db.bits("dst") == db.bits("src") | (1 << 2)
         assert db.bits("dst") == 0b1110
 
     def test_existing_dst_index_is_invalidated(self):
         db = self._db_with("src", [(1, 2), (3, 4)])
-        db.add("dst", (5, 6))
+        db.merge("dst", [(5, 6)])
         stale = db.index_for("dst", (0,))
         assert set(stale) == {5}
         db.copy_relation("src", "dst")
@@ -412,7 +412,7 @@ class TestCopyRelation:
 
     def test_empty_source_is_a_no_op(self):
         db = SetDatabase()
-        db.add("dst", (7,))
+        db.merge("dst", [(7,)])
         db.copy_relation("missing", "dst")
         assert db.relation("dst") == {(7,)}
         assert db.relation("missing") == set()
@@ -429,7 +429,7 @@ class TestIndexStatsAndValidation:
     def test_empty_relation_defers_validation(self):
         # arity is unknown until a fact arrives; a (possibly bad)
         # pattern on an empty relation yields an empty index, and the
-        # first add does not retroactively validate it
+        # first merge does not retroactively validate it
         db = SetDatabase()
         assert db.index_for("later", (5,)) == {}
 
