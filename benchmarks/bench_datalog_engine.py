@@ -1,34 +1,14 @@
-"""Engine internals: the evaluation backends head-to-head.
+"""Engine internals: the Theorem 4.4 solve pipeline, streamed vs eager.
 
 Not a paper table, but the substrate claim behind the MD column:
 Section 6 stresses that the viability of the monadic-datalog route
-hinges on the interpreter's constant factors.  This benchmark pits the
-backends against each other on three reachability workloads:
-
-* ``chain-N``  -- an N-node path graph (the magic-set showcase);
-* ``grid-K``   -- a K x K grid with right/down edges (denser joins,
-  many alternative derivations per fact);
-* ``tree-N``   -- a random N-node tree, seeded (branching fan-out).
-
-Backends compared:
-
-* ``naive``            -- Jacobi re-derivation (ablation baseline;
-  capped, it is O(n^3)-ish here);
-* ``semi-naive``       -- the set-at-a-time engine (interned ids,
-  columnar batches, relation-level hash joins, bitset unary
-  relations);
-* ``semi-naive-tuple`` -- the same plans executed tuple-at-a-time
-  (the PR-1 engine, kept for this ablation);
-* ``magic``            -- demand transformation + set-at-a-time
-  evaluation, goal-directed on a single-source query.
-
-Alongside the engine backends, the **solver workloads** benchmark the
-Theorem 4.4 pipeline (grounding + linear-time Horn) on the same three
-workload families: the streamed, demand-pruned solve path
-(``quasi-guarded``: ground rules instantiated on demand into an online
-LTUR) against the eager reference arm (``quasi-guarded-eager``: the
-materializing ``ground_program_ids`` + ``horn_least_model_ids``
-pipeline, run on the same cached grounding plans):
+hinges on the interpreter's constant factors.  The **solver workloads**
+benchmark the Theorem 4.4 pipeline (grounding + linear-time Horn): the
+streamed, demand-pruned solve path (``quasi-guarded``: ground rules
+instantiated on demand into an online LTUR) against the eager
+reference arm (``quasi-guarded-eager``: the materializing
+``ground_program_ids`` + ``horn_least_model_ids`` pipeline, run on the
+same cached grounding plans):
 
 * ``solve-chain-N`` / ``solve-tree-N`` -- the compiled Theorem 4.5
   ``has_neighbor`` MSO program, evaluated over the ``A_td`` encoding
@@ -54,26 +34,17 @@ pipeline, run on the same cached grounding plans):
   (bag-guarded leaf/child1/child2 recursion + monadic projections),
   genuinely wide guards.
 
-Batch solving on a ``SolverService`` is benchmarked, and its answers
-gated against the serial loop, by ``bench_solver_service.py``.
+The generic set engine's speed is gated on the paper's own workload by
+``bench_three_coloring.py`` (Figure 5 on partial 3-trees); batch
+solving on a ``SolverService`` is benchmarked, and its answers gated
+against the serial loop, by ``bench_solver_service.py``.
 
-Two entry points:
+``python benchmarks/bench_datalog_engine.py [--quick]`` prints the
+table (``--quick`` is the CI smoke test), writes the machine-readable
+baseline ``BENCH_engine.json`` to the repo root (``--out`` overrides)
+and exits non-zero if a contract regresses:
 
-* ``pytest benchmarks/bench_datalog_engine.py --benchmark-only`` --
-  pytest-benchmark timings of each backend;
-* ``python benchmarks/bench_datalog_engine.py [--quick]`` -- the
-  head-to-head table (the CI smoke test).  It writes the
-  machine-readable baseline ``BENCH_engine.json`` to the repo root
-  (``--out`` overrides) and exits non-zero if a contract regresses:
-
-  1. all full-fixpoint backends derive *identical* ``path`` relations,
-     and magic's answers match the single-source slice of them;
-  2. magic derives strictly fewer facts than semi-naive;
-  3. on the largest chain, set-at-a-time semi-naive is no slower than
-     ``semi-naive-tuple`` -- and at chain >= 800 (the default full
-     run) it must be >= 3x faster;
-  4. on the largest chain, magic is >= 2x faster than full semi-naive;
-  5. all quasi-guarded arms run on a workload derive identical unary
+  1. all quasi-guarded arms run on a workload derive identical unary
      answers; the streamed form prunes rules (``rules_pruned > 0``)
      on the chain, tree and grid2x solves, is >= 2x faster than the
      eager reference arm on the tree solve and >= 1.3x on the chain
@@ -86,7 +57,7 @@ Two entry points:
      first timing or on one re-timing, and grounds at most
      1/``GRID2X_GROUND_RULES_SHRINK`` of the ablation's rules (a count,
      so this half of the gate is deterministic);
-  6. the checked-in ``BENCH_engine.json`` must match the harness's
+  2. the checked-in ``BENCH_engine.json`` must match the harness's
      schema version and workload/backend shape (drift fails CI until
      the baseline is regenerated).
 """
@@ -102,276 +73,18 @@ try:
 except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.bench import compare_backends, format_ms, format_table, time_ms
+from repro.bench import format_ms, format_table, time_ms
 from repro.datalog import (
-    Database,
-    EvaluationStats,
     GroundingStats,
     InternPool,
-    ProgramCache,
-    SemiNaiveEvaluator,
     SetDatabase,
-    atom,
-    const,
     ground_program_ids,
     horn_least_model_ids,
-    least_fixpoint,
-    naive_least_fixpoint,
-    parse_program,
-    solve,
     td_key_dependencies,
-    var,
 )
-
-TC = parse_program(
-    """
-    path(X, Y) :- edge(X, Y).
-    path(X, Z) :- path(X, Y), edge(Y, Z).
-    """
-)
-
-#: the query-driven workload: reachability *from one source*; full
-#: evaluation materializes all path facts, demand-driven evaluation
-#: needs only the ones rooted at the source (node 0 in every workload).
-SOURCE_QUERY = atom("path", const(0), var("Y"))
-
-SIZES = [30, 60, 120]
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
-
-FULL_BACKENDS = ["naive", "semi-naive", "semi-naive-tuple"]
-ALL_BACKENDS = FULL_BACKENDS + ["magic"]
-
-
-# ----------------------------------------------------------------------
-# Workloads
-# ----------------------------------------------------------------------
-
-
-def chain_db(n):
-    """An n-node path graph: 0 -> 1 -> ... -> n-1."""
-    db = Database()
-    for i in range(n - 1):
-        db.add("edge", (i, i + 1))
-    return db
-
-
-def grid_db(k):
-    """A k x k grid, edges right and down; node (i, j) is i * k + j."""
-    db = Database()
-    for i in range(k):
-        for j in range(k):
-            v = i * k + j
-            if j + 1 < k:
-                db.add("edge", (v, v + 1))
-            if i + 1 < k:
-                db.add("edge", (v, v + k))
-    return db
-
-
-def random_tree_db(n, seed=0xC0FFEE):
-    """A random n-node tree, edges parent -> child, rooted at 0."""
-    rng = random.Random(seed)
-    db = Database()
-    for v in range(1, n):
-        db.add("edge", (rng.randint(0, v - 1), v))
-    return db
-
-
-def workloads(quick):
-    """(name, database, include-naive) triples, largest chain last in
-    the chain group so the speedup contracts read off the end."""
-    if quick:
-        chains, grid_k, tree_n, naive_cap = [100, 200, 400], 8, 300, 100
-    else:
-        chains, grid_k, tree_n, naive_cap = [100, 200, 400, 800], 16, 2000, 100
-    out = [(f"chain-{n}", chain_db(n), n <= naive_cap) for n in chains]
-    out.append((f"grid-{grid_k}", grid_db(grid_k), False))
-    out.append((f"tree-{tree_n}", random_tree_db(tree_n), False))
-    return out
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - pytest always present in CI
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.parametrize("n", SIZES, ids=lambda n: f"chain{n}")
-    def test_set_semi_naive_transitive_closure(benchmark, n):
-        db = chain_db(n)
-        result = benchmark.pedantic(
-            solve, args=(TC, db), rounds=3, iterations=1
-        )
-        assert len(result.relation("path")) == n * (n - 1) // 2
-
-    @pytest.mark.parametrize("n", SIZES, ids=lambda n: f"chain{n}")
-    def test_tuple_semi_naive_transitive_closure(benchmark, n):
-        db = chain_db(n)
-        result = benchmark.pedantic(
-            least_fixpoint, args=(TC, db), rounds=3, iterations=1
-        )
-        assert len(result.relation("path")) == n * (n - 1) // 2
-
-    @pytest.mark.parametrize("n", SIZES[:2], ids=lambda n: f"chain{n}")
-    def test_naive_transitive_closure(benchmark, n):
-        db = chain_db(n)
-        result = benchmark.pedantic(
-            naive_least_fixpoint, args=(TC, db), rounds=2, iterations=1
-        )
-        assert len(result.relation("path")) == n * (n - 1) // 2
-
-    @pytest.mark.parametrize("n", SIZES, ids=lambda n: f"chain{n}")
-    def test_magic_single_source(benchmark, n):
-        db = chain_db(n)
-        result = benchmark.pedantic(
-            solve,
-            args=(TC, db),
-            kwargs={"backend": "magic", "query": SOURCE_QUERY},
-            rounds=3,
-            iterations=1,
-        )
-        assert len(result.relation("path")) == n - 1
-
-    def test_firing_counts_gap(benchmark):
-        """Semi-naive fires each derivation O(1) times; naive re-fires
-        everything every round; magic only fires what the query needs."""
-        n = 40
-        evaluator = SemiNaiveEvaluator(TC)
-        evaluator.evaluate(chain_db(n))
-        semi = evaluator.stats.rule_firings
-        naive_stats = EvaluationStats()
-        naive_least_fixpoint(TC, chain_db(n), stats=naive_stats)
-        magic_stats = EvaluationStats()
-        solve(
-            TC,
-            chain_db(n),
-            backend="magic",
-            query=SOURCE_QUERY,
-            stats=magic_stats,
-        )
-        benchmark.extra_info["semi_naive_firings"] = semi
-        benchmark.extra_info["naive_firings"] = naive_stats.rule_firings
-        benchmark.extra_info["magic_firings"] = magic_stats.rule_firings
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        assert naive_stats.rule_firings > 5 * semi
-        assert magic_stats.rule_firings * 5 < semi
-
-
-# ----------------------------------------------------------------------
-# Standalone head-to-head comparison (the CI smoke test)
-# ----------------------------------------------------------------------
-
-
-def check_agreement(name, db, include_naive, cache, failures):
-    """All full-fixpoint backends must derive the *same* path relation,
-    and magic's single-source answers must be its source-0 slice."""
-    reference = None
-    backends = FULL_BACKENDS if include_naive else FULL_BACKENDS[1:]
-    for backend in backends:
-        rel = solve(TC, db, backend=backend, cache=cache).relation("path")
-        if reference is None:
-            reference = rel
-        elif rel != reference:
-            failures.append(
-                f"{name}: backend {backend!r} derived a different path "
-                f"relation ({len(rel)} facts vs {len(reference)})"
-            )
-    goal = solve(
-        TC, db, backend="magic", query=SOURCE_QUERY, cache=cache
-    ).relation("path")
-    want = {t for t in reference if t[0] == 0}
-    got = {t for t in goal if t[0] == 0}
-    if got != want:
-        failures.append(
-            f"{name}: magic single-source answers disagree "
-            f"({len(got)} vs {len(want)} facts from source 0)"
-        )
-    return reference
-
-
-def run_comparison(quick, repeat=3):
-    """Compare the backends on the reachability workloads.
-
-    Returns (table rows, per-workload results dict, contract
-    violations).
-    """
-    cache = ProgramCache()
-    rows = []
-    failures = []
-    results = {}
-    largest_chain = None
-    for name, db, include_naive in workloads(quick):
-        check_agreement(name, db, include_naive, cache, failures)
-        backends = list(ALL_BACKENDS)
-        if not include_naive:
-            backends.remove("naive")
-        runs = {
-            r.backend: r
-            for r in compare_backends(
-                TC, db, SOURCE_QUERY, backends, repeat=repeat, cache=cache
-            )
-        }
-        results[name] = {
-            backend: {
-                "ms": round(run.ms, 3),
-                "facts_derived": run.facts_derived,
-                "rule_firings": run.rule_firings,
-            }
-            for backend, run in runs.items()
-        }
-        semi = runs["semi-naive"]
-        for backend in ALL_BACKENDS:
-            run = runs.get(backend)
-            if run is None:
-                rows.append([name, backend, "-", "-", "-"])
-                continue
-            speedup = semi.ms / run.ms if run.ms else float("inf")
-            # sub-1x would truncate to a meaningless "0.0x"
-            shown = (
-                f"{speedup:.1f}x" if speedup >= 1 else f"1/{1 / speedup:.0f}x"
-            )
-            rows.append(
-                [name, backend, run.facts_derived, format_ms(run.ms), shown]
-            )
-        if not runs["magic"].facts_derived < semi.facts_derived:
-            failures.append(
-                f"{name}: magic derived {runs['magic'].facts_derived} "
-                f"facts, semi-naive {semi.facts_derived} -- not strictly "
-                "fewer"
-            )
-        if name.startswith("chain-"):
-            largest_chain = (name, int(name.split("-")[1]), runs)
-
-    # speedup contracts on the largest chain
-    name, n, runs = largest_chain
-    semi, tup, magic = (
-        runs["semi-naive"],
-        runs["semi-naive-tuple"],
-        runs["magic"],
-    )
-    if semi.ms > tup.ms:
-        failures.append(
-            f"{name}: set-at-a-time semi-naive ({semi.ms:.1f}ms) is "
-            f"slower than semi-naive-tuple ({tup.ms:.1f}ms)"
-        )
-    if n >= 800 and semi.ms * 3 > tup.ms:
-        failures.append(
-            f"{name}: set-at-a-time {semi.ms:.1f}ms vs tuple "
-            f"{tup.ms:.1f}ms -- less than the required 3x speedup"
-        )
-    if magic.ms * 2 > semi.ms:
-        failures.append(
-            f"{name}: magic {magic.ms:.1f}ms vs semi-naive "
-            f"{semi.ms:.1f}ms -- less than the required 2x speedup"
-        )
-    return rows, results, failures
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +92,7 @@ def run_comparison(quick, repeat=3):
 # eager reference grounder -- on chain/grid/tree families.
 # ----------------------------------------------------------------------
 
-SCHEMA_VERSION = "bench-engine/v11"
+SCHEMA_VERSION = "bench-engine/v12"
 
 #: the gate on the grid2x solve: the folded program must beat the
 #: passes=() ablation -- the program PR 9 served -- by this factor
@@ -778,15 +491,14 @@ def check_baseline_drift(previous, payload):
         )
         return failures  # shape comparisons are meaningless across schemas
     if previous.get("quick") == payload["quick"]:
-        for section in ("workloads", "solver_workloads"):
-            old_keys = set(previous.get(section, ()))
-            new_keys = set(payload.get(section, ()))
-            if old_keys != new_keys:
-                failures.append(
-                    f"baseline drift: {section} changed "
-                    f"{sorted(old_keys)} -> {sorted(new_keys)} -- "
-                    "regenerate BENCH_engine.json"
-                )
+        old_keys = set(previous.get("solver_workloads", ()))
+        new_keys = set(payload.get("solver_workloads", ()))
+        if old_keys != new_keys:
+            failures.append(
+                f"baseline drift: solver_workloads changed "
+                f"{sorted(old_keys)} -> {sorted(new_keys)} -- "
+                "regenerate BENCH_engine.json"
+            )
     for name, backends in payload.get("solver_workloads", {}).items():
         old = previous.get("solver_workloads", {}).get(name)
         if old is not None and set(old) != set(backends):
@@ -799,7 +511,6 @@ def check_baseline_drift(previous, payload):
 
 
 def build_payload(
-    results,
     solver_results,
     quick,
     service_throughput=None,
@@ -819,18 +530,6 @@ def build_payload(
         "schema": SCHEMA_VERSION,
         "benchmark": "benchmarks/bench_datalog_engine.py",
         "quick": quick,
-        "query": str(SOURCE_QUERY),
-        "program": "transitive closure (right-linear)",
-        "workloads": results,
-        "speedups": {
-            name: round(
-                backends["semi-naive-tuple"]["ms"]
-                / backends["semi-naive"]["ms"],
-                2,
-            )
-            for name, backends in results.items()
-            if backends.get("semi-naive", {}).get("ms")
-        },
         "solver_program": (
             "Theorem 4.5 has_neighbor, minimized + folded "
             "(chain/tree at width 1; grid2x ladder at width 2 via "
@@ -880,21 +579,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     repeat = 2 if args.quick else 3
 
-    print(f"reachability workloads, query = {SOURCE_QUERY}")
-    rows, results, failures = run_comparison(args.quick, repeat=repeat)
     print(
-        format_table(
-            ["workload", "backend", "facts", "ms", "vs semi-naive"], rows
-        )
-    )
-    print(
-        "\nsolver workloads (Theorem 4.4 pipeline: "
+        "solver workloads (Theorem 4.4 pipeline: "
         "streamed+pruned vs eager reference)"
     )
-    solver_rows, solver_results, solver_failures = run_solver_comparison(
+    solver_rows, solver_results, failures = run_solver_comparison(
         args.quick, repeat=repeat
     )
-    failures.extend(solver_failures)
     print(
         format_table(
             [
@@ -916,7 +607,6 @@ def main(argv=None) -> int:
         except json.JSONDecodeError:
             failures.append(f"baseline drift: {args.out} is not valid JSON")
     payload = build_payload(
-        results,
         solver_results,
         args.quick,
         service_throughput=(
@@ -942,9 +632,7 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         return 1
     print(
-        "\nok: identical derived facts across full backends; magic derives "
-        "strictly fewer facts and is >= 2x faster on the largest chain; "
-        "set-at-a-time semi-naive beats tuple-at-a-time; the streamed "
+        "\nok: the streamed "
         "quasi-guarded pipeline matches the eager reference's answers, "
         "prunes rules, and beats it >= 2x on the tree solve and "
         ">= 1.3x on the chain solve; the width-2 grid2x solve matches "

@@ -24,8 +24,9 @@ The same run gates the ``A_td`` load: on full 2 x N ladders, N = 64 ...
 256, ``load_normalized`` (the solve path's one-pass interned load) must
 be at least ``MIN_LOAD_SPEEDUP`` times faster than its value-level
 oracle, ``encode_normalized`` followed by ``SetDatabase.from_edb``
-(best of ``REPEATS`` each), and both must decode to the same EDB.  It
-prints only; no baseline file is written.
+(best of ``REPEATS`` each, a ladder below the gate re-timed once), and
+both must decode to the same EDB.  It prints only; no baseline file is
+written.
 """
 
 import argparse
@@ -215,13 +216,22 @@ def load_gate() -> list[str]:
         if decoded(load_normalized(structure, ntd)) != decoded(oracle()):
             failures.append(f"ladder 2x{columns}: the loaded EDBs differ")
             continue
-        fast = best_ms(lambda: load_normalized(structure, ntd))
-        slow = best_ms(oracle)
-        speedup = slow / fast
-        print(
-            f"ladder 2x{columns:<4} load {fast:6.2f} ms, encode + from_edb "
-            f"{slow:6.2f} ms: {speedup:.1f}x (gate >= {MIN_LOAD_SPEEDUP})"
-        )
+
+        def timed():
+            fast = best_ms(lambda: load_normalized(structure, ntd))
+            slow = best_ms(oracle)
+            print(
+                f"ladder 2x{columns:<4} load {fast:6.2f} ms, encode + "
+                f"from_edb {slow:6.2f} ms: {slow / fast:.1f}x "
+                f"(gate >= {MIN_LOAD_SPEEDUP})"
+            )
+            return slow / fast
+
+        speedup = timed()
+        if speedup < MIN_LOAD_SPEEDUP:
+            # host noise reads as a regression once; a real one persists
+            print("load speedup below the gate; re-timing once")
+            speedup = max(speedup, timed())
         if speedup < MIN_LOAD_SPEEDUP:
             failures.append(
                 f"ladder 2x{columns}: load speedup {speedup:.1f}x < "

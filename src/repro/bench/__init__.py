@@ -1,9 +1,7 @@
 """Benchmark harness shared by benchmarks/ and examples/."""
 
 from .harness import (
-    BackendRun,
     LinearityReport,
-    compare_backends,
     fit_linear,
     format_ms,
     format_table,
@@ -22,10 +20,8 @@ from .table1 import (
 )
 
 __all__ = [
-    "BackendRun",
     "DECISION_ATTRIBUTE",
     "LinearityReport",
-    "compare_backends",
     "PAPER_MD_MS",
     "PAPER_MONA_MS",
     "PAPER_TREE_NODES",

@@ -12,10 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..datalog.backends import solve
-from ..datalog.evaluate import EvaluationStats
-from ..datalog.setengine import SetDatabase
-
 
 def time_ms(fn: Callable[[], object], repeat: int = 3) -> float:
     """Best-of-``repeat`` wall-clock time of ``fn()`` in milliseconds."""
@@ -51,78 +47,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [fmt(list(headers)), fmt(["-" * w for w in widths])]
     lines += [fmt(row) for row in rows]
     return "\n".join(lines)
-
-
-@dataclass
-class BackendRun:
-    """One backend's cost on one workload instance."""
-
-    backend: str
-    ms: float
-    facts_derived: int
-    rule_firings: int
-
-
-def compare_backends(
-    program,
-    edb,
-    query=None,
-    backends: Sequence[str] | None = None,
-    repeat: int = 3,
-    cache=None,
-) -> list[BackendRun]:
-    """Head-to-head evaluation of the same workload on several backends.
-
-    ``backends`` defaults to every shipped backend when a ``query`` is
-    given and to the non-goal-directed ones otherwise (the magic
-    backend needs a query; naming it explicitly without one is still
-    an error).  Each backend gets one warm-up run (so the
-    compiled-program cache is hot and the timings measure
-    per-structure work, which is what the backends differ on), then
-    best-of-``repeat`` wall clock.
-
-    The EDB is interned into a :class:`SetDatabase` **once per compare
-    run**: the set-at-a-time backends (``semi-naive``, ``magic``)
-    receive that database and start each evaluation from a cheap
-    :meth:`~repro.datalog.setengine.SetDatabase.snapshot` instead of
-    re-paying the per-tuple structure load, while the tuple-at-a-time
-    ablations keep receiving the raw EDB they operate on.
-    """
-    if backends is None:
-        backends = (
-            ("naive", "semi-naive", "semi-naive-tuple", "magic")
-            if query is not None
-            else ("naive", "semi-naive", "semi-naive-tuple")
-        )
-    interned_edb = None  # built on the first backend that can use it
-    runs: list[BackendRun] = []
-    for name in backends:
-        if name in ("semi-naive", "magic"):
-            if interned_edb is None:
-                interned_edb = SetDatabase.from_edb(edb)
-            source = interned_edb
-        else:
-            source = edb
-
-        def run(stats=None):
-            # every backend checks query=; only magic evaluates goal-directed
-            return solve(
-                program,
-                source,
-                backend=name,
-                query=query,
-                stats=stats,
-                cache=cache,
-            )
-
-        run()  # warm-up / cache fill
-        stats = EvaluationStats()
-        run(stats)
-        ms = time_ms(run, repeat=repeat)
-        runs.append(
-            BackendRun(name, ms, stats.facts_derived, stats.rule_firings)
-        )
-    return runs
 
 
 @dataclass

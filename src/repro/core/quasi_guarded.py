@@ -13,9 +13,10 @@ The production form is streamed (the solve path of
 emitter feeding an online LTUR
 (:class:`~repro.datalog.horn.StreamingHorn`) -- ground rules are
 instantiated on demand as their driving intensional atoms derive, whole
-rules are demand-pruned relative to ``demand`` (magic-style relevance at
-grounding time), and peak live-rule residency is the waiting frontier,
-not the ground program.  The materializing reference pipeline
+rules are demand-pruned relative to ``demand`` (backward reachability
+from the demanded predicates,
+:func:`~repro.datalog.grounding.relevant_predicates`), and peak
+live-rule residency is the waiting frontier, not the ground program.  The materializing reference pipeline
 (:func:`~repro.datalog.grounding.ground_program_ids` +
 :func:`~repro.datalog.horn.horn_least_model_ids`) is the conformance
 oracle it is tested against.

@@ -61,11 +61,12 @@ class CourcelleSolver:
     grounding time, one shared intern pool from structure load to
     answer decoding.  Per-program planning goes through the
     compiled-program cache, so it happens once per program
-    fingerprint.  The reference grounder and the
-    generic bottom-up engines are test oracles for compiled programs:
-    run ``repro.datalog.evaluate_via_grounding`` or
-    ``repro.datalog.solve(solver.compiled.program, encoded,
-    backend=...)`` on the value-level ``A_td`` encoding
+    fingerprint.  The reference grounder and the generic bottom-up
+    engines are test oracles for compiled programs: run
+    ``repro.datalog.evaluate_via_grounding`` or
+    ``repro.datalog.solve(solver.compiled.program, encoded)`` (the
+    ``semi-naive`` engine; ``backend="naive"`` for the reference) on
+    the value-level ``A_td`` encoding
     ``encode_normalized(structure, solver._normalize(structure, td))``.
     """
 

@@ -2,32 +2,22 @@
 compiled-program cache.
 
 :func:`solve` is the one entry to the generic engines; its ``backend=``
-names one of four:
+names one of two:
 
-* ``naive``            -- Jacobi-style re-derivation each round
-                          (ablation baseline);
-* ``semi-naive``       -- stratified delta-driven fixpoint executed
-                          set-at-a-time (:mod:`repro.datalog.setengine`:
-                          interned constants, columnar batches,
-                          relation-level hash joins, bitset unary
-                          relations); the default engine;
-* ``semi-naive-tuple`` -- the tuple-at-a-time execution of the same
-                          plans (:class:`SemiNaiveEvaluator`); kept as
-                          the ablation baseline for the set-at-a-time
-                          speedup benchmark;
-* ``magic``            -- magic-set / demand transformation relative to
-                          a query atom (:mod:`repro.datalog.magic`)
-                          followed by set-at-a-time semi-naive
-                          evaluation of the rewritten program:
-                          goal-directed, derives only query-relevant
-                          facts.
+* ``semi-naive`` -- stratified delta-driven fixpoint executed
+                    set-at-a-time (:mod:`repro.datalog.setengine`:
+                    interned constants, columnar batches,
+                    relation-level hash joins, bitset unary relations);
+                    the default engine, and the one the Section 5
+                    programs run on;
+* ``naive``      -- Jacobi-style re-derivation each round, one binding
+                    at a time (:func:`naive_least_fixpoint`); the
+                    reference the set engine is tested against.
 
-All of them share :class:`ProgramCache`, keyed by the program
-fingerprint and the built-in registry (plus the query pattern for
-magic rewrites), so repeated solves over different structures skip
-rule planning, stratification, and the magic rewriting itself -- the
-per-program cost that Theorem 4.5 amortizes over "any number of
-structures".
+Both share :class:`ProgramCache`, keyed by the program fingerprint and
+the built-in registry, so repeated solves over different structures
+skip rule planning and stratification -- the per-program cost that
+Theorem 4.5 amortizes over "any number of structures".
 """
 
 from __future__ import annotations
@@ -44,13 +34,11 @@ from .evaluate import (
     Database,
     EvaluationStats,
     PreparedProgram,
-    SemiNaiveEvaluator,
     naive_least_fixpoint,
     prepare_program,
 )
 from .grounding import PreparedGrounding, prepare_grounding
 from .guards import KeyDependency, key_cost_model
-from .magic import MagicRewrite, magic_rewrite, normalize_query
 from .setengine import SetDatabase, SetSemiNaiveEvaluator
 
 #: the registry that ``registry=None`` resolves to inside the cache, so
@@ -87,18 +75,6 @@ def _term_key(term) -> str:
 
 def _atom_key(atom: Atom) -> str:
     return atom.predicate + "(" + ",".join(map(_term_key, atom.args)) + ")"
-
-
-def _query_key(query: Atom) -> str:
-    """Like :func:`_atom_key` but alpha-invariant: a free argument slot
-    contributes only its position, so ``path(0, Y)`` and ``path(0, Z)``
-    share one magic rewrite (variable names never reach the rewrite --
-    only the adornment and the bound constants do)."""
-    slots = (
-        "f" if isinstance(arg, Variable) else "b:" + _value_key(arg.value)
-        for arg in query.args
-    )
-    return query.predicate + "(" + ",".join(slots) + ")"
 
 
 def program_fingerprint(program: Program) -> str:
@@ -145,8 +121,7 @@ class ProgramCache:
 
     Entries are keyed by ``(kind, program fingerprint, registry)``; the
     grounding kind adds the key dependencies its plans are ordered
-    under and the magic-rewrite kind the query pattern (predicate,
-    adornment, bound constants).
+    under.
 
     Built-in registries enter the key by *identity*: two registries
     with the same predicate names may give them different semantics
@@ -277,27 +252,6 @@ class ProgramCache:
             ),
         )
 
-    def magic(
-        self,
-        program: Program,
-        query: Atom,
-        registry: BuiltinRegistry | None = None,
-    ) -> tuple[MagicRewrite, PreparedProgram]:
-        """The magic rewrite for (program, query), plus its prepared form."""
-        registry = self._resolve_registry(registry)
-        key = (
-            "magic",
-            self._fingerprint_of(program),
-            _query_key(query),
-            id(registry),
-        )
-
-        def build() -> tuple[MagicRewrite, PreparedProgram]:
-            rewrite = magic_rewrite(program, query, registry)
-            return rewrite, prepare_program(rewrite.program, registry)
-
-        return self._get_or_build(key, build)
-
 
 _DEFAULT_CACHE = ProgramCache()
 
@@ -312,49 +266,27 @@ def default_cache() -> ProgramCache:
 # ----------------------------------------------------------------------
 
 #: the engine names :func:`solve` accepts
-_ENGINES = ("naive", "semi-naive", "semi-naive-tuple", "magic")
+_ENGINES = ("naive", "semi-naive")
 
 
-def _semi_naive_interned(
-    program: Program,
-    edb,
-    *,
-    registry: BuiltinRegistry | None,
-    stats: EvaluationStats | None,
-    cache: ProgramCache,
-) -> SetDatabase:
-    """The set-at-a-time fixpoint, still in interned-id space."""
-    evaluator = SetSemiNaiveEvaluator.from_prepared(
-        cache.prepared(program, registry)
+def _check_query(program: Program, query: "Atom | str") -> None:
+    """``query`` must name an intensional predicate of ``program``, and
+    an atom must have that predicate's arity."""
+    predicate = query.predicate if isinstance(query, Atom) else query
+    head = next(
+        (r.head for r in program.rules if r.head.predicate == predicate),
+        None,
     )
-    if stats is not None:
-        evaluator.stats = stats
-    return evaluator.run(SetDatabase.from_edb(edb))
-
-
-def _magic_interned(
-    program: Program,
-    edb,
-    query: Atom,
-    *,
-    registry: BuiltinRegistry | None,
-    stats: EvaluationStats | None,
-    cache: ProgramCache,
-) -> SetDatabase:
-    """Demand-transform relative to the normalized ``query`` and
-    evaluate without leaving id space.
-
-    The magic predicates of a monadic program are nullary or unary, so
-    the demand sets this evaluation propagates live as big-int bitsets
-    inside the set engine from seed to answer; the adorned answers are
-    aliased under the original predicate name while still interned."""
-    rewrite, prepared = cache.magic(program, query, registry)
-    evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
-    if stats is not None:
-        evaluator.stats = stats
-    db = evaluator.run(SetDatabase.from_edb(edb))
-    db.copy_relation(rewrite.answer_predicate, query.predicate)
-    return db
+    if head is None:
+        raise ValueError(
+            f"query predicate {predicate!r} is not intensional: "
+            "not defined by any rule head"
+        )
+    if isinstance(query, Atom) and head.arity != query.arity:
+        raise ValueError(
+            f"query {query} has arity {query.arity} but "
+            f"{query.predicate!r} is defined with arity {head.arity}"
+        )
 
 
 def solve(
@@ -367,19 +299,15 @@ def solve(
     stats: EvaluationStats | None = None,
     cache: ProgramCache | None = None,
 ) -> Database:
-    """Evaluate ``program`` over ``edb`` on the engine named ``backend``.
+    """The least fixpoint of ``program`` over ``edb``, computed by the
+    engine named ``backend``.
 
-    ``query`` (a predicate name or an :class:`Atom` with bound
-    constants) must name an intensional predicate of ``program`` on
-    every engine; ``magic`` requires it and evaluates goal-directed,
-    the other three compute the full least fixpoint.  The ``magic``
-    result holds the extensional facts, the magic and adorned
-    bookkeeping predicates, and -- under the original predicate name
-    -- every fact of the query predicate the demanded bindings reach;
-    other intensional predicates exist only in adorned form.
-
-    ``semi-naive`` and ``magic`` accept a pre-interned
-    :class:`SetDatabase` as ``edb`` and start from a snapshot of it.
+    ``edb`` is a :class:`Database`, a :class:`Structure`, an iterable
+    of facts, or a pre-interned :class:`SetDatabase`; ``semi-naive``
+    starts from a snapshot of the latter, ``naive`` decodes it once.
+    ``query`` (a predicate name or an :class:`Atom`) is checked to name
+    an intensional predicate of ``program`` with the right arity; both
+    engines compute the full fixpoint either way.
     """
     if backend not in _ENGINES:
         raise ValueError(
@@ -387,27 +315,16 @@ def solve(
             f"available: {', '.join(_ENGINES)}"
         )
     if query is not None:
-        query = normalize_query(program, query)
+        _check_query(program, query)
     cache = cache if cache is not None else default_cache()
-    if backend == "magic":
-        if query is None:
-            raise ValueError(
-                "the magic-set backend is goal-directed: pass query= "
-                "either a predicate name or an Atom with bound constants"
-            )
-        return _magic_interned(
-            program, edb, query, registry=registry, stats=stats, cache=cache
-        ).decode()
-    if backend == "semi-naive":
-        return _semi_naive_interned(
-            program, edb, registry=registry, stats=stats, cache=cache
-        ).decode()
     prepared = cache.prepared(program, registry)
     if backend == "naive":
+        if isinstance(edb, SetDatabase):
+            edb = edb.decode()
         return naive_least_fixpoint(
             program, edb, registry, stats=stats, prepared=prepared
         )
-    evaluator = SemiNaiveEvaluator.from_prepared(prepared)
+    evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
     if stats is not None:
         evaluator.stats = stats
-    return evaluator.evaluate(edb)
+    return evaluator.run(SetDatabase.from_edb(edb)).decode()

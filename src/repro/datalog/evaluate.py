@@ -1,31 +1,29 @@
-"""Bottom-up datalog evaluation (the naive and tuple semi-naive engines).
+"""Bottom-up datalog evaluation: join planning and the naive engine.
 
 The least fixpoint of ``P ∪ A`` (Section 2.4) is computed bottom-up.
-This module holds two of the engines :func:`repro.datalog.solve`
-dispatches to, and the join planning all of them share:
+This module holds the planning both engines of
+:func:`repro.datalog.solve` share, and the reference engine:
 
 * ``naive`` -- :func:`naive_least_fixpoint`, Jacobi-style re-derivation
-  each round; the ablation baseline for the engine benchmark;
-* ``semi-naive-tuple`` -- :class:`SemiNaiveEvaluator`, stratified
-  delta-driven evaluation with on-demand hash indexes and built-in
-  predicates; the "interpreter" of Section 6, whose lazy behaviour is
-  the paper's optimization (2): "generating only those ground
-  instances of rules which actually produce new facts".  The default
-  ``semi-naive`` engine runs the same plans set-at-a-time
-  (:mod:`repro.datalog.setengine`), and ``magic`` runs them on the
-  demand-rewritten program (:mod:`repro.datalog.magic`).
+  each round, one binding at a time; the reference that the tests
+  compare the product engine against;
+* ``semi-naive`` -- the product engine lives in
+  :mod:`repro.datalog.setengine`: the "interpreter" of Section 6,
+  stratified and delta-driven, whose lazy behaviour is the paper's
+  optimization (2): "generating only those ground instances of rules
+  which actually produce new facts".
 
 Stratification and per-rule join plans are computed once per program by
 :func:`prepare_program` and reused across structures (and cached across
 solver instances by :class:`repro.datalog.backends.ProgramCache`).
 Each rule has a round-0 plan (:func:`plan_rule`) and, per recursive
 body atom, a *delta variant* that starts at that atom
-(:func:`plan_delta_rule`): the semi-naive rounds of both semi-naive
-engines fire the variants, so a round costs what its delta touches,
-not a re-run of the round-0 join over every node.  The set engine
-fires them through a prefix trie (:func:`group_delta_variants`), so
-the steps that variants share up to variable renaming run once per
-round; the tuple engine fires them one by one.
+(:func:`plan_delta_rule`): the semi-naive rounds fire the variants, so
+a round costs what its delta touches, not a re-run of the round-0 join
+over every node.  The set engine fires them through a prefix trie
+(:func:`group_delta_variants`), so the steps that variants share up to
+variable renaming run once per round.  The naive engine runs only the
+round-0 plans.
 """
 
 from __future__ import annotations
@@ -415,8 +413,6 @@ def plan_rule(
     rule: Rule,
     idb: frozenset[str],
     registry: BuiltinRegistry,
-    *,
-    initial_bound: Iterable[Variable] = (),
 ) -> tuple[PlanStep, ...]:
     """Order the body so every step can run with earlier bindings.
 
@@ -427,15 +423,11 @@ def plan_rule(
     is satisfied, then fully-bound negations.  Raises
     :class:`UnsafeRuleError` when stuck, which also catches the classic
     safety violations.
-
-    ``initial_bound`` lists variables already bound before the body
-    runs; the magic-set rewriting uses it as the sideways-information-
-    passing order with the head's bound arguments pre-bound.
     """
     return _order_body(
         rule,
         list(enumerate(rule.body)),
-        set(initial_bound),
+        set(),
         [],
         lambda remaining, bound: _greedy_choice(
             remaining, bound, idb, registry
@@ -656,9 +648,9 @@ class DeltaVariant:
     """One rule planned to start at one of its recursive body atoms.
 
     A semi-naive round fires the variant with that atom restricted to
-    the round's delta.  ``plan`` is what the tuple engine walks;
-    ``steps`` and ``head`` are the same plan compiled for the set
-    engine, kept here so an evaluator never recompiles it."""
+    the round's delta.  ``steps`` and ``head`` are ``plan`` compiled
+    for the set engine, kept here so an evaluator never recompiles
+    it."""
 
     body_index: int
     plan: tuple[PlanStep, ...]
@@ -772,8 +764,7 @@ class StratumPlan:
     #: body position holding a positive atom of this stratum
     variants: tuple[tuple[DeltaVariant, ...], ...]
     #: the same variants as a prefix trie (:func:`group_delta_variants`):
-    #: what the set engine fires in the delta rounds; the tuple engine
-    #: walks ``variants`` one by one
+    #: what the set engine fires in the delta rounds
     groups: tuple[PrefixGroup, ...]
 
     @property
@@ -897,165 +888,51 @@ def _check_negation_stratified(
                     )
 
 
-class SemiNaiveEvaluator:
-    """Stratified semi-naive evaluation of a program over a database."""
-
-    def __init__(
-        self,
-        program: Program,
-        registry: BuiltinRegistry | None = None,
-        prepared: PreparedProgram | None = None,
-    ):
-        if prepared is None:
-            prepared = prepare_program(program, registry)
-        self.prepared = prepared
-        self.program = prepared.program
-        self.registry = prepared.registry
-        self.idb = prepared.idb
-        self.strata = list(prepared.strata)
-        self.stats = EvaluationStats()
-
-    @classmethod
-    def from_prepared(cls, prepared: PreparedProgram) -> "SemiNaiveEvaluator":
-        """An evaluator that skips all per-program work (cache hits)."""
-        return cls(prepared.program, prepared=prepared)
-
-    # -- rule evaluation ------------------------------------------------
-
-    def _solutions(
-        self,
-        plan: Sequence[PlanStep],
-        db: Database,
-        delta_index: int | None,
-        delta: Database | None,
-    ) -> Iterator[Binding]:
-        bindings: list[Binding] = [{}]
-        for step in plan:
-            atom = step.literal.atom
-            new_bindings: list[Binding] = []
-            if step.kind == "relation":
-                source = (
-                    delta
-                    if delta_index is not None and step.body_index == delta_index
-                    else db
-                )
-                for binding in bindings:
-                    pattern = _slots(atom, binding)
-                    for fact_args in source.match(atom.predicate, pattern):
-                        extended = _extend_with_fact(binding, atom, fact_args)
-                        if extended is not None:
-                            new_bindings.append(extended)
-            elif step.kind == "builtin":
-                builtin = self.registry.get(atom.predicate)
-                for binding in bindings:
-                    pattern = _slots(atom, binding)
-                    for solution in builtin.evaluate(pattern):
-                        extended = _extend_with_fact(binding, atom, solution)
-                        if extended is not None:
-                            new_bindings.append(extended)
-            else:  # negation
-                for binding in bindings:
-                    pattern = _slots(atom, binding)
-                    if any(p is UNBOUND for p in pattern):
-                        raise UnsafeRuleError(
-                            f"negated atom {atom} not fully bound"
-                        )
-                    if atom.predicate in self.registry and (
-                        atom.predicate not in self.idb
-                    ):
-                        held = any(self.registry.get(atom.predicate).evaluate(pattern))
-                    else:
-                        held = db.contains(atom.predicate, tuple(pattern))
-                    if not held:
-                        new_bindings.append(binding)
-            bindings = new_bindings
-            self.stats.bindings_explored += len(bindings)
-            if not bindings:
-                return
-        yield from bindings
-
-    def _fire(
-        self,
-        rule_index: int,
-        db: Database,
-        out: list[Fact],
-        variant: DeltaVariant | None = None,
-        delta: Database | None = None,
-    ) -> None:
-        """Fire one rule: its round-0 plan, or a delta variant with the
-        variant's first atom read from ``delta``."""
-        rule = self.program.rules[rule_index]
-        if variant is None:
-            plan, delta_index = self.prepared.plans[rule_index], None
-        else:
-            plan, delta_index = variant.plan, variant.body_index
-        for binding in self._solutions(plan, db, delta_index, delta):
-            self.stats.rule_firings += 1
-            head = rule.head.substitute(
-                {v: Constant(val) for v, val in binding.items()}
-            )
-            out.append(head.to_fact())
-
-    # -- fixpoint -------------------------------------------------------
-
-    def evaluate(self, edb: Database | Iterable[Fact] | Structure) -> Database:
-        """Least fixpoint of ``P ∪ A``; the returned database contains
-        both the extensional and the derived facts."""
-        if isinstance(edb, Structure):
-            db = Database.from_structure(edb)
-        elif isinstance(edb, Database):
-            db = edb.copy()
-        else:
-            db = Database.from_facts(edb)
-
-        for stratum_plan in self.prepared.stratum_plans:
-            if not stratum_plan.recursive:
-                # single-pass route: no rule of this stratum consumes
-                # the stratum's own output (an SCC-refined nonrecursive
-                # stratum), so one firing is the fixpoint -- skip the
-                # delta bookkeeping entirely
-                derived = []
-                for rule_index in stratum_plan.rule_indices:
-                    self._fire(rule_index, db, derived)
-                for fact in derived:
-                    if db.add(fact.predicate, fact.args):
-                        self.stats.facts_derived += 1
+def _fire(
+    prepared: PreparedProgram,
+    rule_index: int,
+    db: Database,
+    out: list[Fact],
+    stats: EvaluationStats,
+) -> None:
+    """Fire one rule's round-0 plan against ``db``, one binding at a
+    time, and append its head instances to ``out``."""
+    registry, idb = prepared.registry, prepared.idb
+    bindings: list[Binding] = [{}]
+    for step in prepared.plans[rule_index]:
+        atom = step.literal.atom
+        new_bindings: list[Binding] = []
+        for binding in bindings:
+            pattern = _slots(atom, binding)
+            if step.kind == "negation":
+                # the planner places a negation only once it is bound
+                if _is_builtin(atom, idb, registry):
+                    held = any(registry.get(atom.predicate).evaluate(pattern))
+                else:
+                    held = db.contains(atom.predicate, pattern)
+                if not held:
+                    new_bindings.append(binding)
                 continue
-            # round 0: every rule once against the current database
-            delta = Database()
-            derived = []
-            for rule_index in stratum_plan.rule_indices:
-                self._fire(rule_index, db, derived)
-            for fact in derived:
-                if db.add(fact.predicate, fact.args):
-                    delta.add(fact.predicate, fact.args)
-                    self.stats.facts_derived += 1
-
-            # subsequent rounds: delta-restricted re-evaluation
-            while delta.fact_count():
-                self.stats.iterations += 1
-                new_delta = Database()
-                derived = []
-                for rule_index, variants in zip(
-                    stratum_plan.rule_indices, stratum_plan.variants
-                ):
-                    for variant in variants:
-                        self._fire(rule_index, db, derived, variant, delta)
-                for fact in derived:
-                    if db.add(fact.predicate, fact.args):
-                        new_delta.add(fact.predicate, fact.args)
-                        self.stats.facts_derived += 1
-                delta = new_delta
-        return db
-
-
-def least_fixpoint(
-    program: Program,
-    edb: Database | Iterable[Fact] | Structure,
-    registry: BuiltinRegistry | None = None,
-) -> Database:
-    """Convenience wrapper: semi-naive least fixpoint."""
-    return SemiNaiveEvaluator(program, registry).evaluate(edb)
+            if step.kind == "builtin":
+                found = registry.get(atom.predicate).evaluate(pattern)
+            else:
+                found = db.match(atom.predicate, pattern)
+            for args in found:
+                extended = _extend_with_fact(binding, atom, args)
+                if extended is not None:
+                    new_bindings.append(extended)
+        bindings = new_bindings
+        stats.bindings_explored += len(bindings)
+        if not bindings:
+            return
+    head = prepared.program.rules[rule_index].head
+    for binding in bindings:
+        stats.rule_firings += 1
+        out.append(
+            head.substitute(
+                {v: Constant(val) for v, val in binding.items()}
+            ).to_fact()
+        )
 
 
 def naive_least_fixpoint(
@@ -1065,30 +942,34 @@ def naive_least_fixpoint(
     stats: EvaluationStats | None = None,
     prepared: PreparedProgram | None = None,
 ) -> Database:
-    """Naive (Jacobi-style) fixpoint: re-fire every rule each round.
+    """Naive (Jacobi-style) fixpoint: re-fire every rule of a stratum
+    each round, one binding at a time, until a round derives nothing.
 
-    Semantically identical to :func:`least_fixpoint`; exists as the
-    baseline of the engine ablation benchmark.
+    The reference engine: it shares only the planner with
+    :func:`repro.datalog.setengine.least_fixpoint`, which the tests
+    compare against it.  The returned database holds the extensional
+    and the derived facts.
     """
-    evaluator = SemiNaiveEvaluator(program, registry, prepared=prepared)
-    if stats is not None:
-        evaluator.stats = stats
+    if prepared is None:
+        prepared = prepare_program(program, registry)
+    if stats is None:
+        stats = EvaluationStats()
     if isinstance(edb, Structure):
         db = Database.from_structure(edb)
     elif isinstance(edb, Database):
         db = edb.copy()
     else:
         db = Database.from_facts(edb)
-    for stratum_plan in evaluator.prepared.stratum_plans:
+    for stratum_plan in prepared.stratum_plans:
         changed = True
         while changed:
             changed = False
-            evaluator.stats.iterations += 1
+            stats.iterations += 1
             derived: list[Fact] = []
             for rule_index in stratum_plan.rule_indices:
-                evaluator._fire(rule_index, db, derived)
+                _fire(prepared, rule_index, db, derived, stats)
             for fact in derived:
                 if db.add(fact.predicate, fact.args):
-                    evaluator.stats.facts_derived += 1
+                    stats.facts_derived += 1
                     changed = True
     return db

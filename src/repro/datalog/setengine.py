@@ -1,11 +1,12 @@
-"""Set-at-a-time semi-naive evaluation (the default engine).
+"""Set-at-a-time semi-naive evaluation (the product engine).
 
-The tuple-at-a-time evaluator in :mod:`repro.datalog.evaluate` walks a
-rule's join plan one binding dict at a time: every extension copies a
-``Binding`` dict, every head instantiation goes through
-``Atom.substitute``.  Those per-tuple constant factors are exactly what
-Section 6 of the paper warns decide the practical viability of the
-monadic-datalog route, so this module re-executes the *same* join plans
+A tuple-at-a-time evaluator (the ``naive`` reference in
+:mod:`repro.datalog.evaluate`) walks a rule's join plan one binding
+dict at a time: every extension copies a ``Binding`` dict, every head
+instantiation goes through ``Atom.substitute``.  Those per-tuple
+constant factors are exactly what Section 6 of the paper warns decide
+the practical viability of the monadic-datalog route, so this module
+executes the join plans
 (:func:`repro.datalog.evaluate.prepare_program` -- planning and step
 compilation are shared, only execution differs) relation-at-a-time:
 
@@ -50,16 +51,12 @@ compilation are shared, only execution differs) relation-at-a-time:
   (:meth:`SetDatabase.merge`); the next round's delta adopts the
   fresh sets.
 
-The strata and their fixpoint loops are those of
-:class:`SemiNaiveEvaluator`: fire-once strata and round 0 run the
-round-0 plans (skipping a rule whose positive relation atoms include a
+Strata run in order.  Fire-once strata and round 0 run the round-0
+plans (skipping a rule whose positive relation atoms include a
 still-empty relation: it cannot fire), and every later round fires
 each rule's delta variants (the recursive atom first, read from the
-round's delta), so both engines derive identical fact sets; the tuple
-path stays available as the ``semi-naive-tuple`` backend for the
-ablation benchmark.  This
-engine fires the variants through their prefix trie
-(:class:`~repro.datalog.evaluate.PrefixGroup`): steps that several
+round's delta).  The engine fires the variants through their prefix
+trie (:class:`~repro.datalog.evaluate.PrefixGroup`): steps that several
 variants share up to variable renaming run once per round, and
 ``bindings_explored`` counts them once.
 """
@@ -92,7 +89,7 @@ __all__ = [
     "IndexStats",
     "SetDatabase",
     "SetSemiNaiveEvaluator",
-    "set_least_fixpoint",
+    "least_fixpoint",
 ]
 
 _EMPTY_SET: frozenset = frozenset()
@@ -172,9 +169,8 @@ class SetDatabase:
         interns it in one pass over the normalized decomposition.
         """
         if isinstance(edb, SetDatabase):
-            # already interned: snapshot instead of re-interning (the
-            # cross-backend compare fast path -- load the structure
-            # once, hand each backend a cheap copy)
+            # already interned: snapshot instead of re-interning (load
+            # the structure once, hand each evaluation a cheap copy)
             return edb.snapshot()
         if isinstance(edb, Structure):
             relations = {
@@ -251,8 +247,8 @@ class SetDatabase:
         interner is safe because it is append-only -- an evaluation
         that interns fresh builtin outputs on the snapshot extends the
         shared id space without disturbing existing ids.  This is what
-        lets a benchmark compare run intern an EDB *once* and hand
-        every backend its own evaluation copy.
+        lets a caller intern an EDB *once* and hand every evaluation
+        its own copy.
         """
         copy = SetDatabase(self.interner)
         copy._facts = {
@@ -362,9 +358,7 @@ class SetDatabase:
         sets are unioned at C speed, and any existing hash indexes of
         ``dst`` are *extended* with the facts the union actually added
         (never dropped and rebuilt, so `IndexStats.rebuilds` stays flat
-        across copy/probe churn).  This is how the magic backend
-        surfaces adorned answers under the original predicate name
-        without decoding at the backend boundary."""
+        across copy/probe churn)."""
         src_rel = self._facts.get(src)
         if src_rel:
             self.merge(dst, src_rel)
@@ -497,13 +491,12 @@ Derived = dict[str, list[tuple[int, ...]]]
 class SetSemiNaiveEvaluator:
     """Stratified semi-naive evaluation, executed set-at-a-time.
 
-    Drop-in interface match for
-    :class:`repro.datalog.evaluate.SemiNaiveEvaluator`: same
-    constructor, same :meth:`evaluate` contract (returns a value-level
-    :class:`Database` holding extensional plus derived facts), same
-    :class:`EvaluationStats` counters -- except ``rule_firings`` counts
-    batch rows, so duplicate bindings collapsed by a bitset step are
-    counted once.
+    :meth:`evaluate` returns a value-level :class:`Database` holding
+    extensional plus derived facts, :meth:`run` the same fixpoint still
+    interned.  ``stats`` counts like the ``naive`` reference's
+    :class:`EvaluationStats`, except that ``rule_firings`` counts batch
+    rows, so duplicate bindings collapsed by a bitset step are counted
+    once.
     """
 
     def __init__(
@@ -815,10 +808,10 @@ class SetSemiNaiveEvaluator:
         rows.extend(zip(*sources))
 
 
-def set_least_fixpoint(
+def least_fixpoint(
     program: Program,
     edb: "Database | Iterable[Fact] | Structure",
     registry: BuiltinRegistry | None = None,
 ) -> Database:
-    """Convenience wrapper: set-at-a-time semi-naive least fixpoint."""
+    """Convenience wrapper: the semi-naive least fixpoint of ``P ∪ A``."""
     return SetSemiNaiveEvaluator(program, registry).evaluate(edb)

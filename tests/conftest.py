@@ -97,10 +97,8 @@ def small_schemas(draw, max_attrs: int = 6, max_fds: int = 5):
     return RelationalSchema(attrs, fds)
 
 
-#: the canonical query-driven workload shared by the backend and cache
-#: tests (and mirrored by benchmarks/bench_datalog_engine.py): right-
-#: linear transitive closure, whose linearity is load-bearing for the
-#: magic-set O(n) single-source claim.
+#: the canonical recursive workload shared by the backend and cache
+#: tests: right-linear transitive closure.
 TC_TEXT = """
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).

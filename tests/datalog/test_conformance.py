@@ -5,10 +5,8 @@ strategy plus the shared mixed-arity one) and random extensional
 databases, and asserts that every route to the least model lands on the
 *same* model:
 
-* ``naive`` / ``semi-naive`` / ``semi-naive-tuple`` derive identical
-  relations for every intensional predicate;
-* ``magic`` with an all-free query derives the full extent of the
-  queried predicate;
+* ``naive`` and ``semi-naive`` derive identical relations for every
+  intensional predicate;
 * the Theorem 4.4 quasi-guarded pipeline -- the streamed+pruned
   production form and the eager interned form -- agrees with both
   ``semi-naive`` and ``naive`` whenever the program is in its fragment
@@ -20,7 +18,7 @@ databases, and asserts that every route to the least model lands on the
   same ``add_rule`` sequence, counters and derived flags -- on random
   programs and on the compiled width-1 and width-2 programs;
 * on compiled Theorem 4.5 programs, the generic engines (``naive``,
-  ``semi-naive``, ``magic``) run through ``solve()`` agree with the
+  ``semi-naive``) run through ``solve()`` agree with the
   streamed ``CourcelleSolver.query`` and with direct MSO evaluation;
 * interning round-trips: decoding an interned database and re-interning
   it is the identity on relations, and the interned grounding -> horn
@@ -35,6 +33,7 @@ turn the suite off.
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
@@ -53,11 +52,9 @@ from repro.datalog import (
     ground_program_ids,
     ground_program_streamed,
     horn_least_model_ids,
-    is_magic_predicate,
     prepare_grounding,
     solve,
 )
-from repro.datalog.backends import _magic_interned
 from repro.datalog.grounding import resolve_demand
 from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.structures import Fact
@@ -75,7 +72,7 @@ from ..conftest import (
 )
 from .stream_oracle import RecordingHorn, ground_program_per_rule
 
-FULL_BACKENDS = ("naive", "semi-naive", "semi-naive-tuple")
+FULL_BACKENDS = ("naive", "semi-naive")
 
 _VARS = [Variable(n) for n in ("X", "Y", "Z")]
 _MONADIC_IDB = {"q": 1, "r": 1}
@@ -185,21 +182,6 @@ class TestFullFixpointAgreement:
                 reference = rels
             else:
                 assert rels == reference, backend
-
-    @given(program=monadic_programs(), db=datalog_databases(), data=st.data())
-    def test_magic_all_free_query_matches_full_extent(
-        self, program, db, data
-    ):
-        cache = ProgramCache()
-        reference = solve(program, db, backend="semi-naive", cache=cache)
-        predicate = data.draw(
-            st.sampled_from(sorted(program.intensional_predicates())),
-            label="query predicate",
-        )
-        goal = solve(
-            program, db, backend="magic", query=predicate, cache=cache
-        )
-        assert goal.relation(predicate) == reference.relation(predicate)
 
 
 def _sinks(program):
@@ -620,14 +602,17 @@ class TestInterningRoundTrip:
             assert interner.id_of(interner.value_of(ident)) == ident
 
 
-class TestMagicStaysInterned:
-    """The demand sets of the magic backend live as bitsets inside the
-    set engine and the decode happens exactly once, at the very end."""
+class TestDecodeBoundary:
+    """An interned input crosses the value boundary once per solve: the
+    set engine decodes its fixpoint at the end, the ``naive`` reference
+    decodes its input at the start."""
 
-    def test_magic_decodes_exactly_once(self, monkeypatch):
-        from repro.datalog import atom, const, parse_program, var
+    @pytest.mark.parametrize("backend", FULL_BACKENDS)
+    def test_an_interned_edb_is_decoded_once(self, monkeypatch, backend):
         import repro.datalog.setengine as setengine
+        from repro.datalog import parse_program
 
+        sdb = SetDatabase.from_edb(chain_edges(12))
         decodes = []
         original = setengine.SetDatabase.decode
 
@@ -636,40 +621,9 @@ class TestMagicStaysInterned:
             return original(self)
 
         monkeypatch.setattr(setengine.SetDatabase, "decode", counting)
-        tc = parse_program(TC_TEXT)
-        solve(
-            tc,
-            chain_edges(12),
-            backend="magic",
-            query=atom("path", const(0), var("Y")),
-        )
+        derived = solve(parse_program(TC_TEXT), sdb, backend=backend)
+        assert len(derived.relation("path")) == 66
         assert len(decodes) == 1
-
-    def test_magic_demand_predicates_are_bitsets(self):
-        from repro.datalog import atom, const, parse_program, var
-
-        tc = parse_program(TC_TEXT)
-        sdb = _magic_interned(
-            tc,
-            chain_edges(12),
-            atom("path", const(0), var("Y")),
-            registry=None,
-            stats=None,
-            cache=ProgramCache(),
-        )
-        magic_preds = [
-            p for p in sdb.decode().predicates() if is_magic_predicate(p)
-        ]
-        assert magic_preds
-        for predicate in magic_preds:
-            rel = sdb.relation(predicate)
-            arities = {len(args) for args in rel}
-            assert arities <= {0, 1}  # demand is nullary or unary
-            if arities == {1}:
-                # the unary demand set is mirrored as a bitset
-                assert sdb.bits(predicate) == sum(
-                    1 << args[0] for args in rel
-                )
 
 
 class TestCompiledProgramOnGenericEngines:
@@ -720,13 +674,8 @@ class TestCompiledProgramOnGenericEngines:
         assert streamed == mso_query(
             structure, formulas.has_neighbor("x"), "x"
         )
-        for backend in ("naive", "semi-naive", "magic"):
-            derived = solve(
-                solver.compiled.program,
-                encoded,
-                backend=backend,
-                query=ANSWER_PREDICATE if backend == "magic" else None,
-            )
+        for backend in FULL_BACKENDS:
+            derived = solve(solver.compiled.program, encoded, backend=backend)
             answers = {args[0] for args in derived.relation(ANSWER_PREDICATE)}
             assert answers == streamed, backend
 

@@ -7,13 +7,14 @@ from repro.datalog import (
     Database,
     NotStratifiableError,
     Program,
-    SemiNaiveEvaluator,
+    SetSemiNaiveEvaluator,
     UnsafeRuleError,
     atom,
     least_fixpoint,
     naive_least_fixpoint,
     parse_program,
     pos,
+    prepare_program,
     rule,
     stratify,
     var,
@@ -143,7 +144,7 @@ class TestNegation:
             """
         )
         with pytest.raises(NotStratifiableError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
     def test_negation_on_edb_only_is_one_stratum(self):
         prog = parse_program("q(X) :- p(X), not r(X).")
@@ -154,17 +155,17 @@ class TestSafety:
     def test_unbound_head_variable_raises(self):
         prog = parse_program("q(X, Y) :- p(X).")
         with pytest.raises(UnsafeRuleError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
     def test_unbound_negated_variable_raises(self):
         prog = parse_program("q(X) :- p(X), not r(Y).")
         with pytest.raises(UnsafeRuleError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
     def test_builtin_needing_bound_args_raises_if_never_bound(self):
         prog = parse_program("q(X) :- X < 3.")
         with pytest.raises(UnsafeRuleError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
 
 class TestBuiltinsInRules:
@@ -228,7 +229,7 @@ class TestDatabase:
 
 class TestStats:
     def test_stats_populated(self):
-        evaluator = SemiNaiveEvaluator(TC)
+        evaluator = SetSemiNaiveEvaluator(TC)
         evaluator.evaluate(edge_db([(1, 2), (2, 3)]))
         assert evaluator.stats.facts_derived == 3
         assert evaluator.stats.rule_firings >= 3

@@ -3,7 +3,7 @@
 The push-based emitter (:func:`ground_program_streamed`) must derive
 exactly the eager pipeline's least model while never materializing the
 full ground program, and its pruning counters must account for the
-three prune classes: irrelevant heads (magic-style demand), statically
+three prune classes: irrelevant heads (outside the demand), statically
 dead extensional literals, and driver-starved rules.
 """
 
@@ -24,7 +24,6 @@ from repro.datalog import (
     SetDatabase,
     StreamingHorn,
     Variable,
-    demanded_predicates,
     ground_program_ids,
     ground_program_streamed,
     horn_least_model_ids,
@@ -233,11 +232,11 @@ class TestDemandPruning:
         assert streamed == {f for f in eager if f.predicate == "t"}
 
     def test_demanded_predicates_cover_the_relevance_cone(self):
-        assert demanded_predicates(PROG, "ok") == {"ok", "t"}
-        assert demanded_predicates(PROG, "t") == {"t"}
+        assert relevant_predicates(PROG, "ok") == {"ok", "t"}
+        assert relevant_predicates(PROG, "t") == {"t"}
 
     def test_demand_for_undefined_predicate_prunes_everything(self):
-        assert demanded_predicates(PROG, "nothing") == frozenset()
+        assert relevant_predicates(PROG, "nothing") == frozenset()
         eager, streamed, stats = _models(PROG, tree_db(), demand="nothing")
         assert streamed == set()
         assert stats.rules_pruned == len(PROG.rules)
@@ -302,15 +301,36 @@ def queries(draw, program):
     )
 
 
+def _dependency_closure(program, query):
+    """The relevance cone by definition: the query predicate if some
+    rule defines it, then every intensional predicate in the body of a
+    rule whose head is already in, iterated to a fixpoint."""
+    predicate = query.predicate if isinstance(query, Atom) else query
+    idb = program.intensional_predicates()
+    cone = {predicate} & idb
+    while True:
+        grown = cone | {
+            literal.atom.predicate
+            for rule in program.rules
+            if rule.head.predicate in cone
+            for literal in rule.body
+            if literal.atom.predicate in idb
+        }
+        if grown == cone:
+            return cone
+        cone = grown
+
+
 class TestRelevantPredicates:
-    """Backward reachability must find exactly the predicates the
-    adorned magic-set traversal (``demanded_predicates``) touches."""
+    """Backward reachability must find exactly the intensional
+    dependency closure of the query predicate, through negated
+    literals too."""
 
     @settings(max_examples=200)
     @given(data=st.data(), program=programs_with_negation())
-    def test_matches_the_adorned_demand(self, data, program):
+    def test_matches_the_dependency_closure(self, data, program):
         query = data.draw(queries(program))
-        assert relevant_predicates(program, query) == demanded_predicates(
+        assert relevant_predicates(program, query) == _dependency_closure(
             program, query
         )
 
@@ -324,9 +344,6 @@ class TestRelevantPredicates:
             """
         )
         assert relevant_predicates(program, "p") == {"p", "q", "r"}
-        assert relevant_predicates(program, "p") == demanded_predicates(
-            program, "p"
-        )
 
 
 class TestStreamPlans:

@@ -35,8 +35,8 @@ class TestReplanRegression:
     run-time feedback to reorder them."""
 
     def test_static_plan_keeps_textual_order(self):
-        # the static tie-break must stay textual: recursive rules and
-        # magic guard prefixes rely on body order
+        # the static tie-break must stay textual: recursive rules rely
+        # on body order
         program = parse_program(GUARDED_TC_TEXT)
         prepared = prepare_program(program)
         q_plan = [s.literal.atom.predicate for s in prepared.plans[2]]

@@ -4,14 +4,11 @@ from repro.datalog import (
     BuiltinRegistry,
     Database,
     ProgramCache,
-    atom,
-    const,
     default_cache,
     make_check,
     parse_program,
     program_fingerprint,
     solve,
-    var,
 )
 
 from ..conftest import TC_TEXT, chain_edges as chain_db, reference_query
@@ -51,26 +48,23 @@ class TestFingerprintCollisions:
         assert solve(int_zero, db, cache=cache).relation("q") == {(2,)}
         assert solve(str_zero, db, cache=cache).relation("q") == {(1,)}
 
-    def test_variable_vs_constant_query_key(self):
+    def test_variable_vs_constant_argument_key(self):
+        """``edge(X, A)`` and ``edge(X, "A")`` must not share a plan."""
         from repro.datalog import Atom, Constant, Literal, Program, Rule, Variable
 
         X = Variable("X")
-        program = Program(
-            [Rule(Atom("q", (X,)), (Literal(Atom("edge", (X, Variable("A")))),))]
-        )
+
+        def program(arg):
+            body = (Literal(Atom("edge", (X, arg))),)
+            return Program([Rule(Atom("q", (X,)), body)])
+
+        free, bound = program(Variable("A")), program(Constant("A"))
+        assert program_fingerprint(free) != program_fingerprint(bound)
         db = Database()
         db.add("edge", (1, "x"))
         cache = ProgramCache()
-        free = solve(
-            program, db, backend="magic",
-            query=Atom("q", (Variable("A"),)), cache=cache,
-        )
-        bound = solve(
-            program, db, backend="magic",
-            query=Atom("q", (Constant("A"),)), cache=cache,
-        )
-        assert free.relation("q") == {(1,)}
-        assert bound.relation("q") == set()
+        assert solve(free, db, cache=cache).relation("q") == {(1,)}
+        assert solve(bound, db, cache=cache).relation("q") == set()
 
 
 class TestCacheHits:
@@ -90,22 +84,6 @@ class TestCacheHits:
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert len(first.relation("path")) == 5 * 4 // 2
         assert len(second.relation("path")) == 9 * 8 // 2
-
-    def test_magic_rewrite_cached_per_query(self):
-        cache = ProgramCache()
-        query = atom("path", const(0), var("Y"))
-        for n in (4, 7, 11):
-            solve(
-                parse_program(TC_TEXT), chain_db(n), backend="magic",
-                query=query, cache=cache,
-            )
-        assert cache.stats.misses == 1 and cache.stats.hits == 2
-        # a different binding pattern is a different rewrite
-        solve(
-            parse_program(TC_TEXT), chain_db(4), backend="magic",
-            query="path", cache=cache,
-        )
-        assert cache.stats.misses == 2
 
     def test_program_change_misses(self):
         cache = ProgramCache()

@@ -1,5 +1,5 @@
 """The set-at-a-time engine: interning, bitsets, batch joins, and
-agreement with the tuple-at-a-time ablation path."""
+agreement with the tuple-at-a-time ``naive`` reference."""
 
 import random
 
@@ -18,16 +18,16 @@ from repro.datalog import (
 from repro.datalog.setengine import (
     SetDatabase,
     SetSemiNaiveEvaluator,
-    set_least_fixpoint,
+    least_fixpoint,
 )
 
 from ..conftest import TC_TEXT, chain_edges, datalog_databases, datalog_programs
 
 TC = parse_program(TC_TEXT)
 
-#: all backends that materialize the full least fixpoint -- the
-#: agreement property quantifies over these
-FULL_BACKENDS = ["naive", "semi-naive", "semi-naive-tuple"]
+#: the engines ``solve`` runs -- the agreement property quantifies
+#: over these
+FULL_BACKENDS = ["naive", "semi-naive"]
 
 hashable_values = st.one_of(
     st.integers(-5, 40),
@@ -208,11 +208,12 @@ def monadic_db():
 
 class TestSetEngine:
     def test_monadic_bitset_path_matches_tuple_engine(self):
-        """The unary chain (bitset fast path) and the tuple engine
-        agree, including negation against the interned domain."""
+        """The unary chain (bitset fast path) and the tuple-at-a-time
+        reference agree, including negation against the interned
+        domain."""
         db = monadic_db()
         new = solve(MONADIC, db, backend="semi-naive")
-        old = solve(MONADIC, db, backend="semi-naive-tuple")
+        old = solve(MONADIC, db, backend="naive")
         assert new.relation("reach") == old.relation("reach")
         assert new.relation("unreached") == old.relation("unreached")
         assert new.relation("unreached") == {
@@ -227,7 +228,7 @@ class TestSetEngine:
         for i in range(4):
             db.add("node", (i,))
         db.add("p", (2,))
-        result = set_least_fixpoint(program, db)
+        result = least_fixpoint(program, db)
         assert result.relation("q") == {(0,), (1,), (3,)}
 
     def test_zero_arity_heads(self):
@@ -236,12 +237,12 @@ class TestSetEngine:
         program = Program(
             [rule(atom("found"), pos("edge", var("X"), var("Y")))]
         )
-        assert set_least_fixpoint(program, chain_edges(3)).relation(
+        assert least_fixpoint(program, chain_edges(3)).relation(
             "found"
         ) == {()}
         empty = Database()
         assert (
-            set_least_fixpoint(program, empty).relation("found") == set()
+            least_fixpoint(program, empty).relation("found") == set()
         )
 
     def test_repeated_variables_in_atoms(self):
@@ -262,7 +263,7 @@ class TestSetEngine:
         db.add("item", ("a",))
         db.add("item", ("b",))
         new = solve(program, db, backend="semi-naive")
-        old = solve(program, db, backend="semi-naive-tuple")
+        old = solve(program, db, backend="naive")
         assert new.relation("t") == old.relation("t")
         assert new.relation("t") == {
             (frozenset({"a"}),),
@@ -274,12 +275,7 @@ class TestSetEngine:
 
         new_stats, old_stats = EvaluationStats(), EvaluationStats()
         solve(TC, chain_edges(20), backend="semi-naive", stats=new_stats)
-        solve(
-            TC,
-            chain_edges(20),
-            backend="semi-naive-tuple",
-            stats=old_stats,
-        )
+        solve(TC, chain_edges(20), backend="naive", stats=old_stats)
         assert new_stats.facts_derived == old_stats.facts_derived
 
     def test_evaluator_accepts_prepared_program(self):
@@ -337,27 +333,19 @@ class TestRoundZeroSkip:
 class TestEngineAgreement:
     @given(program=datalog_programs(), db=datalog_databases())
     def test_all_full_backends_agree(self, program, db):
-        relations = {}
+        """Every engine gives the same fixpoint, from a value-level
+        database and from the same facts pre-interned."""
+        relations = []
         for backend in FULL_BACKENDS:
-            result = solve(program, db, backend=backend)
-            relations[backend] = {
-                pred: result.relation(pred)
-                for pred in program.intensional_predicates()
-            }
-        assert relations["semi-naive"] == relations["semi-naive-tuple"]
-        assert relations["semi-naive"] == relations["naive"]
-
-    @given(db=datalog_databases(max_facts=20), data=st.data())
-    def test_magic_on_set_engine_agrees_single_source(self, db, data):
-        from repro.datalog import atom, const, var
-
-        source = data.draw(st.integers(0, 4), label="source")
-        query = atom("path", const(source), var("Y"))
-        full = solve(TC, db, backend="semi-naive")
-        goal = solve(TC, db, backend="magic", query=query)
-        want = {t for t in full.relation("path") if t[0] == source}
-        got = {t for t in goal.relation("path") if t[0] == source}
-        assert got == want
+            for edb in (db, SetDatabase.from_edb(db)):
+                result = solve(program, edb, backend=backend)
+                relations.append(
+                    {
+                        pred: result.relation(pred)
+                        for pred in program.intensional_predicates()
+                    }
+                )
+        assert all(r == relations[0] for r in relations)
 
 
 # ----------------------------------------------------------------------
