@@ -18,7 +18,11 @@ n is above ``MAX_SLOPE``, or if Figure 5's time divided by that of
 ``three_coloring_direct`` (the hand-written DP of the same
 recurrences, timed the same way) is above ``MAX_RATIO`` at any size
 n >= ``RATIO_FROM``; a gate fails only if it fails on a first timing
-and on one re-timing.  It prints only; no baseline file is written.
+and on one re-timing.  It also prints where Figure 5's time goes at
+each size -- decompose, nice form + checks, the ``A_td`` load, the
+fixpoint -- each phase the median over the graphs of its best of
+``REPEATS``; that split is not gated.  It prints only; no baseline
+file is written.
 """
 
 import argparse
@@ -37,8 +41,15 @@ except ImportError:  # running as a plain script without install
 
 import pytest
 
+from repro.datalog.backends import default_cache
+from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
-from repro.problems.three_coloring import three_coloring_direct
+from repro.problems.three_coloring import (
+    load_for_three_coloring,
+    prepare_decomposition,
+    three_coloring_direct,
+)
+from repro.treewidth import decomposition_from_order, min_fill_order
 
 SIZES = [20, 40, 80, 160]
 
@@ -178,6 +189,50 @@ def datalog_timings(solver, graphs) -> tuple[float, float]:
     return slope, ratio
 
 
+#: --quick: the phases of ``ThreeColoringDatalog.decide``, in order
+PHASES = ("decompose", "nice + checks", "load", "fixpoint")
+
+
+def phase_ms(evaluator, graph) -> dict[str, float]:
+    """Best-of-``REPEATS`` ms of each phase of ``decide(graph)``,
+    garbage collector off."""
+    best = dict.fromkeys(PHASES, math.inf)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(REPEATS):
+            marks = [time.perf_counter()]
+            td = decomposition_from_order(graph, min_fill_order(graph))
+            marks.append(time.perf_counter())
+            nice = prepare_decomposition(graph, td)
+            marks.append(time.perf_counter())
+            db = load_for_three_coloring(graph, nice)
+            marks.append(time.perf_counter())
+            evaluator.run(db)
+            marks.append(time.perf_counter())
+            for phase, start, end in zip(PHASES, marks, marks[1:]):
+                best[phase] = min(best[phase], end - start)
+    finally:
+        if enabled:
+            gc.enable()
+    return {phase: ms * 1e3 for phase, ms in best.items()}
+
+
+def phase_split(solver, graphs) -> None:
+    """Print Figure 5's per-phase time at each size."""
+    evaluator = SetSemiNaiveEvaluator.from_prepared(
+        default_cache().prepared(solver.program)
+    )
+    for n, family in graphs.items():
+        runs = [phase_ms(evaluator, g) for g in family]
+        split = ", ".join(
+            f"{phase} {statistics.median(r[phase] for r in runs):.1f}"
+            for phase in PHASES
+        )
+        print(f"n={n:<4} phases (ms): {split}")
+
+
 def quick() -> int:
     failures = []
     solver = ThreeColoringDatalog()
@@ -196,6 +251,7 @@ def quick() -> int:
         print("above a gate; re-timing once")
         again = datalog_timings(solver, graphs)
         slope, ratio = min(slope, again[0]), min(ratio, again[1])
+    phase_split(solver, graphs)
     if slope > MAX_SLOPE:
         failures.append(f"Figure 5 slope {slope:.3f} > {MAX_SLOPE}")
     if ratio > MAX_RATIO:

@@ -102,8 +102,9 @@ class IndexStats:
     ``rebuilds`` counts builds of a ``(predicate, positions)`` pattern
     that had already been built on this database -- i.e. an index that
     was invalidated and paid for again.  A healthy fixpoint keeps this
-    flat: `copy_relation` extends existing indexes incrementally
-    instead of dropping them, so churny delta rounds never rebuild."""
+    flat: :meth:`SetDatabase.merge` extends existing indexes
+    incrementally instead of dropping them, so churny delta rounds
+    never rebuild."""
 
     builds: int = 0
     rebuilds: int = 0
@@ -351,17 +352,6 @@ class SetDatabase:
             return set(rel)
         value_of = self.interner.value_of
         return {tuple(value_of(i) for i in args) for args in rel}
-
-    def copy_relation(self, src: str, dst: str) -> None:
-        """Alias ``src``'s facts under predicate ``dst`` -- entirely in
-        interned-id space, and in bulk through :meth:`merge`: the fact
-        sets are unioned at C speed, and any existing hash indexes of
-        ``dst`` are *extended* with the facts the union actually added
-        (never dropped and rebuilt, so `IndexStats.rebuilds` stays flat
-        across copy/probe churn)."""
-        src_rel = self._facts.get(src)
-        if src_rel:
-            self.merge(dst, src_rel)
 
     def decode(self) -> Database:
         """Materialize a plain value-level :class:`Database`."""

@@ -54,8 +54,8 @@ from ..datalog.backends import ProgramCache
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.schema import Attribute, RelationalSchema
 from ..structures.structure import Structure
-from ..treewidth.decomposition import NodeId, TreeDecomposition
-from ..treewidth.encode import TDNode, encode_nice, load_nice
+from ..treewidth.decomposition import TreeDecomposition
+from ..treewidth.encode import encode_nice, load_nice
 from ..treewidth.heuristics import decompose_structure
 from ..treewidth.nice import (
     NiceNodeKind,
@@ -176,19 +176,11 @@ def _bag_splitter(schema: RelationalSchema):
 def encode_for_primality(
     schema: RelationalSchema, nice: NiceTreeDecomposition
 ) -> Structure:
-    """``A_td`` with bags split as ``bag(s, At, Fd)`` plus copy-node
-    tags; the value-level oracle of :func:`load_for_primality`."""
-    structure = schema.to_structure()
-    encoded = encode_nice(structure, nice, bag_payload=_bag_splitter(schema))
-    copynode = {
-        (TDNode(node),)
-        for node in nice.tree.nodes()
-        if nice.node_kind(node) is NiceNodeKind.COPY
-    }
-    signature = encoded.signature.extended({"copynode": 1})
-    relations = {name: set(encoded.relation(name)) for name in encoded.signature}
-    relations["copynode"] = copynode
-    return Structure(signature, encoded.domain, relations)
+    """``A_td`` with bags split as ``bag(s, At, Fd)``; the value-level
+    oracle of :func:`load_for_primality`."""
+    return encode_nice(
+        schema.to_structure(), nice, bag_payload=_bag_splitter(schema)
+    )
 
 
 def load_for_primality(
@@ -196,16 +188,8 @@ def load_for_primality(
 ) -> SetDatabase:
     """:func:`encode_for_primality`, loaded straight into ids
     (:func:`~repro.treewidth.encode.load_nice`)."""
-    copy = NiceNodeKind.COPY
-
-    def node_facts(node: NodeId) -> tuple:
-        return (("copynode", ()),) if nice.node_kind(node) is copy else ()
-
     return load_nice(
-        schema.to_structure(),
-        nice,
-        bag_payload=_bag_splitter(schema),
-        extra=node_facts,
+        schema.to_structure(), nice, bag_payload=_bag_splitter(schema)
     )
 
 

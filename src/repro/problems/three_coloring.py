@@ -9,9 +9,14 @@ test-suite:
   fixed-size subsets of the bag (Theorem 5.1 explains why this is a
   succinct monadic program); ``partition`` and ``allowed`` are the
   helper predicates the paper precomputes alongside the decomposition.
-  Its input is loaded in id space: :func:`load_for_three_coloring`
-  writes ``A_td`` with the ``allowed`` and ``copynode`` facts straight
-  into a :class:`~repro.datalog.setengine.SetDatabase`
+  :func:`prepare_decomposition` builds the nice form in one pass
+  (:func:`~repro.treewidth.nice.make_nice`, which checks its shape and
+  width) and checks the Section 2.2 axioms once, on the nice bags,
+  against the graph.  The input is loaded in id space:
+  :func:`load_for_three_coloring` writes ``A_td`` with its
+  ``copynode`` tags and the ``allowed`` facts, computed and interned
+  once per distinct bag, straight into a
+  :class:`~repro.datalog.setengine.SetDatabase`
   (:func:`repro.treewidth.encode.load_nice`), the set engine runs the
   fixpoint there, and :meth:`ThreeColoringDatalog.decide` reads the one
   nullary fact ``success`` without decoding anything.
@@ -38,11 +43,10 @@ from ..datalog.evaluate import Database
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.graphs import Graph, graph_to_structure
 from ..structures.structure import Structure
-from ..treewidth.decomposition import NodeId, TreeDecomposition
+from ..treewidth.decomposition import TreeDecomposition
 from ..treewidth.encode import TDNode, encode_nice, load_nice
-from ..treewidth.heuristics import decompose_graph
+from ..treewidth.heuristics import decomposition_from_order, min_fill_order
 from ..treewidth.nice import NiceNodeKind, NiceTreeDecomposition, make_nice
-from .._util import powerset
 
 Vertex = Hashable
 Coloring = dict[Vertex, str]
@@ -56,49 +60,44 @@ Coloring = dict[Vertex, str]
 def prepare_decomposition(
     graph: Graph, td: TreeDecomposition | None = None
 ) -> NiceTreeDecomposition:
-    """Heuristic decomposition + Section 5 normal form.
+    """Heuristic (min-fill) decomposition + Section 5 normal form.
 
-    ``make_nice`` has already checked the normal-form shape, so only
-    the Section 2.2 axioms are checked here, against the graph."""
+    ``make_nice`` checks the width and the normal-form shape.  The
+    Section 2.2 axioms are checked here, once, on the nice bags and
+    against the graph itself, whether ``td`` is given or built.
+    Raises :class:`~repro.errors.InvalidDecomposition` if ``td`` does
+    not decompose ``graph``."""
     if td is None:
-        td = decompose_graph(graph)
+        td = decomposition_from_order(graph, min_fill_order(graph))
     nice = make_nice(td)
-    nice.as_set_decomposition().validate_for_structure(
-        graph_to_structure(graph)
-    )
+    nice.validate_for_graph(graph)
     return nice
 
 
 def encode_for_three_coloring(
     graph: Graph, nice: NiceTreeDecomposition
 ) -> Structure:
-    """``A_td`` plus the precomputed ``allowed`` facts and copy-node tags.
+    """``A_td`` plus the precomputed ``allowed`` facts.
 
     ``allowed(s, X)`` holds iff ``X`` is a subset of the bag of ``s``
     containing no two adjacent vertices; the paper computes these "as
     part of the computation of the tree decomposition", which "fits into
     the linear time bound" for fixed w.
     """
-    structure = graph_to_structure(graph)
-    encoded = encode_nice(structure, nice)
-    extra_domain: set = set()
-    allowed: set[tuple] = set()
-    copynode: set[tuple] = set()
-    for node in nice.tree.nodes():
-        bag = nice.bag(node)
-        for subset in powerset(sorted(bag, key=repr)):
-            chosen = frozenset(subset)
-            if not _has_internal_edge(graph, chosen):
-                allowed.add((TDNode(node), chosen))
-                extra_domain.add(chosen)
-        if nice.node_kind(node) is NiceNodeKind.COPY:
-            copynode.add((TDNode(node),))
-    signature = encoded.signature.extended({"allowed": 2, "copynode": 1})
+    encoded = encode_nice(graph_to_structure(graph), nice)
+    near = _neighbors(graph)
+    allowed = {
+        (TDNode(node), chosen)
+        for node, bag in nice.bags.items()
+        for chosen in _allowed(near, bag)
+    }
+    signature = encoded.signature.extended({"allowed": 2})
     relations = {name: set(encoded.relation(name)) for name in encoded.signature}
     relations["allowed"] = allowed
-    relations["copynode"] = copynode
     return Structure(
-        signature, set(encoded.domain) | extra_domain, relations
+        signature,
+        set(encoded.domain).union(chosen for _, chosen in allowed),
+        relations,
     )
 
 
@@ -106,25 +105,28 @@ def load_for_three_coloring(
     graph: Graph, nice: NiceTreeDecomposition
 ) -> SetDatabase:
     """:func:`encode_for_three_coloring`, loaded straight into ids
-    (:func:`~repro.treewidth.encode.load_nice`).  Nodes with equal
-    bags share one list of ``allowed`` facts."""
-    allowed_by_bag: dict[frozenset, list] = {}
-    copy = NiceNodeKind.COPY
+    (:func:`~repro.treewidth.encode.load_nice`): ``allowed`` is
+    computed and interned once per distinct bag."""
+    near = _neighbors(graph)
+    return load_nice(
+        graph_to_structure(graph),
+        nice,
+        extra=lambda bag: [("allowed", (chosen,)) for chosen in _allowed(near, bag)],
+    )
 
-    def node_facts(node: NodeId) -> list:
-        bag = nice.bag(node)
-        facts = allowed_by_bag.get(bag)
-        if facts is None:
-            facts = allowed_by_bag[bag] = [
-                ("allowed", (chosen,))
-                for chosen in map(frozenset, powerset(sorted(bag, key=repr)))
-                if not _has_internal_edge(graph, chosen)
-            ]
-        if nice.node_kind(node) is copy:
-            return facts + [("copynode", ())]
-        return facts
 
-    return load_nice(graph_to_structure(graph), nice, extra=node_facts)
+def _neighbors(graph: Graph) -> dict[Vertex, frozenset]:
+    return {v: graph.neighbors(v) for v in graph.vertices}
+
+
+def _allowed(near: Mapping[Vertex, frozenset], bag: frozenset) -> list[frozenset]:
+    """The subsets of ``bag`` with no two vertices adjacent under
+    ``near`` (a vertex with a self-loop is in none of them)."""
+    subsets = [frozenset()]
+    for v in sorted(bag, key=repr):
+        if v not in near[v]:
+            subsets += [s | {v} for s in subsets if near[v].isdisjoint(s)]
+    return subsets
 
 
 def _has_internal_edge(graph: Graph, vertices: frozenset) -> bool:

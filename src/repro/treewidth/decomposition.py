@@ -371,7 +371,8 @@ class TreeDecomposition:
 
     def __repr__(self) -> str:
         return (
-            f"TreeDecomposition(nodes={self.node_count()}, width={self.width})"
+            f"{type(self).__name__}(nodes={self.node_count()}, "
+            f"width={self.width})"
         )
 
 

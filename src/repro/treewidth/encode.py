@@ -10,7 +10,9 @@ For the Section 5 algorithms bags are sets; there we encode
 "succinct representation by non-monadic datalog" where fixed-size sets
 are first-class values handled by built-ins (Section 6, optimizations
 (1) and (4)).  A hook lets problem modules split the payload, e.g.
-PRIMALITY's ``bag(t, At, Fd)``.
+PRIMALITY's ``bag(t, At, Fd)``.  A Section 5 encoding also tags each
+copy node (one child, equal bag) with ``copynode(t)``, which the
+Section 5 programs treat as an identity transition.
 
 Tree nodes live in the same domain as the structure's elements
 (Section 4: "The domain of A_td is the union of dom(A) and the nodes of
@@ -23,12 +25,14 @@ with the node-keyed indexes the Theorem 4.4 grounder probes already
 filled.
 ``encode_normalized`` stays as its value-level oracle.
 :func:`load_nice` does the same for :func:`encode_nice` and the Section
-5 programs, together with each problem's precomputed per-node facts.
+5 programs, together with each problem's precomputed facts per
+distinct bag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 from ..datalog.interning import Interner
@@ -199,7 +203,8 @@ def encode_nice(
     ``bag_payload`` maps a bag to the constant tuple stored after the
     node in the ``bag`` relation.  The default stores the whole bag as a
     single frozenset constant; PRIMALITY passes a splitter producing
-    ``(At, Fd)``.
+    ``(At, Fd)``.  ``copynode(s)`` tags each copy node, which the
+    Section 5 programs treat as an identity transition.
     """
     if bag_payload is None:
         bag_payload = lambda bag: (bag,)
@@ -212,15 +217,8 @@ def encode_nice(
         elif payload_arity != len(payload):
             raise ValueError("bag_payload must have a fixed arity")
         bags.add((TDNode(node),) + payload)
-    payload_arity = payload_arity or 1
     signature = structure.signature.extended(
-        {
-            "root": 1,
-            "leaf": 1,
-            "child1": 2,
-            "child2": 2,
-            "bag": 1 + payload_arity,
-        }
+        _nice_signature(payload_arity or 1)
     )
     roots, leaves, child1, child2 = _tree_facts(nice.tree, TDNode)
     domain = set(structure.domain) | {TDNode(n) for n in nice.tree.nodes()}
@@ -230,108 +228,135 @@ def encode_nice(
         domain.update(bag_fact)
     relations = {name: set(structure.relation(name)) for name in structure.signature}
     relations.update(
-        root=roots, leaf=leaves, child1=child1, child2=child2, bag=bags
+        root=roots,
+        leaf=leaves,
+        child1=child1,
+        child2=child2,
+        bag=bags,
+        copynode={(TDNode(node),) for node in _copy_nodes(nice)},
     )
     return Structure(signature, domain, relations)
 
 
-#: the ``tau_td`` predicates a Section 5 encoding adds
-_NICE_PREDICATES = ("root", "leaf", "child1", "child2", "bag")
+def _nice_signature(payload_arity: int) -> dict[str, int]:
+    """The predicates a Section 5 encoding adds, with their arities."""
+    return {
+        "root": 1,
+        "leaf": 1,
+        "child1": 2,
+        "child2": 2,
+        "bag": 1 + payload_arity,
+        "copynode": 1,
+    }
+
+
+def _copy_nodes(nice: NiceTreeDecomposition) -> Iterable[NodeId]:
+    """The nodes with one child of an equal bag."""
+    bags, children = nice.bags, nice.tree.children
+    for node, bag in bags.items():
+        below = children(node)
+        if len(below) == 1 and bags[below[0]] == bag:
+            yield node
 
 
 def load_nice(
     structure: Structure,
     nice: NiceTreeDecomposition,
     bag_payload: Callable[[frozenset[Element]], tuple] | None = None,
-    extra: Callable[[NodeId], Iterable[tuple[str, tuple]]] | None = None,
+    extra: Callable[[frozenset[Element]], Iterable[tuple[str, tuple]]]
+    | None = None,
 ) -> SetDatabase:
     """``A_td`` for a Section 5 decomposition, loaded into ids, plus
-    the problem's precomputed facts about each node.
+    the problem's precomputed facts about each bag.
 
-    ``bag_payload`` is that of :func:`encode_nice`.  ``extra(node)``
-    yields ``(predicate, values)`` pairs, each stored as the fact
-    ``predicate(TDNode(node), *values)``: Figure 5's ``allowed`` and
-    ``copynode``, say.  Its predicates must be new names, each of one
+    ``bag_payload`` is that of :func:`encode_nice`.  ``extra(bag)``
+    yields ``(predicate, values)`` pairs, and every node with that bag
+    gets the fact ``predicate(TDNode(node), *values)``: Figure 5's
+    ``allowed``, say.  Its predicates must be new names, each of one
     arity.
 
     The database equals ``SetDatabase.from_edb`` of ``encode_nice(
     structure, nice, bag_payload)`` with ``extra``'s facts added, up to
     the choice of ids, and is built straight from the decomposition
-    with no value-level ``Structure`` in between.  The elements get the
-    ids ``0 .. |dom| - 1``; the nodes, bag payloads and ``extra``
-    values the ids after them, in the order first met.  A value met
-    twice, as an element and as a payload say, keeps one id, as it is
-    one element of the encoded domain.
+    with no value-level ``Structure`` in between.  ``bag_payload`` and
+    ``extra`` run once per distinct bag, their values are interned
+    then, and each node's rows are built from those ids.  The elements
+    get the ids ``0 .. |dom| - 1``, the nodes the ids after them, and
+    the bag payloads and ``extra`` values the ids after those, in the
+    order first met.  A value met twice, as an element and as a
+    payload, or as the payload of one bag and an ``extra`` value of
+    another, keeps one id, as it is one element of the encoded domain.
 
     The load also fills the node-keyed hash indexes: ``bag`` and every
     ``extra`` relation of arity two or more on the node,
     ``child1``/``child2`` on either end.
+
+    Raises :class:`ValueError` if a domain element is a ``TDNode`` of
+    the tree.
     """
     if bag_payload is None:
         bag_payload = lambda bag: (bag,)
-    values = list(structure.domain)
-    ids = dict(zip(values, range(len(values))))
+    elements = list(structure.domain)
+    bags = nice.bags
+    node_id = dict(zip(bags, range(len(elements), len(elements) + len(bags))))
+    interner = Interner.of_distinct(elements + [TDNode(n) for n in bags])
+    intern = interner.intern
 
-    def intern(value) -> int:
-        found = ids.get(value)
-        if found is None:
-            found = ids[value] = len(values)
-            values.append(value)
-        return found
-
+    # per distinct bag: its payload ids and, per extra predicate, the
+    # distinct id tuples of its values
+    per_bag: dict[frozenset, tuple[tuple, dict[str, dict]]] = {}
     payload_arity = None
+    arities: dict[str, int] = {}
     bag_by_node: dict[int, list] = {}
-    extra_facts: dict[str, set] = {}
     extra_by_node: dict[str, dict[int, list]] = {}
-    node_id: dict[NodeId, int] = {}
-    for node, bag in nice.bags.items():
-        t = node_id[node] = intern(TDNode(node))
-        payload = tuple(map(intern, bag_payload(bag)))
-        if payload_arity is None:
-            payload_arity = len(payload)
-        elif payload_arity != len(payload):
-            raise ValueError("bag_payload must have a fixed arity")
+    for node, bag in bags.items():
+        t = node_id[node]
+        known = per_bag.get(bag)
+        if known is None:
+            payload = tuple(map(intern, bag_payload(bag)))
+            if payload_arity is None:
+                payload_arity = len(payload)
+            elif payload_arity != len(payload):
+                raise ValueError("bag_payload must have a fixed arity")
+            bag_facts: dict[str, dict] = {}
+            for predicate, args in extra(bag) if extra is not None else ():
+                if arities.setdefault(predicate, len(args)) != len(args):
+                    raise ValueError(
+                        f"extra predicate {predicate!r} mixes arities"
+                    )
+                if predicate not in bag_facts:
+                    bag_facts[predicate] = {}
+                    extra_by_node.setdefault(predicate, {})
+                bag_facts[predicate][tuple(map(intern, args))] = None
+            known = per_bag[bag] = (payload, bag_facts)
+        payload, bag_facts = known
         bag_by_node[t] = [(t, *payload)]
-        if extra is not None:
-            for predicate, args in extra(node):
-                row = (t, *map(intern, args))
-                rel = extra_facts.get(predicate)
-                if rel is None:
-                    rel = extra_facts[predicate] = set()
-                    extra_by_node[predicate] = {}
-                if row not in rel:
-                    rel.add(row)
-                    extra_by_node[predicate].setdefault(t, []).append(row)
+        for predicate, args_ids in bag_facts.items():
+            extra_by_node[predicate][t] = [(t, *args) for args in args_ids]
     tree_facts, indexes = _tree_relations(nice.tree, node_id)
 
     # raises, as in encode_nice, if the structure already has a tau_td
     # predicate name with another arity
-    structure.signature.extended(
-        {
-            "root": 1,
-            "leaf": 1,
-            "child1": 2,
-            "child2": 2,
-            "bag": 1 + (payload_arity or 1),
-        }
-    )
-    for predicate, rel in extra_facts.items():
-        if predicate in structure.signature or predicate in _NICE_PREDICATES:
+    nice_signature = _nice_signature(payload_arity or 1)
+    structure.signature.extended(nice_signature)
+    for predicate in arities:
+        if predicate in structure.signature or predicate in nice_signature:
             raise ValueError(
                 f"extra predicate {predicate!r} is already in the encoding"
             )
-        if len({len(row) for row in rel}) > 1:
-            raise ValueError(f"extra predicate {predicate!r} mixes arities")
 
-    to_id = ids.__getitem__
     facts = {
-        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
+        name: {tuple(map(intern, args)) for args in structure.relation(name)}
         for name in structure.signature
     }
-    facts.update(tree_facts, bag={rows[0] for rows in bag_by_node.values()})
-    facts.update(extra_facts)
+    facts.update(
+        tree_facts,
+        bag={rows[0] for rows in bag_by_node.values()},
+        copynode={(node_id[node],) for node in _copy_nodes(nice)},
+    )
     indexes["bag"] = {(0,): bag_by_node}
     for predicate, by_node in extra_by_node.items():
-        if len(next(iter(extra_facts[predicate]))) > 1:
+        facts[predicate] = set(chain.from_iterable(by_node.values()))
+        if arities[predicate]:
             indexes[predicate] = {(0,): by_node}
-    return SetDatabase.from_interned(Interner.of_distinct(values), facts, indexes)
+    return SetDatabase.from_interned(interner, facts, indexes)

@@ -17,6 +17,12 @@ Node kinds:
   equal-bag neighbours; the dynamic programs treat them as identity
   transitions.
 
+:func:`make_nice` builds the form from any valid decomposition in one
+top-down pass, writing each nice node once: no intermediate
+decompositions, tree copies or bag rebuilds.  A
+:class:`NiceTreeDecomposition` is a :class:`TreeDecomposition`, so the
+Section 2.2 axioms are checked on its own bags.
+
 This module also hosts the two PRIMALITY-specific refinements of
 Sections 5.2/5.3: every bag containing an FD also contains the FD's
 right-hand attribute, and (for the enumeration problem) every domain
@@ -26,7 +32,7 @@ element of interest occurs in at least one leaf bag.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from ..structures.structure import Element, Structure
 from .decomposition import (
@@ -45,27 +51,17 @@ class NiceNodeKind(Enum):
     COPY = "copy"
 
 
-class NiceTreeDecomposition:
-    """A Section 5 normal-form decomposition with set bags."""
+class NiceTreeDecomposition(TreeDecomposition):
+    """A Section 5 normal-form decomposition with set bags.
 
-    __slots__ = ("tree", "bags")
+    It is a :class:`TreeDecomposition`, so the Section 2.2 axiom checks
+    (``validate_for_graph``, ``validate_for_structure``) run on its own
+    bags with no copy."""
 
-    def __init__(self, tree: RootedTree, bags: Mapping[NodeId, Iterable[Element]]):
-        self.tree = tree
-        self.bags = {n: frozenset(bags[n]) for n in tree.nodes()}
-
-    @property
-    def width(self) -> int:
-        return max(len(b) for b in self.bags.values()) - 1
+    __slots__ = ()
 
     def bag(self, node: NodeId) -> frozenset[Element]:
         return self.bags[node]
-
-    def node_count(self) -> int:
-        return self.tree.node_count()
-
-    def as_set_decomposition(self) -> TreeDecomposition:
-        return TreeDecomposition(self.tree.copy(), dict(self.bags))
 
     def node_kind(self, node: NodeId) -> NiceNodeKind:
         children = self.tree.children(node)
@@ -103,13 +99,11 @@ class NiceTreeDecomposition:
         return v
 
     def validate(self, structure: Structure | None = None) -> None:
-        validate_refinement(self, structure)
-
-    def __repr__(self) -> str:
-        return (
-            f"NiceTreeDecomposition(nodes={self.node_count()}, "
-            f"width={self.width})"
-        )
+        """The normal-form shape, then, given ``structure``, the
+        Section 2.2 axioms against it."""
+        validate_refinement(self)
+        if structure is not None:
+            self.validate_for_structure(structure)
 
 
 # ----------------------------------------------------------------------
@@ -119,99 +113,6 @@ class NiceTreeDecomposition:
 SortKey = Callable[[Element], object]
 
 
-def _contract_copy_edges(td: TreeDecomposition) -> TreeDecomposition:
-    """Merge unary equal-bag edges left over from the input decomposition."""
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(tree.nodes()):
-            children = tree.children(node)
-            if len(children) == 1 and bags[children[0]] == bags[node]:
-                (child,) = children
-                grandchildren = tree.children(child)
-                tree._children[node] = list(grandchildren)
-                for g in grandchildren:
-                    tree._parent[g] = node
-                del tree._children[child]
-                del tree._parent[child]
-                del bags[child]
-                changed = True
-                break
-    return TreeDecomposition(tree, bags)
-
-
-def _binarize(td: TreeDecomposition) -> TreeDecomposition:
-    from .normalize import binarize
-
-    return binarize(td)
-
-
-def _equalize_branches(td: TreeDecomposition) -> TreeDecomposition:
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    for node in list(tree.nodes()):
-        if len(tree.children(node)) != 2:
-            continue
-        for child in list(tree.children(node)):
-            if bags[child] != bags[node]:
-                mid = tree.insert_above(child)
-                bags[mid] = bags[node]
-    return TreeDecomposition(tree, bags)
-
-
-def _interpolate(
-    td: TreeDecomposition,
-    removal_key: SortKey,
-    introduction_key: SortKey,
-) -> TreeDecomposition:
-    """Expand each unary edge into single-element removal/introduction steps.
-
-    Walking bottom-up from child bag ``B'`` to parent bag ``B``: first the
-    elements of ``B' \\ B`` are removed one at a time (ordered by
-    ``removal_key``), then the elements of ``B \\ B'`` are introduced
-    (ordered by ``introduction_key``).  The keys let callers keep
-    bag invariants along the chain -- the PRIMALITY refinement removes
-    FDs before attributes and introduces attributes before FDs so that
-    "f in bag implies rhs(f) in bag" survives interpolation.
-    """
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    for node in list(tree.nodes()):
-        for child in list(tree.children(node)):
-            if len(tree.children(node)) == 2:
-                continue  # branch edges are already equal-bag
-            removals = sorted(
-                bags[child] - bags[node], key=lambda e: (removal_key(e), repr(e))
-            )
-            introductions = sorted(
-                bags[node] - bags[child],
-                key=lambda e: (introduction_key(e), repr(e)),
-            )
-            steps = len(removals) + len(introductions)
-            if steps <= 1:
-                continue
-            chain = tree.insert_chain_above(child, steps - 1)
-            # Fill bags bottom-up along the chain: child is lowest.
-            current = bags[child]
-            bottom_up = list(reversed(chain))
-            i = 0
-            for v in removals:
-                current = current - {v}
-                if i < len(bottom_up):
-                    bags[bottom_up[i]] = current
-                i += 1
-            for v in introductions:
-                current = current | {v}
-                if i < len(bottom_up):
-                    bags[bottom_up[i]] = current
-                i += 1
-            if current != bags[node]:
-                raise AssertionError("interpolation did not reach the parent bag")
-    return TreeDecomposition(tree, bags)
-
-
 def make_nice(
     td: TreeDecomposition,
     removal_key: SortKey | None = None,
@@ -219,20 +120,85 @@ def make_nice(
 ) -> NiceTreeDecomposition:
     """Convert any valid decomposition into the Section 5 normal form.
 
-    Width is preserved.  ``removal_key`` / ``introduction_key`` order
-    the per-element interpolation steps (see :func:`_interpolate`).
+    One top-down pass over ``td`` builds the nice tree directly.  At
+    each node it
+
+    * collapses the chain of one-child nodes below it whose bags equal
+      its own;
+    * splits more than two children into a chain of equal-bag branch
+      copies: the node keeps its first child and a copy, the copy the
+      second child and the next copy, and so on;
+    * puts an equal-bag node above each branch child whose bag differs,
+      so both children of a branch carry its bag;
+    * expands each one-child edge into single-element steps.  Walking
+      bottom-up from child bag ``B'`` to parent bag ``B``, first the
+      elements of ``B' \\ B`` are removed one at a time, ordered by
+      ``(removal_key, repr)``, then the elements of ``B \\ B'`` are
+      introduced, ordered by ``(introduction_key, repr)``.  The keys
+      let callers keep bag invariants along the chain: the PRIMALITY
+      refinement removes FDs before attributes and introduces
+      attributes before FDs, so that "f in bag implies rhs(f) in bag"
+      survives.
+
+    Width is preserved (asserted), the root bag is ``td``'s, children
+    keep their order, and the result has passed its shape check
+    (:meth:`NiceTreeDecomposition.validate`).
     """
     removal_key = removal_key or (lambda e: 0)
     introduction_key = introduction_key or (lambda e: 0)
-    before = td.width
-    staged = _interpolate(
-        _equalize_branches(_binarize(_contract_copy_edges(td))),
-        removal_key,
-        introduction_key,
-    )
-    nice = NiceTreeDecomposition(staged.tree, staged.bags)
-    if nice.width != before:
-        raise AssertionError(f"width changed: {before} -> {nice.width}")
+    removal_order = lambda e: (removal_key(e), repr(e))
+    introduction_order = lambda e: (introduction_key(e), repr(e))
+    source, children = td.bags, td.tree.children
+    tree = RootedTree()
+    bags = {tree.root: source[td.tree.root]}
+    stack = [(td.tree.root, tree.root)]
+
+    def step_down(top: NodeId, node: NodeId) -> None:
+        """Hang ``node`` below ``top`` through single-element steps."""
+        upper, lower = bags[top], source[node]
+        # top-down, the chain undoes the introductions, then the removals
+        steps = []
+        current = upper
+        for v in reversed(sorted(upper - lower, key=introduction_order)):
+            current = current - {v}
+            steps.append(current)
+        for v in reversed(sorted(lower - upper, key=removal_order)):
+            current = current | {v}
+            steps.append(current)
+        steps[-1:] = [lower]  # the last step, or none, reaches ``node``
+        for bag in steps:
+            top = tree.add_child(top)
+            bags[top] = bag
+        stack.append((node, top))
+
+    def below_branch(branch: NodeId, node: NodeId) -> None:
+        """Hang ``node`` below a branch node, through an equal-bag node
+        if its bag differs from the branch's."""
+        if source[node] != bags[branch]:
+            mid = tree.add_child(branch)
+            bags[mid] = bags[branch]
+            branch = mid
+        step_down(branch, node)
+
+    while stack:
+        node, here = stack.pop()
+        bag = bags[here]
+        kids = children(node)
+        while len(kids) == 1 and source[kids[0]] == bag:
+            kids = children(kids[0])
+        if len(kids) == 1:
+            step_down(here, kids[0])
+            continue
+        while len(kids) > 2:
+            below_branch(here, kids[0])
+            here = tree.add_child(here)
+            bags[here] = bag
+            kids = kids[1:]
+        for kid in kids:  # none at a leaf, else two
+            below_branch(here, kid)
+    nice = NiceTreeDecomposition(tree, bags)
+    if nice.width != td.width:
+        raise AssertionError(f"width changed: {td.width} -> {nice.width}")
     nice.validate()
     return nice
 

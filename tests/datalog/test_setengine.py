@@ -348,64 +348,6 @@ class TestEngineAgreement:
         assert all(r == relations[0] for r in relations)
 
 
-# ----------------------------------------------------------------------
-# copy_relation: bulk aliasing in interned-id space (the PR 6 fix for
-# the old tuple-at-a-time loop through a per-fact insert)
-# ----------------------------------------------------------------------
-
-
-class TestCopyRelation:
-    @staticmethod
-    def _db_with(predicate, facts):
-        db = SetDatabase()
-        db.merge(predicate, facts)
-        return db
-
-    def test_copy_into_fresh_predicate(self):
-        db = self._db_with("src", [(1,), (2,), (3,)])
-        db.copy_relation("src", "dst")
-        assert db.relation("dst") == {(1,), (2,), (3,)}
-        # a copy, not an alias: growing dst must not grow src
-        db.merge("dst", [(9,)])
-        assert db.relation("src") == {(1,), (2,), (3,)}
-
-    def test_copy_unions_into_existing_predicate(self):
-        db = self._db_with("src", [(1,), (2,)])
-        db.merge("dst", [(2,)])
-        db.merge("dst", [(5,)])
-        db.copy_relation("src", "dst")
-        assert db.relation("dst") == {(1,), (2,), (5,)}
-
-    def test_unary_bitset_is_ored_in_bulk(self):
-        db = self._db_with("src", [(1,), (3,)])
-        db.merge("dst", [(2,)])
-        db.copy_relation("src", "dst")
-        assert db.bits("dst") == db.bits("src") | (1 << 2)
-        assert db.bits("dst") == 0b1110
-
-    def test_existing_dst_index_is_invalidated(self):
-        db = self._db_with("src", [(1, 2), (3, 4)])
-        db.merge("dst", [(5, 6)])
-        stale = db.index_for("dst", (0,))
-        assert set(stale) == {5}
-        db.copy_relation("src", "dst")
-        rebuilt = db.index_for("dst", (0,))
-        assert set(rebuilt) == {1, 3, 5}
-
-    def test_binary_relation_copies_without_bits(self):
-        db = self._db_with("src", [(1, 2), (2, 3)])
-        db.copy_relation("src", "dst")
-        assert db.relation("dst") == {(1, 2), (2, 3)}
-        assert db.bits("dst") == 0  # bitsets are unary-only
-
-    def test_empty_source_is_a_no_op(self):
-        db = SetDatabase()
-        db.merge("dst", [(7,)])
-        db.copy_relation("missing", "dst")
-        assert db.relation("dst") == {(7,)}
-        assert db.relation("missing") == set()
-
-
 class TestIndexStatsAndValidation:
     def test_out_of_range_positions_raise(self):
         db = SetDatabase.from_edb(chain_edges(4))
@@ -427,13 +369,15 @@ class TestIndexStatsAndValidation:
         db.index_for("edge", (0,))  # cached: no second build
         assert db.index_stats.builds == 1
         assert db.index_stats.rebuilds == 0
-        # copy_relation extends the existing index in place, so a
-        # re-request is still the same build
+        # merge extends the existing index in place, so a re-request
+        # after it is still the same build
         db2 = SetDatabase.from_edb(chain_edges(3))
-        db2.copy_relation("edge", "edge2")
-        db2.index_for("edge2", (0,))
-        db2.copy_relation("edge", "edge2")
-        db2.index_for("edge2", (0,))
+        db2.merge("edge2", db2.relation("edge"))
+        index = db2.index_for("edge2", (0,))
+        db2.merge("edge2", [(7, 8)])
+        assert db2.index_for("edge2", (0,)) is index
+        assert index[7] == [(7, 8)]
+        assert db2.index_stats.builds == 1
         assert db2.index_stats.rebuilds == 0
 
     def test_fixpoint_never_rebuilds_an_index(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.datalog import SetDatabase, solve
+from repro.errors import InvalidDecomposition
 from repro.problems import (
     ThreeColoringDatalog,
     encode_for_three_coloring,
@@ -16,7 +17,9 @@ from repro.problems import (
     three_coloring_program,
 )
 from repro.problems.three_coloring import prepare_decomposition
+from repro.problems.k_coloring import k_coloring_direct
 from repro.structures import Graph
+from repro.treewidth import RootedTree, TreeDecomposition
 
 from ..conftest import small_graphs
 
@@ -116,6 +119,29 @@ class TestProgramShape:
         for node, chosen in encoded.relation("allowed"):
             for u in chosen:
                 assert not any(v in chosen for v in g.neighbors(u))
+
+    @pytest.mark.parametrize(
+        "bags, message",
+        [
+            ({0: {0, 1, 2}}, "never covered"),
+            ({0: {0, 1, 2}, 1: {2, 3}}, r"edge \(3, 0\)|edge \(0, 3\)"),
+            ({0: {0, 1, 3}, 1: {1, 2}, 2: {2, 3}}, "connectedness"),
+        ],
+    )
+    def test_an_invalid_decomposition_raises(self, bags, message):
+        """Every route checks the Section 2.2 axioms of a supplied
+        decomposition, once, on its nice form."""
+        tree = RootedTree()  # a star: every other node under node 0
+        for _ in range(len(bags) - 1):
+            tree.add_child(tree.root)
+        td = TreeDecomposition(tree, bags)
+        for decide in (
+            ThreeColoringDatalog().decide,
+            lambda g, td: three_coloring_direct(g, td)[0],
+            lambda g, td: k_coloring_direct(g, 3, td)[0],
+        ):
+            with pytest.raises(InvalidDecomposition, match=message):
+                decide(Graph.cycle(4), td)
 
     def test_decomposition_respected_when_supplied(self):
         from repro.problems import random_partial_ktree

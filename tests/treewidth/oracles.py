@@ -1,18 +1,20 @@
-"""Scan-based reference implementations of the treewidth front end.
+"""Reference implementations of the treewidth front end.
 
-These are the straightforward quadratic forms that the heap-ordered
-elimination and the occurrence-indexed axiom check replaced: a ``min``
-over all remaining vertices per elimination step, and a scan over every
-bag per element and per tuple.  They define what the fast versions must
+These are the straightforward forms that the fast front end replaced:
+a ``min`` over all remaining vertices per elimination step, a scan over
+every bag per element and per tuple, and the staged construction of
+the Section 5 normal form.  They define what the fast versions must
 reproduce exactly -- the same elimination orders, the same Gaifman
-edge orientations, and the same violation lists (codes, messages,
-subjects, order).
+edge orientations, the same violation lists (codes, messages,
+subjects, order) and the same nice trees.
 """
 
 from __future__ import annotations
 
 from repro.errors import Violation
+from repro.treewidth import NiceTreeDecomposition, TreeDecomposition
 from repro.treewidth.heuristics import _neighbor_sets
+from repro.treewidth.normalize import binarize, equalize_branches
 
 
 def greedy_order(graph, cost):
@@ -167,3 +169,76 @@ def structure_violations(td, structure):
                     )
                 )
     return violations + _connectedness(td)
+
+
+def staged_make_nice(td, removal_key=None, introduction_key=None):
+    """``make_nice`` as four staged passes, each building a whole new
+    decomposition: contract unary equal-bag edges, binarize, put
+    equal-bag nodes above differing branch children, interpolate the
+    unary edges."""
+    removal_key = removal_key or (lambda e: 0)
+    introduction_key = introduction_key or (lambda e: 0)
+    staged = _interpolate(
+        equalize_branches(binarize(_contract_copy_edges(td))),
+        removal_key,
+        introduction_key,
+    )
+    nice = NiceTreeDecomposition(staged.tree, staged.bags)
+    assert nice.width == td.width
+    nice.validate()
+    return nice
+
+
+def _contract_copy_edges(td):
+    """Merge unary equal-bag edges left over from the input decomposition."""
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    changed = True
+    while changed:
+        changed = False
+        for node in list(tree.nodes()):
+            children = tree.children(node)
+            if len(children) == 1 and bags[children[0]] == bags[node]:
+                (child,) = children
+                grandchildren = tree.children(child)
+                tree._children[node] = list(grandchildren)
+                for g in grandchildren:
+                    tree._parent[g] = node
+                del tree._children[child]
+                del tree._parent[child]
+                del bags[child]
+                changed = True
+                break
+    return TreeDecomposition(tree, bags)
+
+
+def _interpolate(td, removal_key, introduction_key):
+    """Expand each unary edge into single-element removal/introduction
+    steps: bottom-up, the child's extra elements are removed by
+    ``(removal_key, repr)``, then the parent's are introduced by
+    ``(introduction_key, repr)``."""
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    for node in list(tree.nodes()):
+        for child in list(tree.children(node)):
+            if len(tree.children(node)) == 2:
+                continue  # branch edges are already equal-bag
+            removals = sorted(
+                bags[child] - bags[node], key=lambda e: (removal_key(e), repr(e))
+            )
+            introductions = sorted(
+                bags[node] - bags[child],
+                key=lambda e: (introduction_key(e), repr(e)),
+            )
+            steps = len(removals) + len(introductions)
+            if steps <= 1:
+                continue
+            chain = tree.insert_chain_above(child, steps - 1)
+            current = bags[child]
+            bottom_up = list(reversed(chain))
+            for i, v in enumerate(removals + introductions):
+                current = current - {v} if i < len(removals) else current | {v}
+                if i < len(bottom_up):
+                    bags[bottom_up[i]] = current
+            assert current == bags[node]
+    return TreeDecomposition(tree, bags)

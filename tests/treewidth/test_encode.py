@@ -22,6 +22,7 @@ from repro.treewidth import (
     NormalizedTreeDecomposition,
     RootedTree,
     TDNode,
+    TreeDecomposition,
     decompose_graph,
     decompose_structure,
     decompose_within,
@@ -328,13 +329,36 @@ class TestLoadNice:
             assert buckets[0] == buckets[1], predicate
         assert loaded.index_stats.builds == 0
 
+    def test_a_bag_that_is_an_allowed_subset_keeps_one_id(self):
+        """On the path a - c - b the nice node between the bags {a, c}
+        and {c, b} has the bag {c}, which is also an ``allowed`` subset
+        of both: as a ``bag`` payload and as an ``allowed`` value it is
+        one element of ``A_td``, so it gets one id."""
+        graph = Graph(vertices="acb", edges=[("a", "c"), ("c", "b")])
+        tree = RootedTree()
+        tree.add_child(tree.root)
+        nice = make_nice(
+            TreeDecomposition(tree, {0: {"a", "c"}, 1: {"c", "b"}})
+        )
+        assert sorted(map(sorted, nice.bags.values())) == [
+            ["a", "c"], ["b", "c"], ["c"]
+        ]
+        loaded = load_for_three_coloring(graph, nice)
+        assert_same_database(
+            loaded, SetDatabase.from_edb(encode_for_three_coloring(graph, nice))
+        )
+        c = loaded.interner.id_of(frozenset("c"))
+        (node,) = [n for n, bag in nice.bags.items() if bag == {"c"}]
+        assert loaded.decode_relation("bag") >= {(TDNode(node), frozenset("c"))}
+        assert sum(row[1] == c for row in loaded.relation("allowed")) == 3
+
     def test_extra_facts_of_a_node(self):
         g = Graph.path(3)
         nice = make_nice(decompose_graph(g))
         loaded = load_nice(
             graph_to_structure(g),
             nice,
-            extra=lambda node: [("size", (len(nice.bag(node)),))] * 2,
+            extra=lambda bag: [("size", (len(bag),))] * 2,
         )
         assert loaded.decode_relation("size") == {
             (TDNode(node), len(bag)) for node, bag in nice.bags.items()
@@ -345,13 +369,13 @@ class TestLoadNice:
         nice = make_nice(decompose_graph(g))
         with pytest.raises(ValueError, match="'bag' is already"):
             load_nice(
-                graph_to_structure(g), nice, extra=lambda node: [("bag", (1,))]
+                graph_to_structure(g), nice, extra=lambda bag: [("bag", (1,))]
             )
         with pytest.raises(ValueError, match="mixes arities"):
             load_nice(
                 graph_to_structure(g),
                 nice,
-                extra=lambda node: [("tag", ()), ("tag", (node,))],
+                extra=lambda bag: [("tag", ()), ("tag", (bag,))],
             )
 
     def test_payload_arity_must_be_fixed(self):

@@ -1,24 +1,29 @@
 """The linear front end against its scan-based oracles.
 
 The heap-ordered elimination must pick exactly the vertex the ``min``
-scan picked at every step, and the occurrence-indexed axiom check must
+scan picked at every step, the occurrence-indexed axiom check must
 report exactly the violations the per-bag scans reported -- on valid
 decompositions and on each kind of corruption the admission layer
-verifies.  The oracles live in :mod:`tests.treewidth.oracles`.
+verifies -- and the one-pass ``make_nice`` must build the tree the
+staged passes built.  The oracles live in :mod:`tests.treewidth.oracles`.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.problems import random_partial_ktree
+from repro.problems import random_partial_ktree, random_schema
+from repro.problems.primality import _schema_sort_keys
 from repro.structures import Graph, Signature, Structure, graph_to_structure
 from repro.structures.graphs import gaifman_graph, subgraph
 from repro.treewidth import (
+    RootedTree,
     TreeDecomposition,
     decompose_structure,
+    make_nice,
     min_degree_order,
     min_fill_order,
 )
@@ -201,3 +206,110 @@ class TestAxiomCheck:
         assert "connectedness" in codes["disconnected"]
         assert "tuple-uncovered" in codes["edge"]
         assert "tuple-uncovered" in codes["triple"]
+
+
+# ----------------------------------------------------------------------
+# make_nice: one pass against the staged passes
+# ----------------------------------------------------------------------
+
+
+def _reshape(td, rng, moves):
+    """``td`` with ``moves`` random validity-preserving edits: a leaf
+    carrying a subset of its parent's bag (so nodes get three or more
+    children, and branch children with differing bags), or an
+    equal-bag node inserted above a node or above the root (unary
+    equal-bag chains, and an equal-bag root chain)."""
+    tree, bags = td.tree.copy(), dict(td.bags)
+    for _ in range(moves):
+        move = rng.choice(("leaf", "leaf", "copy", "root"))
+        if move == "root":
+            node = tree.root
+        else:
+            node = rng.choice(sorted(bags))
+        if move == "leaf":
+            bag = sorted(bags[node], key=repr)
+            leaf = tree.add_child(node)
+            bags[leaf] = frozenset(rng.sample(bag, rng.randint(0, len(bag))))
+        else:
+            bags[tree.insert_above(node)] = bags[node]
+    return TreeDecomposition(tree, bags)
+
+
+def _shape(nice, node=None):
+    """The ordered tree of (kind, bag) labels below ``node``."""
+    node = nice.tree.root if node is None else node
+    return (
+        nice.node_kind(node),
+        nice.bag(node),
+        tuple(_shape(nice, child) for child in nice.tree.children(node)),
+    )
+
+
+def assert_same_nice_form(td, structure, removal_key=None, introduction_key=None):
+    """The one pass equals the staged passes: node count, multiset and
+    ordered tree of (kind, bag), width; both pass the shape and the
+    Section 2.2 axiom checks."""
+    one = make_nice(td, removal_key, introduction_key)
+    staged = oracles.staged_make_nice(td, removal_key, introduction_key)
+    for nice in (one, staged):
+        nice.validate(structure)
+    assert one.node_count() == staged.node_count()
+    assert one.width == staged.width == td.width
+    labels = [
+        Counter((nice.node_kind(n), nice.bag(n)) for n in nice.tree.nodes())
+        for nice in (one, staged)
+    ]
+    assert labels[0] == labels[1]
+    assert _shape(one) == _shape(staged)
+
+
+class TestOnePassNiceForm:
+    @settings(max_examples=150)
+    @given(labelled_graphs(), st.integers(0, 2**16), st.integers(0, 8))
+    def test_reshaped_decompositions_match_the_staged_passes(
+        self, graph, seed, moves
+    ):
+        structure = graph_to_structure(graph)
+        if not graph.vertices:
+            return
+        td = _reshape(decompose_structure(structure), random.Random(seed), moves)
+        assert_same_nice_form(td, structure)
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(2, 7),
+        st.integers(1, 6),
+        st.integers(0, 6),
+    )
+    def test_primality_keys_match_the_staged_passes(
+        self, seed, attributes, fds, moves
+    ):
+        rng = random.Random(seed)
+        schema = random_schema(rng, attributes, fds)
+        structure = schema.to_structure()
+        td = _reshape(decompose_structure(structure), rng, moves)
+        assert_same_nice_form(td, structure, *_schema_sort_keys(schema))
+
+    def test_hand_built_fan_out_and_equal_bag_chains(self):
+        """A root chain of three equal bags over a node with five
+        children: two equal to it (one of them a unary equal-bag chain
+        over a leaf that differs by two elements), three differing."""
+        s = Structure(
+            MIXED, range(6), {"E": [(0, 1), (1, 2), (0, 3), (4, 5)], "T": []}
+        )
+        tree = RootedTree()
+        bags = {0: {0, 1}}
+        top = 0
+        for _ in range(2):
+            top = tree.add_child(top)
+            bags[top] = {0, 1}
+        for bag in ({0, 1, 2}, {0, 1}, {1}, {0, 3}, {0, 1}):
+            bags[tree.add_child(top)] = bag
+        equal = tree.children(top)[4]
+        bags[tree.add_child(equal)] = {0, 1}
+        chain_end = tree.children(equal)[0]
+        bags[tree.add_child(chain_end)] = {1, 4, 5}
+        td = TreeDecomposition(tree, bags)
+        td.validate_for_structure(s)
+        assert_same_nice_form(td, s)
+        assert make_nice(td).node_count() == 16
