@@ -84,7 +84,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ..datalog.ast import Atom, Literal, Program, Rule, Variable, pos
+from ..datalog.ast import Atom, Literal, Program, Rule, Variable, neg, pos
 from ..datalog.guards import td_key_dependencies
 from ..datalog.passes import DEFAULT_PASSES, normalize_passes
 from ..mso.eval import evaluate
@@ -644,8 +644,14 @@ class MSOToDatalogCompiler:
                 yield ("base", "down", cls[i], edb)
 
         # permutation nodes: the node's bag is a reordering of the
-        # neighbour's (child below for Θ↑, parent above for Θ↓)
+        # neighbour's (child below for Θ↑, parent above for Θ↓); a
+        # normalized decomposition has no identity-permutation node, so
+        # the identity emits no rule (it would fire at a branch node
+        # through child1 and give it a second class)
+        identity = self._canon_bag
         for (i, perm), j in self._perm.items():
+            if perm == identity:
+                continue
             yield ("perm", "up", cls[j], cls[i], perm)
             if unary:
                 yield ("perm", "down", cls[j], cls[i], perm)
@@ -732,6 +738,8 @@ class MSOToDatalogCompiler:
         if kind == "repl":
             _, _, _, body, edb = key
             neighbour_bag = (Variable("Xold0"),) + bag_vars[1:]
+            # the guard keeps the rule off equal-bag edges (Xold0 = X0):
+            # a branch node and its child1 carry the same tuple
             return Rule(
                 Atom(f"{direction}{head}", (v,)),
                 (
@@ -739,6 +747,7 @@ class MSOToDatalogCompiler:
                     step,
                     pos(f"{direction}{body}", vc),
                     pos("bag", vc, *neighbour_bag),
+                    neg("bag", vc, *bag_vars),
                     *self._edb_literals(edb),
                 ),
             )
@@ -790,7 +799,8 @@ class MSOToDatalogCompiler:
         each fix one variable tuple.  Conversely the rule determines its
         key: the kind and direction show in the body's shape (the
         ``leaf``/``root`` guard, the ``child1`` argument order, a
-        ``child2`` literal, the ``Xold0`` neighbour bag, the ``phi``
+        ``child2`` literal, the ``Xold0`` neighbour bag with its
+        ``not bag(Vc, X0, ..., Xw)`` guard, the ``phi``
         head, the ``V1``/``V2`` head variable), the class ids in the
         predicate names, the EDB set in the literal signs, the
         permutation in the node's bag (distinct variables) and the

@@ -28,7 +28,6 @@ from .normalize import (
     NormalizedNodeKind,
     NormalizedTreeDecomposition,
     normalize,
-    pad_bags_to_full_size,
     widen,
 )
 from .encode import (
@@ -62,7 +61,6 @@ __all__ = [
     "min_degree_order",
     "min_fill_order",
     "normalize",
-    "pad_bags_to_full_size",
     "refinement_violations",
     "validate_refinement",
     "widen",

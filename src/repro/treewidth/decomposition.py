@@ -76,13 +76,6 @@ class RootedTree:
             self._parent[fresh] = parent
         return fresh
 
-    def insert_chain_above(self, node: NodeId, length: int) -> list[NodeId]:
-        """Insert ``length`` fresh nodes between ``node`` and its parent.
-
-        Returned top-down: the first entry is closest to the old parent.
-        """
-        return [self.insert_above(node) for _ in range(length)]
-
     # -- queries ----------------------------------------------------------
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
@@ -170,7 +163,10 @@ class TreeDecomposition:
 
     ``bags[t]`` is a frozenset of domain elements.  Tuple-bag
     (Definition 2.3) and nice (Section 5) refinements live in
-    :mod:`repro.treewidth.normalize` and :mod:`repro.treewidth.nice`.
+    :mod:`repro.treewidth.normalize` and :mod:`repro.treewidth.nice`;
+    both are subclasses, and the Definition 2.3 one keeps its bags as
+    tuples.  The axiom checks need of a bag only ``in`` and iteration,
+    so they run on either kind.
     """
 
     __slots__ = ("tree", "bags")
@@ -198,7 +194,7 @@ class TreeDecomposition:
     def all_elements(self) -> frozenset[Element]:
         out: set[Element] = set()
         for bag in self.bags.values():
-            out |= bag
+            out.update(bag)
         return frozenset(out)
 
     def copy(self) -> "TreeDecomposition":
@@ -343,7 +339,7 @@ class TreeDecomposition:
         """Elements occurring in the bags of T_t (the subtree at ``node``)."""
         out: set[Element] = set()
         for n in self.tree.subtree_nodes(node):
-            out |= self.bags[n]
+            out.update(self.bags[n])
         return frozenset(out)
 
     def envelope_elements(self, node: NodeId) -> frozenset[Element]:
@@ -356,7 +352,7 @@ class TreeDecomposition:
         out: set[Element] = set()
         for n in self.tree.nodes():
             if n not in inside:
-                out |= self.bags[n]
+                out.update(self.bags[n])
         return frozenset(out)
 
     def induced_substructure(self, structure: Structure, node: NodeId) -> Structure:
@@ -489,4 +485,4 @@ def validate_refinement(
     if violations:
         raise InvalidDecomposition.from_violations(violations)
     if structure is not None:
-        dec.as_set_decomposition().validate_for_structure(structure)
+        dec.validate_for_structure(structure)

@@ -31,7 +31,6 @@ distinct bag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -43,11 +42,24 @@ from .nice import NiceTreeDecomposition
 from .normalize import NormalizedTreeDecomposition
 
 
-@dataclass(frozen=True, order=True)
 class TDNode:
-    """A tree-decomposition node as a domain element of ``A_td``."""
+    """A tree-decomposition node as a domain element of ``A_td``: equal
+    only to a ``TDNode`` of the same index.  A plain slotted class, since
+    a solve creates one per node."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is TDNode and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"TDNode(index={self.index})"
 
     def __str__(self) -> str:
         return f"s{self.index}"
@@ -126,7 +138,7 @@ def load_normalized(
     elements = list(structure.domain)
     element_id = dict(zip(elements, range(len(elements))))
     tree = ntd.tree
-    tuples = ntd.tuples
+    tuples = ntd.bags
     node_id = dict(
         zip(tuples, range(len(elements), len(elements) + len(tuples)))
     )

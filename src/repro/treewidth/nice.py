@@ -101,9 +101,7 @@ class NiceTreeDecomposition(TreeDecomposition):
     def validate(self, structure: Structure | None = None) -> None:
         """The normal-form shape, then, given ``structure``, the
         Section 2.2 axioms against it."""
-        validate_refinement(self)
-        if structure is not None:
-            self.validate_for_structure(structure)
+        validate_refinement(self, structure)
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,20 @@ Section 4:
 1. bags are *tuples* of exactly ``w + 1`` pairwise distinct elements;
 2. every internal node has 1 or 2 children;
 3. a node with one child is a *permutation node* (child bag is a
-   permutation of the parent's) or an *element replacement node* (child
-   bag replaces the parent's position-0 element);
+   permutation of the parent's other than the same tuple) or an
+   *element replacement node* (child bag replaces the parent's
+   position-0 element);
 4. a node with two children is a *branch node* and both children carry
    the parent's bag verbatim.
 
-:func:`normalize` implements the five-step linear-time transformation of
-Proposition 2.4 (padding, binarization, branch equalization,
-interpolation, tuple assignment) and preserves the width exactly.
+A one-child node whose tuple equals its child's fits neither unary
+kind: no Theorem 4.5 rule fires at it, so it would derive no type, and
+the shape check rejects it.
+
+:func:`normalize` builds the form in one top-down walk over the input
+decomposition (the linear-time construction of Proposition 2.4),
+writing each normalized node once: no intermediate decompositions,
+tree copies or bag rebuilds.  It preserves the width exactly.
 """
 
 from __future__ import annotations
@@ -38,49 +44,44 @@ class NormalizedNodeKind(Enum):
     BRANCH = "branch"
 
 
-class NormalizedTreeDecomposition:
-    """A Definition 2.3 normal-form decomposition with tuple bags."""
+class NormalizedTreeDecomposition(TreeDecomposition):
+    """A Definition 2.3 normal-form decomposition with tuple bags.
 
-    __slots__ = ("tree", "tuples")
+    It is a :class:`TreeDecomposition` whose ``bags`` are the tuples,
+    so the Section 2.2 axiom checks run on them in place; ``copy`` and
+    ``rerooted`` give a plain set-bag decomposition."""
+
+    __slots__ = ()
 
     def __init__(
         self, tree: RootedTree, tuples: Mapping[NodeId, tuple[Element, ...]]
     ):
         self.tree = tree
-        self.tuples = {n: tuple(tuples[n]) for n in tree.nodes()}
-        widths = {len(t) for t in self.tuples.values()}
+        self.bags = {n: tuple(tuples[n]) for n in tree.nodes()}
+        widths = {len(t) for t in self.bags.values()}
         if len(widths) > 1:
             raise ValueError(f"bags have mixed sizes {sorted(widths)}")
 
-    @property
-    def width(self) -> int:
-        return len(next(iter(self.tuples.values()))) - 1
-
     def bag(self, node: NodeId) -> tuple[Element, ...]:
-        return self.tuples[node]
-
-    def node_count(self) -> int:
-        return self.tree.node_count()
-
-    def as_set_decomposition(self) -> TreeDecomposition:
-        return TreeDecomposition(
-            self.tree.copy(), {n: frozenset(t) for n, t in self.tuples.items()}
-        )
+        return self.bags[node]
 
     def node_kind(self, node: NodeId) -> NormalizedNodeKind:
         """Classify ``node`` per Definition 2.3 (raises if malformed)."""
         children = self.tree.children(node)
         if len(children) == 0:
             return NormalizedNodeKind.LEAF
+        here = self.bags[node]
         if len(children) == 2:
-            here = self.tuples[node]
-            if any(self.tuples[c] != here for c in children):
+            if any(self.bags[c] != here for c in children):
                 raise ValueError(f"branch node {node} has non-identical children")
             return NormalizedNodeKind.BRANCH
         if len(children) != 1:
             raise ValueError(f"node {node} has {len(children)} children")
-        here = self.tuples[node]
-        child = self.tuples[children[0]]
+        child = self.bags[children[0]]
+        if child == here:
+            raise ValueError(
+                f"node {node} has one child with the same tuple {here}"
+            )
         if set(child) == set(here):
             return NormalizedNodeKind.PERMUTATION
         if child[1:] == here[1:] and child[0] != here[0]:
@@ -92,43 +93,42 @@ class NormalizedTreeDecomposition:
 
     def permutation_of(self, node: NodeId) -> tuple[int, ...]:
         """For a permutation node: pi with child_bag[i] == bag[pi[i]]."""
-        here = self.tuples[node]
+        here = self.bags[node]
         (child,) = self.tree.children(node)
-        child_bag = self.tuples[child]
+        child_bag = self.bags[child]
         position = {x: i for i, x in enumerate(here)}
         return tuple(position[x] for x in child_bag)
 
     def validate(self, structure: Structure | None = None) -> None:
-        """Check Definition 2.3 plus (optionally) the TD axioms."""
+        """The Definition 2.3 shape, then, given ``structure``, the
+        Section 2.2 axioms against it, on the tuple bags."""
         distinctness = [
             Violation(
                 "bag-repeats-elements",
                 f"bag of {node} repeats elements: {bag}",
                 subject=(node,),
             )
-            for node, bag in self.tuples.items()
+            for node, bag in self.bags.items()
             if len(set(bag)) != len(bag)
         ]
         validate_refinement(self, structure, extra=distinctness)
 
-    def __repr__(self) -> str:
-        return (
-            f"NormalizedTreeDecomposition(nodes={self.node_count()}, "
-            f"width={self.width})"
-        )
-
 
 # ----------------------------------------------------------------------
-# Proposition 2.4: the normalization pipeline
+# Proposition 2.4
 # ----------------------------------------------------------------------
 
 
 def widen(td: TreeDecomposition, width: int) -> TreeDecomposition:
-    """Grow a decomposition of smaller width to exactly ``width``.
+    """Grow every bag of a decomposition of width at most ``width`` to
+    exactly ``width + 1`` elements.
 
-    Repeatedly borrows one element from an adjacent bag (which preserves
-    connectedness) until some bag has ``width + 1`` elements; the
-    pad-sweep then fills the rest.  Raises if the decomposition covers
+    Sweeps repeat until every bag is full: in preorder, a short bag
+    borrows the elements it lacks from each neighbour in turn, by
+    ``repr``, which keeps the connectedness condition (a borrowed
+    element's occurrences gain an adjacent node).  While a bag is
+    short, some short bag has a neighbour holding an element it lacks,
+    unless all bags are equal.  Raises if the decomposition covers
     fewer than ``width + 1`` elements (the paper's "w.l.o.g. the domain
     has at least w + 1 elements").
     """
@@ -138,171 +138,117 @@ def widen(td: TreeDecomposition, width: int) -> TreeDecomposition:
         raise ValueError(
             f"cannot widen to {width}: only {len(td.all_elements())} elements"
         )
-    td = td.copy()
+    tree = td.tree
     bags = dict(td.bags)
-    target = width + 1
-
-    def grow_once() -> None:
-        for node in td.tree.preorder():
-            neighbors = list(td.tree.children(node))
-            parent = td.tree.parent(node)
-            if parent is not None:
-                neighbors.append(parent)
-            for nbr in neighbors:
-                surplus = sorted(bags[nbr] - bags[node], key=repr)
-                if surplus:
-                    bags[node] = bags[node] | {surplus[0]}
-                    return
-        raise ValueError("cannot widen: all bags already equal")
-
-    while max(len(b) for b in bags.values()) < target:
-        grow_once()
-    return pad_bags_to_full_size(TreeDecomposition(td.tree, bags), width)
-
-
-def pad_bags_to_full_size(
-    td: TreeDecomposition, width: int | None = None
-) -> TreeDecomposition:
-    """Step (1): grow every bag to ``w + 1`` elements.
-
-    Elements are borrowed from adjacent larger bags, which preserves the
-    connectedness condition (the borrowed element's subtree gains an
-    adjacent node).  At least one bag is full by the definition of
-    width, so repeated sweeps terminate.
-    """
-    td = td.copy()
-    target = (width if width is not None else td.width) + 1
-    bags = dict(td.bags)
-    changed = True
-    while changed:
-        changed = False
-        for node in td.tree.preorder():
-            neighbors = list(td.tree.children(node))
-            parent = td.tree.parent(node)
-            if parent is not None:
-                neighbors.append(parent)
-            for nbr in neighbors:
-                need = target - len(bags[nbr])
-                if need <= 0:
-                    continue
-                surplus = sorted(bags[node] - bags[nbr], key=repr)[:need]
-                if surplus:
-                    bags[nbr] = bags[nbr] | frozenset(surplus)
-                    changed = True
-    short = [n for n, b in bags.items() if len(b) != target]
-    if short:
-        raise ValueError(f"could not pad bags of nodes {short}")
-    return TreeDecomposition(td.tree, bags)
-
-
-def binarize(td: TreeDecomposition) -> TreeDecomposition:
-    """Step (2): give every node at most two children by inserting copies."""
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    for node in list(tree.nodes()):
-        while len(tree.children(node)) > 2:
-            children = list(tree.children(node))
-            keep, spill = children[0], children[1:]
-            copy = tree.fresh_node()
-            bags[copy] = bags[node]
-            # splice: node keeps [keep, copy]; copy adopts the spill.
-            tree._children[node] = [keep, copy]
-            tree._children[copy] = spill
-            tree._parent[copy] = node
-            for child in spill:
-                tree._parent[child] = copy
-            node = copy  # continue splitting the spill if still > 2
-    return TreeDecomposition(tree, bags)
-
-
-def equalize_branches(td: TreeDecomposition) -> TreeDecomposition:
-    """Step (3): children of a 2-child node get bags identical to it."""
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    for node in list(tree.nodes()):
-        if len(tree.children(node)) != 2:
-            continue
-        for child in list(tree.children(node)):
-            if bags[child] != bags[node]:
-                mid = tree.insert_above(child)
-                bags[mid] = bags[node]
-    return TreeDecomposition(tree, bags)
-
-
-def interpolate_edges(td: TreeDecomposition) -> TreeDecomposition:
-    """Steps (4)+(5a): adjacent bags differ by at most one swap.
-
-    For a parent/child pair of full bags with symmetric difference of
-    size ``2d`` we insert ``d - 1`` interpolation nodes so that every
-    consecutive pair exchanges exactly one element.
-    """
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    for node in list(tree.nodes()):
-        for child in list(tree.children(node)):
-            outs = sorted(bags[node] - bags[child], key=repr)
-            ins = sorted(bags[child] - bags[node], key=repr)
-            if len(outs) != len(ins):
-                raise ValueError("bags must be padded before interpolation")
-            d = len(outs)
-            if d <= 1:
-                continue
-            chain = tree.insert_chain_above(child, d - 1)
-            current = bags[node]
-            for i, mid in enumerate(chain):
-                current = (current - {outs[i]}) | {ins[i]}
-                bags[mid] = current
-    return TreeDecomposition(tree, bags)
-
-
-def assign_tuples(td: TreeDecomposition) -> NormalizedTreeDecomposition:
-    """Step (5b): orient the set bags into Definition 2.3 tuples.
-
-    Walks top-down.  An edge whose bags swap ``p`` (out) for ``q`` (in)
-    becomes: permutation node bringing ``p`` to position 0, followed by
-    the replacement putting ``q`` at position 0.
-    """
-    tree = td.tree.copy()
-    bags = dict(td.bags)
-    tuples: dict[NodeId, tuple[Element, ...]] = {}
-    root = tree.root
-    tuples[root] = tuple(sorted(bags[root], key=repr))
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        here = tuples[node]
-        for child in list(tree.children(node)):
-            child_set = bags[child]
-            if child_set == frozenset(here):
-                tuples[child] = here
-            else:
-                (p,) = frozenset(here) - child_set
-                (q,) = child_set - frozenset(here)
-                if here[0] == p:
-                    tuples[child] = (q,) + here[1:]
-                else:
-                    fronted = (p,) + tuple(x for x in here if x != p)
-                    mid = tree.insert_above(child)
-                    bags[mid] = frozenset(fronted)
-                    tuples[mid] = fronted
-                    tuples[child] = (q,) + fronted[1:]
-            stack.append(child)
-    return NormalizedTreeDecomposition(tree, tuples)
+    while any(len(bag) <= width for bag in bags.values()):
+        for node in tree.preorder():
+            neighbours = list(tree.children(node))
+            if tree.parent(node) is not None:
+                neighbours.append(tree.parent(node))
+            for nbr in neighbours:
+                lack = sorted(bags[nbr] - bags[node], key=repr)
+                bags[node] |= frozenset(lack[: width + 1 - len(bags[node])])
+    return TreeDecomposition(tree.copy(), bags)
 
 
 def normalize(td: TreeDecomposition) -> NormalizedTreeDecomposition:
-    """Full Proposition 2.4 pipeline; width is preserved exactly.
+    """Convert any valid decomposition into the Definition 2.3 form.
 
-    The input must be a valid tree decomposition (of anything); the
-    output satisfies Definition 2.3 and decomposes the same structure.
+    One top-down walk over ``td`` builds the normalized tree directly,
+    writing each node once.  It starts at ``td``'s root; if the root bag
+    is short, the bags on the path up to it from the first full bag in
+    preorder are padded first, each from the one below.  The root tuple
+    is the root bag sorted by ``repr``.  At each node, with its tuple
+    fixed, the walk
+
+    * merges into the node each child whose bag lies inside the node's
+      (that child's children take its place), so unary equal-bag chains
+      collapse;
+    * splits more than two children into a chain of equal-tuple branch
+      copies: the node keeps its first child and a copy, the copy the
+      second child and the next copy, and so on; each child hangs below
+      an equal-tuple branch child;
+    * pads a short child's bag to ``w + 1`` elements, first from its
+      own children's bags (by ``repr``), then from the end of the
+      node's tuple;
+    * writes each differing edge as single-element swaps, the outgoing
+      elements in tuple order and the incoming ones by ``repr``: an
+      element not at position 0 is brought there by a permutation node,
+      then replaced.
+
+    Padding borrows elements of an adjacent bag, which keeps the
+    connectedness condition.  The output decomposes whatever ``td``
+    decomposes, has the same width (asserted), and has no one-child
+    node whose tuple equals its child's.  The input must be a valid
+    tree decomposition.
     """
-    before = td.width
-    staged = interpolate_edges(
-        equalize_branches(binarize(pad_bags_to_full_size(td)))
-    )
-    result = assign_tuples(staged)
-    if result.width != before:
+    width = td.width
+    full = width + 1
+    children, parent, root = td.tree.children, td.tree.parent, td.tree.root
+    source = td.bags
+    node = next(n for n in td.tree.preorder() if len(source[n]) == full)
+    if node != root:
+        source = dict(source)
+        while node != root:
+            node, below = parent(node), source[node]
+            lack = sorted(below - source[node], key=repr)
+            source[node] = source[node].union(lack[: full - len(source[node])])
+    tree = RootedTree()
+    add_child = tree.add_child
+    tuples = {tree.root: tuple(sorted(source[root], key=repr))}
+    stack = [(root, tree.root, source[root])]  # input node, output node, bag
+
+    def swap_down(top: NodeId, node: NodeId) -> None:
+        """Hang ``node`` below ``top`` through permutation and
+        replacement nodes, padding its bag first."""
+        upper = tuples[top]
+        lower = source[node]
+        for kid in children(node) if len(lower) < full else ():
+            lack = sorted(source[kid] - lower, key=repr)
+            lower = lower.union(lack[: full - len(lower)])
+        outs = [x for x in upper if x not in lower]
+        kept = len(outs) - (full - len(lower))  # the rest pad ``lower``
+        if kept < len(outs):
+            lower = lower.union(outs[kept:])
+            del outs[kept:]
+        ins = [x for x in lower if x not in upper]
+        if len(ins) > 1:
+            ins.sort(key=repr)
+        current = upper
+        for out, into in zip(outs, ins):
+            if current[0] != out:
+                current = (out,) + tuple(x for x in current if x != out)
+                top = add_child(top)
+                tuples[top] = current
+            current = (into,) + current[1:]
+            top = add_child(top)
+            tuples[top] = current
+        stack.append((node, top, lower))
+
+    while stack:
+        node, here, bag = stack.pop()
+        kids = []
+        merged = [node]
+        while merged:
+            for kid in children(merged.pop()):
+                (merged if source[kid] <= bag else kids).append(kid)
+        if len(kids) == 1:
+            swap_down(here, kids[0])
+            continue
+        tup = tuples[here]
+        while len(kids) > 2:
+            child = add_child(here)
+            tuples[child] = tup
+            swap_down(child, kids.pop(0))
+            here = add_child(here)
+            tuples[here] = tup
+        for kid in kids:  # none at a leaf, else two
+            child = add_child(here)
+            tuples[child] = tup
+            swap_down(child, kid)
+    result = NormalizedTreeDecomposition(tree, tuples)
+    if result.width != width:
         raise AssertionError(
-            f"normalization changed the width: {before} -> {result.width}"
+            f"normalization changed the width: {width} -> {result.width}"
         )
     return result

@@ -240,28 +240,53 @@ def deleted_ladders(seed=7, count=300, deleted=0.10):
 
 
 @functools.lru_cache(maxsize=None)
-def has_neighbor_solver(width: int):
-    """The compiled ``has_neighbor`` solver -- width 1 over undirected
-    graphs, width 2 over the grid class -- compiled once per session
-    (the width-2 compile takes seconds).  Read-only: tests that change
+def graph_query_compile(name: str, width: int):
+    """The ``formulas.<name>("x")`` query compiled once per session --
+    width 1 over undirected graphs, width 2 over the grid class (the
+    width-2 compile takes seconds) -- as ``(solver, witnesses)``: the
+    ``CourcelleSolver`` and the canonical witness structure of every
+    type in the compiler's ``TypeTable``.  Read-only: tests that change
     a solver build their own."""
+    from unittest import mock
+
+    import repro.core.solver as solver_module
     from repro.core import (
         CourcelleSolver,
+        MSOToDatalogCompiler,
         grid_graph_filter,
         undirected_graph_filter,
     )
     from repro.mso import formulas
     from repro.structures import GRAPH_SIGNATURE
 
-    return CourcelleSolver(
-        formulas.has_neighbor("x"),
+    formula = getattr(formulas, name)("x")
+    structure_filter = grid_graph_filter if width == 2 else undirected_graph_filter
+    compiler = MSOToDatalogCompiler(
+        formula,
         GRAPH_SIGNATURE,
-        width=width,
+        width,
         free_var="x",
-        structure_filter=(
-            grid_graph_filter if width == 2 else undirected_graph_filter
-        ),
+        structure_filter=structure_filter,
     )
+    compiled = compiler.compile()
+    # the solver's own compile would rebuild the same program; hand it
+    # this one, so the type table it came from is the witnesses'
+    with mock.patch.object(
+        solver_module, "compile_unary_query", lambda *args, **kwargs: compiled
+    ):
+        solver = CourcelleSolver(
+            formula,
+            GRAPH_SIGNATURE,
+            width=width,
+            free_var="x",
+            structure_filter=structure_filter,
+        )
+    return solver, tuple(entry.structure for entry in compiler._table)
+
+
+def has_neighbor_solver(width: int):
+    """The compiled ``has_neighbor`` solver of :func:`graph_query_compile`."""
+    return graph_query_compile("has_neighbor", width)[0]
 
 
 @pytest.fixture

@@ -77,16 +77,6 @@ class TestIsolatedQuery:
         s = graph_to_structure(g)
         assert isolated_solver.query(s) == frozenset({2, 3})
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "known silent wrong answer (ROADMAP): single-child rules "
-            "also fire at branch nodes through child1 via the "
-            "identity-permutation rules, and replacement rules fire "
-            "when Xold0 = X0, so one node derives several classes; "
-            "the query returns {2, 3}"
-        ),
-    )
     def test_isolated_next_to_a_path(self):
         isolated_solver = CourcelleSolver(
             formulas.isolated("x"),
@@ -100,6 +90,56 @@ class TestIsolatedQuery:
         want = query(s, formulas.isolated("x"), "x")
         assert want == frozenset({3})
         assert isolated_solver.query(s) == want
+
+
+class TestTypeWitnessGate:
+    """Every compiled class is right on every structure of its type.
+
+    Up to the query's k-type, the ``TypeTable`` witnesses (one
+    canonical minimal structure per type) are a finite and complete
+    sample of the compiled class, so solving each one checks the
+    Lemma 3.5/3.6 steps, minimization and folding once per type.  A
+    monotone query alone would not catch a node that derives two
+    classes; ``isolated`` is not monotone."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("name", ["isolated", "has_neighbor"])
+    def test_every_witness_matches_direct_mso(self, name, width):
+        from ..conftest import graph_query_compile
+
+        solver, witnesses = graph_query_compile(name, width)
+        formula = getattr(formulas, name)("x")
+        assert len(witnesses) == (16 if width == 1 else 416)
+        wrong = [
+            w for w in witnesses if solver.query(w) != query(w, formula, "x")
+        ]
+        assert wrong == []
+
+    def test_isolated_on_random_forests(self):
+        import random
+
+        from ..conftest import graph_query_compile
+
+        solver, _ = graph_query_compile("isolated", 1)
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 40)
+            graph = Graph(range(n))
+            for v in range(1, n):
+                if rng.random() < 0.8:
+                    graph.add_edge(v, rng.randrange(v))
+            s = graph_to_structure(graph)
+            assert solver.query(s) == query(s, formulas.isolated("x"), "x")
+
+    def test_isolated_on_deleted_ladders(self):
+        from itertools import islice
+
+        from ..conftest import deleted_ladders, graph_query_compile
+
+        solver, _ = graph_query_compile("isolated", 2)
+        for graph in islice(deleted_ladders(seed=3, deleted=0.25), 60):
+            s = graph_to_structure(graph)
+            assert solver.query(s) == query(s, formulas.isolated("x"), "x")
 
 
 def _encode(structure, width):
@@ -270,6 +310,12 @@ class TestLoadRoute:
             assert production == oracle
 
     def test_random_forests(self):
+        """Every counter but ``peak_live_rules``: the high-water mark of
+        waiting ground rules depends on the order in which the grounder
+        meets the nodes, which follows their ids, and the two routes
+        number the nodes differently.  On some of these forests it moves
+        by one when only the node ids of one load are permuted, with the
+        model and every other counter unchanged."""
         import random
 
         from ..conftest import has_neighbor_solver
@@ -285,4 +331,4 @@ class TestLoadRoute:
             production, oracle = self._both_routes(
                 solver, graph_to_structure(graph)
             )
-            assert production == oracle
+            assert production[:-1] == oracle[:-1]

@@ -720,7 +720,7 @@ class TestCompiledWidth2Conformance:
         from repro.datalog import program_fingerprint
 
         assert program_fingerprint(self._solver().compiled.program) == (
-            "5b5af3f8e91a459e7308c3479444773cdf319e340bded34378073134ccb668af"
+            "9f489441eb00ae4118c1dd9c46ed7ed944af9513babda5b713f0f2e34fb95ce4"
         )
 
     def test_type_space_matches_the_checked_in_compiler_record(self):
@@ -735,8 +735,8 @@ class TestCompiledWidth2Conformance:
             "types": 416,
             "classes": 17,
             "classes_folded": 191,
-            "rules": 21829,
-            "rules_after_passes": 769,
+            "rules": 21413,
+            "rules_after_passes": 735,
             "type_computations": 9934,
             "glue_pairs": 6151,
             "max_reduced_witness": 10,

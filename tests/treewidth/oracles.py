@@ -2,19 +2,24 @@
 
 These are the straightforward forms that the fast front end replaced:
 a ``min`` over all remaining vertices per elimination step, a scan over
-every bag per element and per tuple, and the staged construction of
-the Section 5 normal form.  They define what the fast versions must
-reproduce exactly -- the same elimination orders, the same Gaifman
-edge orientations, the same violation lists (codes, messages,
-subjects, order) and the same nice trees.
+every bag per element and per tuple, and the staged constructions of
+the Section 4 and Section 5 normal forms.  They define what the fast
+versions must reproduce exactly -- the same elimination orders, the
+same Gaifman edge orientations, the same violation lists (codes,
+messages, subjects, order) and the same nice trees -- or, for the
+Definition 2.3 form, bound: the same width and no more nodes.
 """
 
 from __future__ import annotations
 
 from repro.errors import Violation
-from repro.treewidth import NiceTreeDecomposition, TreeDecomposition
+from repro.treewidth import (
+    NiceTreeDecomposition,
+    NormalizedTreeDecomposition,
+    TreeDecomposition,
+)
 from repro.treewidth.heuristics import _neighbor_sets
-from repro.treewidth.normalize import binarize, equalize_branches
+from repro.treewidth.normalize import widen
 
 
 def greedy_order(graph, cost):
@@ -233,7 +238,7 @@ def _interpolate(td, removal_key, introduction_key):
             steps = len(removals) + len(introductions)
             if steps <= 1:
                 continue
-            chain = tree.insert_chain_above(child, steps - 1)
+            chain = [tree.insert_above(child) for _ in range(steps - 1)]
             current = bags[child]
             bottom_up = list(reversed(chain))
             for i, v in enumerate(removals + introductions):
@@ -242,3 +247,123 @@ def _interpolate(td, removal_key, introduction_key):
                     bags[bottom_up[i]] = current
             assert current == bags[node]
     return TreeDecomposition(tree, bags)
+
+
+# ----------------------------------------------------------------------
+# Proposition 2.4 as staged passes (the Definition 2.3 normal form)
+# ----------------------------------------------------------------------
+
+
+def pad_bags_to_full_size(td, width=None):
+    """Step (1): grow every bag to ``w + 1`` elements."""
+    return widen(td, td.width if width is None else width)
+
+
+def binarize(td):
+    """Step (2): give every node at most two children by inserting copies."""
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    for node in list(tree.nodes()):
+        while len(tree.children(node)) > 2:
+            children = list(tree.children(node))
+            keep, spill = children[0], children[1:]
+            copy = tree.fresh_node()
+            bags[copy] = bags[node]
+            # splice: node keeps [keep, copy]; copy adopts the spill.
+            tree._children[node] = [keep, copy]
+            tree._children[copy] = spill
+            tree._parent[copy] = node
+            for child in spill:
+                tree._parent[child] = copy
+            node = copy  # continue splitting the spill if still > 2
+    return TreeDecomposition(tree, bags)
+
+
+def equalize_branches(td):
+    """Step (3): children of a 2-child node get bags identical to it."""
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    for node in list(tree.nodes()):
+        if len(tree.children(node)) != 2:
+            continue
+        for child in list(tree.children(node)):
+            if bags[child] != bags[node]:
+                mid = tree.insert_above(child)
+                bags[mid] = bags[node]
+    return TreeDecomposition(tree, bags)
+
+
+def interpolate_edges(td):
+    """Steps (4)+(5a): adjacent bags differ by at most one swap.
+
+    For a parent/child pair of full bags with symmetric difference of
+    size ``2d`` we insert ``d - 1`` interpolation nodes so that every
+    consecutive pair exchanges exactly one element.
+    """
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    for node in list(tree.nodes()):
+        for child in list(tree.children(node)):
+            outs = sorted(bags[node] - bags[child], key=repr)
+            ins = sorted(bags[child] - bags[node], key=repr)
+            if len(outs) != len(ins):
+                raise ValueError("bags must be padded before interpolation")
+            d = len(outs)
+            if d <= 1:
+                continue
+            chain = [tree.insert_above(child) for _ in range(d - 1)]
+            current = bags[node]
+            for i, mid in enumerate(chain):
+                current = (current - {outs[i]}) | {ins[i]}
+                bags[mid] = current
+    return TreeDecomposition(tree, bags)
+
+
+def assign_tuples(td):
+    """Step (5b): orient the set bags into Definition 2.3 tuples.
+
+    Walks top-down.  An edge whose bags swap ``p`` (out) for ``q`` (in)
+    becomes: permutation node bringing ``p`` to position 0, followed by
+    the replacement putting ``q`` at position 0.
+    """
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    tuples = {}
+    root = tree.root
+    tuples[root] = tuple(sorted(bags[root], key=repr))
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        here = tuples[node]
+        for child in list(tree.children(node)):
+            child_set = bags[child]
+            if child_set == frozenset(here):
+                tuples[child] = here
+            else:
+                (p,) = frozenset(here) - child_set
+                (q,) = child_set - frozenset(here)
+                if here[0] == p:
+                    tuples[child] = (q,) + here[1:]
+                else:
+                    fronted = (p,) + tuple(x for x in here if x != p)
+                    mid = tree.insert_above(child)
+                    bags[mid] = frozenset(fronted)
+                    tuples[mid] = fronted
+                    tuples[child] = (q,) + fronted[1:]
+            stack.append(child)
+    return NormalizedTreeDecomposition(tree, tuples)
+
+
+def staged_normalize(td):
+    """``normalize`` as staged passes, each building a whole new
+    decomposition: pad, contract unary equal-bag edges (which would
+    become identity-permutation nodes), binarize, equalize branches,
+    interpolate, assign tuples."""
+    staged = interpolate_edges(
+        equalize_branches(
+            binarize(_contract_copy_edges(pad_bags_to_full_size(td)))
+        )
+    )
+    ntd = assign_tuples(staged)
+    assert ntd.width == td.width
+    return ntd

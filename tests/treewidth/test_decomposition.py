@@ -41,15 +41,6 @@ class TestRootedTree:
         assert t.root == new_root
         assert t.parent(old_root) == new_root
 
-    def test_insert_chain_above_is_top_down(self):
-        t = RootedTree()
-        c = t.add_child(t.root)
-        chain = t.insert_chain_above(c, 3)
-        # chain[0] is nearest the root, chain[-1] is the parent of c
-        assert t.parent(chain[0]) == t.root
-        assert t.parent(c) == chain[-1]
-        assert t.parent(chain[1]) == chain[0]
-
     def test_orders(self):
         t = RootedTree()
         a = t.add_child(t.root)

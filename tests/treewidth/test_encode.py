@@ -89,6 +89,20 @@ class TestEncodeNormalized:
     def test_tdnode_str(self):
         assert str(TDNode(7)) == "s7"
 
+    def test_tdnode_value_semantics(self):
+        """Equal only to a ``TDNode`` of the same index (never to the
+        int itself), hashed by its index, and picklable."""
+        import pickle
+
+        node = TDNode(3)
+        assert node == TDNode(3) and node != TDNode(4)
+        assert node != 3 and node != (3,) and node != "s3"
+        assert hash(node) == hash(TDNode(3)) == hash((3,))
+        assert len({node, TDNode(3), 3}) == 2
+        back = pickle.loads(pickle.dumps(node))
+        assert type(back) is TDNode and back == node
+        assert repr(node) == "TDNode(index=3)"
+
 
 class TestEncodeNice:
     def test_default_payload_is_frozenset(self):

@@ -4,12 +4,15 @@ The heap-ordered elimination must pick exactly the vertex the ``min``
 scan picked at every step, the occurrence-indexed axiom check must
 report exactly the violations the per-bag scans reported -- on valid
 decompositions and on each kind of corruption the admission layer
-verifies -- and the one-pass ``make_nice`` must build the tree the
-staged passes built.  The oracles live in :mod:`tests.treewidth.oracles`.
+verifies -- the one-pass ``make_nice`` must build the tree the staged
+passes built, and the one-walk ``normalize`` a valid normal form of the
+same width with no more nodes than the staged passes.  The oracles
+live in :mod:`tests.treewidth.oracles`.
 """
 
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,12 @@ from repro.treewidth import (
     RootedTree,
     TreeDecomposition,
     decompose_structure,
+    decompose_within,
     make_nice,
     min_degree_order,
     min_fill_order,
+    normalize,
+    widen,
 )
 
 from . import oracles
@@ -313,3 +319,112 @@ class TestOnePassNiceForm:
         td.validate_for_structure(s)
         assert_same_nice_form(td, s)
         assert make_nice(td).node_count() == 16
+
+
+# ----------------------------------------------------------------------
+# normalize: one walk against the staged Proposition 2.4 passes
+# ----------------------------------------------------------------------
+
+
+def _reshape_for_normalize(td, rng, moves):
+    """``_reshape``'s edits plus a new root above the old one whose bag
+    is a random subset of the old root's (so the root bag is short)."""
+    td = _reshape(td, rng, moves)
+    if rng.random() < 0.5:
+        tree, bags = td.tree.copy(), dict(td.bags)
+        bag = sorted(bags[tree.root], key=repr)
+        bags[tree.insert_above(tree.root)] = rng.sample(
+            bag, rng.randint(0, max(0, len(bag) - 1))
+        )
+        td = TreeDecomposition(tree, bags)
+    return td
+
+
+def _random_labelled_graph(rng, n):
+    """A random graph of treewidth at most about 3 whose labels' ``repr``
+    order differs from their natural order."""
+    kind = rng.choice(("int", "str", "mixed"))
+    labels = []
+    while len(labels) < n:
+        i = rng.randint(0, 120)
+        label = {
+            "int": i,
+            "str": str(i),
+            "mixed": rng.choice((i, str(i), (i % 4, i // 4))),
+        }[kind]
+        if label not in labels:
+            labels.append(label)
+    graph = Graph(labels)
+    for i in range(1, n):
+        for j in rng.sample(range(i), min(i, rng.randint(0, 2))):
+            graph.add_edge(labels[i], labels[j])
+    return graph
+
+
+def assert_normal_forms(inputs):
+    """The walk and the staged passes both give a valid Definition 2.3
+    decomposition of each ``(td, structure)`` of the input's width
+    (shape, no identity node, Section 2.2 axioms), and the walk's
+    summed node count is at most the staged one's."""
+    walked = staged = 0
+    for td, structure in inputs:
+        one = normalize(td)
+        two = oracles.staged_normalize(td)
+        for ntd in (one, two):
+            ntd.validate(structure)
+            assert ntd.width == td.width
+        walked += one.node_count()
+        staged += two.node_count()
+    assert 0 < walked <= staged
+
+
+class TestOnePassNormalForm:
+    def test_reshaped_decompositions(self):
+        """Fan-out three and more, unary equal-bag chains, short root
+        bags, and widened decompositions."""
+        rng = random.Random(29)
+        inputs = []
+        for _ in range(150):
+            graph = _random_labelled_graph(rng, rng.randint(2, 14))
+            structure = graph_to_structure(graph)
+            td = decompose_structure(structure)
+            if rng.random() < 0.3 and len(graph.vertices) > td.width + 1:
+                td = widen(td, td.width + 1)
+            inputs.append(
+                (_reshape_for_normalize(td, rng, rng.randint(0, 8)), structure)
+            )
+        assert any(len(td.bags[td.tree.root]) <= td.width for td, _ in inputs)
+        assert any(
+            len(td.tree.children(n)) >= 3 for td, _ in inputs for n in td.bags
+        )
+        assert_normal_forms(inputs)
+
+    def test_perfbench_shaped_inputs(self):
+        """Forests of trees, paths, stars and isolated vertices at width
+        1, and 10%-deleted 2 x N ladders at width 2, decomposed and
+        widened as the solver does."""
+        from ..conftest import deleted_ladders
+
+        rng = random.Random(1)
+        graphs = []
+        for _ in range(20):
+            n = rng.randint(40, 240)
+            labels = list(range(n))
+            rng.shuffle(labels)
+            graph = Graph(labels)
+            at = 0
+            while at < n:
+                size = rng.randint(1, max(2, n // 3))
+                part = labels[at : at + size]
+                at += size
+                star = rng.random() < 0.25
+                for i in range(1, len(part)):
+                    graph.add_edge(part[i], part[0 if star else rng.randrange(i)])
+            graphs.append((graph, 1))
+        graphs += [(g, 2) for g in islice(deleted_ladders(), 12)]
+        inputs = []
+        for graph, width in graphs:
+            structure = graph_to_structure(graph)
+            td, _ = decompose_within(structure, width)
+            inputs.append((widen(td, width) if td.width < width else td, structure))
+        assert_normal_forms(inputs)

@@ -1,25 +1,33 @@
 """Tests for the Definition 2.3 normal form (Proposition 2.4)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
+import repro
+from repro.errors import InvalidDecomposition
 from repro.structures import Graph, graph_to_structure, running_example
 from repro.treewidth import (
     NormalizedNodeKind,
+    NormalizedTreeDecomposition,
+    RootedTree,
+    TreeDecomposition,
     decompose_graph,
     decompose_structure,
     normalize,
     widen,
 )
-from repro.treewidth.normalize import (
-    assign_tuples,
+
+from ..conftest import small_graphs
+from .oracles import (
     binarize,
     equalize_branches,
     interpolate_edges,
     pad_bags_to_full_size,
 )
-
-from ..conftest import small_graphs
 
 
 def normalized_of(graph):
@@ -119,10 +127,71 @@ class TestNormalize:
         ntd.validate(s)
         assert ntd.width == 2
 
+    @given(small_graphs(max_vertices=7))
+    def test_no_unary_node_repeats_its_child_tuple(self, g):
+        """No identity-permutation node: the compiled program has no
+        rule for one, so it would derive no type there."""
+        if g.vertex_count() < 2:
+            return
+        _, ntd = normalized_of(g)
+        for n in ntd.tree.nodes():
+            children = ntd.tree.children(n)
+            if len(children) == 1:
+                assert ntd.bag(children[0]) != ntd.bag(n)
+
+    def test_identity_unary_node_is_malformed(self):
+        tree = RootedTree()
+        tree.add_child(tree.root)
+        ntd = NormalizedTreeDecomposition(tree, {0: (0, 1), 1: (0, 1)})
+        with pytest.raises(ValueError, match="same tuple"):
+            ntd.node_kind(0)
+        with pytest.raises(InvalidDecomposition) as info:
+            ntd.validate(graph_to_structure(Graph([0, 1], [(0, 1)])))
+        assert [v.code for v in info.value.violations] == ["malformed-node"]
+
+    def test_deterministic_across_hash_seeds(self):
+        """String labels iterate in hash order; the walk must not
+        depend on it (a traced benchmark re-run in a second process
+        reproduces the node counts)."""
+        script = (
+            "from repro.structures import Graph, graph_to_structure\n"
+            "from repro.treewidth import RootedTree, TreeDecomposition\n"
+            "from repro.treewidth import decompose_structure, normalize\n"
+            "g = Graph.grid(3, 4)\n"
+            "g = Graph([str(v) for v in g.vertices],"
+            " [(str(u), str(v)) for u, v in g.edges()])\n"
+            "tree = RootedTree()\n"
+            "tree.add_child(tree.add_child(tree.root))\n"
+            "chain = TreeDecomposition(tree, {0: 'abcd', 1: 'cdef', 2: 'fghi'})\n"
+            "for td in (decompose_structure(graph_to_structure(g)), chain):\n"
+            "    ntd = normalize(td)\n"
+            "    print([(n, ntd.tree.parent(n), ntd.bag(n))"
+            " for n in ntd.tree.preorder()])\n"
+        )
+        outputs = set()
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+
     def test_as_set_decomposition_valid(self):
+        """The tuple bags pass the axiom check in place, and as the
+        set-bag decomposition ``copy`` gives."""
         g = Graph.grid(2, 3)
         _, ntd = normalized_of(g)
-        ntd.as_set_decomposition().validate_for_graph(g)
+        ntd.validate_for_graph(g)
+        sets = ntd.copy()
+        assert type(sets) is TreeDecomposition
+        assert sets.bags == {n: frozenset(t) for n, t in ntd.bags.items()}
+        sets.validate_for_graph(g)
 
 
 class TestWiden:
