@@ -522,7 +522,7 @@ def build_payload(
     ``solver_speedups`` records the eager-reference-vs-streamed ratio;
     the service sections -- ``service_throughput`` (v4),
     ``service_resilience`` (v5, the fault-injection goodput record)
-    and ``admission`` (v7, the untrusted-input overhead + containment
+    and ``admission`` (v7, the untrusted-input answers + containment
     record) -- are *owned* by ``bench_solver_service.py``; this
     harness carries the checked-in records through unchanged so the
     benchmarks can regenerate the baseline in either order."""

@@ -55,16 +55,16 @@ identical to the serial in-process loop (the 1-vs-N identity gate,
 now under fire), no request fails, the fault plan demonstrably fired
 (>= 1 worker restart), and the recovery percentiles are sane.
 
-``--admission`` switches to the **untrusted-input** mode (the v7
-tentpole): clean width-1 traffic is solved by the legacy trusting path
-and again with ``admission="repair"`` active (best of 3 each), and the
-checked-in malformed corpus (``tests/data/malformed``) is replayed
-through a ``SolverService(admission="degrade")``.  The ``admission``
-section records the clean-traffic overhead ratio and the containment
-counters.  CI-gated contracts: admission-on answers are identical to
-the legacy path and cost at most 1.05x on clean traffic; every corpus
-request resolves (answer or typed ``AdmissionRejected``) with exactly
-the verdicts the cases declare; and zero workers die doing it.
+``--admission`` switches to the **untrusted-input** mode: clean
+width-1 traffic is solved through the default (``"strict"``) admission
+route and checked against direct MSO evaluation
+(:func:`repro.mso.query`), and the checked-in malformed corpus
+(``tests/data/malformed``) is replayed through a
+``SolverService(admission="degrade")``.  The ``admission`` section
+records both halves.  CI-gated contracts: the clean-traffic answers
+equal direct MSO's; every corpus request resolves (answer or typed
+``AdmissionRejected``) with exactly the verdicts the cases declare; and
+zero workers die doing it.
 """
 
 import argparse
@@ -98,12 +98,6 @@ GATE_SPEEDUP = 3.0
 #: within the retry cap)
 RESILIENCE_FAULTS = "crash@worker.solve+1"
 RESILIENCE_RETRIES = 8
-
-#: the admission mode's clean-traffic overhead gate: admission-on
-#: solves may cost at most 5% over the legacy trusting path (best of
-#: ADMISSION_REPEATS runs each, so scheduler noise cannot fail CI)
-ADMISSION_OVERHEAD_LIMIT = 1.05
-ADMISSION_REPEATS = 3
 
 #: the malformed-input corpus the containment half replays
 CORPUS_DIR = REPO_ROOT / "tests" / "data" / "malformed"
@@ -489,19 +483,16 @@ def check_resilience_contracts(record):
 
 
 # ----------------------------------------------------------------------
-# Admission mode (--admission): clean-traffic overhead + containment
+# Admission mode (--admission): clean-traffic answers + containment
 # ----------------------------------------------------------------------
 
 
 def build_admission_record(quick, workers):
-    """The ``admission`` section (v7): two halves.
+    """The ``admission`` section: two halves.
 
-    **Overhead** -- the same clean width-1 traffic solved by the legacy
-    trusting path and again with ``admission="repair"`` active, best of
-    ``ADMISSION_REPEATS`` runs each.  Clean inputs take the
-    verification fast path, so the ratio is the price every trusting
-    caller pays for the ladder's existence; CI gates it at
-    ``ADMISSION_OVERHEAD_LIMIT``.
+    **Answers** -- clean width-1 traffic solved by ``query`` under the
+    default ``"strict"`` policy, compared with direct MSO evaluation
+    of the same formula.
 
     **Containment** -- the checked-in malformed corpus
     (``tests/data/malformed``) replayed through a live
@@ -510,22 +501,13 @@ def build_admission_record(quick, workers):
     """
     from repro.admission import load_corpus
     from repro.errors import AdmissionRejected
+    from repro.mso import query as mso_query
 
     solver = build_width1_solver()
     structures = build_resilience_traffic(quick)
-
-    legacy_runs, admitted_runs = [], []
-    legacy_results = admitted_results = None
-    for _ in range(ADMISSION_REPEATS):
-        t0 = time.perf_counter()
-        legacy_results = [solver.query(s) for s in structures]
-        legacy_runs.append((time.perf_counter() - t0) * 1000.0)
-        t0 = time.perf_counter()
-        admitted_results = [
-            solver.query(s, admission="repair") for s in structures
-        ]
-        admitted_runs.append((time.perf_counter() - t0) * 1000.0)
-    legacy_ms, admitted_ms = min(legacy_runs), min(admitted_runs)
+    formula, free_var = solver.compiled_formula(), solver.compiled.free_var
+    answers = [solver.query(s) for s in structures]
+    direct = [mso_query(s, formula, free_var) for s in structures]
 
     cases = load_corpus(CORPUS_DIR)
     from repro.service import SolverService
@@ -555,14 +537,10 @@ def build_admission_record(quick, workers):
         "quick": quick,
         "workers": workers,
         "cpu_count": effective_cpus(),
-        "overhead": {
+        "answers": {
             "requests": len(structures),
-            "repeats": ADMISSION_REPEATS,
-            "legacy_ms": round(legacy_ms, 3),
-            "admission_ms": round(admitted_ms, 3),
-            "ratio": round(admitted_ms / legacy_ms, 4) if legacy_ms else None,
-            "limit": ADMISSION_OVERHEAD_LIMIT,
-            "identical": admitted_results == legacy_results,
+            "policy": "strict",
+            "identical_to_direct_mso": answers == direct,
         },
         "containment": {
             "corpus": str(CORPUS_DIR.relative_to(REPO_ROOT)),
@@ -588,25 +566,19 @@ def check_admission_contracts(record):
     """The CI gate over an ``admission`` record; pure, so the test
     suite exercises it on synthetic records.
 
-    Three unconditional contracts: admission-on answers are identical
-    to the legacy path on clean traffic and cost at most the gated
-    overhead ratio; every malformed-corpus request resolved (to an
-    answer or a typed rejection) with exactly the declared verdicts;
-    and zero workers died doing it.
+    Three unconditional contracts: the admitted answers on clean
+    traffic equal direct MSO evaluation's; every malformed-corpus
+    request resolved (to an answer or a typed rejection) with exactly
+    the declared verdicts; and zero workers died doing it.
     """
     failures = []
-    overhead = record.get("overhead", {})
-    if not overhead.get("identical"):
+    answers = record.get("answers", {})
+    if not answers.get("requests"):
+        failures.append("no clean-traffic requests were solved")
+    if not answers.get("identical_to_direct_mso"):
         failures.append(
-            "admission-on answers differ from the legacy path on "
+            "admitted answers differ from direct MSO evaluation on "
             "clean traffic"
-        )
-    ratio = overhead.get("ratio")
-    limit = overhead.get("limit", ADMISSION_OVERHEAD_LIMIT)
-    if ratio is None or ratio > limit:
-        failures.append(
-            f"clean-traffic admission overhead {ratio}x exceeds the "
-            f"{limit}x gate"
         )
     containment = record.get("containment", {})
     if containment.get("resolved") != containment.get("requests"):
@@ -719,9 +691,9 @@ def main(argv=None) -> int:
         "--admission",
         action="store_true",
         help=(
-            "admission mode: gate clean-traffic overhead at "
-            f"{ADMISSION_OVERHEAD_LIMIT}x and replay the malformed "
-            "corpus through a degrade-policy service, record admission"
+            "admission mode: check clean-traffic answers against direct "
+            "MSO and replay the malformed corpus through a "
+            "degrade-policy service, record admission"
         ),
     )
     parser.add_argument(
@@ -771,14 +743,13 @@ def main(argv=None) -> int:
     if args.admission:
         record = build_admission_record(args.quick, args.workers)
         failures = check_admission_contracts(record)
-        overhead = record["overhead"]
+        answers = record["answers"]
         containment = record["containment"]
         print("solver service admission (untrusted-input ladder)")
         print(
-            f"  overhead:      legacy {overhead['legacy_ms']:.0f} ms vs "
-            f"admission {overhead['admission_ms']:.0f} ms over "
-            f"{overhead['requests']} clean solves "
-            f"({overhead['ratio']}x, gate {overhead['limit']}x)"
+            f"  answers:       {answers['requests']} clean solves under "
+            f"{answers['policy']!r}, equal to direct MSO: "
+            f"{answers['identical_to_direct_mso']}"
         )
         print(
             f"  containment:   {containment['resolved']}/"
@@ -804,7 +775,7 @@ def main(argv=None) -> int:
                 print(f"  - {failure}")
             return 1
         print(
-            "\nok: clean-traffic overhead within the gate; the whole "
+            "\nok: clean-traffic answers equal direct MSO; the whole "
             "malformed corpus resolved with the declared verdicts and "
             "zero worker deaths"
         )

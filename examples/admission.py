@@ -4,11 +4,13 @@ A solver compiled at width 1 (Theorem 4.5: compile once, solve many)
 is handed progressively worse inputs: a clean path with a valid
 decomposition, the same path with a corrupted decomposition (alien bag
 elements, a broken connectedness run), a clique outside the width
-envelope, and a structure whose facts escape its own domain.  The
-admission layer rebuilds the broken decomposition from the structure,
-serves the over-width clique by budgeted direct MSO evaluation, and
-rejects only the genuinely unservable input -- with a machine-readable
-report at every step.
+envelope, and a structure whose facts escape its own domain.  Every
+solve goes through the admission ladder: ``query`` admits under
+``"strict"`` unless the call names another policy.  Under ``"repair"``
+and ``"degrade"`` the ladder rebuilds the broken decomposition from the
+structure, serves the over-width clique by budgeted direct MSO
+evaluation, and rejects only the genuinely unservable input -- with a
+machine-readable report at every step.
 
 Run:  python examples/admission.py
 """
@@ -77,8 +79,13 @@ def main() -> None:
     show("path-6 with a corrupted decomposition", report)
     assert answer == frozenset(path.domain)
 
-    # 3. over the width envelope: degrade to budgeted direct MSO eval
+    # 3. over the width envelope: the strict default refuses it ...
     clique = graph_to_structure(Graph.complete(4))
+    try:
+        solver.query(clique)
+    except AdmissionRejected as exc:
+        show("K4 through query() (policy strict, the default)", exc.report)
+    # ... and "degrade" serves it by budgeted direct MSO evaluation
     answer, report = solver.solve_admitted(clique, policy="degrade")
     show("K4 (treewidth 3) through the width-1 program", report)
     assert answer == frozenset(clique.domain)
@@ -95,9 +102,10 @@ def main() -> None:
               f"(still a ValueError: {isinstance(exc, ValueError)})")
 
     print("\nEvery input resolved: one served as-is, one rebuilt, one")
-    print("degraded, one rejected with a full report -- and the same")
-    print("ladder guards SolverService workers (admission= on the")
-    print("service or per request).")
+    print("refused by the strict default and then degraded, one rejected")
+    print("with a full report -- and the same ladder guards every")
+    print("SolverService worker (admission= on the service or per")
+    print("request, strict otherwise).")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 Theorem 4.4's linear-time guarantee presupposes that every structure
 arrives well-formed *and* with a valid width-<=k tree decomposition --
 a precondition production traffic violates constantly.  This module is
-the layer every solve path routes through before the Theorem 4.4
-pipeline sees the input.  The policy ladder:
+the one front door of every solve: ``CourcelleSolver.decide``,
+``query`` and ``solve_many`` and the service's workers all reach
+:func:`admit` before the Theorem 4.4 pipeline sees the input.  The
+policy ladder:
 
 1. **Verify.**  :func:`verify_structure` checks the structure against
    the compiled signature (unknown predicates, arity mismatches,
@@ -16,13 +18,16 @@ pipeline sees the input.  The policy ladder:
    violations as structured :class:`repro.errors.Violation` records.
 2. **Rebuild.**  A decomposition that fails verification is never
    patched: :func:`redecompose` discards it and builds one from the
-   structure with :func:`repro.treewidth.heuristics.decompose_within`,
-   the same ``min_fill`` -> ``min_degree`` escalation a td-less solve
-   uses, under the request's budget.  A structure that arrives without
-   a decomposition takes the same route.  At the widths that compile
-   (1 and 2) the escalation reaches the width whenever the structure
-   has it (see :func:`admit`); Gottlob--Pichler--Wei likewise take the
-   decomposition from the structure, never from the caller.
+   structure with :func:`repro.treewidth.heuristics.decompose_within`
+   (``min_fill``, then ``min_degree``) under the request's budget.  A
+   structure that arrives without a decomposition takes the same
+   route, under every policy.  When no strategy builds a
+   decomposition the request gets a ``no-decomposition`` violation
+   naming why (the strategy's error or the spent budget).  At the
+   widths that compile (1 and 2) the escalation reaches the width
+   whenever the structure has it (see :func:`admit`);
+   Gottlob--Pichler--Wei likewise take the decomposition from the
+   structure, never from the caller.
 3. **Degrade.**  When the width still exceeds the compiled envelope,
    policy ``"degrade"`` falls back to direct MSO evaluation
    (:mod:`repro.mso.eval`) under a :class:`repro.datalog.SolveBudget`
@@ -30,17 +35,21 @@ pipeline sees the input.  The policy ladder:
    with a typed :class:`repro.errors.AdmissionRejected` carrying the
    full :class:`AdmissionReport`.
 
-:func:`admit` implements the ladder; ``CourcelleSolver`` (the
-``admission=`` policy) and ``SolverService`` route through it.  The
-module also hosts the malformed-input corpus (de)serialization used by
-``tests/data/`` and the admission benchmark.
+:func:`admit` implements the ladder.  ``CourcelleSolver`` and
+``SolverService`` resolve a request's policy as the call's
+``admission=``, else the service's, else ``"strict"``; ``"strict"``
+serves exactly the inputs that need no repair: a structure over the
+compiled signature, with a valid decomposition within the width or
+one the structure decomposes into within it.  The module also hosts
+the malformed-input corpus (de)serialization used by ``tests/data/``
+and the admission benchmark.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datalog.budget import BudgetExceeded, BudgetMeter, SolveBudget, as_meter
 from .errors import (
@@ -394,28 +403,30 @@ def redecompose(
     structure: Structure,
     width_limit: int,
     meter: BudgetMeter | None = None,
-) -> tuple[TreeDecomposition | None, str | None]:
+) -> tuple[TreeDecomposition | None, str]:
     """Build a decomposition from scratch, escalating through ordering
     strategies until one fits the envelope or the budget runs out.
 
-    The escalation is :func:`repro.treewidth.heuristics.decompose_within`,
-    the one the trusting solve path uses: ``min_fill`` first (so clean
-    td-less traffic decomposes identically with or without admission),
-    ``min_degree`` as the escalation, a strategy that raises skipped,
-    the budget checked before each strategy.  Returns the best
-    decomposition found (lowest width -- possibly still over the
-    envelope, which the degrade rung then arbitrates) and the strategy
-    that produced it, or ``(None, None)`` when no strategy built one;
-    the result is checked against the structure once, since the solver
-    trusts what admission hands it.
+    The escalation is :func:`repro.treewidth.heuristics.decompose_within`:
+    ``min_fill`` first, ``min_degree`` as the escalation, a strategy
+    that raises skipped, the budget checked before each strategy.
+    Returns the best decomposition found (lowest width -- possibly
+    still over the envelope, which the degrade rung then arbitrates)
+    and the strategy that produced it.  When nothing was built it
+    returns ``None`` and why: the budget ran out first, every strategy
+    raised (the last error is named), or the rebuilt decomposition
+    failed its check.  The result is checked against the structure
+    once, since the solver trusts what admission hands it.
     """
+    spent: list[BudgetExceeded] = []
 
     def within_budget() -> bool:
         if meter is None:
             return True
         try:
             meter.check()
-        except BudgetExceeded:
+        except BudgetExceeded as exc:
+            spent.append(exc)
             return False  # keep whatever the budget allowed us to build
         return True
 
@@ -423,13 +434,17 @@ def redecompose(
         best, method = decompose_within(
             structure, width_limit, proceed=within_budget
         )
-    except Exception:
-        return None, None  # every strategy failed
-    if best is not None:
-        try:
-            best.validate_for_structure(structure)
-        except InvalidDecomposition:
-            return None, None
+    except Exception as exc:
+        return None, (
+            "every decomposition strategy failed, the last with "
+            f"{type(exc).__name__}: {exc}"
+        )
+    if best is None:
+        return None, f"the admission budget ran out ({spent[-1]})"
+    try:
+        best.validate_for_structure(structure)
+    except InvalidDecomposition as exc:
+        return None, f"the rebuilt decomposition is invalid ({exc})"
     return best, method
 
 
@@ -477,9 +492,11 @@ def admit(
     ``budget`` (a ``SolveBudget`` or armed ``BudgetMeter``) spans the
     admission work itself -- the rebuild checks it before each
     ordering strategy -- and rides the result for the degrade path;
-    ``None`` arms :data:`DEFAULT_ADMISSION_BUDGET`.  A request whose
-    budget is already spent when the rebuild starts gets no
-    decomposition, so it is degraded or rejected with its report.
+    ``None`` arms :data:`DEFAULT_ADMISSION_BUDGET`.  A request for
+    which no decomposition is built -- its budget already spent when
+    the rebuild starts, or every strategy failing -- gets a
+    ``no-decomposition`` violation naming the cause, and is degraded
+    or rejected with its report.
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -527,7 +544,14 @@ def admit(
 
     # -- rung 3: re-decompose from scratch -----------------------------
     rebuilt, method = redecompose(structure, width, meter)
-    if rebuilt is not None and rebuilt.width <= width:
+    if rebuilt is None:
+        residual = Violation(
+            "no-decomposition",
+            f"no decomposition could be built: {method}",
+        )
+    elif rebuilt.width > width:
+        residual = _width_violation(rebuilt.width, width)
+    else:
         if td is not None:
             report.redecomposed = True
         if td is not None or report.repairs:
@@ -537,12 +561,7 @@ def admit(
         return AdmissionResult(report, structure, rebuilt, "solve", meter)
 
     # -- rung 4: outside the envelope ----------------------------------
-    achieved = rebuilt.width if rebuilt is not None else None
-    residual = _width_violation(
-        achieved if achieved is not None else (td.width if td is not None else -1),
-        width,
-    )
-    if not any(v.code == "width-exceeded" for v in report.violations):
+    if not any(v.code == residual.code for v in report.violations):
         report.violations += (residual,)
     report.residual += (residual,)
     if report.fingerprint is None:
@@ -551,11 +570,11 @@ def admit(
         report.verdict = "degraded"
         report.width = None
         report.degrade_reason = (
-            f"best achievable width {achieved} exceeds the compiled "
+            f"best achievable width {rebuilt.width} exceeds the compiled "
             f"width {width}; serving by direct MSO evaluation under budget"
-            if achieved is not None
-            else "no decomposition could be built within the admission "
-            f"budget; serving by direct MSO evaluation under budget"
+            if rebuilt is not None
+            else f"{residual.message}; serving by direct MSO evaluation "
+            "under budget"
         )
         return AdmissionResult(report, structure, None, "degrade", meter)
     _reject(report)

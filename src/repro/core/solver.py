@@ -18,6 +18,11 @@ is the only solve route; the materializing reference grounder
 engines behind :func:`repro.datalog.solve` serve as oracles for
 compiled programs.
 
+Every request enters through the admission ladder
+(:func:`repro.admission.admit`, ``"strict"`` unless the call or the
+service names another policy); an input the policy cannot serve is
+refused with a typed :class:`repro.errors.AdmissionRejected`.
+
 Batch workloads go through :meth:`CourcelleSolver.solve_many`, which
 solves in process, or on a caller-held
 :class:`repro.service.SolverService` whose warm workers shard the
@@ -30,18 +35,17 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..admission import POLICIES, MeterBudget, admit
+from ..admission import MeterBudget, admit
 from ..datalog.backends import ProgramCache, default_cache
 from ..datalog.budget import BudgetExceeded, as_meter
 from ..datalog.guards import is_quasi_guarded
 from ..datalog.setengine import SetDatabase
-from ..errors import AdmissionRejected, WidthExceeded
+from ..errors import AdmissionRejected
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
-from ..structures.structure import Element, Structure, structure_fingerprint
+from ..structures.structure import Element, Structure
 from ..treewidth.decomposition import TreeDecomposition
 from ..treewidth.encode import load_normalized
-from ..treewidth.heuristics import decompose_within
 from ..treewidth.normalize import NormalizedTreeDecomposition, normalize, widen
 from .mso_to_datalog import (
     ANSWER_PREDICATE,
@@ -55,13 +59,15 @@ from .quasi_guarded import _UNRESOLVED, QuasiGuardedEvaluator
 class CourcelleSolver:
     """Solve one MSO query over arbitrarily many width-w structures.
 
-    Each structure is evaluated by the streamed, demand-pruned
-    Theorem 4.4 pipeline: ground rules instantiated on demand into an
-    online LTUR, rules irrelevant to the answer predicate pruned at
-    grounding time, one shared intern pool from structure load to
-    answer decoding.  Per-program planning goes through the
-    compiled-program cache, so it happens once per program
-    fingerprint.  The reference grounder and the generic bottom-up
+    Every request enters through :func:`repro.admission.admit` under
+    the call's ``admission`` policy, ``"strict"`` by default
+    (:meth:`solve_admitted`).  An admitted structure is evaluated by
+    the streamed, demand-pruned Theorem 4.4 pipeline: ground rules
+    instantiated on demand into an online LTUR, rules irrelevant to
+    the answer predicate pruned at grounding time, one shared intern
+    pool from structure load to answer decoding.  Per-program planning
+    goes through the compiled-program cache, so it happens once per
+    program fingerprint.  The reference grounder and the generic bottom-up
     engines are test oracles for compiled programs: run
     ``repro.datalog.evaluate_via_grounding`` or
     ``repro.datalog.solve(solver.compiled.program, encoded)`` (the
@@ -81,21 +87,9 @@ class CourcelleSolver:
         cache: ProgramCache | None = None,
         minimize: bool = True,
         passes=None,
-        admission: str | None = None,
-        admission_budget=None,
     ):
         self._formula = formula
         self.cache = cache if cache is not None else default_cache()
-        #: default admission policy (``"strict"`` / ``"repair"`` /
-        #: ``"degrade"``); ``None`` keeps the legacy trusting paths --
-        #: no verification, first-fail ``ValueError`` on bad input
-        if admission is not None and admission not in POLICIES:
-            raise ValueError(
-                f"unknown admission policy {admission!r}; "
-                f"expected one of {POLICIES}"
-            )
-        self.admission = admission
-        self.admission_budget = admission_budget
         if free_var is None:
             self.compiled: CompiledQuery = compile_sentence(
                 formula,
@@ -160,8 +154,6 @@ class CourcelleSolver:
         return {
             "formula": self._formula,
             "compiled": self.compiled,
-            "admission": self.admission,
-            "admission_budget": self.admission_budget,
             "prepared": dataclasses.replace(
                 self.evaluator._prepared, registry=None
             ),
@@ -172,8 +164,6 @@ class CourcelleSolver:
         self._formula = state["formula"]
         self.compiled = state["compiled"]
         self.passes = getattr(self.compiled, "passes", ())
-        self.admission = state.get("admission")
-        self.admission_budget = state.get("admission_budget")
         self.cache = default_cache()
         from ..datalog.builtins import standard_registry
 
@@ -187,51 +177,34 @@ class CourcelleSolver:
     # ------------------------------------------------------------------
 
     def _prepare(
-        self,
-        structure: Structure,
-        td: TreeDecomposition | None,
-        verified: bool = False,
+        self, structure: Structure, td: TreeDecomposition | None
     ) -> SetDatabase:
         """``A_td`` loaded into interned ids, ready for the evaluator."""
-        return load_normalized(
-            structure, self._normalize(structure, td, verified)
-        )
+        return load_normalized(structure, self._normalize(structure, td))
 
     def _normalize(
-        self,
-        structure: Structure,
-        td: TreeDecomposition | None,
-        verified: bool = False,
+        self, structure: Structure, td: TreeDecomposition | None
     ) -> NormalizedTreeDecomposition:
-        """The checked Definition 2.3 decomposition a solve loads
-        (decomposing first when ``td`` is ``None``)."""
+        """The Definition 2.3 decomposition a solve loads.
+
+        ``td`` is one :func:`repro.admission.admit` handed back: valid
+        for ``structure`` and within the compiled width.  ``None``
+        admits ``structure`` under ``"strict"`` first, as a td-less
+        request does."""
         if td is None:
-            # unchecked: the normalized form below is checked instead
-            td, _ = decompose_within(structure, self.compiled.width)
-        if td.width > self.compiled.width:
-            raise WidthExceeded(
-                f"decomposition width {td.width} exceeds the compiled "
-                f"width {self.compiled.width} "
-                f"(structure {structure_fingerprint(structure)})",
-                width=td.width,
-                limit=self.compiled.width,
-                fingerprint=structure_fingerprint(structure),
-            )
+            td = admit(
+                structure,
+                signature=self.compiled.signature,
+                width=self.compiled.width,
+                policy="strict",
+            ).td
         if td.width < self.compiled.width:
             td = widen(td, self.compiled.width)
         ntd = normalize(td)
-        # the one Section 2.2 axiom check of a solve, on the
-        # decomposition that gets encoded; admission already checked
-        # the axioms against the structure, so re-check only the
-        # Definition 2.3 shape then
-        ntd.validate(None if verified else structure)
+        # admission checked the Section 2.2 axioms on ``td``; the
+        # normalized form gets the Definition 2.3 shape check only
+        ntd.validate()
         return ntd
-
-    def _too_small(self, structure: Structure) -> bool:
-        """Theorem 4.5 assumes |dom| >= w + 1; below that threshold the
-        structure has constant size and direct evaluation is the
-        "w.l.o.g." escape hatch (still O(1) per structure)."""
-        return len(structure.domain) < self.compiled.width + 1
 
     def _finish(self, loaded: SetDatabase, budget=None):
         """Evaluate a loaded ``A_td`` and decode the answer (``decide``
@@ -265,28 +238,22 @@ class CourcelleSolver:
     ) -> bool:
         """Evaluate a compiled *sentence* on a structure.
 
-        ``budget`` (a :class:`repro.datalog.SolveBudget`) makes the
-        quasi-guarded fixpoint loops raise
-        :class:`repro.datalog.BudgetExceeded` cooperatively instead of
-        running away; the O(1) small-structure path ignores it.
+        ``budget`` (a :class:`repro.datalog.SolveBudget`) spans the
+        request: admission work and the quasi-guarded fixpoint loops
+        raise :class:`repro.datalog.BudgetExceeded` cooperatively
+        instead of running away; the O(1) small-structure path
+        ignores it.
 
-        ``admission`` (or the solver-wide ``admission=`` default) routes
-        the request through :func:`repro.admission.admit` first: the
-        input is verified, repaired or degraded per the policy, and
-        unservable requests raise
-        :class:`repro.errors.AdmissionRejected` instead of whatever the
-        trusting pipeline would have hit."""
+        The request goes through :meth:`solve_admitted` under the
+        ``admission`` policy (default ``"strict"``): an input the
+        policy cannot serve raises
+        :class:`repro.errors.AdmissionRejected`, report attached."""
         if not self.compiled.is_sentence:
             raise ValueError("compiled query is unary; use .query()")
-        policy = admission if admission is not None else self.admission
-        if policy is not None:
-            answer, _ = self.solve_admitted(
-                structure, td, policy=policy, budget=budget
-            )
-            return answer
-        if self._too_small(structure):
-            return self._direct_answer(structure)
-        return self._finish(self._prepare(structure, td), budget)
+        answer, _ = self.solve_admitted(
+            structure, td, policy=admission, budget=budget
+        )
+        return answer
 
     def query(
         self,
@@ -300,15 +267,10 @@ class CourcelleSolver:
         ``budget`` and ``admission`` behave as in :meth:`decide`."""
         if self.compiled.is_sentence:
             raise ValueError("compiled query is a sentence; use .decide()")
-        policy = admission if admission is not None else self.admission
-        if policy is not None:
-            answer, _ = self.solve_admitted(
-                structure, td, policy=policy, budget=budget
-            )
-            return answer
-        if self._too_small(structure):
-            return self._direct_answer(structure)
-        return self._finish(self._prepare(structure, td), budget)
+        answer, _ = self.solve_admitted(
+            structure, td, policy=admission, budget=budget
+        )
+        return answer
 
     def solve_admitted(
         self,
@@ -318,13 +280,15 @@ class CourcelleSolver:
         policy: str | None = None,
         budget=None,
     ):
-        """Solve one request through the admission ladder.
+        """Solve one request through the admission ladder -- the one
+        route every solve takes.
 
         Returns ``(answer, report)`` -- the ``decide``/``query`` answer
         plus the :class:`repro.admission.AdmissionReport` saying how the
         input was served (``admitted`` / ``repaired`` / ``degraded``).
-        Raises :class:`repro.errors.AdmissionRejected` when the policy
-        ladder runs out: on any violation under ``"strict"``, when
+        ``policy`` defaults to ``"strict"``.  Raises
+        :class:`repro.errors.AdmissionRejected` when the policy ladder
+        runs out: on any violation under ``"strict"``, when
         re-decomposition fails under ``"repair"``, and when
         even the budgeted direct evaluation cannot finish under
         ``"degrade"``.
@@ -333,10 +297,9 @@ class CourcelleSolver:
         compiled solve *and* the degraded direct evaluation all draw on
         one meter; ``None`` leaves the solve unbudgeted and bounds only
         the admission layer's own work
-        (:data:`repro.admission.DEFAULT_ADMISSION_BUDGET`, overridable
-        per solver via ``admission_budget=``).
+        (:data:`repro.admission.DEFAULT_ADMISSION_BUDGET`).
         """
-        policy = policy if policy is not None else (self.admission or "repair")
+        policy = policy if policy is not None else "strict"
         meter = as_meter(budget)
         result = admit(
             structure,
@@ -344,7 +307,7 @@ class CourcelleSolver:
             width=self.compiled.width,
             td=td,
             policy=policy,
-            budget=meter if meter is not None else self.admission_budget,
+            budget=meter,
         )
         report = result.report
         if result.action == "direct":
@@ -373,7 +336,7 @@ class CourcelleSolver:
                     report=report,
                 ) from exc
             return answer, report
-        loaded = self._prepare(result.structure, result.td, verified=True)
+        loaded = self._prepare(result.structure, result.td)
         return self._finish(loaded, budget=meter), report
 
     def solve_many(
@@ -394,18 +357,16 @@ class CourcelleSolver:
         :class:`repro.service.SolverService` instead: its workers are
         already running and hold this solver's compiled program warm,
         so the batch is sharded across them and repeated batches skip
-        worker startup and the solver pickle.  There a failing item raises the service's
-        typed error: :class:`repro.service.ShardFailed` (carrying the
-        structure's fingerprint) where the in-process loop would raise
-        the solver's own exception, e.g.
-        :class:`repro.errors.WidthExceeded`.
+        worker startup and the solver pickle.
 
-        ``admission`` (or the solver-wide default) runs every item
-        through the admission ladder and turns the batch's failure mode
-        per-item on both routes: a malformed structure no longer kills
-        the whole batch; its slot holds the
-        :class:`repro.errors.AdmissionRejected` instance (report
-        attached) while every other slot holds its answer.
+        Every item goes through the admission ladder under
+        ``admission`` (else the service's policy, else ``"strict"``),
+        and a rejection is per item on both routes: the slot of an
+        input the policy refuses holds its
+        :class:`repro.errors.AdmissionRejected` (report attached) while
+        every other slot holds its answer.  Any other failure raises:
+        on the service, :class:`repro.service.ShardFailed` carrying the
+        structure's fingerprint.
         """
         structures = list(structures)
         if tds is None:
@@ -417,26 +378,22 @@ class CourcelleSolver:
                     f"{len(structures)} structures but {len(tds)} "
                     "decompositions"
                 )
-        policy = admission if admission is not None else self.admission
         if service is not None:
-            return service.solve_many(self, structures, tds, admission=policy)
-        return [_solve_item(self, s, td, policy) for s, td in zip(structures, tds)]
+            return service.solve_many(self, structures, tds, admission=admission)
+        return [
+            _solve_item(self, s, td, admission)
+            for s, td in zip(structures, tds)
+        ]
 
     def compiled_formula(self) -> Formula:
         return self._formula
 
 
 def _solve_item(solver, structure, td, admission):
-    """One batch slot: the answer, or -- under admission -- the
-    ``AdmissionRejected`` instance as a per-item verdict."""
-    if admission is not None:
-        try:
-            answer, _ = solver.solve_admitted(structure, td, policy=admission)
-            return answer
-        except AdmissionRejected as exc:
-            return exc
-    solve_one = (
-        solver.decide if solver.compiled.is_sentence else solver.query
-    )
-    return solve_one(structure, td)
-
+    """One batch slot: the answer, or the ``AdmissionRejected``
+    instance as a per-item verdict."""
+    try:
+        answer, _ = solver.solve_admitted(structure, td, policy=admission)
+    except AdmissionRejected as exc:
+        return exc
+    return answer

@@ -90,7 +90,11 @@ class GroundingStats:
     rules_pruned: int = 0
     #: streamed path only: the high-water mark of ground rules stored
     #: in the online LTUR's waiting frontier -- the streamed analogue
-    #: of the eager pipeline's O(|ground program|) rule list
+    #: of the eager pipeline's O(|ground program|) rule list.  Not a
+    #: property of the input alone: it follows the order the grounder
+    #: meets the nodes, i.e. their interned ids, so two loads of one
+    #: decomposition that number the nodes differently can read it
+    #: one apart with the same model and every other counter equal
     peak_live_rules: int = 0
 
 

@@ -1,10 +1,10 @@
 """Typed exception taxonomy for untrusted-input admission.
 
 The historical error surface of the stack is bare ``ValueError``\\ s with
-first-fail messages (``treewidth/decomposition.py``'s validators, the
-solver's width refusal).  The admission layer (:mod:`repro.admission`)
-needs more: *every* violation collected, machine-readable, and an error
-type a service can switch on without parsing strings.
+first-fail messages (``treewidth/decomposition.py``'s validators).  The
+admission layer (:mod:`repro.admission`) needs more: *every* violation
+collected, machine-readable, and an error type a service can switch on
+without parsing strings.
 
 Design constraints:
 
@@ -34,7 +34,6 @@ __all__ = [
     "InvalidStructure",
     "Violation",
     "ViolationError",
-    "WidthExceeded",
 ]
 
 
@@ -50,7 +49,8 @@ class Violation:
     may restrict the structure to the signature (an unknown or missing
     predicate) or must reject (an arity or domain-closure break).  On a
     decomposition it marks the Section 2.2 axiom defects (alien,
-    uncovered, disconnected); a corrupt tree or a width overshoot is not
+    uncovered, disconnected); a corrupt tree, a width overshoot or a
+    structure no strategy decomposes (``no-decomposition``) is not
     repairable.  No decomposition is patched: under ``"repair"`` and
     ``"degrade"`` every failing one is rebuilt from the structure, and
     ``repairable`` only decides which violations a rejection's report
@@ -109,53 +109,6 @@ class InvalidStructure(ViolationError):
 class InvalidDecomposition(ViolationError):
     """The supplied tree decomposition violates the Section 2.2 axioms
     (or the Definition 2.3 / Section 5 normal-form shape)."""
-
-
-class WidthExceeded(InvalidDecomposition):
-    """The decomposition's width exceeds the compiled envelope.
-
-    Tractability (Theorem 4.4) holds only within the compiled width,
-    so an overshoot is re-decomposed below the envelope, degraded to
-    direct MSO evaluation, or rejected.  ``width`` / ``limit`` quantify the
-    overshoot; ``fingerprint`` identifies the structure
-    (:func:`repro.structures.structure_fingerprint`) so the caller can
-    act on the rejection without holding the structure."""
-
-    def __init__(
-        self,
-        message: str,
-        violations=(),
-        *,
-        width: int | None = None,
-        limit: int | None = None,
-        fingerprint: str | None = None,
-    ):
-        super().__init__(message, violations)
-        self.width = width
-        self.limit = limit
-        self.fingerprint = fingerprint
-
-    def __reduce__(self):
-        return (
-            _rebuild_width_exceeded,
-            (
-                self.args[0] if self.args else "",
-                self.violations,
-                self.width,
-                self.limit,
-                self.fingerprint,
-            ),
-        )
-
-
-def _rebuild_width_exceeded(message, violations, width, limit, fingerprint):
-    return WidthExceeded(
-        message,
-        violations,
-        width=width,
-        limit=limit,
-        fingerprint=fingerprint,
-    )
 
 
 class AdmissionRejected(ViolationError):

@@ -257,8 +257,7 @@ class _Request:
         #: absolute ``time.monotonic()`` deadline, or None
         self.deadline = deadline
         #: resolved admission policy (request override, else the
-        #: solver's default, else the service's), or None for the
-        #: legacy trusting path
+        #: service's); None is ``"strict"``
         self.admission = admission
         #: how many workers died while this request was in flight
         self.crashes = 0
@@ -343,22 +342,18 @@ class _Worker:
 def _solve_request(solver, structure, td, budget, admission=None):
     """Solve one request inside a worker; an outcome tuple.
 
-    ``("ok", value)`` / ``("adm", verdict, value)`` (served through the
-    admission ladder) / ``("rej", exc)`` (rejected by it) /
+    ``("adm", verdict, value)`` (served through the admission ladder) /
+    ``("rej", exc)`` (rejected by it) /
     ``("budget", message, dimension, limit, consumed)`` /
     ``("err", brief, traceback)``.  Per-request, so one failing
-    structure cannot take down its shard-mates' answers -- and with
-    admission on, a malformed request resolves as a typed rejection
-    instead of whatever the trusting pipeline would have thrown."""
-    solve_one = solver.decide if solver.compiled.is_sentence else solver.query
+    structure cannot take down its shard-mates' answers, and a
+    malformed request resolves as a typed rejection."""
     try:
         try:
-            if admission is not None:
-                answer, report = solver.solve_admitted(
-                    structure, td, policy=admission, budget=budget
-                )
-                return ("adm", report.verdict, answer)
-            return ("ok", solve_one(structure, td, budget=budget))
+            answer, report = solver.solve_admitted(
+                structure, td, policy=admission, budget=budget
+            )
+            return ("adm", report.verdict, answer)
         except AdmissionRejected as exc:
             return ("rej", exc)
         except BudgetExceeded as exc:
@@ -463,25 +458,18 @@ class ProgramHandle:
 
     A request's admission policy resolves as in
     ``CourcelleSolver.solve_many(service=)``: the request's own
-    ``admission=``, else the registered solver's ``admission=``
-    default, else the service-wide default.
+    ``admission=``, else the service-wide policy, else ``"strict"``.
     """
 
-    __slots__ = ("_service", "key", "admission")
+    __slots__ = ("_service", "key")
 
-    def __init__(
-        self, service: "SolverService", key: str, admission: str | None = None
-    ):
+    def __init__(self, service: "SolverService", key: str):
         self._service = service
         self.key = key
-        #: the registered solver's default admission policy
-        self.admission = admission
 
     def _policy(self, admission: str | None) -> str | None:
         if admission is not None:
             return admission
-        if self.admission is not None:
-            return self.admission
         return self._service.admission
 
     def submit(
@@ -505,9 +493,8 @@ class ProgramHandle:
         :class:`repro.errors.AdmissionRejected`) -- in both cases the
         returned future is already resolved.
 
-        ``admission`` routes this request through the admission ladder
-        under that policy (overriding the solver's and the service's
-        defaults); rejected requests fail their future with
+        ``admission`` names the request's admission policy (overriding
+        the service's); rejected requests fail their future with
         ``AdmissionRejected`` and quarantine their fingerprint."""
         if timeout is not None:
             if deadline is not None:
@@ -568,16 +555,14 @@ class ProgramHandle:
         each wait gets only the remainder -- the total wait is at most
         ``timeout``, never N x timeout.
 
-        With admission active (per-call ``admission=``, the solver's
-        default or the service-wide default), rejected items resolve
-        **per slot**: the result list holds each rejected request's
-        :class:`repro.errors.AdmissionRejected` in place of an answer
-        instead of the whole batch raising on the first bad input.  Any
-        other failure raises at its slot, e.g. :class:`ShardFailed`."""
+        Rejected items resolve **per slot**: the result list holds each
+        rejected request's :class:`repro.errors.AdmissionRejected` in
+        place of an answer instead of the whole batch raising on the
+        first bad input.  Any other failure raises at its slot, e.g.
+        :class:`ShardFailed`."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        effective = self._policy(admission)
         futures = self.submit_many(
-            structures, tds, deadline=deadline, admission=effective
+            structures, tds, deadline=deadline, admission=admission
         )
         results = []
         for future in futures:
@@ -589,8 +574,6 @@ class ProgramHandle:
             try:
                 results.append(future.result(remaining))
             except AdmissionRejected as exc:
-                if effective is None:
-                    raise
                 results.append(exc)
         return results
 
@@ -631,11 +614,11 @@ class SolverService:
       variable), empty in production;
     * ``shutdown_grace`` -- seconds each shutdown join waits before
       escalating terminate() -> kill();
-    * ``admission`` -- an :data:`repro.admission.POLICIES` name
-      (``"strict"`` / ``"repair"`` / ``"degrade"``) routing every
-      request through the untrusted-input admission ladder by default
-      (per-request ``admission=`` overrides); rejected fingerprints
-      are quarantined like poison inputs, and their stored
+    * ``admission`` -- the :data:`repro.admission.POLICIES` name
+      (``"strict"`` / ``"repair"`` / ``"degrade"``) every request is
+      admitted under unless it names its own (``"strict"`` by
+      default; ``None`` means ``"strict"``); rejected fingerprints are
+      quarantined like poison inputs, and their stored
       :class:`repro.errors.AdmissionRejected` fast-fails repeat
       submissions.
 
@@ -660,7 +643,7 @@ class SolverService:
         budget: SolveBudget | None = None,
         faults: "FaultPlan | str | None" = None,
         shutdown_grace: float = 5.0,
-        admission: str | None = None,
+        admission: str | None = "strict",
     ):
         if workers is None:
             workers = default_worker_count()
@@ -683,9 +666,8 @@ class SolverService:
                 f"unknown admission policy {admission!r}; "
                 f"expected one of {POLICIES}"
             )
-        #: service-wide admission policy default (per-request
-        #: ``admission=`` and the solver's own default override it);
-        #: None keeps the trusting paths
+        #: service-wide admission policy (a request's own
+        #: ``admission=`` overrides it)
         self.admission = admission
         self.max_pending = max_pending
         self.max_shard = max_shard
@@ -758,22 +740,18 @@ class SolverService:
         self.shutdown(drain=exc_type is None)
 
     def register(self, solver) -> ProgramHandle:
-        """Register a ``CourcelleSolver``; idempotent per (admission
-        default, admission budget, compiled program).
+        """Register a ``CourcelleSolver``; idempotent per compiled
+        program.
 
         The solver is pickled **once** here (``__getstate__``: compiled
-        program + prepared plans + relevance set + admission defaults)
-        and shipped lazily to each worker the first time a shard of
-        this program reaches it.  Registering an equal solver again
-        (same admission default and budget, program fingerprint, width)
-        returns the existing handle without re-pickling; solvers that
-        differ only in their admission defaults get separate handles.
+        program + prepared plans + relevance set) and shipped lazily to
+        each worker the first time a shard of this program reaches it.
+        Registering an equal solver again (same program fingerprint and
+        width) returns the existing handle without re-pickling.
         """
         compiled = solver.compiled
         key = ":".join(
             (
-                str(solver.admission),
-                repr(solver.admission_budget),
                 str(compiled.width),
                 "sentence" if compiled.is_sentence else "unary",
                 program_fingerprint(compiled.program),
@@ -791,7 +769,7 @@ class SolverService:
                 raise ServiceClosed("service is shut down")
             handle = self._handles.get(key)
             if handle is None:
-                handle = ProgramHandle(self, key, solver.admission)
+                handle = ProgramHandle(self, key)
                 self._handles[key] = handle
                 self._payloads[key] = payload
         return handle
@@ -1212,10 +1190,7 @@ class SolverService:
             outcomes = message[2]
             for request, outcome in zip(shard.requests, outcomes):
                 tag = outcome[0]
-                if tag == "ok":
-                    completions.append((request.future, outcome[1], None))
-                    self.stats.completed += 1
-                elif tag == "adm":
+                if tag == "adm":
                     _, verdict, value = outcome
                     completions.append((request.future, value, None))
                     self.stats.completed += 1

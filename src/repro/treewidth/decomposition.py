@@ -19,7 +19,7 @@ pervasively by the test-suite's property tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..errors import InvalidDecomposition, Violation
 from ..structures.graphs import Graph
@@ -459,7 +459,9 @@ def refinement_violations(dec, extra: Iterable[Violation] = ()) -> list[Violatio
     :class:`repro.treewidth.normalize.NormalizedTreeDecomposition`,
     whose previously duplicated ``validate`` bodies both route here.
     ``extra`` prepends refinement-specific violations (e.g. the
-    tuple-bag distinctness check).
+    tuple-bag distinctness check).  Each refinement's
+    ``shape_violations`` runs it only when its one-pass check finds
+    the decomposition malformed.
     """
     violations = list(extra)
     for node in dec.tree.nodes():
@@ -472,16 +474,13 @@ def refinement_violations(dec, extra: Iterable[Violation] = ()) -> list[Violatio
     return violations
 
 
-def validate_refinement(
-    dec, structure: Structure | None = None, extra: Iterable[Violation] = ()
-) -> None:
+def validate_refinement(dec, structure: Structure | None = None) -> None:
     """The shared ``validate`` implementation of the nice/normalized
-    refinements: normal-form shape first (every node classifiable,
-    plus ``extra`` refinement-specific checks), then -- if a structure
-    is supplied -- the Section 2.2 axioms against it.  Raises
-    :class:`repro.errors.InvalidDecomposition` carrying all collected
-    violations."""
-    violations = refinement_violations(dec, extra)
+    refinements: normal-form shape first (``dec.shape_violations()``),
+    then -- if a structure is supplied -- the Section 2.2 axioms
+    against it.  Raises :class:`repro.errors.InvalidDecomposition`
+    carrying all collected violations."""
+    violations = dec.shape_violations()
     if violations:
         raise InvalidDecomposition.from_violations(violations)
     if structure is not None:

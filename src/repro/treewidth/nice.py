@@ -34,11 +34,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable
 
+from ..errors import Violation
 from ..structures.structure import Element, Structure
 from .decomposition import (
     NodeId,
     RootedTree,
     TreeDecomposition,
+    refinement_violations,
     validate_refinement,
 )
 
@@ -97,6 +99,34 @@ class NiceTreeDecomposition(TreeDecomposition):
         (child,) = self.tree.children(node)
         (v,) = self.bags[child] - self.bags[node]
         return v
+
+    def _well_formed(self) -> bool:
+        """Whether every node has a Section 5 kind, in one pass over
+        the child map and the bags."""
+        bags = self.bags
+        for node, kids in self.tree._children.items():
+            if not kids:
+                continue
+            here = bags[node]
+            if len(kids) == 2:
+                if bags[kids[0]] == here and bags[kids[1]] == here:
+                    continue
+            elif len(kids) == 1:
+                child = bags[kids[0]]
+                if (
+                    here == child
+                    or (len(here) == len(child) + 1 and child < here)
+                    or (len(here) == len(child) - 1 and here < child)
+                ):
+                    continue
+            return False
+        return True
+
+    def shape_violations(self) -> list[Violation]:
+        """The unclassifiable nodes, in preorder.  Empty after the one
+        pass of :meth:`_well_formed` on a well-formed decomposition; a
+        malformed one is classified node by node."""
+        return [] if self._well_formed() else refinement_violations(self)
 
     def validate(self, structure: Structure | None = None) -> None:
         """The normal-form shape, then, given ``structure``, the

@@ -33,6 +33,7 @@ from .decomposition import (
     NodeId,
     RootedTree,
     TreeDecomposition,
+    refinement_violations,
     validate_refinement,
 )
 
@@ -99,9 +100,45 @@ class NormalizedTreeDecomposition(TreeDecomposition):
         position = {x: i for i, x in enumerate(here)}
         return tuple(position[x] for x in child_bag)
 
-    def validate(self, structure: Structure | None = None) -> None:
-        """The Definition 2.3 shape, then, given ``structure``, the
-        Section 2.2 axioms against it, on the tuple bags."""
+    def _well_formed(self) -> bool:
+        """Whether the decomposition has the Definition 2.3 shape, in
+        one pass over the child map and the bags.
+
+        Checks the root tuple for repeats and every edge for a kind
+        that keeps a tuple free of repeats: an equal-tuple branch
+        child, a replacement child whose new element is not in the
+        node's tuple, or a permutation child with the node's element
+        set and another tail.  Every tuple descends from the root's
+        along such edges, so none repeats an element; and a
+        well-formed decomposition has only such edges."""
+        bags = self.bags
+        root = bags[self.tree.root]
+        if len(set(root)) != len(root):
+            return False
+        for node, kids in self.tree._children.items():
+            if not kids:
+                continue
+            here = bags[node]
+            if len(kids) == 2:
+                if bags[kids[0]] == here and bags[kids[1]] == here:
+                    continue
+            elif len(kids) == 1:
+                child = bags[kids[0]]
+                if child[1:] == here[1:]:
+                    if child[0] not in here:
+                        continue
+                elif set(child) == set(here):
+                    continue
+            return False
+        return True
+
+    def shape_violations(self) -> list[Violation]:
+        """The Definition 2.3 shape violations: bags that repeat an
+        element, then unclassifiable nodes in preorder.  Empty after
+        the one pass of :meth:`_well_formed` on a well-formed
+        decomposition; a malformed one is classified node by node."""
+        if self._well_formed():
+            return []
         distinctness = [
             Violation(
                 "bag-repeats-elements",
@@ -111,7 +148,12 @@ class NormalizedTreeDecomposition(TreeDecomposition):
             for node, bag in self.bags.items()
             if len(set(bag)) != len(bag)
         ]
-        validate_refinement(self, structure, extra=distinctness)
+        return refinement_violations(self, distinctness)
+
+    def validate(self, structure: Structure | None = None) -> None:
+        """The Definition 2.3 shape, then, given ``structure``, the
+        Section 2.2 axioms against it, on the tuple bags."""
+        validate_refinement(self, structure)
 
 
 # ----------------------------------------------------------------------

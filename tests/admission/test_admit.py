@@ -160,6 +160,51 @@ class TestDegrade:
         assert "exceeds the compiled width" in result.report.degrade_reason
         assert result.meter is not None
 
+    def test_spent_budget_degrades_with_no_decomposition(self):
+        import time
+
+        from repro.datalog.budget import SolveBudget
+
+        meter = SolveBudget(max_seconds=1e-6).start()
+        time.sleep(0.01)  # spent before the rebuild starts
+        result = admit(
+            path_structure(5),
+            signature=GRAPH_SIGNATURE,
+            width=1,
+            policy="degrade",
+            budget=meter,
+        )
+        assert result.action == "degrade"
+        (violation,) = result.report.residual
+        assert violation.code == "no-decomposition"
+        assert "admission budget ran out" in violation.message
+        assert "admission budget ran out" in result.report.degrade_reason
+
+    def test_failing_strategies_are_named_not_blamed_on_the_budget(
+        self, monkeypatch
+    ):
+        from repro.treewidth import heuristics
+
+        def broken(graph):
+            raise RuntimeError("strategy failed")
+
+        for method in heuristics.ESCALATION:
+            monkeypatch.setitem(heuristics._ORDERS, method, broken)
+        result = admit(
+            path_structure(5), signature=GRAPH_SIGNATURE, width=1,
+            policy="degrade",
+        )
+        reason = result.report.degrade_reason
+        assert "RuntimeError: strategy failed" in reason
+        assert "budget" not in reason.split(";")[0]
+        with pytest.raises(AdmissionRejected) as err:
+            admit(path_structure(5), signature=GRAPH_SIGNATURE, width=1,
+                  policy="repair")
+        assert [v.code for v in err.value.report.residual] == [
+            "no-decomposition"
+        ]
+        assert "width -1" not in str(err.value)
+
     def test_degrade_still_rejects_fatal_structure(self):
         s = Structure(Signature.of(e=3), range(3), {"e": [(0, 1, 2)]})
         with pytest.raises(AdmissionRejected):

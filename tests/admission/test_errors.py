@@ -10,7 +10,6 @@ from repro.errors import (
     InvalidStructure,
     Violation,
     ViolationError,
-    WidthExceeded,
     summarize_violations,
 )
 
@@ -41,7 +40,6 @@ class TestValueErrorCompatibility:
         assert issubclass(ViolationError, ValueError)
         assert issubclass(InvalidStructure, ViolationError)
         assert issubclass(InvalidDecomposition, ViolationError)
-        assert issubclass(WidthExceeded, InvalidDecomposition)
         assert issubclass(AdmissionRejected, ViolationError)
 
     def test_from_violations_joins_every_message(self):
@@ -76,17 +74,6 @@ class TestPickling:
         for cls in (InvalidStructure, InvalidDecomposition):
             back = pickle.loads(pickle.dumps(cls("bad", ())))
             assert type(back) is cls
-
-    def test_width_exceeded_carries_context(self):
-        exc = WidthExceeded(
-            "width 5 exceeds the compiled width 2",
-            width=5,
-            limit=2,
-            fingerprint="abc123",
-        )
-        back = pickle.loads(pickle.dumps(exc))
-        assert (back.width, back.limit, back.fingerprint) == (5, 2, "abc123")
-        assert "exceeds" in str(back)
 
     def test_admission_rejected_carries_report(self):
         from repro.admission import AdmissionReport

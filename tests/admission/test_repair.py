@@ -34,8 +34,9 @@ class TestRedecompose:
         s = path_structure(5)
         meter = SolveBudget(max_seconds=1e-6).start()
         time.sleep(0.01)  # the meter is already over before any strategy runs
-        td, method = redecompose(s, width_limit=1, meter=meter)
-        assert td is None and method is None
+        td, reason = redecompose(s, width_limit=1, meter=meter)
+        assert td is None
+        assert reason.startswith("the admission budget ran out")
 
     def test_failing_strategy_is_skipped(self, monkeypatch):
         def broken(graph):
@@ -53,4 +54,9 @@ class TestRedecompose:
 
         for method in heuristics.ESCALATION:
             monkeypatch.setitem(heuristics._ORDERS, method, broken)
-        assert redecompose(path_structure(5), width_limit=1) == (None, None)
+        td, reason = redecompose(path_structure(5), width_limit=1)
+        assert td is None
+        assert reason == (
+            "every decomposition strategy failed, the last with "
+            "RuntimeError: strategy failed"
+        )

@@ -47,15 +47,16 @@ class TestServiceAdmission:
         assert stats.admission_rejected == 1
 
     def test_per_request_override_on_plain_service(self, neighbor_solver):
-        from repro.service import ShardFailed
-
         wide = clique(4)
         with SolverService(workers=1) as service:
             handle = service.register(neighbor_solver)
-            # no service default: the same structure fails legacy-style
-            # without admission (whole batch raises), degrades with it
-            with pytest.raises(ShardFailed, match="WidthExceeded"):
-                handle.solve_many([wide])
+            # the plain service admits strictly: the over-width input
+            # is rejected in its slot, and degrades on request
+            (rejected,) = handle.solve_many([wide])
+            assert isinstance(rejected, AdmissionRejected)
+            assert rejected.report.policy == "strict"
+            assert "exceeds" in str(rejected)
+            service.evict_quarantine()
             got = handle.solve_many([wide], admission="degrade")
             assert got[0] == mso_query(wide, HAS_NEIGHBOR, "x")
 
@@ -117,56 +118,53 @@ class TestServiceAdmission:
         )
 
     def test_legacy_traffic_untouched_by_default(self, neighbor_solver):
+        """Clean traffic gets the same answers under the strict
+        default, and every request is counted as admitted."""
         batch = [path_structure(5), path_structure(3)]
         with SolverService(workers=1) as service:
+            assert service.admission == "strict"
             handle = service.register(neighbor_solver)
             results = handle.solve_many(batch)
             stats = service.stats
         assert results == [frozenset(s.domain) for s in batch]
-        assert stats.admitted == 0
+        assert stats.admitted == 2
         assert stats.repaired == 0
         assert stats.degraded == 0
         assert stats.admission_rejected == 0
 
 
 class TestSolverAdmissionDefault:
-    """The service honours a registered solver's own ``admission=``
-    default: a request resolves its policy as request, then solver
-    default, then service default -- as
-    ``CourcelleSolver.solve_many(service=)`` does."""
+    """A request's policy resolves as the request's own, then the
+    service's, then ``"strict"``: a solver carries no policy, so equal
+    programs share one handle and the service's policy is never
+    shadowed by a per-solver setting."""
 
     @staticmethod
-    def strict_solver():
+    def fresh_solver():
         return CourcelleSolver(
             HAS_NEIGHBOR,
             GRAPH_SIGNATURE,
             width=1,
             free_var="x",
             structure_filter=undirected_graph_filter,
-            admission="strict",
         )
 
-    def test_strict_solver_gets_its_own_handle(self, neighbor_solver):
-        from repro.service import ShardFailed
-
-        strict = self.strict_solver()
+    def test_one_program_one_handle(self, neighbor_solver):
         k5 = clique(5)
-        with SolverService(workers=1) as service:
-            trusting = service.register(neighbor_solver)
-            guarded = service.register(strict)
-            assert guarded is not trusting
-            # the strict solver's handle rejects the over-width input
-            # instead of running it on the trusting solver's payload
-            with pytest.raises(AdmissionRejected):
-                guarded.submit(k5).result(timeout=120)
-            service.evict_quarantine()
-            with pytest.raises(ShardFailed, match="WidthExceeded"):
-                trusting.submit(k5).result(timeout=120)
+        with SolverService(workers=1, admission="degrade") as service:
+            first = service.register(neighbor_solver)
+            again = service.register(self.fresh_solver())
+            assert again is first
+            # the service's policy applies to every registered solver
+            assert again.submit(k5).result(timeout=120) == mso_query(
+                k5, HAS_NEIGHBOR, "x"
+            )
+            assert service.stats.degraded == 1
 
     def test_handle_solve_many_resolves_rejections_per_slot(self):
         batch = [path_structure(5), clique(5), path_structure(3)]
         with SolverService(workers=1) as service:
-            handle = service.register(self.strict_solver())
+            handle = service.register(self.fresh_solver())
             results = handle.solve_many(batch, timeout=120)
             stats = service.stats
         assert results[0] == frozenset(batch[0].domain)

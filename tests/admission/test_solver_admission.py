@@ -1,10 +1,12 @@
-"""Admission wired through CourcelleSolver.decide/query/solve_many."""
+"""Admission wired through CourcelleSolver.decide/query/solve_many:
+every request goes through the ladder, under ``"strict"`` unless the
+call names another policy."""
 
 import pickle
 
 import pytest
 
-from repro.errors import AdmissionRejected, WidthExceeded
+from repro.errors import AdmissionRejected
 from repro.mso import formulas, query as mso_query
 from repro.structures import GRAPH_SIGNATURE, Structure
 from repro.treewidth import decompose_structure
@@ -21,30 +23,85 @@ def clique(n):
 
 
 class TestLegacyPathUnchanged:
-    """With ``admission=None`` (the default) behaviour is byte-identical
-    to the pre-admission solver -- including its failure mode."""
+    """What a caller saw before every request went through admission
+    holds under the ``"strict"`` default: clean input is answered, and
+    an over-width decomposition is refused with a ``ValueError`` that
+    says it ``exceeds`` the width -- now the typed
+    ``AdmissionRejected`` carrying the report."""
 
     def test_clean_query(self, neighbor_solver):
         s = path_structure(5)
         assert neighbor_solver.query(s) == frozenset(s.domain)
 
     def test_overwidth_still_raises_value_error(self, neighbor_solver):
-        s = path_structure(5)
         wide = decompose_structure(clique(4))
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds") as err:
             neighbor_solver.query(path_structure(4), wide)
+        assert isinstance(err.value, AdmissionRejected)
 
     def test_width_exceeded_carries_fingerprint(self, neighbor_solver):
         from repro.structures import structure_fingerprint
 
         s = path_structure(4)
         wide = decompose_structure(clique(4))
-        with pytest.raises(WidthExceeded) as err:
+        with pytest.raises(AdmissionRejected) as err:
             neighbor_solver.query(s, wide)
-        assert err.value.limit == 1
-        assert err.value.width == wide.width
-        assert err.value.fingerprint == structure_fingerprint(s)
-        assert err.value.fingerprint in str(err.value)
+        report = err.value.report
+        assert report.policy == "strict"
+        assert report.verdict == "rejected"
+        assert report.width_limit == 1
+        (violation,) = [
+            v for v in err.value.violations if v.code == "width-exceeded"
+        ]
+        assert violation.subject == (wide.width, 1)
+        assert report.fingerprint == structure_fingerprint(s)
+        assert report.fingerprint in str(err.value)
+
+
+class TestStrictDefault:
+    """Inputs the trusting route answered silently are refused."""
+
+    def test_foreign_signature_is_rejected_not_answered(
+        self, neighbor_solver
+    ):
+        from repro.structures import Signature
+
+        s = Structure(
+            Signature({"edge": 2}), range(4), {"edge": [(0, 1), (1, 2)]}
+        )
+        # direct MSO cannot evaluate it either: it has no ``e``
+        with pytest.raises(KeyError):
+            mso_query(s, HAS_NEIGHBOR, "x")
+        with pytest.raises(AdmissionRejected) as err:
+            neighbor_solver.query(s)
+        codes = {v.code for v in err.value.violations}
+        assert codes == {"unknown-predicate", "missing-predicate"}
+        assert err.value.report.verdict == "rejected"
+
+    def test_extra_predicate_rejected_by_default_repaired_on_request(
+        self, neighbor_solver
+    ):
+        from repro.structures import Signature
+
+        s = Structure(
+            Signature({"e": 2, "p": 1}),
+            range(4),
+            {"e": [(0, 1), (1, 0), (1, 2), (2, 1)], "p": [(3,)]},
+        )
+        with pytest.raises(AdmissionRejected) as err:
+            neighbor_solver.query(s)
+        assert [v.code for v in err.value.violations] == ["unknown-predicate"]
+        answer, report = neighbor_solver.solve_admitted(s, policy="repair")
+        assert answer == frozenset({0, 1, 2})
+        assert report.verdict == "repaired"
+        assert neighbor_solver.query(s, admission="repair") == answer
+
+    def test_overwidth_structure_is_rejected(self, neighbor_solver):
+        with pytest.raises(AdmissionRejected, match="exceeds") as err:
+            neighbor_solver.query(clique(4))
+        assert [v.code for v in err.value.report.residual] == [
+            "width-exceeded"
+        ]
 
 
 class TestPerCallAdmission:
@@ -78,35 +135,6 @@ class TestPerCallAdmission:
             neighbor_solver.query(path_structure(4), admission="bogus")
 
 
-class TestDefaultAdmission:
-    def test_ctor_policy_applies_to_every_call(self):
-        from repro.core import CourcelleSolver, undirected_graph_filter
-
-        solver = CourcelleSolver(
-            HAS_NEIGHBOR,
-            GRAPH_SIGNATURE,
-            width=1,
-            free_var="x",
-            structure_filter=undirected_graph_filter,
-            admission="degrade",
-        )
-        s = clique(4)
-        assert solver.query(s) == mso_query(s, HAS_NEIGHBOR, "x")
-
-    def test_ctor_rejects_unknown_policy(self):
-        from repro.core import CourcelleSolver, undirected_graph_filter
-
-        with pytest.raises(ValueError, match="admission policy"):
-            CourcelleSolver(
-                HAS_NEIGHBOR,
-                GRAPH_SIGNATURE,
-                width=1,
-                free_var="x",
-                structure_filter=undirected_graph_filter,
-                admission="everything-goes",
-            )
-
-
 class TestSolveMany:
     def mixed_batch(self):
         return [path_structure(4), clique(4), path_structure(3)]
@@ -132,6 +160,16 @@ class TestSolveMany:
         assert results[1].report.verdict == "rejected"
         assert results[2] == frozenset(batch[2].domain)
 
+    def test_strict_default_resolves_rejections_per_slot(
+        self, neighbor_solver
+    ):
+        batch = self.mixed_batch()
+        results = neighbor_solver.solve_many(batch)
+        assert results[0] == frozenset(batch[0].domain)
+        assert isinstance(results[1], AdmissionRejected)
+        assert results[1].report.policy == "strict"
+        assert results[2] == frozenset(batch[2].domain)
+
     def test_pool_matches_serial(self, neighbor_solver):
         batch = self.mixed_batch()
         serial = neighbor_solver.solve_many(batch, admission="degrade")
@@ -145,19 +183,13 @@ class TestSolveMany:
 
 
 class TestCloningAndPickling:
-    def solver_with_default(self):
-        from repro.core import CourcelleSolver, undirected_graph_filter
-
-        return CourcelleSolver(
-            HAS_NEIGHBOR,
-            GRAPH_SIGNATURE,
-            width=1,
-            free_var="x",
-            structure_filter=undirected_graph_filter,
-            admission="repair",
+    def test_pickle_carries_admission(self, neighbor_solver):
+        """A pickled solver (the service handoff) admits as the
+        original does: strictly by default, per call otherwise."""
+        back = pickle.loads(pickle.dumps(neighbor_solver))
+        s = clique(4)
+        with pytest.raises(AdmissionRejected):
+            back.query(s)
+        assert back.query(s, admission="degrade") == mso_query(
+            s, HAS_NEIGHBOR, "x"
         )
-
-    def test_pickle_carries_admission(self):
-        solver = self.solver_with_default()
-        back = pickle.loads(pickle.dumps(solver))
-        assert back.admission == "repair"

@@ -1,14 +1,14 @@
 """The solve front end: decompose exactly at width 2, check once.
 
-Two properties of ``CourcelleSolver._prepare``:
+Two properties of the admitted solve:
 
 * **Exactness.** A td-less solve decomposes through the min-fill ->
   min-degree escalation of :func:`repro.treewidth.decompose_within`.
   Min-fill alone overshoots width 2 on some treewidth-2 inputs; the
   escalation does not, because min-degree is exact at treewidth <= 2.
-* **One validation.** A td-less ``query`` runs the Section 2.2 axiom
-  check once, on the normalized decomposition it encodes; a request
-  admission has already verified runs it zero more times.
+* **One validation.** Every request runs the Section 2.2 axiom check
+  once, in admission, on the decomposition it rebuilt or was handed;
+  ``CourcelleSolver._prepare`` checks only the Definition 2.3 shape.
 """
 
 import random
@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.core import CourcelleSolver, grid_graph_filter, undirected_graph_filter
-from repro.errors import WidthExceeded
+from repro.errors import AdmissionRejected
 from repro.mso import formulas, query
 from repro.problems import random_partial_ktree
 from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
@@ -64,7 +64,7 @@ class TestWidthTwoExactness:
             if not over and i % 30:
                 continue
             assert grid_graph_filter(structure)
-            answer = grid_solver.query(structure)  # no WidthExceeded
+            answer = grid_solver.query(structure)  # not rejected
             assert answer == non_isolated(graph)
             if checked < 4:
                 assert answer == query(structure, formulas.has_neighbor("x"), "x")
@@ -85,7 +85,7 @@ class TestWidthTwoExactness:
                 overshoots += decompose_structure(structure).width > 2
                 try:
                     answer = grid_solver.query(structure)
-                except WidthExceeded as exc:  # pragma: no cover - the bug
+                except AdmissionRejected as exc:  # pragma: no cover - the bug
                     pytest.fail(f"width-2 input refused: {exc}")
                 if grid_graph_filter(structure):
                     in_class += 1
@@ -113,8 +113,12 @@ class TestFailingStrategies:
 
         for method in heuristics.ESCALATION:
             monkeypatch.setitem(heuristics._ORDERS, method, broken)
-        with pytest.raises(RuntimeError, match="strategy failed"):
+        with pytest.raises(AdmissionRejected, match="strategy failed") as err:
             path_solver.query(graph_to_structure(Graph.path(9)))
+        (violation,) = err.value.report.residual
+        assert violation.code == "no-decomposition"
+        assert "RuntimeError: strategy failed" in violation.message
+        assert "width -1" not in str(err.value)
 
 
 class TestOneValidationPerSolve:
@@ -146,14 +150,16 @@ class TestOneValidationPerSolve:
     def test_td_less_query_checks_once(self, path_solver, checks):
         graph = Graph.path(12)
         assert path_solver.query(graph_to_structure(graph)) == non_isolated(graph)
-        assert checks == {"all": 1, "prepare": 1}
+        # admission checks the decomposition it rebuilt; _prepare adds none
+        assert checks == {"all": 1, "prepare": 0}
 
     def test_supplied_td_is_checked_once(self, path_solver, checks):
         structure = graph_to_structure(Graph.path(12))
         td = decompose_structure(structure)  # a public call: checked itself
         checks["all"] = 0
         path_solver.query(structure, td)
-        assert checks == {"all": 1, "prepare": 1}
+        # admission checks the supplied decomposition; _prepare adds none
+        assert checks == {"all": 1, "prepare": 0}
 
     def test_verified_request_is_not_rechecked(self, path_solver, checks):
         structure = graph_to_structure(Graph.path(12))

@@ -558,19 +558,33 @@ class TestSolveManySharding:
         assert [clone.query(s) for s in structures] == serial
 
     def test_pool_failure_raises_shard_failed_with_fingerprint(self):
+        """An over-width item is rejected in its slot, with its
+        fingerprint, on the pool as in process; a worker-side failure
+        still raises ``ShardFailed`` carrying the fingerprint."""
         import pytest
 
+        from repro.errors import AdmissionRejected
         from repro.service import ShardFailed, SolverService
         from repro.structures import Graph, graph_to_structure
         from repro.structures.structure import structure_fingerprint
+
+        from ..service.test_service import unwalkable_request
 
         solver = self._solver()
         wide = graph_to_structure(Graph.complete(5))
         batch = self._structures()[:2] + [wide] + self._structures()[2:3]
         with SolverService(workers=2) as service:
-            with pytest.raises(ShardFailed, match="WidthExceeded") as info:
-                solver.solve_many(batch, service=service)
-        assert info.value.fingerprint == structure_fingerprint(wide)
+            pooled = solver.solve_many(batch, service=service)
+            structure, td = unwalkable_request(7)
+            with pytest.raises(ShardFailed, match="tree walk") as info:
+                solver.solve_many([structure], tds=[td], service=service)
+        serial = solver.solve_many(batch)
+        for results in (pooled, serial):
+            rejected = results[2]
+            assert isinstance(rejected, AdmissionRejected)
+            assert rejected.report.fingerprint == structure_fingerprint(wide)
+        assert pooled[:2] + pooled[3:] == serial[:2] + serial[3:]
+        assert info.value.fingerprint == structure_fingerprint(structure)
 
     def test_mismatched_tds_rejected(self):
         import pytest

@@ -418,12 +418,16 @@ class TestShutdownUnderFailure:
 
 class TestFailureMetadata:
     def test_shard_failed_carries_fingerprint_and_program(self, solver):
+        from .test_service import unwalkable_request
+
+        structure, td = unwalkable_request(9)
         with SolverService(workers=1, max_shard=1) as service:
             handle = service.register(solver)
-            exc = handle.submit(None).exception(timeout=120)
+            exc = handle.submit(structure, td=td).exception(timeout=120)
         assert isinstance(exc, ShardFailed)
+        assert "RuntimeError: tree walk failed" in str(exc)
         assert exc.program_key == handle.key
-        assert exc.fingerprint == structure_fingerprint(None)
+        assert exc.fingerprint == structure_fingerprint(structure)
         assert "worker traceback" in str(exc)
         assert exc.fingerprint in str(exc)
 

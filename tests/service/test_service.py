@@ -31,6 +31,7 @@ from repro.service import (
     default_worker_count,
 )
 from repro.structures import GRAPH_SIGNATURE, Graph, Structure, graph_to_structure
+from repro.treewidth import RootedTree, decompose_structure
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,28 @@ def chain(n):
 
 def tree(n, seed=7):
     return graph_to_structure(random_tree_graph(random.Random(seed), n))
+
+
+class UnwalkableTree(RootedTree):
+    """A rooted tree that admission accepts -- its child and parent
+    maps are sound -- but that raises once the solve walks it."""
+
+    __slots__ = ()
+
+    def preorder(self):
+        raise RuntimeError("tree walk failed")
+
+
+def unwalkable_request(n):
+    """A chain and a valid width-1 decomposition of it whose tree
+    raises inside the worker's solve, after admission passed it."""
+    structure = chain(n)
+    td = decompose_structure(structure)
+    tree = UnwalkableTree.__new__(UnwalkableTree)
+    for slot in RootedTree.__slots__:
+        setattr(tree, slot, getattr(td.tree, slot))
+    td.tree = tree
+    return structure, td
 
 
 # ----------------------------------------------------------------------
@@ -174,11 +197,13 @@ class TestShardFailure:
         with SolverService(workers=1, max_shard=1) as service:
             handle = service.register(solver)
             good = handle.submit(chain(8))
-            # None pickles fine but explodes inside the worker's solve
-            bad = handle.submit(None)
+            # admitted, then explodes inside the worker's solve
+            structure, td = unwalkable_request(8)
+            bad = handle.submit(structure, td=td)
             assert good.result(timeout=120) == frozenset(range(8))
             exc = bad.exception(timeout=120)
             assert isinstance(exc, ShardFailed)
+            assert "RuntimeError: tree walk failed" in str(exc)
             assert "worker traceback" in str(exc)
             # the worker survives a failed shard
             assert handle.submit(chain(4)).result(timeout=120) == frozenset(

@@ -18,6 +18,7 @@ from repro.treewidth import (
     NormalizedTreeDecomposition,
     TreeDecomposition,
 )
+from repro.treewidth.decomposition import refinement_violations
 from repro.treewidth.heuristics import _neighbor_sets
 from repro.treewidth.normalize import widen
 
@@ -367,3 +368,26 @@ def staged_normalize(td):
     ntd = assign_tuples(staged)
     assert ntd.width == td.width
     return ntd
+
+
+# ----------------------------------------------------------------------
+# The per-node shape check
+# ----------------------------------------------------------------------
+
+
+def scan_shape_violations(dec):
+    """The shape violations with no one-pass shortcut: a distinctness
+    set per tuple bag for a normalized decomposition, then every node
+    classified in preorder (``refinement_violations``)."""
+    extra = []
+    if isinstance(dec, NormalizedTreeDecomposition):
+        extra = [
+            Violation(
+                "bag-repeats-elements",
+                f"bag of {node} repeats elements: {bag}",
+                subject=(node,),
+            )
+            for node, bag in dec.bags.items()
+            if len(set(bag)) != len(bag)
+        ]
+    return refinement_violations(dec, extra)

@@ -1,11 +1,17 @@
 """Tests for the Section 5 modified ("nice") normal form."""
 
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.structures import Graph, graph_to_structure, running_example
+from repro.errors import InvalidDecomposition
 from repro.treewidth import (
     NiceNodeKind,
+    NiceTreeDecomposition,
+    RootedTree,
     decompose_graph,
     decompose_structure,
     ensure_elements_in_leaves,
@@ -15,6 +21,32 @@ from repro.treewidth import (
 )
 
 from ..conftest import small_graphs
+from .oracles import scan_shape_violations
+
+
+def _tree(edges):
+    tree = RootedTree()
+    for parent, child in edges:
+        tree.add_child(parent, child)
+    return tree
+
+
+#: malformed Section 5 shapes: (tree edges, bag per node)
+MALFORMED_NICE_FORMS = {
+    "three-children": (
+        [(0, 1), (0, 2), (0, 3)],
+        {0: {0}, 1: {0}, 2: {0}, 3: {0}},
+    ),
+    "unequal-branch": ([(0, 1), (0, 2)], {0: {0, 1}, 1: {0, 1}, 2: {0}}),
+    "two-elements-at-once": ([(0, 1)], {0: {0, 1}, 1: {2, 3}}),
+    "swap": ([(0, 1)], {0: {0, 1}, 1: {0, 2}}),
+    "one-more-but-no-superset": ([(0, 1)], {0: {0, 1}, 1: {0, 2, 3}}),
+    "one-fewer-but-no-subset": ([(0, 1)], {0: {0, 1, 2}, 1: {0, 3}}),
+    "out-of-preorder-ids": (
+        [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)],
+        {0: {0}, 1: {0}, 2: {0}, 3: {5, 6}, 4: {0, 1, 2}, 5: {5}},
+    ),
+}
 
 
 class TestMakeNice:
@@ -66,6 +98,44 @@ class TestMakeNice:
             introduction_key=lambda e: 0 if e not in fd_names else 1,
         )
         nice.validate(s)
+
+
+class TestShapeCheck:
+    """``shape_violations`` (one pass over the child map and the bags)
+    gives the violations of classifying every node in preorder."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_NICE_FORMS))
+    def test_malformed_shapes_match_the_scan(self, name):
+        edges, bags = MALFORMED_NICE_FORMS[name]
+        nice = NiceTreeDecomposition(_tree(edges), bags)
+        expected = scan_shape_violations(nice)
+        assert expected, name
+        assert nice.shape_violations() == expected
+        with pytest.raises(InvalidDecomposition) as info:
+            nice.validate()
+        assert info.value.violations == tuple(expected)
+
+    @given(small_graphs(max_vertices=7), st.integers(0, 2**32 - 1))
+    def test_clean_and_perturbed_forms_match_the_scan(self, g, seed):
+        """Nice forms are clean; dropping, adding or swapping one bag
+        element gives exactly the scan's violations."""
+        if g.vertex_count() == 0:
+            return
+        nice = make_nice(decompose_graph(g))
+        assert nice.shape_violations() == scan_shape_violations(nice) == []
+        rng = random.Random(seed)
+        bags = dict(nice.bags)
+        node = rng.choice(sorted(bags))
+        vertices = sorted(g.vertices)
+        bag = set(bags[node])
+        change = rng.randrange(3)
+        if change != 1 and bag:
+            bag.discard(rng.choice(sorted(bag)))
+        if change != 0:
+            bag.add(rng.choice(vertices))
+        bags[node] = bag
+        perturbed = NiceTreeDecomposition(nice.tree, bags)
+        assert perturbed.shape_violations() == scan_shape_violations(perturbed)
 
 
 class TestSurroundBranches:

@@ -1,11 +1,13 @@
 """Tests for the Definition 2.3 normal form (Proposition 2.4)."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import InvalidDecomposition
@@ -27,6 +29,7 @@ from .oracles import (
     equalize_branches,
     interpolate_edges,
     pad_bags_to_full_size,
+    scan_shape_violations,
 )
 
 
@@ -192,6 +195,80 @@ class TestNormalize:
         assert type(sets) is TreeDecomposition
         assert sets.bags == {n: frozenset(t) for n, t in ntd.bags.items()}
         sets.validate_for_graph(g)
+
+
+def _tree(edges):
+    """A rooted tree from (parent, child) edges, children added in
+    edge order (so the node ids need not follow preorder)."""
+    tree = RootedTree()
+    for parent, child in edges:
+        tree.add_child(parent, child)
+    return tree
+
+
+#: malformed Definition 2.3 shapes: (tree edges, tuple per node)
+MALFORMED_NORMAL_FORMS = {
+    "identity-unary": ([(0, 1)], {0: (0, 1), 1: (0, 1)}),
+    "three-children": (
+        [(0, 1), (0, 2), (0, 3)],
+        {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (0, 1)},
+    ),
+    "unequal-branch": ([(0, 1), (0, 2)], {0: (0, 1), 1: (0, 1), 2: (1, 0)}),
+    "two-swaps-at-once": ([(0, 1)], {0: (0, 1), 1: (2, 3)}),
+    "repeating-root": ([(0, 1)], {0: (0, 0), 1: (1, 0)}),
+    "replacement-into-a-repeat": ([(0, 1)], {0: (0, 1), 1: (1, 1)}),
+    "permutation-of-repeats": ([(0, 1)], {0: (0, 1, 1), 1: (1, 0, 1)}),
+    # node ids out of preorder: 0 -> 1 -> 3 and 0 -> 2, with
+    # violations below both branch children
+    "out-of-preorder-ids": (
+        [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)],
+        {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (5, 6), 4: (0, 1), 5: (7, 7)},
+    ),
+}
+
+
+class TestShapeCheck:
+    """``shape_violations`` (one pass over the child map and the bags)
+    gives the violations of classifying every node in preorder."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_NORMAL_FORMS))
+    def test_malformed_shapes_match_the_scan(self, name):
+        edges, tuples = MALFORMED_NORMAL_FORMS[name]
+        ntd = NormalizedTreeDecomposition(_tree(edges), tuples)
+        expected = scan_shape_violations(ntd)
+        assert expected, name
+        assert ntd.shape_violations() == expected
+        with pytest.raises(InvalidDecomposition) as info:
+            ntd.validate()
+        assert info.value.violations == tuple(expected)
+
+    @given(small_graphs(max_vertices=7), st.integers(0, 2**32 - 1))
+    def test_clean_and_perturbed_forms_match_the_scan(self, g, seed):
+        """Normalized forms are clean; rotating a tuple, copying
+        another node's tuple or overwriting one element gives exactly
+        the scan's violations (none, when the change happens to keep
+        the shape)."""
+        if g.vertex_count() < 2:
+            return
+        _, ntd = normalized_of(g)
+        assert ntd.shape_violations() == scan_shape_violations(ntd) == []
+        rng = random.Random(seed)
+        tuples = dict(ntd.bags)
+        nodes = sorted(tuples)
+        node = rng.choice(nodes)
+        here = tuples[node]
+        change = rng.randrange(3)
+        if change == 0:
+            cut = rng.randrange(len(here))
+            tuples[node] = here[cut:] + here[:cut]
+        elif change == 1:
+            tuples[node] = tuples[rng.choice(nodes)]
+        else:
+            spot = rng.randrange(len(here))
+            new = rng.choice(sorted(g.vertices))
+            tuples[node] = here[:spot] + (new,) + here[spot + 1 :]
+        perturbed = NormalizedTreeDecomposition(ntd.tree, tuples)
+        assert perturbed.shape_violations() == scan_shape_violations(perturbed)
 
 
 class TestWiden:
