@@ -86,10 +86,12 @@ __all__ = [
 #: the admission policies, in increasing order of leniency
 POLICIES = ("strict", "repair", "degrade")
 
-#: bounds the admission layer's own work (re-decomposition attempts,
-#: degraded direct-MSO evaluation) when the caller supplies no budget;
-#: generous, because it is the backstop against pathological inputs,
-#: not a latency target -- services pass their own ``SolveBudget``
+#: bounds the degraded direct-MSO evaluation (exponential in the
+#: formula) when the caller supplies no budget; generous, because it is
+#: the backstop against pathological inputs, not a latency target --
+#: services pass their own ``SolveBudget``.  The rebuild is polynomial
+#: and runs unbounded without a caller budget, as the compiled solve
+#: does.
 DEFAULT_ADMISSION_BUDGET = SolveBudget(max_seconds=30.0)
 
 
@@ -146,7 +148,8 @@ class AdmissionResult:
     ``"degrade"`` is the budgeted direct-MSO fallback for structures
     outside the width envelope.  ``structure`` is the (possibly
     coerced) structure to serve; ``meter`` the armed budget spanning
-    the rest of the request.
+    the rest of the request (``None`` when the caller gave none, except
+    on the degrade route, which always carries one).
     """
 
     report: AdmissionReport
@@ -459,7 +462,7 @@ def admit(
     signature: Signature,
     width: int,
     td=None,
-    policy: str = "repair",
+    policy: str | None = None,
     budget=None,
 ) -> AdmissionResult:
     """Run one request through the admission ladder.
@@ -469,7 +472,9 @@ def admit(
     envelope; restricts the structure to the signature and rebuilds a
     failing decomposition where the ``policy`` allows; returns an
     :class:`AdmissionResult` telling the solver how to serve the
-    request (``solve`` / ``direct`` / ``degrade``).  Raises
+    request (``solve`` / ``direct`` / ``degrade``).  ``policy`` is one
+    of :data:`POLICIES`; ``None`` means ``"strict"``, the policy of
+    every request that names none.  Raises
     :class:`repro.errors.AdmissionRejected` -- carrying the full
     :class:`AdmissionReport` -- when the ladder runs out of rungs:
     immediately on any violation under ``"strict"``, when the rebuild
@@ -491,22 +496,22 @@ def admit(
 
     ``budget`` (a ``SolveBudget`` or armed ``BudgetMeter``) spans the
     admission work itself -- the rebuild checks it before each
-    ordering strategy -- and rides the result for the degrade path;
-    ``None`` arms :data:`DEFAULT_ADMISSION_BUDGET`.  A request for
+    ordering strategy -- and rides the result for the rest of the
+    request.  ``None`` leaves the rebuild unbounded and arms
+    :data:`DEFAULT_ADMISSION_BUDGET` for a degraded request only.  A
+    request for
     which no decomposition is built -- its budget already spent when
     the rebuild starts, or every strategy failing -- gets a
     ``no-decomposition`` violation naming the cause, and is degraded
     or rejected with its report.
     """
-    if policy not in POLICIES:
+    if policy is None:
+        policy = "strict"
+    elif policy not in POLICIES:
         raise ValueError(
             f"unknown admission policy {policy!r}; expected one of {POLICIES}"
         )
-    meter = (
-        as_meter(budget)
-        if budget is not None
-        else DEFAULT_ADMISSION_BUDGET.start()
-    )
+    meter = as_meter(budget)
     report = AdmissionReport(policy=policy, width_limit=width)
 
     # -- rung 1: the structure itself ----------------------------------
@@ -576,6 +581,8 @@ def admit(
             else f"{residual.message}; serving by direct MSO evaluation "
             "under budget"
         )
+        if meter is None:
+            meter = DEFAULT_ADMISSION_BUDGET.start()
         return AdmissionResult(report, structure, None, "degrade", meter)
     _reject(report)
 

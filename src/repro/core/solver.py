@@ -196,7 +196,6 @@ class CourcelleSolver:
                 structure,
                 signature=self.compiled.signature,
                 width=self.compiled.width,
-                policy="strict",
             ).td
         if td.width < self.compiled.width:
             td = widen(td, self.compiled.width)
@@ -286,7 +285,8 @@ class CourcelleSolver:
         Returns ``(answer, report)`` -- the ``decide``/``query`` answer
         plus the :class:`repro.admission.AdmissionReport` saying how the
         input was served (``admitted`` / ``repaired`` / ``degraded``).
-        ``policy`` defaults to ``"strict"``.  Raises
+        ``policy`` is passed to :func:`repro.admission.admit`, where
+        ``None`` means ``"strict"``.  Raises
         :class:`repro.errors.AdmissionRejected` when the policy ladder
         runs out: on any violation under ``"strict"``, when
         re-decomposition fails under ``"repair"``, and when
@@ -295,11 +295,10 @@ class CourcelleSolver:
 
         ``budget`` spans the whole request -- admission work, the
         compiled solve *and* the degraded direct evaluation all draw on
-        one meter; ``None`` leaves the solve unbudgeted and bounds only
-        the admission layer's own work
+        one meter; ``None`` leaves the rebuild and the compiled solve
+        unbudgeted and bounds only a degraded evaluation
         (:data:`repro.admission.DEFAULT_ADMISSION_BUDGET`).
         """
-        policy = policy if policy is not None else "strict"
         meter = as_meter(budget)
         result = admit(
             structure,
@@ -329,7 +328,7 @@ class CourcelleSolver:
                     f"exhausted its budget ({exc})"
                 )
                 raise AdmissionRejected(
-                    f"admission rejected (policy {policy}, structure "
+                    f"admission rejected (policy {report.policy}, structure "
                     f"{report.fingerprint}): degraded evaluation "
                     f"exhausted its budget ({exc})",
                     report.violations,

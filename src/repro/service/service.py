@@ -70,6 +70,7 @@ must not block.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -228,6 +229,25 @@ class QuarantineRecord:
     error: BaseException | None = None
 
 
+#: the quarantine scope of a crash: every later request for the
+#: structure, whatever its program, policy or decomposition
+_ANY_REQUEST = ()
+
+
+def _admission_scope(key: str, request: _Request) -> tuple | None:
+    """The quarantine scope of an admission rejection: the program, the
+    policy and the decomposition (by content) it was rejected under;
+    ``None`` for a decomposition no worker can have seen (unpicklable)."""
+    td = request.td
+    try:
+        digest = (
+            None if td is None else hashlib.sha256(pickle.dumps(td)).hexdigest()
+        )
+    except Exception:
+        return None
+    return (key, request.admission, digest)
+
+
 class _Request:
     """One queued solve: a structure (plus optional decomposition), the
     future its answer resolves, and its fault-tolerance state."""
@@ -257,7 +277,7 @@ class _Request:
         #: absolute ``time.monotonic()`` deadline, or None
         self.deadline = deadline
         #: resolved admission policy (request override, else the
-        #: service's); None is ``"strict"``
+        #: service's), passed to ``admit``
         self.admission = admission
         #: how many workers died while this request was in flight
         self.crashes = 0
@@ -488,14 +508,14 @@ class ProgramHandle:
         ``time.monotonic()`` value) bound how long the request may wait
         + run: an expired request fails with :class:`DeadlineExceeded`
         instead of occupying a worker.  A quarantined structure fails
-        fast with :class:`PoisonInput` (or, for admission-quarantined
-        fingerprints, the stored
-        :class:`repro.errors.AdmissionRejected`) -- in both cases the
-        returned future is already resolved.
+        fast with :class:`PoisonInput` (or, when the same structure was
+        rejected under this program, policy and decomposition, the
+        stored :class:`repro.errors.AdmissionRejected`) -- in both
+        cases the returned future is already resolved.
 
         ``admission`` names the request's admission policy (overriding
         the service's); rejected requests fail their future with
-        ``AdmissionRejected`` and quarantine their fingerprint."""
+        ``AdmissionRejected`` and are quarantined in that scope."""
         if timeout is not None:
             if deadline is not None:
                 raise ValueError("pass timeout= or deadline=, not both")
@@ -616,11 +636,12 @@ class SolverService:
       escalating terminate() -> kill();
     * ``admission`` -- the :data:`repro.admission.POLICIES` name
       (``"strict"`` / ``"repair"`` / ``"degrade"``) every request is
-      admitted under unless it names its own (``"strict"`` by
-      default; ``None`` means ``"strict"``); rejected fingerprints are
-      quarantined like poison inputs, and their stored
-      :class:`repro.errors.AdmissionRejected` fast-fails repeat
-      submissions.
+      admitted under unless it names its own; ``None`` (the default)
+      is :func:`repro.admission.admit`'s ``"strict"``.  A rejection is
+      quarantined under the structure's fingerprint *and* the program,
+      policy and decomposition it was rejected under: its stored
+      :class:`repro.errors.AdmissionRejected` fast-fails only a repeat
+      of that request.
 
     Use as a context manager for a drained shutdown::
 
@@ -643,7 +664,7 @@ class SolverService:
         budget: SolveBudget | None = None,
         faults: "FaultPlan | str | None" = None,
         shutdown_grace: float = 5.0,
-        admission: str | None = "strict",
+        admission: str | None = None,
     ):
         if workers is None:
             workers = default_worker_count()
@@ -701,7 +722,9 @@ class SolverService:
         self._queued = 0  # requests in _pending + undispatched _shards
         self._payloads: dict[str, bytes] = {}
         self._handles: dict[str, ProgramHandle] = {}
-        self._quarantine: dict[str, QuarantineRecord] = {}
+        #: fingerprint -> scope -> record (``_ANY_REQUEST`` for a
+        #: crash, :func:`_admission_scope` for a rejection)
+        self._quarantine: dict[str, dict[tuple, QuarantineRecord]] = {}
         self._shard_seq = itertools.count(1)
         self._worker_seq = itertools.count(1)
         self._closed = False
@@ -788,19 +811,23 @@ class SolverService:
     def quarantined(self) -> tuple[QuarantineRecord, ...]:
         """The current quarantine population (snapshot)."""
         with self._lock:
-            return tuple(self._quarantine.values())
+            return tuple(
+                record
+                for scopes in self._quarantine.values()
+                for record in scopes.values()
+            )
 
     def evict_quarantine(self, fingerprint: str | None = None) -> int:
-        """Evict one fingerprint (or all of them); how many were
-        evicted.  Evicted structures may be submitted again -- they get
-        a fresh ``max_retries`` allowance."""
+        """Evict one fingerprint's records (or every record); how many
+        records were evicted.  Evicted structures may be submitted
+        again -- they get a fresh ``max_retries`` allowance."""
         with self._lock:
             if fingerprint is None:
-                count = len(self._quarantine)
+                count = self.stats.quarantine_size
                 self._quarantine.clear()
             else:
-                count = int(self._quarantine.pop(fingerprint, None) is not None)
-            self.stats.quarantine_size = len(self._quarantine)
+                count = len(self._quarantine.pop(fingerprint, {}))
+            self.stats.quarantine_size -= count
         return count
 
     def shutdown(self, drain: bool = True, timeout: float | None = None):
@@ -929,8 +956,15 @@ class SolverService:
                 raise ServiceClosed("service is shut down")
             if key not in self._payloads:
                 raise KeyError(f"program {key!r} is not registered")
-            if self._quarantine:
-                record = self._quarantine.get(request.fingerprint)
+            scopes = (
+                self._quarantine.get(request.fingerprint)
+                if self._quarantine
+                else None
+            )
+            if scopes:
+                record = scopes.get(_ANY_REQUEST)
+                if record is None:
+                    record = scopes.get(_admission_scope(key, request))
                 if record is not None:
                     record.rejections += 1
                     self.stats.quarantine_rejections += 1
@@ -1425,34 +1459,39 @@ class SolverService:
     def _quarantine_rejection_locked(
         self, request: _Request, key: str, exc: BaseException
     ) -> None:
-        """Quarantine an admission-rejected fingerprint so repeat
-        submissions fail fast with the same typed rejection instead of
-        re-running verification (and possibly re-decomposition) on a
-        worker every time."""
-        fingerprint = request.fingerprint
-        if fingerprint not in self._quarantine:
-            self._quarantine[fingerprint] = QuarantineRecord(
-                fingerprint=fingerprint,
+        """Quarantine an admission rejection so a repeat of the request
+        -- same structure, program, policy and decomposition -- fails
+        fast with the same typed rejection instead of re-running
+        verification (and possibly re-decomposition) on a worker every
+        time."""
+        scope = _admission_scope(key, request)
+        if scope is None:
+            return
+        scopes = self._quarantine.setdefault(request.fingerprint, {})
+        if scope not in scopes:
+            scopes[scope] = QuarantineRecord(
+                fingerprint=request.fingerprint,
                 program_key=key,
                 crashes=request.crashes,
                 history=tuple(request.history),
                 reason="admission",
                 error=exc,
             )
-            self.stats.quarantine_size = len(self._quarantine)
+            self.stats.quarantine_size += 1
 
     def _poison_locked(self, request: _Request, key: str) -> PoisonInput:
         fingerprint = request.fingerprint
         history = tuple(request.history)
-        if fingerprint not in self._quarantine:
-            self._quarantine[fingerprint] = QuarantineRecord(
+        scopes = self._quarantine.setdefault(fingerprint, {})
+        if _ANY_REQUEST not in scopes:
+            scopes[_ANY_REQUEST] = QuarantineRecord(
                 fingerprint=fingerprint,
                 program_key=key,
                 crashes=request.crashes,
                 history=history,
             )
             self.stats.poisoned += 1
-            self.stats.quarantine_size = len(self._quarantine)
+            self.stats.quarantine_size += 1
         self.stats.failed += 1
         return PoisonInput(
             f"structure {fingerprint} crashed its worker "

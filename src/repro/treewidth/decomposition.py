@@ -450,28 +450,31 @@ class OccurrenceIndex:
 # ----------------------------------------------------------------------
 
 
-def refinement_violations(dec, extra: Iterable[Violation] = ()) -> list[Violation]:
-    """Per-node normal-form violations of a refined decomposition.
+def refinement_violations(dec) -> list[Violation]:
+    """The nodes of a refined decomposition that ``dec.node_kind``
+    cannot classify, as ``malformed-node`` violations in preorder.
 
-    ``dec`` is anything exposing ``tree`` and a per-node ``node_kind``
-    classifier that raises ``ValueError`` on malformed nodes -- i.e.
-    :class:`repro.treewidth.nice.NiceTreeDecomposition` and
+    ``dec`` is :class:`repro.treewidth.nice.NiceTreeDecomposition` or
     :class:`repro.treewidth.normalize.NormalizedTreeDecomposition`,
-    whose previously duplicated ``validate`` bodies both route here.
-    ``extra`` prepends refinement-specific violations (e.g. the
-    tuple-bag distinctness check).  Each refinement's
-    ``shape_violations`` runs it only when its one-pass check finds
-    the decomposition malformed.
+    whose ``node_kind`` raises ``ValueError`` on a malformed node.
+    Every node is classified in one pass over the tree's child map;
+    only when one fails is the tree walked in preorder to order the
+    messages.
     """
-    violations = list(extra)
-    for node in dec.tree.nodes():
+    node_kind = dec.node_kind
+    failed: dict[NodeId, ValueError] = {}
+    for node in dec.tree._children:
         try:
-            dec.node_kind(node)
+            node_kind(node)
         except ValueError as exc:
-            violations.append(
-                Violation("malformed-node", str(exc), subject=(node,))
-            )
-    return violations
+            failed[node] = exc
+    if not failed:
+        return []
+    return [
+        Violation("malformed-node", str(failed[node]), subject=(node,))
+        for node in dec.tree.preorder()
+        if node in failed
+    ]
 
 
 def validate_refinement(dec, structure: Structure | None = None) -> None:

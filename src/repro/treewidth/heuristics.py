@@ -222,9 +222,9 @@ def decompose_within(
     escalation early (``(None, None)`` if nothing was built yet).
 
     The result is **not** checked against the Section 2.2 axioms: an
-    elimination-order decomposition is valid by construction, and the
-    caller checks the decomposition it goes on to use -- the solver
-    its normalized form, admission the rebuilt one -- exactly once.
+    elimination-order decomposition is valid by construction, and its
+    one caller that solves on it, admission's
+    :func:`repro.admission.redecompose`, checks it exactly once.
     """
     graph = gaifman_graph(structure)
     best: TreeDecomposition | None = None

@@ -66,27 +66,29 @@ class NiceTreeDecomposition(TreeDecomposition):
         return self.bags[node]
 
     def node_kind(self, node: NodeId) -> NiceNodeKind:
-        children = self.tree.children(node)
-        if len(children) == 0:
+        children = self.tree._children[node]
+        if not children:
             return NiceNodeKind.LEAF
+        bags = self.bags
+        here = bags[node]
+        if len(children) == 1:
+            child = bags[children[0]]
+            if here == child:
+                return NiceNodeKind.COPY
+            if len(here) == len(child) + 1 and child < here:
+                return NiceNodeKind.INTRODUCTION
+            if len(here) == len(child) - 1 and here < child:
+                return NiceNodeKind.REMOVAL
+            raise ValueError(
+                f"node {node} differs from its child by more than one element: "
+                f"{sorted(here, key=repr)} vs {sorted(child, key=repr)}"
+            )
         if len(children) == 2:
-            here = self.bags[node]
-            if any(self.bags[c] != here for c in children):
+            left, right = children
+            if bags[left] != here or bags[right] != here:
                 raise ValueError(f"branch node {node} has unequal children bags")
             return NiceNodeKind.BRANCH
-        if len(children) != 1:
-            raise ValueError(f"node {node} has {len(children)} children")
-        here, child = self.bags[node], self.bags[children[0]]
-        if here == child:
-            return NiceNodeKind.COPY
-        if len(here) == len(child) + 1 and child < here:
-            return NiceNodeKind.INTRODUCTION
-        if len(here) == len(child) - 1 and here < child:
-            return NiceNodeKind.REMOVAL
-        raise ValueError(
-            f"node {node} differs from its child by more than one element: "
-            f"{sorted(here, key=repr)} vs {sorted(child, key=repr)}"
-        )
+        raise ValueError(f"node {node} has {len(children)} children")
 
     def introduced_element(self, node: NodeId) -> Element:
         """The element ``v`` with ``bag = child_bag ⊎ {v}``."""
@@ -100,33 +102,9 @@ class NiceTreeDecomposition(TreeDecomposition):
         (v,) = self.bags[child] - self.bags[node]
         return v
 
-    def _well_formed(self) -> bool:
-        """Whether every node has a Section 5 kind, in one pass over
-        the child map and the bags."""
-        bags = self.bags
-        for node, kids in self.tree._children.items():
-            if not kids:
-                continue
-            here = bags[node]
-            if len(kids) == 2:
-                if bags[kids[0]] == here and bags[kids[1]] == here:
-                    continue
-            elif len(kids) == 1:
-                child = bags[kids[0]]
-                if (
-                    here == child
-                    or (len(here) == len(child) + 1 and child < here)
-                    or (len(here) == len(child) - 1 and here < child)
-                ):
-                    continue
-            return False
-        return True
-
     def shape_violations(self) -> list[Violation]:
-        """The unclassifiable nodes, in preorder.  Empty after the one
-        pass of :meth:`_well_formed` on a well-formed decomposition; a
-        malformed one is classified node by node."""
-        return [] if self._well_formed() else refinement_violations(self)
+        """The nodes :meth:`node_kind` cannot classify, in preorder."""
+        return refinement_violations(self)
 
     def validate(self, structure: Structure | None = None) -> None:
         """The normal-form shape, then, given ``structure``, the

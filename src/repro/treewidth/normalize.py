@@ -8,7 +8,7 @@ Section 4:
 3. a node with one child is a *permutation node* (child bag is a
    permutation of the parent's other than the same tuple) or an
    *element replacement node* (child bag replaces the parent's
-   position-0 element);
+   position-0 element by one not in the bag);
 4. a node with two children is a *branch node* and both children carry
    the parent's bag verbatim.
 
@@ -67,30 +67,45 @@ class NormalizedTreeDecomposition(TreeDecomposition):
         return self.bags[node]
 
     def node_kind(self, node: NodeId) -> NormalizedNodeKind:
-        """Classify ``node`` per Definition 2.3 (raises if malformed)."""
-        children = self.tree.children(node)
-        if len(children) == 0:
+        """Classify ``node`` per Definition 2.3 (raises if malformed).
+
+        Tuples are compared before any element is looked up, and no set
+        is built: a one-child node is an element replacement when its
+        child's tuple differs only at position 0, by an element not in
+        the node's tuple, and a permutation when the two tuples contain
+        each other."""
+        children = self.tree._children[node]
+        if not children:
             return NormalizedNodeKind.LEAF
-        here = self.bags[node]
+        bags = self.bags
+        here = bags[node]
+        if len(children) == 1:
+            child = bags[children[0]]
+            if child == here:
+                raise ValueError(
+                    f"node {node} has one child with the same tuple {here}"
+                )
+            if child[1:] == here[1:] and child[0] not in here:
+                return NormalizedNodeKind.ELEMENT_REPLACEMENT
+            for x in child:
+                if x not in here:
+                    break
+            else:
+                for x in here:
+                    if x not in child:
+                        break
+                else:
+                    return NormalizedNodeKind.PERMUTATION
+            raise ValueError(
+                f"node {node} is neither permutation nor element replacement: "
+                f"{here} -> {child}"
+            )
         if len(children) == 2:
-            if any(self.bags[c] != here for c in children):
+            left, right = children
+            if bags[left] != here or bags[right] != here:
                 raise ValueError(f"branch node {node} has non-identical children")
             return NormalizedNodeKind.BRANCH
-        if len(children) != 1:
-            raise ValueError(f"node {node} has {len(children)} children")
-        child = self.bags[children[0]]
-        if child == here:
-            raise ValueError(
-                f"node {node} has one child with the same tuple {here}"
-            )
-        if set(child) == set(here):
-            return NormalizedNodeKind.PERMUTATION
-        if child[1:] == here[1:] and child[0] != here[0]:
-            return NormalizedNodeKind.ELEMENT_REPLACEMENT
-        raise ValueError(
-            f"node {node} is neither permutation nor element replacement: "
-            f"{here} -> {child}"
-        )
+        raise ValueError(f"node {node} has {len(children)} children")
 
     def permutation_of(self, node: NodeId) -> tuple[int, ...]:
         """For a permutation node: pi with child_bag[i] == bag[pi[i]]."""
@@ -100,46 +115,21 @@ class NormalizedTreeDecomposition(TreeDecomposition):
         position = {x: i for i, x in enumerate(here)}
         return tuple(position[x] for x in child_bag)
 
-    def _well_formed(self) -> bool:
-        """Whether the decomposition has the Definition 2.3 shape, in
-        one pass over the child map and the bags.
-
-        Checks the root tuple for repeats and every edge for a kind
-        that keeps a tuple free of repeats: an equal-tuple branch
-        child, a replacement child whose new element is not in the
-        node's tuple, or a permutation child with the node's element
-        set and another tail.  Every tuple descends from the root's
-        along such edges, so none repeats an element; and a
-        well-formed decomposition has only such edges."""
-        bags = self.bags
-        root = bags[self.tree.root]
-        if len(set(root)) != len(root):
-            return False
-        for node, kids in self.tree._children.items():
-            if not kids:
-                continue
-            here = bags[node]
-            if len(kids) == 2:
-                if bags[kids[0]] == here and bags[kids[1]] == here:
-                    continue
-            elif len(kids) == 1:
-                child = bags[kids[0]]
-                if child[1:] == here[1:]:
-                    if child[0] not in here:
-                        continue
-                elif set(child) == set(here):
-                    continue
-            return False
-        return True
-
     def shape_violations(self) -> list[Violation]:
         """The Definition 2.3 shape violations: bags that repeat an
-        element, then unclassifiable nodes in preorder.  Empty after
-        the one pass of :meth:`_well_formed` on a well-formed
-        decomposition; a malformed one is classified node by node."""
-        if self._well_formed():
-            return []
-        distinctness = [
+        element, then the nodes :meth:`node_kind` cannot classify, in
+        preorder.
+
+        Repeats are inferred rather than searched for: every tuple
+        descends from the root's along classified edges, and each kind
+        keeps a repeat-free tuple repeat-free (the constructor keeps
+        all tuples one length).  So the bags are scanned only when the
+        root's tuple repeats or a node fails."""
+        violations = refinement_violations(self)
+        root = self.bags[self.tree.root]
+        if not violations and len(set(root)) == len(root):
+            return violations
+        repeats = [
             Violation(
                 "bag-repeats-elements",
                 f"bag of {node} repeats elements: {bag}",
@@ -148,7 +138,7 @@ class NormalizedTreeDecomposition(TreeDecomposition):
             for node, bag in self.bags.items()
             if len(set(bag)) != len(bag)
         ]
-        return refinement_violations(self, distinctness)
+        return repeats + violations
 
     def validate(self, structure: Structure | None = None) -> None:
         """The Definition 2.3 shape, then, given ``structure``, the

@@ -29,6 +29,18 @@ class TestPolicyValidation:
     def test_policies_are_ordered_by_leniency(self):
         assert POLICIES == ("strict", "repair", "degrade")
 
+    def test_no_policy_is_strict(self):
+        """Without a policy admit refuses what ``query`` refuses: the
+        default is ``"strict"``, as on every solver and service route."""
+        sig = Signature.of(e=2, colour=1)
+        s = Structure(sig, range(3), {"e": [(0, 1), (1, 0)], "colour": [(0,)]})
+        with pytest.raises(AdmissionRejected) as err:
+            admit(s, signature=GRAPH_SIGNATURE, width=1)
+        assert err.value.report.policy == "strict"
+        assert admit(
+            s, signature=GRAPH_SIGNATURE, width=1, policy="repair"
+        ).report.verdict == "repaired"
+
 
 class TestCleanTraffic:
     def test_clean_with_td_is_admitted_untouched(self):
@@ -97,7 +109,9 @@ class TestRepair:
             {0: [1], 1: [2], 2: []},
         )
         # the alien element 99 sends the decomposition to the rebuild
-        result = admit(s, signature=GRAPH_SIGNATURE, width=1, td=td)
+        result = admit(
+            s, signature=GRAPH_SIGNATURE, width=1, td=td, policy="repair"
+        )
         assert result.action == "solve"
         assert result.report.verdict == "repaired"
         assert result.report.repairs == ("redecomposed:min_fill",)
@@ -110,7 +124,9 @@ class TestRepair:
             {0: [0, 1], 1: [1, 2], 2: [2, 3]},
             {0: [1], 1: [2], 2: [0]},
         )
-        result = admit(s, signature=GRAPH_SIGNATURE, width=1, td=td)
+        result = admit(
+            s, signature=GRAPH_SIGNATURE, width=1, td=td, policy="repair"
+        )
         assert result.action == "solve"
         assert result.report.verdict == "repaired"
         assert result.report.redecomposed
@@ -126,7 +142,9 @@ class TestRepair:
             {"e": [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
              "colour": [(0,)]},
         )
-        result = admit(s, signature=GRAPH_SIGNATURE, width=1)
+        result = admit(
+            s, signature=GRAPH_SIGNATURE, width=1, policy="repair"
+        )
         assert result.action == "solve"
         assert result.structure.signature == GRAPH_SIGNATURE
         assert "restricted-structure-to-signature" in result.report.repairs

@@ -10,9 +10,10 @@ from repro.errors import AdmissionRejected
 from repro.mso import formulas, query as mso_query
 from repro.service import SolverService
 from repro.structures import GRAPH_SIGNATURE, Structure
+from repro.treewidth import decompose_structure
 
 from .conftest import CORPUS_DIR
-from .test_verify import path_structure
+from .test_verify import corrupt_td, path_structure
 
 HAS_NEIGHBOR = formulas.has_neighbor("x")
 
@@ -56,9 +57,56 @@ class TestServiceAdmission:
             assert isinstance(rejected, AdmissionRejected)
             assert rejected.report.policy == "strict"
             assert "exceeds" in str(rejected)
-            service.evict_quarantine()
             got = handle.solve_many([wide], admission="degrade")
             assert got[0] == mso_query(wide, HAS_NEIGHBOR, "x")
+
+    def test_rejected_td_does_not_quarantine_the_structure(
+        self, neighbor_solver
+    ):
+        """A rejection is quarantined with the decomposition it was
+        rejected under: the same request fast-fails, the same structure
+        with a valid decomposition or none is answered."""
+        s = path_structure(4)
+        bad = corrupt_td(
+            {0: [0, 1, 99], 1: [1, 2], 2: [2, 3]},
+            {0: [1], 1: [2], 2: []},
+        )
+        with SolverService(workers=1) as service:
+            handle = service.register(neighbor_solver)
+            for _ in range(2):
+                with pytest.raises(AdmissionRejected, match="non-elements"):
+                    handle.submit(s, td=bad).result(timeout=120)
+            assert service.stats.quarantine_rejections == 1
+            good = decompose_structure(s)
+            assert handle.submit(s, td=good).result(timeout=120) == frozenset(
+                s.domain
+            )
+            assert handle.submit(s).result(timeout=120) == frozenset(s.domain)
+            assert service.stats.quarantine_rejections == 1
+
+    def test_rejection_by_one_program_does_not_block_another(
+        self, neighbor_solver
+    ):
+        """A triangle is over width 1 but within width 2: the width-1
+        program's rejection does not fast-fail it on the width-2
+        program."""
+        triangle = clique(3)
+        wider = CourcelleSolver(
+            HAS_NEIGHBOR,
+            GRAPH_SIGNATURE,
+            width=2,
+            free_var="x",
+            structure_filter=undirected_graph_filter,
+        )
+        with SolverService(workers=1) as service:
+            narrow = service.register(neighbor_solver)
+            with pytest.raises(AdmissionRejected, match="exceeds"):
+                narrow.submit(triangle).result(timeout=120)
+            wide = service.register(wider)
+            assert wide.submit(triangle).result(timeout=120) == frozenset(
+                triangle.domain
+            )
+            assert service.stats.quarantine_rejections == 0
 
     def test_rejections_are_quarantined_and_fast_fail(self, neighbor_solver):
         raw = raw_rejected_structure()
@@ -122,7 +170,7 @@ class TestServiceAdmission:
         default, and every request is counted as admitted."""
         batch = [path_structure(5), path_structure(3)]
         with SolverService(workers=1) as service:
-            assert service.admission == "strict"
+            assert service.admission is None  # admit's default: strict
             handle = service.register(neighbor_solver)
             results = handle.solve_many(batch)
             stats = service.stats

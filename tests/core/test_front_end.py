@@ -72,6 +72,26 @@ class TestWidthTwoExactness:
         # the draw does exercise the escalation
         assert overshoots > 0
 
+    def test_no_budget_leaves_the_rebuild_unbounded(
+        self, grid_solver, monkeypatch
+    ):
+        """Without a caller budget no clock stops the escalation: an
+        input min-fill decomposes too wide reaches min-degree however
+        long min-fill took.  The admission clock bounds only a degraded
+        evaluation."""
+        from repro import admission
+        from repro.datalog.budget import SolveBudget
+
+        monkeypatch.setattr(
+            admission, "DEFAULT_ADMISSION_BUDGET", SolveBudget(max_seconds=1e-9)
+        )
+        graph = next(
+            g
+            for g in deleted_ladders()
+            if decompose_structure(graph_to_structure(g)).width > 2
+        )
+        assert grid_solver.query(graph_to_structure(graph)) == non_isolated(graph)
+
     def test_partial_2_trees_never_exceed_width_2(self, grid_solver):
         """``query`` never refuses a random partial 2-tree.  Answers are
         compared on the grid-class draws only: the grid program is

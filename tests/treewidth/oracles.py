@@ -18,7 +18,6 @@ from repro.treewidth import (
     NormalizedTreeDecomposition,
     TreeDecomposition,
 )
-from repro.treewidth.decomposition import refinement_violations
 from repro.treewidth.heuristics import _neighbor_sets
 from repro.treewidth.normalize import widen
 
@@ -376,12 +375,12 @@ def staged_normalize(td):
 
 
 def scan_shape_violations(dec):
-    """The shape violations with no one-pass shortcut: a distinctness
-    set per tuple bag for a normalized decomposition, then every node
-    classified in preorder (``refinement_violations``)."""
-    extra = []
+    """The shape violations by definition: a distinctness set per tuple
+    bag of a normalized decomposition, then every node classified in
+    preorder."""
+    violations = []
     if isinstance(dec, NormalizedTreeDecomposition):
-        extra = [
+        violations = [
             Violation(
                 "bag-repeats-elements",
                 f"bag of {node} repeats elements: {bag}",
@@ -390,4 +389,11 @@ def scan_shape_violations(dec):
             for node, bag in dec.bags.items()
             if len(set(bag)) != len(bag)
         ]
-    return refinement_violations(dec, extra)
+    for node in dec.tree.preorder():
+        try:
+            dec.node_kind(node)
+        except ValueError as exc:
+            violations.append(
+                Violation("malformed-node", str(exc), subject=(node,))
+            )
+    return violations

@@ -101,8 +101,8 @@ class TestMakeNice:
 
 
 class TestShapeCheck:
-    """``shape_violations`` (one pass over the child map and the bags)
-    gives the violations of classifying every node in preorder."""
+    """``shape_violations`` (one pass over the child map) gives the
+    violations of classifying every node in preorder."""
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_NICE_FORMS))
     def test_malformed_shapes_match_the_scan(self, name):

@@ -228,8 +228,23 @@ MALFORMED_NORMAL_FORMS = {
 
 
 class TestShapeCheck:
-    """``shape_violations`` (one pass over the child map and the bags)
-    gives the violations of classifying every node in preorder."""
+    """``shape_violations`` (one pass over the child map, bag repeats
+    inferred from the root's tuple) gives the violations of the scan
+    by definition: a set per bag, then every node classified in
+    preorder."""
+
+    def test_replacement_by_a_present_element_is_malformed(self):
+        """Definition 2.3 replaces position 0 by a new element: a child
+        that brings in an element the tuple already holds repeats it,
+        and its parent is no element replacement node."""
+        edges, tuples = MALFORMED_NORMAL_FORMS["replacement-into-a-repeat"]
+        ntd = NormalizedTreeDecomposition(_tree(edges), tuples)
+        assert [(v.code, v.subject) for v in ntd.shape_violations()] == [
+            ("bag-repeats-elements", (1,)),
+            ("malformed-node", (0,)),
+        ]
+        with pytest.raises(ValueError, match="neither permutation"):
+            ntd.node_kind(0)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_NORMAL_FORMS))
     def test_malformed_shapes_match_the_scan(self, name):
