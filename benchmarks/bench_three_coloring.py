@@ -13,7 +13,11 @@ load, and the semi-naive set engine) on seeded random partial 3-trees
 with n = 32 ... 512 vertices, ``GRAPHS`` graphs per size.  Each graph
 counts with its best of ``REPEATS`` runs (garbage collector off), each
 size with the median over its graphs.  It exits 1 if any answer differs
-from ``three_coloring_direct``, if the log-log slope of time against
+from ``three_coloring_direct``, if on the first graph of any size the
+whole ``solve`` relation of ``ThreeColoringDatalog.run`` (bitset sets,
+decoded) differs from that of the value-level route (``solve`` on
+``encode_for_three_coloring``, frozensets throughout), if the log-log
+slope of time against
 n is above ``MAX_SLOPE``, or if Figure 5's time divided by that of
 ``three_coloring_direct`` (the hand-written DP of the same
 recurrences, timed the same way) is above ``MAX_RATIO`` at any size
@@ -41,10 +45,11 @@ except ImportError:  # running as a plain script without install
 
 import pytest
 
-from repro.datalog.backends import default_cache
+from repro.datalog.backends import default_cache, solve
 from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
 from repro.problems.three_coloring import (
+    encode_for_three_coloring,
     load_for_three_coloring,
     prepare_decomposition,
     three_coloring_direct,
@@ -233,6 +238,23 @@ def phase_split(solver, graphs) -> None:
         print(f"n={n:<4} phases (ms): {split}")
 
 
+def fixpoint_mismatches(solver, graphs) -> list[str]:
+    """On the first graph of each size, whether ``run``'s decoded
+    ``solve`` relation equals the value-level route's."""
+    failures = []
+    for n, family in graphs.items():
+        graph = family[0]
+        nice = prepare_decomposition(graph)
+        want = solve(solver.program, encode_for_three_coloring(graph, nice))
+        got = solver.run(graph).database
+        if got.relation("solve") != want.relation("solve"):
+            failures.append(
+                f"n={n} graph 0: the solve relation differs from the "
+                "value-level route's"
+            )
+    return failures
+
+
 def quick() -> int:
     failures = []
     solver = ThreeColoringDatalog()
@@ -245,6 +267,7 @@ def quick() -> int:
                     f"n={n} graph {i}: the datalog answer differs from "
                     "three_coloring_direct"
                 )
+    failures += fixpoint_mismatches(solver, graphs)
     slope, ratio = datalog_timings(solver, graphs)
     if slope > MAX_SLOPE or ratio > MAX_RATIO:
         # host noise reads as a regression once; a real one persists
@@ -268,7 +291,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="run the Figure 5 answer, scaling and ratio gates",
+        help="run the Figure 5 answer, fixpoint, scaling and ratio gates",
     )
     if not parser.parse_args(argv).quick:
         parser.error(

@@ -20,10 +20,17 @@ returns a solver with bound-argument fast paths, and
 :class:`BuiltinCall` runs it over a columnar batch of interned ids,
 memoized per evaluation.
 
-Set-valued constants are frozensets; ordered sets (``Co`` in Figure 6)
-are tuples.  All of these are "fixed-size" in the paper's sense -- their
-cardinality is bounded by the bag size ``w + 1`` -- which is what makes
-the succinct programs equivalent to monadic ones (Theorem 5.1/5.3).
+At the value level sets are frozensets and ordered sets (``Co`` in
+Figure 6) are tuples.  All of these are "fixed-size" in the paper's
+sense -- their cardinality is bounded by the bag size ``w + 1`` --
+which is what makes the succinct programs equivalent to monadic ones
+(Theorem 5.1/5.3).  A load may intern sets as bitsets over element ids
+instead (:meth:`~repro.datalog.interning.Interner.intern_set`, as
+Figure 5's load does); they still decode to the same frozensets.  For
+the binding masks Figure 5 runs, ``add`` and ``partition3`` have
+id-level kernels (``Builtin.id_kernel``) that solve such sets with
+integer operations and never decode them; any argument that is not a
+bitset set takes the value path.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .._util import interleavings, powerset
+from .interning import Interner
 
 
 class _Unbound:
@@ -65,6 +73,10 @@ def _covers(mask: tuple[bool, ...], patterns) -> bool:
 
 
 Solver = Callable[[Slots], "list[tuple] | tuple[tuple, ...]"]
+#: an id-level solver: the bound ids of a row (in position order) and
+#: the interner give the output-id tuples (at the unbound positions) of
+#: every solution, or ``None`` when an argument is not a bitset set
+IdKernel = Callable[[tuple, Interner], "tuple[tuple[int, ...], ...] | None"]
 
 
 class Builtin:
@@ -137,6 +149,14 @@ class Builtin:
         """A specialised solver for ``mask``, or None for the generic
         enumerate-and-filter one.  It must return what :meth:`evaluate`
         yields."""
+        return None
+
+    def id_kernel(self, mask: tuple[bool, ...]) -> IdKernel | None:
+        """An id-level solver for ``mask`` over bitset sets
+        (:meth:`~repro.datalog.interning.Interner.set_bits`), or None
+        if the built-in has none for it.  Decoded, its solutions are
+        those :meth:`evaluate` yields; it returns ``None`` for a row
+        it cannot solve in ids, which then takes the value path."""
         return None
 
     def evaluate(self, slots: Slots) -> Iterator[tuple]:
@@ -249,6 +269,48 @@ class AddElement(Builtin):
             return remove
         return None
 
+    def id_kernel(self, mask: tuple[bool, ...]) -> IdKernel | None:
+        if mask == (True, True, False):
+
+            def grow(key: tuple, interner: Interner) -> tuple | None:
+                s, v = key
+                bits = interner.set_bits(s)
+                if bits is None:
+                    return None
+                bit = 1 << v
+                if bits & bit:
+                    return ()
+                return ((interner.intern_set(bits | bit),),)
+
+            return grow
+        if mask == (True, False, True):
+
+            def difference(key: tuple, interner: Interner) -> tuple | None:
+                s, t = key
+                s_bits, t_bits = interner.set_bits(s), interner.set_bits(t)
+                if s_bits is None or t_bits is None:
+                    return None
+                new = t_bits & ~s_bits
+                if s_bits & ~t_bits or not new or new & (new - 1):
+                    return ()
+                return ((new.bit_length() - 1,),)
+
+            return difference
+        if mask == (False, True, True):
+
+            def remove(key: tuple, interner: Interner) -> tuple | None:
+                v, t = key
+                bits = interner.set_bits(t)
+                if bits is None:
+                    return None
+                bit = 1 << v
+                if not bits & bit:
+                    return ()
+                return ((interner.intern_set(bits ^ bit),),)
+
+            return remove
+        return None
+
     def solutions(self, slots: Slots) -> Iterator[tuple]:
         s, v, t = slots
         if s is not UNBOUND and v is not UNBOUND:
@@ -356,6 +418,21 @@ class PartitionThree(Builtin):
 
         return check
 
+    def id_kernel(self, mask: tuple[bool, ...]) -> IdKernel | None:
+        if mask != (True, True, True, False):
+            return None
+
+        def split(key: tuple, interner: Interner) -> tuple | None:
+            x, r, g = map(interner.set_bits, key)
+            if x is None or r is None or g is None:
+                return None
+            taken = r | g
+            if r & g or taken & ~x:
+                return ()
+            return ((interner.intern_set(x & ~taken),),)
+
+        return split
+
     def solutions(self, slots: Slots) -> Iterator[tuple]:
         x = frozenset(slots[0])
         items = sorted(x, key=repr)
@@ -434,9 +511,11 @@ class BuiltinCall:
     ``dups`` as ``(pos, first pos)`` for a repeated free variable -- and
     the mask they spell is checked once, by :meth:`Builtin.compile`.
 
-    Rows arrive as interned ids.  A row's bound ids form its memo key;
-    on a miss the ids are decoded, the compiled solver runs and the
-    outputs at the unbound positions are interned.  ``memo`` is one dict
+    Rows arrive as interned ids.  A row's bound ids form its memo key.
+    On a miss the built-in's id kernel for the mask, if it has one,
+    solves the row in ids; otherwise, or if an argument is not a bitset
+    set, the ids are decoded, the compiled solver runs and the outputs
+    at the unbound positions are interned.  ``memo`` is one dict
     per evaluation, shared by every call of the same built-in and mask:
     the purity contract of :class:`Builtin` makes the key sound, and an
     id stands for one value because the interner belongs to the
@@ -444,7 +523,8 @@ class BuiltinCall:
     """
 
     __slots__ = (
-        "_arity", "_solve", "_key", "_inputs", "_outs", "_picks", "_same"
+        "_arity", "_solve", "_kernel", "_key", "_inputs", "_outs", "_picks",
+        "_same",
     )
 
     def __init__(self, builtin: Builtin, consts, bound, free, dups):
@@ -454,6 +534,7 @@ class BuiltinCall:
             mask[pos] = True
         mask = tuple(mask)
         self._solve = builtin.compile(mask)
+        self._kernel = builtin.id_kernel(mask)
         self._key = (builtin, mask)
         #: the key sources in position order: (pos, is_variable, value)
         self._inputs = tuple(
@@ -483,6 +564,10 @@ class BuiltinCall:
         return zip(*sources) if sources else repeat((), length)
 
     def _miss(self, key: tuple, interner) -> tuple[tuple[int, ...], ...]:
+        if self._kernel is not None:
+            found = self._kernel(key, interner)
+            if found is not None:
+                return found
         slots = [UNBOUND] * self._arity
         for (pos, _, _), value in zip(self._inputs, map(interner.value_of, key)):
             slots[pos] = value

@@ -16,6 +16,15 @@ The interner is bidirectional (id -> value is a list lookup) and
 grows on demand: built-in predicates may create values that never
 occurred in the input structure (e.g. the fixed-size sets of the
 Section 5 programs), and those are interned on first sight.
+
+A set of interned values can also be interned *as a bitset*
+(:meth:`Interner.intern_set`): bit ``i`` stands for the value with id
+``i``.  Such a set still has one ordinary id, and :meth:`Interner.value_of`
+still returns the frozenset of its members, so decoding never sees the
+difference; what the bitset adds is :meth:`Interner.set_bits`, which
+lets the id-level built-in kernels run ``⊎`` and ``partition`` as
+integer operations (:class:`repro.datalog.builtins.BuiltinCall`).  A set
+is a bitset because it was interned as one, never because of its shape.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ class Interner:
     domain occupies the low bits of every bitset built against it.
     """
 
-    __slots__ = ("_ids", "_values", "_identity")
+    __slots__ = ("_ids", "_values", "_identity", "_set_ids", "_set_bits")
 
     def __init__(self, values: Iterable[Hashable] = ()):
         self._ids: dict[Hashable, int] = {}
@@ -49,6 +58,9 @@ class Interner:
         #: non-negative-int-domain case); lets decoding skip the id ->
         #: value translation entirely.
         self._identity = True
+        #: bitset -> id and id -> bitset of the sets interned as bitsets
+        self._set_ids: dict[int, int] = {}
+        self._set_bits: dict[int, int] = {}
         for value in values:
             self.intern(value)
 
@@ -104,6 +116,34 @@ class Interner:
         if self._identity and (type(value) is not int or value != fresh):
             self._identity = False
         return fresh
+
+    def intern_set(self, bits: int) -> int:
+        """The id of the set whose members are the values with the ids
+        set in ``bits``, allocating one if new.
+
+        The set's value is the frozenset of those members, built once,
+        when the bitset is first seen; a set equal to a value interned
+        before (a frozenset domain element, say) keeps that value's id.
+        From then on :meth:`set_bits` maps the id back to ``bits``."""
+        found = self._set_ids.get(bits)
+        if found is not None:
+            return found
+        values = self._values
+        members = []
+        rest = bits
+        while rest:
+            top = rest.bit_length() - 1
+            members.append(values[top])
+            rest ^= 1 << top
+        ident = self.intern(frozenset(members))
+        self._set_ids[bits] = ident
+        self._set_bits[ident] = bits
+        return ident
+
+    def set_bits(self, ident: int) -> int | None:
+        """The bitset of an id that :meth:`intern_set` handed out, or
+        ``None`` for any other id, whatever its value."""
+        return self._set_bits.get(ident)
 
     def id_of(self, value: Hashable) -> int | None:
         """The id of ``value``, or ``None`` if it was never interned."""

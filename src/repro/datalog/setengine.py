@@ -44,9 +44,10 @@ compilation are shared, only execution differs) relation-at-a-time:
 * Built-in steps run the shared kernel
   (:class:`repro.datalog.builtins.BuiltinCall`, also used by the eager
   grounder): the binding mask was checked when the step was compiled,
-  bound-argument fast paths skip enumeration, and results are memoized
-  for one :meth:`SetSemiNaiveEvaluator.run`, keyed by the rows' input
-  ids.
+  bound-argument fast paths skip enumeration, ``add`` and
+  ``partition3`` solve sets interned as bitsets in ids, and results
+  are memoized for one :meth:`SetSemiNaiveEvaluator.run`, keyed by the
+  rows' input ids.
 * A round's derived facts are flushed per predicate with set algebra
   (:meth:`SetDatabase.merge`); the next round's delta adopts the
   fresh sets.

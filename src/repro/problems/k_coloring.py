@@ -46,8 +46,10 @@ def k_coloring_direct(
     states: dict[int, set[tuple]] = {}
     provenance: dict[tuple[int, tuple], tuple] = {}
 
+    near = graph.neighbor_map()
+
     def conflicts(v, part):
-        return any(u in part for u in graph.neighbors(v))
+        return not near[v].isdisjoint(part)
 
     for node in tree.postorder():
         kind = nice.node_kind(node)

@@ -17,11 +17,17 @@ test-suite:
   ``copynode`` tags and the ``allowed`` facts, computed and interned
   once per distinct bag, straight into a
   :class:`~repro.datalog.setengine.SetDatabase`
-  (:func:`repro.treewidth.encode.load_nice`), the set engine runs the
-  fixpoint there, and :meth:`ThreeColoringDatalog.decide` reads the one
-  nullary fact ``success`` without decoding anything.
-  :func:`encode_for_three_coloring` is the value-level form of the same
-  input, the load's oracle.
+  (:func:`repro.treewidth.encode.load_nice_ids`).  Every set there --
+  each bag and each ``allowed`` subset -- is an integer bitset over the
+  vertex ids (:meth:`~repro.datalog.interning.Interner.intern_set`), so
+  the ``add`` and ``partition3`` calls run as integer operations in ids
+  (:meth:`~repro.datalog.builtins.Builtin.id_kernel`).  The set engine
+  runs the fixpoint there, and :meth:`ThreeColoringDatalog.decide`
+  reads the one nullary fact ``success`` without decoding anything;
+  :attr:`ThreeColoringRun.database` decodes the sets back to
+  frozensets of vertices.  :func:`encode_for_three_coloring` is the
+  value-level form of the same input, with frozensets throughout: the
+  load's oracle.
 * :func:`three_coloring_direct` -- the same dynamic program hand-coded
   in Python ("one can of course go one step further and implement our
   algorithms directly in Java, C++, etc.", Section 1), including witness
@@ -40,11 +46,12 @@ from typing import Hashable, Mapping
 from ..datalog.ast import Program, atom, pos, rule, var
 from ..datalog.backends import default_cache
 from ..datalog.evaluate import Database
+from ..datalog.interning import Interner, iter_bits
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.graphs import Graph, graph_to_structure
 from ..structures.structure import Structure
 from ..treewidth.decomposition import TreeDecomposition
-from ..treewidth.encode import TDNode, encode_nice, load_nice
+from ..treewidth.encode import TDNode, encode_nice, load_nice_ids
 from ..treewidth.heuristics import decomposition_from_order, min_fill_order
 from ..treewidth.nice import NiceNodeKind, NiceTreeDecomposition, make_nice
 
@@ -82,14 +89,17 @@ def encode_for_three_coloring(
     ``allowed(s, X)`` holds iff ``X`` is a subset of the bag of ``s``
     containing no two adjacent vertices; the paper computes these "as
     part of the computation of the tree decomposition", which "fits into
-    the linear time bound" for fixed w.
+    the linear time bound" for fixed w.  Every set is a frozenset here.
     """
     encoded = encode_nice(graph_to_structure(graph), nice)
-    near = _neighbors(graph)
+    near = graph.neighbor_map()
+    vertices = list(near)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    neighbours = _neighbour_bits(near, bit)
     allowed = {
-        (TDNode(node), chosen)
+        (TDNode(node), frozenset(map(vertices.__getitem__, iter_bits(bits))))
         for node, bag in nice.bags.items()
-        for chosen in _allowed(near, bag)
+        for bits in _allowed(neighbours, sum(map(bit.__getitem__, bag)))
     }
     signature = encoded.signature.extended({"allowed": 2})
     relations = {name: set(encoded.relation(name)) for name in encoded.signature}
@@ -105,36 +115,62 @@ def load_for_three_coloring(
     graph: Graph, nice: NiceTreeDecomposition
 ) -> SetDatabase:
     """:func:`encode_for_three_coloring`, loaded straight into ids
-    (:func:`~repro.treewidth.encode.load_nice`): ``allowed`` is
-    computed and interned once per distinct bag."""
-    near = _neighbors(graph)
-    return load_nice(
-        graph_to_structure(graph),
-        nice,
-        extra=lambda bag: [("allowed", (chosen,)) for chosen in _allowed(near, bag)],
-    )
+    (:func:`~repro.treewidth.encode.load_nice_ids`).
+
+    Every bag and every ``allowed`` subset is interned as a bitset set
+    over the vertex ids (:meth:`~repro.datalog.interning.Interner.
+    intern_set`), so Figure 5's ``add`` and ``partition3`` run as
+    integer operations; ``allowed`` is computed once per distinct bag,
+    by integer operations over a neighbour bitmap built once per load.
+    """
+    near = graph.neighbor_map()
+
+    def bag_facts(interner: Interner):
+        bit = {v: 1 << interner.id_of(v) for v in near}
+        neighbours = _neighbour_bits(near, bit)
+        intern_set = interner.intern_set
+
+        def facts(bag):
+            bits = sum(map(bit.__getitem__, bag))
+            return (intern_set(bits),), [
+                ("allowed", (intern_set(chosen),))
+                for chosen in _allowed(neighbours, bits)
+            ]
+
+        return facts
+
+    return load_nice_ids(graph_to_structure(graph), nice, bag_facts)
 
 
-def _neighbors(graph: Graph) -> dict[Vertex, frozenset]:
-    return {v: graph.neighbors(v) for v in graph.vertices}
+def _neighbour_bits(
+    near: Mapping[Vertex, frozenset], bit: Mapping[Vertex, int]
+) -> dict[int, int]:
+    """Each vertex's bit -> the bitset of its neighbours under ``near``,
+    with the vertex bits ``bit`` gives."""
+    return {
+        bit[v]: sum(map(bit.__getitem__, adjacent))
+        for v, adjacent in near.items()
+    }
 
 
-def _allowed(near: Mapping[Vertex, frozenset], bag: frozenset) -> list[frozenset]:
-    """The subsets of ``bag`` with no two vertices adjacent under
-    ``near`` (a vertex with a self-loop is in none of them)."""
-    subsets = [frozenset()]
-    for v in sorted(bag, key=repr):
-        if v not in near[v]:
-            subsets += [s | {v} for s in subsets if near[v].isdisjoint(s)]
+def _allowed(near: Mapping[int, int], bag: int) -> list[int]:
+    """The subsets of the bitset ``bag`` with no two vertices adjacent
+    under ``near`` (a vertex's bit -> its neighbours' bitset); a vertex
+    with a self-loop is in none of them."""
+    subsets = [0]
+    while bag:
+        v = bag & -bag
+        bag ^= v
+        adjacent = near[v]
+        if not adjacent & v:
+            subsets += [s | v for s in subsets if not s & adjacent]
     return subsets
 
 
-def _has_internal_edge(graph: Graph, vertices: frozenset) -> bool:
-    for v in vertices:
-        for u in graph.neighbors(v):
-            if u in vertices:
-                return True
-    return False
+def _has_internal_edge(
+    near: Mapping[Vertex, frozenset], vertices: frozenset
+) -> bool:
+    return any(not near[v].isdisjoint(vertices) for v in vertices)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +329,7 @@ def three_coloring_direct(
         return True, {} if want_witness else None
     nice = prepare_decomposition(graph, td)
     tree = nice.tree
+    near = graph.neighbor_map()
 
     states: dict[int, set[State]] = {}
     # provenance for witness extraction: (node, state) -> choice record
@@ -303,7 +340,7 @@ def three_coloring_direct(
         bag = nice.bag(node)
         here: set[State] = set()
         if kind is NiceNodeKind.LEAF:
-            for state in _leaf_states(graph, bag):
+            for state in _leaf_states(near, bag):
                 here.add(state)
                 provenance[(node, state)] = ("leaf",)
         elif kind is NiceNodeKind.INTRODUCTION:
@@ -315,7 +352,7 @@ def three_coloring_direct(
                         part | {v} if j == i else part
                         for j, part in enumerate(state)
                     )
-                    if _conflicts(graph, v, grown[i]):
+                    if _conflicts(near, v, grown[i]):
                         continue
                     grown = (grown[0], grown[1], grown[2])
                     here.add(grown)
@@ -354,19 +391,22 @@ def three_coloring_direct(
     return True, coloring
 
 
-def _leaf_states(graph: Graph, bag: frozenset):
+def _leaf_states(near: Mapping[Vertex, frozenset], bag: frozenset):
     items = sorted(bag, key=repr)
     for assignment in product(range(3), repeat=len(items)):
         parts: list[set] = [set(), set(), set()]
         for v, color in zip(items, assignment):
             parts[color].add(v)
-        if any(_has_internal_edge(graph, frozenset(p)) for p in parts):
+        if any(_has_internal_edge(near, frozenset(p)) for p in parts):
             continue
         yield (frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]))
 
 
-def _conflicts(graph: Graph, v: Vertex, part: frozenset) -> bool:
-    return any(u in part for u in graph.neighbors(v)) or v in graph.neighbors(v)
+def _conflicts(
+    near: Mapping[Vertex, frozenset], v: Vertex, part: frozenset
+) -> bool:
+    adjacent = near[v]
+    return v in adjacent or not adjacent.isdisjoint(part)
 
 
 def _reconstruct(

@@ -60,6 +60,12 @@ class Graph:
     def neighbors(self, v: Hashable) -> frozenset[Hashable]:
         return frozenset(self._adj[v])
 
+    def neighbor_map(self) -> dict[Hashable, frozenset[Hashable]]:
+        """Every vertex's neighbours, copied once: a caller that probes
+        adjacency in a loop reads this instead of paying
+        :meth:`neighbors`' copy per call."""
+        return {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
+
     def has_edge(self, u: Hashable, v: Hashable) -> bool:
         return u in self._adj and v in self._adj[u]
 

@@ -35,6 +35,7 @@ from .encode import (
     encode_nice,
     encode_normalized,
     load_nice,
+    load_nice_ids,
     load_normalized,
 )
 
@@ -56,6 +57,7 @@ __all__ = [
     "ensure_elements_in_leaves",
     "is_treewidth_at_most",
     "load_nice",
+    "load_nice_ids",
     "load_normalized",
     "make_nice",
     "min_degree_order",

@@ -26,7 +26,9 @@ filled.
 ``encode_normalized`` stays as its value-level oracle.
 :func:`load_nice` does the same for :func:`encode_nice` and the Section
 5 programs, together with each problem's precomputed facts per
-distinct bag.
+distinct bag.  :func:`load_nice_ids` is its id-level form, for a
+problem that computes its per-bag facts in ids: Figure 5 writes its
+bags and ``allowed`` subsets as bitset sets.
 """
 
 from __future__ import annotations
@@ -271,6 +273,14 @@ def _copy_nodes(nice: NiceTreeDecomposition) -> Iterable[NodeId]:
             yield node
 
 
+#: per distinct bag, its ``bag`` payload ids and its extra facts as
+#: ``(predicate, id tuple)`` pairs
+BagFacts = Callable[
+    [frozenset[Element]],
+    tuple[tuple[int, ...], Iterable[tuple[str, tuple[int, ...]]]],
+]
+
+
 def load_nice(
     structure: Structure,
     nice: NiceTreeDecomposition,
@@ -289,30 +299,59 @@ def load_nice(
 
     The database equals ``SetDatabase.from_edb`` of ``encode_nice(
     structure, nice, bag_payload)`` with ``extra``'s facts added, up to
-    the choice of ids, and is built straight from the decomposition
-    with no value-level ``Structure`` in between.  ``bag_payload`` and
-    ``extra`` run once per distinct bag, their values are interned
-    then, and each node's rows are built from those ids.  The elements
-    get the ids ``0 .. |dom| - 1``, the nodes the ids after them, and
-    the bag payloads and ``extra`` values the ids after those, in the
-    order first met.  A value met twice, as an element and as a
-    payload, or as the payload of one bag and an ``extra`` value of
-    another, keeps one id, as it is one element of the encoded domain.
+    the choice of ids (see :func:`load_nice_ids`).
+    """
+    if bag_payload is None:
+        bag_payload = lambda bag: (bag,)
+
+    def bag_facts(interner: Interner) -> BagFacts:
+        intern = interner.intern
+
+        def facts(bag):
+            return tuple(map(intern, bag_payload(bag))), [
+                (predicate, tuple(map(intern, args)))
+                for predicate, args in (extra(bag) if extra else ())
+            ]
+
+        return facts
+
+    return load_nice_ids(structure, nice, bag_facts)
+
+
+def load_nice_ids(
+    structure: Structure,
+    nice: NiceTreeDecomposition,
+    bag_facts: Callable[[Interner], BagFacts],
+) -> SetDatabase:
+    """:func:`load_nice` with the per-bag facts given in ids.
+
+    ``bag_facts(interner)`` is called once, with the load's interner,
+    after the elements and nodes have their ids; the function it
+    returns runs once per distinct bag and gives the bag's payload ids
+    and its extra facts, each a ``(predicate, ids)`` pair, and every
+    node with that bag gets the fact ``predicate(TDNode(node), *ids)``.
+    Extra predicates must be new names, each of one arity.
+
+    The database is built straight from the decomposition with no
+    value-level ``Structure`` in between.  The elements get the ids
+    ``0 .. |dom| - 1`` and the nodes the ids after them; the values
+    ``bag_facts`` interns get the ids after those, in the order first
+    met.  A value met twice, as an element and as a payload, or as the
+    payload of one bag and an extra value of another, keeps one id, as
+    it is one element of the encoded domain.
 
     The load also fills the node-keyed hash indexes: ``bag`` and every
-    ``extra`` relation of arity two or more on the node,
+    extra relation of arity two or more on the node,
     ``child1``/``child2`` on either end.
 
     Raises :class:`ValueError` if a domain element is a ``TDNode`` of
     the tree.
     """
-    if bag_payload is None:
-        bag_payload = lambda bag: (bag,)
     elements = list(structure.domain)
     bags = nice.bags
     node_id = dict(zip(bags, range(len(elements), len(elements) + len(bags))))
     interner = Interner.of_distinct(elements + [TDNode(n) for n in bags])
-    intern = interner.intern
+    facts_of = bag_facts(interner)
 
     # per distinct bag: its payload ids and, per extra predicate, the
     # distinct id tuples of its values
@@ -325,25 +364,25 @@ def load_nice(
         t = node_id[node]
         known = per_bag.get(bag)
         if known is None:
-            payload = tuple(map(intern, bag_payload(bag)))
+            payload, extra = facts_of(bag)
             if payload_arity is None:
                 payload_arity = len(payload)
             elif payload_arity != len(payload):
                 raise ValueError("bag_payload must have a fixed arity")
-            bag_facts: dict[str, dict] = {}
-            for predicate, args in extra(bag) if extra is not None else ():
+            by_predicate: dict[str, dict] = {}
+            for predicate, args in extra:
                 if arities.setdefault(predicate, len(args)) != len(args):
                     raise ValueError(
                         f"extra predicate {predicate!r} mixes arities"
                     )
-                if predicate not in bag_facts:
-                    bag_facts[predicate] = {}
+                if predicate not in by_predicate:
+                    by_predicate[predicate] = {}
                     extra_by_node.setdefault(predicate, {})
-                bag_facts[predicate][tuple(map(intern, args))] = None
-            known = per_bag[bag] = (payload, bag_facts)
-        payload, bag_facts = known
+                by_predicate[predicate][args] = None
+            known = per_bag[bag] = (payload, by_predicate)
+        payload, by_predicate = known
         bag_by_node[t] = [(t, *payload)]
-        for predicate, args_ids in bag_facts.items():
+        for predicate, args_ids in by_predicate.items():
             extra_by_node[predicate][t] = [(t, *args) for args in args_ids]
     tree_facts, indexes = _tree_relations(nice.tree, node_id)
 
@@ -357,8 +396,9 @@ def load_nice(
                 f"extra predicate {predicate!r} is already in the encoding"
             )
 
+    to_id = dict(zip(elements, range(len(elements)))).__getitem__
     facts = {
-        name: {tuple(map(intern, args)) for args in structure.relation(name)}
+        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
         for name in structure.signature
     }
     facts.update(

@@ -4,8 +4,8 @@
 the standard registry and every binding mask it accepts, the compiled
 solver must return exactly the solutions ``evaluate`` yields, in the
 same order; the id-level kernel must return the same solutions after
-decoding, memoized or not.  Unsupported masks raise when the step is
-compiled.
+decoding, memoized or not, on frozenset values and on sets interned as
+bitsets alike.  Unsupported masks raise when the step is compiled.
 """
 
 from itertools import product
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog import UNBOUND, Interner, atom, pos, rule, standard_registry, var
 from repro.datalog.builtins import BuiltinCall
+from repro.datalog.interning import bitset_of
 from repro.datalog.evaluate import PlanStep, compile_plan
 
 REGISTRY = standard_registry()
@@ -214,6 +215,184 @@ class TestBuiltinCall:
         }
         call = BuiltinCall(member, [], [(0, v), (1, s)], [], [])
         assert call.holds(columns, 2, interner, {}) == [True, False]
+
+
+#: elements of awkward types: a set is a bitset because it was interned
+#: as one, never because of its shape, and ``frozenset()`` is both an
+#: element and the empty set
+ELEMENTS = (0, -1, "a", (), (0,), frozenset())
+#: the built-ins and masks with id kernels, and which positions hold sets
+KERNELS = [
+    ("add", (True, True, False), (0, 2)),
+    ("add", (True, False, True), (0, 2)),
+    ("add", (False, True, True), (0, 2)),
+    ("partition3", (True, True, True, False), (0, 1, 2, 3)),
+]
+
+subsets = st.frozensets(st.sampled_from(ELEMENTS), max_size=4)
+at_most_one = st.frozensets(st.sampled_from(ELEMENTS), max_size=1)
+
+
+@st.composite
+def kernel_rows(draw, arity, set_positions):
+    """A row of values plus, per set position, whether that set is
+    interned as a bitset; the sets are drawn around one base set so
+    that members, subsets and single-element differences are common."""
+    base = sorted(draw(subsets), key=repr)
+    row, as_bits = [], []
+    for i in range(arity):
+        if i in set_positions:
+            kept = draw(st.sets(st.sampled_from(base))) if base else set()
+            row.append(frozenset(kept) | draw(at_most_one))
+            as_bits.append(draw(st.sampled_from((True, True, True, False))))
+        else:
+            row.append(draw(st.sampled_from(ELEMENTS)))
+            as_bits.append(False)
+    return tuple(row), tuple(as_bits)
+
+
+def intern_row(interner, row, as_bits):
+    """The row's ids, each set in ``as_bits`` interned as a bitset."""
+    return tuple(
+        interner.intern_set(bitset_of(map(interner.intern, value)))
+        if bits
+        else interner.intern(value)
+        for value, bits in zip(row, as_bits)
+    )
+
+
+class TestIdKernels:
+    """``add`` and ``partition3`` solve bitset sets in ids; decoded,
+    their solutions are ``Builtin.evaluate``'s."""
+
+    def test_only_figure5_masks_have_kernels(self):
+        with_kernel = {
+            (name, mask)
+            for name in NAMES
+            for mask in accepted_masks(REGISTRY.get(name))
+            if REGISTRY.get(name).id_kernel(mask) is not None
+        }
+        assert with_kernel == {(name, mask) for name, mask, _ in KERNELS}
+
+    @settings(max_examples=300)
+    @given(kernel=st.sampled_from(KERNELS), data=st.data())
+    def test_join_decodes_to_evaluate(self, kernel, data):
+        name, mask, set_positions = kernel
+        builtin = REGISTRY.get(name)
+        rows = data.draw(
+            st.lists(kernel_rows(builtin.arity, set_positions), max_size=5),
+            label="rows",
+        )
+        interner = Interner(ELEMENTS)
+        ids = [intern_row(interner, row, as_bits) for row, as_bits in rows]
+        variables = [var(f"A{i}") for i in range(builtin.arity)]
+        bound = [(i, variables[i]) for i in range(builtin.arity) if mask[i]]
+        free = [(i, variables[i]) for i in range(builtin.arity) if not mask[i]]
+        columns = {v: [row[i] for row in ids] for i, v in bound}
+        want = [
+            (r, solution)
+            for r, (row, _) in enumerate(rows)
+            for solution in builtin.evaluate(slots_for(mask, row))
+        ]
+        call = BuiltinCall(builtin, (), bound, free, ())
+        memo: dict = {}
+        for _ in range(2):  # the second pass is served from the memo
+            out, count = call.join(columns, len(rows), None, interner, memo)
+            assert count == len(want)
+            for k, (r, solution) in enumerate(want):
+                for i, v in bound:
+                    assert out[v][k] == columns[v][r]
+                for i, v in free:
+                    assert interner.value_of(out[v][k]) == solution[i]
+        # every row whose bound sets are all bitsets is solved in ids
+        solve = builtin.id_kernel(mask)
+        for row in ids:
+            key = tuple(row[i] for i, _ in bound)
+            in_ids = all(
+                interner.set_bits(row[i]) is not None
+                for i, _ in bound
+                if i in set_positions
+            )
+            assert (solve(key, interner) is not None) == in_ids
+
+    @pytest.mark.parametrize(
+        "name, mask, row",
+        [
+            # V ∈ S: no T
+            ("add", (True, True, False), (frozenset({0, "a"}), 0, None)),
+            ("add", (True, True, False), (frozenset(), frozenset(), None)),
+            # S ⊄ T, |T - S| = 2, |T - S| = 0, the one solution
+            ("add", (True, False, True),
+             (frozenset({-1}), None, frozenset({0}))),
+            ("add", (True, False, True),
+             (frozenset(), None, frozenset({0, ()}))),
+            ("add", (True, False, True),
+             (frozenset({0}), None, frozenset({0}))),
+            ("add", (True, False, True),
+             (frozenset({0}), None, frozenset({0, ()}))),
+            # V ∉ T, V ∈ T
+            ("add", (False, True, True), (None, "a", frozenset({0}))),
+            ("add", (False, True, True), (None, (), frozenset({(), (0,)}))),
+            # R, G overlap; R ∪ G ⊄ X; empty sets; a partition
+            ("partition3", (True, True, True, False),
+             (frozenset({0, -1}), frozenset({0}), frozenset({0}), None)),
+            ("partition3", (True, True, True, False),
+             (frozenset({0}), frozenset({0}), frozenset({"a"}), None)),
+            ("partition3", (True, True, True, False),
+             (frozenset(), frozenset(), frozenset(), None)),
+            ("partition3", (True, True, True, False),
+             (frozenset({0, (), "a"}), frozenset({()}), frozenset(), None)),
+        ],
+    )
+    def test_cases(self, name, mask, row):
+        builtin = REGISTRY.get(name)
+        interner = Interner(ELEMENTS)
+        (set_positions,) = [p for n, m, p in KERNELS if (n, m) == (name, mask)]
+        bound = [i for i in range(len(row)) if mask[i]]
+        ids = intern_row(
+            interner,
+            [row[i] for i in bound],
+            [i in set_positions for i in bound],
+        )
+        key = tuple(ids)
+        found = builtin.id_kernel(mask)(key, interner)
+        outs = [i for i, b in enumerate(mask) if not b]
+        want = [
+            tuple(solution[i] for i in outs)
+            for solution in builtin.evaluate(slots_for(mask, row))
+        ]
+        assert [tuple(map(interner.value_of, ids)) for ids in found] == want
+
+    @pytest.mark.parametrize("name, mask, set_positions", KERNELS)
+    def test_a_frozenset_argument_takes_the_value_path(
+        self, name, mask, set_positions
+    ):
+        """A row mixing bitset and plain frozenset sets falls back to
+        the value path and still decodes to ``evaluate``."""
+        builtin = REGISTRY.get(name)
+        interner = Interner(ELEMENTS)
+        row = {
+            "add": (frozenset({0}), "a", frozenset({0, "a"})),
+            "partition3": (
+                frozenset({0, "a", ()}), frozenset({0}), frozenset({"a"}),
+                frozenset({()}),
+            ),
+        }[name]
+        plain = [i for i in set_positions if mask[i]][-1]
+        as_bits = [i in set_positions and i != plain for i in range(len(row))]
+        ids = intern_row(interner, row, as_bits)
+        assert interner.set_bits(ids[plain]) is None
+        bound = [(i, var(f"A{i}")) for i in range(len(row)) if mask[i]]
+        free = [(i, var(f"A{i}")) for i in range(len(row)) if not mask[i]]
+        key = tuple(ids[i] for i, _ in bound)
+        assert builtin.id_kernel(mask)(key, interner) is None
+        call = BuiltinCall(builtin, (), bound, free, ())
+        columns = {v: [ids[i]] for i, v in bound}
+        out, count = call.join(columns, 1, None, interner, {})
+        want = list(builtin.evaluate(slots_for(mask, row)))
+        assert count == len(want) == 1
+        for i, v in free:
+            assert interner.value_of(out[v][0]) == want[0][i]
 
 
 class TestUnsupportedMask:

@@ -82,6 +82,31 @@ class TestInterner:
         assert not interner.is_identity
         assert interner.value_of(fresh) == "x"
 
+    @given(st.lists(hashable_values, min_size=1, max_size=12), st.data())
+    def test_a_bitset_set_decodes_to_its_members(self, values, data):
+        interner = Interner(values)
+        ids = sorted(set(map(interner.id_of, values)))
+        chosen = data.draw(st.sets(st.sampled_from(ids)))
+        members = frozenset(map(interner.value_of, chosen))
+        had = interner.id_of(members)  # a frozenset value may be there
+        ident = interner.intern_set(bitset_of(chosen))
+        assert interner.value_of(ident) == members
+        assert interner.id_of(members) == ident
+        assert had is None or had == ident  # one id per value
+        assert interner.set_bits(ident) == bitset_of(chosen)
+        assert interner.intern_set(bitset_of(chosen)) == ident
+        assert len(interner) == len(set(interner.values()))
+
+    def test_set_bits_only_for_sets_interned_as_bitsets(self):
+        interner = Interner([0, 1, frozenset({0})])
+        assert interner.set_bits(interner.id_of(frozenset({0}))) is None
+        assert interner.set_bits(interner.intern(frozenset({1}))) is None
+        # the element frozenset({0}) is also the set {0}: one id, now
+        # with its bits
+        ident = interner.intern_set(0b1)
+        assert ident == interner.id_of(frozenset({0})) == 2
+        assert interner.set_bits(ident) == 0b1
+
     def test_identity_detected_incrementally(self):
         interner = Interner()
         assert interner.intern(0) == 0

@@ -154,6 +154,53 @@ class TestProgramShape:
             assert is_valid_coloring(g, witness)
 
 
+#: one vertex of each awkward type: a negative int, a string, tuples
+#: (the empty one too) and frozensets -- ``frozenset({-3})`` equals the
+#: colour class holding only ``-3``, ``frozenset()`` the empty one
+ODD = [-3, "v", ("t", 1), (), frozenset({-3}), frozenset()]
+ODD_EDGES = list(zip(ODD, ODD[1:] + ODD[:1])) + [(ODD[0], ODD[2])]
+
+
+class TestOddVertices:
+    """Figure 5 on bitset sets over vertices of any hashable type, with
+    an isolated vertex, pinned to brute force and to the value-level
+    route."""
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (Graph(vertices=ODD + ["isolated"], edges=ODD_EDGES), True),
+            # a self-loop
+            (
+                Graph(
+                    vertices=ODD + ["isolated"], edges=ODD_EDGES + [((), ())]
+                ),
+                False,
+            ),
+            # K4 on four of them
+            (
+                Graph(
+                    vertices=ODD + ["isolated"],
+                    edges=[(u, w) for u in ODD[2:] for w in ODD[2:] if u != w],
+                ),
+                False,
+            ),
+        ],
+        ids=["colourable", "self-loop", "k4"],
+    )
+    def test_decide_and_fixpoint(self, graph, expected, datalog_solver):
+        assert three_coloring_bruteforce(graph) == expected
+        assert three_coloring_direct(graph)[0] == expected
+        run = datalog_solver.run(graph)
+        assert run.colorable == expected
+        nice = prepare_decomposition(graph)
+        oracle = solve(
+            datalog_solver.program, encode_for_three_coloring(graph, nice)
+        )
+        assert run.database.relation("solve") == oracle.relation("solve")
+        assert run.solve_fact_count == len(oracle.relation("solve"))
+
+
 class TestIdSpaceRun:
     """``decide`` loads ``A_td`` in ids and reads ``success`` there;
     ``run`` keeps its contract, decoding its database on first access."""

@@ -366,6 +366,25 @@ class TestLoadNice:
         assert loaded.decode_relation("bag") >= {(TDNode(node), frozenset("c"))}
         assert sum(row[1] == c for row in loaded.relation("allowed")) == 3
 
+    @given(graph=partial_3_trees(), seed=st.integers(0, 2**16))
+    def test_only_figure5_interns_bitset_sets(self, graph, seed):
+        """Every set Figure 5's load writes is a bitset over the vertex
+        ids; Figure 6's load interns none."""
+        nice = make_nice(decompose_graph(graph))
+        loaded = load_for_three_coloring(graph, nice)
+        interner = loaded.interner
+        for _, x in loaded.relation("bag") | loaded.relation("allowed"):
+            bits = interner.set_bits(x)
+            assert bits is not None
+            assert interner.value_of(x) == frozenset(
+                map(interner.value_of, iter_bits(bits))
+            )
+        schema = random_schema(random.Random(seed), 5, 4)
+        primality = load_for_primality(
+            schema, prepare_decision_decomposition(schema, "a")
+        ).interner
+        assert set(map(primality.set_bits, range(len(primality)))) == {None}
+
     def test_extra_facts_of_a_node(self):
         g = Graph.path(3)
         nice = make_nice(decompose_graph(g))
