@@ -1,14 +1,14 @@
-"""Engine internals: the Theorem 4.4 solve pipeline, streamed vs eager.
+"""Engine internals: the Theorem 4.4 solve pipeline on compiled programs.
 
 Not a paper table, but the substrate claim behind the MD column:
 Section 6 stresses that the viability of the monadic-datalog route
 hinges on the interpreter's constant factors.  The **solver workloads**
-benchmark the Theorem 4.4 pipeline (grounding + linear-time Horn): the
+time the Theorem 4.4 pipeline (grounding + linear-time Horn): the
 streamed, demand-pruned solve path (``quasi-guarded``: ground rules
-instantiated on demand into an online LTUR) against the eager
-reference arm (``quasi-guarded-eager``: the materializing
-``ground_program_ids`` + ``horn_least_model_ids`` pipeline, run on the
-same cached grounding plans):
+instantiated on demand into an online LTUR), with every workload's
+answers checked against the independent semi-naive set engine
+(``repro.datalog.solve(program, encoded, backend="semi-naive")``, run
+outside the timed region):
 
 * ``solve-chain-N`` / ``solve-tree-N`` -- the compiled Theorem 4.5
   ``has_neighbor`` MSO program, evaluated over the ``A_td`` encoding
@@ -18,15 +18,13 @@ same cached grounding plans):
   compiled at width 2 relative to the grid class --
   ``grid_graph_filter``).  Runs the streamed production form (the
   folded program -- ~770 rules since the v8 shrinking pass) against
-  the ``passes=()`` ablation (the ~20k-rule program PR 9 served); the
-  eager reference grounds the full cross product -- 1.4M ground rules
-  at N=40 -- and is benchmarked on the width-1 workloads instead.  Gated
-  on exact agreement with *direct
-  MSO evaluation* and with the hand-written cover DP over the same
-  ``A_td`` encoding, and on the folded program beating the ablation
-  by ``GRID2X_PASSES_SPEEDUP`` (each arm best of ``GRID2X_REPEAT``,
-  re-timed once before failing) while grounding at most
-  1/``GRID2X_GROUND_RULES_SHRINK`` of its rules;
+  the ``passes=()`` ablation (the ~20k-rule program PR 9 served).
+  Gated on exact agreement with *direct MSO evaluation* and with the
+  hand-written cover DP over the same ``A_td`` encoding, and on the
+  folded program beating the ablation by ``GRID2X_PASSES_SPEEDUP``
+  (each arm best of ``GRID2X_REPEAT``, re-timed once before failing)
+  while grounding at most 1/``GRID2X_GROUND_RULES_SHRINK`` of its
+  rules;
 * ``solve-grid-K`` -- a K x K grid is decomposed at its natural width
   (≈ K, far outside the compiler's envelope), and a Figure-style
   quasi-guarded dynamic program over its wide-bag ``A_td`` encoding
@@ -34,38 +32,47 @@ same cached grounding plans):
   (bag-guarded leaf/child1/child2 recursion + monadic projections),
   genuinely wide guards.
 
+The **eval exponent** is the scaling gate of the same layer: the
+log-log slope of ``QuasiGuardedEvaluator.evaluate`` plus
+``unary_answers`` on a fresh ``load_normalized`` database (the load
+untimed; best of ``EVAL_REPEAT``, garbage collector off) against the
+domain size, on width-1 random forests and width-2 full ladders with
+2N vertices, N in ``EVAL_COLUMNS``.
+
 The generic set engine's speed is gated on the paper's own workload by
 ``bench_three_coloring.py`` (Figure 5 on partial 3-trees); batch
 solving on a ``SolverService`` is benchmarked, and its answers gated
 against the serial loop, by ``bench_solver_service.py``.
 
 ``python benchmarks/bench_datalog_engine.py [--quick]`` prints the
-table (``--quick`` is the CI smoke test), writes the machine-readable
+tables (``--quick`` is the CI smoke test), writes the machine-readable
 baseline ``BENCH_engine.json`` to the repo root (``--out`` overrides)
 and exits non-zero if a contract regresses:
 
-  1. all quasi-guarded arms run on a workload derive identical unary
-     answers; the streamed form prunes rules (``rules_pruned > 0``)
-     on the chain, tree and grid2x solves, is >= 2x faster than the
-     eager reference arm on the tree solve and >= 1.3x on the chain
-     solve
-     (the Theorem 4.5 programs are minimized since PR 5, so eager's
-     dead weight -- and the streamed form's headroom -- shrank); the
-     grid2x answers equal direct MSO evaluation and the hand-written
-     cover DP on the same encoding, and the folded grid2x solve beats
-     the ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP`` on a
-     first timing or on one re-timing, and grounds at most
-     1/``GRID2X_GROUND_RULES_SHRINK`` of the ablation's rules (a count,
-     so this half of the gate is deterministic);
-  2. the checked-in ``BENCH_engine.json`` must match the harness's
+  1. every arm's answers on a workload equal the semi-naive engine's;
+     the streamed form prunes rules (``rules_pruned > 0``) on the
+     chain, tree and grid2x solves; the grid2x answers equal direct
+     MSO evaluation and the hand-written cover DP on the same
+     encoding, and the folded grid2x solve beats the ``passes=()``
+     ablation by >= ``GRID2X_PASSES_SPEEDUP`` on a first timing or on
+     one re-timing, and grounds at most 1/``GRID2X_GROUND_RULES_SHRINK``
+     of the ablation's rules (a count, so this half of the gate is
+     deterministic);
+  2. the eval exponent is at most ``EVAL_MAX_SLOPE`` on forests and on
+     ladders, on a first timing or on one re-timing, with every
+     answer equal to the non-isolated vertices;
+  3. the checked-in ``BENCH_engine.json`` must match the harness's
      schema version and workload/backend shape (drift fails CI until
      the baseline is regenerated).
 """
 
 import argparse
+import functools
+import gc
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 try:
@@ -73,51 +80,58 @@ try:
 except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.bench import format_ms, format_table, time_ms
-from repro.datalog import (
-    GroundingStats,
-    InternPool,
-    SetDatabase,
-    ground_program_ids,
-    horn_least_model_ids,
-    td_key_dependencies,
-)
+from repro.bench import format_ms, format_table, log_log_slope, time_ms
+from repro.datalog import solve, td_key_dependencies
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 
 
 # ----------------------------------------------------------------------
-# Solver workloads: the Theorem 4.4 pipeline -- streamed+pruned vs the
-# eager reference grounder -- on chain/grid/tree families.
+# Solver workloads: the Theorem 4.4 pipeline on chain/grid/tree
+# families, answers pinned to the semi-naive set engine.
 # ----------------------------------------------------------------------
 
-SCHEMA_VERSION = "bench-engine/v12"
+SCHEMA_VERSION = "bench-engine/v13"
 
 #: the gate on the grid2x solve: the folded program must beat the
 #: passes=() ablation -- the program PR 9 served -- by this factor
 GRID2X_PASSES_SPEEDUP = 3.0
-#: ... and ground at most this fraction's inverse of its rules (the
-#: recorded solve-grid2x-40 counts are 803 against 2,959)
+#: ... and ground at most this fraction's inverse of its rules
 GRID2X_GROUND_RULES_SHRINK = 3
 #: best-of count of each grid2x arm (the speedup gate's timings)
 GRID2X_REPEAT = 5
 
-SOLVER_BACKENDS = ["quasi-guarded", "quasi-guarded-eager"]
+#: the eval-exponent gate: N of the 2N-vertex forests and 2 x N ladders
+EVAL_COLUMNS = (64, 128, 256, 512)
+#: ... the largest tolerated log-log slope of the eval layer
+EVAL_MAX_SLOPE = 1.15
+#: ... timed runs per input; the best one counts
+EVAL_REPEAT = 9
 
 
-def eager_reference(prepared, encoded):
-    """The ``quasi-guarded-eager`` arm: the materializing reference
-    pipeline -- load, ground the full program, batch LTUR -- on the
-    streamed solve's cached ``PreparedGrounding``."""
-    from repro.core import QuasiGuardedResult
+@functools.lru_cache(maxsize=None)
+def compiled_has_neighbor(width, passes=None):
+    """``has_neighbor`` compiled once per (width, passes): width 1 over
+    undirected graphs, width 2 over the grid class."""
+    from repro.core import (
+        compile_unary_query,
+        grid_graph_filter,
+        undirected_graph_filter,
+    )
+    from repro.mso import formulas
+    from repro.structures import GRAPH_SIGNATURE
 
-    sdb = SetDatabase.from_edb(encoded)
-    pool = InternPool(sdb.interner)
-    stats = GroundingStats()
-    rules = ground_program_ids(prepared, sdb, pool, stats)
-    flags = horn_least_model_ids(rules, len(pool))
-    return QuasiGuardedResult(pool, flags, stats.ground_rules, stats)
+    return compile_unary_query(
+        formulas.has_neighbor("x"),
+        GRAPH_SIGNATURE,
+        width=width,
+        free_var="x",
+        structure_filter=(
+            grid_graph_filter if width == 2 else undirected_graph_filter
+        ),
+        passes=passes,
+    )
 
 
 def graph_grid(k):
@@ -139,28 +153,21 @@ def graph_grid(k):
 def solver_workloads(quick):
     """Workload dicts -- encoding and MSO compilation happen here,
     outside the timed region, so the timings isolate the grounding +
-    Horn pipeline the backends differ on.
+    Horn pipeline.
 
     Keys: ``name``, ``program``, ``dependencies``, ``encoded`` (the
-    ``A_td``), ``answer_predicate``, ``expected`` (answer count),
-    ``backends`` (the quasi-guarded arms to run), and optionally
-    ``reference`` -- the exact answer set from *direct MSO
-    evaluation*, cross-checked against the hand-written cover DP on
-    the same encoding for the grid2x workload (the Theorem 4.5
-    conformance contract of the width-2 envelope).
+    ``A_td``), ``answer_predicate``, ``expected`` (answer count), and
+    for the grid2x workload ``reference`` -- the exact answer set from
+    *direct MSO evaluation* -- ``dp_answers`` (the hand-written cover
+    DP on the same encoding) and the ``passes=()`` ablation's program
+    (the Theorem 4.5 conformance contract of the width-2 envelope).
     """
     from repro.bench import atd_cover_program
-    from repro.core import (
-        ANSWER_PREDICATE,
-        QuasiGuardedEvaluator,
-        compile_unary_query,
-        grid_graph_filter,
-        undirected_graph_filter,
-    )
+    from repro.core import ANSWER_PREDICATE, QuasiGuardedEvaluator
     from repro.mso import formulas
     from repro.mso import query as mso_query
     from repro.problems import random_tree_graph
-    from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
+    from repro.structures import Graph, graph_to_structure
     from repro.treewidth import (
         decompose_structure,
         encode_normalized,
@@ -178,13 +185,7 @@ def solver_workloads(quick):
     chain_n, tree_n, grid_k, ladder_n = (
         (120, 100, 8, 20) if quick else (400, 300, 12, 40)
     )
-    compiled = compile_unary_query(
-        formulas.has_neighbor("x"),
-        GRAPH_SIGNATURE,
-        width=1,
-        free_var="x",
-        structure_filter=undirected_graph_filter,
-    )
+    compiled = compiled_has_neighbor(1)
     out = []
     for name, graph, n in (
         (f"solve-chain-{chain_n}", Graph.path(chain_n), chain_n),
@@ -203,7 +204,6 @@ def solver_workloads(quick):
                 "encoded": encoded,
                 "answer_predicate": ANSWER_PREDICATE,
                 "expected": n,
-                "backends": SOLVER_BACKENDS,
             }
         )
 
@@ -211,25 +211,12 @@ def solver_workloads(quick):
     # (ROADMAP (d)): compile at width 2 relative to the grid class,
     # solve a ladder, and pin the answers to direct MSO evaluation and
     # to the hand-written cover DP over the same A_td encoding
-    compiled2 = compile_unary_query(
-        formulas.has_neighbor("x"),
-        GRAPH_SIGNATURE,
-        width=2,
-        free_var="x",
-        structure_filter=grid_graph_filter,
-    )
+    compiled2 = compiled_has_neighbor(2)
     # the passes=() ablation: the very same query compiled without the
     # program-shrinking pass (ROADMAP D) -- the program PR 9 served.
     # The gate times it on the same encoding; the folded program must
     # beat it by GRID2X_PASSES_SPEEDUP.
-    compiled2_ablated = compile_unary_query(
-        formulas.has_neighbor("x"),
-        GRAPH_SIGNATURE,
-        width=2,
-        free_var="x",
-        structure_filter=grid_graph_filter,
-        passes=(),
-    )
+    compiled2_ablated = compiled_has_neighbor(2, passes=())
     structure, encoded, width = encode(Graph.grid(2, ladder_n), min_width=2)
     reference = mso_query(structure, formulas.has_neighbor("x"), "x")
     dp = QuasiGuardedEvaluator(
@@ -245,11 +232,6 @@ def solver_workloads(quick):
             "encoded": encoded,
             "answer_predicate": ANSWER_PREDICATE,
             "expected": 2 * ladder_n,
-            # streamed only: the eager reference grounds the full
-            # program x structure cross product (1.4M ground rules at
-            # N=40) -- demand pruning is precisely what makes the
-            # width-2 compiled program practical
-            "backends": ["quasi-guarded"],
             "reference": reference,
             "dp_answers": dp_answers,
             "ablation_program": compiled2_ablated.program,
@@ -266,19 +248,25 @@ def solver_workloads(quick):
             "encoded": encoded,
             "answer_predicate": "covered",
             "expected": grid_k * grid_k,
-            "backends": SOLVER_BACKENDS,
         }
     )
     return out
 
 
+def semi_naive_answers(program, encoded, predicate):
+    """The unary answers of ``predicate`` by the semi-naive set
+    engine: the independent oracle every workload is checked against."""
+    derived = solve(program, encoded, backend="semi-naive")
+    return frozenset(args[0] for args in derived.relation(predicate))
+
+
 def run_solver_comparison(quick, repeat=3):
-    """The Theorem 4.4 pipeline: streamed vs the eager reference.
+    """Time the streamed Theorem 4.4 pipeline on every workload.
 
     Returns (table rows, per-workload results dict, contract
-    violations).  Contracts: identical unary answers across all arms;
-    the streamed form prunes rules and beats the eager reference on
-    the chain and tree solves (see :func:`check_solver_contracts`).
+    violations).  Contracts: every arm's answers equal the semi-naive
+    engine's; the streamed form prunes rules and the grid2x gates hold
+    (see :func:`check_solver_contracts`).
     """
     from repro.core import QuasiGuardedEvaluator
 
@@ -289,16 +277,13 @@ def run_solver_comparison(quick, repeat=3):
         name = workload["name"]
         encoded = workload["encoded"]
         answer_pred = workload["answer_predicate"]
+        oracle = semi_naive_answers(workload["program"], encoded, answer_pred)
         streamed = QuasiGuardedEvaluator(
             workload["program"],
             dependencies=workload["dependencies"],
             demand=answer_pred,
         )
         arms = {"quasi-guarded": lambda: streamed.evaluate(encoded)}
-        if "quasi-guarded-eager" in workload["backends"]:
-            arms["quasi-guarded-eager"] = lambda: eager_reference(
-                streamed._prepared, encoded
-            )
         if "ablation_program" in workload:
             # the passes=() arm: same query, unshrunk program
             ablated = QuasiGuardedEvaluator(
@@ -323,10 +308,9 @@ def run_solver_comparison(quick, repeat=3):
                 "ms": round(ms, 3),
                 "ground_rules": warm.ground_rules,
                 "answers": len(answers[arm]),
+                "rules_pruned": warm.stats.rules_pruned,
+                "peak_live_rules": warm.stats.peak_live_rules,
             }
-            if arm != "quasi-guarded-eager":
-                runs[arm]["rules_pruned"] = warm.stats.rules_pruned
-                runs[arm]["peak_live_rules"] = warm.stats.peak_live_rules
         if _below_passes_speedup(runs):
             # host noise reads as a regression once; a real one persists
             print(f"{name}: below the passes=() speedup; re-timing once")
@@ -344,8 +328,7 @@ def run_solver_comparison(quick, repeat=3):
                     runs[arm]["ms"] = round(ms, 3)
         results[name] = runs
         streamed_run = runs["quasi-guarded"]
-        for backend in runs:
-            run = runs[backend]
+        for backend, run in runs.items():
             speedup = (
                 run["ms"] / streamed_run["ms"]
                 if streamed_run["ms"]
@@ -357,27 +340,26 @@ def run_solver_comparison(quick, repeat=3):
                     backend,
                     run["answers"],
                     run["ground_rules"],
-                    run.get("rules_pruned", "-"),
+                    run["rules_pruned"],
                     format_ms(run["ms"]),
                     f"{speedup:.1f}x",
                 ]
             )
-        reference = answers["quasi-guarded"]
-        for backend in runs:
-            if answers[backend] != reference:
+        for backend, got in answers.items():
+            if got != oracle:
                 failures.append(
-                    f"{name}: {backend} disagrees with the streamed "
-                    f"pipeline ({len(answers[backend])} vs "
-                    f"{len(reference)} answers)"
+                    f"{name}: {backend} disagrees with the semi-naive "
+                    f"engine ({len(got)} vs {len(oracle)} answers)"
                 )
-        if len(reference) != workload["expected"]:
+        if len(oracle) != workload["expected"]:
             failures.append(
                 f"{name}: expected {workload['expected']} answers, got "
-                f"{len(reference)}"
+                f"{len(oracle)}"
             )
         # conformance pins (the grid2x workload): the compiled width-2
         # program must agree exactly with direct MSO evaluation and
         # with the hand-written cover DP over the same encoding
+        reference = answers["quasi-guarded"]
         if "reference" in workload and reference != workload["reference"]:
             failures.append(
                 f"{name}: compiled answers disagree with direct MSO "
@@ -410,37 +392,19 @@ def check_solver_contracts(name, runs):
     """The perf contracts of one solver workload; separated out so the
     test-suite can exercise the gate logic on synthetic timings.
 
-    The ``quasi-guarded-eager`` arm is the eager reference grounder,
-    not a solve route; it stays as the yardstick for demand pruning.
-    The streamed form must dominate on the compiled-MSO chain/tree
-    solves, where most of the eager ground program is dead weight.
-    Since the Theorem 4.5 compiler minimizes its type table (PR 5) the
-    compiled programs -- and eager's dead weight -- are much smaller,
-    so the chain gate is 1.3x where it used to be 2x (the tree solve
-    still clears 2x).  The grid cover DP is fully live: the eager
-    reference has nothing extra to ground there (the recorded full run
-    has streamed at 15.1 vs 19.7 ms on ``solve-grid-12``), and it
-    carries no speed gate.  The grid2x
-    workload (width-2 Theorem 4.5 path) runs the streamed form only;
-    its gates are pruning engagement, and the speedup and the
-    ground-rule shrink over the ``passes=()`` ablation -- the answer
+    The compiled-MSO chain, tree and grid2x solves must prune rules
+    (demand pruning engaged).  The grid cover DP is fully live and
+    carries no gate here.  The grid2x workload (width-2 Theorem 4.5
+    path) must also beat the ``passes=()`` ablation by
+    ``GRID2X_PASSES_SPEEDUP`` and ground at most
+    1/``GRID2X_GROUND_RULES_SHRINK`` of its rules -- the answer
     conformance pins and the one re-timing live in
     ``run_solver_comparison``.
     """
     failures = []
     streamed = runs["quasi-guarded"]
-    eager = runs.get("quasi-guarded-eager")
-    chain_or_tree = name.startswith(("solve-chain-", "solve-tree-"))
-    if chain_or_tree:
-        required = 2.0 if name.startswith("solve-tree-") else 1.3
-        if streamed["ms"] * required > eager["ms"]:
-            failures.append(
-                f"{name}: streamed {streamed['ms']:.1f}ms vs eager "
-                f"{eager['ms']:.1f}ms -- less than the required "
-                f"{required:g}x speedup"
-            )
-    if (
-        chain_or_tree or name.startswith("solve-grid2x-")
+    if name.startswith(
+        ("solve-chain-", "solve-tree-", "solve-grid2x-")
     ) and streamed.get("rules_pruned", 0) <= 0:
         failures.append(
             f"{name}: streamed grounding pruned no rules -- demand "
@@ -465,6 +429,140 @@ def check_solver_contracts(name, runs):
             f"{GRID2X_GROUND_RULES_SHRINK}x fewer"
         )
     return failures
+
+
+# ----------------------------------------------------------------------
+# The eval exponent: how the streamed eval layer scales with |A|
+# ----------------------------------------------------------------------
+
+
+def random_forest(rng, n, tree_size=16):
+    """A random forest on ``0..n-1``: consecutive blocks of
+    ``tree_size`` vertices, each a random recursive tree (every vertex
+    joins a random earlier one of its block).  Equal-sized trees keep
+    the work per vertex level across sizes, so the fitted slope reads
+    the pipeline, not the draw."""
+    from repro.structures import Graph
+
+    graph = Graph(range(n))
+    for v in range(n):
+        offset = v % tree_size
+        if offset:
+            graph.add_edge(v, v - offset + rng.randrange(offset))
+    return graph
+
+
+def eval_inputs(family):
+    """The gate's ``(N, graph)`` inputs: 2N-vertex random forests
+    (``forest-w1``) or 2 x N ladders (``ladder-w2``)."""
+    from repro.structures import Graph
+
+    if family == "forest-w1":
+        return [
+            (n, random_forest(random.Random(f"eval-forest:{n}"), 2 * n))
+            for n in EVAL_COLUMNS
+        ]
+    return [(n, Graph.grid(2, n)) for n in EVAL_COLUMNS]
+
+
+def eval_ms(evaluator, load):
+    """Best-of-``EVAL_REPEAT`` ms of ``evaluator.evaluate`` plus
+    ``unary_answers`` on a fresh ``load()`` each run (the load
+    untimed), garbage collector off; and the answers."""
+    from repro.core import ANSWER_PREDICATE
+
+    best = float("inf")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(EVAL_REPEAT):
+            db = load()
+            start = time.perf_counter()
+            answers = evaluator.evaluate(db).unary_answers(ANSWER_PREDICATE)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
+    return best * 1e3, answers
+
+
+def measure_eval(family, width):
+    """Time the eval layer on every input of ``family`` and fit the
+    slope against the domain size.  Returns the record: ``columns``,
+    ``domain``, ``ms``, ``slope``, and ``answers_ok`` -- whether every
+    answer set was the non-isolated vertices."""
+    from repro.core import ANSWER_PREDICATE, QuasiGuardedEvaluator
+    from repro.structures import graph_to_structure
+    from repro.treewidth import (
+        decompose_structure,
+        load_normalized,
+        normalize,
+        widen,
+    )
+
+    compiled = compiled_has_neighbor(width)
+    evaluator = QuasiGuardedEvaluator(
+        compiled.program,
+        dependencies=compiled.dependencies(),
+        demand=ANSWER_PREDICATE,
+    )
+    record = {"columns": [], "domain": [], "ms": [], "answers_ok": True}
+    for n, graph in eval_inputs(family):
+        structure = graph_to_structure(graph)
+        td = decompose_structure(structure)
+        ntd = normalize(widen(td, width) if td.width < width else td)
+        ms, answers = eval_ms(
+            evaluator, lambda: load_normalized(structure, ntd)
+        )
+        want = frozenset(v for v in graph.vertices if graph.neighbors(v))
+        record["answers_ok"] &= answers == want
+        record["columns"].append(n)
+        record["domain"].append(len(structure.domain))
+        record["ms"].append(round(ms, 3))
+        print(
+            f"{family} N={n:<4} |A|={len(structure.domain):<5} "
+            f"{ms:8.2f} ms"
+        )
+    record["slope"] = round(log_log_slope(record["domain"], record["ms"]), 3)
+    print(f"{family}: eval exponent {record['slope']} (gate <= {EVAL_MAX_SLOPE})")
+    return record
+
+
+def eval_exponent_gate(family, measure):
+    """The gate on one family: ``measure()`` times it once and returns
+    a record with its ``slope``; a slope above ``EVAL_MAX_SLOPE`` is
+    re-timed once and the better record kept.  Returns the record and
+    the failures."""
+    record = measure()
+    if record["slope"] > EVAL_MAX_SLOPE:
+        # host noise reads as a regression once; a real one persists
+        print(f"{family}: eval exponent above the gate; re-timing once")
+        again = measure()
+        if again["slope"] < record["slope"]:
+            record = again
+    if record["slope"] > EVAL_MAX_SLOPE:
+        return record, [
+            f"{family}: eval exponent {record['slope']:.3f} > "
+            f"{EVAL_MAX_SLOPE}"
+        ]
+    return record, []
+
+
+def run_eval_exponent():
+    """The eval-exponent gate on both families: (records, failures)."""
+    records, failures = {}, []
+    for family, width in (("forest-w1", 1), ("ladder-w2", 2)):
+        record, failed = eval_exponent_gate(
+            family, lambda: measure_eval(family, width)
+        )
+        if not record["answers_ok"]:
+            failed.append(
+                f"{family}: answers differ from the non-isolated vertices"
+            )
+        records[family] = record
+        failures += failed
+    return records, failures
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +610,7 @@ def check_baseline_drift(previous, payload):
 
 def build_payload(
     solver_results,
+    eval_exponent,
     quick,
     service_throughput=None,
     service_resilience=None,
@@ -519,8 +618,8 @@ def build_payload(
 ):
     """The machine-readable perf trajectory consumed by later PRs.
 
-    ``solver_speedups`` records the eager-reference-vs-streamed ratio;
-    the service sections -- ``service_throughput`` (v4),
+    ``eval_exponent`` holds the eval layer's timings and fitted slope
+    per family; the service sections -- ``service_throughput`` (v4),
     ``service_resilience`` (v5, the fault-injection goodput record)
     and ``admission`` (v7, the untrusted-input answers + containment
     record) -- are *owned* by ``bench_solver_service.py``; this
@@ -538,16 +637,7 @@ def build_payload(
             "A_td cover DP at natural width (grid)"
         ),
         "solver_workloads": solver_results,
-        "solver_speedups": {
-            name: round(
-                backends["quasi-guarded-eager"]["ms"]
-                / backends["quasi-guarded"]["ms"],
-                2,
-            )
-            for name, backends in solver_results.items()
-            if backends.get("quasi-guarded", {}).get("ms")
-            and "quasi-guarded-eager" in backends
-        },
+        "eval_exponent": eval_exponent,
     }
     if service_throughput is not None:
         payload["service_throughput"] = service_throughput
@@ -580,8 +670,8 @@ def main(argv=None) -> int:
     repeat = 2 if args.quick else 3
 
     print(
-        "solver workloads (Theorem 4.4 pipeline: "
-        "streamed+pruned vs eager reference)"
+        "solver workloads (Theorem 4.4 pipeline, streamed+pruned; "
+        "answers checked against the semi-naive engine)"
     )
     solver_rows, solver_results, failures = run_solver_comparison(
         args.quick, repeat=repeat
@@ -600,6 +690,12 @@ def main(argv=None) -> int:
             solver_rows,
         )
     )
+    print(
+        "\neval exponent (evaluate + unary_answers on a fresh "
+        "load_normalized database, load untimed)"
+    )
+    eval_exponent, eval_failures = run_eval_exponent()
+    failures += eval_failures
     previous = None
     if args.out.exists():
         try:
@@ -608,6 +704,7 @@ def main(argv=None) -> int:
             failures.append(f"baseline drift: {args.out} is not valid JSON")
     payload = build_payload(
         solver_results,
+        eval_exponent,
         args.quick,
         service_throughput=(
             previous.get("service_throughput")
@@ -632,13 +729,13 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         return 1
     print(
-        "\nok: the streamed "
-        "quasi-guarded pipeline matches the eager reference's answers, "
-        "prunes rules, and beats it >= 2x on the tree solve and "
-        ">= 1.3x on the chain solve; the width-2 grid2x solve matches "
-        "direct MSO evaluation and the hand-written cover DP, beats "
-        "the passes=() ablation and grounds under a third of its rules; "
-        "the baseline schema matches the harness"
+        "\nok: the streamed quasi-guarded pipeline matches the "
+        "semi-naive engine's answers and prunes rules; the width-2 "
+        "grid2x solve matches direct MSO evaluation and the "
+        "hand-written cover DP, beats the passes=() ablation and "
+        "grounds under a third of its rules; the eval exponent is at "
+        f"most {EVAL_MAX_SLOPE} on forests and ladders; the baseline "
+        "schema matches the harness"
     )
     return 0
 

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from repro.datalog import GroundRule, horn_least_model
+from repro.datalog import StreamingHorn
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
 from repro.problems.three_coloring import (
     _has_internal_edge,
@@ -39,17 +39,19 @@ def _all_states(bag):
 
 
 def materialize_ground_program(graph, nice):
-    """All ground instances of the Figure 5 rules, Theorem 4.4 style."""
-    rules: list[GroundRule] = []
+    """All ground instances of the Figure 5 rules, Theorem 4.4 style,
+    as ``(head, body)`` pairs of propositional atoms."""
+    rules: list[tuple[tuple, tuple]] = []
+    near = graph.neighbor_map()
     tree = nice.tree
     for node in tree.postorder():
         kind = nice.node_kind(node)
         bag = nice.bag(node)
         if kind is NiceNodeKind.LEAF:
             for state in _all_states(bag):
-                if any(_has_internal_edge(graph, part) for part in state):
+                if any(_has_internal_edge(near, part) for part in state):
                     continue
-                rules.append(GroundRule(("solve", node, state)))
+                rules.append((("solve", node, state), ()))
         elif kind is NiceNodeKind.INTRODUCTION:
             (child,) = tree.children(node)
             v = nice.introduced_element(node)
@@ -59,12 +61,10 @@ def materialize_ground_program(graph, nice):
                         part | {v} if j == i else part
                         for j, part in enumerate(state)
                     )
-                    if _has_internal_edge(graph, grown[i]):
+                    if _has_internal_edge(near, grown[i]):
                         continue
                     rules.append(
-                        GroundRule(
-                            ("solve", node, grown), (("solve", child, state),)
-                        )
+                        (("solve", node, grown), (("solve", child, state),))
                     )
         elif kind is NiceNodeKind.REMOVAL:
             (child,) = tree.children(node)
@@ -72,35 +72,39 @@ def materialize_ground_program(graph, nice):
             for state in _all_states(nice.bag(child)):
                 shrunk = tuple(part - {v} for part in state)
                 rules.append(
-                    GroundRule(
-                        ("solve", node, shrunk), (("solve", child, state),)
-                    )
+                    (("solve", node, shrunk), (("solve", child, state),))
                 )
         elif kind is NiceNodeKind.COPY:
             (child,) = tree.children(node)
             for state in _all_states(bag):
                 rules.append(
-                    GroundRule(("solve", node, state), (("solve", child, state),))
+                    (("solve", node, state), (("solve", child, state),))
                 )
         else:  # branch
             c1, c2 = tree.children(node)
             for state in _all_states(bag):
                 rules.append(
-                    GroundRule(
+                    (
                         ("solve", node, state),
                         (("solve", c1, state), ("solve", c2, state)),
                     )
                 )
     root = tree.root
     for state in _all_states(nice.bag(root)):
-        rules.append(GroundRule(("success",), (("solve", root, state),)))
+        rules.append((("success",), (("solve", root, state),)))
     return rules
 
 
 def materialized_decide(graph, td):
     nice = prepare_decomposition(graph, td)
     rules = materialize_ground_program(graph, nice)
-    return ("success",) in horn_least_model(rules), len(rules)
+    # intern the atoms to dense ids, then run LTUR over the whole list
+    ids: dict = {}
+    intern = lambda a: ids.setdefault(a, len(ids))  # noqa: E731
+    ltur = StreamingHorn()
+    for head, body in rules:
+        ltur.add_rule(intern(head), tuple(map(intern, body)))
+    return ltur.is_derived(intern(("success",))), len(rules)
 
 
 @pytest.fixture(scope="module")

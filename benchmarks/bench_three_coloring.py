@@ -45,6 +45,7 @@ except ImportError:  # running as a plain script without install
 
 import pytest
 
+from repro.bench import best_ms, log_log_slope
 from repro.datalog.backends import default_cache, solve
 from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
@@ -138,33 +139,6 @@ def quick_graphs():
     }
 
 
-def best_ms(run, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` ms of ``run()``, garbage collector off."""
-    best = math.inf
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
-    finally:
-        if enabled:
-            gc.enable()
-    return best * 1e3
-
-
-def log_log_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(y) for y in ys]
-    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
-    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum(
-        (a - mx) ** 2 for a in lx
-    )
-
-
 def datalog_timings(solver, graphs) -> tuple[float, float]:
     """Time ``decide`` and ``three_coloring_direct`` on every graph and
     print their ratio per size; returns the fitted slope of ``decide``
@@ -172,10 +146,11 @@ def datalog_timings(solver, graphs) -> tuple[float, float]:
     sizes, times, ratios = [], [], []
     for n, family in graphs.items():
         ms = statistics.median(
-            best_ms(lambda g=g: solver.decide(g)) for g in family
+            best_ms(lambda g=g: solver.decide(g), REPEATS) for g in family
         )
         direct = statistics.median(
-            best_ms(lambda g=g: three_coloring_direct(g)) for g in family
+            best_ms(lambda g=g: three_coloring_direct(g), REPEATS)
+            for g in family
         )
         sizes.append(n)
         times.append(ms)

@@ -44,6 +44,7 @@ except ImportError:  # running as a plain script without install
 
 import pytest
 
+from repro.bench import best_ms, log_log_slope
 from repro.datalog import SetDatabase
 from repro.problems import random_partial_ktree
 from repro.structures import Graph, graph_to_structure
@@ -181,23 +182,6 @@ def front_end_slope() -> float:
     return slope
 
 
-def best_ms(run, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` ms of ``run()``, garbage collector off."""
-    best = math.inf
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
-    finally:
-        if enabled:
-            gc.enable()
-    return best * 1e3
-
-
 def decoded(db):
     """A loaded database as value-level relations."""
     return {p: db.decode_relation(p) for p in db.predicates()}
@@ -218,8 +202,8 @@ def load_gate() -> list[str]:
             continue
 
         def timed():
-            fast = best_ms(lambda: load_normalized(structure, ntd))
-            slow = best_ms(oracle)
+            fast = best_ms(lambda: load_normalized(structure, ntd), REPEATS)
+            slow = best_ms(oracle, REPEATS)
             print(
                 f"ladder 2x{columns:<4} load {fast:6.2f} ms, encode + "
                 f"from_edb {slow:6.2f} ms: {slow / fast:.1f}x "
@@ -238,16 +222,6 @@ def load_gate() -> list[str]:
                 f"{MIN_LOAD_SPEEDUP}"
             )
     return failures
-
-
-def log_log_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(y) for y in ys]
-    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
-    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum(
-        (a - mx) ** 2 for a in lx
-    )
 
 
 def quick() -> int:

@@ -2,9 +2,11 @@
 
 from .harness import (
     LinearityReport,
+    best_ms,
     fit_linear,
     format_ms,
     format_table,
+    log_log_slope,
     time_ms,
 )
 from .workloads import atd_cover_program
@@ -27,9 +29,11 @@ __all__ = [
     "PAPER_TREE_NODES",
     "Table1Row",
     "atd_cover_program",
+    "best_ms",
     "fit_linear",
     "format_ms",
     "format_table",
+    "log_log_slope",
     "md_linearity",
     "render_table1",
     "run_table1",

@@ -8,6 +8,8 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import gc
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -22,6 +24,24 @@ def time_ms(fn: Callable[[], object], repeat: int = 3) -> float:
         elapsed = (time.perf_counter() - start) * 1000.0
         best = min(best, elapsed)
     return best
+
+
+def best_ms(run: Callable[[], object], repeats: int) -> float:
+    """Best-of-``repeats`` ms of ``run()``, with the garbage collector
+    off while timing so a collection does not land on one size only."""
+    best = math.inf
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
+    return best * 1e3
 
 
 def format_ms(value: float | None) -> str:
@@ -81,3 +101,14 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearityReport:
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return LinearityReport(slope, intercept, r_squared)
+
+
+def log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log(ys) against log(xs): the scaling
+    exponent the ``--quick`` gates bound."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum(
+        (a - mx) ** 2 for a in lx
+    )

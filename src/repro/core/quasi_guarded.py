@@ -8,18 +8,17 @@ This module packages the two halves
 (:mod:`repro.datalog.grounding` + :mod:`repro.datalog.horn`) behind a
 checked facade and is what the generic Theorem 4.5 programs run on.
 
-The production form is streamed (the solve path of
-:class:`repro.core.solver.CourcelleSolver`): grounding is a push-based
-emitter feeding an online LTUR
-(:class:`~repro.datalog.horn.StreamingHorn`) -- ground rules are
-instantiated on demand as their driving intensional atoms derive, whole
-rules are demand-pruned relative to ``demand`` (backward reachability
-from the demanded predicates,
+Grounding is streamed (the solve path of
+:class:`repro.core.solver.CourcelleSolver`): a push-based emitter
+feeding an online LTUR (:class:`~repro.datalog.horn.StreamingHorn`) --
+ground rules are instantiated on demand as their driving intensional
+atoms derive, whole rules are demand-pruned relative to ``demand``
+(backward reachability from the demanded predicates,
 :func:`~repro.datalog.grounding.relevant_predicates`), and peak
-live-rule residency is the waiting frontier, not the ground program.  The materializing reference pipeline
-(:func:`~repro.datalog.grounding.ground_program_ids` +
-:func:`~repro.datalog.horn.horn_least_model_ids`) is the conformance
-oracle it is tested against.
+live-rule residency is the waiting frontier, not the ground program.
+Its conformance oracles are the independent generic engines behind
+:func:`repro.datalog.solve` (``semi-naive`` and its ``naive``
+reference).
 
 One :class:`~repro.datalog.interning.InternPool` is threaded from
 structure load through grounding, unit resolution, and result decoding

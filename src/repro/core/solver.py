@@ -13,10 +13,8 @@ The datalog program comes from the Theorem 4.5 compiler (built once per
 (query, signature, width) and reusable over any number of structures,
 which is what makes the data complexity linear), and is evaluated by the
 Theorem 4.4 quasi-guarded pipeline, streamed and demand-pruned.  That
-is the only solve route; the materializing reference grounder
-(:func:`repro.datalog.ground_program_ids`) and the generic bottom-up
-engines behind :func:`repro.datalog.solve` serve as oracles for
-compiled programs.
+is the only solve route; the generic bottom-up engines behind
+:func:`repro.datalog.solve` serve as oracles for compiled programs.
 
 Every request enters through the admission ladder
 (:func:`repro.admission.admit`, ``"strict"`` unless the call or the
@@ -67,9 +65,8 @@ class CourcelleSolver:
     the answer predicate pruned at grounding time, one shared intern
     pool from structure load to answer decoding.  Per-program planning
     goes through the compiled-program cache, so it happens once per
-    program fingerprint.  The reference grounder and the generic bottom-up
-    engines are test oracles for compiled programs: run
-    ``repro.datalog.evaluate_via_grounding`` or
+    program fingerprint.  The generic bottom-up engines are test
+    oracles for compiled programs: run
     ``repro.datalog.solve(solver.compiled.program, encoded)`` (the
     ``semi-naive`` engine; ``backend="naive"`` for the reference) on
     the value-level ``A_td`` encoding

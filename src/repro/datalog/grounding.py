@@ -7,63 +7,40 @@ instances is O(|A|) per rule and O(|P| * |A|) overall.  The extensional
 part of each body -- positive atoms, negated atoms, built-ins -- is
 resolved during grounding; what remains is a propositional Horn program
 over the intensional atoms, which linear-time unit resolution (LTUR,
-:mod:`repro.datalog.horn`) solves.
+:class:`repro.datalog.horn.StreamingHorn`) solves.
 
-The same machinery, pointed at *every* candidate instantiation instead
-of only the ones supported by the database, yields the fully
-materialized ground program that Section 6's optimization (2) warns
-about; that variant lives in the benchmark modules.
-
-Two execution forms share the per-rule plans of
-:func:`prepare_grounding`, both over dense interned ids:
-
-* the **streamed** form (:func:`ground_program_streamed`, the
-  production path of
-  :class:`repro.core.quasi_guarded.QuasiGuardedEvaluator`): a
-  push-based emitter that instantiates ground rules *on demand* and
-  feeds them one at a time into an online LTUR
-  (:class:`repro.datalog.horn.StreamingHorn`).  Base rules (no
-  intensional body atom) are instantiated up front; every other rule
-  is *driven* by one designated intensional body literal and is only
-  instantiated for the bindings its driver atom actually takes in the
-  least model -- Section 6's optimization (2) ("generate only those
-  ground instances of rules which actually produce new facts"),
-  realized at grounding time.  Demand pruning
-  (:func:`relevant_predicates`) additionally skips
-  whole rules whose heads cannot reach the query, and statically dead
-  rules (a positive extensional literal over an empty relation) are
-  never instantiated.  Peak live-rule residency is the LTUR's waiting
-  frontier, not the ground program;
-* the **eager** reference form (:func:`ground_program_ids`): guard
-  instantiation joins over a
-  :class:`~repro.datalog.setengine.SetDatabase` of dense-int fact
-  tuples and materializes the full ground program as
-  ``(head_atom_id, body_atom_ids)`` pairs drawn from a shared
-  :class:`~repro.datalog.interning.InternPool` -- no raw-value tuple
-  crosses the grounding -> horn boundary, and
-  :func:`repro.datalog.horn.horn_least_model_ids` propagates over the
-  same ids.  It is the paper's ground-then-LTUR pipeline taken
-  literally and the conformance oracle of the streamed form;
-  :func:`evaluate_via_grounding` wraps it with a decoded result.
+The grounder (:func:`ground_program_streamed`, the solve path of
+:class:`repro.core.quasi_guarded.QuasiGuardedEvaluator`) is a
+push-based emitter over dense interned ids: it instantiates ground
+rules *on demand* and feeds them one at a time into the online LTUR.
+Base rules (no intensional body atom) are instantiated up front; every
+other rule is *driven* by one designated intensional body literal and
+is only instantiated for the bindings its driver atom actually takes
+in the least model -- Section 6's optimization (2) ("generate only
+those ground instances of rules which actually produce new facts"),
+realized at grounding time.  Demand pruning
+(:func:`relevant_predicates`) additionally skips whole rules whose
+heads cannot reach the query, and statically dead rules (a positive
+extensional literal over an empty relation) are never instantiated.
+Peak live-rule residency is the LTUR's waiting frontier, not the
+ground program.  The full ground program is never materialized; the
+fully materialized Figure 5 program of Section 6's warning lives in
+``benchmarks/bench_grounding.py``.
 
 Sink predicates (heads in no rule body, like the compiled answer
-predicate ``phi``) are always deferred by the streamed form: their
-rules fire once, after the recursive fixpoint has settled.
+predicate ``phi``) are always deferred: their rules fire once, after
+the recursive fixpoint has settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from operator import itemgetter
-from typing import Sequence
 
-from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
-from .builtins import UNBOUND, BuiltinCall, BuiltinRegistry, standard_registry
-from .evaluate import Database
+from .builtins import UNBOUND, BuiltinRegistry, standard_registry
 from .guards import CostModel
-from .horn import StreamingHorn, horn_least_model_ids
+from .horn import StreamingHorn
 from .interning import InternPool
 from .setengine import SetDatabase
 
@@ -78,23 +55,23 @@ class GroundingStats:
     #: total rows surviving each extensional join step -- the
     #: O(|P| * |A|) *work* measure of Theorem 4.4 (a mis-ordered plan
     #: shows up here as a super-linear blow-up even when the final
-    #: ground-rule count stays linear).  The streamed form counts a
-    #: group's shared prefix once per group, plus one per row that
-    #: reaches the group's membership tests
+    #: ground-rule count stays linear).  A group's shared prefix counts
+    #: once per group, plus one per row that reaches the group's
+    #: membership tests
     bindings_explored: int = 0
-    #: streamed path only: program rules never instantiated at all --
-    #: head outside the demanded set (magic-style relevance), a
-    #: positive extensional body literal over an empty/failing
-    #: relation (statically dead for this structure), or a driver
-    #: predicate that never derived a single atom (driver-starved)
+    #: program rules never instantiated at all -- head outside the
+    #: demanded set (magic-style relevance), a positive extensional
+    #: body literal over an empty/failing relation (statically dead
+    #: for this structure), or a driver predicate that never derived
+    #: a single atom (driver-starved)
     rules_pruned: int = 0
-    #: streamed path only: the high-water mark of ground rules stored
-    #: in the online LTUR's waiting frontier -- the streamed analogue
-    #: of the eager pipeline's O(|ground program|) rule list.  Not a
-    #: property of the input alone: it follows the order the grounder
-    #: meets the nodes, i.e. their interned ids, so two loads of one
-    #: decomposition that number the nodes differently can read it
-    #: one apart with the same model and every other counter equal
+    #: the high-water mark of ground rules stored in the online LTUR's
+    #: waiting frontier, where a materializing grounder would hold its
+    #: O(|ground program|) rule list.  Not a property of the input
+    #: alone: it follows the order the grounder meets the nodes, i.e.
+    #: their interned ids, so two loads of one decomposition that
+    #: number the nodes differently can read it one apart with the
+    #: same model and every other counter equal
     peak_live_rules: int = 0
 
 
@@ -106,11 +83,11 @@ class PreparedGrounding:
     Grounding the same compiled program over many structures (the
     Theorem 4.5 amortization) re-runs only the data-dependent half;
     the body-ordering half lives here and is cached by
-    :class:`repro.datalog.backends.ProgramCache`.  ``plans`` drives the
-    eager forms, ``stream_plans`` the streamed one (same greedy
-    ordering, seeded with the driver literal's variables).
+    :class:`repro.datalog.backends.ProgramCache`.  ``stream_plans``
+    holds one greedy body ordering per rule, seeded with the driver
+    literal's variables.
 
-    The streamed plans share one **step table**: ``steps`` holds each
+    The stream plans share one **step table**: ``steps`` holds each
     distinct extensional join step (literal, slot layout, bind code,
     key order) once, and every :class:`StreamRulePlan` lists its join
     as ids into it.  A compiled program has far fewer distinct steps
@@ -132,12 +109,9 @@ class PreparedGrounding:
 
     program: Program
     registry: BuiltinRegistry
-    #: parallel to ``program.rules``: (ordered extensional literals,
-    #: intensional body literals)
-    plans: tuple[tuple[tuple[Literal, ...], tuple[Literal, ...]], ...]
     #: parallel to ``program.rules``: slot-indexed driver plans for
     #: :func:`ground_program_streamed`
-    stream_plans: tuple["StreamRulePlan", ...] = ()
+    stream_plans: tuple["StreamRulePlan", ...]
     #: sink predicates (heads occurring in no rule body) whose driven
     #: rules the streamed grounder defers to a single post-fixpoint pass
     deferred: frozenset[str] = frozenset()
@@ -178,10 +152,6 @@ def prepare_grounding(
     """
     registry = registry if registry is not None else standard_registry()
     idb = program.intensional_predicates()
-    plans = tuple(
-        tuple(map(tuple, _plan_extensional(rule, idb, registry, cost)))
-        for rule in program.rules
-    )
     step_table: dict[_StreamStep, int] = {}
     stream_plans = tuple(
         _stream_plan(rule, idb, registry, cost, step_table)
@@ -197,51 +167,11 @@ def prepare_grounding(
     return PreparedGrounding(
         program,
         registry,
-        plans,
         stream_plans,
         deferred,
         steps,
         _group_plans(stream_plans, steps, deferred),
     )
-
-
-def _plan_extensional(
-    rule: Rule,
-    idb: frozenset[str],
-    registry: BuiltinRegistry,
-    cost: CostModel | None = None,
-) -> tuple[list[Literal], list[Literal]]:
-    """Order the non-IDB body so each step runs with earlier bindings.
-
-    Returns (ordered extensional steps, IDB literals).  Raises
-    :class:`NotGroundableError` if the extensional part cannot bind
-    every variable -- i.e. the rule is not groundable guard-first, which
-    for the programs of this paper coincides with not being
-    quasi-guarded.
-    """
-    idb_literals: list[Literal] = []
-    remaining: list[Literal] = []
-    for literal in rule.body:
-        name = literal.atom.predicate
-        if name in idb:
-            if not literal.positive:
-                raise NotGroundableError(
-                    f"negated intensional atom {literal} unsupported"
-                )
-            idb_literals.append(literal)
-        else:
-            remaining.append(literal)
-
-    bound: set[Variable] = set()
-    ordered = _order_body(remaining, bound, registry, rule, cost)
-
-    needed = rule.variables()
-    if not needed <= bound:
-        missing = sorted(v.name for v in needed - bound)
-        raise NotGroundableError(
-            f"variables {missing} not bound by the extensional body of: {rule}"
-        )
-    return ordered, idb_literals
 
 
 def _order_body(
@@ -253,9 +183,8 @@ def _order_body(
 ) -> list[Literal]:
     """Greedy bound-first ordering of ``remaining``; mutates ``bound``.
 
-    Shared by the guard-first plan (``bound`` starts empty) and the
-    streamed driver plans (``bound`` starts at the driver literal's
-    variables).  With a ``cost`` model, equal bound-slot scores break
+    ``bound`` starts at the driver literal's variables (empty for a
+    base rule).  With a ``cost`` model, equal bound-slot scores break
     by estimated output rows (fanout / relation size) instead of body
     textual order.
     """
@@ -312,272 +241,6 @@ def _order_body(
         bound.update(chosen.atom.variables())
         ordered.append(chosen)
     return ordered
-
-
-def _take_rows(columns: dict, keep) -> dict:
-    if isinstance(keep, range):
-        return columns
-    return {v: [col[r] for r in keep] for v, col in columns.items()}
-
-
-# ----------------------------------------------------------------------
-# The eager form: joins over a SetDatabase of dense-int fact tuples,
-# ground rules emitted as atom ids from a shared InternPool.  Built-in
-# steps run through the set engine's kernel (builtins.BuiltinCall).
-# ----------------------------------------------------------------------
-
-
-def ground_program_ids(
-    prepared: PreparedGrounding,
-    db: SetDatabase,
-    pool: InternPool,
-    stats: GroundingStats | None = None,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """All supported ground instances, as ``(head_id, body_ids)`` pairs.
-
-    The interned half of Theorem 4.4: ``db`` holds the extensional
-    facts as dense-int tuples, ``pool`` (which must share ``db``'s
-    interner) assigns dense ids to the ground intensional atoms, and
-    the returned rules are pure integers -- ready for
-    :func:`repro.datalog.horn.horn_least_model_ids` with no raw-value
-    tuple crossing the boundary.
-    """
-    if pool.interner is not db.interner:
-        raise ValueError(
-            "pool and database must share one interner -- the point of "
-            "the interned pipeline is a single interning context per solve"
-        )
-    registry = prepared.registry
-    stats = stats if stats is not None else GroundingStats()
-    intern = db.interner.intern
-    ground_rules: list[tuple[int, tuple[int, ...]]] = []
-    memo: dict = {}  # built-in results of this grounding (BuiltinCall)
-
-    for rule, (ordered, idb_literals) in zip(
-        prepared.program.rules, prepared.plans
-    ):
-        columns, length = _instantiate_batch_ids(
-            ordered, db, registry, stats, memo
-        )
-        if not length:
-            continue
-
-        def arg_rows(atom: Atom):
-            if not atom.args:
-                return repeat((), length)
-            sources = [
-                repeat(intern(arg.value), length)
-                if isinstance(arg, Constant)
-                else columns[arg]
-                for arg in atom.args
-            ]
-            return zip(*sources)
-
-        # one bulk-intern pass per atom column, then C-speed zips pair
-        # head ids with body-id tuples -- no per-row Python
-        head_ids = pool.atom_ids(rule.head.predicate, arg_rows(rule.head))
-        if not idb_literals:
-            ground_rules.extend(zip(head_ids, repeat(())))
-        else:
-            body_id_columns = [
-                pool.atom_ids(lit.atom.predicate, arg_rows(lit.atom))
-                for lit in idb_literals
-            ]
-            ground_rules.extend(zip(head_ids, zip(*body_id_columns)))
-        stats.ground_rules += length
-    return ground_rules
-
-
-def _instantiate_batch_ids(
-    ordered: Sequence[Literal],
-    db: SetDatabase,
-    registry: BuiltinRegistry,
-    stats: GroundingStats,
-    memo: dict,
-) -> tuple[dict[Variable, list[int]], int]:
-    """Run one rule's extensional join order set-at-a-time.
-
-    The bindings live in a columnar batch (variable -> parallel list of
-    dense ids).  Each literal classifies its argument positions once
-    and relation steps probe the interned database's indexes; built-in
-    steps run the set engine's :class:`BuiltinCall` kernel with the
-    grounding's ``memo``."""
-    columns: dict[Variable, list[int]] = {}
-    length = 1  # the unit batch: one empty binding
-    for literal in ordered:
-        atom = literal.atom
-        consts: list[tuple[int, object]] = []
-        bound: list[tuple[int, Variable]] = []
-        free: list[tuple[int, Variable]] = []
-        dups: list[tuple[int, int]] = []
-        first_pos: dict[Variable, int] = {}
-        for pos, arg in enumerate(atom.args):
-            if isinstance(arg, Constant):
-                consts.append((pos, arg.value))
-            elif arg in columns:
-                bound.append((pos, arg))
-            elif arg in first_pos:
-                dups.append((pos, first_pos[arg]))
-            else:
-                first_pos[arg] = pos
-                free.append((pos, arg))
-
-        if literal.positive and atom.predicate not in registry:
-            columns, length = _join_relation_ids(
-                columns, length, atom, consts, bound, free, dups, db
-            )
-        elif literal.positive:
-            call = BuiltinCall(
-                registry.get(atom.predicate), consts, bound, free, dups
-            )
-            columns, length = call.join(
-                columns, length, None, db.interner, memo
-            )
-        else:
-            if free or dups:
-                raise NotGroundableError(
-                    f"negated atom {atom} not bound during grounding"
-                )
-            if atom.predicate in registry:
-                call = BuiltinCall(
-                    registry.get(atom.predicate), consts, bound, (), ()
-                )
-                held = call.holds(columns, length, db.interner, memo)
-            else:
-                held = _held_ids(columns, length, atom, consts, bound, db)
-            keep = [r for r in range(length) if not held[r]]
-            columns, length = _take_rows(columns, keep), len(keep)
-        stats.bindings_explored += length
-        if not length:
-            break
-    return columns, length
-
-
-def _join_relation_ids(
-    columns, length, atom, consts, bound, free, dups, db: SetDatabase
-):
-    intern = db.interner.intern
-    consts = [(pos, intern(value)) for pos, value in consts]
-    key_positions = tuple(
-        sorted([pos for pos, _ in consts] + [pos for pos, _ in bound])
-    )
-    arity = atom.arity
-    if not free and not dups:
-        # semi-join: candidate fact tuples are fully determined
-        if arity == 0:
-            keep = (
-                range(length) if () in db.relation(atom.predicate) else []
-            )
-            return _take_rows(columns, keep), len(keep)
-        if arity == 1:
-            bits = db.bits(atom.predicate)
-            if consts:
-                keep = range(length) if (bits >> consts[0][1]) & 1 else []
-            else:
-                column = columns[bound[0][1]]
-                keep = [
-                    r for r in range(length) if (bits >> column[r]) & 1
-                ]
-            return _take_rows(columns, keep), len(keep)
-        rel = db.relation(atom.predicate)
-        sources = [None] * arity
-        for pos, cid in consts:
-            sources[pos] = repeat(cid, length)
-        for pos, var in bound:
-            sources[pos] = columns[var]
-        keep = [
-            r for r, key in enumerate(zip(*sources)) if key in rel
-        ]
-        return _take_rows(columns, keep), len(keep)
-
-    out_columns = {v: [] for v in columns}
-    out_columns.update({var: [] for _, var in free})
-    old = [(out_columns[v].append, columns[v]) for v in columns]
-    new = [(out_columns[var].append, pos) for pos, var in free]
-    count = 0
-
-    if not key_positions:  # unrestricted scan / cross product
-        facts = db.relation(atom.predicate)
-        if dups:
-            facts = [
-                f for f in facts if all(f[p] == f[q] for p, q in dups)
-            ]
-        if not columns and length == 1:  # unit batch (the guard step):
-            # the scan IS the result -- transpose at C speed instead of
-            # appending per cell
-            facts = list(facts)
-            if not facts:
-                return out_columns, 0
-            transposed = list(zip(*facts))
-            return {
-                var: list(transposed[pos]) for pos, var in free
-            }, len(facts)
-        for r in range(length):
-            for fact in facts:
-                for append, col in old:
-                    append(col[r])
-                for append, pos in new:
-                    append(fact[pos])
-                count += 1
-        return out_columns, count
-
-    get = db.index_for(atom.predicate, key_positions).get
-    by_pos = {pos: cid for pos, cid in consts}
-    for pos, var in bound:
-        by_pos[pos] = columns[var]
-    if len(key_positions) == 1:
-        # single-position indexes key on the bare id
-        key_source = by_pos[key_positions[0]]
-        keys = (
-            key_source
-            if isinstance(key_source, list)
-            else repeat(key_source, length)
-        )
-    else:
-        keys = zip(
-            *(
-                by_pos[pos]
-                if isinstance(by_pos[pos], list)
-                else repeat(by_pos[pos], length)
-                for pos in key_positions
-            )
-        )
-    for r, key in enumerate(keys):
-        matches = get(key)
-        if not matches:
-            continue
-        if dups:
-            matches = [
-                f for f in matches if all(f[p] == f[q] for p, q in dups)
-            ]
-        for fact in matches:
-            for append, col in old:
-                append(col[r])
-            for append, pos in new:
-                append(fact[pos])
-        count += len(matches)
-    return out_columns, count
-
-
-def _held_ids(columns, length, atom, consts, bound, db: SetDatabase):
-    """Per row, whether a fully bound relation atom is a fact."""
-    arity = atom.arity
-    if arity == 1:
-        bits = db.bits(atom.predicate)
-        if consts:
-            cid = db.interner.intern(consts[0][1])
-            return [bool((bits >> cid) & 1)] * length
-        column = columns[bound[0][1]]
-        return [bool((bits >> column[r]) & 1) for r in range(length)]
-    intern = db.interner.intern
-    rel = db.relation(atom.predicate)
-    sources = [None] * arity
-    for pos, value in consts:
-        sources[pos] = repeat(intern(value), length)
-    for pos, var in bound:
-        sources[pos] = columns[var]
-    patterns = zip(*sources) if arity else repeat((), length)
-    return [pattern in rel for pattern in patterns]
 
 
 # ----------------------------------------------------------------------
@@ -656,6 +319,10 @@ def _stream_plan(
     cost: CostModel | None,
     step_table: dict[_StreamStep, int],
 ) -> StreamRulePlan:
+    """The rule's stream plan, its join steps interned into
+    ``step_table``.  Raises :class:`NotGroundableError` for a negated
+    intensional literal, or unless the driver literal and the
+    extensional body together bind every variable of the rule."""
     idb_literals: list[Literal] = []
     extensional: list[Literal] = []
     for literal in rule.body:
@@ -1164,7 +831,7 @@ def _run_ops(ops, rows: list[list[int]], stats: GroundingStats):
 
 def _builtin_rows(op, rows):
     # builtins see raw values: decode bound ids in, intern fresh
-    # outputs (exactly as the eager forms do)
+    # outputs
     _, solve, pattern_srcs, free, dups, value_of, intern = op
     out = []
     for r in rows:
@@ -1639,27 +1306,3 @@ def relevant_predicates(program: Program, query: "Atom | str") -> frozenset[str]
                 seen.add(dep)
                 stack.append(dep)
     return frozenset(seen)
-
-
-def evaluate_via_grounding(
-    program: Program,
-    db: "Database | Structure | SetDatabase",
-    registry: BuiltinRegistry | None = None,
-    stats: GroundingStats | None = None,
-    prepared: PreparedGrounding | None = None,
-) -> set[Fact]:
-    """The Theorem 4.4 pipeline: ground, then linear-time Horn solving.
-
-    Runs the interned pipeline (one shared :class:`InternPool` from
-    load through decode) and decodes the derived model at the very end.
-    Returns the derived intensional facts (the extensional database is
-    unchanged and not repeated in the result).
-    """
-    if prepared is None:
-        prepared = prepare_grounding(program, registry)
-    sdb = db if isinstance(db, SetDatabase) else SetDatabase.from_edb(db)
-    pool = InternPool(sdb.interner)
-    rules = ground_program_ids(prepared, sdb, pool, stats)
-    flags = horn_least_model_ids(rules, len(pool))
-    decode = pool.decode_atom
-    return {decode(i) for i, flag in enumerate(flags) if flag}

@@ -2,176 +2,27 @@
 
 "Propositional datalog (i.e., all rules are ground) can be evaluated in
 linear time" (Section 2.4, citing Dowling & Gallier [7] and Minoux's
-LTUR [27]).  This is the back half of the Theorem 4.4 pipeline: after
-guard-driven grounding, the remaining ground program is solved here.
+LTUR [27]).  This is the back half of the Theorem 4.4 pipeline: the
+ground rules the guard-driven grounder emits are solved here.
 
 The algorithm is the classic forward chaining with per-rule counters of
 unsatisfied body atoms: each rule is touched once per body atom, so the
 total work is linear in the program size.
 
-Propositional atoms are *interned* into dense integer ids up front (the
-same representation decision as :mod:`repro.datalog.interning` makes for
-domain elements): the unit-resolution inner loop then walks flat lists
-indexed by atom id -- no re-hashing of the (often large, e.g.
-``Fact``-valued) atoms per propagation step, and the derived set is a
-byte array until it is translated back at the end.
+Propositional atoms are dense integer ids handed out by the solve's
+:class:`~repro.datalog.interning.InternPool`: the unit-resolution inner
+loop walks flat arrays indexed by atom id -- no hashing of (often
+large, ``Fact``-valued) atoms per propagation step -- and the derived
+set is a byte array until the caller decodes it.
 
-Two consumers sit on top:
-
-* :func:`horn_least_model_ids` -- the batch form: the whole ground rule
-  list exists up front (the eager / materializing pipeline);
-* :class:`StreamingHorn` -- the online form: rules arrive one at a time
-  from a push-based grounder
-  (:func:`repro.datalog.grounding.ground_program_streamed`), satisfied
-  rules fire immediately and are never stored, so peak live-rule
-  residency is O(waiting frontier) rather than O(ground program).
+:class:`StreamingHorn` is the online form: rules arrive one at a time
+from the push-based grounder
+(:func:`repro.datalog.grounding.ground_program_streamed`), satisfied
+rules fire immediately and are never stored, so peak live-rule
+residency is O(waiting frontier) rather than O(ground program).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Hashable, Iterable
-
-PropAtom = Hashable
-
-
-@dataclass(frozen=True)
-class GroundRule:
-    """``head <- body`` over opaque propositional atoms."""
-
-    head: PropAtom
-    body: tuple[PropAtom, ...] = ()
-
-    def __str__(self) -> str:
-        if not self.body:
-            return f"{self.head}."
-        return f"{self.head} :- {', '.join(map(str, self.body))}."
-
-
-def horn_least_model(rules: Iterable[GroundRule]) -> set[PropAtom]:
-    """The least model of a set of ground Horn rules.
-
-    Dowling-Gallier / LTUR: O(total size of the rules).  Atoms are
-    interned to dense ids once; propagation is pure integer work.
-    """
-    ids: dict[PropAtom, int] = {}
-    atoms: list[PropAtom] = []
-    waiting: list[list[int]] = []  # atom id -> rules waiting on it
-    derived = bytearray()  # atom id -> 0/1
-
-    def intern(atom: PropAtom) -> int:
-        ident = ids.get(atom)
-        if ident is None:
-            ident = len(atoms)
-            ids[atom] = ident
-            atoms.append(atom)
-            waiting.append([])
-            derived.append(0)
-        return ident
-
-    heads: list[int] = []  # rule index -> head atom id
-    counters: list[int] = []  # rule index -> unsatisfied body atoms
-    queue: list[int] = []
-
-    for index, rule in enumerate(rules):
-        head_id = intern(rule.head)
-        heads.append(head_id)
-        body_ids = {intern(atom) for atom in rule.body}
-        counters.append(len(body_ids))
-        for body_id in body_ids:
-            waiting[body_id].append(index)
-        if not body_ids and not derived[head_id]:
-            derived[head_id] = 1
-            queue.append(head_id)
-
-    while queue:
-        atom_id = queue.pop()
-        for index in waiting[atom_id]:
-            counters[index] -= 1
-            if counters[index] == 0:
-                head_id = heads[index]
-                if not derived[head_id]:
-                    derived[head_id] = 1
-                    queue.append(head_id)
-    return {atom for atom, flag in zip(atoms, derived) if flag}
-
-
-def horn_entails(rules: Iterable[GroundRule], goal: PropAtom) -> bool:
-    return goal in horn_least_model(rules)
-
-
-def horn_least_model_ids(
-    rules: Iterable[tuple[int, tuple[int, ...]]], atom_count: int
-) -> bytearray:
-    """The least model of ground Horn rules over pre-interned atom ids.
-
-    The native back half of the interned Theorem 4.4 pipeline: callers
-    (:func:`repro.datalog.grounding.ground_program_ids`) already hold
-    atoms as dense ids from a shared
-    :class:`~repro.datalog.interning.InternPool`, so unlike
-    :func:`horn_least_model` nothing is hashed here at all -- rules are
-    ``(head_id, body_ids)`` pairs, propagation walks flat lists, and
-    the result is the 0/1 flag array ``derived`` indexed by atom id
-    (``atom_count`` = pool size; decoding back to facts is the
-    caller's -- lazy -- concern).
-    """
-    # Waiting lists used to be eagerly allocated for *every* pool atom
-    # (``[[] for _ in range(atom_count)]``), which is pure waste when
-    # only a fraction of the pool occurs in rule bodies (heads of rules
-    # that never fire, demanded-but-underived atoms).  Micro-benchmark
-    # on this machine: on the chain-120 solver ground program (61k
-    # rules, 7.7k pool atoms, 98% of them body atoms) eager lists take
-    # 24.4ms vs 29.4ms for a lazy dict -- dense direct indexing wins;
-    # on a sparse synthetic pool (1M atoms, 10k rules) the eager form
-    # takes 415ms (list allocation dominates) vs 5.7ms for the dict.
-    # So: direct lists while the pool is small enough that allocating
-    # it is cheap, lazy dict above that.
-    dense = atom_count <= (1 << 16)
-    derived = bytearray(atom_count)
-    heads: list[int] = []  # rule index -> head atom id
-    counters: list[int] = []  # rule index -> unsatisfied body atoms
-    queue: list[int] = []
-
-    if dense:
-        waiting: list[list[int]] = [[] for _ in range(atom_count)]
-        for index, (head_id, body) in enumerate(rules):
-            heads.append(head_id)
-            body_ids = set(body)
-            counters.append(len(body_ids))
-            for body_id in body_ids:
-                waiting[body_id].append(index)
-            if not body_ids and not derived[head_id]:
-                derived[head_id] = 1
-                queue.append(head_id)
-        fetch = waiting.__getitem__
-    else:
-        lazy: dict[int, list[int]] = {}
-        setdefault = lazy.setdefault
-        for index, (head_id, body) in enumerate(rules):
-            heads.append(head_id)
-            body_ids = set(body)
-            counters.append(len(body_ids))
-            for body_id in body_ids:
-                setdefault(body_id, []).append(index)
-            if not body_ids and not derived[head_id]:
-                derived[head_id] = 1
-                queue.append(head_id)
-        get = lazy.get
-
-        def fetch(atom_id: int):
-            found = get(atom_id)
-            return found if found is not None else ()
-
-    while queue:
-        atom_id = queue.pop()
-        for index in fetch(atom_id):
-            counters[index] -= 1
-            if counters[index] == 0:
-                head_id = heads[index]
-                if not derived[head_id]:
-                    derived[head_id] = 1
-                    queue.append(head_id)
-    return derived
 
 
 class StreamingHorn:
@@ -191,8 +42,8 @@ class StreamingHorn:
       some other rule, since firing them could add nothing.
       :attr:`live_rules` / :attr:`peak_live_rules` track that
       residency -- the streamed pipeline's O(frontier) claim is
-      measured here, against the eager pipeline's O(ground program)
-      rule list.
+      measured here, where a materializing pipeline would hold the
+      O(ground program) rule list.
 
     Newly derived atom ids accumulate in an internal buffer;
     :meth:`take_fresh` hands them to the producer, which instantiates
@@ -331,9 +182,8 @@ class StreamingHorn:
         return fresh
 
     def flags(self, atom_count: int) -> bytearray:
-        """The 0/1 derived array over ``atom_count`` atom ids -- the
-        same shape :func:`horn_least_model_ids` returns.  Always a
-        snapshot copy: feeding more rules into the sink afterwards
+        """The 0/1 derived array over ``atom_count`` atom ids, indexed
+        by atom id.  Always a snapshot copy: feeding more rules into the sink afterwards
         never mutates a previously returned array."""
         derived = self._derived
         if len(derived) >= atom_count:

@@ -202,28 +202,6 @@ class InternPool:
             self._atoms.append(key)
         return found
 
-    def atom_ids(
-        self, predicate: str, rows: Iterable[tuple[int, ...]]
-    ) -> list[int]:
-        """Bulk :meth:`atom_id`: one id per row of arg-id tuples.
-
-        The grounding emitter calls this once per (rule, atom) with the
-        whole instantiation batch, so the dict probe loop runs with
-        bound locals instead of a per-row method call."""
-        ids = self._atom_ids
-        atoms = self._atoms
-        out: list[int] = []
-        append = out.append
-        for args in rows:
-            key = (predicate, args)
-            found = ids.get(key)
-            if found is None:
-                found = len(atoms)
-                ids[key] = found
-                atoms.append(key)
-            append(found)
-        return out
-
     def lookup_atom(self, predicate: str, args: tuple[int, ...]) -> int | None:
         """Like :meth:`atom_id` but never allocates: ``None`` for atoms
         that were never interned (membership tests on the decoded

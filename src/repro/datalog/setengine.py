@@ -41,9 +41,8 @@ compilation are shared, only execution differs) relation-at-a-time:
   and negations are one membership ``map`` and a compress.  No kernel
   mutates a column it was handed: a passed-through list is shared with
   the input batch, and one batch may feed several prefix groups.
-* Built-in steps run the shared kernel
-  (:class:`repro.datalog.builtins.BuiltinCall`, also used by the eager
-  grounder): the binding mask was checked when the step was compiled,
+* Built-in steps run the kernel
+  (:class:`repro.datalog.builtins.BuiltinCall`): the binding mask was checked when the step was compiled,
   bound-argument fast paths skip enumeration, ``add`` and
   ``partition3`` solve sets interned as bitsets in ids, and results
   are memoized for one :meth:`SetSemiNaiveEvaluator.run`, keyed by the

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import fit_linear, format_ms, format_table, time_ms
+from repro.bench import (
+    best_ms,
+    fit_linear,
+    format_ms,
+    format_table,
+    log_log_slope,
+    time_ms,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -23,6 +30,14 @@ class TestTiming:
 
         time_ms(fn, repeat=4)
         assert len(calls) == 4
+
+    def test_best_ms_runs_repeats_times_with_gc_restored(self):
+        import gc
+
+        calls = []
+        assert best_ms(lambda: calls.append(gc.isenabled()), 3) > 0
+        assert calls == [False] * 3
+        assert gc.isenabled()
 
 
 class TestFormatting:
@@ -50,21 +65,20 @@ def _bench_module():
     return module
 
 
-def _runs(streamed_ms, eager_ms, pruned=100):
+def _runs(streamed_ms, pruned=100):
     return {
         "quasi-guarded": {
             "ms": streamed_ms,
             "rules_pruned": pruned,
             "peak_live_rules": 10,
-        },
-        "quasi-guarded-eager": {"ms": eager_ms},
+        }
     }
 
 
 class TestEngineBaseline:
     """The checked-in BENCH_engine.json baseline and the CI gate logic
-    around its quasi-guarded solver entries (streamed vs eager, and the
-    service sections owned by bench_solver_service.py)."""
+    around its quasi-guarded solver entries (and the service sections
+    owned by bench_solver_service.py)."""
 
     @pytest.fixture(scope="class")
     def payload(self):
@@ -72,7 +86,7 @@ class TestEngineBaseline:
 
     def test_schema_version(self, payload):
         bench = _bench_module()
-        assert payload["schema"] == "bench-engine/v12"
+        assert payload["schema"] == "bench-engine/v13"
         assert payload["schema"] == bench.SCHEMA_VERSION
         assert payload["benchmark"] == "benchmarks/bench_datalog_engine.py"
 
@@ -82,65 +96,55 @@ class TestEngineBaseline:
         assert any(n.startswith("solve-grid2x-") for n in solver)
         assert any(n.startswith("solve-chain-") for n in solver)
         assert any(n.startswith("solve-tree-") for n in solver)
+        assert "solver_speedups" not in payload
         for name, backends in solver.items():
             if name.startswith("solve-grid2x-"):
                 # the width-2 Theorem 4.5 workload runs the streamed
-                # production form plus the passes=() ablation (the
-                # eager form grounds the full 1.4M-rule cross product)
+                # production form plus the passes=() ablation
                 assert set(backends) == {
                     "quasi-guarded",
                     "quasi-guarded-nopasses",
                 }
             else:
-                assert set(backends) == {
-                    "quasi-guarded",
-                    "quasi-guarded-eager",
-                }
+                assert set(backends) == {"quasi-guarded"}
             for run in backends.values():
                 assert run["ms"] > 0, name
                 assert run["answers"] > 0, name
                 assert run["ground_rules"] > 0, name
+                assert run["peak_live_rules"] >= 0, name
             streamed = backends["quasi-guarded"]
             assert streamed["rules_pruned"] > 0 or name.startswith(
                 "solve-grid-"
             ), name
-            assert streamed["peak_live_rules"] >= 0, name
-            if "quasi-guarded-eager" not in backends:
-                continue
-            # both pipelines agreed when the baseline was written, and
-            # the streamed emitter instantiates at most as many rules
-            # as the eager ground program holds
-            eager = backends["quasi-guarded-eager"]
-            assert streamed["answers"] == eager["answers"], name
-            assert streamed["ground_rules"] <= eager["ground_rules"], name
 
-    def test_recorded_speedups_meet_the_gates(self, payload):
-        chains_and_trees = [
-            n
-            for n in payload["solver_speedups"]
-            if n.startswith(("solve-chain-", "solve-tree-"))
+    def test_recorded_grid2x_counts_meet_the_shrink_gate(self, payload):
+        """The recorded fold counts: the folded program grounds at
+        most a third of the ablation's rules."""
+        bench = _bench_module()
+        grid2x = [
+            backends
+            for name, backends in payload["solver_workloads"].items()
+            if name.startswith("solve-grid2x-")
         ]
-        assert chains_and_trees
-        for name in chains_and_trees:
-            # streamed over the eager materializing ablation: >= 2x on
-            # the tree solve, >= 1.3x on the chain solve (the minimized
-            # Theorem 4.5 programs shrank eager's dead weight)
-            required = 2 if name.startswith("solve-tree-") else 1.3
-            assert payload["solver_speedups"][name] >= required, name
+        assert grid2x
+        for backends in grid2x:
+            assert (
+                backends["quasi-guarded"]["ground_rules"]
+                * bench.GRID2X_GROUND_RULES_SHRINK
+                <= backends["quasi-guarded-nopasses"]["ground_rules"]
+            )
 
-    def test_solver_contract_gate_fires_below_2x_on_tree(self):
+    def test_recorded_eval_exponents_meet_the_gate(self, payload):
         bench = _bench_module()
-        failures = bench.check_solver_contracts(
-            "solve-tree-100", _runs(10.0, 15.0)
-        )
-        assert any("2x" in f for f in failures)
-
-    def test_solver_contract_gate_fires_below_1_3x_on_chain(self):
-        bench = _bench_module()
-        failures = bench.check_solver_contracts(
-            "solve-chain-120", _runs(10.0, 12.0)
-        )
-        assert any("1.3x" in f for f in failures)
+        records = payload["eval_exponent"]
+        assert set(records) == {"forest-w1", "ladder-w2"}
+        for family, record in records.items():
+            assert record["columns"] == list(bench.EVAL_COLUMNS), family
+            assert record["domain"] == [2 * n for n in bench.EVAL_COLUMNS]
+            assert len(record["ms"]) == len(bench.EVAL_COLUMNS)
+            assert all(ms > 0 for ms in record["ms"]), family
+            assert record["answers_ok"] is True, family
+            assert 0 < record["slope"] <= bench.EVAL_MAX_SLOPE, family
 
     def test_solver_contract_gate_requires_pruning_on_grid2x(self):
         bench = _bench_module()
@@ -156,21 +160,13 @@ class TestEngineBaseline:
         )
         assert any("pruned no rules" in f for f in failures)
 
-    def test_solver_contract_gate_passes_at_2x(self):
-        bench = _bench_module()
-        assert (
-            bench.check_solver_contracts(
-                "solve-chain-120", _runs(5.0, 15.0)
-            )
-            == []
-        )
-
     def test_solver_contract_gate_requires_pruning(self):
         bench = _bench_module()
         failures = bench.check_solver_contracts(
-            "solve-tree-100", _runs(5.0, 15.0, pruned=0)
+            "solve-tree-100", _runs(5.0, pruned=0)
         )
         assert any("pruned no rules" in f for f in failures)
+        assert bench.check_solver_contracts("solve-chain-120", _runs(5.0)) == []
 
     def test_solver_contract_gate_requires_the_passes_speedup_on_grid2x(
         self,
@@ -213,7 +209,7 @@ class TestEngineBaseline:
     def test_grid_cover_dp_carries_no_speed_gate(self):
         bench = _bench_module()
         assert (
-            bench.check_solver_contracts("solve-grid-8", _runs(40.0, 15.0))
+            bench.check_solver_contracts("solve-grid-8", _runs(40.0, pruned=0))
             == []
         )
 
@@ -228,19 +224,51 @@ class TestEngineBaseline:
         assert any(n.startswith("solve-tree-") for n in names)
 
 
+class TestEvalExponentGate:
+    """The eval-exponent gate on synthetic slopes: one re-timing, the
+    better record kept."""
+
+    @staticmethod
+    def _gate(*slopes):
+        bench = _bench_module()
+        timings = iter(slopes)
+        calls = []
+
+        def measure():
+            calls.append(1)
+            return {"slope": next(timings)}
+
+        record, failures = bench.eval_exponent_gate("ladder-w2", measure)
+        return record, failures, len(calls)
+
+    def test_fails_above_the_limit(self):
+        record, failures, calls = self._gate(1.3, 1.2)
+        assert calls == 2
+        assert record["slope"] == 1.2
+        assert len(failures) == 1 and "1.200 > 1.15" in failures[0]
+
+    def test_passes_below_the_limit_without_retiming(self):
+        record, failures, calls = self._gate(0.9)
+        assert (record["slope"], failures, calls) == (0.9, [], 1)
+
+    def test_passes_when_the_retiming_recovers(self):
+        record, failures, calls = self._gate(1.3, 1.0)
+        assert (record["slope"], failures, calls) == (1.0, [], 2)
+
+
 class TestBaselineDrift:
     """The schema/shape drift gate between the harness and the
     checked-in BENCH_engine.json."""
 
     @staticmethod
-    def _payload(schema="bench-engine/v12", quick=True):
+    def _payload(schema="bench-engine/v13", quick=True):
         return {
             "schema": schema,
             "quick": quick,
             "solver_workloads": {
-                "solve-chain-120": {
+                "solve-grid2x-20": {
                     "quasi-guarded": {},
-                    "quasi-guarded-eager": {},
+                    "quasi-guarded-nopasses": {},
                 }
             },
         }
@@ -279,7 +307,7 @@ class TestBaselineDrift:
     def test_solver_backend_set_change_fails(self):
         bench = _bench_module()
         old = self._payload()
-        old["solver_workloads"]["solve-chain-120"] = {"quasi-guarded": {}}
+        old["solver_workloads"]["solve-grid2x-20"] = {"quasi-guarded": {}}
         failures = bench.check_baseline_drift(old, self._payload())
         assert any("backends" in f for f in failures)
 
@@ -627,6 +655,11 @@ class TestLinearFit:
     def test_noise_lowers_r_squared(self):
         fit = fit_linear([1, 2, 3, 4], [1, 10, 2, 12])
         assert fit.r_squared < 0.9
+
+    def test_log_log_slope_reads_a_power_law(self):
+        xs = [64, 128, 256, 512]
+        assert log_log_slope(xs, [3 * x for x in xs]) == pytest.approx(1)
+        assert log_log_slope(xs, [x**2 for x in xs]) == pytest.approx(2)
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(ValueError):

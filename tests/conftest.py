@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -12,18 +13,18 @@ from repro.datalog import (
     Atom,
     Constant,
     Database,
-    GroundRule,
     InternPool,
     Literal,
     Program,
     Rule,
     SetDatabase,
     Variable,
-    evaluate_via_grounding,
-    ground_program_ids,
+    ground_program_streamed,
     prepare_grounding,
+    solve,
 )
 from repro.structures import (
+    Fact,
     FunctionalDependency,
     Graph,
     RelationalSchema,
@@ -186,25 +187,55 @@ def datalog_databases(draw, max_facts: int = 12):
     return db
 
 
-def ground_decoded(program: Program, db: Database, stats=None):
-    """The eager interned ground program, decoded to readable
-    :class:`~repro.datalog.GroundRule` values over ``Fact`` atoms."""
+class LoggedRule(NamedTuple):
+    """One ``add_rule`` call of the streamed grounder, decoded."""
+
+    head: Fact
+    body: tuple[Fact, ...]
+
+
+def streamed_ground_rules(program: Program, db: Database, stats=None):
+    """The ground rules the streamed grounder feeds its online LTUR on
+    ``db``, in order, decoded to :class:`LoggedRule` values over
+    ``Fact`` atoms.  A driven rule's body lists only its non-driver
+    intensional atoms (its driver has derived when it is emitted), and
+    a deferred sink's rule arrives as a fact once its body holds."""
+    from .datalog.stream_oracle import RecordingHorn
+
     sdb = SetDatabase.from_edb(db)
     pool = InternPool(sdb.interner)
-    rules = ground_program_ids(prepare_grounding(program), sdb, pool, stats)
+    sink = RecordingHorn()
+    ground_program_streamed(
+        prepare_grounding(program), sdb, pool, sink=sink, stats=stats
+    )
     decode = pool.decode_atom
     return [
-        GroundRule(decode(head), tuple(decode(b) for b in body))
-        for head, body in rules
+        LoggedRule(decode(head), tuple(map(decode, body)))
+        for head, body in sink.log
     ]
 
 
-def reference_answers(program, encoded, predicate, prepared=None):
-    """The unary answers of ``predicate`` by the eager reference
-    pipeline (:func:`~repro.datalog.ground_program_ids` + batch LTUR)
-    on an encoding -- the oracle the streamed solver is pinned to."""
-    facts = evaluate_via_grounding(program, encoded, prepared=prepared)
-    return frozenset(f.args[0] for f in facts if f.predicate == predicate)
+def supported_instances(program: Program, db) -> int:
+    """The number of ground instances of ``program``'s rules whose
+    extensional body holds on ``db`` and whose driver -- the first
+    intensional body atom, if any -- is in the least model: an upper
+    bound on what the streamed grounder instantiates.  Counted by the
+    semi-naive engine, with one rule added per program rule that keeps
+    the extensional body and the driver and heads a fresh predicate
+    over all the rule's variables."""
+    idb = program.intensional_predicates()
+    counting = []
+    for index, rule in enumerate(program.rules):
+        drivers = [lit for lit in rule.body if lit.atom.predicate in idb]
+        body = tuple(
+            lit for lit in rule.body if lit.atom.predicate not in idb
+        ) + tuple(drivers[:1])
+        variables = sorted(rule.variables(), key=lambda v: v.name)
+        counting.append(Rule(Atom(f"instance{index}", tuple(variables)), body))
+    model = solve(
+        Program(list(program.rules) + counting), db, backend="semi-naive"
+    )
+    return sum(len(model.relation(r.head.predicate)) for r in counting)
 
 
 def oracle_encoding(solver, structure, td=None):
@@ -217,17 +248,17 @@ def oracle_encoding(solver, structure, td=None):
 
 
 def reference_query(solver, structure, td=None):
-    """``solver.query(structure, td)`` recomputed by the eager reference
-    grounder on the value-level ``A_td`` encoding of the same normalized
-    decomposition, with the solver's own cached grounding plans."""
+    """``solver.query(structure, td)`` recomputed by the semi-naive set
+    engine on the value-level ``A_td`` encoding of the same normalized
+    decomposition."""
     from repro.core import ANSWER_PREDICATE
 
-    return reference_answers(
+    derived = solve(
         solver.compiled.program,
         oracle_encoding(solver, structure, td),
-        ANSWER_PREDICATE,
-        prepared=solver.evaluator._prepared,
+        backend="semi-naive",
     )
+    return frozenset(args[0] for args in derived.relation(ANSWER_PREDICATE))
 
 
 def deleted_ladders(seed=7, count=300, deleted=0.10):

@@ -6,14 +6,12 @@ from repro.core import QuasiGuardedEvaluator, QuasiGuardedResult
 from repro.datalog import (
     Database,
     InternPool,
-    SetDatabase,
-    ground_program_ids,
-    horn_least_model_ids,
     least_fixpoint,
     parse_program,
-    prepare_grounding,
     solve,
 )
+
+from ..conftest import supported_instances
 
 
 def tree_db():
@@ -39,14 +37,18 @@ PROG = parse_program(
 
 
 def reference_result(program, db):
-    """The eager reference pipeline's model of ``program`` over ``db``
-    (full ground program, then batch LTUR), as a
-    :class:`QuasiGuardedResult`."""
-    sdb = SetDatabase.from_edb(db)
-    pool = InternPool(sdb.interner)
-    rules = ground_program_ids(prepare_grounding(program), sdb, pool)
+    """The semi-naive engine's model of ``program`` over ``db`` as a
+    :class:`QuasiGuardedResult` (every derived atom interned and
+    flagged), counting the supported rule instances as its
+    ``ground_rules``."""
+    model = solve(program, db, backend="semi-naive")
+    pool = InternPool()
+    intern = pool.interner.intern
+    for predicate in sorted(program.intensional_predicates()):
+        for args in model.relation(predicate):
+            pool.atom_id(predicate, tuple(map(intern, args)))
     return QuasiGuardedResult(
-        pool, horn_least_model_ids(rules, len(pool)), len(rules)
+        pool, bytearray([1]) * len(pool), supported_instances(program, db)
     )
 
 
@@ -84,12 +86,12 @@ class TestEvaluator:
         assert result.ground_rules == 4
 
     def test_modes_agree_with_naive_and_semi_naive(self):
-        """The streamed solve and the eager reference grounder."""
+        """The streamed solve and the semi-naive reference model."""
         results = {
             "streamed": QuasiGuardedEvaluator(PROG, bag_arity=3).evaluate(
                 tree_db()
             ),
-            "eager": reference_result(PROG, tree_db()),
+            "reference": reference_result(PROG, tree_db()),
         }
         for backend in ("naive", "semi-naive"):
             reference = solve(PROG, tree_db(), backend=backend)
@@ -99,9 +101,9 @@ class TestEvaluator:
                     got = {f.args for f in facts if f.predicate == predicate}
                     assert got == reference.relation(predicate), (mode, backend)
         # on this fully-live program the streamed emitter instantiates
-        # no more rules than the eager ground program holds
+        # no more rules than there are supported instances
         assert results["streamed"].ground_rules <= (
-            results["eager"].ground_rules
+            results["reference"].ground_rules
         )
 
     def test_demand_pruned_solve_is_exact_on_the_demanded_cone(self):
@@ -129,7 +131,7 @@ class TestEvaluator:
     def test_unary_answers_validates_arity(self, streamed):
         """A non-unary fact under the queried predicate must raise, not
         be silently truncated to its first argument -- on the streamed
-        solve's model and the eager reference grounder's alike."""
+        solve's model and the semi-naive reference model alike."""
 
         def evaluate(program):
             if streamed:

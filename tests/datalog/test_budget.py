@@ -145,17 +145,16 @@ class TestSolverBudgetThreading:
         assert first == second
 
     def test_budgeted_solve_matches_reference_grounder(self, solver):
-        # an in-budget solve answers exactly like the eager reference
-        # grounder and the generic engines on the same A_td encoding
+        # an in-budget solve answers exactly like the generic engines
+        # on the same A_td encoding
         from repro.core import ANSWER_PREDICATE
         from repro.datalog import solve
 
-        from ..conftest import oracle_encoding, reference_query
+        from ..conftest import oracle_encoding
 
         roomy = SolveBudget(max_seconds=120, max_ground_rules=10**8)
         for n in (2, 7, 19):
             want = solver.query(chain(n), budget=roomy)
-            assert reference_query(solver, chain(n)) == want
             encoded = oracle_encoding(solver, chain(n))
             for engine in ("semi-naive", "naive"):
                 derived = solve(solver.compiled.program, encoded, backend=engine)

@@ -7,12 +7,12 @@ databases, and asserts that every route to the least model lands on the
 
 * ``naive`` and ``semi-naive`` derive identical relations for every
   intensional predicate;
-* the Theorem 4.4 quasi-guarded pipeline -- the streamed+pruned
-  production form and the eager interned form -- agrees with both
-  ``semi-naive`` and ``naive`` whenever the program is in its fragment
-  (groundable guard-first), demand-pruned streaming is exact on the
-  demanded predicate, and the deferred sink predicates are exactly the
-  heads no rule body mentions;
+* the Theorem 4.4 quasi-guarded pipeline (streamed and demand-pruned)
+  agrees with both ``semi-naive`` and ``naive`` whenever the program is
+  in its fragment (groundable by its driver and extensional body),
+  never instantiates more than the supported rule instances,
+  demand-pruned streaming is exact on the demanded predicate, and the
+  deferred sink predicates are exactly the heads no rule body mentions;
 * the streamed grounder's group firing feeds the online LTUR exactly
   what the per-rule reference form (``stream_oracle.py``) does -- the
   same ``add_rule`` sequence, counters and derived flags -- on random
@@ -48,10 +48,7 @@ from repro.datalog import (
     Rule,
     SetDatabase,
     Variable,
-    evaluate_via_grounding,
-    ground_program_ids,
     ground_program_streamed,
-    horn_least_model_ids,
     prepare_grounding,
     solve,
 )
@@ -69,6 +66,7 @@ from ..conftest import (
     deleted_ladders,
     has_neighbor_solver,
     oracle_encoding,
+    supported_instances,
 )
 from .stream_oracle import RecordingHorn, ground_program_per_rule
 
@@ -149,7 +147,8 @@ def _derived_relations(db, program):
 
 def _groundable(program):
     """The prepared grounding if the program is in the Theorem 4.4
-    fragment (orderable guard-first, no negated IDB), else None."""
+    fragment (driver and extensional body bind every variable, no
+    negated IDB), else None."""
     try:
         return prepare_grounding(program)
     except NotGroundableError:
@@ -198,30 +197,43 @@ def _sinks(program):
     }
 
 
+def _streamed_model(prepared, db, stats=None, demand=None):
+    """The streamed grounder's model over ``db`` as a set of facts."""
+    sdb = SetDatabase.from_edb(db)
+    pool = InternPool(sdb.interner)
+    sink = ground_program_streamed(
+        prepared, sdb, pool, stats=stats, demand=demand
+    )
+    return {
+        pool.decode_atom(i)
+        for i, flag in enumerate(sink.flags(len(pool)))
+        if flag
+    }
+
+
+def _engine_model(program, db, backend):
+    """The generic engine's intensional model as a set of facts."""
+    derived = solve(program, db, backend=backend)
+    return {
+        Fact(predicate, args)
+        for predicate in program.intensional_predicates()
+        for args in derived.relation(predicate)
+    }
+
+
 class TestQuasiGuardedAgreement:
     @given(program=monadic_programs(), db=datalog_databases())
     def test_eager_and_streamed_pipelines_match_naive_and_semi_naive(
         self, program, db
     ):
+        """The streamed pipeline's model is the least model of both
+        generic engines."""
         prepared = _groundable(program)
         if prepared is None:
             return  # outside the Theorem 4.4 fragment; nothing to check
-        eager = evaluate_via_grounding(program, db, prepared=prepared)
-        sdb = SetDatabase.from_edb(db)
-        pool = InternPool(sdb.interner)
-        sink = ground_program_streamed(prepared, sdb, pool)
-        streamed = {
-            pool.decode_atom(i)
-            for i, flag in enumerate(sink.flags(len(pool)))
-            if flag
-        }
-        assert streamed == eager
+        streamed = _streamed_model(prepared, db)
         for backend in ("semi-naive", "naive"):
-            reference = solve(program, db, backend=backend)
-            for predicate in program.intensional_predicates():
-                assert {
-                    f.args for f in eager if f.predicate == predicate
-                } == reference.relation(predicate), backend
+            assert streamed == _engine_model(program, db, backend), backend
 
     @given(
         program=st.one_of(monadic_programs(), datalog_programs()),
@@ -243,51 +255,36 @@ class TestQuasiGuardedAgreement:
             return
         sdb = SetDatabase.from_edb(db)
         pool = InternPool(sdb.interner)
-        rules = ground_program_ids(prepared, sdb, pool)
-        for head, body in rules:
+        sink = RecordingHorn()
+        ground_program_streamed(prepared, sdb, pool, sink=sink)
+        for head, body in sink.log:
             assert type(head) is int
             assert all(type(b) is int for b in body)
-        flags = horn_least_model_ids(rules, len(pool))
         decoded = {
-            pool.decode_atom(i) for i, flag in enumerate(flags) if flag
+            pool.decode_atom(i)
+            for i, flag in enumerate(sink.flags(len(pool)))
+            if flag
         }
-        reference = solve(program, db, backend="semi-naive")
-        assert decoded == {
-            Fact(predicate, args)
-            for predicate in program.intensional_predicates()
-            for args in reference.relation(predicate)
-        }
+        assert decoded == _engine_model(program, db, "semi-naive")
 
 
 class TestStreamedGroundingAgreement:
-    """The streamed, demand-pruned emitter derives exactly the eager
-    pipeline's model -- the tentpole differential of PR 4."""
+    """The streamed, demand-pruned emitter derives exactly the
+    semi-naive engine's model."""
 
     @given(program=monadic_programs(), db=datalog_databases())
     def test_streamed_matches_eager(self, program, db):
         prepared = _groundable(program)
         if prepared is None:
             return  # outside the Theorem 4.4 fragment; nothing to check
-        sdb = SetDatabase.from_edb(db)
-        pool = InternPool(sdb.interner)
-        rules = ground_program_ids(prepared, sdb, pool)
-        flags = horn_least_model_ids(rules, len(pool))
-        eager = {pool.decode_atom(i) for i, f in enumerate(flags) if f}
-
-        sdb2 = SetDatabase.from_edb(db)
-        pool2 = InternPool(sdb2.interner)
         stats = GroundingStats()
-        sink = ground_program_streamed(prepared, sdb2, pool2, stats=stats)
-        streamed = {
-            pool2.decode_atom(i)
-            for i, f in enumerate(sink.flags(len(pool2)))
-            if f
-        }
-        assert streamed == eager
-        # streaming never *instantiates* more than the eager ground
-        # program holds (it may re-derive an instance per driver event,
-        # but only for supported bindings)
-        assert stats.ground_rules <= len(rules)
+        streamed = _streamed_model(prepared, db, stats=stats)
+        assert streamed == _engine_model(program, db, "semi-naive")
+        # streaming never *instantiates* more than the supported
+        # instances (those whose extensional body holds): it builds an
+        # instance once per driver event, and only for bindings the
+        # database supports
+        assert stats.ground_rules <= supported_instances(program, db)
 
     @given(program=monadic_programs(), db=datalog_databases(), data=st.data())
     def test_demand_pruned_streaming_is_exact_on_the_demanded_predicate(
@@ -300,21 +297,13 @@ class TestStreamedGroundingAgreement:
             st.sampled_from(sorted(program.intensional_predicates())),
             label="demanded predicate",
         )
-        eager = evaluate_via_grounding(program, db, prepared=prepared)
-        sdb = SetDatabase.from_edb(db)
-        pool = InternPool(sdb.interner)
-        sink = ground_program_streamed(
-            prepared, sdb, pool, demand=predicate
-        )
-        flags = sink.flags(len(pool))
-        streamed = {
-            pool.decode_atom(i) for i, f in enumerate(flags) if f
-        }
-        want = {f for f in eager if f.predicate == predicate}
+        reference = _engine_model(program, db, "semi-naive")
+        streamed = _streamed_model(prepared, db, demand=predicate)
+        want = {f for f in reference if f.predicate == predicate}
         got = {f for f in streamed if f.predicate == predicate}
         assert got == want
         # everything derived sits inside the relevance cone, never more
-        assert streamed <= eager
+        assert streamed <= reference
 
 
 def _grouped_and_per_rule(prepared, db, relevant=None):
@@ -412,15 +401,12 @@ class TestReplannedConformance:
 
     @staticmethod
     def _static_model_modes_match_naive(program, db, cache=None):
-        """The streamed solve and the eager reference grounder, both
-        planned under the static ``A_td`` model of the width-1 key
-        dependencies, derive the naive engine's model."""
+        """The streamed solve, planned under the static ``A_td`` model
+        of the width-1 key dependencies, derives the naive and the
+        semi-naive engine's model."""
         from repro.core import QuasiGuardedEvaluator
         from repro.datalog.guards import td_key_dependencies
 
-        reference = _derived_relations(
-            solve(program, db, backend="naive"), program
-        )
         try:
             evaluator = QuasiGuardedEvaluator(
                 program,
@@ -430,17 +416,9 @@ class TestReplannedConformance:
             )
         except NotGroundableError:
             return  # outside the Theorem 4.4 fragment: nothing to pin
-        models = {
-            "streamed": evaluator.evaluate(db).facts,
-            "eager": evaluate_via_grounding(
-                program, db, prepared=evaluator._prepared
-            ),
-        }
-        for route, facts in models.items():
-            for predicate, want in reference.items():
-                assert {
-                    f.args for f in facts if f.predicate == predicate
-                } == want, (route, predicate)
+        streamed = set(evaluator.evaluate(db).facts)
+        for backend in ("naive", "semi-naive"):
+            assert streamed == _engine_model(program, db, backend), backend
 
     @given(program=monadic_programs(), db=datalog_databases())
     def test_static_td_model_quasi_guarded_modes_match_naive(

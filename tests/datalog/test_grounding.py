@@ -1,18 +1,19 @@
-"""Tests for guard-driven grounding (Theorem 4.4, first half)."""
+"""Tests for guard-driven grounding (Theorem 4.4, first half), read
+off the ground rules the streamed grounder feeds its online LTUR."""
 
 import pytest
 
+from repro.core import QuasiGuardedEvaluator
 from repro.datalog import (
     Database,
     GroundingStats,
     NotGroundableError,
-    evaluate_via_grounding,
     parse_program,
     solve,
 )
 from repro.structures import Fact
 
-from ..conftest import ground_decoded
+from ..conftest import streamed_ground_rules
 
 
 def tree_db():
@@ -40,16 +41,23 @@ PROG = parse_program(
 
 class TestGroundProgram:
     def test_ground_rule_shapes(self):
-        rules = ground_decoded(PROG, tree_db())
-        heads = {r.head for r in rules}
-        assert Fact("t", ("n2",)) in heads  # leaf rule, EDB satisfied
-        assert Fact("ok", ()) in heads
-        by_head = {r.head: r for r in rules}
-        assert by_head[Fact("t", ("n1",))].body == (Fact("t", ("n2",)),)
+        rules = streamed_ground_rules(PROG, tree_db())
+        # the leaf rule first (EDB satisfied), then each propagation
+        # instance as its driver t(child) derives, then the deferred
+        # sink ok once the fixpoint settled
+        assert [r.head for r in rules] == [
+            Fact("t", ("n2",)),
+            Fact("t", ("n1",)),
+            Fact("t", ("n0",)),
+            Fact("ok", ()),
+        ]
+        # every intensional body atom is the driver here: it has
+        # derived when the instance is emitted, so nothing waits
+        assert all(r.body == () for r in rules)
 
     def test_instance_count_linear_in_guard_matches(self):
         stats = GroundingStats()
-        ground_decoded(PROG, tree_db(), stats=stats)
+        streamed_ground_rules(PROG, tree_db(), stats=stats)
         # one leaf instance + two propagation instances + one root instance
         assert stats.ground_rules == 4
 
@@ -59,7 +67,7 @@ class TestGroundProgram:
             t(V) :- bag(V, X0, X1), leaf(V), not e(X0, X1).
             """
         )
-        rules = ground_decoded(prog, tree_db())
+        rules = streamed_ground_rules(prog, tree_db())
         assert rules == []  # e(c, d) holds, so the negation kills it
 
     def test_negation_survives_when_atom_absent(self):
@@ -68,13 +76,35 @@ class TestGroundProgram:
             t(V) :- bag(V, X0, X1), root(V), not e(X0, X1).
             """
         )
-        rules = ground_decoded(prog, tree_db())
+        rules = streamed_ground_rules(prog, tree_db())
         assert [r.head for r in rules] == [Fact("t", ("n0",))]
 
     def test_not_groundable_raises(self):
-        prog = parse_program("p(X, Z) :- p(X, Y), q(Y, Z).")
+        # Z is bound only by the non-driver intensional atom p(Y, Z)
+        prog = parse_program("p(X, Z) :- p(X, Y), p(Y, Z), q(X).")
         with pytest.raises(NotGroundableError):
-            ground_decoded(prog, Database())
+            streamed_ground_rules(prog, Database())
+
+    def test_driver_variables_count_as_bound(self):
+        """A variable the driver atom binds needs no extensional guard:
+        the instance is only built once the driver has derived."""
+        prog = parse_program(
+            """
+            p(X, Y) :- e(X, Y).
+            p(X, Z) :- p(X, Y), e(Y, Z).
+            """
+        )
+        db = Database()
+        for edge in [("a", "b"), ("b", "c"), ("c", "d")]:
+            db.add("e", edge)
+        rules = streamed_ground_rules(prog, db)
+        assert len(rules) == 6  # three edges, then one per path extension
+        derived = QuasiGuardedEvaluator(
+            prog, require_quasi_guarded=False
+        ).evaluate(db)
+        assert {f.args for f in derived.facts} == solve(
+            prog, db, backend="semi-naive"
+        ).relation("p")
 
     def test_negated_idb_rejected(self):
         prog = parse_program(
@@ -84,13 +114,13 @@ class TestGroundProgram:
             """
         )
         with pytest.raises(NotGroundableError):
-            ground_decoded(prog, tree_db())
+            streamed_ground_rules(prog, tree_db())
 
 
 class TestPipeline:
     def test_matches_semi_naive(self):
         db = tree_db()
-        derived = evaluate_via_grounding(PROG, db)
+        derived = QuasiGuardedEvaluator(PROG, bag_arity=3).evaluate(db).facts
         for backend in ("semi-naive", "naive"):
             reference = solve(PROG, db, backend=backend)
             for predicate in ("t", "ok"):
@@ -113,5 +143,5 @@ class TestPipeline:
             ok :- root(V), t(V).
             """
         )
-        derived = evaluate_via_grounding(prog, encoded)
+        derived = QuasiGuardedEvaluator(prog, bag_arity=3).evaluate(encoded).facts
         assert Fact("ok", ()) in derived

@@ -8,11 +8,10 @@ compiler (``child1(V1, V)`` with neither variable bound); the planner
 now always picks the most-bound relation atom next.
 """
 
-from repro.datalog import Database, parse_program
-from repro.datalog.grounding import GroundingStats, _plan_extensional
-from repro.datalog.builtins import standard_registry
+from repro.datalog import Database, parse_program, prepare_grounding
+from repro.datalog.grounding import GroundingStats
 
-from ..conftest import ground_decoded
+from ..conftest import streamed_ground_rules
 
 
 def down_branch_style_rule():
@@ -30,18 +29,19 @@ def down_branch_style_rule():
 
 class TestPlanOrder:
     def test_most_bound_atom_chosen_next(self):
-        program = down_branch_style_rule()
-        registry = standard_registry()
-        rule = program.rules[1]
-        ordered, idb = _plan_extensional(
-            rule, program.intensional_predicates(), registry
-        )
-        predicates = [lit.atom.predicate for lit in ordered]
-        # after bag(V2, X0), the planner must pick child2 (V2 bound),
-        # never child1 (nothing bound yet)
-        assert predicates[0] == "bag"
-        assert predicates[1] == "child2"
-        assert predicates.index("child2") < predicates.index("child1")
+        prepared = prepare_grounding(down_branch_style_rule())
+        plan = prepared.stream_plans[1]
+        steps = [prepared.steps[i] for i in plan.step_ids]
+        # the driver up(V) binds V: the planner walks the tree by key
+        # -- child1 and child2 on V, then bag(V2, X0) on V2 -- and ends
+        # on two bound membership tests; no step is an unkeyed scan
+        assert [(s.predicate, s.key) for s in steps] == [
+            ("child1", (1,)),
+            ("child2", (1,)),
+            ("bag", (0,)),
+            ("bag", (0, 1)),
+            ("bag", (0, 1)),
+        ]
 
     def test_join_work_stays_linear(self):
         """Ground a chain of n nodes; the binding count must be O(n),
@@ -52,6 +52,7 @@ class TestPlanOrder:
             db = Database()
             for i in range(n):
                 db.add("bag", (f"n{i}", "x"))
+                db.add("leaf", (f"n{i}",))  # every up(V) derives
             # a binary comb: node i has children 2i+1 (first), 2i+2 (second)
             for i in range(n):
                 c1, c2 = 2 * i + 1, 2 * i + 2
@@ -64,8 +65,9 @@ class TestPlanOrder:
         counts = {}
         for n in (50, 100):
             stats = GroundingStats()
-            ground_decoded(program, build_db(n), stats=stats)
+            streamed_ground_rules(program, build_db(n), stats=stats)
             counts[n] = stats.bindings_explored
+        assert counts[50] > 0
         # linear: doubling the data roughly doubles the join work (a
         # mis-ordered plan degenerates into an O(n^2) cross product and
         # fails this even though the ground-rule count stays linear)
@@ -78,10 +80,10 @@ class TestPlanOrder:
             db.add("bag", (name, "x"))
         db.add("child1", ("b", "a"))
         db.add("child2", ("c", "a"))
-        rules = ground_decoded(program, db)
-        down_rules = [r for r in rules if r.head.predicate == "down"]
-        assert len(down_rules) == 1
-        (rule,) = down_rules
-        assert rule.head.args == ("c",)
-        body_preds = {f.predicate for f in rule.body}
-        assert body_preds == {"up"}
+        db.add("leaf", ("a",))  # up(a) derives and drives the down rule
+        rules = streamed_ground_rules(program, db)
+        assert [r.head.predicate for r in rules] == ["up", "down"]
+        up, down = rules
+        assert up.head.args == ("a",)
+        # the one down instance, emitted once its driver up(a) derived
+        assert down.head.args == ("c",) and down.body == ()

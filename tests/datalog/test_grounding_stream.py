@@ -1,8 +1,8 @@
 """Tests for the streamed, demand-pruned grounding pipeline.
 
 The push-based emitter (:func:`ground_program_streamed`) must derive
-exactly the eager pipeline's least model while never materializing the
-full ground program, and its pruning counters must account for the
+exactly the semi-naive engine's least model while never materializing
+the full ground program, and its pruning counters must account for the
 three prune classes: irrelevant heads (outside the demand), statically
 dead extensional literals, and driver-starved rules.
 """
@@ -24,15 +24,15 @@ from repro.datalog import (
     SetDatabase,
     StreamingHorn,
     Variable,
-    ground_program_ids,
     ground_program_streamed,
-    horn_least_model_ids,
     parse_program,
     prepare_grounding,
     relevant_predicates,
+    solve,
 )
 from repro.datalog import grounding
 from repro.datalog.grounding import resolve_demand
+from repro.structures import Fact
 
 from ..conftest import (
     DATALOG_DOMAIN,
@@ -41,6 +41,7 @@ from ..conftest import (
     deleted_ladders,
     has_neighbor_solver,
     oracle_encoding,
+    supported_instances,
 )
 from .stream_oracle import RecordingHorn, ground_program_per_rule
 
@@ -68,37 +69,40 @@ PROG = parse_program(
 
 
 def _models(program, db, demand=None):
-    """(eager model, streamed model, streamed stats) as fact sets."""
-    prepared = prepare_grounding(program)
+    """(semi-naive model, streamed model, streamed stats), the models
+    as sets of intensional facts."""
+    derived = solve(program, db, backend="semi-naive")
+    reference = {
+        Fact(predicate, args)
+        for predicate in program.intensional_predicates()
+        for args in derived.relation(predicate)
+    }
     sdb = SetDatabase.from_edb(db)
     pool = InternPool(sdb.interner)
-    rules = ground_program_ids(prepared, sdb, pool)
-    flags = horn_least_model_ids(rules, len(pool))
-    eager = {pool.decode_atom(i) for i, f in enumerate(flags) if f}
-
-    sdb2 = SetDatabase.from_edb(db)
-    pool2 = InternPool(sdb2.interner)
     stats = GroundingStats()
     sink = ground_program_streamed(
-        prepared, sdb2, pool2, stats=stats, demand=demand
+        prepare_grounding(program), sdb, pool, stats=stats, demand=demand
     )
     streamed = {
-        pool2.decode_atom(i)
-        for i, f in enumerate(sink.flags(len(pool2)))
+        pool.decode_atom(i)
+        for i, f in enumerate(sink.flags(len(pool)))
         if f
     }
-    return eager, streamed, stats
+    return reference, streamed, stats
 
 
 class TestStreamedModel:
     def test_matches_eager_pipeline(self):
-        eager, streamed, stats = _models(PROG, tree_db())
-        assert streamed == eager
-        assert stats.ground_rules == 4  # every instance is live here
+        """The streamed model is the least model; every supported
+        instance is live here, so it grounds each one exactly once."""
+        reference, streamed, stats = _models(PROG, tree_db())
+        assert streamed == reference
+        assert stats.ground_rules == supported_instances(PROG, tree_db()) == 4
 
     def test_emits_fewer_rules_than_eager_when_rules_are_dead(self):
-        # a recursive rule whose driver never derives: eager grounds
-        # its instances anyway, streamed never instantiates it
+        # a recursive rule whose driver never derives: a materializing
+        # grounder builds its supported instances anyway, streamed
+        # never instantiates it
         program = parse_program(
             """
             t(V) :- bag(V, X0, X1), leaf(V), e(X0, X1).
@@ -108,10 +112,13 @@ class TestStreamedModel:
             ok :- root(V), t(V).
             """
         )
-        eager, streamed, stats = _models(program, tree_db())
-        assert streamed == eager  # w/u derive nothing: same model
+        reference, streamed, stats = _models(program, tree_db())
+        assert streamed == reference  # w/u derive nothing: same model
         # the u-rule is driver-starved (w never derives: e(d, c) absent)
         assert stats.rules_pruned >= 1
+        # the t and ok instances only: a materializing grounder would
+        # add the u-rule's two bag/child1 instances
+        assert stats.ground_rules == supported_instances(program, tree_db()) == 4
 
     def test_statically_dead_edb_literal_prunes_rule(self):
         program = parse_program(
@@ -122,8 +129,8 @@ class TestStreamedModel:
             """
         )
         # tree_db has no child2 facts at all
-        eager, streamed, stats = _models(program, tree_db())
-        assert streamed == eager
+        reference, streamed, stats = _models(program, tree_db())
+        assert streamed == reference
         assert stats.rules_pruned >= 1
 
     def test_empty_unary_relation_prunes_statically(self):
@@ -136,8 +143,8 @@ class TestStreamedModel:
         )
         # `marked` is unary and entirely absent: the t2 rule must be
         # statically dead (bitset 0), never compiled as driven
-        eager, streamed, stats = _models(program, tree_db())
-        assert streamed == eager
+        reference, streamed, stats = _models(program, tree_db())
+        assert streamed == reference
         assert stats.rules_pruned >= 1
 
     def test_waiting_frontier_counted(self):
@@ -153,8 +160,8 @@ class TestStreamedModel:
             ok :- root(V), both(V).
             """
         )
-        eager, streamed, stats = _models(program, tree_db())
-        assert streamed == eager
+        reference, streamed, stats = _models(program, tree_db())
+        assert streamed == reference
         assert any(f.predicate == "both" for f in streamed)
         assert stats.peak_live_rules >= 1
 
@@ -163,8 +170,6 @@ class TestStreamedModel:
         # with bound, constant and free (output) arguments, negated
         # built-ins, and constant-only membership tests that hold
         # (dropped) or fail (the rule is dead)
-        from repro.datalog import solve
-
         program = parse_program(
             """
             t(V) :- bag(V, X0, X1), leaf(V), X0 != X1.
@@ -180,14 +185,8 @@ class TestStreamedModel:
         db = tree_db()
         db.add("bag", ("n3", ("a",), ("b",)))
         db.add("leaf", ("n3",))
-        eager, streamed, stats = _models(program, db)
-        assert streamed == eager
-        reference = solve(program, db, backend="semi-naive")
-        assert streamed == {
-            fact
-            for fact in reference.facts()
-            if fact.predicate in program.intensional_predicates()
-        }
+        reference, streamed, stats = _models(program, db)
+        assert streamed == reference
         assert {f.predicate for f in streamed} == {"t", "u", "s"}
         assert stats.rules_pruned == 3  # w, x and y are dead
 
@@ -199,8 +198,8 @@ class TestStreamedModel:
             done(V) :- bag(V, X0, X1), flag, t(V).
             """
         )
-        eager, streamed, _ = _models(program, tree_db())
-        assert streamed == eager
+        reference, streamed, _ = _models(program, tree_db())
+        assert streamed == reference
         assert any(f.predicate == "done" for f in streamed)
 
     def test_interner_mismatch_raises(self):
@@ -222,14 +221,14 @@ class TestStreamedModel:
 
 class TestDemandPruning:
     def test_demand_on_root_prediate_keeps_everything(self):
-        eager, streamed, stats = _models(PROG, tree_db(), demand="ok")
-        assert streamed == eager
+        reference, streamed, stats = _models(PROG, tree_db(), demand="ok")
+        assert streamed == reference
         assert stats.rules_pruned == 0
 
     def test_demand_on_t_prunes_the_ok_rule(self):
-        eager, streamed, stats = _models(PROG, tree_db(), demand="t")
+        reference, streamed, stats = _models(PROG, tree_db(), demand="t")
         assert stats.rules_pruned == 1  # the ok-rule head is irrelevant
-        assert streamed == {f for f in eager if f.predicate == "t"}
+        assert streamed == {f for f in reference if f.predicate == "t"}
 
     def test_demanded_predicates_cover_the_relevance_cone(self):
         assert relevant_predicates(PROG, "ok") == {"ok", "t"}
@@ -237,7 +236,7 @@ class TestDemandPruning:
 
     def test_demand_for_undefined_predicate_prunes_everything(self):
         assert relevant_predicates(PROG, "nothing") == frozenset()
-        eager, streamed, stats = _models(PROG, tree_db(), demand="nothing")
+        reference, streamed, stats = _models(PROG, tree_db(), demand="nothing")
         assert streamed == set()
         assert stats.rules_pruned == len(PROG.rules)
 

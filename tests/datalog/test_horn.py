@@ -3,55 +3,63 @@
 from hypothesis import given, strategies as st
 
 from repro.datalog import (
-    GroundRule,
+    Atom,
+    Database,
+    Literal,
+    Program,
+    Rule,
     StreamingHorn,
-    horn_entails,
-    horn_least_model,
-    horn_least_model_ids,
+    solve,
 )
+
+
+def least_model(rules):
+    """The least model of ``(head, body)`` rules over hashable atoms:
+    the atoms interned to dense ids, the whole list fed to the online
+    LTUR."""
+    ids: dict = {}
+
+    def intern(atom):
+        return ids.setdefault(atom, len(ids))
+
+    sink = StreamingHorn()
+    for head, body in rules:
+        sink.add_rule(intern(head), tuple(map(intern, body)))
+    return {atom for atom, ident in ids.items() if sink.is_derived(ident)}
 
 
 class TestLeastModel:
     def test_facts_only(self):
-        model = horn_least_model([GroundRule("a"), GroundRule("b")])
-        assert model == {"a", "b"}
+        assert least_model([("a", ()), ("b", ())]) == {"a", "b"}
 
     def test_chain(self):
-        rules = [GroundRule("a")] + [
-            GroundRule(chr(ord("a") + i + 1), (chr(ord("a") + i),))
-            for i in range(5)
+        rules = [("a", ())] + [
+            (chr(ord("a") + i + 1), (chr(ord("a") + i),)) for i in range(5)
         ]
-        assert horn_least_model(rules) == set("abcdef")
+        assert least_model(rules) == set("abcdef")
 
     def test_conjunction_waits_for_all(self):
-        rules = [GroundRule("c", ("a", "b")), GroundRule("a")]
-        assert horn_least_model(rules) == {"a"}
-        rules.append(GroundRule("b"))
-        assert horn_least_model(rules) == {"a", "b", "c"}
+        rules = [("c", ("a", "b")), ("a", ())]
+        assert least_model(rules) == {"a"}
+        rules.append(("b", ()))
+        assert least_model(rules) == {"a", "b", "c"}
 
     def test_cycle_not_self_supporting(self):
-        rules = [GroundRule("a", ("b",)), GroundRule("b", ("a",))]
-        assert horn_least_model(rules) == set()
+        assert least_model([("a", ("b",)), ("b", ("a",))]) == set()
 
     def test_duplicate_body_atoms(self):
-        rules = [GroundRule("b", ("a", "a")), GroundRule("a")]
-        assert horn_least_model(rules) == {"a", "b"}
+        rules = [("b", ("a", "a")), ("a", ())]
+        assert least_model(rules) == {"a", "b"}
 
     def test_empty(self):
-        assert horn_least_model([]) == set()
+        assert least_model([]) == set()
 
     def test_entails(self):
-        rules = [GroundRule("a"), GroundRule("b", ("a",))]
-        assert horn_entails(rules, "b")
-        assert not horn_entails(rules, "c")
-
-    def test_atoms_may_be_any_hashable(self):
-        from repro.structures import Fact
-
-        head = Fact("p", (1,))
-        body = Fact("q", (2,))
-        rules = [GroundRule(head, (body,)), GroundRule(body)]
-        assert horn_least_model(rules) == {head, body}
+        sink = StreamingHorn()
+        sink.add_rule(0)
+        sink.add_rule(1, (0,))
+        assert sink.is_derived(1)
+        assert not sink.is_derived(2)
 
 
 def naive_least_model(rules):
@@ -59,9 +67,9 @@ def naive_least_model(rules):
     changed = True
     while changed:
         changed = False
-        for r in rules:
-            if r.head not in derived and all(b in derived for b in r.body):
-                derived.add(r.head)
+        for head, body in rules:
+            if head not in derived and all(b in derived for b in body):
+                derived.add(head)
                 changed = True
     return derived
 
@@ -70,14 +78,35 @@ def naive_least_model(rules):
     st.lists(
         st.tuples(
             st.integers(0, 8),
-            st.lists(st.integers(0, 8), max_size=3),
+            st.lists(st.integers(0, 8), max_size=3).map(tuple),
         ),
         max_size=25,
     )
 )
-def test_ltur_equals_naive_fixpoint(raw_rules):
-    rules = [GroundRule(h, tuple(b)) for h, b in raw_rules]
-    assert horn_least_model(rules) == naive_least_model(rules)
+def test_ltur_equals_naive_fixpoint(rules):
+    assert least_model(rules) == naive_least_model(rules)
+
+
+def semi_naive_flags(rules, atom_count):
+    """The least model of id rules by the semi-naive set engine, as a
+    0/1 array: atom i is the nullary predicate ``a<i>``, and every rule
+    body also holds the extensional fact ``base`` so facts are rules."""
+    base = Literal(Atom("base", ()))
+    program = Program(
+        [
+            Rule(
+                Atom(f"a{head}", ()),
+                (base, *(Literal(Atom(f"a{b}", ())) for b in body)),
+            )
+            for head, body in rules
+        ]
+    )
+    db = Database()
+    db.add("base", ())
+    model = solve(program, db, backend="semi-naive")
+    return bytes(
+        1 if model.relation(f"a{i}") else 0 for i in range(atom_count)
+    )
 
 
 _ID_RULES = st.lists(
@@ -94,10 +123,12 @@ class TestStreamingHorn:
 
     @given(rules=_ID_RULES)
     def test_streaming_matches_batch(self, rules):
+        """The online LTUR and the semi-naive engine run on the whole
+        rule list agree."""
         sink = StreamingHorn()
         for head, body in rules:
             sink.add_rule(head, body)
-        assert bytes(sink.flags(9)) == bytes(horn_least_model_ids(rules, 9))
+        assert bytes(sink.flags(9)) == semi_naive_flags(rules, 9)
 
     @given(rules=_ID_RULES)
     def test_order_of_arrival_is_irrelevant(self, rules):

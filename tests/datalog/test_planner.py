@@ -246,8 +246,7 @@ class TestCompiledPlans:
         assert cache.grounding(program) is plain
         # no dependencies, no model: the textual tie-break of old
         bare = prepare_grounding(program)
-        assert (plain.plans, plain.stream_plans, plain.steps) == (
-            bare.plans,
+        assert (plain.stream_plans, plain.steps) == (
             bare.stream_plans,
             bare.steps,
         )
