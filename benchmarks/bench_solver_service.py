@@ -39,7 +39,11 @@ Contracts (CI-gated):
   recorded but not gated: a pool cannot beat the loop on one core);
 * latency percentiles are sane (p50 > 0, p95 >= p50);
 * the checked-in ``BENCH_engine.json`` must already be on the
-  harness's schema version (run ``bench_datalog_engine.py`` first).
+  harness's schema version (run ``bench_datalog_engine.py`` first),
+  and after the run each of the harness's three sections
+  (:data:`SECTIONS`) must name that version in its ``schema_note``: a
+  section carried over a schema bump fails until it is re-recorded in
+  its own mode.
 
 Run ``python benchmarks/bench_solver_service.py [--quick]``; ``--quick``
 is the CI smoke test.
@@ -86,6 +90,9 @@ BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 #: must match bench_datalog_engine.SCHEMA_VERSION -- both harnesses
 #: write sections of the same baseline file
 ENGINE_SCHEMA = "bench-engine/v13"
+
+#: the sections of the baseline file this harness writes, one per mode
+SECTIONS = ("service_throughput", "service_resilience", "admission")
 
 #: the acceptance gate: at >= GATE_WORKERS workers on >= GATE_WORKERS
 #: cores, the service must clear GATE_SPEEDUP x the serial loop
@@ -672,6 +679,26 @@ def build_record(quick, workers, max_shard):
     return record
 
 
+def record_section(path, baseline, section, record) -> list[str]:
+    """Write ``record`` as ``section`` of ``baseline`` to ``path``, and
+    return the drift failures: every section of this harness whose
+    schema note names a schema other than :data:`ENGINE_SCHEMA` (a
+    section carried over a schema bump unchanged, not re-recorded)."""
+    baseline[section] = record
+    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
+    print(f"\nupdated {path} ({section})")
+    failures = []
+    for name in SECTIONS:
+        note = baseline.get(name, {}).get("schema_note")
+        if note is not None and note != f"{name} section of {ENGINE_SCHEMA}":
+            failures.append(
+                f"baseline drift: the {name} section of {path} says "
+                f"{note!r}, this harness writes {ENGINE_SCHEMA!r} -- "
+                "re-record it in its own mode"
+            )
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -764,11 +791,7 @@ def main(argv=None) -> int:
             f"{containment['stats']['degraded']} degraded, "
             f"{containment['stats']['admission_rejected']} rejected"
         )
-        baseline["admission"] = record
-        args.out.write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"\nupdated {args.out} (admission)")
+        failures += record_section(args.out, baseline, "admission", record)
         if failures:
             print("\nCONTRACT VIOLATIONS:")
             for failure in failures:
@@ -812,11 +835,9 @@ def main(argv=None) -> int:
             f"{scheduler['failed']} failed, "
             f"{scheduler['poisoned']} poisoned"
         )
-        baseline["service_resilience"] = record
-        args.out.write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
+        failures += record_section(
+            args.out, baseline, "service_resilience", record
         )
-        print(f"\nupdated {args.out} (service_resilience)")
         if failures:
             print("\nCONTRACT VIOLATIONS:")
             for failure in failures:
@@ -862,11 +883,9 @@ def main(argv=None) -> int:
         )
     )
 
-    baseline["service_throughput"] = record
-    args.out.write_text(
-        json.dumps(baseline, indent=2, sort_keys=True) + "\n"
+    failures += record_section(
+        args.out, baseline, "service_throughput", record
     )
-    print(f"\nupdated {args.out} (service_throughput)")
     if failures:
         print("\nCONTRACT VIOLATIONS:")
         for failure in failures:

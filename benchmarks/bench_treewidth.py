@@ -1,27 +1,34 @@
 """Substrate: decomposition construction cost and quality.
 
 The paper assumes Bodlaender's linear-time algorithm [3]; we substitute
-greedy elimination heuristics (min-fill, min-degree), as recorded under
-**Substitutions** in ``src/repro/core/README.md``.  This bench tracks
-their cost on growing partial 2-trees, the width quality against the
-exact DP on small instances, and the exponential growth of the exact
-algorithm.
+greedy elimination heuristics, as recorded under **Substitutions** in
+``src/repro/core/README.md``: admission rebuilds every decomposition
+of the compiled solve with min-degree, and the Section 5 front end
+decomposes with min-fill.  This bench tracks their cost on growing
+partial 2-trees, the width quality against the exact DP on small
+instances, and the exponential growth of the exact algorithm.
 
 Run:  pytest benchmarks/bench_treewidth.py --benchmark-only
 
 ``python benchmarks/bench_treewidth.py --quick`` is the standalone
-scaling gate: it times ``decompose_structure`` plus one validation of
-the normalized decomposition (the checked work of a td-less solve) on
-full 2 x N ladders, N = 64 ... 512, fits the log-log slope against the
-domain size (best of ``REPEATS`` runs per ladder, garbage collector
-off), and exits 1 if the slope is above ``MAX_SLOPE`` on a first
-measurement and on one re-timing, or if the min-fill width got worse
-on the partial-2-tree families below (wider than the family's
-treewidth bound, or a gap to the exact treewidth above
-``MAX_EXACT_GAP``).
+scaling gate: it times admission's rebuild
+(:func:`repro.admission.redecompose`, min-degree plus its check
+against the structure) plus one validation of the normalized
+decomposition (the checked work of a td-less solve) on full 2 x N
+ladders, N = 64 ... 512, fits the log-log slope against the domain
+size (best of ``REPEATS`` runs per ladder, garbage collector off), and
+exits 1 if the slope is above ``MAX_SLOPE`` on a first measurement and
+on one re-timing.  It also exits 1 if the rebuild is wider than 2 on
+the partial-2-tree family or on seeded 2 x N ladders with ~10% of
+their vertices deleted, or misses the exact treewidth on the small
+family (min-degree is exact at treewidth <= 2), or if the min-fill
+width of the Section 5 front end got worse on the partial-2-tree
+families below (wider than the family's treewidth bound, or a gap to
+the exact treewidth above ``MAX_EXACT_GAP``).
 
 The same run gates the ``A_td`` load: on full 2 x N ladders, N = 64 ...
-256, ``load_normalized`` (the solve path's one-pass interned load) must
+256, decomposed by the rebuild, ``load_normalized`` (the solve path's
+one-pass interned load) must
 be at least ``MIN_LOAD_SPEEDUP`` times faster than its value-level
 oracle, ``encode_normalized`` followed by ``SetDatabase.from_edb``
 (best of ``REPEATS`` each, a ladder below the gate re-timed once), and
@@ -44,16 +51,20 @@ except ImportError:  # running as a plain script without install
 
 import pytest
 
+from repro.admission import redecompose
 from repro.bench import best_ms, log_log_slope
 from repro.datalog import SetDatabase
 from repro.problems import random_partial_ktree
 from repro.structures import Graph, graph_to_structure
+from repro.structures.graphs import subgraph
 from repro.treewidth import (
     decompose_graph,
-    decompose_structure,
+    decomposition_from_order,
     encode_normalized,
     load_normalized,
     make_nice,
+    min_degree_order,
+    min_fill_order,
     normalize,
     treewidth_exact,
     widen,
@@ -71,6 +82,8 @@ REPEATS = 9
 #: --quick: the largest tolerated min-fill gap to the exact treewidth
 #: on the small family (every member is exact today)
 MAX_EXACT_GAP = 0
+#: --quick: vertex-deleted ladders of the rebuild's width gate
+DELETED_LADDERS = 100
 #: --quick: ladder columns N of the A_td load gate
 LOAD_COLUMNS = (64, 128, 256)
 #: --quick: the smallest tolerated speedup of ``load_normalized`` over
@@ -90,15 +103,33 @@ def small_partial_2_trees():
     return [random_partial_ktree(rng, 9, 2, 0.7)[0] for _ in range(10)]
 
 
+def deleted_ladders(seed=7, count=DELETED_LADDERS, deleted=0.10):
+    """Seeded 2 x N ladders, N in [32, 128], each vertex deleted with
+    probability ``deleted``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ladder = Graph.grid(2, rng.randint(32, 128))
+        keep = [v for v in sorted(ladder.vertices) if rng.random() >= deleted]
+        yield subgraph(ladder, keep)
+
+
+def rebuild_width(graph) -> int:
+    """Width of admission's rebuild of ``graph``."""
+    td, _ = redecompose(graph_to_structure(graph))
+    return td.width
+
+
 @pytest.fixture(scope="module")
 def graphs():
     return partial_2_trees()
 
 
-@pytest.mark.parametrize("method", ["min_fill", "min_degree"])
+@pytest.mark.parametrize(
+    "order", [min_fill_order, min_degree_order], ids=lambda f: f.__name__
+)
 @pytest.mark.parametrize("n", SIZES, ids=lambda n: f"n{n}")
-def test_heuristic_cost(benchmark, graphs, method, n):
-    td = benchmark(decompose_graph, graphs[n], method)
+def test_heuristic_cost(benchmark, graphs, order, n):
+    td = benchmark(lambda g: decomposition_from_order(g, order(g)), graphs[n])
     benchmark.extra_info["width"] = td.width
 
 
@@ -144,7 +175,7 @@ def test_heuristic_quality_vs_exact(benchmark):
 
 
 def checked_front_end_ms(structure, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` ms of ``decompose_structure`` plus one
+    """Best-of-``repeats`` ms of admission's rebuild plus one
     validation of the normalized decomposition against the structure
     (the normalization itself is untimed), with the garbage collector
     off while timing so a collection does not land on one size only."""
@@ -155,7 +186,7 @@ def checked_front_end_ms(structure, repeats: int = REPEATS) -> float:
     try:
         for _ in range(repeats):
             start = time.perf_counter()
-            td = decompose_structure(structure)
+            td, _ = redecompose(structure)
             elapsed = time.perf_counter() - start
             ntd = normalize(widen(td, 2) if td.width < 2 else td)
             start = time.perf_counter()
@@ -192,7 +223,7 @@ def load_gate() -> list[str]:
     failures = []
     for columns in LOAD_COLUMNS:
         structure = graph_to_structure(Graph.grid(2, columns))
-        ntd = normalize(decompose_structure(structure))
+        ntd = normalize(redecompose(structure)[0])
 
         def oracle():
             return SetDatabase.from_edb(encode_normalized(structure, ntd))
@@ -234,7 +265,27 @@ def quick() -> int:
     if slope > MAX_SLOPE:
         failures.append(f"front-end slope {slope:.3f} > {MAX_SLOPE}")
 
-    widths = {n: decompose_graph(g).width for n, g in partial_2_trees().items()}
+    families = partial_2_trees()
+    widths = {n: rebuild_width(g) for n, g in families.items()}
+    print(f"min-degree rebuild widths on partial 2-trees: {widths} (gate <= 2)")
+    wide = {n: w for n, w in widths.items() if w > 2}
+    if wide:
+        failures.append(f"min-degree rebuild wider than 2: {wide}")
+    wide = [w for w in map(rebuild_width, deleted_ladders()) if w > 2]
+    print(
+        f"min-degree rebuilds wider than 2 on {DELETED_LADDERS} deleted "
+        f"ladders: {len(wide)} (gate 0)"
+    )
+    if wide:
+        failures.append(f"min-degree rebuild wider than 2 on {len(wide)} ladders")
+    gaps = [
+        rebuild_width(g) - treewidth_exact(g) for g in small_partial_2_trees()
+    ]
+    print(f"min-degree rebuild gaps to the exact width: {gaps} (gate 0)")
+    if max(gaps) > 0:
+        failures.append(f"min-degree rebuild gap {max(gaps)} > 0")
+
+    widths = {n: decompose_graph(g).width for n, g in families.items()}
     print(f"min-fill widths on partial 2-trees: {widths} (gate <= 2)")
     wide = {n: w for n, w in widths.items() if w > 2}
     if wide:

@@ -22,17 +22,6 @@ def powerset(items: Iterable[T]) -> Iterator[tuple[T, ...]]:
     return chain.from_iterable(combinations(pool, r) for r in range(len(pool) + 1))
 
 
-def nonempty_subsets(items: Iterable[T]) -> Iterator[tuple[T, ...]]:
-    """Yield every non-empty subset of ``items`` as a tuple."""
-    pool = list(items)
-    return chain.from_iterable(combinations(pool, r) for r in range(1, len(pool) + 1))
-
-
-def all_distinct(items: Sequence[T]) -> bool:
-    """True iff no two entries of ``items`` are equal."""
-    return len(set(items)) == len(items)
-
-
 def interleavings(prefix: Sequence[T], item: T) -> Iterator[tuple[T, ...]]:
     """Yield every tuple obtained by inserting ``item`` into ``prefix``.
 

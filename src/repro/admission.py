@@ -18,16 +18,16 @@ policy ladder:
    violations as structured :class:`repro.errors.Violation` records.
 2. **Rebuild.**  A decomposition that fails verification is never
    patched: :func:`redecompose` discards it and builds one from the
-   structure with :func:`repro.treewidth.heuristics.decompose_within`
-   (``min_fill``, then ``min_degree``) under the request's budget.  A
-   structure that arrives without a decomposition takes the same
-   route, under every policy.  When no strategy builds a
-   decomposition the request gets a ``no-decomposition`` violation
-   naming why (the strategy's error or the spent budget).  At the
-   widths that compile (1 and 2) the escalation reaches the width
-   whenever the structure has it (see :func:`admit`);
-   Gottlob--Pichler--Wei likewise take the decomposition from the
-   structure, never from the caller.
+   structure with one min-degree elimination
+   (:func:`repro.treewidth.heuristics.min_degree_order`) under the
+   request's budget.  A structure that arrives without a decomposition
+   takes the same route, under every policy.  When no decomposition is
+   built the request gets a ``no-decomposition`` violation naming why
+   (the build's error or the spent budget).  At the widths that
+   compile (1 and 2) min-degree reaches the width whenever the
+   structure has it (see :func:`admit`); Gottlob--Pichler--Wei
+   likewise take the decomposition from the structure, never from the
+   caller.
 3. **Degrade.**  When the width still exceeds the compiled envelope,
    policy ``"degrade"`` falls back to direct MSO evaluation
    (:mod:`repro.mso.eval`) under a :class:`repro.datalog.SolveBudget`
@@ -59,10 +59,11 @@ from .errors import (
     summarize_violations,
 )
 from .mso.eval import Budget as _EvalBudget
+from .structures.graphs import gaifman_graph
 from .structures.signature import Signature
 from .structures.structure import Fact, Structure, structure_fingerprint
 from .treewidth.decomposition import RootedTree, TreeDecomposition
-from .treewidth.heuristics import decompose_within
+from .treewidth.heuristics import decomposition_from_order, min_degree_order
 
 __all__ = [
     "DEFAULT_ADMISSION_BUDGET",
@@ -105,7 +106,7 @@ class AdmissionReport:
     direct MSO evaluation outside the compiled envelope) or
     ``"rejected"``.  ``violations`` is everything verification found,
     ``repairs`` what the ladder did about it
-    (``restricted-structure-to-signature``, ``redecomposed:<method>``),
+    (``restricted-structure-to-signature``, ``redecomposed:min_degree``),
     ``residual`` what was still standing when the ladder stopped.
     """
 
@@ -403,52 +404,39 @@ def _width_violation(width: int, limit: int) -> Violation:
 
 
 def redecompose(
-    structure: Structure,
-    width_limit: int,
-    meter: BudgetMeter | None = None,
+    structure: Structure, meter: BudgetMeter | None = None
 ) -> tuple[TreeDecomposition | None, str]:
-    """Build a decomposition from scratch, escalating through ordering
-    strategies until one fits the envelope or the budget runs out.
+    """Build a decomposition from scratch: one min-degree elimination
+    on the Gaifman graph.
 
-    The escalation is :func:`repro.treewidth.heuristics.decompose_within`:
-    ``min_fill`` first, ``min_degree`` as the escalation, a strategy
-    that raises skipped, the budget checked before each strategy.
-    Returns the best decomposition found (lowest width -- possibly
-    still over the envelope, which the degrade rung then arbitrates)
-    and the strategy that produced it.  When nothing was built it
-    returns ``None`` and why: the budget ran out first, every strategy
-    raised (the last error is named), or the rebuilt decomposition
-    failed its check.  The result is checked against the structure
-    once, since the solver trusts what admission hands it.
+    Min-degree is exact at treewidth <= 2 (see :func:`admit`), so at
+    the widths that compile a rebuild wider than the envelope proves
+    the structure is too.  The budget is checked once, before the
+    build.  Returns the decomposition -- possibly still over the
+    envelope, which the degrade rung then arbitrates -- and
+    ``"min_degree"``.  When nothing was built it returns ``None`` and
+    why: the budget ran out first, the build raised (its error is
+    named), or the rebuilt decomposition failed its check.  The result
+    is checked against the structure once, since the solver trusts
+    what admission hands it.
     """
-    spent: list[BudgetExceeded] = []
-
-    def within_budget() -> bool:
-        if meter is None:
-            return True
+    if meter is not None:
         try:
             meter.check()
         except BudgetExceeded as exc:
-            spent.append(exc)
-            return False  # keep whatever the budget allowed us to build
-        return True
-
+            return None, f"the admission budget ran out ({exc})"
     try:
-        best, method = decompose_within(
-            structure, width_limit, proceed=within_budget
-        )
-    except Exception as exc:
+        graph = gaifman_graph(structure)
+        td = decomposition_from_order(graph, min_degree_order(graph))
+    except Exception as exc:  # admission lets no exception escape
         return None, (
-            "every decomposition strategy failed, the last with "
-            f"{type(exc).__name__}: {exc}"
+            f"the min-degree rebuild failed with {type(exc).__name__}: {exc}"
         )
-    if best is None:
-        return None, f"the admission budget ran out ({spent[-1]})"
     try:
-        best.validate_for_structure(structure)
+        td.validate_for_structure(structure)
     except InvalidDecomposition as exc:
         return None, f"the rebuilt decomposition is invalid ({exc})"
-    return best, method
+    return td, "min_degree"
 
 
 # ----------------------------------------------------------------------
@@ -485,23 +473,23 @@ def admit(
 
     A supplied decomposition that fails verification is replaced by
     :func:`redecompose`; ``report.repairs`` then ends with
-    ``redecomposed:<method>``.  Nothing is lost against a patch at the
-    widths a program compiles at (1 and 2): the ``min_degree`` rung is
-    exact there -- a graph of treewidth <= 2 always has a vertex of
-    degree <= 2, and eliminating it leaves a minor -- so a structure of
-    treewidth <= ``width`` is always rebuilt within ``width``.  From
-    width 3 on the heuristics are not exact, and a structure of
-    treewidth w >= 3 can be rebuilt over the envelope and then degraded
-    or rejected; no compiled program reaches that case today.
+    ``redecomposed:min_degree``.  Nothing is lost against a patch at
+    the widths a program compiles at (1 and 2): min-degree is exact
+    there -- a graph of treewidth <= 2 always has a vertex of degree
+    <= 2, and eliminating it leaves a minor -- so a structure of
+    treewidth <= ``width`` is always rebuilt within ``width``, and a
+    wider rebuild proves the treewidth exceeds it.  From width 3 on the
+    order is not exact, and a structure of treewidth w >= 3 can be
+    rebuilt over the envelope and then degraded or rejected; no
+    compiled program reaches that case today.
 
     ``budget`` (a ``SolveBudget`` or armed ``BudgetMeter``) spans the
-    admission work itself -- the rebuild checks it before each
-    ordering strategy -- and rides the result for the rest of the
-    request.  ``None`` leaves the rebuild unbounded and arms
+    admission work itself -- the rebuild checks it once, before it
+    starts -- and rides the result for the rest of the request.
+    ``None`` leaves the rebuild unbounded and arms
     :data:`DEFAULT_ADMISSION_BUDGET` for a degraded request only.  A
-    request for
-    which no decomposition is built -- its budget already spent when
-    the rebuild starts, or every strategy failing -- gets a
+    request for which no decomposition is built -- its budget already
+    spent when the rebuild starts, or the build failing -- gets a
     ``no-decomposition`` violation naming the cause, and is degraded
     or rejected with its report.
     """
@@ -548,7 +536,7 @@ def admit(
         # rebuilds one from the structure
 
     # -- rung 3: re-decompose from scratch -----------------------------
-    rebuilt, method = redecompose(structure, width, meter)
+    rebuilt, method = redecompose(structure, meter)
     if rebuilt is None:
         residual = Violation(
             "no-decomposition",
@@ -574,12 +562,20 @@ def admit(
     if policy == "degrade":
         report.verdict = "degraded"
         report.width = None
+        if rebuilt is None:
+            cause = residual.message
+        elif width <= 2:  # min-degree is exact here
+            cause = (
+                f"treewidth exceeds the compiled width {width} (min-degree "
+                f"rebuilt it at width {rebuilt.width})"
+            )
+        else:
+            cause = (
+                f"min-degree width {rebuilt.width} exceeds the compiled "
+                f"width {width}"
+            )
         report.degrade_reason = (
-            f"best achievable width {rebuilt.width} exceeds the compiled "
-            f"width {width}; serving by direct MSO evaluation under budget"
-            if rebuilt is not None
-            else f"{residual.message}; serving by direct MSO evaluation "
-            "under budget"
+            f"{cause}; serving by direct MSO evaluation under budget"
         )
         if meter is None:
             meter = DEFAULT_ADMISSION_BUDGET.start()

@@ -84,6 +84,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .._util import powerset
 from ..datalog.ast import Atom, Literal, Program, Rule, Variable, neg, pos
 from ..datalog.guards import td_key_dependencies
 from ..datalog.passes import DEFAULT_PASSES, normalize_passes
@@ -282,7 +283,7 @@ class MSOToDatalogCompiler:
         #: signature)
         self._chosen_list = tuple(
             frozenset(c)
-            for c in _powerset(
+            for c in powerset(
                 [(name, idx) for name, idx in self.patterns if 0 in idx]
             )
         )
@@ -312,7 +313,7 @@ class MSOToDatalogCompiler:
 
     def _base_structures(self) -> Iterator[tuple[Structure, tuple[Element, ...]]]:
         bag = tuple(range(self.width + 1))
-        for chosen in _powerset(self.patterns):
+        for chosen in powerset(self.patterns):
             facts = [
                 Fact(name, tuple(bag[i] for i in indices))
                 for name, indices in chosen
@@ -870,12 +871,6 @@ class MSOToDatalogCompiler:
             stats=stats,
             passes=self.passes,
         )
-
-
-def _powerset(items):
-    from .._util import powerset
-
-    return powerset(items)
 
 
 def undirected_graph_filter(structure: Structure) -> bool:

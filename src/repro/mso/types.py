@@ -418,22 +418,3 @@ def equivalent(
     if len(a_points) != len(b_points):
         return False
     return mso_type(a, a_points, k) == mso_type(b, b_points, k)
-
-
-def type_count_bound(signature, num_points: int, k: int) -> int:
-    """A crude upper bound on the number of rank-k types.
-
-    Used in documentation/tests to illustrate the state explosion the
-    paper attributes to the MSO-to-FTA route: the bound is a tower of
-    exponentials in k.
-    """
-    # number of possible atomic tags
-    atoms = num_points * (num_points - 1) // 2
-    for name in signature:
-        atoms += num_points ** signature.arity(name)
-    count = 2**atoms
-    for _ in range(k):
-        count = 2**atoms * 2**count * 2**count
-        if count > 10**9:
-            return count  # already astronomical; avoid bignum blowups
-    return count

@@ -336,8 +336,7 @@ class PointedStructure:
     Distinguished elements interpret the free variables of MSO formulae
     (Section 2.2/2.3).  They must belong to the domain but need not be
     pairwise distinct in general; the tree-decomposition bags of
-    Definition 2.3 are additionally pairwise distinct, which callers can
-    enforce with :func:`repro._util.all_distinct`.
+    Definition 2.3 are additionally pairwise distinct.
     """
 
     structure: Structure

@@ -11,7 +11,6 @@ from .exact import is_treewidth_at_most, treewidth_exact
 from .heuristics import (
     decompose_graph,
     decompose_structure,
-    decompose_within,
     decomposition_from_order,
     min_degree_order,
     min_fill_order,
@@ -50,7 +49,6 @@ __all__ = [
     "TreeDecomposition",
     "decompose_graph",
     "decompose_structure",
-    "decompose_within",
     "decomposition_from_order",
     "encode_nice",
     "encode_normalized",

@@ -8,6 +8,14 @@ with the data).  We substitute the classic greedy elimination heuristics
 -- min-degree and min-fill -- which produce valid decompositions whose
 width is near-optimal on the graph families used here, plus an exact
 branch-and-bound in :mod:`repro.treewidth.exact` for small instances.
+Each caller uses one order.  Admission's rebuild
+(:func:`repro.admission.redecompose`) runs min-degree, which is exact
+at treewidth <= 2 -- such a graph always has a vertex of degree <= 2,
+and eliminating it contracts an edge, leaving a minor of treewidth <= 2
+again -- so it rebuilds every structure of the widths that compile
+within them.  :func:`decompose_graph` and :func:`decompose_structure`,
+the Section 5 front end's, run min-fill.  Neither order is exact from
+width 3 on.
 ``src/repro/core/README.md`` records the substitution (**Substitutions**)
 and what each front-end stage costs per solve (**The solve front end**).
 
@@ -156,92 +164,26 @@ def decomposition_from_order(
     return TreeDecomposition(tree, bags)
 
 
-#: order name -> elimination-order heuristic
-_ORDERS: dict[str, Callable[[Graph], list[Vertex]]] = {
-    "min_fill": min_fill_order,
-    "min_degree": min_degree_order,
-}
+def decompose_graph(graph: Graph) -> TreeDecomposition:
+    """Min-fill tree decomposition of a graph.
 
-#: the escalation of :func:`decompose_within`: min-fill first (usually
-#: the smaller width, and the historical default), then min-degree, which
-#: is exact on treewidth <= 2 -- such a graph always has a vertex of
-#: degree <= 2, and eliminating it contracts an edge, leaving a minor of
-#: treewidth <= 2 again
-ESCALATION = ("min_fill", "min_degree")
-
-
-def _from_method(graph: Graph, method: str) -> TreeDecomposition:
-    try:
-        order = _ORDERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return decomposition_from_order(graph, order(graph))
-
-
-def decompose_graph(graph: Graph, method: str = "min_fill") -> TreeDecomposition:
-    """Heuristic tree decomposition of a graph.
-
-    ``method`` is ``"min_fill"`` (default, usually smaller width) or
-    ``"min_degree"`` (faster).  The result is always a *valid*
-    decomposition, checked against ``graph``; only its width is
-    heuristic.
+    The result is always a *valid* decomposition, checked against
+    ``graph``; only its width is heuristic.
     """
-    td = _from_method(graph, method)
+    td = decomposition_from_order(graph, min_fill_order(graph))
     td.validate_for_graph(graph)
     return td
 
 
-def decompose_structure(
-    structure: Structure, method: str = "min_fill"
-) -> TreeDecomposition:
-    """Heuristic tree decomposition of an arbitrary tau-structure.
+def decompose_structure(structure: Structure) -> TreeDecomposition:
+    """Min-fill tree decomposition of an arbitrary tau-structure.
 
     Decomposes the Gaifman graph; bags then automatically cover every
     relation tuple (each tuple's elements form a clique there).  The
     result is checked once, against the structure's own tuples (which
     subsumes the Gaifman edges).
     """
-    td = _from_method(gaifman_graph(structure), method)
+    graph = gaifman_graph(structure)
+    td = decomposition_from_order(graph, min_fill_order(graph))
     td.validate_for_structure(structure)
     return td
-
-
-def decompose_within(
-    structure: Structure,
-    width: int,
-    proceed: Callable[[], bool] | None = None,
-) -> tuple[TreeDecomposition | None, str | None]:
-    """The lowest-width decomposition of ``structure`` over
-    :data:`ESCALATION`.
-
-    Tries each order in turn on one Gaifman graph and stops at the first
-    decomposition of width <= ``width``; otherwise returns the narrowest
-    one found, with the method that built it.  A method that raises is
-    skipped, and its error propagates only if no method built anything.
-    ``proceed`` is asked before every attempt, and ``False`` ends the
-    escalation early (``(None, None)`` if nothing was built yet).
-
-    The result is **not** checked against the Section 2.2 axioms: an
-    elimination-order decomposition is valid by construction, and its
-    one caller that solves on it, admission's
-    :func:`repro.admission.redecompose`, checks it exactly once.
-    """
-    graph = gaifman_graph(structure)
-    best: TreeDecomposition | None = None
-    best_method: str | None = None
-    failure: Exception | None = None
-    for method in ESCALATION:
-        if proceed is not None and not proceed():
-            break
-        try:
-            candidate = _from_method(graph, method)
-        except Exception as exc:  # the next strategy may still succeed
-            failure = exc
-            continue
-        if best is None or candidate.width < best.width:
-            best, best_method = candidate, method
-        if best.width <= width:
-            break
-    if best is None and failure is not None:
-        raise failure
-    return best, best_method

@@ -114,7 +114,7 @@ class TestRepair:
         )
         assert result.action == "solve"
         assert result.report.verdict == "repaired"
-        assert result.report.repairs == ("redecomposed:min_fill",)
+        assert result.report.repairs == ("redecomposed:min_degree",)
         assert result.report.redecomposed
         assert verify_decomposition(result.td, s, 1) == []
 
@@ -201,13 +201,12 @@ class TestDegrade:
     def test_failing_strategies_are_named_not_blamed_on_the_budget(
         self, monkeypatch
     ):
-        from repro.treewidth import heuristics
+        from repro import admission
 
         def broken(graph):
             raise RuntimeError("strategy failed")
 
-        for method in heuristics.ESCALATION:
-            monkeypatch.setitem(heuristics._ORDERS, method, broken)
+        monkeypatch.setattr(admission, "min_degree_order", broken)
         result = admit(
             path_structure(5), signature=GRAPH_SIGNATURE, width=1,
             policy="degrade",

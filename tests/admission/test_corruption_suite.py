@@ -7,13 +7,12 @@ evaluation."""
 
 from hypothesis import given, strategies as st
 
-from repro.admission import admit, verify_decomposition
+from repro.admission import admit, redecompose, verify_decomposition
 from repro.errors import AdmissionRejected
 from repro.mso import formulas, query as mso_query
 from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
 from repro.structures.graphs import subgraph
 from repro.treewidth import RootedTree, TreeDecomposition, decompose_structure
-from repro.treewidth.heuristics import ESCALATION, decompose_within
 
 from ..conftest import small_graphs, small_trees
 
@@ -182,7 +181,7 @@ def test_rebuild_is_complete_at_the_compiled_widths(case, directives):
     names the rebuild and nothing else -- no bag is patched."""
     graph, width = case
     structure = graph_to_structure(graph)
-    td, _ = decompose_within(structure, width)
+    td, _ = redecompose(structure)
     assert verify_decomposition(td, structure, width) == []
     mutated = clone_td(td)
     apply_mutations(mutated, directives)
@@ -199,9 +198,7 @@ def test_rebuild_is_complete_at_the_compiled_widths(case, directives):
     if defects:
         assert result.report.verdict == "repaired"
         assert result.report.redecomposed
-        assert result.report.repairs in {
-            (f"redecomposed:{method}",) for method in ESCALATION
-        }
+        assert result.report.repairs == ("redecomposed:min_degree",)
     else:
         assert result.report.verdict == "admitted"
         assert result.report.repairs == ()

@@ -358,6 +358,30 @@ class TestServiceThroughput:
             == _bench_module().SCHEMA_VERSION
         )
 
+    def test_every_section_names_the_schema(self):
+        module = _service_bench_module()
+        payload = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
+        for name in module.SECTIONS:
+            assert payload[name]["schema_note"] == (
+                f"{name} section of {module.ENGINE_SCHEMA}"
+            )
+
+    def test_a_stale_section_fails_the_drift_check(self, tmp_path):
+        module = _service_bench_module()
+        path = tmp_path / "BENCH_engine.json"
+        stale = {"schema_note": "admission section of bench-engine/v1"}
+        baseline = {"schema": module.ENGINE_SCHEMA, "admission": stale}
+        fresh = {
+            "schema_note": "service_throughput section of "
+            + module.ENGINE_SCHEMA
+        }
+        failures = module.record_section(
+            path, baseline, "service_throughput", fresh
+        )
+        assert len(failures) == 1 and "admission" in failures[0]
+        assert json.loads(path.read_text())["service_throughput"] == fresh
+        assert module.record_section(path, baseline, "admission", {}) == []
+
     def test_checked_in_record_shape(self, record):
         assert record["identical"] is True
         assert record["workers"] >= 2

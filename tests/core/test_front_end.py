@@ -2,10 +2,11 @@
 
 Two properties of the admitted solve:
 
-* **Exactness.** A td-less solve decomposes through the min-fill ->
-  min-degree escalation of :func:`repro.treewidth.decompose_within`.
-  Min-fill alone overshoots width 2 on some treewidth-2 inputs; the
-  escalation does not, because min-degree is exact at treewidth <= 2.
+* **Exactness.** A td-less solve decomposes through admission's
+  min-degree rebuild (:func:`repro.admission.redecompose`).  Min-fill
+  (the Section 5 front end's order) overshoots width 2 on some
+  treewidth-2 inputs; min-degree does not, because it is exact at
+  treewidth <= 2.
 * **One validation.** Every request runs the Section 2.2 axiom check
   once, in admission, on the decomposition it rebuilt or was handed;
   ``CourcelleSolver._prepare`` checks only the Definition 2.3 shape.
@@ -15,12 +16,13 @@ import random
 
 import pytest
 
+from repro import admission
 from repro.core import CourcelleSolver, grid_graph_filter, undirected_graph_filter
 from repro.errors import AdmissionRejected
 from repro.mso import formulas, query
 from repro.problems import random_partial_ktree
 from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
-from repro.treewidth import TreeDecomposition, decompose_structure, heuristics
+from repro.treewidth import TreeDecomposition, decompose_structure
 
 from ..conftest import deleted_ladders
 
@@ -69,17 +71,15 @@ class TestWidthTwoExactness:
             if checked < 4:
                 assert answer == query(structure, formulas.has_neighbor("x"), "x")
                 checked += 1
-        # the draw does exercise the escalation
+        # the draw does hold inputs min-fill would decompose too wide
         assert overshoots > 0
 
     def test_no_budget_leaves_the_rebuild_unbounded(
         self, grid_solver, monkeypatch
     ):
-        """Without a caller budget no clock stops the escalation: an
-        input min-fill decomposes too wide reaches min-degree however
-        long min-fill took.  The admission clock bounds only a degraded
-        evaluation."""
-        from repro import admission
+        """Without a caller budget no clock stops the rebuild, even on
+        an input min-fill decomposes too wide.  The admission clock
+        bounds only a degraded evaluation."""
         from repro.datalog.budget import SolveBudget
 
         monkeypatch.setattr(
@@ -117,22 +117,13 @@ class TestWidthTwoExactness:
 
 
 class TestFailingStrategies:
-    def test_solve_skips_a_failing_strategy(self, path_solver, monkeypatch):
-        def broken(graph):
-            raise RuntimeError("min-fill failed")
-
-        monkeypatch.setitem(heuristics._ORDERS, "min_fill", broken)
-        graph = Graph.path(9)
-        assert path_solver.query(graph_to_structure(graph)) == non_isolated(graph)
-
     def test_error_surfaces_when_every_strategy_fails(
         self, path_solver, monkeypatch
     ):
         def broken(graph):
             raise RuntimeError("strategy failed")
 
-        for method in heuristics.ESCALATION:
-            monkeypatch.setitem(heuristics._ORDERS, method, broken)
+        monkeypatch.setattr(admission, "min_degree_order", broken)
         with pytest.raises(AdmissionRejected, match="strategy failed") as err:
             path_solver.query(graph_to_structure(Graph.path(9)))
         (violation,) = err.value.report.residual

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.admission import redecompose
 from repro.datalog import SetDatabase
 from repro.datalog.interning import iter_bits
 from repro.problems import (
@@ -25,7 +26,6 @@ from repro.treewidth import (
     TreeDecomposition,
     decompose_graph,
     decompose_structure,
-    decompose_within,
     encode_nice,
     encode_normalized,
     load_nice,
@@ -177,7 +177,7 @@ def labelled_graphs(draw):
 
 
 def normalized_at(structure, width):
-    td, _ = decompose_within(structure, width)
+    td, _ = redecompose(structure)
     if td.width < width:
         td = widen(td, width)
     return normalize(td)

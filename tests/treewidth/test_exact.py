@@ -6,7 +6,10 @@ from hypothesis import given
 from repro.structures import Graph, gaifman_graph, running_example
 from repro.treewidth import (
     decompose_graph,
+    decomposition_from_order,
     is_treewidth_at_most,
+    min_degree_order,
+    min_fill_order,
     treewidth_exact,
 )
 
@@ -52,8 +55,8 @@ def test_heuristics_upper_bound_exact(g):
     if g.vertex_count() == 0:
         return
     exact = treewidth_exact(g)
-    assert decompose_graph(g, "min_fill").width >= exact
-    assert decompose_graph(g, "min_degree").width >= exact
+    for order in (min_fill_order, min_degree_order):
+        assert decomposition_from_order(g, order(g)).width >= exact
 
 
 @given(small_trees(max_vertices=8))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.admission import redecompose
 from repro.problems import random_partial_ktree, random_schema
 from repro.problems.primality import _schema_sort_keys
 from repro.structures import Graph, Signature, Structure, graph_to_structure
@@ -26,7 +27,6 @@ from repro.treewidth import (
     RootedTree,
     TreeDecomposition,
     decompose_structure,
-    decompose_within,
     make_nice,
     min_degree_order,
     min_fill_order,
@@ -425,6 +425,6 @@ class TestOnePassNormalForm:
         inputs = []
         for graph, width in graphs:
             structure = graph_to_structure(graph)
-            td, _ = decompose_within(structure, width)
+            td, _ = redecompose(structure)
             inputs.append((widen(td, width) if td.width < width else td, structure))
         assert_normal_forms(inputs)

@@ -43,13 +43,14 @@ class TestDecompositionConstruction:
 
     @given(small_graphs())
     def test_heuristic_decompositions_are_valid(self, g):
-        for method in ("min_fill", "min_degree"):
-            td = decompose_graph(g, method=method)
-            td.validate_for_graph(g)
+        for order in (min_fill_order, min_degree_order):
+            decomposition_from_order(g, order(g)).validate_for_graph(g)
 
     def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            decompose_graph(Graph.path(2), method="magic")
+        """Each caller has its one order: the front end takes no
+        ``method``."""
+        with pytest.raises(TypeError):
+            decompose_graph(Graph.path(2), method="min_degree")
 
     def test_known_widths(self):
         assert decompose_graph(Graph.path(6)).width == 1
