@@ -375,7 +375,9 @@ class CourcelleSolver:
                     "decompositions"
                 )
         if service is not None:
-            return service.solve_many(self, structures, tds, admission=admission)
+            return service.register(self).solve_many(
+                structures, tds, admission=admission
+            )
         return [
             _solve_item(self, s, td, admission)
             for s, td in zip(structures, tds)

@@ -16,15 +16,15 @@ The serving layer is fault-tolerant: per-request deadlines
 and shard splitting, poison-input quarantine (:class:`PoisonInput`),
 cooperative solve budgets (:class:`repro.datalog.SolveBudget` /
 :class:`repro.datalog.BudgetExceeded`), and a deterministic
-fault-injection harness (:mod:`repro.service.faults`, the
-``REPRO_SERVICE_FAULTS`` variable).  See the "Failure semantics"
+fault-injection harness (:mod:`repro.service.faults`, armed only by
+``SolverService(faults=)``).  See the "Failure semantics"
 section of ``README.md`` in this directory for the contract, and
 ``benchmarks/bench_solver_service.py`` for the throughput + resilience
 harness that CI gates (``service_throughput`` / ``service_resilience``
 in ``BENCH_engine.json``).
 """
 
-from .faults import FAULTS_ENV, FaultPlan, FaultSpec
+from .faults import FaultPlan, FaultSpec
 from .service import (
     DeadlineExceeded,
     PoisonInput,
@@ -42,7 +42,6 @@ from .service import (
 
 __all__ = [
     "DeadlineExceeded",
-    "FAULTS_ENV",
     "FaultPlan",
     "FaultSpec",
     "PoisonInput",

@@ -3,11 +3,11 @@
 The service's fault-tolerance claims (crash recovery, retry caps,
 poison quarantine, deadline enforcement) are only testable if failures
 can be *provoked on demand, deterministically*.  This module is the
-harness: a :class:`FaultPlan` -- built from a spec string, either
-passed to :class:`~repro.service.SolverService` directly or picked up
-from the ``REPRO_SERVICE_FAULTS`` environment variable -- arms faults
+harness: a :class:`FaultPlan` -- built from a spec string and passed
+to :class:`~repro.service.SolverService` as ``faults=`` -- arms faults
 at named sites inside the service, and the service consults
-:meth:`FaultPlan.trigger` at each site.
+:meth:`FaultPlan.trigger` at each site.  Nothing else arms a plan: a
+service built without ``faults=`` injects nothing.
 
 Spec grammar (``;``-separated specs, whitespace ignored)::
 
@@ -46,16 +46,12 @@ counter state.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 import time
 from dataclasses import dataclass
 
-__all__ = ["FAULTS_ENV", "FaultPlan", "FaultSpec", "SITES"]
-
-#: environment variable consulted by :meth:`FaultPlan.from_env`
-FAULTS_ENV = "REPRO_SERVICE_FAULTS"
+__all__ = ["FaultPlan", "FaultSpec", "SITES"]
 
 #: the named hook points the service exposes
 SITES = (
@@ -185,12 +181,6 @@ class FaultPlan:
         return cls(
             part for part in text.split(";") if part.strip()
         )
-
-    @classmethod
-    def from_env(cls, environ=None) -> "FaultPlan":
-        """The plan armed by ``REPRO_SERVICE_FAULTS`` (empty if unset)."""
-        environ = environ if environ is not None else os.environ
-        return cls.parse(environ.get(FAULTS_ENV))
 
     def __bool__(self) -> bool:
         return bool(self.specs)

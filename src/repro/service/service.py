@@ -27,8 +27,8 @@ caller-held service; without ``service=`` a batch is solved in process.
   drains the queue and all in-flight shards, then stops the workers;
   ``drain=False`` cancels queued requests and abandons in-flight work.
   Workers that ignore the stop message are escalated ``terminate()``
-  -> ``kill()`` after ``shutdown_grace`` so a hung solve can never
-  leak a process silently.
+  -> ``kill()`` after :data:`SHUTDOWN_GRACE` seconds so a hung solve
+  can never leak a process silently.
 * **Fault tolerance.**  The paper's linear-time guarantee holds *for
   structures of bounded treewidth*; a service facing arbitrary inputs
   must survive requests that blow time, memory, or the worker itself:
@@ -44,7 +44,7 @@ caller-held service; without ``service=`` a batch is solved in process.
     attached) and is **fingerprint-quarantined**: repeat submissions
     fail fast without touching a worker, until
     :meth:`SolverService.evict_quarantine`;
-  - per-request ``timeout=``/``deadline=`` fail expired requests with
+  - a per-request ``timeout=`` fails an expired request with
     :class:`DeadlineExceeded` at (or instead of) dispatch, and a worker
     whose whole in-flight shard is past its deadlines is killed and
     counted (``workers_killed_overdue``) -- the backstop that also
@@ -53,9 +53,9 @@ caller-held service; without ``service=`` a batch is solved in process.
     quasi-guarded fixpoint loops raise
     :class:`repro.datalog.BudgetExceeded` *cooperatively* (the worker
     survives, its warm cache intact);
-  - all of it is testable on demand through
-    :mod:`repro.service.faults` -- deterministic crash / slow / drop /
-    stall injection at named sites.
+  - all of it is testable on demand through ``faults=``
+    (:mod:`repro.service.faults`) -- deterministic crash / slow / drop
+    / stall injection at named sites.
 
   The long-form contract lives in the package README's "Failure
   semantics" section.
@@ -107,6 +107,14 @@ __all__ = [
 
 #: exit code of a fault-injected worker crash (``crash@worker.solve``)
 FAULT_CRASH_EXIT = 43
+
+#: seconds between the scheduler's and collector's timed wake-ups (a
+#: worker death or respawn notifies nobody) and between drain checks
+POLL_INTERVAL = 0.05
+
+#: seconds each shutdown join waits before escalating a worker
+#: terminate() -> kill()
+SHUTDOWN_GRACE = 5.0
 
 
 class ServiceClosed(RuntimeError):
@@ -292,6 +300,22 @@ class _Request:
             fp = self._fp = structure_fingerprint(self.structure)
         return fp
 
+    def expired(self, now: float) -> bool:
+        return self.deadline is not None and now >= self.deadline
+
+
+def _shard_failed(
+    request: _Request, key: str, brief: str, worker_tb: str
+) -> ShardFailed:
+    """The failure of a request whose worker raised ``brief``."""
+    return ShardFailed(
+        f"solver worker failed: {brief}\n"
+        f"(program {key}; structure {request.fingerprint})\n"
+        f"--- worker traceback ---\n{worker_tb}",
+        fingerprint=request.fingerprint,
+        program_key=key,
+    )
+
 
 class _Shard:
     """A dispatchable unit: consecutive requests of one program.
@@ -363,21 +387,18 @@ def _solve_request(solver, structure, td, budget, admission=None):
     """Solve one request inside a worker; an outcome tuple.
 
     ``("adm", verdict, value)`` (served through the admission ladder) /
-    ``("rej", exc)`` (rejected by it) /
-    ``("budget", message, dimension, limit, consumed)`` /
+    ``("exc", exc)`` (a typed :class:`AdmissionRejected` or
+    :class:`BudgetExceeded`, pickled whole) /
     ``("err", brief, traceback)``.  Per-request, so one failing
     structure cannot take down its shard-mates' answers, and a
     malformed request resolves as a typed rejection."""
     try:
-        try:
-            answer, report = solver.solve_admitted(
-                structure, td, policy=admission, budget=budget
-            )
-            return ("adm", report.verdict, answer)
-        except AdmissionRejected as exc:
-            return ("rej", exc)
-        except BudgetExceeded as exc:
-            return ("budget", str(exc), exc.dimension, exc.limit, exc.consumed)
+        answer, report = solver.solve_admitted(
+            structure, td, policy=admission, budget=budget
+        )
+        return ("adm", report.verdict, answer)
+    except (AdmissionRejected, BudgetExceeded) as exc:
+        return ("exc", exc)
     except BaseException as exc:
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
@@ -492,6 +513,12 @@ class ProgramHandle:
             return admission
         return self._service.admission
 
+    @staticmethod
+    def _deadline(timeout: float | None) -> float | None:
+        """The absolute ``time.monotonic()`` deadline ``timeout``
+        seconds from now (``None``: unbounded)."""
+        return None if timeout is None else time.monotonic() + timeout
+
     def submit(
         self,
         structure,
@@ -499,33 +526,29 @@ class ProgramHandle:
         *,
         block: bool = True,
         timeout: float | None = None,
-        deadline: float | None = None,
         admission: str | None = None,
     ) -> Future:
         """Enqueue one solve; returns the future of its answer.
 
-        ``timeout`` (seconds from now) or ``deadline`` (absolute
-        ``time.monotonic()`` value) bound how long the request may wait
-        + run: an expired request fails with :class:`DeadlineExceeded`
-        instead of occupying a worker.  A quarantined structure fails
-        fast with :class:`PoisonInput` (or, when the same structure was
-        rejected under this program, policy and decomposition, the
-        stored :class:`repro.errors.AdmissionRejected`) -- in both
-        cases the returned future is already resolved.
+        ``timeout`` (seconds from now) bounds how long the request may
+        wait + run: an expired request fails with
+        :class:`DeadlineExceeded` instead of occupying a worker (a
+        ``timeout`` of zero or less fails it at once).  A quarantined
+        structure fails fast with :class:`PoisonInput` (or, when the
+        same structure was rejected under this program, policy and
+        decomposition, the stored
+        :class:`repro.errors.AdmissionRejected`) -- in both cases the
+        returned future is already resolved.
 
         ``admission`` names the request's admission policy (overriding
         the service's); rejected requests fail their future with
         ``AdmissionRejected`` and are quarantined in that scope."""
-        if timeout is not None:
-            if deadline is not None:
-                raise ValueError("pass timeout= or deadline=, not both")
-            deadline = time.monotonic() + timeout
         return self._service._submit(
             self.key,
             structure,
             td,
             block=block,
-            deadline=deadline,
+            deadline=self._deadline(timeout),
             admission=self._policy(admission),
         )
 
@@ -536,12 +559,16 @@ class ProgramHandle:
         *,
         block: bool = True,
         timeout: float | None = None,
-        deadline: float | None = None,
         admission: str | None = None,
     ) -> list[Future]:
         """Enqueue a batch; returns one future per structure, in input
         order.  ``timeout`` is converted to one shared deadline for the
         whole batch (not per request)."""
+        return self._enqueue(
+            structures, tds, block, self._deadline(timeout), admission
+        )
+
+    def _enqueue(self, structures, tds, block, deadline, admission):
         structures = list(structures)
         if tds is None:
             tds = [None] * len(structures)
@@ -552,13 +579,10 @@ class ProgramHandle:
                     f"{len(structures)} structures but {len(tds)} "
                     "decompositions"
                 )
-        if timeout is not None:
-            if deadline is not None:
-                raise ValueError("pass timeout= or deadline=, not both")
-            deadline = time.monotonic() + timeout
+        policy = self._policy(admission)
         return [
-            self.submit(
-                s, td, block=block, deadline=deadline, admission=admission
+            self._service._submit(
+                self.key, s, td, block=block, deadline=deadline, admission=policy
             )
             for s, td in zip(structures, tds)
         ]
@@ -580,10 +604,8 @@ class ProgramHandle:
         place of an answer instead of the whole batch raising on the
         first bad input.  Any other failure raises at its slot, e.g.
         :class:`ShardFailed`."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        futures = self.submit_many(
-            structures, tds, deadline=deadline, admission=admission
-        )
+        deadline = self._deadline(timeout)
+        futures = self._enqueue(structures, tds, True, deadline, admission)
         results = []
         for future in futures:
             remaining = (
@@ -613,9 +635,8 @@ class SolverService:
 
     ``workers`` defaults to :func:`default_worker_count`.
     ``max_pending`` bounds the request queue (backpressure);
-    ``max_shard`` caps how many requests one dispatch bundles.
-    ``context`` picks the multiprocessing start method (name or
-    context object); the platform default is used otherwise.
+    ``max_shard`` caps how many requests one dispatch bundles.  Workers
+    start with the platform's default multiprocessing start method.
 
     Fault tolerance knobs:
 
@@ -629,11 +650,8 @@ class SolverService:
       every solve (cooperative: over-budget solves raise
       :class:`repro.datalog.BudgetExceeded`, the worker survives);
     * ``faults`` -- a :class:`~repro.service.faults.FaultPlan` (or its
-      spec string) arming deterministic fault injection; defaults to
-      ``FaultPlan.from_env()`` (the ``REPRO_SERVICE_FAULTS``
-      variable), empty in production;
-    * ``shutdown_grace`` -- seconds each shutdown join waits before
-      escalating terminate() -> kill();
+      spec string) arming deterministic fault injection; ``None`` (the
+      default) arms nothing;
     * ``admission`` -- the :data:`repro.admission.POLICIES` name
       (``"strict"`` / ``"repair"`` / ``"degrade"``) every request is
       admitted under unless it names its own; ``None`` (the default)
@@ -657,13 +675,10 @@ class SolverService:
         *,
         max_pending: int = 1024,
         max_shard: int = 64,
-        poll_interval: float = 0.05,
-        context=None,
         max_retries: int = 3,
         retry_backoff: float = 0.05,
         budget: SolveBudget | None = None,
         faults: "FaultPlan | str | None" = None,
-        shutdown_grace: float = 5.0,
         admission: str | None = None,
     ):
         if workers is None:
@@ -694,22 +709,12 @@ class SolverService:
         self.max_shard = max_shard
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.shutdown_grace = shutdown_grace
         self.budget = (
             None if budget is not None and budget.unlimited else budget
         )
-        if faults is None:
-            faults = FaultPlan.from_env()
-        elif isinstance(faults, str):
+        if faults is None or isinstance(faults, str):
             faults = FaultPlan.parse(faults)
         self._faults = faults
-        self._poll = poll_interval
-        if context is None:
-            self._ctx = multiprocessing.get_context()
-        elif isinstance(context, str):
-            self._ctx = multiprocessing.get_context(context)
-        else:
-            self._ctx = context
         self.stats = ServiceStats()
         self._lock = threading.Lock()
         #: scheduler wake-ups and drain waiters
@@ -797,15 +802,6 @@ class SolverService:
                 self._payloads[key] = payload
         return handle
 
-    def solve_many(
-        self, solver, structures, tds=None, timeout=None, admission=None
-    ) -> list:
-        """``CourcelleSolver.solve_many(..., service=self)`` lands
-        here: register (cached) and solve the batch on the warm pool."""
-        return self.register(solver).solve_many(
-            structures, tds, timeout, admission=admission
-        )
-
     # -- quarantine ----------------------------------------------------
 
     def quarantined(self) -> tuple[QuarantineRecord, ...]:
@@ -840,62 +836,30 @@ class SolverService:
         worker dying mid-drain cannot hang it).  ``drain=False``
         cancels queued requests, abandons in-flight shards (their
         futures get :class:`ServiceClosed`), and terminates the workers
-        immediately.  Idempotent; ``timeout`` bounds the drain wait.
-        Workers that outlive ``shutdown_grace`` per join are escalated
-        terminate() -> kill() and counted in
+        immediately.  Idempotent; ``timeout`` bounds the drain wait, and
+        a drain that runs out of it abandons the rest the same way.
+        Workers that outlive :data:`SHUTDOWN_GRACE` per join are
+        escalated terminate() -> kill() and counted in
         ``stats.shutdown_escalations``.
         """
-        abandoned: list[Future] = []
         with self._work:
             if self._stopped:
                 return
             self._closed = True
             self._space.notify_all()
-            if not drain:
-                for _key, request in self._pending:
-                    request.future.cancel()
-                self._pending.clear()
-                for shard in self._shards:
-                    for request in shard.requests:
-                        if not request.future.cancel():
-                            abandoned.append(request.future)
-                self._shards.clear()
-                self._queued = 0
-                for shard in self._inflight.values():
-                    abandoned.extend(
-                        request.future for request in shard.requests
-                    )
-                self._inflight.clear()
-                for worker in self._workers:
-                    worker.inflight.clear()
-            else:
+            if drain:
                 deadline = (
                     None
                     if timeout is None
                     else time.monotonic() + timeout
                 )
                 while self._queued or self._inflight or self._shards:
-                    self._work.wait(self._poll)
+                    self._work.wait(POLL_INTERVAL)
                     if deadline is not None and time.monotonic() >= deadline:
                         break
-                if self._queued or self._inflight or self._shards:
-                    # drain timed out: abandon what's left so no future
-                    # hangs forever after the workers stop
-                    for _key, request in self._pending:
-                        if not request.future.cancel():
-                            abandoned.append(request.future)
-                    self._pending.clear()
-                    for shard in self._shards:
-                        for request in shard.requests:
-                            if not request.future.cancel():
-                                abandoned.append(request.future)
-                    self._shards.clear()
-                    self._queued = 0
-                    for shard in self._inflight.values():
-                        abandoned.extend(
-                            request.future for request in shard.requests
-                        )
-                    self._inflight.clear()
+            # anything left (no drain, or the drain timed out) is
+            # abandoned so no future hangs after the workers stop
+            abandoned = self._abandon_locked()
             self._stopped = True
             self._work.notify_all()
         # past this point no thread dispatches or resolves anything new
@@ -913,19 +877,19 @@ class SolverService:
                         pass
                 else:
                     worker.process.terminate()
-        self._scheduler.join(timeout=self.shutdown_grace)
+        self._scheduler.join(timeout=SHUTDOWN_GRACE)
         for worker in self._workers:
-            worker.process.join(timeout=self.shutdown_grace)
+            worker.process.join(timeout=SHUTDOWN_GRACE)
             if worker.process.is_alive():
                 # the stop message was ignored (hung or very slow
                 # solve): escalate rather than leak the process
                 worker.process.terminate()
                 self.stats.shutdown_escalations += 1
-                worker.process.join(timeout=self.shutdown_grace)
+                worker.process.join(timeout=SHUTDOWN_GRACE)
                 if worker.process.is_alive():  # pragma: no cover - SIGTERM ignored
                     worker.process.kill()
                     self.stats.shutdown_escalations += 1
-                    worker.process.join(timeout=self.shutdown_grace)
+                    worker.process.join(timeout=SHUTDOWN_GRACE)
         self._collector_stop.set()
         self._collector.join(timeout=5)
         for worker in self._workers:
@@ -934,7 +898,35 @@ class SolverService:
             except OSError:  # pragma: no cover
                 pass
 
-    close = shutdown
+    def _abandon_locked(self) -> list[Future]:
+        """Empty the queue and the in-flight registry at shutdown.
+
+        Queued futures are cancelled; the ones that can no longer be
+        (already running: an in-flight shard or a crash retry) are
+        returned for the caller to fail with :class:`ServiceClosed`."""
+        abandoned = [
+            request.future
+            for _key, request in self._pending
+            if not request.future.cancel()
+        ]
+        abandoned.extend(
+            request.future
+            for shard in self._shards
+            for request in shard.requests
+            if not request.future.cancel()
+        )
+        abandoned.extend(
+            request.future
+            for shard in self._inflight.values()
+            for request in shard.requests
+        )
+        self._pending.clear()
+        self._shards.clear()
+        self._inflight.clear()
+        self._queued = 0
+        for worker in self._workers:
+            worker.inflight.clear()
+        return abandoned
 
     # -- submission ----------------------------------------------------
 
@@ -984,12 +976,11 @@ class SolverService:
                             history=record.history,
                         )
             if reject is None and deadline is not None:
-                late = time.monotonic() - deadline
-                if late >= 0:
-                    self.stats.deadline_expired += 1
-                    reject = DeadlineExceeded(
-                        f"request deadline was already {late:.3f}s past "
-                        "at submit"
+                now = time.monotonic()
+                if request.expired(now):
+                    # never accepted: not counted as submitted or failed
+                    reject = self._deadline_exceeded_locked(
+                        request, now, "at submit", accepted=False
                     )
             if reject is None:
                 while self._queued >= self.max_pending:
@@ -998,7 +989,7 @@ class SolverService:
                             f"request queue is full "
                             f"({self._queued}/{self.max_pending})"
                         )
-                    self._space.wait(self._poll)
+                    self._space.wait(POLL_INTERVAL)
                     if self._closed:
                         raise ServiceClosed("service shut down while waiting")
                 self._pending.append((key, request))
@@ -1012,6 +1003,20 @@ class SolverService:
             # can see the future
             future.set_exception(reject)
         return future
+
+    def _deadline_exceeded_locked(
+        self, request: _Request, now: float, when: str, *, accepted=True
+    ) -> DeadlineExceeded:
+        """Count one expired request and build its failure; ``when``
+        says where the deadline caught it.  A request refused at submit
+        was never ``accepted``: it counts as expired, not as failed."""
+        self.stats.deadline_expired += 1
+        if accepted:
+            self.stats.failed += 1
+        return DeadlineExceeded(
+            f"request deadline expired {now - request.deadline:.3f}s "
+            f"ago, {when}"
+        )
 
     # -- scheduler -----------------------------------------------------
 
@@ -1033,7 +1038,7 @@ class SolverService:
             with self._work:
                 while not self._stopped and not self._dispatchable_locked():
                     # timed wait: worker deaths / respawns don't notify
-                    self._work.wait(self._poll)
+                    self._work.wait(POLL_INTERVAL)
                 if self._stopped:
                     return
             if faults:
@@ -1077,55 +1082,32 @@ class SolverService:
 
     def _send_locked(self, worker: _Worker, shard: _Shard, expired) -> None:
         now = time.monotonic()
-        if not shard.dispatched:
+        first = not shard.dispatched
+        if first:
             self._queued -= len(shard.requests)
             self._space.notify_all()
-            # cancelled-while-queued requests drop out here; expired
-            # ones fail with DeadlineExceeded instead of occupying a
-            # worker; the rest transition to running (cancel() is
-            # refused from now on)
-            live = []
-            for request in shard.requests:
-                if not request.future.set_running_or_notify_cancel():
-                    continue
-                if request.deadline is not None and now >= request.deadline:
-                    self.stats.deadline_expired += 1
-                    self.stats.failed += 1
-                    expired.append(
-                        (
-                            request,
-                            DeadlineExceeded(
-                                "request deadline expired "
-                                f"{now - request.deadline:.3f}s before "
-                                "dispatch"
-                            ),
-                        )
-                    )
-                    continue
-                live.append(request)
-            shard.requests = live
             shard.dispatched = True
-        else:
-            # a retry: futures are already running, but the wait in the
-            # backoff window may have outlived some deadlines
-            live = []
-            for request in shard.requests:
-                if request.deadline is not None and now >= request.deadline:
-                    self.stats.deadline_expired += 1
-                    self.stats.failed += 1
-                    expired.append(
-                        (
-                            request,
-                            DeadlineExceeded(
-                                "request deadline expired "
-                                f"{now - request.deadline:.3f}s before "
-                                "its retry could dispatch"
-                            ),
-                        )
+        # on first dispatch cancelled-while-queued requests drop out and
+        # the rest transition to running (cancel() is refused from now
+        # on); a retry's futures already run.  Either way an expired
+        # request fails instead of occupying a worker -- a retry's
+        # backoff wait may have outlived its deadline.
+        live = []
+        for request in shard.requests:
+            if first and not request.future.set_running_or_notify_cancel():
+                continue
+            if request.expired(now):
+                expired.append(
+                    (
+                        request,
+                        self._deadline_exceeded_locked(
+                            request, now, "before dispatch"
+                        ),
                     )
-                    continue
-                live.append(request)
-            shard.requests = live
+                )
+                continue
+            live.append(request)
+        shard.requests = live
         if not shard.requests:
             return
         if shard.key not in worker.loaded:
@@ -1162,12 +1144,12 @@ class SolverService:
                 if not worker.eof
             ]
         if not readers:
-            time.sleep(self._poll)
+            time.sleep(POLL_INTERVAL)
             return []
         try:
-            ready = _pipe_wait([r for _w, r in readers], timeout=self._poll)
+            ready = _pipe_wait([r for _w, r in readers], timeout=POLL_INTERVAL)
         except OSError:  # pragma: no cover - fd closed under us
-            time.sleep(self._poll)
+            time.sleep(POLL_INTERVAL)
             return []
         ready = set(ready)
         messages = []
@@ -1234,47 +1216,20 @@ class SolverService:
                         self.stats.degraded += 1
                     else:
                         self.stats.admitted += 1
-                elif tag == "rej":
-                    _, exc = outcome
-                    completions.append((request.future, None, exc))
-                    self.stats.admission_rejected += 1
-                    self.stats.failed += 1
-                    self._quarantine_rejection_locked(
-                        request, shard.key, exc
-                    )
-                elif tag == "budget":
-                    _, brief, dimension, limit, consumed = outcome
-                    completions.append(
-                        (
-                            request.future,
-                            None,
-                            BudgetExceeded(
-                                brief,
-                                dimension=dimension,
-                                limit=limit,
-                                consumed=consumed,
-                            ),
+                    continue
+                self.stats.failed += 1
+                if tag == "exc":  # a typed rejection or budget overrun
+                    exc = outcome[1]
+                    if isinstance(exc, AdmissionRejected):
+                        self.stats.admission_rejected += 1
+                        self._quarantine_rejection_locked(
+                            request, shard.key, exc
                         )
-                    )
-                    self.stats.budget_exceeded += 1
-                    self.stats.failed += 1
+                    else:
+                        self.stats.budget_exceeded += 1
                 else:  # ("err", brief, worker_traceback)
-                    _, brief, worker_tb = outcome
-                    completions.append(
-                        (
-                            request.future,
-                            None,
-                            ShardFailed(
-                                f"solver worker failed: {brief}\n"
-                                f"(program {shard.key}; structure "
-                                f"{request.fingerprint})\n"
-                                f"--- worker traceback ---\n{worker_tb}",
-                                fingerprint=request.fingerprint,
-                                program_key=shard.key,
-                            ),
-                        )
-                    )
-                    self.stats.failed += 1
+                    exc = _shard_failed(request, shard.key, *outcome[1:])
+                completions.append((request.future, None, exc))
         else:  # ("error", shard_id, brief, worker_traceback) - shard-level
             _, _, brief, worker_tb = message
             for request in shard.requests:
@@ -1282,14 +1237,7 @@ class SolverService:
                     (
                         request.future,
                         None,
-                        ShardFailed(
-                            f"solver worker failed: {brief}\n"
-                            f"(program {shard.key}; structure "
-                            f"{request.fingerprint})\n"
-                            f"--- worker traceback ---\n{worker_tb}",
-                            fingerprint=request.fingerprint,
-                            program_key=shard.key,
-                        ),
+                        _shard_failed(request, shard.key, brief, worker_tb),
                     )
                 )
             self.stats.failed += len(shard.requests)
@@ -1304,58 +1252,38 @@ class SolverService:
         kill funnels into crash recovery, where the expired requests
         then fail with :class:`DeadlineExceeded`)."""
         now = time.monotonic()
-
-        def expire(request: _Request) -> None:
-            self.stats.deadline_expired += 1
-            self.stats.failed += 1
-            completions.append(
-                (
-                    request.future,
-                    None,
-                    DeadlineExceeded(
-                        "request deadline expired "
-                        f"{now - request.deadline:.3f}s ago while queued"
-                    ),
-                )
-            )
-
-        if self._pending and any(
-            r.deadline is not None and now >= r.deadline
-            for _k, r in self._pending
-        ):
+        expired: list[_Request] = []
+        if any(request.expired(now) for _key, request in self._pending):
             kept: deque[tuple[str, _Request]] = deque()
             for key, request in self._pending:
-                if request.deadline is not None and now >= request.deadline:
-                    expire(request)
+                if request.expired(now):
+                    expired.append(request)
                     self._queued -= 1
                 else:
                     kept.append((key, request))
             self._pending = kept
-            self._space.notify_all()
         for shard in self._shards:
-            if not shard.requests:
-                continue
             live = []
             for request in shard.requests:
-                if request.deadline is not None and now >= request.deadline:
-                    expire(request)
+                if request.expired(now):
+                    expired.append(request)
                     if not shard.dispatched:
                         self._queued -= 1
                 else:
                     live.append(request)
-            if len(live) != len(shard.requests):
-                shard.requests = live
-                self._space.notify_all()
+            shard.requests = live
+        if expired:
+            self._space.notify_all()
+        for request in expired:
+            exc = self._deadline_exceeded_locked(request, now, "while queued")
+            completions.append((request.future, None, exc))
         for shard in self._inflight.values():
             if not shard.requests:
                 continue
             worker = shard.worker
             if worker is None or worker.overdue_killed:
                 continue
-            if all(
-                request.deadline is not None and now >= request.deadline
-                for request in shard.requests
-            ):
+            if all(request.expired(now) for request in shard.requests):
                 if worker.process.is_alive():
                     worker.process.terminate()
                 worker.overdue_killed = True
@@ -1415,27 +1343,18 @@ class SolverService:
                 f"{exitcode}) while solving a shard of "
                 f"{len(shard.requests)} request(s)"
             )
-            if request.deadline is not None and now >= request.deadline:
-                self.stats.deadline_expired += 1
-                self.stats.failed += 1
-                completions.append(
-                    (
-                        request.future,
-                        None,
-                        DeadlineExceeded(
-                            "request deadline expired "
-                            f"{now - request.deadline:.3f}s ago "
-                            f"(its worker died {request.crashes} time(s))"
-                        ),
-                    )
+            if request.expired(now):
+                exc = self._deadline_exceeded_locked(
+                    request,
+                    now,
+                    f"after its worker died {request.crashes} time(s)",
                 )
+            elif request.crashes >= self.max_retries:
+                exc = self._poison_locked(request, shard.key)
+            else:
+                survivors.append(request)
                 continue
-            if request.crashes >= self.max_retries:
-                completions.append(
-                    (request.future, None, self._poison_locked(request, shard.key))
-                )
-                continue
-            survivors.append(request)
+            completions.append((request.future, None, exc))
         if not survivors:
             return
         self.stats.retries += len(survivors)
@@ -1506,11 +1425,11 @@ class SolverService:
     # -- workers -------------------------------------------------------
 
     def _spawn_worker(self) -> _Worker:
-        tasks = self._ctx.Queue()
+        tasks = multiprocessing.Queue()
         # one private result pipe per worker: no cross-process lock to
         # leak when a worker dies mid-send (see _Worker's docstring)
-        reader, writer = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
             target=_service_worker_main,
             args=(
                 tasks,

@@ -37,9 +37,6 @@ class Graph:
         for u, v in edges:
             self.add_edge(u, v)
 
-    def add_vertex(self, v: Hashable) -> None:
-        self._adj.setdefault(v, set())
-
     def add_edge(self, u: Hashable, v: Hashable) -> None:
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)

@@ -252,13 +252,6 @@ class Structure:
                                 edges.add((a, b))
         return edges
 
-    def atoms_involving(self, element: Element) -> Iterator[Fact]:
-        """All facts that mention ``element``."""
-        for name, rel in self._relations.items():
-            for tup in rel:
-                if element in tup:
-                    yield Fact(name, tup)
-
     # ------------------------------------------------------------------
     # Comparison
     # ------------------------------------------------------------------

@@ -326,13 +326,6 @@ class TreeDecomposition:
         if violations:
             raise InvalidDecomposition.from_violations(violations)
 
-    def is_valid_for_structure(self, structure: Structure) -> bool:
-        try:
-            self.validate_for_structure(structure)
-        except ValueError:
-            return False
-        return True
-
     # -- induced substructures (Definitions 3.1 / 3.2) --------------------
 
     def subtree_elements(self, node: NodeId) -> frozenset[Element]:

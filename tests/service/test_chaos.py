@@ -21,12 +21,14 @@ import time
 
 import pytest
 
+import repro.service.service as service_module
 from repro.core import CourcelleSolver, undirected_graph_filter
 from repro.datalog import BudgetExceeded, SolveBudget
 from repro.mso import formulas
 from repro.service import (
     DeadlineExceeded,
     PoisonInput,
+    ServiceClosed,
     ShardFailed,
     SolverService,
     structure_fingerprint,
@@ -289,22 +291,12 @@ class TestDeadlines:
     def test_already_expired_submit_fails_fast(self, solver):
         with SolverService(workers=1) as service:
             handle = service.register(solver)
-            future = handle.submit(
-                chain(5), deadline=time.monotonic() - 1.0
-            )
+            future = handle.submit(chain(5), timeout=-1.0)
             assert future.done()
             assert isinstance(future.exception(0), DeadlineExceeded)
             stats = service.stats
             assert stats.deadline_expired == 1
             assert stats.submitted == 0  # rejected before intake
-
-    def test_timeout_and_deadline_are_mutually_exclusive(self, solver):
-        with SolverService(workers=1) as service:
-            handle = service.register(solver)
-            with pytest.raises(ValueError):
-                handle.submit(chain(3), timeout=1.0, deadline=1.0)
-            with pytest.raises(ValueError):
-                handle.submit_many([chain(3)], timeout=1.0, deadline=1.0)
 
     def test_request_expires_while_queued(self, solver):
         # a deterministic 0.6s blocker occupies the only worker; the
@@ -348,7 +340,9 @@ class TestServiceBudgets:
             handle = service.register(solver)
             exc = handle.submit(chain(40)).exception(timeout=120)
             assert isinstance(exc, BudgetExceeded)
+            # every field survives the trip from the worker
             assert exc.dimension == "ground_rules"
+            assert exc.limit == 5
             assert exc.consumed["ground_rules"] > 5
             # cooperative enforcement: the worker survived
             assert service.stats.worker_restarts == 0
@@ -389,11 +383,12 @@ class TestShutdownUnderFailure:
         finally:
             service.shutdown()
 
-    def test_hung_worker_is_escalated(self, solver):
+    def test_hung_worker_is_escalated(self, solver, monkeypatch):
         # a worker stuck in a 30s solve ignores the stop sentinel; the
         # drain times out, and shutdown escalates terminate() instead
         # of leaking the process
-        service = SolverService(workers=1, shutdown_grace=0.3)
+        monkeypatch.setattr(service_module, "SHUTDOWN_GRACE", 0.3)
+        service = SolverService(workers=1)
         try:
             handle = service.register(solver)
             hung = handle.submit(Napper(chain(4), 30.0))
@@ -407,6 +402,30 @@ class TestShutdownUnderFailure:
             assert service.stats.shutdown_escalations >= 1
             assert elapsed < 10.0  # never waited out the 30s nap
             assert hung.done()
+        finally:
+            service.shutdown()
+
+    def test_drain_timeout_abandons_queued_requests(self, solver, monkeypatch):
+        # requests queued behind a hung solve when the drain runs out
+        # of time: every future still ends done -- the queued ones
+        # cancelled, the running one failed with ServiceClosed
+        monkeypatch.setattr(service_module, "SHUTDOWN_GRACE", 0.3)
+        service = SolverService(workers=1, max_shard=1)
+        try:
+            handle = service.register(solver)
+            hung = handle.submit(Napper(chain(4), 30.0))
+            deadline = time.monotonic() + 10
+            while service.queue_depth and time.monotonic() < deadline:
+                time.sleep(0.01)
+            queued = handle.submit_many([chain(n) for n in range(5, 10)])
+            assert service.queue_depth == len(queued)
+            start = time.monotonic()
+            service.shutdown(drain=True, timeout=0.4)
+            assert time.monotonic() - start < 10.0
+            assert all(future.done() for future in [hung, *queued])
+            assert isinstance(hung.exception(0), ServiceClosed)
+            assert all(future.cancelled() for future in queued)
+            assert service.queue_depth == 0
         finally:
             service.shutdown()
 

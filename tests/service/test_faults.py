@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.service import FAULTS_ENV, FaultPlan, FaultSpec
+from repro.service import FaultPlan, FaultSpec
 
 
 class TestGrammar:
@@ -51,11 +51,6 @@ class TestGrammar:
         assert not FaultPlan.parse("")
         assert not FaultPlan.parse("  ;  ")
         assert not FaultPlan()
-
-    def test_from_env(self):
-        assert FaultPlan.from_env({}).specs == ()
-        plan = FaultPlan.from_env({FAULTS_ENV: "stall@collector.result:5ms"})
-        assert plan.specs[0].site == "collector.result"
 
     @pytest.mark.parametrize(
         "bad",

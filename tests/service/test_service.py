@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import repro.service.service as service_module
 from repro.core import CourcelleSolver, undirected_graph_filter
 from repro.mso import formulas
 from repro.problems import random_tree_graph
@@ -308,12 +309,13 @@ class TestShutdown:
         service.shutdown()
         service.shutdown()  # no-op, no hang
 
-    def test_no_drain_resolves_every_future(self, solver):
+    def test_no_drain_resolves_every_future(self, solver, monkeypatch):
         # a slow poll interval keeps the queue undispatched long enough
         # for shutdown(drain=False) to see it; every future must end up
         # done -- cancelled, ServiceClosed, or (if it won the race to a
         # worker) resolved with the real answer
-        service = SolverService(workers=1, poll_interval=0.2)
+        monkeypatch.setattr(service_module, "POLL_INTERVAL", 0.2)
+        service = SolverService(workers=1)
         handle = service.register(solver)
         futures = handle.submit_many([chain(i + 5) for i in range(8)])
         service.shutdown(drain=False)

@@ -100,11 +100,6 @@ class TestDerivedStructures:
         flat = {frozenset(e) for e in edges}
         assert flat == {frozenset({1, 2})}
 
-    def test_atoms_involving(self):
-        s = make([1, 2, 3], edges={(1, 2), (2, 3)}, points={(2,)})
-        atoms = set(s.atoms_involving(2))
-        assert len(atoms) == 3
-
 
 class TestIsomorphism:
     def test_isomorphic_paths(self):

@@ -124,7 +124,7 @@ class TestTreeDecomposition:
         td = chain_td([{0, 1}, {1, 2}])
         td.validate_for_structure(s)
         bad = chain_td([{0}, {1}, {2}])
-        assert not bad.is_valid_for_structure(s)
+        assert bad.structure_violations(s)
 
     def test_subtree_and_envelope_elements(self):
         td = chain_td([{1, 2}, {2, 3}, {3, 4}])
