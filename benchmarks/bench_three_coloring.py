@@ -46,7 +46,7 @@ except ImportError:  # running as a plain script without install
 import pytest
 
 from repro.bench import best_ms, log_log_slope
-from repro.datalog.backends import default_cache, solve
+from repro.datalog.backends import solve
 from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
 from repro.problems.three_coloring import (
@@ -201,9 +201,7 @@ def phase_ms(evaluator, graph) -> dict[str, float]:
 
 def phase_split(solver, graphs) -> None:
     """Print Figure 5's per-phase time at each size."""
-    evaluator = SetSemiNaiveEvaluator.from_prepared(
-        default_cache().prepared(solver.program)
-    )
+    evaluator = SetSemiNaiveEvaluator.from_prepared(solver.prepared)
     for n, family in graphs.items():
         runs = [phase_ms(evaluator, g) for g in family]
         split = ", ".join(

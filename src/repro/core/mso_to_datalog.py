@@ -169,8 +169,7 @@ class CompiledQuery:
     stats: CompilerStats | None = None
     #: the shrinking passes this program was compiled with (differently
     #: optimized variants are different programs with different
-    #: fingerprints, so every cache identity derived from the query
-    #: tells them apart)
+    #: fingerprints, so the service's program handles tell them apart)
     passes: tuple[str, ...] = ()
 
     @property

@@ -31,16 +31,21 @@ materializes the rest of the model).
 from __future__ import annotations
 
 from ..datalog.ast import Program
-from ..datalog.backends import ProgramCache, default_cache
 from ..datalog.budget import as_meter
 from ..datalog.builtins import BuiltinRegistry
 from ..datalog.evaluate import Database
 from ..datalog.grounding import (
     GroundingStats,
     ground_program_streamed,
+    prepare_grounding,
     resolve_demand,
 )
-from ..datalog.guards import KeyDependency, is_quasi_guarded, td_key_dependencies
+from ..datalog.guards import (
+    KeyDependency,
+    is_quasi_guarded,
+    key_cost_model,
+    td_key_dependencies,
+)
 from ..datalog.interning import InternPool
 from ..datalog.setengine import SetDatabase
 from ..structures.structure import Fact, Structure
@@ -131,9 +136,8 @@ class QuasiGuardedEvaluator:
     (:func:`~repro.datalog.guards.key_cost_model`): key probes of
     ``child1``/``child2`` before ``bag``, ``leaf``/``root`` before the
     ``bag`` scan.  With no dependencies the plans keep the textual
-    tie-break.  The plans are cached per (program, dependencies) in the
-    program cache; each solve only binds the program's distinct join
-    steps to the structure (see
+    tie-break.  The plans are made once, here; each solve only binds
+    the program's distinct join steps to the structure (see
     :class:`~repro.datalog.grounding.PreparedGrounding`).
 
     ``prepared`` / ``relevant`` hand pre-computed per-program artifacts
@@ -148,7 +152,6 @@ class QuasiGuardedEvaluator:
         dependencies: tuple[KeyDependency, ...] | None = None,
         registry: BuiltinRegistry | None = None,
         require_quasi_guarded: bool = True,
-        cache: ProgramCache | None = None,
         demand=None,
         prepared=None,
         relevant=_UNRESOLVED,
@@ -169,10 +172,9 @@ class QuasiGuardedEvaluator:
         if prepared is not None:
             self._prepared = prepared
         else:
-            cache = cache if cache is not None else default_cache()
-            # body ordering is per-program work; do once, share via cache
-            self._prepared = cache.grounding(
-                program, registry, dependencies=dependencies
+            # body ordering is per-program work: do it once, here
+            self._prepared = prepare_grounding(
+                program, registry, cost=key_cost_model(dependencies)
             )
         if relevant is not _UNRESOLVED:
             self._relevant = relevant

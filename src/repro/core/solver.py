@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 
 from ..admission import MeterBudget, admit
-from ..datalog.backends import ProgramCache, default_cache
 from ..datalog.budget import BudgetExceeded, as_meter
 from ..datalog.guards import is_quasi_guarded
 from ..datalog.setengine import SetDatabase
@@ -63,9 +62,9 @@ class CourcelleSolver:
     the streamed, demand-pruned Theorem 4.4 pipeline: ground rules
     instantiated on demand into an online LTUR, rules irrelevant to
     the answer predicate pruned at grounding time, one shared intern
-    pool from structure load to answer decoding.  Per-program planning
-    goes through the compiled-program cache, so it happens once per
-    program fingerprint.  The generic bottom-up engines are test
+    pool from structure load to answer decoding.  The grounding plans
+    are made once, when the solver is built, and reused by every
+    solve.  The generic bottom-up engines are test
     oracles for compiled programs: run
     ``repro.datalog.solve(solver.compiled.program, encoded)`` (the
     ``semi-naive`` engine; ``backend="naive"`` for the reference) on
@@ -81,12 +80,10 @@ class CourcelleSolver:
         free_var: str | None = None,
         max_witness_size: int = 16,
         structure_filter=None,
-        cache: ProgramCache | None = None,
         minimize: bool = True,
         passes=None,
     ):
         self._formula = formula
-        self.cache = cache if cache is not None else default_cache()
         if free_var is None:
             self.compiled: CompiledQuery = compile_sentence(
                 formula,
@@ -130,7 +127,6 @@ class CourcelleSolver:
         self.evaluator = QuasiGuardedEvaluator(
             self.compiled.program,
             dependencies=self.compiled.dependencies(),
-            cache=self.cache,
             demand=ANSWER_PREDICATE,
             require_quasi_guarded=False,
             prepared=prepared,
@@ -142,12 +138,11 @@ class CourcelleSolver:
     def __getstate__(self):
         # carry the compiled program and its per-program solve
         # artifacts (grounding plans + demand relevance), not the
-        # runtime wiring: caches hold locks/closures, and a worker must
-        # neither recompile the Theorem 4.5 program nor re-derive the
-        # plans it hands to every solve.  The builtin registry holds
-        # closures; CourcelleSolver always evaluates with the standard
-        # registry, so ship the plans bare and re-attach it on the
-        # other side
+        # runtime wiring: a worker must neither recompile the Theorem
+        # 4.5 program nor re-derive the plans it hands to every solve.
+        # The builtin registry holds closures; CourcelleSolver always
+        # evaluates with the standard registry, so ship the plans bare
+        # and re-attach it on the other side
         return {
             "formula": self._formula,
             "compiled": self.compiled,
@@ -161,7 +156,6 @@ class CourcelleSolver:
         self._formula = state["formula"]
         self.compiled = state["compiled"]
         self.passes = getattr(self.compiled, "passes", ())
-        self.cache = default_cache()
         from ..datalog.builtins import standard_registry
 
         self._wire_evaluator(

@@ -17,7 +17,7 @@ The checks are *cooperative*: a single pathological extensional join
 step can still overshoot between checkpoints.  The hard backstop is the
 service layer's deadline enforcement (overdue workers are terminated
 and the request fails with ``DeadlineExceeded``); the budget is the
-graceful path that keeps the worker -- and its warm program cache --
+graceful path that keeps the worker -- and its resident solvers --
 alive.
 """
 

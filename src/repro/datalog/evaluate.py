@@ -14,8 +14,8 @@ This module holds the planning both engines of
   which actually produce new facts".
 
 Stratification and per-rule join plans are computed once per program by
-:func:`prepare_program` and reused across structures (and cached across
-solver instances by :class:`repro.datalog.backends.ProgramCache`).
+:func:`prepare_program` and reused across structures by whoever owns the
+program (:func:`repro.datalog.solve` memoizes them per program object).
 Each rule has a round-0 plan (:func:`plan_rule`) and, per recursive
 body atom, a *delta variant* that starts at that atom
 (:func:`plan_delta_rule`): the semi-naive rounds fire the variants, so
@@ -782,9 +782,9 @@ class PreparedProgram:
     ordering, stratification, the safety checks, step compilation);
     evaluating a prepared program over a structure is the per-structure
     cost.  Prepared programs are immutable and shared freely across
-    evaluator instances -- :class:`repro.datalog.backends.ProgramCache`
-    keeps them keyed by program fingerprint so repeated solves skip
-    this work entirely.
+    evaluator instances: the owner of a program prepares it once (the
+    Section 5 deciders hold theirs; :func:`repro.datalog.solve`
+    memoizes per program object), so repeated solves skip this work.
 
     ``plans`` run in round 0 and in the fire-once strata; the delta
     rounds of a recursive stratum run its :class:`DeltaVariant` plans,

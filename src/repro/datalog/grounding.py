@@ -82,8 +82,8 @@ class PreparedGrounding:
 
     Grounding the same compiled program over many structures (the
     Theorem 4.5 amortization) re-runs only the data-dependent half;
-    the body-ordering half lives here and is cached by
-    :class:`repro.datalog.backends.ProgramCache`.  ``stream_plans``
+    the body-ordering half lives here, made once by the program's
+    :class:`~repro.core.QuasiGuardedEvaluator`.  ``stream_plans``
     holds one greedy body ordering per rule, seeded with the driver
     literal's variables.
 

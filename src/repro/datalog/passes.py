@@ -2,8 +2,7 @@
 
 One optimization runs after the Theorem 4.5 compiler's Myhill-Nerode
 minimization, named by the ``passes`` tuple threaded through
-:class:`~repro.core.solver.CourcelleSolver` and the compiled-program
-cache:
+:class:`~repro.core.solver.CourcelleSolver`:
 
 * ``"fold"`` -- ⊥-insensitive class folding: merge minimized classes
   whose observable differences are confined to *unrealized* step

@@ -57,7 +57,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from ..structures.structure import Element, PointedStructure, Structure
+from ..structures.structure import Element, Structure
 
 MSOType = tuple  # canonical, hashable, comparable with ==
 
@@ -395,10 +395,6 @@ def mso_type(
     elif context.structure is not structure:
         raise ValueError("context was built for a different structure")
     return context.type_of(tuple(points), k, tuple(sets))
-
-
-def pointed_type(pointed: PointedStructure, k: int) -> MSOType:
-    return mso_type(pointed.structure, pointed.points, k)
 
 
 def equivalent(

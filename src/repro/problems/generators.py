@@ -100,11 +100,6 @@ def table1_instance(num_gadgets: int, width: int = 3) -> Table1Instance:
     )
 
 
-def table1_row_instances() -> list[Table1Instance]:
-    """All eleven Table 1 rows (#FD = 1 ... 31)."""
-    return [table1_instance(num_fds) for _, num_fds in TABLE1_SIZES]
-
-
 # ----------------------------------------------------------------------
 # Random instances for property-based testing
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ from ..datalog.builtins import (
     make_function,
     standard_registry,
 )
-from ..datalog.backends import ProgramCache
+from ..datalog.evaluate import PreparedProgram, prepare_program
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.schema import Attribute, RelationalSchema
 from ..structures.structure import Structure
@@ -825,15 +825,16 @@ def primality_program(attribute: Attribute) -> Program:
 class PrimalityDatalog:
     """Figure 6, executed by the set-at-a-time semi-naive engine.
 
-    The cache is per-instance because :func:`primality_registry` bakes
-    the schema into its built-ins (same names, schema-specific
+    Each attribute's program is built and planned once per instance.
+    The plans stay per instance because :func:`primality_registry`
+    bakes the schema into its built-ins (same names, schema-specific
     semantics).
     """
 
     def __init__(self, schema: RelationalSchema):
         self.schema = schema
         self.registry = primality_registry(schema)
-        self._cache = ProgramCache()
+        self._prepared: dict[Attribute, PreparedProgram] = {}
 
     def decide(
         self,
@@ -841,9 +842,12 @@ class PrimalityDatalog:
         td: TreeDecomposition | None = None,
     ) -> bool:
         nice = prepare_decision_decomposition(self.schema, attribute, td)
-        evaluator = SetSemiNaiveEvaluator.from_prepared(
-            self._cache.prepared(primality_program(attribute), self.registry)
-        )
+        prepared = self._prepared.get(attribute)
+        if prepared is None:
+            prepared = self._prepared[attribute] = prepare_program(
+                primality_program(attribute), self.registry
+            )
+        evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
         db = evaluator.run(load_for_primality(self.schema, nice))
         return db.contains("success", ())
 

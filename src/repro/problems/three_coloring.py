@@ -44,8 +44,7 @@ from itertools import product
 from typing import Hashable, Mapping
 
 from ..datalog.ast import Program, atom, pos, rule, var
-from ..datalog.backends import default_cache
-from ..datalog.evaluate import Database
+from ..datalog.evaluate import Database, prepare_program
 from ..datalog.interning import Interner, iter_bits
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.graphs import Graph, graph_to_structure
@@ -281,10 +280,13 @@ class ThreeColoringRun:
 
 class ThreeColoringDatalog:
     """Figure 5, executed by the set-at-a-time semi-naive engine on
-    the input :func:`load_for_three_coloring` writes in id space."""
+    the input :func:`load_for_three_coloring` writes in id space.
+    The program is planned once, here; every :meth:`run` reuses the
+    plan."""
 
     def __init__(self) -> None:
         self.program = three_coloring_program()
+        self.prepared = prepare_program(self.program)
 
     def run(
         self, graph: Graph, td: TreeDecomposition | None = None
@@ -292,11 +294,7 @@ class ThreeColoringDatalog:
         if graph.vertex_count() == 0:
             return ThreeColoringRun(True, 0)
         nice = prepare_decomposition(graph, td)
-        # the shared cache resolves registry=None to the one standard
-        # registry, so the prepared program is reused across instances
-        evaluator = SetSemiNaiveEvaluator.from_prepared(
-            default_cache().prepared(self.program)
-        )
+        evaluator = SetSemiNaiveEvaluator.from_prepared(self.prepared)
         db = evaluator.run(load_for_three_coloring(graph, nice))
         return ThreeColoringRun(
             colorable=db.contains("success", ()),

@@ -4,8 +4,8 @@ Theorem 4.5's amortization claim -- compile once, solve any number of
 width-w structures in linear data complexity -- only pays off in
 production if the per-batch costs go to zero too.  This package keeps
 long-lived worker processes resident (each rebuilt once from the
-:class:`~repro.core.solver.CourcelleSolver` pickle handoff: warm
-``ProgramCache``, prepared grounding plans and demand-relevance set --
+:class:`~repro.core.solver.CourcelleSolver` pickle handoff: compiled
+program, prepared grounding plans and demand-relevance set --
 compilation never happens on the request path) behind an asynchronous
 batch scheduler that coalesces individual solve requests per compiled
 program into shards, dispatches them to idle workers, and resolves one

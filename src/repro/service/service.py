@@ -9,9 +9,9 @@ caller-held service; without ``service=`` a batch is solved in process.
 * **Long-lived workers.**  Each worker process rebuilds a solver
   exactly once per registered program from its pickle handoff
   (``CourcelleSolver.__getstate__``: compiled program + prepared
-  grounding plans + demand-relevance set), then holds it warm --
-  ``ProgramCache`` populated, plans resident.  Compilation and
-  planning never happen on the request path.
+  grounding plans + demand-relevance set), then holds it warm, plans
+  resident.  Compilation and planning never happen on the request
+  path.
 * **Coalescing batch scheduler.**  ``submit()`` / ``submit_many()``
   enqueue individual requests and return
   :class:`concurrent.futures.Future`\\ s.  While all workers are busy,
@@ -52,7 +52,7 @@ caller-held service; without ``service=`` a batch is solved in process.
   - a service-wide :class:`repro.datalog.SolveBudget` makes the
     quasi-guarded fixpoint loops raise
     :class:`repro.datalog.BudgetExceeded` *cooperatively* (the worker
-    survives, its warm cache intact);
+    survives, its resident solvers intact);
   - all of it is testable on demand through ``faults=``
     (:mod:`repro.service.faults`) -- deterministic crash / slow / drop
     / stall injection at named sites.
@@ -61,11 +61,10 @@ caller-held service; without ``service=`` a batch is solved in process.
   semantics" section.
 
 Thread-safety note: the scheduler and collector are threads inside the
-submitting process, which is exactly what turned the previously latent
-single-threaded assumptions of ``ProgramCache`` into real races -- see
-the PR 6 lock in :class:`repro.datalog.backends.ProgramCache`.  Future
-callbacks added to returned futures run on the collector thread; they
-must not block.
+submitting process, so whatever they share with the caller's threads
+is held under the service's one condition lock.  Future callbacks
+added to returned futures run on the collector thread; they must not
+block.
 """
 
 from __future__ import annotations
@@ -407,8 +406,8 @@ def _service_worker_main(tasks, results, faults_text=None, budget=None) -> None:
     """Worker process loop.
 
     Solvers arrive once per program as a pickled payload (``"load"``)
-    and stay resident -- the per-worker ``default_cache()`` fills on the
-    first solve and every later shard of the same program runs warm.
+    and stay resident: the payload carries the compiled program and its
+    grounding plans, so no shard of that program plans anything.
     Shards (``"solve"``) evaluate request-by-request and send one
     ``("done", shard_id, outcomes)`` (or ``("error", ...)`` for
     shard-level failures) per shard over this worker's private result
@@ -837,10 +836,12 @@ class SolverService:
         cancels queued requests, abandons in-flight shards (their
         futures get :class:`ServiceClosed`), and terminates the workers
         immediately.  Idempotent; ``timeout`` bounds the drain wait, and
-        a drain that runs out of it abandons the rest the same way.
-        Workers that outlive :data:`SHUTDOWN_GRACE` per join are
-        escalated terminate() -> kill() and counted in
-        ``stats.shutdown_escalations``.
+        a drain that runs out of it abandons the rest the same way: a
+        worker still holding a shard then is mid-solve and cannot read
+        the stop message, so it is terminated at once and counted in
+        ``stats.shutdown_escalations``.  Any other worker that outlives
+        :data:`SHUTDOWN_GRACE` per join is escalated terminate() ->
+        kill() and counted the same way.
         """
         with self._work:
             if self._stopped:
@@ -858,7 +859,9 @@ class SolverService:
                     if deadline is not None and time.monotonic() >= deadline:
                         break
             # anything left (no drain, or the drain timed out) is
-            # abandoned so no future hangs after the workers stop
+            # abandoned so no future hangs after the workers stop; a
+            # worker still holding a shard past a drain is mid-solve
+            hung = [w for w in self._workers if w.inflight] if drain else []
             abandoned = self._abandon_locked()
             self._stopped = True
             self._work.notify_all()
@@ -869,14 +872,18 @@ class SolverService:
                     ServiceClosed("service shut down without draining")
                 )
         for worker in self._workers:
-            if worker.process.is_alive():
-                if drain:
-                    try:
-                        worker.tasks.put(("stop",))
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-                else:
-                    worker.process.terminate()
+            if not worker.process.is_alive():
+                continue
+            if worker in hung:
+                worker.process.terminate()
+                self.stats.shutdown_escalations += 1
+            elif drain:
+                try:
+                    worker.tasks.put(("stop",))
+                except (OSError, ValueError):  # pragma: no cover
+                    pass
+            else:
+                worker.process.terminate()
         self._scheduler.join(timeout=SHUTDOWN_GRACE)
         for worker in self._workers:
             worker.process.join(timeout=SHUTDOWN_GRACE)

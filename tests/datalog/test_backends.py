@@ -8,7 +8,6 @@ from repro.datalog import (
     Atom,
     Constant,
     Database,
-    ProgramCache,
     Variable,
     atom,
     const,
@@ -93,9 +92,8 @@ class TestBackendAgreement:
         data=st.data(),
     )
     def test_all_backends_agree_on_query_answers(self, program, db, data):
-        cache = ProgramCache()
-        naive = solve(program, db, backend="naive", cache=cache)
-        semi = solve(program, db, backend="semi-naive", cache=cache)
+        naive = solve(program, db, backend="naive")
+        semi = solve(program, db, backend="semi-naive")
         for predicate in program.intensional_predicates():
             assert naive.relation(predicate) == semi.relation(predicate)
 
@@ -124,7 +122,7 @@ class TestBackendAgreement:
         want = _matching(semi.relation(predicate), query_atom)
         for backend in BACKENDS:
             answered = solve(
-                program, db, backend=backend, query=query_atom, cache=cache
+                program, db, backend=backend, query=query_atom
             )
             assert _matching(answered.relation(predicate), query_atom) == want
 

@@ -44,7 +44,6 @@ from repro.datalog import (
     Literal,
     NotGroundableError,
     Program,
-    ProgramCache,
     Rule,
     SetDatabase,
     Variable,
@@ -158,11 +157,10 @@ def _groundable(program):
 class TestFullFixpointAgreement:
     @given(program=monadic_programs(), db=datalog_databases())
     def test_monadic_backends_agree(self, program, db):
-        cache = ProgramCache()
         reference = None
         for backend in FULL_BACKENDS:
             rels = _derived_relations(
-                solve(program, db, backend=backend, cache=cache), program
+                solve(program, db, backend=backend), program
             )
             if reference is None:
                 reference = rels
@@ -171,11 +169,10 @@ class TestFullFixpointAgreement:
 
     @given(program=datalog_programs(), db=datalog_databases())
     def test_mixed_arity_backends_agree(self, program, db):
-        cache = ProgramCache()
         reference = None
         for backend in FULL_BACKENDS:
             rels = _derived_relations(
-                solve(program, db, backend=backend, cache=cache), program
+                solve(program, db, backend=backend), program
             )
             if reference is None:
                 reference = rels
@@ -400,7 +397,7 @@ class TestReplannedConformance:
         return encode_normalized(structure, normalize(td))
 
     @staticmethod
-    def _static_model_modes_match_naive(program, db, cache=None):
+    def _static_model_modes_match_naive(program, db):
         """The streamed solve, planned under the static ``A_td`` model
         of the width-1 key dependencies, derives the naive and the
         semi-naive engine's model."""
@@ -412,7 +409,6 @@ class TestReplannedConformance:
                 program,
                 dependencies=td_key_dependencies(3),
                 require_quasi_guarded=False,
-                cache=cache if cache is not None else ProgramCache(),
             )
         except NotGroundableError:
             return  # outside the Theorem 4.4 fragment: nothing to pin
@@ -457,11 +453,10 @@ class TestReplannedConformance:
                 ).compiled.program
             )
         self._static_model_modes_match_naive(
-            self._COMPILED[0], self._td_encoding(graph), self._CACHE
+            self._COMPILED[0], self._td_encoding(graph)
         )
 
     _COMPILED: list = []
-    _CACHE = ProgramCache()
 
 
 class TestSolveManySharding:

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.datalog import (
-    ProgramCache,
     SetDatabase,
     Variable,
     parse_program,
@@ -232,29 +231,25 @@ class TestCompiledPlans:
         )
 
     def test_dependencies_key_the_grounding_cache(self):
+        """One program planned with and without the ``A_td`` key
+        dependencies gets two different plans, and the evaluator plans
+        under the dependencies it is handed."""
         from repro.core import QuasiGuardedEvaluator
-        from repro.datalog.guards import td_key_dependencies
+        from repro.datalog.guards import key_cost_model, td_key_dependencies
 
         program = self._solver(1).compiled.program
         deps = td_key_dependencies(3)
-        cache = ProgramCache()
-        static = cache.grounding(program, dependencies=deps)
-        plain = cache.grounding(program)
-        assert static is not plain
-        assert static.stream_plans != plain.stream_plans
-        assert cache.grounding(program, dependencies=deps) is static
-        assert cache.grounding(program) is plain
+        static = prepare_grounding(program, cost=key_cost_model(deps))
         # no dependencies, no model: the textual tie-break of old
-        bare = prepare_grounding(program)
-        assert (plain.stream_plans, plain.steps) == (
-            bare.stream_plans,
-            bare.steps,
+        plain = prepare_grounding(program)
+        assert static.stream_plans != plain.stream_plans
+        with_deps = QuasiGuardedEvaluator(program, dependencies=deps)
+        without = QuasiGuardedEvaluator(program, require_quasi_guarded=False)
+        assert (with_deps._prepared.stream_plans, with_deps._prepared.steps) == (
+            static.stream_plans,
+            static.steps,
         )
-        with_deps = QuasiGuardedEvaluator(
-            program, dependencies=deps, cache=cache
+        assert (without._prepared.stream_plans, without._prepared.steps) == (
+            plain.stream_plans,
+            plain.steps,
         )
-        without = QuasiGuardedEvaluator(
-            program, require_quasi_guarded=False, cache=cache
-        )
-        assert with_deps._prepared is static
-        assert without._prepared is plain

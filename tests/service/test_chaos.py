@@ -429,6 +429,25 @@ class TestShutdownUnderFailure:
         finally:
             service.shutdown()
 
+    def test_drain_timeout_terminates_hung_workers_at_once(self, solver):
+        # both workers stuck in a 30s solve when the drain runs out of
+        # time: neither can read a stop message, so shutdown terminates
+        # both at once instead of waiting out SHUTDOWN_GRACE per worker
+        service = SolverService(workers=2, max_shard=1)
+        try:
+            handle = service.register(solver)
+            hung = [handle.submit(Napper(chain(4), 30.0)) for _ in range(2)]
+            deadline = time.monotonic() + 10
+            while service.queue_depth and time.monotonic() < deadline:
+                time.sleep(0.01)
+            start = time.monotonic()
+            service.shutdown(drain=True, timeout=0.4)
+            assert time.monotonic() - start < 5.0
+            assert all(isinstance(f.exception(0), ServiceClosed) for f in hung)
+            assert service.stats.shutdown_escalations == 2
+        finally:
+            service.shutdown()
+
 
 # ----------------------------------------------------------------------
 # failure metadata

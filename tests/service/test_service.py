@@ -4,8 +4,6 @@ This is the test battery ISSUE 6 demanded alongside the serving layer:
 1-vs-N answer identity, input-order stability when shards complete out
 of order, coalescing shapes, backpressure, worker-crash resubmission,
 and shutdown semantics (drain with a non-empty queue, cancel without).
-The matching ProgramCache race-regression tests live in
-``tests/datalog/test_program_cache.py``.
 
 Everything here runs on the cheap width-1 ``has_neighbor`` program
 (compile ~70 ms, chain solves in tens of ms) with 2 workers, so the
