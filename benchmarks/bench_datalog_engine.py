@@ -80,7 +80,7 @@ try:
 except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.bench import format_ms, format_table, log_log_slope, time_ms
+from repro.bench import best_ms, format_ms, format_table, log_log_slope
 from repro.datalog import solve, td_key_dependencies
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -301,9 +301,7 @@ def run_solver_comparison(quick, repeat=3):
         for arm, run in arms.items():
             warm = run()  # warm-up / cache fill
             answers[arm] = warm.unary_answers(answer_pred)
-            ms = time_ms(
-                lambda: run().unary_answers(answer_pred), repeat=arm_repeat
-            )
+            ms = best_ms(lambda: run().unary_answers(answer_pred), arm_repeat)
             runs[arm] = {
                 "ms": round(ms, 3),
                 "ground_rules": warm.ground_rules,
@@ -315,9 +313,9 @@ def run_solver_comparison(quick, repeat=3):
             # host noise reads as a regression once; a real one persists
             print(f"{name}: below the passes=() speedup; re-timing once")
             retimed = {
-                arm: time_ms(
+                arm: best_ms(
                     lambda run=arms[arm]: run().unary_answers(answer_pred),
-                    repeat=arm_repeat,
+                    arm_repeat,
                 )
                 for arm in ("quasi-guarded", "quasi-guarded-nopasses")
             }

@@ -4,14 +4,8 @@ The paper assumes Bodlaender's linear-time algorithm [3]; we substitute
 greedy elimination heuristics, as recorded under **Substitutions** in
 ``src/repro/core/README.md``: admission rebuilds every decomposition
 of the compiled solve with min-degree, and the Section 5 front end
-decomposes with min-fill.  This bench tracks their cost on growing
-partial 2-trees, the width quality against the exact DP on small
-instances, and the exponential growth of the exact algorithm.
-
-Run:  pytest benchmarks/bench_treewidth.py --benchmark-only
-
-``python benchmarks/bench_treewidth.py --quick`` is the standalone
-scaling gate: it times admission's rebuild
+decomposes with min-fill.  This script is their scaling and quality
+gate: it times admission's rebuild
 (:func:`repro.admission.redecompose`, min-degree plus its check
 against the structure) plus one validation of the normalized
 decomposition (the checked work of a td-less solve) on full 2 x N
@@ -34,9 +28,10 @@ oracle, ``encode_normalized`` followed by ``SetDatabase.from_edb``
 (best of ``REPEATS`` each, a ladder below the gate re-timed once), and
 both must decode to the same EDB.  It prints only; no baseline file is
 written.
+
+Run:  python benchmarks/bench_treewidth.py
 """
 
-import argparse
 import gc
 import math
 import random
@@ -49,8 +44,6 @@ try:
 except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import pytest
-
 from repro.admission import redecompose
 from repro.bench import best_ms, log_log_slope
 from repro.datalog import SetDatabase
@@ -59,34 +52,29 @@ from repro.structures import Graph, graph_to_structure
 from repro.structures.graphs import subgraph
 from repro.treewidth import (
     decompose_graph,
-    decomposition_from_order,
     encode_normalized,
     load_normalized,
-    make_nice,
-    min_degree_order,
-    min_fill_order,
     normalize,
     treewidth_exact,
     widen,
 )
 
-SIZES = [25, 50, 100, 200]
-
-
-#: --quick: ladder columns N of the full 2 x N ladders timed
+#: vertex counts of the partial-2-tree family of the width gates
+SIZES = (25, 50, 100, 200)
+#: ladder columns N of the full 2 x N ladders timed
 LADDER_COLUMNS = (64, 128, 256, 512)
-#: --quick: the largest tolerated log-log slope of the checked front end
+#: the largest tolerated log-log slope of the checked front end
 MAX_SLOPE = 1.15
-#: --quick: timed runs per ladder; the best one counts
+#: timed runs per ladder; the best one counts
 REPEATS = 9
-#: --quick: the largest tolerated min-fill gap to the exact treewidth
+#: the largest tolerated min-fill gap to the exact treewidth
 #: on the small family (every member is exact today)
 MAX_EXACT_GAP = 0
-#: --quick: vertex-deleted ladders of the rebuild's width gate
+#: vertex-deleted ladders of the rebuild's width gate
 DELETED_LADDERS = 100
-#: --quick: ladder columns N of the A_td load gate
+#: ladder columns N of the A_td load gate
 LOAD_COLUMNS = (64, 128, 256)
-#: --quick: the smallest tolerated speedup of ``load_normalized`` over
+#: the smallest tolerated speedup of ``load_normalized`` over
 #: ``encode_normalized`` + ``SetDatabase.from_edb``
 MIN_LOAD_SPEEDUP = 3.0
 
@@ -119,58 +107,8 @@ def rebuild_width(graph) -> int:
     return td.width
 
 
-@pytest.fixture(scope="module")
-def graphs():
-    return partial_2_trees()
-
-
-@pytest.mark.parametrize(
-    "order", [min_fill_order, min_degree_order], ids=lambda f: f.__name__
-)
-@pytest.mark.parametrize("n", SIZES, ids=lambda n: f"n{n}")
-def test_heuristic_cost(benchmark, graphs, order, n):
-    td = benchmark(lambda g: decomposition_from_order(g, order(g)), graphs[n])
-    benchmark.extra_info["width"] = td.width
-
-
-@pytest.mark.parametrize("n", [25, 50], ids=lambda n: f"n{n}")
-def test_normalization_cost(benchmark, graphs, n):
-    td = decompose_graph(graphs[n])
-    ntd = benchmark(normalize, td)
-    benchmark.extra_info["nodes"] = ntd.node_count()
-
-
-@pytest.mark.parametrize("n", [25, 50], ids=lambda n: f"n{n}")
-def test_nice_form_cost(benchmark, graphs, n):
-    td = decompose_graph(graphs[n])
-    nice = benchmark(make_nice, td)
-    benchmark.extra_info["nodes"] = nice.node_count()
-
-
-@pytest.mark.parametrize("n", [8, 11, 14], ids=lambda n: f"n{n}")
-def test_exact_dp_growth(benchmark, n):
-    rng = random.Random(n)
-    graph, _ = random_partial_ktree(rng, n, 2, 0.7)
-    width = benchmark.pedantic(
-        treewidth_exact, args=(graph,), rounds=2, iterations=1
-    )
-    benchmark.extra_info["width"] = width
-
-
-def test_heuristic_quality_vs_exact(benchmark):
-    """min-fill matches the exact width on most small partial 2-trees."""
-    gaps = [
-        decompose_graph(graph).width - treewidth_exact(graph)
-        for graph in small_partial_2_trees()
-    ]
-    benchmark.extra_info["max_gap"] = max(gaps)
-    benchmark.extra_info["mean_gap"] = sum(gaps) / len(gaps)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert max(gaps) <= 1
-
-
 # ----------------------------------------------------------------------
-# --quick: the standalone scaling and quality gate
+# the scaling and quality gate
 # ----------------------------------------------------------------------
 
 
@@ -255,7 +193,7 @@ def load_gate() -> list[str]:
     return failures
 
 
-def quick() -> int:
+def main() -> int:
     failures = []
     slope = front_end_slope()
     if slope > MAX_SLOPE:
@@ -302,21 +240,6 @@ def quick() -> int:
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the scaling, width-quality and A_td load gates",
-    )
-    if not parser.parse_args(argv).quick:
-        parser.error(
-            "the full bench runs under pytest: "
-            "pytest benchmarks/bench_treewidth.py --benchmark-only"
-        )
-    return quick()
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.bench import format_ms, format_table, time_ms
+from repro.bench import best_ms, format_ms, format_table
 from repro.datalog import (
     Database,
     EvaluationStats,
@@ -53,7 +53,7 @@ def main() -> None:
     for backend in ("naive", "semi-naive"):
         stats = EvaluationStats()
         derived = solve(TC, chain(n), backend=backend, stats=stats)
-        ms = time_ms(lambda: solve(TC, chain(n), backend=backend), repeat=2)
+        ms = best_ms(lambda: solve(TC, chain(n), backend=backend), 2)
         rows.append(
             [
                 backend,
@@ -67,7 +67,7 @@ def main() -> None:
 
     print("One plan across structures:")
     prepared = prepare_program(TC)
-    print(f"  planned once in {format_ms(time_ms(lambda: prepare_program(TC)))} ms")
+    print(f"  planned once in {format_ms(best_ms(lambda: prepare_program(TC), 3))} ms")
     for size in (50, 100, 150):
         evaluator = SetSemiNaiveEvaluator.from_prepared(prepared)
         answers = evaluator.run(SetDatabase.from_edb(chain(size)))

@@ -3,8 +3,9 @@
 Every row of the paper's experiment: PRIMALITY at treewidth 3 with
 #Att = 3 ... 93.  The MD column is the Figure 6 dynamic program, the
 MD-datalog column the interpreted program, and the MONA stand-in is
-budgeted naive MSO evaluation (DESIGN.md §5) whose '-' entries mirror
-the paper's out-of-memory dashes.
+budgeted naive MSO evaluation (recorded under **Substitutions** in
+``src/repro/core/README.md``) whose '-' entries mirror the paper's
+out-of-memory dashes.
 
 Run:  python examples/table1_reproduction.py [--fast]
 """
@@ -24,11 +25,7 @@ def main() -> None:
     )
     print(render_table1(rows))
     print()
-    fit = md_linearity(rows)
-    print(
-        f"MD column linear fit vs #tn: slope {fit.slope:.3f} ms/node, "
-        f"R^2 = {fit.r_squared:.3f}"
-    )
+    print(f"MD column log-log slope vs #tn: {md_linearity(rows):.3f}")
     print(
         "Paper's claim: 'an essentially linear increase of the processing "
         "time with the size of the input' -- and no big hidden constant."

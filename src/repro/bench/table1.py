@@ -13,7 +13,9 @@ For each workload row (tw=3; #Att/#FD/#tn growing) we measure:
 
 The paper's own measurements (1.6 GHz Pentium M, C++, 2007) are kept in
 :data:`PAPER_MD_MS`/:data:`PAPER_MONA_MS` so the shape can be compared
-row by row; absolute values are not expected to match.
+row by row; absolute values are not expected to match.  Each timed
+column runs once untimed first, and the row keeps that run's answer,
+so a caller can check that the columns agree.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..problems.primality import (
     prepare_decision_decomposition,
     primality_direct,
 )
-from .harness import fit_linear, format_ms, format_table, time_ms
+from .harness import best_ms, format_ms, format_table, log_log_slope
 
 #: Paper Table 1, "MD" column (ms).
 PAPER_MD_MS = (0.1, 0.2, 0.4, 0.5, 0.8, 1.0, 1.2, 1.6, 1.8, 1.9, 2.2)
@@ -47,7 +49,9 @@ class Table1Row:
     num_fds: int
     tree_nodes: int
     md_ms: float
+    md_answer: bool
     md_datalog_ms: float | None
+    md_datalog_answer: bool | None
     mona_ms: float | None  # None = budget exhausted ("-")
     paper_md_ms: float
     paper_mona_ms: float | None
@@ -69,7 +73,7 @@ def _mona_standin_ms(
         )
 
     try:
-        return time_ms(run, repeat=1)
+        return best_ms(run, 1)
     except BudgetExceeded:
         return None
 
@@ -88,21 +92,23 @@ def run_table1(
         nice = prepare_decision_decomposition(
             instance.schema, DECISION_ATTRIBUTE, instance.decomposition
         )
-        md_ms = time_ms(
-            lambda: primality_direct(
+
+        def md() -> bool:
+            return primality_direct(
                 instance.schema, DECISION_ATTRIBUTE, instance.decomposition
-            ),
-            repeat=repeat,
-        )
-        md_datalog_ms = None
+            )
+
+        md_answer = md()  # untimed warm-up; the row records the answer
+        md_ms = best_ms(md, repeat)
+        md_datalog_ms = md_datalog_answer = None
         if include_datalog:
             solver = PrimalityDatalog(instance.schema)
-            md_datalog_ms = time_ms(
-                lambda: solver.decide(
-                    DECISION_ATTRIBUTE, instance.decomposition
-                ),
-                repeat=1,
-            )
+
+            def md_datalog() -> bool:
+                return solver.decide(DECISION_ATTRIBUTE, instance.decomposition)
+
+            md_datalog_answer = md_datalog()
+            md_datalog_ms = best_ms(md_datalog, repeat)
         mona_ms = _mona_standin_ms(instance, mona_budget_steps)
         rows.append(
             Table1Row(
@@ -110,7 +116,9 @@ def run_table1(
                 num_fds=num_fd,
                 tree_nodes=nice.node_count(),
                 md_ms=md_ms,
+                md_answer=md_answer,
                 md_datalog_ms=md_datalog_ms,
+                md_datalog_answer=md_datalog_answer,
                 mona_ms=mona_ms,
                 paper_md_ms=PAPER_MD_MS[index],
                 paper_mona_ms=PAPER_MONA_MS[index],
@@ -149,9 +157,10 @@ def render_table1(rows: list[Table1Row]) -> str:
     return format_table(headers, body)
 
 
-def md_linearity(rows: list[Table1Row]):
-    """Fit MD time against the instance size (#tn): the Table 1 claim is
-    an 'essentially linear increase of the processing time'."""
-    return fit_linear(
+def md_linearity(rows: list[Table1Row]) -> float:
+    """The log-log slope of MD time against the instance size (#tn):
+    the Table 1 claim is an 'essentially linear increase of the
+    processing time', i.e. a slope near 1."""
+    return log_log_slope(
         [row.tree_nodes for row in rows], [row.md_ms for row in rows]
     )

@@ -24,8 +24,9 @@ heads cannot reach the query, and statically dead rules (a positive
 extensional literal over an empty relation) are never instantiated.
 Peak live-rule residency is the LTUR's waiting frontier, not the
 ground program.  The full ground program is never materialized; the
-fully materialized Figure 5 program of Section 6's warning lives in
-``benchmarks/bench_grounding.py``.
+fully materialized Figure 5 ablation of Section 6's warning was
+retired, and ``test_lazy_grounding_reaches_a_minority_of_the_atom_space``
+in ``tests/problems/test_three_coloring.py`` pins the lazy share.
 
 Sink predicates (heads in no rule body, like the compiled answer
 predicate ``phi``) are always deferred: their rules fire once, after

@@ -12,8 +12,9 @@ type in the Hintikka style:
                         { tp_{k-1}(A, ā, P̄·Q)  :  Q ⊆ dom(A) } ).
 
 Two structures are k-equivalent iff their canonical types are equal --
-the standard back-and-forth argument, which the Ehrenfeucht-Fraïssé
-game implementation in :mod:`repro.mso.games` cross-checks in tests.
+the standard back-and-forth argument, which an Ehrenfeucht-Fraïssé
+game implementation in the test suite (``tests/mso/games.py``)
+cross-checks.
 Computing tp_k costs O((|dom| + 2^|dom|)^k); it is used on the small
 witness structures of the Theorem 4.5 construction, whose exponential
 nature the paper states explicitly.

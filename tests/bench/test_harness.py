@@ -1,39 +1,24 @@
 """Tests for the benchmark harness utilities and the engine baseline."""
 
+import gc
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    best_ms,
-    fit_linear,
-    format_ms,
-    format_table,
-    log_log_slope,
-    time_ms,
-)
+from repro.bench import best_ms, format_ms, format_table, log_log_slope
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestTiming:
-    def test_time_ms_positive(self):
-        assert time_ms(lambda: sum(range(1000))) > 0
-
     def test_repeat_takes_best(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-
-        time_ms(fn, repeat=4)
-        assert len(calls) == 4
+        delays = iter([0.05, 0.0, 0.05])
+        assert best_ms(lambda: time.sleep(next(delays)), 3) < 25
 
     def test_best_ms_runs_repeats_times_with_gc_restored(self):
-        import gc
-
         calls = []
         assert best_ms(lambda: calls.append(gc.isenabled()), 3) > 0
         assert calls == [False] * 3
@@ -669,17 +654,6 @@ class TestAdmissionSection:
 
 
 class TestLinearFit:
-    def test_exact_line(self):
-        fit = fit_linear([1, 2, 3, 4], [3, 5, 7, 9])
-        assert fit.slope == pytest.approx(2)
-        assert fit.intercept == pytest.approx(1)
-        assert fit.r_squared == pytest.approx(1)
-        assert fit.is_convincingly_linear
-
-    def test_noise_lowers_r_squared(self):
-        fit = fit_linear([1, 2, 3, 4], [1, 10, 2, 12])
-        assert fit.r_squared < 0.9
-
     def test_log_log_slope_reads_a_power_law(self):
         xs = [64, 128, 256, 512]
         assert log_log_slope(xs, [3 * x for x in xs]) == pytest.approx(1)
@@ -687,6 +661,6 @@ class TestLinearFit:
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(ValueError):
-            fit_linear([1], [1])
+            log_log_slope([1], [1])
         with pytest.raises(ValueError):
-            fit_linear([2, 2], [1, 3])
+            log_log_slope([2, 2], [1, 3])

@@ -22,7 +22,15 @@ class TestDriver:
         first = rows[0]
         assert first.num_attributes == 3 and first.num_fds == 1
         assert first.md_ms > 0
+        assert first.md_answer is True  # p0 is prime in every row
+        assert first.md_datalog_answer is first.md_datalog_ms is None
         assert first.paper_md_ms == 0.1
+
+    def test_rows_record_both_answers(self):
+        rows = run_table1(max_rows=2, repeat=1, mona_budget_steps=10)
+        for row in rows:
+            assert row.md_datalog_ms > 0
+            assert row.md_datalog_answer == row.md_answer
 
     def test_mona_budget_exhaustion_yields_dash(self):
         rows = run_table1(max_rows=2, repeat=1, include_datalog=False,
@@ -40,5 +48,5 @@ class TestDriver:
     def test_linearity_fit_runs(self):
         rows = run_table1(max_rows=3, repeat=1, include_datalog=False,
                           mona_budget_steps=10)
-        fit = md_linearity(rows)
-        assert fit.slope == fit.slope  # not NaN
+        slope = md_linearity(rows)
+        assert slope > 0  # MD time grows with #tn (NaN fails too)

@@ -4,7 +4,7 @@ The load-bearing property is Lemma 3.5/3.6 soundness of witness
 reduction: the reduced witness must have *exactly* the same rank-k
 type as the original, which the hypothesis property below checks both
 through the canonical-type computation and -- independently -- through
-the Ehrenfeucht-Fraïssé game of :mod:`repro.mso.games` (a genuinely
+the Ehrenfeucht-Fraïssé game of ``tests/mso/games.py`` (a genuinely
 separate implementation of the same equivalence).
 """
 
@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CompilerLimitError, TypeAlgebra, TypeTable, reduce_witness
-from repro.mso import duplicator_wins, mso_type
+from repro.mso import mso_type
 from repro.mso.types import TypeContext
 from repro.structures import Graph, graph_to_structure
 
 from ..conftest import small_graphs
+from ..mso.games import duplicator_wins
 
 
 def g2s(g):

@@ -10,7 +10,7 @@ are built on.
 The recursive minimax below is doubly exponential and exists to
 cross-check the canonical-type computation of :mod:`repro.mso.types`
 on tiny structures (a genuinely independent implementation of the same
-equivalence).
+equivalence); it is a test oracle, so it lives beside the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from ..structures.structure import Element, Structure
+from repro.structures.structure import Element, Structure
 
 
 def _subsets(domain: list[Element]) -> Iterator[frozenset[Element]]:

@@ -2,10 +2,11 @@
 
 from hypothesis import given, settings
 
-from repro.mso import duplicator_wins, equivalent, is_partial_isomorphism
+from repro.mso import equivalent
 from repro.structures import Graph, graph_to_structure
 
 from ..conftest import small_graphs
+from .games import duplicator_wins, is_partial_isomorphism
 
 
 def g2s(g):

@@ -1,6 +1,7 @@
 """Cross-validation of the PRIMALITY algorithms (Sections 5.2, 5.3)."""
 
 import random
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.problems import (
     prime_attributes_direct,
     prime_attributes_rerooting,
     random_schema,
+    table1_instance,
 )
 from repro.datalog import SetDatabase
 from repro.structures import RelationalSchema, running_example
@@ -291,3 +293,39 @@ class TestIdSpaceEvaluation:
             assert ("bag", (0,)) not in built
             assert db.index_stats.builds == len(built)
             assert db.index_stats.rebuilds == 0
+
+
+def monadic_predicate_bound(schema, nice) -> int:
+    """An upper bound on the predicates of Theorem 5.3's monadic
+    expansion: solve<Y,FY,Co,DC,FC>(s) per bag, i.e. 2^|At| choices of
+    Y, the orderings of Co and 2^|Co| choices of DC per Y, and 2^|Fd|
+    choices each of FY and FC."""
+    fd_names = {fd.name for fd in schema.fds}
+    total = 0
+    for node in nice.tree.nodes():
+        bag = nice.bag(node)
+        fds = len(bag & fd_names)
+        at = len(bag) - fds
+        per_y = sum(comb(at, k) * factorial(k) * 2**k for k in range(at + 1))
+        total += per_y * 4**fds
+    return total
+
+
+class TestSuccinctness:
+    """Section 6, optimization (1): Figure 6 is a succinct form of a
+    big monadic program; the counts are deterministic."""
+
+    @pytest.mark.parametrize("num_fds", [2, 8])
+    def test_figure6_has_14_rules_whatever_the_data(self, num_fds):
+        schema = table1_instance(num_fds).schema
+        assert {
+            len(primality_program(a).rules) for a in schema.attributes
+        } == {14}
+
+    def test_monadic_expansion_bound_is_over_1000x_figure6(self):
+        instance = table1_instance(7)
+        nice = prepare_decision_decomposition(
+            instance.schema, "p0", instance.decomposition
+        )
+        bound = monadic_predicate_bound(instance.schema, nice)
+        assert bound > 1000 * len(primality_program("p0").rules)

@@ -233,3 +233,38 @@ class TestIdSpaceRun:
         run = datalog_solver.run(Graph())
         assert run.colorable and run.solve_fact_count == 0
         assert run.database.fact_count() == 0
+
+
+def full_atom_space(nice) -> int:
+    """Every (R, G, B) partition of every bag: the ``solve`` atoms a
+    fully materialized ground program holds, and the predicates
+    solve<R,G,B>(s) of Theorem 5.1's monadic expansion."""
+    return sum(3 ** len(nice.bag(node)) for node in nice.tree.nodes())
+
+
+class TestSection6Claims:
+    """Section 6's two optimizations for Figure 5, as deterministic
+    counts on seeded partial 2-trees."""
+
+    def test_lazy_grounding_reaches_a_minority_of_the_atom_space(
+        self, datalog_solver
+    ):
+        """Optimization (2): "the vast majority of possible
+        instantiations is never computed"."""
+        rng = random.Random(4242)
+        for n in (15, 30, 60):
+            graph, td = random_partial_ktree(rng, n, 2, 0.6)
+            full = full_atom_space(prepare_decomposition(graph, td))
+            reached = datalog_solver.run(graph, td).solve_fact_count
+            assert reached < full / 2, (n, reached, full)
+
+    def test_figure5_has_10_rules_whatever_the_data(self, datalog_solver):
+        assert len(three_coloring_program().rules) == 10
+        assert datalog_solver.program.rules == three_coloring_program().rules
+
+    def test_monadic_expansion_is_over_100x_figure5(self):
+        """Optimization (1): Figure 5 is a succinct form of the monadic
+        program, which grows with the data."""
+        graph, td = random_partial_ktree(random.Random(9), 40, 2, 0.6)
+        predicates = full_atom_space(prepare_decomposition(graph, td))
+        assert predicates > 100 * len(three_coloring_program().rules)
