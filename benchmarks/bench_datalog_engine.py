@@ -17,8 +17,8 @@ outside the timed region):
   grid solved through the real Theorem 4.5 path (``has_neighbor``
   compiled at width 2 relative to the grid class --
   ``grid_graph_filter``).  Runs the streamed production form (the
-  folded program -- ~770 rules since the v8 shrinking pass) against
-  the ``passes=()`` ablation (the ~20k-rule program PR 9 served).
+  folded program -- ~770 rules since the v8 fold) against
+  the ``fold=False`` ablation (the unfolded ~20k-rule program).
   Gated on exact agreement with *direct MSO evaluation* and with the
   hand-written cover DP over the same ``A_td`` encoding, and on the
   folded program beating the ablation by ``GRID2X_PASSES_SPEEDUP``
@@ -53,7 +53,7 @@ and exits non-zero if a contract regresses:
      the streamed form prunes rules (``rules_pruned > 0``) on the
      chain, tree and grid2x solves; the grid2x answers equal direct
      MSO evaluation and the hand-written cover DP on the same
-     encoding, and the folded grid2x solve beats the ``passes=()``
+     encoding, and the folded grid2x solve beats the ``fold=False``
      ablation by >= ``GRID2X_PASSES_SPEEDUP`` on a first timing or on
      one re-timing, and grounds at most 1/``GRID2X_GROUND_RULES_SHRINK``
      of the ablation's rules (a count, so this half of the gate is
@@ -95,7 +95,7 @@ BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 SCHEMA_VERSION = "bench-engine/v13"
 
 #: the gate on the grid2x solve: the folded program must beat the
-#: passes=() ablation -- the program PR 9 served -- by this factor
+#: unfolded fold=False ablation by this factor
 GRID2X_PASSES_SPEEDUP = 3.0
 #: ... and ground at most this fraction's inverse of its rules
 GRID2X_GROUND_RULES_SHRINK = 3
@@ -111,18 +111,18 @@ EVAL_REPEAT = 9
 
 
 @functools.lru_cache(maxsize=None)
-def compiled_has_neighbor(width, passes=None):
-    """``has_neighbor`` compiled once per (width, passes): width 1 over
+def compiled_has_neighbor(width, fold=True):
+    """``has_neighbor`` compiled once per (width, fold): width 1 over
     undirected graphs, width 2 over the grid class."""
     from repro.core import (
-        compile_unary_query,
+        MSOToDatalogCompiler,
         grid_graph_filter,
         undirected_graph_filter,
     )
     from repro.mso import formulas
     from repro.structures import GRAPH_SIGNATURE
 
-    return compile_unary_query(
+    return MSOToDatalogCompiler(
         formulas.has_neighbor("x"),
         GRAPH_SIGNATURE,
         width=width,
@@ -130,8 +130,8 @@ def compiled_has_neighbor(width, passes=None):
         structure_filter=(
             grid_graph_filter if width == 2 else undirected_graph_filter
         ),
-        passes=passes,
-    )
+        fold=fold,
+    ).compile()
 
 
 def graph_grid(k):
@@ -159,7 +159,7 @@ def solver_workloads(quick):
     ``A_td``), ``answer_predicate``, ``expected`` (answer count), and
     for the grid2x workload ``reference`` -- the exact answer set from
     *direct MSO evaluation* -- ``dp_answers`` (the hand-written cover
-    DP on the same encoding) and the ``passes=()`` ablation's program
+    DP on the same encoding) and the ``fold=False`` ablation's program
     (the Theorem 4.5 conformance contract of the width-2 envelope).
     """
     from repro.bench import atd_cover_program
@@ -212,11 +212,11 @@ def solver_workloads(quick):
     # solve a ladder, and pin the answers to direct MSO evaluation and
     # to the hand-written cover DP over the same A_td encoding
     compiled2 = compiled_has_neighbor(2)
-    # the passes=() ablation: the very same query compiled without the
-    # program-shrinking pass (ROADMAP D) -- the program PR 9 served.
+    # the fold=False ablation: the very same query compiled without
+    # folding (ROADMAP D).
     # The gate times it on the same encoding; the folded program must
     # beat it by GRID2X_PASSES_SPEEDUP.
-    compiled2_ablated = compiled_has_neighbor(2, passes=())
+    compiled2_ablated = compiled_has_neighbor(2, fold=False)
     structure, encoded, width = encode(Graph.grid(2, ladder_n), min_width=2)
     reference = mso_query(structure, formulas.has_neighbor("x"), "x")
     dp = QuasiGuardedEvaluator(
@@ -285,7 +285,7 @@ def run_solver_comparison(quick, repeat=3):
         )
         arms = {"quasi-guarded": lambda: streamed.evaluate(encoded)}
         if "ablation_program" in workload:
-            # the passes=() arm: same query, unshrunk program
+            # the fold=False arm: same query, unfolded program
             ablated = QuasiGuardedEvaluator(
                 workload["ablation_program"],
                 dependencies=workload["ablation_dependencies"],
@@ -304,14 +304,14 @@ def run_solver_comparison(quick, repeat=3):
             ms = best_ms(lambda: run().unary_answers(answer_pred), arm_repeat)
             runs[arm] = {
                 "ms": round(ms, 3),
-                "ground_rules": warm.ground_rules,
+                "ground_rules": warm.stats.ground_rules,
                 "answers": len(answers[arm]),
                 "rules_pruned": warm.stats.rules_pruned,
                 "peak_live_rules": warm.stats.peak_live_rules,
             }
         if _below_passes_speedup(runs):
             # host noise reads as a regression once; a real one persists
-            print(f"{name}: below the passes=() speedup; re-timing once")
+            print(f"{name}: below the fold=False speedup; re-timing once")
             retimed = {
                 arm: best_ms(
                     lambda run=arms[arm]: run().unary_answers(answer_pred),
@@ -379,7 +379,7 @@ def run_solver_comparison(quick, repeat=3):
 
 def _below_passes_speedup(runs):
     """Whether a grid2x workload's folded solve misses the
-    ``GRID2X_PASSES_SPEEDUP`` over the ``passes=()`` ablation."""
+    ``GRID2X_PASSES_SPEEDUP`` over the ``fold=False`` ablation."""
     nopasses = runs.get("quasi-guarded-nopasses")
     return nopasses is not None and (
         runs["quasi-guarded"]["ms"] * GRID2X_PASSES_SPEEDUP > nopasses["ms"]
@@ -393,7 +393,7 @@ def check_solver_contracts(name, runs):
     The compiled-MSO chain, tree and grid2x solves must prune rules
     (demand pruning engaged).  The grid cover DP is fully live and
     carries no gate here.  The grid2x workload (width-2 Theorem 4.5
-    path) must also beat the ``passes=()`` ablation by
+    path) must also beat the ``fold=False`` ablation by
     ``GRID2X_PASSES_SPEEDUP`` and ground at most
     1/``GRID2X_GROUND_RULES_SHRINK`` of its rules -- the answer
     conformance pins and the one re-timing live in
@@ -412,9 +412,9 @@ def check_solver_contracts(name, runs):
     if _below_passes_speedup(runs):
         failures.append(
             f"{name}: folded program {streamed['ms']:.1f}ms vs "
-            f"passes=() ablation {nopasses['ms']:.1f}ms -- less than "
+            f"fold=False ablation {nopasses['ms']:.1f}ms -- less than "
             f"the required {GRID2X_PASSES_SPEEDUP:g}x speedup from "
-            "the program-shrinking pass"
+            "folding"
         )
     if nopasses is not None and (
         streamed["ground_rules"] * GRID2X_GROUND_RULES_SHRINK
@@ -422,7 +422,7 @@ def check_solver_contracts(name, runs):
     ):
         failures.append(
             f"{name}: folded program grounds {streamed['ground_rules']} "
-            f"rules vs {nopasses['ground_rules']} for the passes=() "
+            f"rules vs {nopasses['ground_rules']} for the fold=False "
             f"ablation -- not the required "
             f"{GRID2X_GROUND_RULES_SHRINK}x fewer"
         )
@@ -630,7 +630,7 @@ def build_payload(
         "solver_program": (
             "Theorem 4.5 has_neighbor, minimized + folded "
             "(chain/tree at width 1; grid2x ladder at width 2 via "
-            "grid_graph_filter, streamed folded program vs passes=() "
+            "grid_graph_filter, streamed folded program vs fold=False "
             "ablation, conformance-pinned to direct MSO + cover DP); "
             "A_td cover DP at natural width (grid)"
         ),
@@ -730,7 +730,7 @@ def main(argv=None) -> int:
         "\nok: the streamed quasi-guarded pipeline matches the "
         "semi-naive engine's answers and prunes rules; the width-2 "
         "grid2x solve matches direct MSO evaluation and the "
-        "hand-written cover DP, beats the passes=() ablation and "
+        "hand-written cover DP, beats the fold=False ablation and "
         "grounds under a third of its rules; the eval exponent is at "
         f"most {EVAL_MAX_SLOPE} on forests and ladders; the baseline "
         "schema matches the harness"

@@ -95,8 +95,7 @@ def compiler_workloads(quick):
     ``CompiledQuery``.  All run at the *default* witness bound -- the
     envelope is measured, not configured around."""
     from repro.core import (
-        compile_sentence,
-        compile_unary_query,
+        MSOToDatalogCompiler,
         grid_graph_filter,
         undirected_graph_filter,
     )
@@ -110,17 +109,17 @@ def compiler_workloads(quick):
         (
             "p-sentence-w1-k1",
             dict(signature="{p}", width=1, k=1, filter=None, kind="sentence"),
-            lambda: compile_sentence(d1, psig, 1),
+            lambda: MSOToDatalogCompiler(d1, psig, 1).compile(),
         ),
         (
             "p-sentence-w2-k1",
             dict(signature="{p}", width=2, k=1, filter=None, kind="sentence"),
-            lambda: compile_sentence(d1, psig, 2),
+            lambda: MSOToDatalogCompiler(d1, psig, 2).compile(),
         ),
         (
             "p-sentence-w1-k2",
             dict(signature="{p}", width=1, k=2, filter=None, kind="sentence"),
-            lambda: compile_sentence(d2, psig, 1),
+            lambda: MSOToDatalogCompiler(d2, psig, 1).compile(),
         ),
         (
             "graph-neighbor-w1-undirected",
@@ -131,12 +130,13 @@ def compiler_workloads(quick):
                 filter="undirected_graph_filter",
                 kind="unary",
             ),
-            lambda: compile_unary_query(
+            lambda: MSOToDatalogCompiler(
                 neighbor,
                 GRAPH_SIGNATURE,
                 1,
+                free_var="x",
                 structure_filter=undirected_graph_filter,
-            ),
+            ).compile(),
         ),
         (
             "graph-neighbor-w1-grid",
@@ -147,12 +147,13 @@ def compiler_workloads(quick):
                 filter="grid_graph_filter",
                 kind="unary",
             ),
-            lambda: compile_unary_query(
+            lambda: MSOToDatalogCompiler(
                 neighbor,
                 GRAPH_SIGNATURE,
                 1,
+                free_var="x",
                 structure_filter=grid_graph_filter,
-            ),
+            ).compile(),
         ),
         (
             # ROADMAP (d): the width >= 2 envelope, CI-gated.  Interned
@@ -167,12 +168,13 @@ def compiler_workloads(quick):
                 filter="grid_graph_filter",
                 kind="unary",
             ),
-            lambda: compile_unary_query(
+            lambda: MSOToDatalogCompiler(
                 neighbor,
                 GRAPH_SIGNATURE,
                 2,
+                free_var="x",
                 structure_filter=grid_graph_filter,
-            ),
+            ).compile(),
         ),
     ]
     return workloads
@@ -253,18 +255,19 @@ def run_compiles(quick):
 
 def run_blowup_check():
     """Contract 4: unfiltered graphs must exhaust the type budget."""
-    from repro.core import CompilerLimitError, compile_unary_query
+    from repro.core import CompilerLimitError, MSOToDatalogCompiler
     from repro.mso import formulas
     from repro.structures import GRAPH_SIGNATURE
 
     start = time.perf_counter()
     try:
-        compile_unary_query(
+        MSOToDatalogCompiler(
             formulas.has_neighbor("x"),
             GRAPH_SIGNATURE,
             width=1,
+            free_var="x",
             max_types=2000,
-        )
+        ).compile()
     except CompilerLimitError:
         ms = (time.perf_counter() - start) * 1000.0
         return {"blown": True, "max_types": 2000, "ms": round(ms, 1)}, []

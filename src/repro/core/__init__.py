@@ -7,8 +7,6 @@ from .mso_to_datalog import (
     CompilerStats,
     MSOToDatalogCompiler,
     grid_graph_filter,
-    compile_sentence,
-    compile_unary_query,
     undirected_graph_filter,
 )
 from .quasi_guarded import QuasiGuardedEvaluator, QuasiGuardedResult
@@ -33,10 +31,8 @@ __all__ = [
     "TypeAlgebra",
     "TypeEntry",
     "TypeTable",
-    "compile_sentence",
     "fold_partition",
     "grid_graph_filter",
     "reduce_witness",
     "undirected_graph_filter",
-    "compile_unary_query",
 ]

@@ -57,6 +57,13 @@ computes the same answers with often orders-of-magnitude fewer rules
 depth-k query can observe).  ``minimize=False`` keeps one predicate
 per raw type id for ablation and testing.
 
+**Folding** (``fold=True``, the production default) then merges the
+minimized classes whose observable differences are confined to
+*unrealized* step entries (permutations, replacements or glue pairs
+the ``structure_filter`` rejected); the partition machinery is
+:func:`repro.core.typealg.fold_partition`.  ``fold=False`` is the
+retained ablation the width-2 engine benchmark gate compares against.
+
 Emission replays every step-map entry through the class assignment as
 a small hashable *rule key* -- kind, head/body class ids and one shape
 parameter (bag EDB, permutation, new-leaf side or answer position) --
@@ -87,7 +94,6 @@ from typing import Iterable, Iterator, Sequence
 from .._util import powerset
 from ..datalog.ast import Atom, Literal, Program, Rule, Variable, neg, pos
 from ..datalog.guards import td_key_dependencies
-from ..datalog.passes import DEFAULT_PASSES, normalize_passes
 from ..mso.eval import evaluate
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
@@ -110,21 +116,21 @@ DEFAULT_MAX_WITNESS_SIZE = 16
 __all__ = [
     "ANSWER_PREDICATE",
     "DEFAULT_MAX_WITNESS_SIZE",
-    "DEFAULT_PASSES",
     "CompiledQuery",
     "CompilerLimitError",
     "CompilerStats",
     "MSOToDatalogCompiler",
-    "compile_sentence",
-    "compile_unary_query",
     "grid_graph_filter",
     "undirected_graph_filter",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompilerStats:
     """How hard one compile worked -- the ``BENCH_compiler.json`` shape.
+
+    Slotted, so it pickles as its field values alone: it travels in
+    every solver a service worker loads.
 
     ``max_reduced_witness`` is the envelope measure: the largest
     witness *surviving* reduction into the type table (the old
@@ -138,8 +144,8 @@ class CompilerStats:
     down_types: int
     up_classes: int
     down_classes: int
-    #: rule count before the pass pipeline: the distinct rule keys over
-    #: the minimized classes (counted, not built, when ``fold`` merges)
+    #: rule count before folding: the distinct rule keys over the
+    #: minimized classes (counted, not built, when ``fold`` merges)
     rules: int
     type_computations: int
     max_witness_typed: int
@@ -147,11 +153,11 @@ class CompilerStats:
     reductions: int
     elements_deleted: int
     glue_pairs: int
-    #: minimized classes merged away by the ⊥-insensitive fold pass
-    #: (0 when the pass is off)
+    #: minimized classes merged away by ⊥-insensitive folding
+    #: (0 when ``fold=False``)
     classes_folded: int = 0
-    #: rule count of the final program after the pass pipeline
-    #: (== ``rules`` when ``passes=()``)
+    #: rule count of the final program after folding
+    #: (== ``rules`` when ``fold=False``)
     rules_after_passes: int = 0
 
 
@@ -167,10 +173,6 @@ class CompiledQuery:
     up_type_count: int
     down_type_count: int
     stats: CompilerStats | None = None
-    #: the shrinking passes this program was compiled with (differently
-    #: optimized variants are different programs with different
-    #: fingerprints, so the service's program handles tell them apart)
-    passes: tuple[str, ...] = ()
 
     @property
     def is_sentence(self) -> bool:
@@ -242,7 +244,7 @@ class MSOToDatalogCompiler:
         max_types: int = 20000,
         structure_filter=None,
         minimize: bool = True,
-        passes: Sequence[str] | None = None,
+        fold: bool = True,
     ):
         if width < 1:
             raise ValueError("Theorem 4.5 assumes treewidth w >= 1")
@@ -258,9 +260,7 @@ class MSOToDatalogCompiler:
         self.max_witness_size = max_witness_size
         self.max_types = max_types
         self.minimize = minimize
-        #: the program-shrinking pipeline (``None`` -> the production
-        #: default, ``("fold",)``; ``()`` is the retained ablation)
-        self.passes = normalize_passes(passes)
+        self.fold = fold
         #: Optional predicate restricting compilation to a *class* of
         #: structures (e.g. symmetric loop-free graphs).  Sound whenever
         #: the class is closed under induced substructures, which makes
@@ -547,7 +547,7 @@ class MSOToDatalogCompiler:
         )
 
     # ------------------------------------------------------------------
-    # ⊥-insensitive folding (the "fold" pass)
+    # ⊥-insensitive folding (``fold=True``)
     # ------------------------------------------------------------------
 
     def _fold_classes(
@@ -830,12 +830,12 @@ class MSOToDatalogCompiler:
 
         assign = cls
         classes_folded = 0
-        if "fold" in self.passes:
+        if self.fold:
             assign = self._fold_classes(cls, accept)
             classes_folded = n_classes - len(set(assign))
         program = self._emit(assign, accept)
         if classes_folded:
-            # the pre-pass rule count backs the fold-only-shrinks gate;
+            # the pre-fold rule count backs the fold-only-shrinks gate;
             # distinct keys are distinct rules, so no program is built
             rules_emitted = len(set(self._rule_keys(cls, accept)))
         else:
@@ -868,7 +868,6 @@ class MSOToDatalogCompiler:
             up_type_count=len(self._table),
             down_type_count=0 if is_sentence else len(self._table),
             stats=stats,
-            passes=self.passes,
         )
 
 
@@ -921,55 +920,3 @@ def grid_graph_filter(structure: Structure) -> bool:
                 return False  # triangle u-v-y
     return True
 
-
-def compile_unary_query(
-    formula: Formula,
-    signature: Signature,
-    width: int,
-    free_var: str = "x",
-    quantifier_depth: int | None = None,
-    max_witness_size: int = DEFAULT_MAX_WITNESS_SIZE,
-    max_types: int = 20000,
-    structure_filter=None,
-    minimize: bool = True,
-    passes: Sequence[str] | None = None,
-) -> CompiledQuery:
-    """Theorem 4.5 for a unary query φ(x)."""
-    return MSOToDatalogCompiler(
-        formula,
-        signature,
-        width,
-        free_var=free_var,
-        quantifier_depth=quantifier_depth,
-        max_witness_size=max_witness_size,
-        max_types=max_types,
-        structure_filter=structure_filter,
-        minimize=minimize,
-        passes=passes,
-    ).compile()
-
-
-def compile_sentence(
-    formula: Formula,
-    signature: Signature,
-    width: int,
-    quantifier_depth: int | None = None,
-    max_witness_size: int = DEFAULT_MAX_WITNESS_SIZE,
-    max_types: int = 20000,
-    structure_filter=None,
-    minimize: bool = True,
-    passes: Sequence[str] | None = None,
-) -> CompiledQuery:
-    """Theorem 4.5's decision variant for a sentence φ."""
-    return MSOToDatalogCompiler(
-        formula,
-        signature,
-        width,
-        free_var=None,
-        quantifier_depth=quantifier_depth,
-        max_witness_size=max_witness_size,
-        max_types=max_types,
-        structure_filter=structure_filter,
-        minimize=minimize,
-        passes=passes,
-    ).compile()

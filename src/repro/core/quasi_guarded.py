@@ -30,9 +30,12 @@ materializes the rest of the model).
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 from ..datalog.ast import Program
 from ..datalog.budget import as_meter
-from ..datalog.builtins import BuiltinRegistry
+from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.evaluate import Database
 from ..datalog.grounding import (
     GroundingStats,
@@ -50,8 +53,6 @@ from ..datalog.interning import InternPool
 from ..datalog.setengine import SetDatabase
 from ..structures.structure import Fact, Structure
 
-_UNRESOLVED = object()  # sentinel: derive the relevance set here
-
 
 class QuasiGuardedResult:
     """The derived intensional model of one Theorem 4.4 solve.
@@ -65,20 +66,18 @@ class QuasiGuardedResult:
     demanded predicates and their relevance cone; predicates outside it
     are simply absent from the model.
 
-    ``stats`` carries the solve's :class:`GroundingStats` (pruning and
-    residency counters).
+    ``stats`` carries the solve's :class:`GroundingStats` (ground
+    rules, pruning and residency counters).
     """
 
-    __slots__ = ("ground_rules", "pool", "stats", "_flags", "_facts")
+    __slots__ = ("pool", "stats", "_flags", "_facts")
 
     def __init__(
         self,
         pool: InternPool,
         flags: bytearray,
-        ground_rules: int = 0,
         stats: GroundingStats | None = None,
     ):
-        self.ground_rules = ground_rules
         #: the solve's shared interning context
         self.pool = pool
         self.stats = stats
@@ -140,9 +139,12 @@ class QuasiGuardedEvaluator:
     the program's distinct join steps to the structure (see
     :class:`~repro.datalog.grounding.PreparedGrounding`).
 
-    ``prepared`` / ``relevant`` hand pre-computed per-program artifacts
-    straight in (the pickle-safe service worker handoff: the
-    parent resolves them once, workers skip the per-program work).
+    The evaluator pickles with its plans and its resolved demand, so a
+    service worker that loads it neither re-plans, re-resolves demand
+    nor re-checks quasi-guardedness.  The standard built-in registry
+    (``registry=None``) holds closures: it is left out of the pickle
+    and attached again on load.  An evaluator given its own
+    ``registry`` refuses to pickle rather than come back with another.
     """
 
     def __init__(
@@ -153,15 +155,12 @@ class QuasiGuardedEvaluator:
         registry: BuiltinRegistry | None = None,
         require_quasi_guarded: bool = True,
         demand=None,
-        prepared=None,
-        relevant=_UNRESOLVED,
     ):
         self.program = program
         if dependencies is None:
             dependencies = (
                 td_key_dependencies(bag_arity) if bag_arity is not None else ()
             )
-        self.dependencies = dependencies
         self.registry = registry
         self.demand = demand
         if require_quasi_guarded and not is_quasi_guarded(program, dependencies):
@@ -169,19 +168,31 @@ class QuasiGuardedEvaluator:
                 "program is not quasi-guarded under the declared key "
                 "dependencies (Definition 4.3)"
             )
-        if prepared is not None:
-            self._prepared = prepared
-        else:
-            # body ordering is per-program work: do it once, here
-            self._prepared = prepare_grounding(
-                program, registry, cost=key_cost_model(dependencies)
+        # body ordering is per-program work: do it once, here
+        self._prepared = prepare_grounding(
+            program, registry, cost=key_cost_model(dependencies)
+        )
+        # demand resolution (the backward relevance traversal) is also
+        # per-program work: resolve it here, not per structure
+        self._relevant = resolve_demand(program, demand)
+
+    def __getstate__(self):
+        if self.registry is not None:
+            raise pickle.PicklingError(
+                "a QuasiGuardedEvaluator with its own built-in registry "
+                "cannot be pickled: only the standard registry is "
+                "attached again on load"
             )
-        if relevant is not _UNRESOLVED:
-            self._relevant = relevant
-        else:
-            # demand resolution (the backward relevance traversal) is
-            # also per-program work: resolve it here, not per structure
-            self._relevant = resolve_demand(program, demand)
+        bare = dataclasses.replace(self._prepared, registry=None)
+        return self.demand, bare, self._relevant
+
+    def __setstate__(self, state):
+        self.demand, bare, self._relevant = state
+        self.program = bare.program
+        self.registry = None
+        self._prepared = dataclasses.replace(
+            bare, registry=standard_registry()
+        )
 
     def evaluate(
         self, data: Structure | Database | SetDatabase, budget=None
@@ -214,4 +225,4 @@ class QuasiGuardedEvaluator:
             meter=meter,
         )
         flags = sink.flags(len(pool))
-        return QuasiGuardedResult(pool, flags, stats.ground_rules, stats)
+        return QuasiGuardedResult(pool, flags, stats)

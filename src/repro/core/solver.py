@@ -24,14 +24,14 @@ refused with a typed :class:`repro.errors.AdmissionRejected`.
 Batch workloads go through :meth:`CourcelleSolver.solve_many`, which
 solves in process, or on a caller-held
 :class:`repro.service.SolverService` whose warm workers shard the
-batch: the solver pickles as (formula, compiled program, grounding
-plans) -- compilation is *not* repeated per worker -- and results come
-back in input order regardless of worker count.
+batch: the solver pickles as (formula, compiled program, evaluator),
+and the evaluator carries its grounding plans and resolved demand
+(:class:`~repro.core.quasi_guarded.QuasiGuardedEvaluator`), so a worker
+neither recompiles nor re-plans; results come back in input order
+regardless of worker count.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from ..admission import MeterBudget, admit
 from ..datalog.budget import BudgetExceeded, as_meter
@@ -46,11 +46,11 @@ from ..treewidth.encode import load_normalized
 from ..treewidth.normalize import NormalizedTreeDecomposition, normalize, widen
 from .mso_to_datalog import (
     ANSWER_PREDICATE,
+    DEFAULT_MAX_WITNESS_SIZE,
     CompiledQuery,
-    compile_sentence,
-    compile_unary_query,
+    MSOToDatalogCompiler,
 )
-from .quasi_guarded import _UNRESOLVED, QuasiGuardedEvaluator
+from .quasi_guarded import QuasiGuardedEvaluator
 
 
 class CourcelleSolver:
@@ -69,7 +69,8 @@ class CourcelleSolver:
     ``repro.datalog.solve(solver.compiled.program, encoded)`` (the
     ``semi-naive`` engine; ``backend="naive"`` for the reference) on
     the value-level ``A_td`` encoding
-    ``encode_normalized(structure, solver._normalize(structure, td))``.
+    ``encode_normalized(structure, solver._normalize(structure, td))``
+    of an admitted ``td``.
     """
 
     def __init__(
@@ -78,47 +79,26 @@ class CourcelleSolver:
         signature: Signature,
         width: int,
         free_var: str | None = None,
-        max_witness_size: int = 16,
+        max_witness_size: int = DEFAULT_MAX_WITNESS_SIZE,
         structure_filter=None,
         minimize: bool = True,
-        passes=None,
+        fold: bool = True,
     ):
         self._formula = formula
-        if free_var is None:
-            self.compiled: CompiledQuery = compile_sentence(
-                formula,
-                signature,
-                width,
-                max_witness_size=max_witness_size,
-                structure_filter=structure_filter,
-                minimize=minimize,
-                passes=passes,
-            )
-        else:
-            self.compiled = compile_unary_query(
-                formula,
-                signature,
-                width,
-                free_var=free_var,
-                max_witness_size=max_witness_size,
-                structure_filter=structure_filter,
-                minimize=minimize,
-                passes=passes,
-            )
-        #: the shrinking-pass configuration actually applied (``passes=None``
-        #: resolved to the production default by the compiler)
-        self.passes = self.compiled.passes
-        self._wire_evaluator()
-
-    def _wire_evaluator(self, prepared=None, relevant=_UNRESOLVED) -> None:
-        """Build the streamed quasi-guarded evaluator.
-
-        ``prepared`` / ``relevant`` are the pickle handoff: a
-        service worker rebuilds from the parent's per-program
-        artifacts (and trusts the parent's quasi-guardedness check)
-        instead of re-deriving them.  The Theorem 4.5 check runs here,
-        once per construction; the evaluator does not repeat it."""
-        if prepared is None and not is_quasi_guarded(
+        self.compiled: CompiledQuery = MSOToDatalogCompiler(
+            formula,
+            signature,
+            width,
+            free_var=free_var,
+            max_witness_size=max_witness_size,
+            structure_filter=structure_filter,
+            minimize=minimize,
+            fold=fold,
+        ).compile()
+        # the Theorem 4.5 check runs here, once per construction; the
+        # evaluator does not repeat it, and neither does a worker that
+        # loads the pickled solver
+        if not is_quasi_guarded(
             self.compiled.program, self.compiled.dependencies()
         ):
             raise AssertionError(
@@ -129,65 +109,21 @@ class CourcelleSolver:
             dependencies=self.compiled.dependencies(),
             demand=ANSWER_PREDICATE,
             require_quasi_guarded=False,
-            prepared=prepared,
-            relevant=relevant,
         )
-
-    # -- pickling (the service handoff) --------------------------------
-
-    def __getstate__(self):
-        # carry the compiled program and its per-program solve
-        # artifacts (grounding plans + demand relevance), not the
-        # runtime wiring: a worker must neither recompile the Theorem
-        # 4.5 program nor re-derive the plans it hands to every solve.
-        # The builtin registry holds closures; CourcelleSolver always
-        # evaluates with the standard registry, so ship the plans bare
-        # and re-attach it on the other side
-        return {
-            "formula": self._formula,
-            "compiled": self.compiled,
-            "prepared": dataclasses.replace(
-                self.evaluator._prepared, registry=None
-            ),
-            "relevant": self.evaluator._relevant,
-        }
-
-    def __setstate__(self, state):
-        self._formula = state["formula"]
-        self.compiled = state["compiled"]
-        self.passes = getattr(self.compiled, "passes", ())
-        from ..datalog.builtins import standard_registry
-
-        self._wire_evaluator(
-            prepared=dataclasses.replace(
-                state["prepared"], registry=standard_registry()
-            ),
-            relevant=state["relevant"],
-        )
-
-    # ------------------------------------------------------------------
 
     def _prepare(
-        self, structure: Structure, td: TreeDecomposition | None
+        self, structure: Structure, td: TreeDecomposition
     ) -> SetDatabase:
         """``A_td`` loaded into interned ids, ready for the evaluator."""
         return load_normalized(structure, self._normalize(structure, td))
 
     def _normalize(
-        self, structure: Structure, td: TreeDecomposition | None
+        self, structure: Structure, td: TreeDecomposition
     ) -> NormalizedTreeDecomposition:
         """The Definition 2.3 decomposition a solve loads.
 
         ``td`` is one :func:`repro.admission.admit` handed back: valid
-        for ``structure`` and within the compiled width.  ``None``
-        admits ``structure`` under ``"strict"`` first, as a td-less
-        request does."""
-        if td is None:
-            td = admit(
-                structure,
-                signature=self.compiled.signature,
-                width=self.compiled.width,
-            ).td
+        for ``structure`` and within the compiled width."""
         if td.width < self.compiled.width:
             td = widen(td, self.compiled.width)
         ntd = normalize(td)

@@ -29,12 +29,11 @@ round-0 plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..structures.structure import Fact, Structure
 from .ast import Atom, Constant, Literal, Program, Rule, Variable
 from .builtins import UNBOUND, BuiltinCall, BuiltinRegistry, standard_registry
-from .passes import strongly_connected_components
 
 
 class UnsafeRuleError(ValueError):
@@ -213,6 +212,67 @@ def stratify(program: Program) -> list[frozenset[str]]:
         frozenset(p for p in idb if stratum[p] == level)
         for level in range(levels)
     ]
+
+
+def strongly_connected_components(
+    nodes: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
+) -> list[tuple[Hashable, ...]]:
+    """Tarjan's algorithm, iteratively (no recursion-depth limit).
+
+    Components come out in *reverse topological* order: every edge of
+    the condensation goes from a later component to an earlier one, so
+    dependencies precede their dependents in the returned list --
+    exactly the evaluation order a stratified fixpoint wants.
+    """
+    index: dict[Hashable, int] = {}
+    lowlink: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
+    components: list[tuple[Hashable, ...]] = []
+    counter = 0
+
+    for root in nodes:
+        if root in index:
+            continue
+        # each frame: (node, iterator over its successors)
+        work = [(root, iter(successors(root)))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(successors(succ))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    if index[succ] < lowlink[node]:
+                        lowlink[node] = index[succ]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if lowlink[node] < lowlink[parent]:
+                    lowlink[parent] = lowlink[node]
+            if lowlink[node] == index[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member is node or member == node:
+                        break
+                components.append(tuple(component))
+    return components
 
 
 def refine_strata(

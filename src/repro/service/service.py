@@ -7,10 +7,10 @@ route: ``CourcelleSolver.solve_many(service=)`` shards a batch across a
 caller-held service; without ``service=`` a batch is solved in process.
 
 * **Long-lived workers.**  Each worker process rebuilds a solver
-  exactly once per registered program from its pickle handoff
-  (``CourcelleSolver.__getstate__``: compiled program + prepared
-  grounding plans + demand-relevance set), then holds it warm, plans
-  resident.  Compilation and planning never happen on the request
+  exactly once per registered program from its pickle (compiled
+  program + the evaluator's grounding plans and demand-relevance set,
+  :class:`~repro.core.quasi_guarded.QuasiGuardedEvaluator`), then
+  holds it warm, plans resident.  Compilation and planning never happen on the request
   path.
 * **Coalescing batch scheduler.**  ``submit()`` / ``submit_many()``
   enqueue individual requests and return
@@ -770,9 +770,10 @@ class SolverService:
         """Register a ``CourcelleSolver``; idempotent per compiled
         program.
 
-        The solver is pickled **once** here (``__getstate__``: compiled
-        program + prepared plans + relevance set) and shipped lazily to
-        each worker the first time a shard of this program reaches it.
+        The solver is pickled **once** here (compiled program + the
+        evaluator's grounding plans and relevance set) and shipped
+        lazily to each worker the first time a shard of this program
+        reaches it.
         Registering an equal solver again (same program fingerprint and
         width) returns the existing handle without re-pickling.
         """

@@ -285,35 +285,21 @@ def load_nice(
     structure: Structure,
     nice: NiceTreeDecomposition,
     bag_payload: Callable[[frozenset[Element]], tuple] | None = None,
-    extra: Callable[[frozenset[Element]], Iterable[tuple[str, tuple]]]
-    | None = None,
 ) -> SetDatabase:
-    """``A_td`` for a Section 5 decomposition, loaded into ids, plus
-    the problem's precomputed facts about each bag.
+    """``A_td`` for a Section 5 decomposition, loaded into ids.
 
-    ``bag_payload`` is that of :func:`encode_nice`.  ``extra(bag)``
-    yields ``(predicate, values)`` pairs, and every node with that bag
-    gets the fact ``predicate(TDNode(node), *values)``: Figure 5's
-    ``allowed``, say.  Its predicates must be new names, each of one
-    arity.
-
-    The database equals ``SetDatabase.from_edb`` of ``encode_nice(
-    structure, nice, bag_payload)`` with ``extra``'s facts added, up to
-    the choice of ids (see :func:`load_nice_ids`).
+    ``bag_payload`` is that of :func:`encode_nice`.  The database
+    equals ``SetDatabase.from_edb`` of ``encode_nice(structure, nice,
+    bag_payload)``, up to the choice of ids (see :func:`load_nice_ids`,
+    which also takes per-bag extra facts, such as Figure 5's
+    ``allowed``).
     """
     if bag_payload is None:
         bag_payload = lambda bag: (bag,)
 
     def bag_facts(interner: Interner) -> BagFacts:
         intern = interner.intern
-
-        def facts(bag):
-            return tuple(map(intern, bag_payload(bag))), [
-                (predicate, tuple(map(intern, args)))
-                for predicate, args in (extra(bag) if extra else ())
-            ]
-
-        return facts
+        return lambda bag: (tuple(map(intern, bag_payload(bag))), ())
 
     return load_nice_ids(structure, nice, bag_facts)
 

@@ -85,7 +85,7 @@ class TestEngineBaseline:
         for name, backends in solver.items():
             if name.startswith("solve-grid2x-"):
                 # the width-2 Theorem 4.5 workload runs the streamed
-                # production form plus the passes=() ablation
+                # production form plus the fold=False ablation
                 assert set(backends) == {
                     "quasi-guarded",
                     "quasi-guarded-nopasses",

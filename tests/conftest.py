@@ -238,13 +238,28 @@ def supported_instances(program: Program, db) -> int:
     return sum(len(model.relation(r.head.predicate)) for r in counting)
 
 
+def admitted_td(solver, structure, td=None):
+    """The decomposition a ``"strict"`` admission of ``(structure, td)``
+    hands the solver's load -- what ``solver._prepare`` and
+    ``solver._normalize`` take."""
+    from repro.admission import admit
+
+    return admit(
+        structure,
+        signature=solver.compiled.signature,
+        width=solver.compiled.width,
+        td=td,
+    ).td
+
+
 def oracle_encoding(solver, structure, td=None):
     """The value-level ``A_td`` of ``structure`` (``encode_normalized``)
     on the normalized decomposition the solver's own load would use --
-    the oracle form of ``solver._prepare(structure, td)``."""
+    the oracle form of ``solver._prepare`` on the admitted ``td``."""
     from repro.treewidth import encode_normalized
 
-    return encode_normalized(structure, solver._normalize(structure, td))
+    admitted = admitted_td(solver, structure, td)
+    return encode_normalized(structure, solver._normalize(structure, admitted))
 
 
 def reference_query(solver, structure, td=None):
@@ -303,7 +318,7 @@ def graph_query_compile(name: str, width: int):
     # the solver's own compile would rebuild the same program; hand it
     # this one, so the type table it came from is the witnesses'
     with mock.patch.object(
-        solver_module, "compile_unary_query", lambda *args, **kwargs: compiled
+        solver_module.MSOToDatalogCompiler, "compile", lambda self: compiled
     ):
         solver = CourcelleSolver(
             formula,

@@ -15,8 +15,6 @@ from repro.core import (
     ANSWER_PREDICATE,
     CompilerLimitError,
     MSOToDatalogCompiler,
-    compile_sentence,
-    compile_unary_query,
     grid_graph_filter,
     undirected_graph_filter,
 )
@@ -33,13 +31,13 @@ PSIG = Signature.of(p=1)
 
 @pytest.fixture(scope="module")
 def neighbor_query():
-    return compile_unary_query(
+    return MSOToDatalogCompiler(
         formulas.has_neighbor("x"),
         GRAPH_SIGNATURE,
         width=1,
         free_var="x",
         structure_filter=undirected_graph_filter,
-    )
+    ).compile()
 
 
 class TestCompiledProgramShape:
@@ -75,13 +73,13 @@ _NQ_CACHE: list = []
 def _cached_neighbor_query():
     if not _NQ_CACHE:
         _NQ_CACHE.append(
-            compile_unary_query(
+            MSOToDatalogCompiler(
                 formulas.has_neighbor("x"),
                 GRAPH_SIGNATURE,
                 width=1,
                 free_var="x",
                 structure_filter=undirected_graph_filter,
-            )
+            ).compile()
         )
     return _NQ_CACHE[0]
 
@@ -118,7 +116,7 @@ class TestSentenceVariant:
         sentence = ExistsInd(
             "x", And(RelAtom("p", ("x",)), ExistsInd("y", Not(RelAtom("p", ("y",)))))
         )
-        compiled = compile_sentence(sentence, PSIG, width=1)
+        compiled = MSOToDatalogCompiler(sentence, PSIG, 1).compile()
         assert compiled.is_sentence
         assert compiled.down_type_count == 0  # Θ↓ skipped for sentences
         assert any(r.head.predicate == "phi" for r in compiled.program.rules)
@@ -137,7 +135,7 @@ class TestSentenceVariant:
         sentence = ExistsInd(
             "x", And(RelAtom("p", ("x",)), ExistsInd("y", Not(RelAtom("p", ("y",)))))
         )
-        compiled = compile_sentence(sentence, PSIG, width=1)
+        compiled = MSOToDatalogCompiler(sentence, PSIG, 1).compile()
         evaluator = QuasiGuardedEvaluator(
             compiled.program, dependencies=compiled.dependencies()
         )
@@ -158,28 +156,32 @@ class TestSentenceVariant:
 class TestLimits:
     def test_max_types_raises(self):
         with pytest.raises(CompilerLimitError):
-            compile_unary_query(
+            MSOToDatalogCompiler(
                 formulas.has_neighbor("x"),
                 GRAPH_SIGNATURE,
                 width=1,
+                free_var="x",
                 max_types=3,
                 structure_filter=undirected_graph_filter,
-            )
+            ).compile()
 
     def test_width_zero_rejected(self):
         with pytest.raises(ValueError):
-            compile_unary_query(formulas.has_neighbor("x"), GRAPH_SIGNATURE, width=0)
+            MSOToDatalogCompiler(
+                formulas.has_neighbor("x"), GRAPH_SIGNATURE, 0, free_var="x"
+            ).compile()
 
     def test_unfiltered_graph_compilation_exceeds_small_budget(self):
         """Without the class filter the type space explodes -- the very
         state explosion the paper describes (Sections 1, 6)."""
         with pytest.raises(CompilerLimitError):
-            compile_unary_query(
+            MSOToDatalogCompiler(
                 formulas.has_neighbor("x"),
                 GRAPH_SIGNATURE,
                 width=1,
+                free_var="x",
                 max_types=200,
-            )
+            ).compile()
 
 
 def _quadratic_grid_filter(structure):
@@ -433,7 +435,7 @@ _EMISSION_COMPILES = {
 
 _EMISSION_SETTINGS = {
     "default": {},
-    "no-passes": {"passes": ()},
+    "no-passes": {"fold": False},
     "unminimized": {"minimize": False},
 }
 
@@ -466,7 +468,7 @@ class TestKeyLevelEmission:
         else:
             cls = list(range(len(compiler._table)))
         assign = cls
-        if "fold" in compiler.passes:
+        if compiler.fold:
             assign = compiler._fold_classes(cls, accept)
 
         oracle = _rule_set_emit(compiler, assign, accept)

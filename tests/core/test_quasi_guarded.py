@@ -4,11 +4,15 @@ import pytest
 
 from repro.core import QuasiGuardedEvaluator, QuasiGuardedResult
 from repro.datalog import (
+    BuiltinRegistry,
     Database,
+    GroundingStats,
     InternPool,
     least_fixpoint,
+    make_check,
     parse_program,
     solve,
+    standard_registry,
 )
 
 from ..conftest import supported_instances
@@ -40,7 +44,7 @@ def reference_result(program, db):
     """The semi-naive engine's model of ``program`` over ``db`` as a
     :class:`QuasiGuardedResult` (every derived atom interned and
     flagged), counting the supported rule instances as its
-    ``ground_rules``."""
+    ``stats.ground_rules``."""
     model = solve(program, db, backend="semi-naive")
     pool = InternPool()
     intern = pool.interner.intern
@@ -48,7 +52,9 @@ def reference_result(program, db):
         for args in model.relation(predicate):
             pool.atom_id(predicate, tuple(map(intern, args)))
     return QuasiGuardedResult(
-        pool, bytearray([1]) * len(pool), supported_instances(program, db)
+        pool,
+        bytearray([1]) * len(pool),
+        GroundingStats(ground_rules=supported_instances(program, db)),
     )
 
 
@@ -83,7 +89,7 @@ class TestEvaluator:
         assert result.holds("t", "n1")
         assert not result.holds("t", "missing")
         assert result.unary_answers("t") == frozenset({"n0", "n1", "n2"})
-        assert result.ground_rules == 4
+        assert result.stats.ground_rules == 4
 
     def test_modes_agree_with_naive_and_semi_naive(self):
         """The streamed solve and the semi-naive reference model."""
@@ -102,9 +108,35 @@ class TestEvaluator:
                     assert got == reference.relation(predicate), (mode, backend)
         # on this fully-live program the streamed emitter instantiates
         # no more rules than there are supported instances
-        assert results["streamed"].ground_rules <= (
-            results["reference"].ground_rules
+        assert results["streamed"].stats.ground_rules <= (
+            results["reference"].stats.ground_rules
         )
+
+    def test_pickle_attaches_the_standard_registry_again(self):
+        import pickle
+
+        evaluator = QuasiGuardedEvaluator(PROG, bag_arity=3, demand="ok")
+        clone = pickle.loads(pickle.dumps(evaluator))
+        assert clone._prepared.registry.names() == (
+            standard_registry().names()
+        )
+        assert clone._relevant == evaluator._relevant
+        assert clone.evaluate(tree_db()).facts == (
+            evaluator.evaluate(tree_db()).facts
+        )
+
+    def test_own_registry_refuses_to_pickle(self):
+        """Only the standard registry is attached again on load, so an
+        evaluator with any other refuses to pickle instead of coming
+        back with a different one."""
+        import pickle
+
+        registry = BuiltinRegistry([make_check("odd", 1, lambda v: v % 2)])
+        evaluator = QuasiGuardedEvaluator(
+            PROG, bag_arity=3, registry=registry
+        )
+        with pytest.raises(pickle.PicklingError, match="registry"):
+            pickle.dumps(evaluator)
 
     def test_demand_pruned_solve_is_exact_on_the_demanded_cone(self):
         demanded = QuasiGuardedEvaluator(

@@ -246,11 +246,11 @@ class TestQuasiGuardednessCheck:
         import repro.core.solver as solver_module
         from repro.datalog import Program, parse_rule
 
-        compile_unary_query = solver_module.compile_unary_query
+        compile = solver_module.MSOToDatalogCompiler.compile
         unguarded = parse_rule("path(X, Z) :- path(X, Y), e(Y, Z).")
 
-        def compile_with_unguarded_rule(*args, **kwargs):
-            compiled = compile_unary_query(*args, **kwargs)
+        def compile_with_unguarded_rule(compiler):
+            compiled = compile(compiler)
             program = compiled.program
             return dataclasses.replace(
                 compiled,
@@ -260,10 +260,67 @@ class TestQuasiGuardednessCheck:
             )
 
         monkeypatch.setattr(
-            solver_module, "compile_unary_query", compile_with_unguarded_rule
+            solver_module.MSOToDatalogCompiler,
+            "compile",
+            compile_with_unguarded_rule,
         )
         with pytest.raises(AssertionError, match="Theorem 4.5"):
             self._build()
+
+
+class TestPickleHandoff:
+    """A pickled solver is what a service worker loads: the clone
+    carries its compiled program, grounding plans and resolved demand,
+    so loading it neither re-plans, re-resolves demand nor re-checks
+    quasi-guardedness, and it answers exactly as the original."""
+
+    @staticmethod
+    def _structures(width):
+        import random
+        from itertools import islice
+
+        from repro.problems import random_tree_graph
+
+        from ..conftest import deleted_ladders
+
+        if width == 2:
+            graphs = list(islice(deleted_ladders(), 4))
+        else:
+            rng = random.Random(0x51CE)
+            graphs = [random_tree_graph(rng, n) for n in (2, 5, 9, 14)]
+        return [graph_to_structure(g) for g in graphs]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_load_does_no_per_program_work(self, width, monkeypatch):
+        import pickle
+
+        import repro.core.quasi_guarded as qg_module
+        import repro.core.solver as solver_module
+        import repro.datalog.grounding as grounding_module
+        import repro.datalog.guards as guards_module
+
+        from ..conftest import has_neighbor_solver
+
+        solver = has_neighbor_solver(width)
+        payload = pickle.dumps(solver)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-program work on load")
+
+        for module, name in (
+            (qg_module, "prepare_grounding"),
+            (qg_module, "resolve_demand"),
+            (qg_module, "is_quasi_guarded"),
+            (solver_module, "is_quasi_guarded"),
+            (grounding_module, "prepare_grounding"),
+            (grounding_module, "resolve_demand"),
+            (guards_module, "is_quasi_guarded"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        clone = pickle.loads(payload)
+        assert clone.evaluator._relevant == solver.evaluator._relevant
+        for structure in self._structures(width):
+            assert clone.query(structure) == solver.query(structure)
 
 
 class TestLoadRoute:
@@ -277,7 +334,9 @@ class TestLoadRoute:
         from repro.datalog import SetDatabase
         from repro.treewidth import encode_normalized, load_normalized
 
-        ntd = solver._normalize(structure, None)
+        from ..conftest import admitted_td
+
+        ntd = solver._normalize(structure, admitted_td(solver, structure))
         loads = (
             load_normalized(structure, ntd),
             SetDatabase.from_edb(encode_normalized(structure, ntd)),

@@ -172,8 +172,10 @@ class TestOneInternPoolPerSolve:
     def test_decoding_never_reinterns(self, solver):
         from repro.structures import Graph
 
+        from ..conftest import admitted_td
+
         s = graph_to_structure(Graph.path(5))
-        encoded = solver._prepare(s, None)
+        encoded = solver._prepare(s, admitted_td(solver, s))
         result = solver.evaluator.evaluate(encoded)
         pool = result.pool
         assert pool is not None

@@ -828,7 +828,7 @@ class TestCompiledWidth2Conformance:
             free_var="x",
             structure_filter=undirected_graph_filter,
             minimize=False,
-            passes=(),  # the raw one-predicate-per-type ablation
+            fold=False,  # the raw one-predicate-per-type ablation
         )
         assert len(minimized.compiled.program) < len(
             unminimized.compiled.program
@@ -843,8 +843,8 @@ class TestCompiledWidth2Conformance:
             )
 
     def test_shrinking_passes_match_unoptimized(self):
-        """The program-shrinking pass is conformance-pinned: folded,
-        pass-free and unminimized solvers over the same query must
+        """Program shrinking is conformance-pinned: folded, unfolded
+        and unminimized solvers over the same query must
         answer identically on random in-class structures."""
         import random
 
@@ -868,8 +868,8 @@ class TestCompiledWidth2Conformance:
 
         variants = [
             solver(),  # production default: fold
-            solver(passes=()),  # passes ablated
-            solver(minimize=False, passes=()),  # fully unoptimized
+            solver(fold=False),  # folding ablated
+            solver(minimize=False, fold=False),  # fully unoptimized
         ]
         rng = random.Random(0xF01D)
         for _ in range(6):
@@ -878,4 +878,4 @@ class TestCompiledWidth2Conformance:
             )
             want = mso_query(structure, formulas.has_neighbor("x"), "x")
             for v in variants:
-                assert v.query(structure) == want, v.passes
+                assert v.query(structure) == want, v.compiled.stats

@@ -1,11 +1,13 @@
-"""The program-shrinking pass (ROADMAP D) and its helpers.
+"""The compiler's program-shrinking step (ROADMAP D), ``fold=``, and
+the SCC helper of :func:`repro.datalog.evaluate.refine_strata`.
 
-The property tests here are the soundness half of the fold pass:
+The property tests here are the soundness half of folding:
 :func:`repro.core.typealg.fold_partition` claims merged classes are
 observationally equivalent on realized entries and that folding only
-ever merges (never splits) the input partition.
+ever merges (never splits) the input partition.  The emitted programs
+of both settings are pinned by fingerprint.
 
-The compiled-program end (folded == pass-free == unminimized answers on
+The compiled-program end (folded == unfolded == unminimized answers on
 ladder and random structures) lives in the no-silent-skip conformance
 suite, ``test_conformance.py::TestCompiledWidth2Conformance``.
 """
@@ -13,33 +15,98 @@ suite, ``test_conformance.py::TestCompiledWidth2Conformance``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.typealg import fold_partition
-from repro.datalog.passes import (
-    DEFAULT_PASSES,
-    KNOWN_PASSES,
-    normalize_passes,
-    strongly_connected_components,
+from repro.core import (
+    MSOToDatalogCompiler,
+    grid_graph_filter,
+    undirected_graph_filter,
 )
+from repro.core.typealg import fold_partition
+from repro.datalog import program_fingerprint
+from repro.datalog.evaluate import strongly_connected_components
+from repro.mso import formulas
+from repro.structures import GRAPH_SIGNATURE
+
+from ..conftest import graph_query_compile
+
+#: (query, width, fold) -> (program fingerprint, rules after folding,
+#: classes folded); ``fold=False`` is the unfolded ablation
+PINNED_PROGRAMS = {
+    ("has_neighbor", 1, True): (
+        "6a3775219def5492265eb8fee55b01172d7a15ee1fdf91009bdd4af2c004256f",
+        111,
+        0,
+    ),
+    ("has_neighbor", 1, False): (
+        "6a3775219def5492265eb8fee55b01172d7a15ee1fdf91009bdd4af2c004256f",
+        111,
+        0,
+    ),
+    ("has_neighbor", 2, True): (
+        "9f489441eb00ae4118c1dd9c46ed7ed944af9513babda5b713f0f2e34fb95ce4",
+        735,
+        191,
+    ),
+    ("has_neighbor", 2, False): (
+        "1b5e56150b529f118233a8b6a53031592048c9595196c832c27774cacc48a661",
+        21413,
+        0,
+    ),
+    ("isolated", 1, True): (
+        "5581c79247153c2bc9df53f4f9d56970e36a055c41f7cc1ed942c2f79a50c1db",
+        93,
+        0,
+    ),
+    ("isolated", 1, False): (
+        "5581c79247153c2bc9df53f4f9d56970e36a055c41f7cc1ed942c2f79a50c1db",
+        93,
+        0,
+    ),
+    ("isolated", 2, True): (
+        "98a42a456ea57c18c2496112ee8851601c5b32ce78ec87acf63fba87e87d74a2",
+        600,
+        191,
+    ),
+    ("isolated", 2, False): (
+        "0b04a6b87cb389fb4c0bfc04d669ea8de39b4bed0fb8c7abd5fd41721db67838",
+        12722,
+        0,
+    ),
+}
 
 
-class TestNormalizePasses:
-    def test_none_is_the_production_default(self):
-        assert normalize_passes(None) == DEFAULT_PASSES
-
-    def test_order_and_duplicates_are_canonicalized(self):
-        assert KNOWN_PASSES == ("fold",)
-        assert normalize_passes(("fold", "fold")) == KNOWN_PASSES
-
-    def test_empty_is_the_ablation(self):
-        assert normalize_passes(()) == ()
-
-    def test_unknown_pass_raises(self):
-        with pytest.raises(ValueError, match="unknown passes"):
-            normalize_passes(("fold", "typo"))
-        # the boundedness-based unfold pass is gone: it never fired on
-        # a compiled program
-        with pytest.raises(ValueError, match="unknown passes"):
-            normalize_passes(("unfold",))
+class TestFoldSwitch:
+    @pytest.mark.parametrize(
+        "key",
+        sorted(PINNED_PROGRAMS),
+        ids=lambda k: f"{k[0]}-w{k[1]}-{'fold' if k[2] else 'unfolded'}",
+    )
+    def test_programs_are_pinned(self, key):
+        """The default compile and the ``fold=False`` ablation emit
+        these programs, rule for rule and in order, with these counts
+        (width 1 over undirected graphs, width 2 over the grid class;
+        at width 1 folding merges nothing)."""
+        name, width, fold = key
+        if fold:
+            compiled = graph_query_compile(name, width)[0].compiled
+        else:
+            compiled = MSOToDatalogCompiler(
+                getattr(formulas, name)("x"),
+                GRAPH_SIGNATURE,
+                width,
+                free_var="x",
+                structure_filter=(
+                    grid_graph_filter if width == 2 else undirected_graph_filter
+                ),
+                fold=False,
+            ).compile()
+        stats = compiled.stats
+        assert (
+            program_fingerprint(compiled.program),
+            stats.rules_after_passes,
+            stats.classes_folded,
+        ) == PINNED_PROGRAMS[key]
+        if not fold:
+            assert stats.rules_after_passes == stats.rules
 
 
 class TestStronglyConnectedComponents:

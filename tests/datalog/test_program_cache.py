@@ -229,29 +229,27 @@ class TestGroundingCache:
         assert demanded._prepared.deferred == frozenset({"top"})
 
     def test_differently_optimized_solvers_share_one_cache(self):
-        """Folded and pass-free solver variants, their reference solves
+        """Folded and unfolded solver variants, their reference solves
         side by side in the one ``solve()`` memo, answer identically,
-        and pickled clones keep the variant's own program (the
-        regression for pass-config fingerprinting)."""
+        and pickled clones keep the variant's own program."""
         import pickle
 
         from repro.core import CourcelleSolver, undirected_graph_filter
         from repro.mso import formulas
         from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
 
-        def build(passes):
+        def build(fold):
             return CourcelleSolver(
                 formulas.has_neighbor("x"),
                 GRAPH_SIGNATURE,
                 width=1,
                 free_var="x",
                 structure_filter=undirected_graph_filter,
-                passes=passes,
+                fold=fold,
             )
 
-        optimized = build(None)
-        ablated = build(())
-        assert optimized.passes == ("fold",) and ablated.passes == ()
+        optimized = build(True)
+        ablated = build(False)
         structure = graph_to_structure(Graph.path(6))
         want = optimized.query(structure)
         assert ablated.query(structure) == want

@@ -29,6 +29,7 @@ from repro.treewidth import (
     encode_nice,
     encode_normalized,
     load_nice,
+    load_nice_ids,
     load_normalized,
     make_nice,
     normalize,
@@ -385,13 +386,28 @@ class TestLoadNice:
         ).interner
         assert set(map(primality.set_bits, range(len(primality)))) == {None}
 
+    @staticmethod
+    def _with_extra(extra):
+        """A ``load_nice_ids`` ``bag_facts``: each bag is its own
+        payload, and ``extra(bag)`` gives its ``(predicate, values)``
+        facts."""
+
+        def bag_facts(interner):
+            intern = interner.intern
+            return lambda bag: (
+                (intern(bag),),
+                [(p, tuple(map(intern, args))) for p, args in extra(bag)],
+            )
+
+        return bag_facts
+
     def test_extra_facts_of_a_node(self):
         g = Graph.path(3)
         nice = make_nice(decompose_graph(g))
-        loaded = load_nice(
+        loaded = load_nice_ids(
             graph_to_structure(g),
             nice,
-            extra=lambda bag: [("size", (len(bag),))] * 2,
+            self._with_extra(lambda bag: [("size", (len(bag),))] * 2),
         )
         assert loaded.decode_relation("size") == {
             (TDNode(node), len(bag)) for node, bag in nice.bags.items()
@@ -401,14 +417,16 @@ class TestLoadNice:
         g = Graph.path(3)
         nice = make_nice(decompose_graph(g))
         with pytest.raises(ValueError, match="'bag' is already"):
-            load_nice(
-                graph_to_structure(g), nice, extra=lambda bag: [("bag", (1,))]
-            )
-        with pytest.raises(ValueError, match="mixes arities"):
-            load_nice(
+            load_nice_ids(
                 graph_to_structure(g),
                 nice,
-                extra=lambda bag: [("tag", ()), ("tag", (bag,))],
+                self._with_extra(lambda bag: [("bag", (1,))]),
+            )
+        with pytest.raises(ValueError, match="mixes arities"):
+            load_nice_ids(
+                graph_to_structure(g),
+                nice,
+                self._with_extra(lambda bag: [("tag", ()), ("tag", (bag,))]),
             )
 
     def test_payload_arity_must_be_fixed(self):
