@@ -11,7 +11,7 @@ import random
 
 from repro.problems import (
     ThreeColoringDatalog,
-    is_valid_coloring,
+    is_valid_k_coloring,
     random_partial_ktree,
     three_coloring_direct,
     three_coloring_program,
@@ -25,7 +25,7 @@ def show(graph: Graph, name: str, solver: ThreeColoringDatalog) -> None:
     assert datalog_says == colorable, "solver disagreement!"
     line = f"  {name:<24} n={graph.vertex_count():<4} m={graph.edge_count():<4}"
     if colorable:
-        assert witness is not None and is_valid_coloring(graph, witness)
+        assert witness is not None and is_valid_k_coloring(graph, witness, 3)
         sample = ", ".join(
             f"{v}={witness[v]}" for v in sorted(witness, key=repr)[:5]
         )
@@ -60,7 +60,7 @@ def main() -> None:
         status = "3-colorable" if colorable else "NOT 3-colorable"
         print(f"  instance {i}: n=30 width<={td.width}  {status}")
         if witness is not None:
-            assert is_valid_coloring(graph, witness)
+            assert is_valid_k_coloring(graph, witness, 3)
 
 
 if __name__ == "__main__":

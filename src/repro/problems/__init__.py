@@ -40,9 +40,7 @@ from .primality import (
 from .three_coloring import (
     ThreeColoringDatalog,
     encode_for_three_coloring,
-    is_valid_coloring,
     load_for_three_coloring,
-    three_coloring_bruteforce,
     three_coloring_direct,
     three_coloring_program,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "encode_for_primality",
     "encode_for_three_coloring",
     "enumeration_program",
-    "is_valid_coloring",
     "load_for_primality",
     "load_for_three_coloring",
     "prepare_decision_decomposition",
@@ -82,7 +79,6 @@ __all__ = [
     "random_tree_graph",
     "table1_instance",
     "table1_schema",
-    "three_coloring_bruteforce",
     "three_coloring_direct",
     "three_coloring_program",
 ]

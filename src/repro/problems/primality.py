@@ -20,7 +20,12 @@ Implementations (cross-validated in the test-suite):
   program with the top-down ``solvedown`` predicate (all primes,
   linear time);
 * :func:`primality_direct` / :func:`prime_attributes_direct` -- the
-  same dynamic programs hand-coded in Python;
+  same dynamic programs hand-coded in Python: :class:`PrimalityAlgebra`
+  holds one transition per nice-node kind (and the branch join key),
+  and the bottom-up ``solve`` pass runs them on the one bottom-up walk
+  (:func:`~repro.treewidth.nice.bottom_up`), which the subschema
+  extension (:mod:`repro.problems.subschema`) shares by overriding the
+  transitions; the enumeration adds its top-down ``solvedown`` pass;
 * :func:`prime_attributes_rerooting` -- the quadratic strawman that
   Section 5.3 opens with (one decision run per attribute, re-rooted);
 * ground truth: :meth:`RelationalSchema.is_prime_bruteforce`.
@@ -60,6 +65,7 @@ from ..treewidth.heuristics import decompose_structure
 from ..treewidth.nice import (
     NiceNodeKind,
     NiceTreeDecomposition,
+    bottom_up,
     ensure_elements_in_leaves,
     make_nice,
     reroot_to_contain,
@@ -210,6 +216,8 @@ class PrimalityAlgebra:
         self.schema = schema
         self.lhs = {f.name: f.lhs for f in schema.fds}
         self.rhs = {f.name: f.rhs for f in schema.fds}
+        #: a bag -> its attributes and its FDs
+        self.split = _bag_splitter(schema)
 
     # -- helper predicates (Section 5.2) --------------------------------
 
@@ -320,6 +328,10 @@ class PrimalityAlgebra:
         else:
             yield (y, fy2, co, dc, fc)
 
+    def branch_key(self, state: State) -> tuple:
+        """The parts two sibling states must share to combine."""
+        return (state[0], state[2], state[4])
+
     def branch_combine(self, s1: State, s2: State) -> Iterator[State]:
         """Combine equal-bag sibling states (Y, Co, FC must agree;
         FY and ΔC are unioned under the uniqueness proviso)."""
@@ -349,57 +361,57 @@ class PrimalityAlgebra:
 # ----------------------------------------------------------------------
 
 
-def _split_bag(schema: RelationalSchema, bag: frozenset):
-    fd_names = {f.name for f in schema.fds}
-    at = frozenset(e for e in bag if e not in fd_names)
-    fds = frozenset(e for e in bag if e in fd_names)
-    return at, fds
+def _join(
+    algebra: PrimalityAlgebra, left: set[State], right: set[State]
+) -> set[State]:
+    """Every combination of a ``left`` and a ``right`` state, the pairs
+    found through their :meth:`~PrimalityAlgebra.branch_key`."""
+    key = algebra.branch_key
+    by_key: dict[tuple, list[State]] = {}
+    for state in left:
+        by_key.setdefault(key(state), []).append(state)
+    return {
+        combined
+        for s2 in right
+        for s1 in by_key.get(key(s2), ())
+        for combined in algebra.branch_combine(s1, s2)
+    }
 
 
 def _solve_states(
-    schema: RelationalSchema, nice: NiceTreeDecomposition
+    algebra: PrimalityAlgebra, nice: NiceTreeDecomposition
 ) -> dict[int, set[State]]:
-    """Bottom-up ``solve`` facts per node (Property B)."""
-    algebra = PrimalityAlgebra(schema)
-    tree = nice.tree
-    states: dict[int, set[State]] = {}
-    for node in tree.postorder():
-        kind = nice.node_kind(node)
-        at, fds = _split_bag(schema, nice.bag(node))
-        here: set[State] = set()
-        if kind is NiceNodeKind.LEAF:
-            here.update(algebra.leaf_states(at, fds))
-        elif kind is NiceNodeKind.INTRODUCTION:
-            (child,) = tree.children(node)
-            element = nice.introduced_element(node)
-            if element in algebra.rhs:  # an FD
-                for state in states[child]:
-                    here.update(algebra.fd_intro(state, element, at))
-            else:
-                for state in states[child]:
-                    here.update(algebra.attr_intro(state, element, at, fds))
-        elif kind is NiceNodeKind.REMOVAL:
-            (child,) = tree.children(node)
-            element = nice.removed_element(node)
-            if element in algebra.rhs:
-                for state in states[child]:
-                    here.update(algebra.fd_removal(state, element))
-            else:
-                for state in states[child]:
-                    here.update(algebra.attr_removal(state, element))
-        elif kind is NiceNodeKind.COPY:
-            (child,) = tree.children(node)
-            here.update(states[child])
-        else:  # branch
-            c1, c2 = tree.children(node)
-            by_key: dict[tuple, list[State]] = {}
-            for state in states[c1]:
-                by_key.setdefault((state[0], state[2], state[4]), []).append(state)
-            for s2 in states[c2]:
-                for s1 in by_key.get((s2[0], s2[2], s2[4]), ()):
-                    here.update(algebra.branch_combine(s1, s2))
-        states[node] = here
-    return states
+    """Bottom-up ``solve`` facts per node (Property B): ``algebra``'s
+    transitions on the one bottom-up walk
+    (:func:`~repro.treewidth.nice.bottom_up`)."""
+    def leaf(node: int) -> set[State]:
+        return set(algebra.leaf_states(*algebra.split(nice.bag(node))))
+
+    def introduce(node: int, states: set[State], element) -> set[State]:
+        at, fds = algebra.split(nice.bag(node))
+        if element in algebra.rhs:  # an FD
+            return {
+                new
+                for state in states
+                for new in algebra.fd_intro(state, element, at)
+            }
+        return {
+            new
+            for state in states
+            for new in algebra.attr_intro(state, element, at, fds)
+        }
+
+    def remove(node: int, states: set[State], element) -> set[State]:
+        if element in algebra.rhs:
+            step = algebra.fd_removal
+        else:
+            step = algebra.attr_removal
+        return {new for state in states for new in step(state, element)}
+
+    def branch(node: int, left: set[State], right: set[State]) -> set[State]:
+        return _join(algebra, left, right)
+
+    return bottom_up(nice, leaf, introduce, remove, branch)
 
 
 def primality_direct(
@@ -412,9 +424,9 @@ def primality_direct(
         raise ValueError(f"unknown attribute {attribute!r}")
     nice = prepare_decision_decomposition(schema, attribute, td)
     algebra = PrimalityAlgebra(schema)
-    states = _solve_states(schema, nice)
+    states = _solve_states(algebra, nice)
     root = nice.tree.root
-    at, fds = _split_bag(schema, nice.bag(root))
+    at, fds = algebra.split(nice.bag(root))
     return any(
         algebra.accept(state, attribute, at, fds) for state in states[root]
     )
@@ -429,11 +441,11 @@ def prime_attributes_direct(
     nice = prepare_enumeration_decomposition(schema, td)
     algebra = PrimalityAlgebra(schema)
     tree = nice.tree
-    solve = _solve_states(schema, nice)
+    solve = _solve_states(algebra, nice)
 
     down: dict[int, set[State]] = {}
     root = tree.root
-    at, fds = _split_bag(schema, nice.bag(root))
+    at, fds = algebra.split(nice.bag(root))
     down[root] = set(algebra.leaf_states(at, fds))
 
     for node in tree.preorder():
@@ -444,19 +456,10 @@ def prime_attributes_direct(
         if kind is NiceNodeKind.BRANCH:
             c1, c2 = children
             for child, sibling in ((c1, c2), (c2, c1)):
-                combined: set[State] = set()
-                by_key: dict[tuple, list[State]] = {}
-                for state in solve[sibling]:
-                    by_key.setdefault(
-                        (state[0], state[2], state[4]), []
-                    ).append(state)
-                for s_down in down[node]:
-                    for s_sib in by_key.get((s_down[0], s_down[2], s_down[4]), ()):
-                        combined.update(algebra.branch_combine(s_down, s_sib))
-                down[child] = combined
+                down[child] = _join(algebra, solve[sibling], down[node])
             continue
         (child,) = children
-        child_at, child_fds = _split_bag(schema, nice.bag(child))
+        child_at, child_fds = algebra.split(nice.bag(child))
         out: set[State] = set()
         if kind is NiceNodeKind.COPY:
             out = set(down[node])
@@ -483,7 +486,7 @@ def prime_attributes_direct(
 
     primes: set[Attribute] = set()
     for leaf in tree.leaves():
-        at, fds = _split_bag(schema, nice.bag(leaf))
+        at, fds = algebra.split(nice.bag(leaf))
         candidates = at - primes
         if not candidates:
             continue

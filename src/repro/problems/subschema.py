@@ -21,6 +21,13 @@ from the seeds, tracked by ``(Yo, DY, FYC)`` exactly like
 ``(Co, ΔC, FC)``.  With R' = R the seeds absorb everything, Yo stays
 empty and the program collapses to Figure 6 -- a property the tests
 exploit.
+
+:class:`SubschemaPrimalityAlgebra` overrides the transitions of
+Figure 6's :class:`~repro.problems.primality.PrimalityAlgebra` (same
+names and arguments, the branch join key and the acceptance test
+included) on the extended state, so :func:`is_prime_in_subschema` runs
+on the same bottom-up walk as :func:`~repro.problems.primality.
+primality_direct`.
 """
 
 from __future__ import annotations
@@ -30,11 +37,10 @@ from typing import Iterable, Iterator
 
 from ..structures.schema import Attribute, RelationalSchema
 from ..treewidth.decomposition import TreeDecomposition
-from ..treewidth.nice import NiceNodeKind, NiceTreeDecomposition
 from .._util import powerset
 from .primality import (
     PrimalityAlgebra,
-    _split_bag,
+    _solve_states,
     prepare_decision_decomposition,
 )
 
@@ -89,7 +95,7 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
 
     # -- node transitions ------------------------------------------------
 
-    def sub_leaf_states(
+    def leaf_states(
         self, at: frozenset, fds: frozenset
     ) -> Iterator[SubState]:
         attrs = sorted(at, key=repr)
@@ -123,7 +129,7 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
                             dc = self.rhs_set(fc)
                             yield (y, fy, co, dc, fc, yo, dy, fyc)
 
-    def sub_attr_intro(
+    def attr_intro(
         self, state: SubState, b: Attribute, new_at: frozenset, fds: frozenset
     ) -> Iterator[SubState]:
         y, fy, co, dc, fc, yo, dy, fyc = state
@@ -145,7 +151,7 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
                 fy2 = fy | self.outside(y, new_at, fds)
                 yield (y, fy2, co2, dc, fc, yo, dy, fyc)
 
-    def sub_attr_removal(
+    def attr_removal(
         self, state: SubState, b: Attribute
     ) -> Iterator[SubState]:
         y, fy, co, dc, fc, yo, dy, fyc = state
@@ -161,7 +167,7 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
             co2 = tuple(x for x in co if x != b)
             yield (y, fy, co2, dc - {b}, fc, yo, dy, fyc)
 
-    def sub_fd_intro(
+    def fd_intro(
         self, state: SubState, f: str, at: frozenset
     ) -> Iterator[SubState]:
         y, fy, co, dc, fc, yo, dy, fyc = state
@@ -184,7 +190,7 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
             yield (y, fy | excused, co, dc | {b}, fc | {f}, yo, dy, fyc)
         yield (y, fy | excused, co, dc, fc, yo, dy, fyc)
 
-    def sub_fd_removal(self, state: SubState, f: str) -> Iterator[SubState]:
+    def fd_removal(self, state: SubState, f: str) -> Iterator[SubState]:
         y, fy, co, dc, fc, yo, dy, fyc = state
         b = self.rhs[f]
         if b in y:
@@ -201,7 +207,7 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
         else:
             yield (y, fy2, co, dc, fc, yo, dy, fyc)
 
-    def sub_branch_combine(
+    def branch_combine(
         self, s1: SubState, s2: SubState
     ) -> Iterator[SubState]:
         y1, fy1, co1, dc1, fc1, yo1, dy1, fyc1 = s1
@@ -214,22 +220,22 @@ class SubschemaPrimalityAlgebra(PrimalityAlgebra):
             return
         yield (y1, fy1 | fy2, co1, dc1 | dc2, fc1, yo1, dy1 | dy2, fyc1)
 
-    def sub_accept(
-        self, state: SubState, at: frozenset, fds: frozenset
-    ) -> bool:
+    def branch_key(self, state: SubState) -> tuple:
         y, fy, co, dc, fc, yo, dy, fyc = state
-        if self.target not in at or self.target in y:
-            return False
-        if fy != self.outside_all(y, fds):
-            return False
-        if frozenset(co) - {self.target} != dc:
-            return False
-        return frozenset(yo) == dy
+        return (y, co, fc, yo, fyc)
 
-
-def _branch_key(state: SubState) -> tuple:
-    y, fy, co, dc, fc, yo, dy, fyc = state
-    return (y, co, fc, yo, fyc)
+    def accept(
+        self,
+        state: SubState,
+        attribute: Attribute,
+        at: frozenset,
+        fds: frozenset,
+    ) -> bool:
+        """Figure 6's acceptance, and every non-seed member of Y
+        derived."""
+        return super().accept(state[:5], attribute, at, fds) and (
+            frozenset(state[5]) == state[6]
+        )
 
 
 def is_prime_in_subschema(
@@ -248,51 +254,12 @@ def is_prime_in_subschema(
     if attribute not in allowed:
         return False
     nice = prepare_decision_decomposition(schema, attribute, td)
-    tree = nice.tree
-
-    states: dict[int, set[SubState]] = {}
-    for node in tree.postorder():
-        kind = nice.node_kind(node)
-        at, fds = _split_bag(schema, nice.bag(node))
-        here: set[SubState] = set()
-        if kind is NiceNodeKind.LEAF:
-            here.update(algebra.sub_leaf_states(at, fds))
-        elif kind is NiceNodeKind.INTRODUCTION:
-            (child,) = tree.children(node)
-            element = nice.introduced_element(node)
-            if element in algebra.rhs:
-                for state in states[child]:
-                    here.update(algebra.sub_fd_intro(state, element, at))
-            else:
-                for state in states[child]:
-                    here.update(
-                        algebra.sub_attr_intro(state, element, at, fds)
-                    )
-        elif kind is NiceNodeKind.REMOVAL:
-            (child,) = tree.children(node)
-            element = nice.removed_element(node)
-            if element in algebra.rhs:
-                for state in states[child]:
-                    here.update(algebra.sub_fd_removal(state, element))
-            else:
-                for state in states[child]:
-                    here.update(algebra.sub_attr_removal(state, element))
-        elif kind is NiceNodeKind.COPY:
-            (child,) = tree.children(node)
-            here.update(states[child])
-        else:
-            c1, c2 = tree.children(node)
-            by_key: dict[tuple, list[SubState]] = {}
-            for state in states[c1]:
-                by_key.setdefault(_branch_key(state), []).append(state)
-            for s2 in states[c2]:
-                for s1 in by_key.get(_branch_key(s2), ()):
-                    here.update(algebra.sub_branch_combine(s1, s2))
-        states[node] = here
-
-    root = tree.root
-    at, fds = _split_bag(schema, nice.bag(root))
-    return any(algebra.sub_accept(state, at, fds) for state in states[root])
+    states = _solve_states(algebra, nice)
+    root = nice.tree.root
+    at, fds = algebra.split(nice.bag(root))
+    return any(
+        algebra.accept(state, attribute, at, fds) for state in states[root]
+    )
 
 
 def is_prime_in_subschema_bruteforce(

@@ -1,7 +1,7 @@
 """3-Colorability over bounded-treewidth graphs (Section 5.1, Figure 5).
 
-Three interchangeable solvers, cross-validated against each other in the
-test-suite:
+Two interchangeable solvers, cross-validated against each other and
+against exhaustive search in the test-suite:
 
 * :class:`ThreeColoringDatalog` -- the Figure 5 program, verbatim up to
   engine syntax, executed by the semi-naive datalog engine.  ``solve(s,
@@ -31,9 +31,15 @@ test-suite:
 * :func:`three_coloring_direct` -- the same dynamic program hand-coded
   in Python ("one can of course go one step further and implement our
   algorithms directly in Java, C++, etc.", Section 1), including witness
-  extraction.
-* :func:`three_coloring_bruteforce` -- exhaustive search, the ground
-  truth for small instances.
+  extraction.  It is :func:`k_coloring_direct` with k = 3: one
+  transition per nice-node kind on the one bottom-up walk
+  (:func:`~repro.treewidth.nice.bottom_up`), computing per node exactly
+  the ``solve`` facts of Figure 5 (:func:`coloring_states`).
+
+The ground truth for small instances is exhaustive search,
+:func:`repro.problems.k_coloring.k_coloring_bruteforce` with k = 3, and
+a witness is checked by :func:`~repro.problems.k_coloring.
+is_valid_k_coloring`.
 """
 
 from __future__ import annotations
@@ -49,13 +55,13 @@ from ..datalog.interning import Interner, iter_bits
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
 from ..structures.graphs import Graph, graph_to_structure
 from ..structures.structure import Structure
-from ..treewidth.decomposition import TreeDecomposition
+from ..treewidth.decomposition import NodeId, TreeDecomposition
 from ..treewidth.encode import TDNode, encode_nice, load_nice_ids
 from ..treewidth.heuristics import decomposition_from_order, min_fill_order
-from ..treewidth.nice import NiceNodeKind, NiceTreeDecomposition, make_nice
+from ..treewidth.nice import NiceTreeDecomposition, bottom_up, make_nice
 
 Vertex = Hashable
-Coloring = dict[Vertex, str]
+Coloring = dict[Vertex, int]
 
 
 # ----------------------------------------------------------------------
@@ -164,12 +170,6 @@ def _allowed(near: Mapping[int, int], bag: int) -> list[int]:
         if not adjacent & v:
             subsets += [s | v for s in subsets if not s & adjacent]
     return subsets
-
-
-def _has_internal_edge(
-    near: Mapping[Vertex, frozenset], vertices: frozenset
-) -> bool:
-    return any(not near[v].isdisjoint(vertices) for v in vertices)
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +310,101 @@ class ThreeColoringDatalog:
 # Direct dynamic program (the paper's "C++ implementation" analogue)
 # ----------------------------------------------------------------------
 
-State = tuple[frozenset, frozenset, frozenset]  # (R, G, B) projections
+#: a DP state: the bag projections of the colour classes 0..k-1
+State = tuple[frozenset, ...]
+
+
+def coloring_states(
+    graph: Graph, nice: NiceTreeDecomposition, k: int
+) -> tuple[dict[NodeId, set[State]], dict[tuple[NodeId, State], State]]:
+    """Exactly the ``solve`` facts of Property A, with k colour
+    classes, per node: Figure 5's transitions on the one bottom-up walk
+    (:func:`~repro.treewidth.nice.bottom_up`).
+
+    Returns the state sets and, for every state of an introduction or
+    removal node, one child state it came from (the witness trail; a
+    branch or copy node's children hold the state itself)."""
+    near = graph.neighbor_map()
+    colours = range(k)
+    came_from: dict[tuple[NodeId, State], State] = {}
+
+    def leaf(node: NodeId) -> set[State]:
+        # every colouring of the bag, kept if no class holds an edge
+        bag = tuple(nice.bag(node))
+        here = set()
+        for assignment in product(colours, repeat=len(bag)):
+            parts: list[set] = [set() for _ in colours]
+            for v, colour in zip(bag, assignment):
+                parts[colour].add(v)
+            state = tuple(map(frozenset, parts))
+            if all(near[v].isdisjoint(part) for part in state for v in part):
+                here.add(state)
+        return here
+
+    def introduce(node: NodeId, states: set[State], v: Vertex) -> set[State]:
+        adjacent = near[v]
+        here = set()
+        for state in states:
+            for i in colours:
+                grown = tuple(
+                    part | {v} if j == i else part
+                    for j, part in enumerate(state)
+                )
+                if not adjacent.isdisjoint(grown[i]):
+                    continue  # v next to a vertex of its class, or looped
+                here.add(grown)
+                came_from.setdefault((node, grown), state)
+        return here
+
+    def remove(node: NodeId, states: set[State], v: Vertex) -> set[State]:
+        here = set()
+        for state in states:
+            shrunk = tuple(part - {v} for part in state)
+            here.add(shrunk)
+            came_from.setdefault((node, shrunk), state)
+        return here
+
+    def branch(node: NodeId, left: set[State], right: set[State]) -> set[State]:
+        return left & right
+
+    states = bottom_up(nice, leaf, introduce, remove, branch)
+    return states, came_from
+
+
+def k_coloring_direct(
+    graph: Graph,
+    k: int,
+    td: TreeDecomposition | None = None,
+    want_witness: bool = False,
+) -> tuple[bool, Coloring | None]:
+    """Is ``graph`` properly k-colourable?  Figure 5's dynamic program
+    with k colour classes (:func:`coloring_states`); O(k^{w+1} * |T|)
+    for width w.
+
+    Returns ``(colourable, witness)``; the witness, when requested and
+    one exists, maps every vertex to its colour in ``0..k-1``.
+    """
+    if k < 1:
+        raise ValueError("need at least one color")
+    if graph.vertex_count() == 0:
+        return True, ({} if want_witness else None)
+    nice = prepare_decomposition(graph, td)
+    states, came_from = coloring_states(graph, nice, k)
+    tree = nice.tree
+    root_states = states[tree.root]
+    if not root_states:
+        return False, None
+    if not want_witness:
+        return True, None
+    coloring: Coloring = {}
+    trail = [(tree.root, next(iter(root_states)))]
+    while trail:
+        node, state = trail.pop()
+        for colour, part in enumerate(state):
+            coloring.update(dict.fromkeys(part, colour))
+        below = came_from.get((node, state), state)
+        trail.extend((child, below) for child in tree.children(node))
+    return True, coloring
 
 
 def three_coloring_direct(
@@ -318,140 +412,5 @@ def three_coloring_direct(
     td: TreeDecomposition | None = None,
     want_witness: bool = False,
 ) -> tuple[bool, Coloring | None]:
-    """Bottom-up DP computing exactly the ``solve`` facts of Property A.
-
-    Returns ``(colorable, witness)`` where the witness is a full
-    3-coloring when requested and one exists.
-    """
-    if graph.vertex_count() == 0:
-        return True, {} if want_witness else None
-    nice = prepare_decomposition(graph, td)
-    tree = nice.tree
-    near = graph.neighbor_map()
-
-    states: dict[int, set[State]] = {}
-    # provenance for witness extraction: (node, state) -> choice record
-    provenance: dict[tuple[int, State], tuple] = {}
-
-    for node in tree.postorder():
-        kind = nice.node_kind(node)
-        bag = nice.bag(node)
-        here: set[State] = set()
-        if kind is NiceNodeKind.LEAF:
-            for state in _leaf_states(near, bag):
-                here.add(state)
-                provenance[(node, state)] = ("leaf",)
-        elif kind is NiceNodeKind.INTRODUCTION:
-            (child,) = tree.children(node)
-            v = nice.introduced_element(node)
-            for state in states[child]:
-                for i in range(3):
-                    grown = tuple(
-                        part | {v} if j == i else part
-                        for j, part in enumerate(state)
-                    )
-                    if _conflicts(near, v, grown[i]):
-                        continue
-                    grown = (grown[0], grown[1], grown[2])
-                    here.add(grown)
-                    provenance.setdefault(
-                        (node, grown), ("intro", state, v, "RGB"[i])
-                    )
-        elif kind is NiceNodeKind.REMOVAL:
-            (child,) = tree.children(node)
-            v = nice.removed_element(node)
-            for state in states[child]:
-                shrunk = tuple(part - {v} for part in state)
-                shrunk = (shrunk[0], shrunk[1], shrunk[2])
-                here.add(shrunk)
-                provenance.setdefault((node, shrunk), ("forget", state))
-        elif kind is NiceNodeKind.COPY:
-            (child,) = tree.children(node)
-            for state in states[child]:
-                here.add(state)
-                provenance.setdefault((node, state), ("copy", state))
-        else:  # branch
-            c1, c2 = tree.children(node)
-            for state in states[c1] & states[c2]:
-                here.add(state)
-                provenance.setdefault((node, state), ("branch", state, state))
-        states[node] = here
-
-    root_states = states[tree.root]
-    if not root_states:
-        return False, None
-    if not want_witness:
-        return True, None
-    coloring: Coloring = {}
-    _reconstruct(
-        nice, states, provenance, tree.root, next(iter(root_states)), coloring
-    )
-    return True, coloring
-
-
-def _leaf_states(near: Mapping[Vertex, frozenset], bag: frozenset):
-    items = sorted(bag, key=repr)
-    for assignment in product(range(3), repeat=len(items)):
-        parts: list[set] = [set(), set(), set()]
-        for v, color in zip(items, assignment):
-            parts[color].add(v)
-        if any(_has_internal_edge(near, frozenset(p)) for p in parts):
-            continue
-        yield (frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]))
-
-
-def _conflicts(
-    near: Mapping[Vertex, frozenset], v: Vertex, part: frozenset
-) -> bool:
-    adjacent = near[v]
-    return v in adjacent or not adjacent.isdisjoint(part)
-
-
-def _reconstruct(
-    nice: NiceTreeDecomposition,
-    states: dict,
-    provenance: dict,
-    node: int,
-    state: State,
-    coloring: Coloring,
-) -> None:
-    for part, color in zip(state, "RGB"):
-        for v in part:
-            coloring[v] = color
-    record = provenance[(node, state)]
-    kind = record[0]
-    children = nice.tree.children(node)
-    if kind == "leaf":
-        return
-    if kind in ("forget", "copy"):
-        _reconstruct(nice, states, provenance, children[0], record[1], coloring)
-    elif kind == "intro":
-        _reconstruct(nice, states, provenance, children[0], record[1], coloring)
-    elif kind == "branch":
-        _reconstruct(nice, states, provenance, children[0], record[1], coloring)
-        _reconstruct(nice, states, provenance, children[1], record[2], coloring)
-
-
-# ----------------------------------------------------------------------
-# Brute force baseline
-# ----------------------------------------------------------------------
-
-
-def three_coloring_bruteforce(graph: Graph) -> bool:
-    """Try all 3^n colorings; ground truth for small graphs."""
-    vertices = sorted(graph.vertices, key=repr)
-    for assignment in product(range(3), repeat=len(vertices)):
-        color = dict(zip(vertices, assignment))
-        if all(
-            color[u] != color[v] for u, v in graph.edges() if u != v
-        ) and not any(graph.has_edge(v, v) for v in vertices):
-            return True
-    return not vertices
-
-
-def is_valid_coloring(graph: Graph, coloring: Mapping[Vertex, str]) -> bool:
-    if set(coloring) != set(graph.vertices):
-        return False
-    return all(
-        coloring[u] != coloring[v] for u, v in graph.edges() if u != v
-    ) and not any(graph.has_edge(v, v) for v in graph.vertices)
+    """:func:`k_coloring_direct` with the three colours of Figure 5."""
+    return k_coloring_direct(graph, 3, td, want_witness)

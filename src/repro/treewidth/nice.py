@@ -112,6 +112,43 @@ class NiceTreeDecomposition(TreeDecomposition):
         validate_refinement(self, structure)
 
 
+def bottom_up(
+    nice: NiceTreeDecomposition,
+    leaf: Callable[[NodeId], set],
+    introduce: Callable[[NodeId, set, Element], set],
+    remove: Callable[[NodeId, set, Element], set],
+    branch: Callable[[NodeId, set, set], set],
+) -> dict[NodeId, set]:
+    """The state set of every node, computed in postorder: the one
+    bottom-up walk of the Section 5 dynamic programs.
+
+    Each node's kind is read once.  A leaf's states are ``leaf(node)``;
+    an introduction or removal node hands its child's states and the
+    introduced or removed element to ``introduce`` / ``remove``; a
+    branch node hands both children's states to ``branch``; a copy node
+    takes its child's state set as it is (the identity transition)."""
+    children = nice.tree.children
+    states: dict[NodeId, set] = {}
+    for node in nice.tree.postorder():
+        kind = nice.node_kind(node)
+        if kind is NiceNodeKind.LEAF:
+            here = leaf(node)
+        elif kind is NiceNodeKind.BRANCH:
+            left, right = children(node)
+            here = branch(node, states[left], states[right])
+        else:
+            (child,) = children(node)
+            below = states[child]
+            if kind is NiceNodeKind.COPY:
+                here = below
+            elif kind is NiceNodeKind.INTRODUCTION:
+                here = introduce(node, below, nice.introduced_element(node))
+            else:
+                here = remove(node, below, nice.removed_element(node))
+        states[node] = here
+    return states
+
+
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------

@@ -81,13 +81,13 @@ class TestQuery:
 class TestPaperFormulas:
     @given(small_graphs(max_vertices=5))
     def test_three_colorability_matches_bruteforce(self, g):
-        from repro.problems import three_coloring_bruteforce
+        from repro.problems import k_coloring_bruteforce
 
         if g.vertex_count() == 0:
             return
         s = graph_to_structure(g)
         assert evaluate(s, formulas.three_colorability()) == (
-            three_coloring_bruteforce(g)
+            k_coloring_bruteforce(g, 3)
         )
 
     def test_primality_on_running_example(self):

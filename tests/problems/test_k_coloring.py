@@ -44,10 +44,14 @@ class TestKnownValues:
             k_coloring_direct(Graph.path(2), 0)
 
     def test_agrees_with_three_coloring_solver(self):
-        from repro.problems import three_coloring_direct
+        """k = 3 is Figure 5: the DP agrees with the Figure 5 datalog
+        program and with exhaustive search."""
+        from repro.problems import ThreeColoringDatalog
 
+        solver = ThreeColoringDatalog()
         for g in (Graph.cycle(7), Graph.complete(4), Graph.grid(2, 4)):
-            assert k_coloring_direct(g, 3)[0] == three_coloring_direct(g)[0]
+            want = k_coloring_bruteforce(g, 3)
+            assert k_coloring_direct(g, 3)[0] == solver.decide(g) == want
 
 
 class TestWitnesses:
@@ -57,6 +61,15 @@ class TestWitnesses:
             if ok:
                 assert witness is not None
                 assert is_valid_k_coloring(Graph.grid(3, 3), witness, k)
+
+    def test_a_self_loop_invalidates_every_coloring(self):
+        g = Graph(vertices=[1], edges=[(1, 1)])
+        assert not is_valid_k_coloring(g, {1: 0}, 1)
+        assert not is_valid_k_coloring(g, {1: 0}, 2)
+        looped = Graph.path(3)
+        looped.add_edge(2, 2)
+        assert is_valid_k_coloring(Graph.path(3), {0: 0, 1: 1, 2: 0}, 2)
+        assert not is_valid_k_coloring(looped, {0: 0, 1: 1, 2: 0}, 2)
 
     def test_empty_graph_witness(self):
         ok, witness = k_coloring_direct(Graph(), 2, want_witness=True)

@@ -1,4 +1,5 @@
-"""Cross-validation of the three 3-Colorability solvers (Section 5.1)."""
+"""Cross-validation of the 3-Colorability solvers (Section 5.1) with
+each other and with exhaustive search."""
 
 import random
 
@@ -10,14 +11,13 @@ from repro.errors import InvalidDecomposition
 from repro.problems import (
     ThreeColoringDatalog,
     encode_for_three_coloring,
-    is_valid_coloring,
+    is_valid_k_coloring,
+    k_coloring_bruteforce,
     random_partial_ktree,
-    three_coloring_bruteforce,
     three_coloring_direct,
     three_coloring_program,
 )
-from repro.problems.three_coloring import prepare_decomposition
-from repro.problems.k_coloring import k_coloring_direct
+from repro.problems.three_coloring import coloring_states, prepare_decomposition
 from repro.structures import Graph
 from repro.treewidth import RootedTree, TreeDecomposition
 
@@ -71,7 +71,14 @@ class TestWitnesses:
     def test_witness_is_valid_coloring(self, graph):
         colorable, witness = three_coloring_direct(graph, want_witness=True)
         assert colorable and witness is not None
-        assert is_valid_coloring(graph, witness)
+        assert is_valid_k_coloring(graph, witness, 3)
+
+    def test_witness_of_a_deep_decomposition(self):
+        """The witness is read back along the nice tree without
+        recursion: a path's decomposition is thousands of nodes deep."""
+        graph = Graph.path(2000)
+        colorable, witness = three_coloring_direct(graph, want_witness=True)
+        assert colorable and is_valid_k_coloring(graph, witness, 3)
 
     def test_no_witness_when_uncolorable(self):
         colorable, witness = three_coloring_direct(
@@ -84,13 +91,13 @@ class TestAgainstBruteforce:
     @given(small_graphs(max_vertices=7))
     @settings(max_examples=20, deadline=None)
     def test_direct_matches_bruteforce(self, g):
-        assert three_coloring_direct(g)[0] == three_coloring_bruteforce(g)
+        assert three_coloring_direct(g)[0] == k_coloring_bruteforce(g, 3)
 
     @given(small_graphs(max_vertices=6))
     @settings(max_examples=12, deadline=None)
     def test_datalog_matches_bruteforce(self, g):
         solver = ThreeColoringDatalog()
-        assert solver.decide(g) == three_coloring_bruteforce(g)
+        assert solver.decide(g) == k_coloring_bruteforce(g, 3)
 
 
 class TestProgramShape:
@@ -138,7 +145,6 @@ class TestProgramShape:
         for decide in (
             ThreeColoringDatalog().decide,
             lambda g, td: three_coloring_direct(g, td)[0],
-            lambda g, td: k_coloring_direct(g, 3, td)[0],
         ):
             with pytest.raises(InvalidDecomposition, match=message):
                 decide(Graph.cycle(4), td)
@@ -149,9 +155,9 @@ class TestProgramShape:
 
         g, td = random_partial_ktree(random.Random(1), 10, 2)
         colorable, witness = three_coloring_direct(g, td, want_witness=True)
-        assert colorable == three_coloring_bruteforce(g)
+        assert colorable == k_coloring_bruteforce(g, 3)
         if witness is not None:
-            assert is_valid_coloring(g, witness)
+            assert is_valid_k_coloring(g, witness, 3)
 
 
 #: one vertex of each awkward type: a negative int, a string, tuples
@@ -189,7 +195,7 @@ class TestOddVertices:
         ids=["colourable", "self-loop", "k4"],
     )
     def test_decide_and_fixpoint(self, graph, expected, datalog_solver):
-        assert three_coloring_bruteforce(graph) == expected
+        assert k_coloring_bruteforce(graph, 3) == expected
         assert three_coloring_direct(graph)[0] == expected
         run = datalog_solver.run(graph)
         assert run.colorable == expected
@@ -233,6 +239,28 @@ class TestIdSpaceRun:
         run = datalog_solver.run(Graph())
         assert run.colorable and run.solve_fact_count == 0
         assert run.database.fact_count() == 0
+
+
+class TestDirectStates:
+    """The direct DP computes "exactly the solve facts of Property A":
+    its state set at every nice node is the set of Figure 5 ``solve(s,
+    R, G, B)`` facts of that node, not only the same final answer."""
+
+    def test_states_are_the_decoded_solve_facts(self, datalog_solver):
+        mismatched = []
+        for seed in range(20):
+            graph, td = random_partial_ktree(random.Random(seed), 24, 3, 0.3)
+            nice = prepare_decomposition(graph, td)
+            states, _ = coloring_states(graph, nice, 3)
+            facts: dict[int, set] = {node: set() for node in nice.tree.nodes()}
+            database = datalog_solver.run(graph, td).database
+            for node, r, g, b in database.relation("solve"):
+                facts[node.index].add((r, g, b))
+            assert facts.keys() == states.keys()
+            mismatched += [
+                (seed, node) for node in states if states[node] != facts[node]
+            ]
+        assert mismatched == []
 
 
 def full_atom_space(nice) -> int:

@@ -14,12 +14,12 @@ from repro.mso import evaluate, formulas, query
 from repro.problems import (
     PrimalityDatalog,
     ThreeColoringDatalog,
+    k_coloring_bruteforce,
     prime_attributes_datalog,
     prime_attributes_direct,
     prime_attributes_rerooting,
     primality_direct,
     random_partial_ktree,
-    three_coloring_bruteforce,
     three_coloring_direct,
 )
 from repro.structures import (
@@ -62,7 +62,7 @@ class TestThreeColoringAllRoutes:
         solver = ThreeColoringDatalog()
         for _ in range(6):
             graph, td = random_partial_ktree(rng, rng.randint(3, 8), 2)
-            want = three_coloring_bruteforce(graph)
+            want = k_coloring_bruteforce(graph, 3)
             assert three_coloring_direct(graph, td)[0] == want
             assert solver.decide(graph, td) == want
             assert evaluate(
