@@ -1,71 +1,93 @@
-"""Substrate: decomposition construction cost and quality.
+"""Substrate: the solve front end's cost, and decomposition quality.
 
 The paper assumes Bodlaender's linear-time algorithm [3]; we substitute
 greedy elimination heuristics, as recorded under **Substitutions** in
 ``src/repro/core/README.md``: admission rebuilds every decomposition
 of the compiled solve with min-degree, and the Section 5 front end
-decomposes with min-fill.  This script is their scaling and quality
-gate: it times admission's rebuild
-(:func:`repro.admission.redecompose`, min-degree plus its check
-against the structure) plus one validation of the normalized
-decomposition (the checked work of a td-less solve) on full 2 x N
-ladders, N = 64 ... 512, fits the log-log slope against the domain
-size (best of ``REPEATS`` runs per ladder, garbage collector off), and
-exits 1 if the slope is above ``MAX_SLOPE`` on a first measurement and
-on one re-timing.  It also exits 1 if the rebuild is wider than 2 on
-the partial-2-tree family or on seeded 2 x N ladders with ~10% of
-their vertices deleted, or misses the exact treewidth on the small
-family (min-degree is exact at treewidth <= 2), or if the min-fill
-width of the Section 5 front end got worse on the partial-2-tree
-families below (wider than the family's treewidth bound, or a gap to
-the exact treewidth above ``MAX_EXACT_GAP``).
+decomposes with min-fill.
+
+This script is the front end's scaling and speed gate.  It times the
+whole front end of a td-less solve -- :func:`repro.admission.admit`
+(interning, the min-degree rebuild and its Section 2.2 check), then
+:func:`~repro.treewidth.normalize.normalize_admitted` (widen, normalize
+and the Definition 2.3 shape check) and
+:func:`~repro.treewidth.encode.load_ids` -- on full 2 x N ladders at
+width 2 (N = 64 ... 512) and on width-1 forests of 16-vertex random
+trees (256 ... 2048 vertices).  Each input is timed in CPU time
+(``time.process_time``, best of ``REPEATS``, garbage collector off),
+once on this id route and once on the value-level front end it
+replaced (``tests/treewidth/oracles.py`` ``value_front_end``).  Per
+family it exits 1 if the log-log slope of the id route against the
+domain size is above ``MAX_SLOPE``, or if the id route is less than
+``MIN_FRONT_END_SPEEDUP`` times faster than the value route on some
+input, on a first timing and on one re-timing of the family.
+
+It also exits 1 if the rebuild is wider than 2 on the partial-2-tree
+family or on seeded 2 x N ladders with ~10% of their vertices deleted,
+or misses the exact treewidth on the small family (min-degree is exact
+at treewidth <= 2), or if the min-fill width of the Section 5 front end
+got worse on the partial-2-tree families below (wider than the
+family's treewidth bound, or a gap to the exact treewidth above
+``MAX_EXACT_GAP``).
 
 The same run gates the ``A_td`` load: on full 2 x N ladders, N = 64 ...
 256, decomposed by the rebuild, ``load_normalized`` (the solve path's
 one-pass interned load) must
 be at least ``MIN_LOAD_SPEEDUP`` times faster than its value-level
 oracle, ``encode_normalized`` followed by ``SetDatabase.from_edb``
-(best of ``REPEATS`` each, a ladder below the gate re-timed once), and
-both must decode to the same EDB.  It prints only; no baseline file is
-written.
+(best of ``REPEATS`` each in CPU time, a ladder below the gate re-timed
+once), and both must decode to the same EDB.  It prints only; no
+baseline file is written.
 
 Run:  python benchmarks/bench_treewidth.py
 """
 
-import gc
-import math
 import random
 import sys
 import time
 from pathlib import Path
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 try:
     import repro  # noqa: F401
 except ImportError:  # running as a plain script without install
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+# the value-level front end the id route is timed against
+sys.path.insert(0, str(REPO_ROOT))
 
-from repro.admission import redecompose
-from repro.bench import best_ms, log_log_slope
-from repro.datalog import SetDatabase
-from repro.problems import random_partial_ktree
-from repro.structures import Graph, graph_to_structure
-from repro.structures.graphs import subgraph
-from repro.treewidth import (
+from bench_datalog_engine import random_forest  # noqa: E402
+from repro.admission import admit, redecompose  # noqa: E402
+from repro.bench import best_ms, log_log_slope  # noqa: E402
+from repro.datalog import SetDatabase  # noqa: E402
+from repro.problems import random_partial_ktree  # noqa: E402
+from repro.structures import (  # noqa: E402
+    GRAPH_SIGNATURE,
+    Graph,
+    graph_to_structure,
+)
+from repro.structures.graphs import subgraph  # noqa: E402
+from repro.treewidth import (  # noqa: E402
     decompose_graph,
     encode_normalized,
     load_normalized,
     normalize,
     treewidth_exact,
-    widen,
 )
+from repro.treewidth.encode import load_ids  # noqa: E402
+from repro.treewidth.normalize import normalize_admitted  # noqa: E402
+from tests.treewidth.oracles import value_front_end  # noqa: E402
 
 #: vertex counts of the partial-2-tree family of the width gates
 SIZES = (25, 50, 100, 200)
-#: ladder columns N of the full 2 x N ladders timed
+#: ladder columns N of the full 2 x N ladders timed (width 2)
 LADDER_COLUMNS = (64, 128, 256, 512)
-#: the largest tolerated log-log slope of the checked front end
+#: vertex counts of the width-1 forests of 16-vertex trees timed
+FOREST_VERTICES = (256, 512, 1024, 2048)
+#: the largest tolerated log-log slope of the id-route front end
 MAX_SLOPE = 1.15
-#: timed runs per ladder; the best one counts
+#: the smallest tolerated speedup of the id route over the value route
+MIN_FRONT_END_SPEEDUP = 1.8
+#: timed runs per input; the best one counts
 REPEATS = 9
 #: the largest tolerated min-fill gap to the exact treewidth
 #: on the small family (every member is exact today)
@@ -77,6 +99,11 @@ LOAD_COLUMNS = (64, 128, 256)
 #: the smallest tolerated speedup of ``load_normalized`` over
 #: ``encode_normalized`` + ``SetDatabase.from_edb``
 MIN_LOAD_SPEEDUP = 3.0
+
+
+def cpu_ms(run) -> float:
+    """Best-of-``REPEATS`` CPU ms of ``run()``, gc off."""
+    return best_ms(run, REPEATS, clock=time.process_time)
 
 
 def partial_2_trees():
@@ -108,47 +135,81 @@ def rebuild_width(graph) -> int:
 
 
 # ----------------------------------------------------------------------
-# the scaling and quality gate
+# the front-end gate
 # ----------------------------------------------------------------------
 
 
-def checked_front_end_ms(structure, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` ms of admission's rebuild plus one
-    validation of the normalized decomposition against the structure
-    (the normalization itself is untimed), with the garbage collector
-    off while timing so a collection does not land on one size only."""
-    best = math.inf
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            td, _ = redecompose(structure)
-            elapsed = time.perf_counter() - start
-            ntd = normalize(widen(td, 2) if td.width < 2 else td)
-            start = time.perf_counter()
-            ntd.validate(structure)
-            elapsed += time.perf_counter() - start
-            best = min(best, elapsed)
-    finally:
-        if enabled:
-            gc.enable()
-    return best * 1e3
+def id_front_end(structure, width: int) -> SetDatabase:
+    """A td-less solve's front end on the id route: admit, then
+    normalize with the shape check and load, in admission's ids."""
+    result = admit(structure, signature=GRAPH_SIGNATURE, width=width)
+    ntd = normalize_admitted(result.decomposition, width, result.ids.values)
+    return load_ids(result.structure, result.ids, ntd)
 
 
-def front_end_slope() -> float:
-    """Time the checked front end on every ladder and fit the slope."""
-    sizes, times = [], []
-    for columns in LADDER_COLUMNS:
-        structure = graph_to_structure(Graph.grid(2, columns))
-        ms = checked_front_end_ms(structure)
+def front_end_families():
+    """``(family, width, [(label, structure), ...])`` of the gate."""
+    ladders = [
+        (f"2x{n}", graph_to_structure(Graph.grid(2, n))) for n in LADDER_COLUMNS
+    ]
+    forests = [
+        (
+            f"|V|={n}",
+            graph_to_structure(random_forest(random.Random(f"front-end:{n}"), n)),
+        )
+        for n in FOREST_VERTICES
+    ]
+    return [("ladder-w2", 2, ladders), ("forest-w1", 1, forests)]
+
+
+def time_family(family: str, width: int, inputs) -> tuple[float, list[float]]:
+    """Time both routes on every input of a family: the id route's
+    log-log slope and the speedup over the value route per input."""
+    sizes, times, speedups = [], [], []
+    for label, structure in inputs:
+        fast = cpu_ms(lambda: id_front_end(structure, width))
+        slow = cpu_ms(
+            lambda: value_front_end(structure, signature=GRAPH_SIGNATURE, width=width)
+        )
         sizes.append(len(structure.domain))
-        times.append(ms)
-        print(f"ladder 2x{columns:<4} |A|={sizes[-1]:<5} {ms:8.2f} ms")
+        times.append(fast)
+        speedups.append(slow / fast)
+        print(
+            f"{family} {label:<7} |A|={sizes[-1]:<5} id {fast:7.2f} ms, "
+            f"value {slow:7.2f} ms: {slow / fast:.2f}x"
+        )
     slope = log_log_slope(sizes, times)
-    print(f"log-log slope {slope:.3f} (gate <= {MAX_SLOPE})")
-    return slope
+    print(
+        f"{family} log-log slope {slope:.3f} (gate <= {MAX_SLOPE}), "
+        f"least speedup {min(speedups):.2f}x (gate >= {MIN_FRONT_END_SPEEDUP})"
+    )
+    return slope, speedups
+
+
+def front_end_gate() -> list[str]:
+    """The slope and speedup gates per family; the failures."""
+    failures = []
+    for family, width, inputs in front_end_families():
+        slope, speedups = time_family(family, width, inputs)
+        if slope > MAX_SLOPE or min(speedups) < MIN_FRONT_END_SPEEDUP:
+            # host noise reads as a regression once; a real one persists
+            print(f"{family} outside the gate; re-timing once")
+            again, more = time_family(family, width, inputs)
+            slope = min(slope, again)
+            speedups = list(map(max, speedups, more))
+        if slope > MAX_SLOPE:
+            failures.append(f"{family} front-end slope {slope:.3f} > {MAX_SLOPE}")
+        if min(speedups) < MIN_FRONT_END_SPEEDUP:
+            failures.append(
+                f"{family} front-end speedup {min(speedups):.2f}x < "
+                f"{MIN_FRONT_END_SPEEDUP}"
+            )
+    return failures
+
+
+# ----------------------------------------------------------------------
+# the quality gates and the A_td load gate
+# ----------------------------------------------------------------------
 
 
 def decoded(db):
@@ -171,8 +232,8 @@ def load_gate() -> list[str]:
             continue
 
         def timed():
-            fast = best_ms(lambda: load_normalized(structure, ntd), REPEATS)
-            slow = best_ms(oracle, REPEATS)
+            fast = cpu_ms(lambda: load_normalized(structure, ntd))
+            slow = cpu_ms(oracle)
             print(
                 f"ladder 2x{columns:<4} load {fast:6.2f} ms, encode + "
                 f"from_edb {slow:6.2f} ms: {slow / fast:.1f}x "
@@ -194,14 +255,7 @@ def load_gate() -> list[str]:
 
 
 def main() -> int:
-    failures = []
-    slope = front_end_slope()
-    if slope > MAX_SLOPE:
-        # host noise reads as a regression once; a real one persists
-        print("slope above the gate; re-timing once")
-        slope = min(slope, front_end_slope())
-    if slope > MAX_SLOPE:
-        failures.append(f"front-end slope {slope:.3f} > {MAX_SLOPE}")
+    failures = front_end_gate()
 
     families = partial_2_trees()
     widths = {n: rebuild_width(g) for n, g in families.items()}

@@ -19,7 +19,7 @@ policy ladder:
 2. **Rebuild.**  A decomposition that fails verification is never
    patched: :func:`redecompose` discards it and builds one from the
    structure with one min-degree elimination
-   (:func:`repro.treewidth.heuristics.min_degree_order`) under the
+   (:func:`repro.treewidth.heuristics.min_degree_decomposition`) under the
    request's budget.  A structure that arrives without a decomposition
    takes the same route, under every policy.  When no decomposition is
    built the request gets a ``no-decomposition`` violation naming why
@@ -59,11 +59,15 @@ from .errors import (
     summarize_violations,
 )
 from .mso.eval import Budget as _EvalBudget
-from .structures.graphs import gaifman_graph
 from .structures.signature import Signature
 from .structures.structure import Fact, Structure, structure_fingerprint
-from .treewidth.decomposition import RootedTree, TreeDecomposition
-from .treewidth.heuristics import decomposition_from_order, min_degree_order
+from .treewidth.decomposition import (
+    ElementIds,
+    IdDecomposition,
+    RootedTree,
+    TreeDecomposition,
+)
+from .treewidth.heuristics import min_degree_decomposition
 
 __all__ = [
     "DEFAULT_ADMISSION_BUDGET",
@@ -139,25 +143,51 @@ class AdmissionReport:
         }
 
 
-@dataclass
 class AdmissionResult:
     """What :func:`admit` hands back to the solver.
 
     ``action`` tells the solver how to serve the request: ``"solve"``
-    runs the compiled Theorem 4.4 pipeline on ``td``; ``"direct"`` is
-    the O(1) small-structure escape (|dom| < w + 1, evaluate directly);
-    ``"degrade"`` is the budgeted direct-MSO fallback for structures
-    outside the width envelope.  ``structure`` is the (possibly
-    coerced) structure to serve; ``meter`` the armed budget spanning
-    the rest of the request (``None`` when the caller gave none, except
-    on the degrade route, which always carries one).
+    runs the compiled Theorem 4.4 pipeline on the decomposition;
+    ``"direct"`` is the O(1) small-structure escape (|dom| < w + 1,
+    evaluate directly); ``"degrade"`` is the budgeted direct-MSO
+    fallback for structures outside the width envelope.  ``structure``
+    is the (possibly coerced) structure to serve; ``meter`` the armed
+    budget spanning the rest of the request (``None`` when the caller
+    gave none, except on the degrade route, which always carries one).
+
+    A ``"solve"`` result carries the structure's element ids (``ids``,
+    an :class:`~repro.treewidth.decomposition.ElementIds`) and the
+    admitted decomposition over them (``decomposition``), which the
+    solver normalizes and loads without leaving the id space.  ``td``
+    is that decomposition at the value level: the caller's own when it
+    passed verification, else decoded on first access.
     """
 
-    report: AdmissionReport
-    structure: Structure
-    td: TreeDecomposition | None
-    action: str
-    meter: BudgetMeter | None = None
+    __slots__ = ("report", "structure", "action", "meter", "ids", "decomposition", "_td")
+
+    def __init__(
+        self,
+        report: AdmissionReport,
+        structure: Structure,
+        td: TreeDecomposition | None,
+        action: str,
+        meter: BudgetMeter | None = None,
+        ids: ElementIds | None = None,
+        decomposition: IdDecomposition | None = None,
+    ):
+        self.report = report
+        self.structure = structure
+        self.action = action
+        self.meter = meter
+        self.ids = ids
+        self.decomposition = decomposition
+        self._td = td
+
+    @property
+    def td(self) -> TreeDecomposition | None:
+        if self._td is None and self.decomposition is not None:
+            self._td = self.decomposition.decoded(self.ids.values)
+        return self._td
 
 
 class MeterBudget(_EvalBudget):
@@ -380,13 +410,22 @@ def verify_decomposition(
     """All decomposition violations: tree integrity, then the Section
     2.2 axioms, then the width envelope.  Axiom checks are skipped on a
     corrupt tree (they would be meaningless -- and unsafe)."""
+    return _verify(td, ElementIds.of_structure(structure), width_limit)[0]
+
+
+def _verify(
+    td, ids: ElementIds, width_limit: int | None
+) -> tuple[list[Violation], IdDecomposition | None]:
+    """:func:`verify_decomposition` against an interned structure,
+    with ``td`` over its ids (``None`` on a corrupt tree)."""
     violations = tree_violations(td)
     if violations:
-        return violations
-    violations = td.structure_violations(structure)
-    if width_limit is not None and td.width > width_limit:
-        violations.append(_width_violation(td.width, width_limit))
-    return violations
+        return violations, None
+    dec = ids.decomposition(td)
+    violations = ids.violations(dec)
+    if width_limit is not None and dec.width > width_limit:
+        violations.append(_width_violation(dec.width, width_limit))
+    return violations, dec
 
 
 def _width_violation(width: int, limit: int) -> Violation:
@@ -420,23 +459,33 @@ def redecompose(
     is checked against the structure once, since the solver trusts
     what admission hands it.
     """
+    ids = ElementIds.of_structure(structure)
+    dec, method = _rebuild(ids, meter)
+    return (dec.decoded(ids.values) if dec is not None else None), method
+
+
+def _rebuild(
+    ids: ElementIds, meter: BudgetMeter | None
+) -> tuple[IdDecomposition | None, str]:
+    """:func:`redecompose` over an interned structure, in its ids."""
     if meter is not None:
         try:
             meter.check()
         except BudgetExceeded as exc:
             return None, f"the admission budget ran out ({exc})"
     try:
-        graph = gaifman_graph(structure)
-        td = decomposition_from_order(graph, min_degree_order(graph))
+        dec = min_degree_decomposition(ids)
     except Exception as exc:  # admission lets no exception escape
         return None, (
             f"the min-degree rebuild failed with {type(exc).__name__}: {exc}"
         )
-    try:
-        td.validate_for_structure(structure)
-    except InvalidDecomposition as exc:
-        return None, f"the rebuilt decomposition is invalid ({exc})"
-    return td, "min_degree"
+    violations = ids.violations(dec)
+    if violations:
+        return None, (
+            "the rebuilt decomposition is invalid "
+            f"({InvalidDecomposition.from_violations(violations)})"
+        )
+    return dec, "min_degree"
 
 
 # ----------------------------------------------------------------------
@@ -521,12 +570,16 @@ def admit(
         return AdmissionResult(report, structure, None, "direct", meter)
 
     # -- rung 2: the decomposition -------------------------------------
+    # the one interning of the request: every later stage runs on ids
+    ids = ElementIds.of_structure(structure)
     if td is not None:
-        violations = verify_decomposition(td, structure, width)
+        violations, dec = _verify(td, ids, width)
         if not violations:
-            report.width = td.width
+            report.width = dec.width
             report.verdict = "repaired" if report.repairs else "admitted"
-            return AdmissionResult(report, structure, td, "solve", meter)
+            return AdmissionResult(
+                report, structure, td, "solve", meter, ids, dec
+            )
         report.violations += tuple(violations)
         if report.fingerprint is None:
             report.fingerprint = structure_fingerprint(structure)
@@ -536,7 +589,7 @@ def admit(
         # rebuilds one from the structure
 
     # -- rung 3: re-decompose from scratch -----------------------------
-    rebuilt, method = redecompose(structure, meter)
+    rebuilt, method = _rebuild(ids, meter)
     if rebuilt is None:
         residual = Violation(
             "no-decomposition",
@@ -551,7 +604,9 @@ def admit(
             report.repairs += (f"redecomposed:{method}",)
             report.verdict = "repaired"
         report.width = rebuilt.width
-        return AdmissionResult(report, structure, rebuilt, "solve", meter)
+        return AdmissionResult(
+            report, structure, None, "solve", meter, ids, rebuilt
+        )
 
     # -- rung 4: outside the envelope ----------------------------------
     if not any(v.code == residual.code for v in report.violations):

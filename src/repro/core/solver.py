@@ -5,9 +5,13 @@
     structure  --decompose-->  TD  --normalize-->  Def. 2.3 form
               --load-->  A_td in interned ids  --compiled datalog-->  answers
 
-The load (:func:`repro.treewidth.encode.load_normalized`) writes
-``A_td`` straight into a :class:`~repro.datalog.setengine.SetDatabase`
-in one pass over the normalized decomposition.
+Admission interns the structure's elements once into dense ids
+(:class:`~repro.treewidth.decomposition.ElementIds`) and decomposes
+over them; normalizing (:func:`repro.treewidth.normalize.normalize_admitted`)
+and the load (:func:`repro.treewidth.encode.load_ids`) stay in those
+ids, and the load writes ``A_td`` straight into a
+:class:`~repro.datalog.setengine.SetDatabase` in one pass over the
+normalized decomposition.  Only the answer's elements are decoded.
 
 The datalog program comes from the Theorem 4.5 compiler (built once per
 (query, signature, width) and reusable over any number of structures,
@@ -41,9 +45,13 @@ from ..errors import AdmissionRejected
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
 from ..structures.structure import Element, Structure
-from ..treewidth.decomposition import TreeDecomposition
-from ..treewidth.encode import load_normalized
-from ..treewidth.normalize import NormalizedTreeDecomposition, normalize, widen
+from ..treewidth.decomposition import (
+    ElementIds,
+    IdDecomposition,
+    TreeDecomposition,
+)
+from ..treewidth.encode import load_ids
+from ..treewidth.normalize import NormalizedTreeDecomposition, normalize_admitted
 from .mso_to_datalog import (
     ANSWER_PREDICATE,
     DEFAULT_MAX_WITNESS_SIZE,
@@ -114,23 +122,30 @@ class CourcelleSolver:
     def _prepare(
         self, structure: Structure, td: TreeDecomposition
     ) -> SetDatabase:
-        """``A_td`` loaded into interned ids, ready for the evaluator."""
-        return load_normalized(structure, self._normalize(structure, td))
+        """``A_td`` loaded into interned ids, ready for the evaluator,
+        from an admitted ``td`` (interned here; a solve enters
+        :meth:`_load` with admission's ids instead)."""
+        ids = ElementIds.of_structure(structure)
+        return self._load(structure, ids, ids.decomposition(td))
+
+    def _load(
+        self, structure: Structure, ids: ElementIds, dec: IdDecomposition
+    ) -> SetDatabase:
+        """Normalize ``dec`` (admitted, over ``ids``) and load ``A_td``,
+        all in the element ids admission assigned."""
+        ntd = normalize_admitted(dec, self.compiled.width, ids.values)
+        return load_ids(structure, ids, ntd)
 
     def _normalize(
         self, structure: Structure, td: TreeDecomposition
     ) -> NormalizedTreeDecomposition:
-        """The Definition 2.3 decomposition a solve loads.
-
-        ``td`` is one :func:`repro.admission.admit` handed back: valid
-        for ``structure`` and within the compiled width."""
-        if td.width < self.compiled.width:
-            td = widen(td, self.compiled.width)
-        ntd = normalize(td)
-        # admission checked the Section 2.2 axioms on ``td``; the
-        # normalized form gets the Definition 2.3 shape check only
-        ntd.validate()
-        return ntd
+        """The Definition 2.3 decomposition a solve of ``structure``
+        loads from an admitted ``td``, decoded to values."""
+        ids = ElementIds.of_structure(structure)
+        ntd = normalize_admitted(
+            ids.decomposition(td), self.compiled.width, ids.values
+        )
+        return ntd.decoded(ids.values, NormalizedTreeDecomposition)
 
     def _finish(self, loaded: SetDatabase, budget=None):
         """Evaluate a loaded ``A_td`` and decode the answer (``decide``
@@ -262,7 +277,7 @@ class CourcelleSolver:
                     report=report,
                 ) from exc
             return answer, report
-        loaded = self._prepare(result.structure, result.td)
+        loaded = self._load(result.structure, result.ids, result.decomposition)
         return self._finish(loaded, budget=meter), report
 
     def solve_many(

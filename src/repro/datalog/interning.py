@@ -35,6 +35,7 @@ from ..structures.structure import Fact
 
 __all__ = [
     "Interner",
+    "LazyTailInterner",
     "InternPool",
     "bitset_of",
     "iter_bits",
@@ -156,6 +157,74 @@ class Interner:
 
     def values(self) -> Iterator[Hashable]:
         """All interned values in id order."""
+        return iter(self._values)
+
+
+class LazyTailInterner(Interner):
+    """An interner over adopted ``values`` (ids ``0 .. n - 1``, with
+    their ``index``) followed by one id per item of ``tail``, whose
+    value ``make(item)`` is built only when a caller first needs the
+    tail: reads an id past ``n``, or interns or looks up a value that
+    is not among ``values``.  Reading an element costs what it costs in
+    a plain :class:`Interner`, and a solve that decodes only elements
+    never builds the tail.  ``values`` and ``index`` are not mutated."""
+
+    __slots__ = ("_tail", "_make")
+
+    def __init__(self, values: list, index: dict, tail, make):
+        super().__init__()
+        self._values = values
+        self._ids = index
+        self._identity = False
+        self._tail = tail
+        self._make = make
+
+    def _build_tail(self) -> None:
+        tail = self._tail
+        if tail is None:
+            return
+        self._tail = None
+        start = len(self._values)
+        made = list(map(self._make, tail))
+        self._values = self._values + made
+        self._ids = {**self._ids, **dict(zip(made, range(start, start + len(made))))}
+
+    def __len__(self) -> int:
+        tail = self._tail
+        return len(self._values) + (len(tail) if tail is not None else 0)
+
+    def __contains__(self, value: Hashable) -> bool:
+        return self.id_of(value) is not None
+
+    def intern(self, value: Hashable) -> int:
+        found = self._ids.get(value)
+        if found is not None:
+            return found
+        self._build_tail()
+        return super().intern(value)
+
+    def intern_set(self, bits: int) -> int:
+        self._build_tail()
+        return super().intern_set(bits)
+
+    def id_of(self, value: Hashable) -> int | None:
+        found = self._ids.get(value)
+        if found is None and self._tail is not None:
+            self._build_tail()
+            found = self._ids.get(value)
+        return found
+
+    def value_of(self, ident: int) -> Hashable:
+        try:
+            return self._values[ident]
+        except IndexError:
+            if self._tail is None:
+                raise
+            self._build_tail()
+            return self._values[ident]
+
+    def values(self) -> Iterator[Hashable]:
+        self._build_tail()
         return iter(self._values)
 
 

@@ -57,7 +57,7 @@ from ..structures.graphs import Graph, graph_to_structure
 from ..structures.structure import Structure
 from ..treewidth.decomposition import NodeId, TreeDecomposition
 from ..treewidth.encode import TDNode, encode_nice, load_nice_ids
-from ..treewidth.heuristics import decomposition_from_order, min_fill_order
+from ..treewidth.heuristics import min_fill_decomposition
 from ..treewidth.nice import NiceTreeDecomposition, bottom_up, make_nice
 
 Vertex = Hashable
@@ -80,7 +80,7 @@ def prepare_decomposition(
     Raises :class:`~repro.errors.InvalidDecomposition` if ``td`` does
     not decompose ``graph``."""
     if td is None:
-        td = decomposition_from_order(graph, min_fill_order(graph))
+        td = min_fill_decomposition(graph)
     nice = make_nice(td)
     nice.validate_for_graph(graph)
     return nice

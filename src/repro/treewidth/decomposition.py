@@ -19,7 +19,7 @@ pervasively by the test-suite's property tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import InvalidDecomposition, Violation
 from ..structures.graphs import Graph
@@ -219,12 +219,8 @@ class TreeDecomposition:
         subjects are the machine-readable layer the admission control
         of :mod:`repro.admission` consumes.
         """
-        return self.axiom_violations(
-            graph.vertices,
-            (((u, v), (u, v)) for u, v in graph.edges()),
-            _GRAPH_WORDS,
-            lambda edge: f"edge ({edge[0]!r}, {edge[1]!r}) covered by no bag",
-        )
+        ids = ElementIds.of_graph(graph)
+        return ids.violations(ids.decomposition(self))
 
     def structure_violations(self, structure: Structure) -> list[Violation]:
         """All Section 2.2 axiom violations against ``structure``.
@@ -235,81 +231,8 @@ class TreeDecomposition:
         real thing).  Collects *every* violation instead of stopping at
         the first -- the admission layer repairs them as a set.
         """
-        return self.axiom_violations(
-            structure.domain,
-            (
-                (tup, (name, tup))
-                for name in structure.signature
-                for tup in structure.relation(name)
-            ),
-            _STRUCTURE_WORDS,
-            lambda fact: f"tuple {fact[0]}{fact[1]!r} covered by no bag",
-        )
-
-    def axiom_violations(
-        self,
-        domain: Iterable[Element],
-        tuples: Iterable[tuple[tuple, tuple]],
-        words: tuple[str, str],
-        uncovered: Callable[[tuple], str],
-    ) -> list[Violation]:
-        """The one Section 2.2 axiom check, linear in the bags.
-
-        ``domain`` is what the bags must cover, ``tuples`` yields
-        ``(elements, subject)`` per tuple that some bag must hold,
-        ``words`` phrase the element-uncovered and alien-element
-        messages, and ``uncovered(subject)`` the tuple-uncovered one.
-        Violations come in a fixed order: uncovered elements, alien
-        elements, uncovered tuples (in ``tuples`` order), connectedness.
-        """
-        index = OccurrenceIndex(self.bags, self.tree.parent)
-        domain = frozenset(domain)
-        elements = frozenset(index.where)
-        violations: list[Violation] = []
-        missing = domain - elements
-        if missing:
-            ordered = sorted(missing, key=repr)
-            violations.append(
-                Violation(
-                    "element-uncovered",
-                    f"{words[0]}: {ordered}",
-                    subject=tuple(ordered),
-                    repairable=True,
-                )
-            )
-        alien = elements - domain
-        if alien:
-            ordered = sorted(alien, key=repr)
-            violations.append(
-                Violation(
-                    "alien-element",
-                    f"{words[1]}: {ordered}",
-                    subject=tuple(ordered),
-                    repairable=True,
-                )
-            )
-        for needed, subject in tuples:
-            if not index.covers(needed):
-                violations.append(
-                    Violation(
-                        "tuple-uncovered",
-                        uncovered(subject),
-                        subject=subject,
-                        repairable=True,
-                    )
-                )
-        bad = index.disconnected()
-        if bad:
-            ordered = sorted(bad, key=repr)
-            violations.append(
-                Violation(
-                    "connectedness",
-                    f"connectedness violated for {ordered}",
-                    subject=tuple(ordered),
-                    repairable=True,
-                )
-            )
-        return violations
+        ids = ElementIds.of_structure(structure)
+        return ids.violations(ids.decomposition(self))
 
     def validate_for_graph(self, graph: Graph) -> None:
         """Raise :class:`repro.errors.InvalidDecomposition` (a
@@ -370,72 +293,301 @@ _GRAPH_WORDS = ("vertices never covered", "bags mention non-vertices")
 _STRUCTURE_WORDS = ("elements never covered", "bags mention non-elements")
 
 
-class OccurrenceIndex:
-    """Where each element occurs in a decomposition, built in one pass
-    over its ``bags`` (``parent`` is its tree's parent lookup).
+# ----------------------------------------------------------------------
+# The id space of the front end
+# ----------------------------------------------------------------------
 
-    ``where[x]`` lists the nodes whose bag holds ``x``; ``tops[x]``
-    counts its *top* nodes -- occurrences whose parent's bag lacks
-    ``x`` (or that are the root).  The occurrence set of ``x`` induces
-    one subtree per top node, so ``x`` satisfies the connectedness
-    condition iff it has exactly one.  A tuple is held by some bag iff
-    it is held by a bag among the shortest occurrence list of its
-    elements.  Both checks are thereby linear in the total bag size
-    (for tuples, times the shortest list), where scanning every bag
-    per element and per tuple was quadratic.
+
+class ElementIds:
+    """A domain interned once into the dense ids ``0 .. n - 1``, with
+    the tuples a decomposition of it must cover.
+
+    ``values[i]`` is the element with id ``i``; the ids follow
+    ``(repr, first occurrence)`` order, so sorting ids sorts elements
+    the way ``sorted(..., key=repr)`` does, and every tie the
+    value-level front end broke by ``repr`` breaks the same way by id.
+    ``index`` maps an element to its id.  ``relations`` maps each
+    predicate to its tuples as id tuples, in the relation's iteration
+    order; a graph has the one relation ``None``, its edges.
     """
 
-    __slots__ = ("bags", "parent", "where", "tops")
+    __slots__ = ("values", "index", "relations", "_graph")
 
-    def __init__(
-        self,
-        bags: Mapping[NodeId, frozenset[Element]],
-        parent: Callable[[NodeId], NodeId | None],
-    ):
-        where: dict[Element, list[NodeId]] = {}
-        tops: dict[Element, int] = {}
-        empty: frozenset = frozenset()
-        for node, bag in bags.items():
-            above = parent(node)
-            above_bag = empty if above is None else bags[above]
-            for x in bag:
-                nodes = where.get(x)
-                if nodes is None:
-                    where[x] = [node]
-                else:
-                    nodes.append(node)
-                if x not in above_bag:
-                    tops[x] = tops.get(x, 0) + 1
-        self.bags = bags
-        self.parent = parent
-        self.where = where
-        self.tops = tops
+    def __init__(self, values: list, relations: dict, graph: bool = False):
+        self.values = values
+        self.index = dict(zip(values, range(len(values))))
+        self.relations = relations
+        self._graph = graph
 
-    def covers(self, needed: Iterable[Element]) -> bool:
-        """Whether some bag holds every element of ``needed``."""
-        where = self.where
-        shortest: list[NodeId] | None = None
-        for x in needed:
-            nodes = where.get(x)
-            if nodes is None:
-                return False
-            if shortest is None or len(nodes) < len(shortest):
-                shortest = nodes
-        if shortest is None:
-            return bool(self.bags)  # the empty tuple: any bag holds it
-        bags = self.bags
-        for node in shortest:
-            bag = bags[node]
-            for x in needed:
-                if x not in bag:
-                    break
+    @classmethod
+    def of_elements(cls, elements: Iterable[Element]) -> "ElementIds":
+        """Just the elements, with no tuples to cover."""
+        return cls(sorted(elements, key=repr), {})
+
+    @classmethod
+    def of_structure(cls, structure: Structure) -> "ElementIds":
+        ids = cls(sorted(structure.domain, key=repr), {})
+        index = ids.index
+        get = index.__getitem__
+        for name in structure.signature:
+            rel = structure.relation(name)
+            if structure.signature.arity(name) == 2:
+                ids.relations[name] = [(index[a], index[b]) for a, b in rel]
             else:
-                return True
-        return False
+                ids.relations[name] = [tuple(map(get, t)) for t in rel]
+        return ids
 
-    def disconnected(self) -> list[Element]:
-        """Elements whose occurrences do not form one subtree."""
-        return [x for x, count in self.tops.items() if count != 1]
+    @classmethod
+    def of_graph(cls, graph: Graph) -> "ElementIds":
+        ids = cls(sorted(graph.vertices, key=repr), {}, graph=True)
+        index = ids.index
+        ids.relations[None] = [(index[u], index[v]) for u, v in graph.edges()]
+        return ids
+
+    def adjacency(self) -> list[set[int]]:
+        """The Gaifman graph over ids: the neighbours of each id, the
+        ids it shares a tuple with, itself left out."""
+        adj: list[set[int]] = [set() for _ in self.values]
+        for tuples in self.relations.values():
+            for t in tuples:
+                if len(t) == 2:
+                    a, b = t
+                    if a != b:
+                        adj[a].add(b)
+                        adj[b].add(a)
+                    continue
+                for a in t:
+                    row = adj[a]
+                    row.update(t)
+                    row.discard(a)
+        return adj
+
+    def decomposition(self, td: TreeDecomposition) -> "IdDecomposition":
+        """``td`` over these ids, its nodes numbered in preorder.
+
+        An element of a bag outside the domain gets an id after the
+        domain's, in ``repr`` order; the result keeps those elements as
+        its ``aliens``.  ``td``'s tree must be sound (see
+        :func:`repro.admission.tree_violations`)."""
+        tree = td.tree
+        kids_of = tree._children
+        labels: list[NodeId] = []
+        append = labels.append
+        stack = [tree.root]
+        pop = stack.pop
+        while stack:
+            node = pop()
+            append(node)
+            kids = kids_of[node]
+            while len(kids) == 1:  # a unary chain needs no stack
+                node = kids[0]
+                append(node)
+                kids = kids_of[node]
+            if kids:
+                stack += reversed(kids)
+        position = dict(zip(labels, range(len(labels))))
+        parent = [-1]
+        parent += map(position.__getitem__, map(tree._parent.__getitem__, labels[1:]))
+        source = list(map(td.bags.__getitem__, labels))
+        kind = tuple if source and type(source[0]) is tuple else frozenset
+        index = self.index
+        aliens: tuple = ()
+        try:
+            get = index.__getitem__
+            bags = [kind(map(get, bag)) for bag in source]
+        except KeyError:
+            aliens = tuple(
+                sorted({x for bag in source for x in bag if x not in index}, key=repr)
+            )
+            n = len(self.values)
+            get = {**index, **dict(zip(aliens, range(n, n + len(aliens))))}.__getitem__
+            bags = [kind(map(get, bag)) for bag in source]
+        width = max(map(len, bags)) - 1
+        return IdDecomposition(parent, None, bags, width, labels, aliens)
+
+    def violations(self, dec: "IdDecomposition") -> list[Violation]:
+        """All Section 2.2 axiom violations of ``dec`` against this
+        domain and its tuples, decoded: the messages, subjects and
+        order of :meth:`TreeDecomposition.structure_violations` (or
+        ``graph_violations``)."""
+        groups = list(self.relations.items())
+        missing, alien, uncovered, disconnected = dec.axiom_defects(
+            len(self.values), [tuples for _, tuples in groups]
+        )
+        if not (missing or alien or uncovered or disconnected):
+            return []
+        values = self.values + list(dec.aliens)
+        words = _GRAPH_WORDS if self._graph else _STRUCTURE_WORDS
+        violations: list[Violation] = []
+        for code, found, word in (
+            ("element-uncovered", missing, words[0]),
+            ("alien-element", alien, words[1]),
+        ):
+            if found:
+                ordered = [values[x] for x in found]
+                violations.append(
+                    Violation(
+                        code,
+                        f"{word}: {ordered}",
+                        subject=tuple(ordered),
+                        repairable=True,
+                    )
+                )
+        for r, i in uncovered:
+            name, tuples = groups[r]
+            tup = tuple(values[x] for x in tuples[i])
+            if self._graph:
+                message = f"edge ({tup[0]!r}, {tup[1]!r}) covered by no bag"
+                subject = tup
+            else:
+                message = f"tuple {name}{tup!r} covered by no bag"
+                subject = (name, tup)
+            violations.append(
+                Violation(
+                    "tuple-uncovered", message, subject=subject, repairable=True
+                )
+            )
+        if disconnected:
+            ordered = sorted((values[x] for x in disconnected), key=repr)
+            violations.append(
+                Violation(
+                    "connectedness",
+                    f"connectedness violated for {ordered}",
+                    subject=tuple(ordered),
+                    repairable=True,
+                )
+            )
+        return violations
+
+
+class IdDecomposition:
+    """A tree decomposition over dense element ids, its tree as arrays.
+
+    Node ``0`` is the root and every other node ``k`` has its parent
+    ``parent[k] < k``; ``children[k]`` lists its children in order
+    (derived from ``parent`` on first use when not given, which needs
+    the nodes numbered in preorder) and ``bags[k]`` is its bag: a
+    frozenset of ids, or for a Definition 2.3 form a tuple of them,
+    whose nodes are then numbered in preorder.
+    ``width`` is the width, carried from where the bags were made so
+    no stage rescans them.  ``labels[k]`` is the node's value-level id
+    (``None``: ``k`` itself), and ``aliens`` are the values of the ids
+    past the domain's, elements a supplied bag holds but the domain
+    lacks.
+    """
+
+    __slots__ = ("parent", "_children", "bags", "width", "labels", "aliens")
+
+    def __init__(self, parent, children, bags, width, labels=None, aliens=()):
+        self.parent = parent
+        self._children = children
+        self.bags = bags
+        self.width = width
+        self.labels = labels
+        self.aliens = aliens
+
+    @property
+    def children(self) -> list[list[int]]:
+        if self._children is None:
+            children: list[list[int]] = [[] for _ in self.parent]
+            for node, up in enumerate(self.parent[1:], 1):
+                children[up].append(node)
+            self._children = children
+        return self._children
+
+    def axiom_defects(
+        self, n: int, groups: Iterable[list[tuple[int, ...]]]
+    ) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
+        """The one Section 2.2 axiom check, linear in the bags.
+
+        ``n`` is the domain size (ids ``0 .. n - 1``), ``groups`` the
+        tuples some bag must hold, one list per relation.  Returns the
+        uncovered domain ids and the alien ids (both sorted), the
+        uncovered tuples as ``(group, position)`` pairs in order, and
+        the ids whose occurrences do not form one subtree.
+
+        One pass over the bags counts each id's *top* nodes, those whose
+        parent's bag lacks it: an id is connected iff it has one.  Since
+        a parent precedes its children, its one top is its first
+        occurrence.  Subtrees of a tree that meet pairwise share a node
+        (the Helly property), and the lowest of their tops is one, so a
+        tuple of connected ids is covered iff the bag at its last top
+        holds it; a tuple with a disconnected id is looked for in every
+        bag.
+        """
+        bags, parent = self.bags, self.parent
+        size = n + len(self.aliens)
+        first = [-1] * size
+        tops = [0] * size
+        empty: tuple = ()
+        for node, bag in enumerate(bags):
+            above = bags[parent[node]] if node else empty
+            for x in bag:
+                if x not in above:
+                    if tops[x]:
+                        tops[x] += 1
+                    else:
+                        tops[x] = 1
+                        first[x] = node
+        uncovered: list[tuple[int, int]] = []
+        for r, tuples in enumerate(groups):
+            for i, t in enumerate(tuples):
+                if len(t) == 2:
+                    a, b = t
+                    fa, fb = first[a], first[b]
+                    if fa >= 0 and fb >= 0 and tops[a] == 1 and tops[b] == 1:
+                        bag = bags[fa if fa > fb else fb]
+                        if a not in bag or b not in bag:
+                            uncovered.append((r, i))
+                        continue
+                if not _covered(t, bags, first, tops):
+                    uncovered.append((r, i))
+        missing = [x for x in range(n) if not tops[x]] if 0 in tops else []
+        disconnected = (
+            [x for x in range(size) if tops[x] > 1] if size and max(tops) > 1 else []
+        )
+        return missing, list(range(n, size)), uncovered, disconnected
+
+    def decoded(self, values: list, cls=None) -> TreeDecomposition:
+        """This decomposition over ``values`` (the element of each id),
+        as a ``cls`` (default :class:`TreeDecomposition`) on a
+        :class:`RootedTree` with the nodes' labels."""
+        labels = self.labels if self.labels is not None else range(len(self.bags))
+        if self.aliens:
+            values = values + list(self.aliens)
+        tree = RootedTree.__new__(RootedTree)
+        tree.root = labels[0]
+        tree._children = {
+            labels[k]: [labels[c] for c in kids]
+            for k, kids in enumerate(self.children)
+        }
+        tree._parent = {
+            labels[k]: labels[p] if k else None for k, p in enumerate(self.parent)
+        }
+        tree._next_id = max(labels) + 1
+        get = values.__getitem__
+        td = (cls or TreeDecomposition).__new__(cls or TreeDecomposition)
+        td.tree = tree
+        td.bags = {
+            labels[k]: type(bag)(map(get, bag)) for k, bag in enumerate(self.bags)
+        }
+        return td
+
+
+def _covered(t, bags, first, tops) -> bool:
+    """Whether some bag holds every id of ``t`` (the general case of
+    :meth:`IdDecomposition.axiom_defects`)."""
+    last = -1
+    for x in t:
+        if first[x] < 0:
+            return False
+        if tops[x] > 1:
+            return any(all(y in bag for y in t) for bag in bags)
+        last = max(last, first[x])
+    if last < 0:
+        return bool(bags)  # the empty tuple: any bag holds it
+    bag = bags[last]
+    return all(x in bag for x in t)
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,12 @@ Tree nodes live in the same domain as the structure's elements
 (Section 4: "The domain of A_td is the union of dom(A) and the nodes of
 T"); :class:`TDNode` wrappers keep them collision-free.
 
-:func:`load_normalized` is the solve path's form of
-:func:`encode_normalized`: it writes ``A_td`` from the decomposition
+:func:`load_ids` is the solve path's form of :func:`encode_normalized`:
+it writes ``A_td`` from a normalized decomposition over element ids
 straight into an interned :class:`~repro.datalog.setengine.SetDatabase`,
 with the node-keyed indexes the Theorem 4.4 grounder probes already
-filled.
+filled; the element ids and id tuples are the ones admission assigned.
+:func:`load_normalized` is its value-level entry, and
 ``encode_normalized`` stays as its value-level oracle.
 :func:`load_nice` does the same for :func:`encode_nice` and the Section
 5 programs, together with each problem's precomputed facts per
@@ -36,10 +37,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterable
 
-from ..datalog.interning import Interner
+from ..datalog.interning import Interner, LazyTailInterner
 from ..datalog.setengine import SetDatabase
 from ..structures.structure import Element, Structure
-from .decomposition import NodeId
+from .decomposition import ElementIds, IdDecomposition, NodeId
 from .nice import NiceTreeDecomposition
 from .normalize import NormalizedTreeDecomposition
 
@@ -118,11 +119,30 @@ def load_normalized(
     """``A_td`` for a Definition 2.3 decomposition, loaded into ids.
 
     The database equals ``SetDatabase.from_edb(encode_normalized(
-    structure, ntd))`` up to the choice of ids, built straight from the
-    decomposition with no value-level ``Structure`` in between.  The
-    elements get the ids ``0 .. |dom| - 1`` and the nodes the ids after
-    them; the stored values stay the elements and ``TDNode(n)``, so
-    every decode is unchanged.
+    structure, ntd))`` up to the choice of ids: the value-level entry
+    of :func:`load_ids`, which it reaches by interning ``structure``
+    and ``ntd`` (nodes in preorder).  Raises :class:`ValueError` on a
+    bag element outside the domain and on a node with more than two
+    children.
+    """
+    ids = ElementIds.of_structure(structure)
+    return load_ids(structure, ids, ids.decomposition(ntd))
+
+
+def load_ids(
+    structure: Structure, ids: ElementIds, ntd: IdDecomposition
+) -> SetDatabase:
+    """``A_td`` for a Definition 2.3 decomposition over ``ids`` (tuple
+    bags, nodes numbered in preorder), loaded into a
+    :class:`~repro.datalog.setengine.SetDatabase`.
+
+    The elements keep their ids ``0 .. |dom| - 1`` and their id tuples
+    (``ids.relations``, made once, by admission on a solve); node ``k``
+    gets the id ``|dom| + k``, so the ids follow the tree's preorder and
+    not its node labels.  The stored values stay the elements and
+    ``TDNode(label)``, so every decode is unchanged; the ``TDNode``
+    values are built only if a caller reads a node back
+    (:class:`~repro.datalog.interning.LazyTailInterner`).
 
     The load also fills the single-position hash indexes the grounder
     probes by node: ``bag`` on its node and ``child1``/``child2`` on
@@ -137,65 +157,58 @@ def load_normalized(
     structure.signature.extended(
         {"root": 1, "leaf": 1, "child1": 2, "child2": 2, "bag": ntd.width + 2}
     )
-    elements = list(structure.domain)
-    element_id = dict(zip(elements, range(len(elements))))
-    tree = ntd.tree
-    tuples = ntd.bags
-    node_id = dict(
-        zip(tuples, range(len(elements), len(elements) + len(tuples)))
-    )
-    bag_by_node: dict[int, list] = {}
-    for node, bag in tuples.items():
-        t = node_id[node]
-        try:
-            bag_by_node[t] = [(t, *map(element_id.__getitem__, bag))]
-        except KeyError as missing:
-            raise ValueError(
-                f"element {missing.args[0]!r} of the bag of node {node} "
-                "is not in the domain"
-            ) from None
-    tree_facts, indexes = _tree_relations(tree, node_id)
-    to_id = element_id.__getitem__
-    facts = {
-        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
-        for name in structure.signature
-    }
-    facts.update(tree_facts, bag={rows[0] for rows in bag_by_node.values()})
-    indexes["bag"] = {(0,): bag_by_node}
-    interner = Interner.of_distinct(elements + [TDNode(n) for n in tuples])
+    n = len(ids.values)
+    labels = ntd.labels if ntd.labels is not None else range(len(ntd.bags))
+    if ntd.aliens:
+        for k, bag in enumerate(ntd.bags):
+            for x in bag:
+                if x >= n:
+                    raise ValueError(
+                        f"element {ntd.aliens[x - n]!r} of the bag of node "
+                        f"{labels[k]} is not in the domain"
+                    )
+    rows = [(t, *bag) for t, bag in enumerate(ntd.bags, n)]
+    facts, indexes = _tree_relations(ntd.children, n, labels)
+    for name, tuples in ids.relations.items():
+        facts[name] = set(tuples)
+    facts["bag"] = set(rows)
+    indexes["bag"] = {(0,): {row[0]: [row] for row in rows}}
+    interner = LazyTailInterner(ids.values, ids.index, labels, TDNode)
     return SetDatabase.from_interned(interner, facts, indexes)
 
 
 def _tree_relations(
-    tree, node_id: dict[NodeId, int]
+    children: list[list[int]], base: int, labels, root: int = 0
 ) -> tuple[dict[str, set], dict[str, dict]]:
-    """``root``, ``leaf``, ``child1`` and ``child2`` over node ids, with
-    the ``child1``/``child2`` hash indexes on either end.  By the key
-    dependencies of Definition 4.3 every bucket holds one row.
+    """``root``, ``leaf``, ``child1`` and ``child2`` of a tree whose
+    node ``k`` has the children ``children[k]`` and the id ``base +
+    k``, with the ``child1``/``child2`` hash indexes on
+    either end.  By the key dependencies of Definition 4.3 every bucket
+    holds one row.
 
-    Raises :class:`ValueError` on a node with more than two children."""
+    Raises :class:`ValueError` on a node with more than two children
+    (named by ``labels[k]``)."""
     child1_by_child: dict[int, list] = {}
     child1_by_parent: dict[int, list] = {}
     child2_by_child: dict[int, list] = {}
     child2_by_parent: dict[int, list] = {}
     leaves = set()
-    for node, t in node_id.items():
-        children = tree.children(node)
-        if not children:
+    for t, kids in enumerate(children, base):
+        if not kids:
             leaves.add((t,))
             continue
-        if len(children) > 2:
-            raise ValueError(f"node {node} has more than two children")
+        if len(kids) > 2:
+            raise ValueError(f"node {labels[t - base]} has more than two children")
         # one bucket list per index: SetDatabase.merge appends to them
-        row = (node_id[children[0]], t)
+        row = (base + kids[0], t)
         child1_by_child[row[0]] = [row]
         child1_by_parent[t] = [row]
-        if len(children) == 2:
-            row = (node_id[children[1]], t)
+        if len(kids) == 2:
+            row = (base + kids[1], t)
             child2_by_child[row[0]] = [row]
             child2_by_parent[t] = [row]
     facts = {
-        "root": {(node_id[tree.root],)},
+        "root": {(base + root,)},
         "leaf": leaves,
         "child1": {rows[0] for rows in child1_by_child.values()},
         "child2": {rows[0] for rows in child2_by_child.values()},
@@ -335,7 +348,8 @@ def load_nice_ids(
     """
     elements = list(structure.domain)
     bags = nice.bags
-    node_id = dict(zip(bags, range(len(elements), len(elements) + len(bags))))
+    base = len(elements)
+    node_id = dict(zip(bags, range(base, base + len(bags))))
     interner = Interner.of_distinct(elements + [TDNode(n) for n in bags])
     facts_of = bag_facts(interner)
 
@@ -370,7 +384,13 @@ def load_nice_ids(
         bag_by_node[t] = [(t, *payload)]
         for predicate, args_ids in by_predicate.items():
             extra_by_node[predicate][t] = [(t, *args) for args in args_ids]
-    tree_facts, indexes = _tree_relations(nice.tree, node_id)
+    kids_of = nice.tree._children
+    tree_facts, indexes = _tree_relations(
+        [[node_id[c] - base for c in kids_of[node]] for node in bags],
+        base,
+        list(bags),
+        node_id[nice.tree.root] - base,
+    )
 
     # raises, as in encode_nice, if the structure already has a tau_td
     # predicate name with another arity

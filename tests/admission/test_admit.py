@@ -203,10 +203,10 @@ class TestDegrade:
     ):
         from repro import admission
 
-        def broken(graph):
+        def broken(ids):
             raise RuntimeError("strategy failed")
 
-        monkeypatch.setattr(admission, "min_degree_order", broken)
+        monkeypatch.setattr(admission, "min_degree_decomposition", broken)
         result = admit(
             path_structure(5), signature=GRAPH_SIGNATURE, width=1,
             policy="degrade",

@@ -45,10 +45,10 @@ class TestRedecompose:
         assert reason.startswith("the admission budget ran out")
 
     def test_every_strategy_failing_yields_nothing(self, monkeypatch):
-        def broken(graph):
+        def broken(ids):
             raise RuntimeError("order failed")
 
-        monkeypatch.setattr(admission, "min_degree_order", broken)
+        monkeypatch.setattr(admission, "min_degree_decomposition", broken)
         td, reason = redecompose(path_structure(5))
         assert td is None
         assert reason == (

@@ -9,7 +9,7 @@ Two properties of the admitted solve:
   treewidth <= 2.
 * **One validation.** Every request runs the Section 2.2 axiom check
   once, in admission, on the decomposition it rebuilt or was handed;
-  ``CourcelleSolver._prepare`` checks only the Definition 2.3 shape.
+  ``CourcelleSolver._load`` checks only the Definition 2.3 shape.
 """
 
 import random
@@ -22,7 +22,8 @@ from repro.errors import AdmissionRejected
 from repro.mso import formulas, query
 from repro.problems import random_partial_ktree
 from repro.structures import GRAPH_SIGNATURE, Graph, graph_to_structure
-from repro.treewidth import TreeDecomposition, decompose_structure
+from repro.treewidth import decompose_structure
+from repro.treewidth.decomposition import IdDecomposition
 
 from ..conftest import deleted_ladders
 
@@ -120,10 +121,10 @@ class TestFailingStrategies:
     def test_error_surfaces_when_every_strategy_fails(
         self, path_solver, monkeypatch
     ):
-        def broken(graph):
+        def broken(ids):
             raise RuntimeError("strategy failed")
 
-        monkeypatch.setattr(admission, "min_degree_order", broken)
+        monkeypatch.setattr(admission, "min_degree_decomposition", broken)
         with pytest.raises(AdmissionRejected, match="strategy failed") as err:
             path_solver.query(graph_to_structure(Graph.path(9)))
         (violation,) = err.value.report.residual
@@ -135,33 +136,34 @@ class TestFailingStrategies:
 class TestOneValidationPerSolve:
     @pytest.fixture
     def checks(self, monkeypatch):
-        """Count Section 2.2 axiom checks, overall and inside ``_prepare``."""
+        """Count Section 2.2 axiom checks, overall and inside the
+        solver's normalize-and-load step (``_load``)."""
         counts = {"all": 0, "prepare": 0}
-        axiom_violations = TreeDecomposition.axiom_violations
+        axiom_defects = IdDecomposition.axiom_defects
         in_prepare = []
 
         def counted(self, *args, **kwargs):
             counts["all"] += 1
             counts["prepare"] += bool(in_prepare)
-            return axiom_violations(self, *args, **kwargs)
+            return axiom_defects(self, *args, **kwargs)
 
-        prepare = CourcelleSolver._prepare
+        load = CourcelleSolver._load
 
         def tracked(self, *args, **kwargs):
             in_prepare.append(True)
             try:
-                return prepare(self, *args, **kwargs)
+                return load(self, *args, **kwargs)
             finally:
                 in_prepare.pop()
 
-        monkeypatch.setattr(TreeDecomposition, "axiom_violations", counted)
-        monkeypatch.setattr(CourcelleSolver, "_prepare", tracked)
+        monkeypatch.setattr(IdDecomposition, "axiom_defects", counted)
+        monkeypatch.setattr(CourcelleSolver, "_load", tracked)
         return counts
 
     def test_td_less_query_checks_once(self, path_solver, checks):
         graph = Graph.path(12)
         assert path_solver.query(graph_to_structure(graph)) == non_isolated(graph)
-        # admission checks the decomposition it rebuilt; _prepare adds none
+        # admission checks the decomposition it rebuilt; _load adds none
         assert checks == {"all": 1, "prepare": 0}
 
     def test_supplied_td_is_checked_once(self, path_solver, checks):
@@ -169,7 +171,7 @@ class TestOneValidationPerSolve:
         td = decompose_structure(structure)  # a public call: checked itself
         checks["all"] = 0
         path_solver.query(structure, td)
-        # admission checks the supplied decomposition; _prepare adds none
+        # admission checks the supplied decomposition; _load adds none
         assert checks == {"all": 1, "prepare": 0}
 
     def test_verified_request_is_not_rechecked(self, path_solver, checks):
@@ -179,7 +181,7 @@ class TestOneValidationPerSolve:
         answer, report = path_solver.solve_admitted(structure, td, policy="strict")
         assert report.verdict == "admitted"
         assert answer == frozenset(range(12))
-        # admission's verification is the one check; _prepare adds none
+        # admission's verification is the one check; _load adds none
         assert checks == {"all": 1, "prepare": 0}
 
     def test_redecomposed_request_is_checked_once(self, path_solver, checks):

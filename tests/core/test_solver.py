@@ -368,18 +368,11 @@ class TestLoadRoute:
             )
             assert production == oracle
 
-    def test_random_forests(self):
-        """Every counter but ``peak_live_rules``: the high-water mark of
-        waiting ground rules depends on the order in which the grounder
-        meets the nodes, which follows their ids, and the two routes
-        number the nodes differently.  On some of these forests it moves
-        by one when only the node ids of one load are permuted, with the
-        model and every other counter unchanged."""
+    @staticmethod
+    def _forests():
+        """The 40 seeded width-1 forests (as structures)."""
         import random
 
-        from ..conftest import has_neighbor_solver
-
-        solver = has_neighbor_solver(1)
         rng = random.Random(11)
         for _ in range(40):
             n = rng.randint(2, 60)
@@ -387,7 +380,78 @@ class TestLoadRoute:
             for v in range(1, n):
                 if rng.random() < 0.9:
                     graph.add_edge(v, rng.randrange(v))
-            production, oracle = self._both_routes(
-                solver, graph_to_structure(graph)
-            )
+            yield graph_to_structure(graph)
+
+    def test_random_forests(self):
+        """Every counter but ``peak_live_rules``: the high-water mark of
+        waiting ground rules depends on the order in which the grounder
+        meets the nodes, which follows their ids, and ``from_edb``
+        numbers the nodes in its own order."""
+        from ..conftest import has_neighbor_solver
+
+        solver = has_neighbor_solver(1)
+        for structure in self._forests():
+            production, oracle = self._both_routes(solver, structure)
             assert production[:-1] == oracle[:-1]
+
+    def test_node_labels_do_not_move_the_solve(self):
+        """The load numbers the nodes in preorder, whatever their
+        labels: relabelling the nodes of a normalized decomposition (and
+        scrambling the order of its bag map) leaves the model, up to the
+        renaming, and every counter -- ``peak_live_rules`` included --
+        unchanged."""
+        import random
+
+        from repro.structures.structure import Fact
+        from repro.treewidth import (
+            NormalizedTreeDecomposition,
+            RootedTree,
+            load_normalized,
+        )
+        from repro.treewidth.encode import TDNode
+
+        from ..conftest import admitted_td, has_neighbor_solver
+
+        solver = has_neighbor_solver(1)
+        rng = random.Random(29)
+
+        def run(structure, ntd, back=None):
+            result = solver.evaluator.evaluate(load_normalized(structure, ntd))
+            facts = result.facts
+            if back is not None:
+                facts = frozenset(
+                    Fact(
+                        f.predicate,
+                        tuple(
+                            TDNode(back[a.index]) if isinstance(a, TDNode) else a
+                            for a in f.args
+                        ),
+                    )
+                    for f in facts
+                )
+            stats = result.stats
+            return (
+                facts,
+                stats.ground_rules,
+                stats.rules_pruned,
+                stats.bindings_explored,
+                stats.peak_live_rules,
+            )
+
+        for structure in self._forests():
+            ntd = solver._normalize(structure, admitted_td(solver, structure))
+            labels = list(ntd.bags)
+            fresh = rng.sample(range(1000, 1000 + 10 * len(labels)), len(labels))
+            rename = dict(zip(labels, fresh))
+            tree = RootedTree(rename[ntd.tree.root])
+            for node in ntd.tree.preorder():
+                for child in ntd.tree.children(node):
+                    tree.add_child(rename[node], rename[child])
+            scrambled = list(ntd.bags.items())
+            rng.shuffle(scrambled)
+            relabelled = NormalizedTreeDecomposition(
+                tree, {rename[n]: bag for n, bag in scrambled}
+            )
+            relabelled.bags = {rename[n]: bag for n, bag in scrambled}
+            back = {new: old for old, new in rename.items()}
+            assert run(structure, relabelled, back) == run(structure, ntd)

@@ -30,7 +30,7 @@ from repro.service import (
     default_worker_count,
 )
 from repro.structures import GRAPH_SIGNATURE, Graph, Structure, graph_to_structure
-from repro.treewidth import RootedTree, decompose_structure
+from repro.treewidth import decompose_structure
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +52,21 @@ def tree(n, seed=7):
     return graph_to_structure(random_tree_graph(random.Random(seed), n))
 
 
-class UnwalkableTree(RootedTree):
-    """A rooted tree that admission accepts -- its child and parent
-    maps are sound -- but that raises once the solve walks it."""
+class UnwalkableChildren(dict):
+    """A child map whose membership tests and ``get`` answer as the
+    tree's -- so admission's tree-soundness check passes -- but whose
+    lookup raises, once the front end walks the tree into ids."""
 
-    __slots__ = ()
-
-    def preorder(self):
+    def __getitem__(self, node):
         raise RuntimeError("tree walk failed")
 
 
 def unwalkable_request(n):
     """A chain and a valid width-1 decomposition of it whose tree
-    raises inside the worker's solve, after admission passed it."""
+    raises inside the worker's solve, after the tree check passed it."""
     structure = chain(n)
     td = decompose_structure(structure)
-    tree = UnwalkableTree.__new__(UnwalkableTree)
-    for slot in RootedTree.__slots__:
-        setattr(tree, slot, getattr(td.tree, slot))
-    td.tree = tree
+    td.tree._children = UnwalkableChildren(td.tree._children)
     return structure, td
 
 

@@ -8,18 +8,39 @@ versions must reproduce exactly -- the same elimination orders, the
 same Gaifman edge orientations, the same violation lists (codes,
 messages, subjects, order) and the same nice trees -- or, for the
 Definition 2.3 form, bound: the same width and no more nodes.
+
+The last section is the value-level front end the id route replaced
+(element values hashed and ``repr``-sorted at every stage): the heap
+elimination on a value-keyed graph, the occurrence-indexed axiom check,
+``widen``, the one-walk ``normalize``, its shape check, the one-pass
+load, and the admission ladder over them.  The id route must match it
+exactly, up to the numbering of the normalized nodes, and
+``benchmarks/bench_treewidth.py`` times the two against each other.
 """
 
 from __future__ import annotations
 
-from repro.errors import Violation
+import heapq
+
+from repro import admission
+from repro.admission import AdmissionReport
+from repro.datalog.interning import Interner
+from repro.datalog.setengine import SetDatabase
+from repro.errors import AdmissionRejected, InvalidDecomposition, Violation
+from repro.structures.graphs import gaifman_graph
+from repro.structures.structure import structure_fingerprint
 from repro.treewidth import (
     NiceTreeDecomposition,
     NormalizedTreeDecomposition,
+    RootedTree,
     TreeDecomposition,
 )
-from repro.treewidth.heuristics import _neighbor_sets
-from repro.treewidth.normalize import widen
+from repro.treewidth.decomposition import refinement_violations
+from repro.treewidth.encode import TDNode
+
+
+def _neighbor_sets(graph):
+    return {v: set(graph.neighbors(v)) - {v} for v in graph.vertices}
 
 
 def greedy_order(graph, cost):
@@ -256,7 +277,7 @@ def _interpolate(td, removal_key, introduction_key):
 
 def pad_bags_to_full_size(td, width=None):
     """Step (1): grow every bag to ``w + 1`` elements."""
-    return widen(td, td.width if width is None else width)
+    return value_widen(td, td.width if width is None else width)
 
 
 def binarize(td):
@@ -397,3 +418,468 @@ def scan_shape_violations(dec):
                 Violation("malformed-node", str(exc), subject=(node,))
             )
     return violations
+
+
+# ----------------------------------------------------------------------
+# The value-level front end (what the id route replaced)
+# ----------------------------------------------------------------------
+
+
+def heap_order(graph, cost, second_ring):
+    """The lazy-heap elimination order on the value-keyed graph, keyed
+    ``(cost(adj, v), repr(v), insertion index)``; ``second_ring``
+    re-costs the neighbours of a member of ``N(v)`` that gained an
+    edge (min-fill needs them, min-degree does not)."""
+    adj = _neighbor_sets(graph)
+    vertices = list(adj)
+    index = {v: i for i, v in enumerate(vertices)}
+    keys = [repr(v) for v in vertices]
+    current = [cost(adj, v) for v in vertices]
+    heap = [(c, keys[i], i) for i, c in enumerate(current)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        c, _, i = heapq.heappop(heap)
+        v = vertices[i]
+        if v not in adj or c != current[i]:
+            continue
+        order.append(v)
+        nbrs = adj.pop(v)
+        touched = set(nbrs)
+        for a in nbrs:
+            row = adj[a]
+            row.discard(v)
+            before = len(row)
+            row |= nbrs
+            row.discard(a)
+            if second_ring and len(row) > before:
+                touched |= row
+        for u in touched:
+            j = index[u]
+            c = cost(adj, u)
+            if c != current[j]:
+                current[j] = c
+                heapq.heappush(heap, (c, keys[j], j))
+    return order
+
+
+def _fill_in_by_intersection(adj, v):
+    nbrs = adj[v]
+    k = len(nbrs)
+    return k * (k - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
+
+
+def value_min_degree_order(graph):
+    return heap_order(graph, lambda adj, v: len(adj[v]), False)
+
+
+def value_min_fill_order(graph):
+    return heap_order(graph, _fill_in_by_intersection, True)
+
+
+def value_decomposition_from_order(graph, order):
+    """The elimination decomposition built on values: the bag of ``v``
+    hangs under the bag of its first-eliminated later neighbour, a
+    vertex with none under the root; node ``k`` is the ``k``-th vertex
+    in reverse elimination order."""
+    vertices = list(order)
+    if not vertices:
+        return TreeDecomposition.single_node(frozenset())
+    adj = _neighbor_sets(graph)
+    position = {v: i for i, v in enumerate(vertices)}
+    bag_of, attach_to = {}, {}
+    for v in vertices:
+        nbrs = adj.pop(v)
+        bag_of[v] = frozenset(nbrs | {v})
+        attach_to[v] = min(nbrs, key=lambda u: position[u]) if nbrs else None
+        for a in nbrs:
+            adj[a].discard(v)
+            adj[a] |= nbrs - {a}
+    tree = RootedTree()
+    reverse = list(reversed(vertices))
+    node_of = {reverse[0]: tree.root}
+    bags = {tree.root: bag_of[reverse[0]]}
+    for v in reverse[1:]:
+        anchor = attach_to[v]
+        node = tree.add_child(node_of[anchor if anchor is not None else reverse[0]])
+        node_of[v] = node
+        bags[node] = bag_of[v]
+    return TreeDecomposition(tree, bags)
+
+
+class OccurrenceIndex:
+    """Where each element occurs (``where``) and how many top nodes it
+    has (``tops``: occurrences whose parent's bag lacks it), in one
+    pass over the bags; a tuple is covered iff some bag among the
+    shortest occurrence list of its elements holds it."""
+
+    def __init__(self, td):
+        where, tops = {}, {}
+        parent, bags = td.tree.parent, td.bags
+        empty = frozenset()
+        for node, bag in bags.items():
+            above = parent(node)
+            above_bag = empty if above is None else bags[above]
+            for x in bag:
+                where.setdefault(x, []).append(node)
+                if x not in above_bag:
+                    tops[x] = tops.get(x, 0) + 1
+        self.bags, self.where, self.tops = bags, where, tops
+
+    def covers(self, needed):
+        shortest = None
+        for x in needed:
+            nodes = self.where.get(x)
+            if nodes is None:
+                return False
+            if shortest is None or len(nodes) < len(shortest):
+                shortest = nodes
+        if shortest is None:
+            return bool(self.bags)
+        return any(all(x in self.bags[n] for x in needed) for n in shortest)
+
+    def disconnected(self):
+        return [x for x, count in self.tops.items() if count != 1]
+
+
+def value_axiom_violations(td, domain, tuples, words, uncovered):
+    """The occurrence-indexed Section 2.2 check on values: uncovered
+    elements, alien elements, uncovered tuples (``(elements, subject)``
+    pairs, in order), connectedness."""
+    index = OccurrenceIndex(td)
+    domain = frozenset(domain)
+    elements = frozenset(index.where)
+    violations = []
+    for code, found, word in (
+        ("element-uncovered", domain - elements, words[0]),
+        ("alien-element", elements - domain, words[1]),
+    ):
+        if found:
+            ordered = sorted(found, key=repr)
+            violations.append(
+                Violation(
+                    code, f"{word}: {ordered}", subject=tuple(ordered),
+                    repairable=True,
+                )
+            )
+    for needed, subject in tuples:
+        if not index.covers(needed):
+            violations.append(
+                Violation(
+                    "tuple-uncovered", uncovered(subject), subject=subject,
+                    repairable=True,
+                )
+            )
+    bad = index.disconnected()
+    if bad:
+        ordered = sorted(bad, key=repr)
+        violations.append(
+            Violation(
+                "connectedness",
+                f"connectedness violated for {ordered}",
+                subject=tuple(ordered),
+                repairable=True,
+            )
+        )
+    return violations
+
+
+def value_structure_violations(td, structure):
+    return value_axiom_violations(
+        td,
+        structure.domain,
+        (
+            (tup, (name, tup))
+            for name in structure.signature
+            for tup in structure.relation(name)
+        ),
+        ("elements never covered", "bags mention non-elements"),
+        lambda fact: f"tuple {fact[0]}{fact[1]!r} covered by no bag",
+    )
+
+
+def value_graph_violations(td, graph):
+    return value_axiom_violations(
+        td,
+        graph.vertices,
+        (((u, v), (u, v)) for u, v in graph.edges()),
+        ("vertices never covered", "bags mention non-vertices"),
+        lambda edge: f"edge ({edge[0]!r}, {edge[1]!r}) covered by no bag",
+    )
+
+
+def value_decompose_structure(structure):
+    """``decompose_structure`` on values: min-fill, then checked."""
+    graph = gaifman_graph(structure)
+    td = value_decomposition_from_order(graph, value_min_fill_order(graph))
+    violations = value_structure_violations(td, structure)
+    if violations:
+        raise InvalidDecomposition.from_violations(violations)
+    return td
+
+
+def value_redecompose(structure):
+    """Admission's rebuild on values: min-degree, then checked."""
+    graph = gaifman_graph(structure)
+    td = value_decomposition_from_order(graph, value_min_degree_order(graph))
+    violations = value_structure_violations(td, structure)
+    if violations:
+        return None, (
+            "the rebuilt decomposition is invalid "
+            f"({InvalidDecomposition.from_violations(violations)})"
+        )
+    return td, "min_degree"
+
+
+def value_admit(structure, *, signature, width, td=None, policy="strict"):
+    """The admission ladder (no budget) over the value-level checks and
+    rebuild: ``(report, action, structure served, td)``, the report of
+    a rejection with the action ``"reject"``."""
+    report = AdmissionReport(policy=policy, width_limit=width)
+    try:
+        return _value_ladder(report, structure, signature, width, td, policy)
+    except AdmissionRejected:
+        return report, "reject", None, None
+
+
+def _value_ladder(report, structure, signature, width, td, policy):
+    violations = admission.verify_structure(structure, signature)
+    if violations:
+        report.violations += tuple(violations)
+        report.fingerprint = structure_fingerprint(structure)
+        if policy == "strict" or any(not v.repairable for v in violations):
+            admission._reject(report)
+        structure = admission.coerce_structure(structure, signature, violations)
+        if structure is None:
+            admission._reject(report)
+        report.repairs += ("restricted-structure-to-signature",)
+    if len(structure.domain) < width + 1:
+        report.verdict = "repaired" if report.repairs else "admitted"
+        return report, "direct", structure, None
+    if td is not None:
+        violations = admission.tree_violations(td)
+        if not violations:
+            violations = value_structure_violations(td, structure)
+            if td.width > width:
+                violations.append(admission._width_violation(td.width, width))
+        if not violations:
+            report.width = td.width
+            report.verdict = "repaired" if report.repairs else "admitted"
+            return report, "solve", structure, td
+        report.violations += tuple(violations)
+        if report.fingerprint is None:
+            report.fingerprint = structure_fingerprint(structure)
+        if policy == "strict":
+            admission._reject(report)
+    rebuilt, method = value_redecompose(structure)
+    if rebuilt is None:
+        residual = Violation(
+            "no-decomposition", f"no decomposition could be built: {method}"
+        )
+    elif rebuilt.width > width:
+        residual = admission._width_violation(rebuilt.width, width)
+    else:
+        if td is not None:
+            report.redecomposed = True
+        if td is not None or report.repairs:
+            report.repairs += (f"redecomposed:{method}",)
+            report.verdict = "repaired"
+        report.width = rebuilt.width
+        return report, "solve", structure, rebuilt
+    if not any(v.code == residual.code for v in report.violations):
+        report.violations += (residual,)
+    report.residual += (residual,)
+    if report.fingerprint is None:
+        report.fingerprint = structure_fingerprint(structure)
+    if policy != "degrade":
+        admission._reject(report)
+    report.verdict = "degraded"
+    report.width = None
+    if rebuilt is None:
+        cause = residual.message
+    elif width <= 2:
+        cause = (
+            f"treewidth exceeds the compiled width {width} (min-degree "
+            f"rebuilt it at width {rebuilt.width})"
+        )
+    else:
+        cause = (
+            f"min-degree width {rebuilt.width} exceeds the compiled "
+            f"width {width}"
+        )
+    report.degrade_reason = (
+        f"{cause}; serving by direct MSO evaluation under budget"
+    )
+    return report, "degrade", structure, None
+
+
+def value_widen(td, width):
+    """``widen`` on values: short bags borrow from their neighbours by
+    ``repr``, in preorder sweeps."""
+    if td.width > width:
+        raise ValueError(f"decomposition already wider than {width}")
+    if len(td.all_elements()) < width + 1:
+        raise ValueError(
+            f"cannot widen to {width}: only {len(td.all_elements())} elements"
+        )
+    tree = td.tree
+    bags = dict(td.bags)
+    while any(len(bag) <= width for bag in bags.values()):
+        for node in tree.preorder():
+            neighbours = list(tree.children(node))
+            if tree.parent(node) is not None:
+                neighbours.append(tree.parent(node))
+            for nbr in neighbours:
+                lack = sorted(bags[nbr] - bags[node], key=repr)
+                bags[node] |= frozenset(lack[: width + 1 - len(bags[node])])
+    return TreeDecomposition(tree.copy(), bags)
+
+
+def value_normalize(td):
+    """The one-walk Proposition 2.4 construction on values (``repr``
+    orders what id order orders now); the nodes are numbered as the
+    walk creates them, not in preorder."""
+    width = td.width
+    full = width + 1
+    children, parent, root = td.tree.children, td.tree.parent, td.tree.root
+    source = td.bags
+    node = next(n for n in td.tree.preorder() if len(source[n]) == full)
+    if node != root:
+        source = dict(source)
+        while node != root:
+            node, below = parent(node), source[node]
+            lack = sorted(below - source[node], key=repr)
+            source[node] = source[node].union(lack[: full - len(source[node])])
+    tree = RootedTree()
+    add_child = tree.add_child
+    tuples = {tree.root: tuple(sorted(source[root], key=repr))}
+    stack = [(root, tree.root, source[root])]
+
+    def swap_down(top, node):
+        upper = tuples[top]
+        lower = source[node]
+        for kid in children(node) if len(lower) < full else ():
+            lack = sorted(source[kid] - lower, key=repr)
+            lower = lower.union(lack[: full - len(lower)])
+        outs = [x for x in upper if x not in lower]
+        kept = len(outs) - (full - len(lower))
+        if kept < len(outs):
+            lower = lower.union(outs[kept:])
+            del outs[kept:]
+        ins = sorted((x for x in lower if x not in upper), key=repr)
+        current = upper
+        for out, into in zip(outs, ins):
+            if current[0] != out:
+                current = (out,) + tuple(x for x in current if x != out)
+                top = add_child(top)
+                tuples[top] = current
+            current = (into,) + current[1:]
+            top = add_child(top)
+            tuples[top] = current
+        stack.append((node, top, lower))
+
+    while stack:
+        node, here, bag = stack.pop()
+        kids = []
+        merged = [node]
+        while merged:
+            for kid in children(merged.pop()):
+                (merged if source[kid] <= bag else kids).append(kid)
+        if len(kids) == 1:
+            swap_down(here, kids[0])
+            continue
+        tup = tuples[here]
+        while len(kids) > 2:
+            child = add_child(here)
+            tuples[child] = tup
+            swap_down(child, kids.pop(0))
+            here = add_child(here)
+            tuples[here] = tup
+        for kid in kids:
+            child = add_child(here)
+            tuples[child] = tup
+            swap_down(child, kid)
+    result = NormalizedTreeDecomposition(tree, tuples)
+    assert result.width == width
+    return result
+
+
+def value_shape_violations(ntd):
+    """The inferred-repeat shape check on a value-level normalized
+    decomposition: repeating bags, then unclassifiable nodes."""
+    violations = refinement_violations(ntd)
+    root = ntd.bags[ntd.tree.root]
+    if not violations and len(set(root)) == len(root):
+        return violations
+    repeats = [
+        Violation(
+            "bag-repeats-elements",
+            f"bag of {node} repeats elements: {bag}",
+            subject=(node,),
+        )
+        for node, bag in ntd.bags.items()
+        if len(set(bag)) != len(bag)
+    ]
+    return repeats + violations
+
+
+def value_load_normalized(structure, ntd):
+    """The one-pass ``A_td`` load keyed by values: elements get ids in
+    domain order, nodes the ids after them in bag-map order."""
+    elements = list(structure.domain)
+    element_id = dict(zip(elements, range(len(elements))))
+    tree, tuples = ntd.tree, ntd.bags
+    node_id = dict(zip(tuples, range(len(elements), len(elements) + len(tuples))))
+    bag_by_node = {
+        node_id[node]: [(node_id[node], *map(element_id.__getitem__, bag))]
+        for node, bag in tuples.items()
+    }
+    by_child = {"child1": {}, "child2": {}}
+    by_parent = {"child1": {}, "child2": {}}
+    leaves = set()
+    for node, t in node_id.items():
+        kids = tree.children(node)
+        if not kids:
+            leaves.add((t,))
+        for name, kid in zip(("child1", "child2"), kids):
+            row = (node_id[kid], t)
+            by_child[name][row[0]] = [row]
+            by_parent[name][t] = [row]
+    to_id = element_id.__getitem__
+    facts = {
+        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
+        for name in structure.signature
+    }
+    facts.update(
+        root={(node_id[tree.root],)},
+        leaf=leaves,
+        child1={rows[0] for rows in by_child["child1"].values()},
+        child2={rows[0] for rows in by_child["child2"].values()},
+        bag={rows[0] for rows in bag_by_node.values()},
+    )
+    indexes = {
+        name: {(0,): by_child[name], (1,): by_parent[name]}
+        for name in ("child1", "child2")
+    }
+    indexes["bag"] = {(0,): bag_by_node}
+    interner = Interner.of_distinct(elements + [TDNode(n) for n in tuples])
+    return SetDatabase.from_interned(interner, facts, indexes)
+
+
+def value_front_end(structure, *, signature, width, td=None, policy="strict"):
+    """A solve's front end on values: the admission ladder, then for a
+    ``"solve"`` action widen, normalize, shape check and load.
+    ``(report, action, normalized decomposition, loaded database)``,
+    the last two ``None`` unless solved."""
+    report, action, structure, td = value_admit(
+        structure, signature=signature, width=width, td=td, policy=policy
+    )
+    if action != "solve":
+        return report, action, None, None
+    if td.width < width:
+        td = value_widen(td, width)
+    ntd = value_normalize(td)
+    violations = value_shape_violations(ntd)
+    if violations:
+        raise InvalidDecomposition.from_violations(violations)
+    return report, action, ntd, value_load_normalized(structure, ntd)
