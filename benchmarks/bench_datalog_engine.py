@@ -35,7 +35,7 @@ outside the timed region):
 The **eval exponent** is the scaling gate of the same layer: the
 log-log slope of ``QuasiGuardedEvaluator.evaluate`` plus
 ``unary_answers`` on a fresh ``load_normalized`` database (the load
-untimed; best of ``EVAL_REPEAT``, garbage collector off) against the
+untimed; CPU time, best of ``EVAL_REPEAT``, garbage collector off) against the
 domain size, on width-1 random forests and width-2 full ladders with
 2N vertices, N in ``EVAL_COLUMNS``.
 
@@ -466,7 +466,9 @@ def eval_inputs(family):
 def eval_ms(evaluator, load):
     """Best-of-``EVAL_REPEAT`` ms of ``evaluator.evaluate`` plus
     ``unary_answers`` on a fresh ``load()`` each run (the load
-    untimed), garbage collector off; and the answers."""
+    untimed), in CPU time (``time.process_time``: a wall clock reads
+    other processes' load on a shared host as a steeper slope),
+    garbage collector off; and the answers."""
     from repro.core import ANSWER_PREDICATE
 
     best = float("inf")
@@ -476,9 +478,9 @@ def eval_ms(evaluator, load):
     try:
         for _ in range(EVAL_REPEAT):
             db = load()
-            start = time.perf_counter()
+            start = time.process_time()
             answers = evaluator.evaluate(db).unary_answers(ANSWER_PREDICATE)
-            best = min(best, time.perf_counter() - start)
+            best = min(best, time.process_time() - start)
     finally:
         if enabled:
             gc.enable()

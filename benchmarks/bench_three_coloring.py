@@ -18,10 +18,11 @@ slope of time against n is above ``MAX_SLOPE`` for Figure 5 or for
 recurrences, timed the same way) is above ``MAX_RATIO`` at any size
 n >= ``RATIO_FROM``; a gate fails only if it fails on a first timing
 and on one re-timing.  It also prints where Figure 5's time goes at
-each size -- decompose, nice form + checks, the ``A_td`` load, the
-fixpoint -- each phase the median over the graphs of its best of
-``REPEATS``; that split is not gated.  It prints only; no baseline
-file is written.
+each size, along the id route ``decide`` runs -- interning the graph
+plus min-fill, the nice form plus its one axiom check, the ``A_td``
+load, the fixpoint -- each phase the median over the graphs of its
+best of ``REPEATS`` in CPU time; that split is not gated.  It prints
+only; no baseline file is written.
 
 Run:  python benchmarks/bench_three_coloring.py
 """
@@ -45,11 +46,13 @@ from repro.datalog.setengine import SetSemiNaiveEvaluator
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
 from repro.problems.three_coloring import (
     encode_for_three_coloring,
-    load_for_three_coloring,
+    load_for_three_coloring_ids,
+    nice_form,
     prepare_decomposition,
     three_coloring_direct,
 )
-from repro.treewidth import decomposition_from_order, min_fill_order
+from repro.treewidth.decomposition import ElementIds
+from repro.treewidth.heuristics import decompose_ids
 
 #: vertex counts of the partial 3-trees timed
 SIZES = (32, 64, 128, 256, 512)
@@ -120,27 +123,30 @@ def datalog_timings(solver, graphs) -> tuple[float, float, float]:
 
 
 #: the phases of ``ThreeColoringDatalog.decide``, in order
-PHASES = ("decompose", "nice + checks", "load", "fixpoint")
+PHASES = ("intern + min-fill", "nice + check", "load", "fixpoint")
 
 
 def phase_ms(evaluator, graph) -> dict[str, float]:
-    """Best-of-``REPEATS`` ms of each phase of ``decide(graph)``,
-    garbage collector off."""
+    """Best-of-``REPEATS`` CPU ms (``time.process_time``) of each phase
+    of ``decide(graph)`` -- the calls it makes, in its order -- garbage
+    collector off."""
     best = dict.fromkeys(PHASES, math.inf)
+    clock = time.process_time
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         for _ in range(REPEATS):
-            marks = [time.perf_counter()]
-            td = decomposition_from_order(graph, min_fill_order(graph))
-            marks.append(time.perf_counter())
-            nice = prepare_decomposition(graph, td)
-            marks.append(time.perf_counter())
-            db = load_for_three_coloring(graph, nice)
-            marks.append(time.perf_counter())
+            marks = [clock()]
+            ids = ElementIds.of_graph(graph)
+            dec = decompose_ids(ids, True)
+            marks.append(clock())
+            nice = nice_form(ids, dec)
+            marks.append(clock())
+            db = load_for_three_coloring_ids(ids, nice)
+            marks.append(clock())
             evaluator.run(db)
-            marks.append(time.perf_counter())
+            marks.append(clock())
             for phase, start, end in zip(PHASES, marks, marks[1:]):
                 best[phase] = min(best[phase], end - start)
     finally:
@@ -158,7 +164,7 @@ def phase_split(solver, graphs) -> None:
             f"{phase} {statistics.median(r[phase] for r in runs):.1f}"
             for phase in PHASES
         )
-        print(f"n={n:<4} phases (ms): {split}")
+        print(f"n={n:<4} phases (CPU ms): {split}")
 
 
 def fixpoint_mismatches(solver, graphs) -> list[str]:

@@ -129,6 +129,10 @@ class Interner:
         found = self._set_ids.get(bits)
         if found is not None:
             return found
+        return self._intern_new_set(bits)
+
+    def _intern_new_set(self, bits: int) -> int:
+        """:meth:`intern_set` for a bitset not seen before."""
         values = self._values
         members = []
         rest = bits
@@ -160,72 +164,141 @@ class Interner:
         return iter(self._values)
 
 
+#: the value of an id whose value is not built yet
+_UNBUILT = object()
+
+
 class LazyTailInterner(Interner):
     """An interner over adopted ``values`` (ids ``0 .. n - 1``, with
     their ``index``) followed by one id per item of ``tail``, whose
     value ``make(item)`` is built only when a caller first needs the
-    tail: reads an id past ``n``, or interns or looks up a value that
-    is not among ``values``.  Reading an element costs what it costs in
-    a plain :class:`Interner`, and a solve that decodes only elements
-    never builds the tail.  ``values`` and ``index`` are not mutated."""
+    tail: reads an id of it, or interns or looks up an instance of
+    ``make``.  ``make`` is a class whose instances equal only each
+    other (:class:`~repro.treewidth.encode.TDNode`), so any other value
+    is looked up among the built values alone, and a new one gets the
+    next id after the tail's without building it.  Reading an element
+    costs what it costs in a plain :class:`Interner`, and a solve that
+    decodes only elements never builds the tail.
 
-    __slots__ = ("_tail", "_make")
+    A set of adopted values interned as a bitset (:meth:`intern_set`)
+    gets its frozenset value lazily too: on first read, or when an
+    equal frozenset is interned or looked up, which finds it by its
+    bitset.  That needs every frozenset value to be a bitset set, so
+    once a frozenset is interned as a plain value, or if one is among
+    ``values``, sets are built when interned, as in an
+    :class:`Interner`.  ``values`` and ``index`` are not mutated."""
 
-    def __init__(self, values: list, index: dict, tail, make):
+    __slots__ = ("_start", "_tail", "_make", "_own_ids", "_eager_sets")
+
+    def __init__(self, values: list, index: dict, tail, make: type):
         super().__init__()
-        self._values = values
+        tail = list(tail)
+        self._start = len(values)
+        self._values = values + [_UNBUILT] * len(tail)
         self._ids = index
+        self._own_ids = False
         self._identity = False
-        self._tail = tail
+        #: the tail's items, None once their values are built
+        self._tail: list | None = tail
         self._make = make
+        #: None until a set is first interned
+        self._eager_sets: bool | None = None
+
+    def _own(self) -> dict:
+        """The id map, copied from the adopted index before its first
+        change."""
+        if not self._own_ids:
+            self._ids = dict(self._ids)
+            self._own_ids = True
+        return self._ids
 
     def _build_tail(self) -> None:
         tail = self._tail
         if tail is None:
             return
         self._tail = None
-        start = len(self._values)
+        start, end = self._start, self._start + len(tail)
         made = list(map(self._make, tail))
-        self._values = self._values + made
-        self._ids = {**self._ids, **dict(zip(made, range(start, start + len(made))))}
+        self._values[start:end] = made
+        self._own().update(zip(made, range(start, end)))
 
-    def __len__(self) -> int:
+    def _build(self, ident: int) -> Hashable:
+        """The value of an unbuilt id: the tail's, or a bitset set's."""
         tail = self._tail
-        return len(self._values) + (len(tail) if tail is not None else 0)
+        if tail is not None and ident < self._start + len(tail):
+            self._build_tail()
+            return self._values[ident]
+        values = self._values
+        bits = self._set_bits[ident]
+        value = values[ident] = frozenset(map(values.__getitem__, iter_bits(bits)))
+        self._own()[value] = ident
+        return value
+
+    def _find_set(self, value: frozenset) -> int | None:
+        """The id of the unbuilt bitset set equal to ``value``, its
+        value built, or None."""
+        bits = 0
+        get, start = self._ids.get, self._start
+        for member in value:
+            i = get(member)
+            if i is None or i >= start:
+                return None
+            bits |= 1 << i
+        found = self._set_ids.get(bits)
+        if found is not None:
+            self._build(found)
+        return found
 
     def __contains__(self, value: Hashable) -> bool:
         return self.id_of(value) is not None
 
     def intern(self, value: Hashable) -> int:
         found = self._ids.get(value)
-        if found is not None:
-            return found
-        self._build_tail()
-        return super().intern(value)
+        if found is None:
+            found = self.id_of(value)
+            if found is None:
+                if isinstance(value, frozenset):
+                    self._eager_sets = True
+                found = self._own()[value] = len(self._values)
+                self._values.append(value)
+        return found
 
-    def intern_set(self, bits: int) -> int:
-        self._build_tail()
-        return super().intern_set(bits)
+    def _intern_new_set(self, bits: int) -> int:
+        if self._eager_sets is None:
+            self._eager_sets = any(
+                isinstance(v, frozenset) for v in self._values[: self._start]
+            )
+        if self._eager_sets or bits >> self._start:
+            self._build_tail()  # a member may be a tail id
+            return super()._intern_new_set(bits)
+        ident = len(self._values)
+        self._values.append(_UNBUILT)
+        self._set_ids[bits] = ident
+        self._set_bits[ident] = bits
+        return ident
 
     def id_of(self, value: Hashable) -> int | None:
         found = self._ids.get(value)
-        if found is None and self._tail is not None:
-            self._build_tail()
-            found = self._ids.get(value)
+        if found is None:
+            if value.__class__ is self._make:
+                self._build_tail()
+                found = self._ids.get(value)
+            elif self._set_ids and isinstance(value, frozenset):
+                found = self._find_set(value)
         return found
 
     def value_of(self, ident: int) -> Hashable:
-        try:
-            return self._values[ident]
-        except IndexError:
-            if self._tail is None:
-                raise
-            self._build_tail()
-            return self._values[ident]
+        value = self._values[ident]
+        if value is _UNBUILT:
+            return self._build(ident)
+        return value
 
     def values(self) -> Iterator[Hashable]:
         self._build_tail()
-        return iter(self._values)
+        values = self._values
+        for ident in [i for i, v in enumerate(values) if v is _UNBUILT]:
+            self._build(ident)
+        return iter(values)
 
 
 class InternPool:

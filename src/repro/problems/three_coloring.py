@@ -9,23 +9,33 @@ against exhaustive search in the test-suite:
   fixed-size subsets of the bag (Theorem 5.1 explains why this is a
   succinct monadic program); ``partition`` and ``allowed`` are the
   helper predicates the paper precomputes alongside the decomposition.
-  :func:`prepare_decomposition` builds the nice form in one pass
-  (:func:`~repro.treewidth.nice.make_nice`, which checks its shape and
-  width) and checks the Section 2.2 axioms once, on the nice bags,
-  against the graph.  The input is loaded in id space:
-  :func:`load_for_three_coloring` writes ``A_td`` with its
-  ``copynode`` tags and the ``allowed`` facts, computed and interned
-  once per distinct bag, straight into a
-  :class:`~repro.datalog.setengine.SetDatabase`
-  (:func:`repro.treewidth.encode.load_nice_ids`).  Every set there --
-  each bag and each ``allowed`` subset -- is an integer bitset over the
-  vertex ids (:meth:`~repro.datalog.interning.Interner.intern_set`), so
-  the ``add`` and ``partition3`` calls run as integer operations in ids
-  (:meth:`~repro.datalog.builtins.Builtin.id_kernel`).  The set engine
-  runs the fixpoint there, and :meth:`ThreeColoringDatalog.decide`
-  reads the one nullary fact ``success`` without decoding anything;
+  From graph to ``success`` it runs in one id space: :meth:`run`
+  interns the graph once
+  (:meth:`~repro.treewidth.decomposition.ElementIds.of_graph`, ids in
+  ``repr`` order), builds the min-fill decomposition on those ids or
+  reads a caller's ``td`` into them, builds the nice form there
+  (:func:`~repro.treewidth.nice.make_nice_ids`, nodes in preorder) and
+  checks the Section 2.2 axioms once, on the nice bags, against the
+  graph (:func:`prepare_ids`, :func:`nice_form`).  The load
+  (:func:`load_for_three_coloring_ids`, over
+  :func:`repro.treewidth.encode.load_nice_ids`) writes ``A_td`` with
+  its ``copynode`` tags and the ``allowed`` facts, computed and
+  interned once per distinct bag, straight into a
+  :class:`~repro.datalog.setengine.SetDatabase`: vertex ``i`` keeps
+  the id ``i`` and is the bit ``1 << i``, node ``k`` gets the id
+  after the vertices', and every set -- each bag and each ``allowed``
+  subset -- is an integer bitset over the vertex ids
+  (:meth:`~repro.datalog.interning.Interner.intern_set`), so the
+  ``add`` and ``partition3`` calls run as integer operations in ids
+  (:meth:`~repro.datalog.builtins.Builtin.id_kernel`).  No value is
+  built on the way: tree nodes and sets get their values only when
+  read back.  The set engine runs the fixpoint there, and
+  :meth:`ThreeColoringDatalog.decide` reads the one nullary fact
+  ``success`` without decoding anything;
   :attr:`ThreeColoringRun.database` decodes the sets back to
-  frozensets of vertices.  :func:`encode_for_three_coloring` is the
+  frozensets of vertices.  :func:`prepare_decomposition` and
+  :func:`load_for_three_coloring` are the value-level entries (intern,
+  run the id route, decode); :func:`encode_for_three_coloring` is the
   value-level form of the same input, with frozensets throughout: the
   load's oracle.
 * :func:`three_coloring_direct` -- the same dynamic program hand-coded
@@ -47,18 +57,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Hashable, Mapping
+from typing import Hashable
 
 from ..datalog.ast import Program, atom, pos, rule, var
 from ..datalog.evaluate import Database, prepare_program
 from ..datalog.interning import Interner, iter_bits
 from ..datalog.setengine import SetDatabase, SetSemiNaiveEvaluator
+from ..errors import InvalidDecomposition
 from ..structures.graphs import Graph, graph_to_structure
+from ..structures.signature import GRAPH_SIGNATURE
 from ..structures.structure import Structure
-from ..treewidth.decomposition import NodeId, TreeDecomposition
+from ..treewidth.decomposition import (
+    ElementIds,
+    IdDecomposition,
+    NodeId,
+    TreeDecomposition,
+)
 from ..treewidth.encode import TDNode, encode_nice, load_nice_ids
-from ..treewidth.heuristics import min_fill_decomposition
-from ..treewidth.nice import NiceTreeDecomposition, bottom_up, make_nice
+from ..treewidth.heuristics import decompose_ids
+from ..treewidth.nice import NiceTreeDecomposition, bottom_up, make_nice_ids
 
 Vertex = Hashable
 Coloring = dict[Vertex, int]
@@ -69,21 +86,44 @@ Coloring = dict[Vertex, int]
 # ----------------------------------------------------------------------
 
 
+def prepare_ids(
+    ids: ElementIds, td: TreeDecomposition | None = None
+) -> IdDecomposition:
+    """Figure 5's front end on a graph interned as ``ids``
+    (:meth:`~repro.treewidth.decomposition.ElementIds.of_graph`): the
+    min-fill decomposition, or ``td`` read into ids, in the Section 5
+    normal form, checked once (:func:`nice_form`).  Raises
+    :class:`~repro.errors.InvalidDecomposition` if ``td`` does not
+    decompose the graph."""
+    return nice_form(
+        ids, decompose_ids(ids, True) if td is None else ids.decomposition(td)
+    )
+
+
+def nice_form(ids: ElementIds, dec: IdDecomposition) -> IdDecomposition:
+    """The Section 5 normal form of ``dec``
+    (:func:`~repro.treewidth.nice.make_nice_ids`, nodes in preorder),
+    with the Section 2.2 axioms checked on its bags against the graph
+    ``ids`` interns: the one check, whether ``dec`` was built or given.
+    The violations, and the order they are listed in, are those of
+    :meth:`~repro.treewidth.decomposition.TreeDecomposition.
+    graph_violations` on the decoded nice form."""
+    nice = make_nice_ids(dec)
+    violations = ids.violations(nice)
+    if violations:
+        raise InvalidDecomposition.from_violations(violations)
+    return nice
+
+
 def prepare_decomposition(
     graph: Graph, td: TreeDecomposition | None = None
 ) -> NiceTreeDecomposition:
-    """Heuristic (min-fill) decomposition + Section 5 normal form.
-
-    ``make_nice`` checks the width and the normal-form shape.  The
-    Section 2.2 axioms are checked here, once, on the nice bags and
-    against the graph itself, whether ``td`` is given or built.
-    Raises :class:`~repro.errors.InvalidDecomposition` if ``td`` does
-    not decompose ``graph``."""
-    if td is None:
-        td = min_fill_decomposition(graph)
-    nice = make_nice(td)
-    nice.validate_for_graph(graph)
-    return nice
+    """:func:`prepare_ids` on ``graph``, decoded: the nice tree of the
+    min-fill decomposition (or of ``td``), its nodes labelled in
+    preorder.  Raises :class:`~repro.errors.InvalidDecomposition` if
+    ``td`` does not decompose ``graph``."""
+    ids = ElementIds.of_graph(graph)
+    return prepare_ids(ids, td).decoded(ids.values, NiceTreeDecomposition)
 
 
 def encode_for_three_coloring(
@@ -97,14 +137,13 @@ def encode_for_three_coloring(
     the linear time bound" for fixed w.  Every set is a frozenset here.
     """
     encoded = encode_nice(graph_to_structure(graph), nice)
-    near = graph.neighbor_map()
-    vertices = list(near)
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    neighbours = _neighbour_bits(near, bit)
+    ids = ElementIds.of_graph(graph)
+    vertices, index = ids.values, ids.index
+    near = _neighbour_bits(ids)
     allowed = {
         (TDNode(node), frozenset(map(vertices.__getitem__, iter_bits(bits))))
         for node, bag in nice.bags.items()
-        for bits in _allowed(neighbours, sum(map(bit.__getitem__, bag)))
+        for bits in _allowed(near, sum(1 << index[v] for v in bag))
     }
     signature = encoded.signature.extended({"allowed": 2})
     relations = {name: set(encoded.relation(name)) for name in encoded.signature}
@@ -119,54 +158,66 @@ def encode_for_three_coloring(
 def load_for_three_coloring(
     graph: Graph, nice: NiceTreeDecomposition
 ) -> SetDatabase:
-    """:func:`encode_for_three_coloring`, loaded straight into ids
-    (:func:`~repro.treewidth.encode.load_nice_ids`).
+    """:func:`encode_for_three_coloring`, loaded straight into ids: the
+    value-level entry of :func:`load_for_three_coloring_ids`, which it
+    reaches by interning ``graph`` and ``nice`` (labels kept)."""
+    ids = ElementIds.of_graph(graph)
+    return load_for_three_coloring_ids(ids, ids.decomposition(nice))
 
-    Every bag and every ``allowed`` subset is interned as a bitset set
-    over the vertex ids (:meth:`~repro.datalog.interning.Interner.
-    intern_set`), so Figure 5's ``add`` and ``partition3`` run as
-    integer operations; ``allowed`` is computed once per distinct bag,
-    by integer operations over a neighbour bitmap built once per load.
+
+def load_for_three_coloring_ids(
+    ids: ElementIds, nice: IdDecomposition
+) -> SetDatabase:
+    """Figure 5's input for the graph ``ids`` interns and its nice form
+    over those ids (:func:`~repro.treewidth.encode.load_nice_ids`).
+
+    Vertex ``i`` is bit ``1 << i``: every bag and every ``allowed``
+    subset is interned as a bitset set over the vertex ids
+    (:meth:`~repro.datalog.interning.Interner.intern_set`), so Figure
+    5's ``add`` and ``partition3`` run as integer operations;
+    ``allowed`` is computed once per distinct bag, by integer
+    operations over the neighbour bitsets.  No value-level structure
+    is built: ``e`` is written from the interned edges.
     """
-    near = graph.neighbor_map()
+    near = _neighbour_bits(ids)
 
     def bag_facts(interner: Interner):
-        bit = {v: 1 << interner.id_of(v) for v in near}
-        neighbours = _neighbour_bits(near, bit)
         intern_set = interner.intern_set
 
         def facts(bag):
-            bits = sum(map(bit.__getitem__, bag))
-            return (intern_set(bits),), [
-                ("allowed", (intern_set(chosen),))
-                for chosen in _allowed(neighbours, bits)
-            ]
+            bits = 0
+            for x in bag:
+                bits |= 1 << x
+            allowed = [(intern_set(chosen),) for chosen in _allowed(near, bits)]
+            return (intern_set(bits),), {"allowed": allowed}
 
         return facts
 
-    return load_nice_ids(graph_to_structure(graph), nice, bag_facts)
+    edges = ids.relations[None]
+    e = set(edges)
+    e.update([(v, u) for u, v in edges])
+    return load_nice_ids(GRAPH_SIGNATURE, {"e": e}, ids, nice, bag_facts)
 
 
-def _neighbour_bits(
-    near: Mapping[Vertex, frozenset], bit: Mapping[Vertex, int]
-) -> dict[int, int]:
-    """Each vertex's bit -> the bitset of its neighbours under ``near``,
-    with the vertex bits ``bit`` gives."""
-    return {
-        bit[v]: sum(map(bit.__getitem__, adjacent))
-        for v, adjacent in near.items()
-    }
+def _neighbour_bits(ids: ElementIds) -> list[int]:
+    """Per vertex id, the bitset of its neighbours' ids in the graph
+    ``ids`` interns."""
+    near = [0] * len(ids.values)
+    for u, v in ids.relations[None]:
+        near[u] |= 1 << v
+        near[v] |= 1 << u
+    return near
 
 
-def _allowed(near: Mapping[int, int], bag: int) -> list[int]:
+def _allowed(near: list[int], bag: int) -> list[int]:
     """The subsets of the bitset ``bag`` with no two vertices adjacent
-    under ``near`` (a vertex's bit -> its neighbours' bitset); a vertex
+    under ``near`` (per vertex id, its neighbours' bitset); a vertex
     with a self-loop is in none of them."""
     subsets = [0]
     while bag:
         v = bag & -bag
         bag ^= v
-        adjacent = near[v]
+        adjacent = near[v.bit_length() - 1]
         if not adjacent & v:
             subsets += [s | v for s in subsets if not s & adjacent]
     return subsets
@@ -293,9 +344,10 @@ class ThreeColoringDatalog:
     ) -> ThreeColoringRun:
         if graph.vertex_count() == 0:
             return ThreeColoringRun(True, 0)
-        nice = prepare_decomposition(graph, td)
+        ids = ElementIds.of_graph(graph)
+        nice = prepare_ids(ids, td)
         evaluator = SetSemiNaiveEvaluator.from_prepared(self.prepared)
-        db = evaluator.run(load_for_three_coloring(graph, nice))
+        db = evaluator.run(load_for_three_coloring_ids(ids, nice))
         return ThreeColoringRun(
             colorable=db.contains("success", ()),
             solve_fact_count=len(db.relation("solve")),

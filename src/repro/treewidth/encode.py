@@ -25,20 +25,25 @@ with the node-keyed indexes the Theorem 4.4 grounder probes already
 filled; the element ids and id tuples are the ones admission assigned.
 :func:`load_normalized` is its value-level entry, and
 ``encode_normalized`` stays as its value-level oracle.
-:func:`load_nice` does the same for :func:`encode_nice` and the Section
-5 programs, together with each problem's precomputed facts per
-distinct bag.  :func:`load_nice_ids` is its id-level form, for a
-problem that computes its per-bag facts in ids: Figure 5 writes its
-bags and ``allowed`` subsets as bitset sets.
+:func:`load_nice_ids` does the same for :func:`encode_nice` and the
+Section 5 programs: from a nice decomposition over element ids (nodes
+in preorder, :func:`~repro.treewidth.nice.make_nice_ids`), the
+structure's relations as id tuples and each problem's facts per
+distinct bag, computed in ids -- Figure 5 writes its bags and
+``allowed`` subsets as bitset sets, whose values, like the nodes', are
+built only when read back.  :func:`load_nice` is its value-level entry
+(intern, load, with a per-bag payload over values), and
+``encode_nice`` its value-level oracle.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from ..datalog.interning import Interner, LazyTailInterner
 from ..datalog.setengine import SetDatabase
+from ..structures.signature import Signature
 from ..structures.structure import Element, Structure
 from .decomposition import ElementIds, IdDecomposition, NodeId
 from .nice import NiceTreeDecomposition
@@ -159,14 +164,7 @@ def load_ids(
     )
     n = len(ids.values)
     labels = ntd.labels if ntd.labels is not None else range(len(ntd.bags))
-    if ntd.aliens:
-        for k, bag in enumerate(ntd.bags):
-            for x in bag:
-                if x >= n:
-                    raise ValueError(
-                        f"element {ntd.aliens[x - n]!r} of the bag of node "
-                        f"{labels[k]} is not in the domain"
-                    )
+    _check_domain(ntd, n, labels)
     rows = [(t, *bag) for t, bag in enumerate(ntd.bags, n)]
     facts, indexes = _tree_relations(ntd.children, n, labels)
     for name, tuples in ids.relations.items():
@@ -177,12 +175,25 @@ def load_ids(
     return SetDatabase.from_interned(interner, facts, indexes)
 
 
+def _check_domain(dec: IdDecomposition, n: int, labels) -> None:
+    """Raise :class:`ValueError` on the first bag (in node order) that
+    holds an id past the domain's ``n``, naming its element."""
+    if dec.aliens:
+        for k, bag in enumerate(dec.bags):
+            for x in bag:
+                if x >= n:
+                    raise ValueError(
+                        f"element {dec.aliens[x - n]!r} of the bag of node "
+                        f"{labels[k]} is not in the domain"
+                    )
+
+
 def _tree_relations(
-    children: list[list[int]], base: int, labels, root: int = 0
+    children: list[list[int]], base: int, labels
 ) -> tuple[dict[str, set], dict[str, dict]]:
-    """``root``, ``leaf``, ``child1`` and ``child2`` of a tree whose
-    node ``k`` has the children ``children[k]`` and the id ``base +
-    k``, with the ``child1``/``child2`` hash indexes on
+    """``root``, ``leaf``, ``child1`` and ``child2`` of a tree rooted
+    at node ``0`` whose node ``k`` has the children ``children[k]`` and
+    the id ``base + k``, with the ``child1``/``child2`` hash indexes on
     either end.  By the key dependencies of Definition 4.3 every bucket
     holds one row.
 
@@ -208,7 +219,7 @@ def _tree_relations(
             child2_by_child[row[0]] = [row]
             child2_by_parent[t] = [row]
     facts = {
-        "root": {(base + root,)},
+        "root": {(base,)},
         "leaf": leaves,
         "child1": {rows[0] for rows in child1_by_child.values()},
         "child2": {rows[0] for rows in child2_by_child.values()},
@@ -286,11 +297,11 @@ def _copy_nodes(nice: NiceTreeDecomposition) -> Iterable[NodeId]:
             yield node
 
 
-#: per distinct bag, its ``bag`` payload ids and its extra facts as
-#: ``(predicate, id tuple)`` pairs
+#: per distinct bag (a frozenset of element ids), its ``bag`` payload
+#: ids and its extra facts: per predicate, the id tuples past the node
 BagFacts = Callable[
-    [frozenset[Element]],
-    tuple[tuple[int, ...], Iterable[tuple[str, tuple[int, ...]]]],
+    [frozenset[int]],
+    tuple[tuple[int, ...], Mapping[str, Iterable[tuple[int, ...]]]],
 ]
 
 
@@ -303,65 +314,88 @@ def load_nice(
 
     ``bag_payload`` is that of :func:`encode_nice`.  The database
     equals ``SetDatabase.from_edb`` of ``encode_nice(structure, nice,
-    bag_payload)``, up to the choice of ids (see :func:`load_nice_ids`,
-    which also takes per-bag extra facts, such as Figure 5's
-    ``allowed``).
+    bag_payload)``, up to the choice of ids: the value-level entry of
+    :func:`load_nice_ids`, which it reaches by interning ``structure``
+    and ``nice`` (nodes in preorder, labels kept) and handing each
+    distinct bag, decoded, to ``bag_payload``.
     """
     if bag_payload is None:
         bag_payload = lambda bag: (bag,)
+    ids = ElementIds.of_structure(structure)
+    values = ids.values
 
     def bag_facts(interner: Interner) -> BagFacts:
         intern = interner.intern
-        return lambda bag: (tuple(map(intern, bag_payload(bag))), ())
+        return lambda bag: (
+            tuple(map(intern, bag_payload(frozenset(map(values.__getitem__, bag))))),
+            {},
+        )
 
-    return load_nice_ids(structure, nice, bag_facts)
+    relations = {name: set(ids.relations[name]) for name in structure.signature}
+    return load_nice_ids(
+        structure.signature, relations, ids, ids.decomposition(nice), bag_facts
+    )
 
 
 def load_nice_ids(
-    structure: Structure,
-    nice: NiceTreeDecomposition,
+    signature: Signature,
+    relations: Mapping[str, set[tuple[int, ...]]],
+    ids: ElementIds,
+    nice: IdDecomposition,
     bag_facts: Callable[[Interner], BagFacts],
 ) -> SetDatabase:
-    """:func:`load_nice` with the per-bag facts given in ids.
+    """``A_td`` for a Section 5 decomposition over ``ids`` (set bags,
+    nodes numbered in preorder, :func:`~repro.treewidth.nice.
+    make_nice_ids`), with per-bag facts given in ids.
 
-    ``bag_facts(interner)`` is called once, with the load's interner,
-    after the elements and nodes have their ids; the function it
-    returns runs once per distinct bag and gives the bag's payload ids
-    and its extra facts, each a ``(predicate, ids)`` pair, and every
-    node with that bag gets the fact ``predicate(TDNode(node), *ids)``.
-    Extra predicates must be new names, each of one arity.
+    ``signature`` is the structure's and ``relations`` maps each of its
+    predicates to its tuples as id tuples (adopted, not copied).  The
+    elements keep their ids ``0 .. |dom| - 1`` and node ``k`` gets the
+    id ``|dom| + k``; the stored values stay the elements and
+    ``TDNode(label)``, the ``TDNode`` values built only if a caller
+    reads a node back (:class:`~repro.datalog.interning.
+    LazyTailInterner`).
 
-    The database is built straight from the decomposition with no
-    value-level ``Structure`` in between.  The elements get the ids
-    ``0 .. |dom| - 1`` and the nodes the ids after them; the values
-    ``bag_facts`` interns get the ids after those, in the order first
-    met.  A value met twice, as an element and as a payload, or as the
-    payload of one bag and an extra value of another, keeps one id, as
-    it is one element of the encoded domain.
+    ``bag_facts(interner)`` is called once, with the load's interner;
+    the function it returns runs once per distinct bag and gives the
+    bag's payload ids and its extra facts, per predicate the id tuples
+    ``ids`` (a repeat counts once), and every node with that bag gets
+    the fact ``predicate(node, *ids)``.  Extra predicates must be new
+    names, each of one arity.  The values it interns get the ids after the
+    nodes', in the order first met; a value met twice, as an element
+    and as a payload, or as the payload of one bag and an extra value
+    of another, keeps one id, as it is one element of the encoded
+    domain.  ``copynode(t)`` tags each node with one child of an equal
+    bag.
 
     The load also fills the node-keyed hash indexes: ``bag`` and every
-    extra relation of arity two or more on the node,
+    extra relation of arity one or more past the node, on the node;
     ``child1``/``child2`` on either end.
 
-    Raises :class:`ValueError` if a domain element is a ``TDNode`` of
-    the tree.
+    Raises :class:`ValueError` on a bag element outside the domain, on
+    a node with more than two children, and if a domain element is a
+    ``TDNode`` of the tree.
     """
-    elements = list(structure.domain)
+    n = len(ids.values)
     bags = nice.bags
-    base = len(elements)
-    node_id = dict(zip(bags, range(base, base + len(bags))))
-    interner = Interner.of_distinct(elements + [TDNode(n) for n in bags])
+    labels = nice.labels if nice.labels is not None else range(len(bags))
+    _check_domain(nice, n, labels)
+    if TDNode in map(type, ids.values):
+        nodes = set(labels)
+        for value in ids.values:
+            if type(value) is TDNode and value.index in nodes:
+                raise ValueError(f"domain element {value!r} is a node of the tree")
+    interner = LazyTailInterner(ids.values, ids.index, labels, TDNode)
     facts_of = bag_facts(interner)
 
     # per distinct bag: its payload ids and, per extra predicate, the
     # distinct id tuples of its values
-    per_bag: dict[frozenset, tuple[tuple, dict[str, dict]]] = {}
+    per_bag: dict[frozenset, tuple[tuple, list]] = {}
     payload_arity = None
     arities: dict[str, int] = {}
     bag_by_node: dict[int, list] = {}
     extra_by_node: dict[str, dict[int, list]] = {}
-    for node, bag in bags.items():
-        t = node_id[node]
+    for t, bag in enumerate(bags, n):
         known = per_bag.get(bag)
         if known is None:
             payload, extra = facts_of(bag)
@@ -369,48 +403,48 @@ def load_nice_ids(
                 payload_arity = len(payload)
             elif payload_arity != len(payload):
                 raise ValueError("bag_payload must have a fixed arity")
-            by_predicate: dict[str, dict] = {}
-            for predicate, args in extra:
-                if arities.setdefault(predicate, len(args)) != len(args):
+            by_predicate = []
+            for predicate, args in extra.items():
+                args = list(dict.fromkeys(args))
+                if not args:
+                    continue
+                arity = len(args[0])
+                if (
+                    len(set(map(len, args))) > 1
+                    or arities.setdefault(predicate, arity) != arity
+                ):
                     raise ValueError(
                         f"extra predicate {predicate!r} mixes arities"
                     )
-                if predicate not in by_predicate:
-                    by_predicate[predicate] = {}
-                    extra_by_node.setdefault(predicate, {})
-                by_predicate[predicate][args] = None
+                by_predicate.append((extra_by_node.setdefault(predicate, {}), args))
             known = per_bag[bag] = (payload, by_predicate)
         payload, by_predicate = known
-        bag_by_node[t] = [(t, *payload)]
-        for predicate, args_ids in by_predicate.items():
-            extra_by_node[predicate][t] = [(t, *args) for args in args_ids]
-    kids_of = nice.tree._children
-    tree_facts, indexes = _tree_relations(
-        [[node_id[c] - base for c in kids_of[node]] for node in bags],
-        base,
-        list(bags),
-        node_id[nice.tree.root] - base,
-    )
+        head = (t,)
+        bag_by_node[t] = [head + payload]
+        for by_node, args in by_predicate:
+            by_node[t] = list(map(head.__add__, args))
+    children = nice.children
+    tree_facts, indexes = _tree_relations(children, n, labels)
 
     # raises, as in encode_nice, if the structure already has a tau_td
     # predicate name with another arity
     nice_signature = _nice_signature(payload_arity or 1)
-    structure.signature.extended(nice_signature)
+    signature.extended(nice_signature)
     for predicate in arities:
-        if predicate in structure.signature or predicate in nice_signature:
+        if predicate in signature or predicate in nice_signature:
             raise ValueError(
                 f"extra predicate {predicate!r} is already in the encoding"
             )
 
-    to_id = dict(zip(elements, range(len(elements)))).__getitem__
-    facts = {
-        name: {tuple(map(to_id, args)) for args in structure.relation(name)}
-        for name in structure.signature
-    }
+    facts = dict(relations)
     facts.update(
         tree_facts,
         bag={rows[0] for rows in bag_by_node.values()},
-        copynode={(node_id[node],) for node in _copy_nodes(nice)},
+        copynode={
+            (n + k,)
+            for k, kids in enumerate(children)
+            if len(kids) == 1 and bags[kids[0]] == bags[k]
+        },
     )
     indexes["bag"] = {(0,): bag_by_node}
     for predicate, by_node in extra_by_node.items():

@@ -198,14 +198,6 @@ def decomposition_from_order(
     return tree_from_elimination(order_ids, cliques).decoded(ids.values)
 
 
-def min_fill_decomposition(graph: Graph) -> TreeDecomposition:
-    """The min-fill decomposition of ``graph``, unchecked: for a caller
-    that checks a refinement of it instead (the Section 5 front end
-    checks the nice form)."""
-    ids = ElementIds.of_graph(graph)
-    return decompose_ids(ids, True).decoded(ids.values)
-
-
 def _checked_min_fill(ids: ElementIds) -> TreeDecomposition:
     dec = decompose_ids(ids, True)
     violations = ids.violations(dec)

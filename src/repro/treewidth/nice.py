@@ -17,9 +17,16 @@ Node kinds:
   equal-bag neighbours; the dynamic programs treat them as identity
   transitions.
 
-:func:`make_nice` builds the form from any valid decomposition in one
-top-down pass, writing each nice node once: no intermediate
-decompositions, tree copies or bag rebuilds.  A
+:func:`make_nice_ids` builds the form from any decomposition over
+dense element ids (:class:`~repro.treewidth.decomposition.
+IdDecomposition`) in one top-down pass, writing each nice node once,
+numbered in preorder: no intermediate decompositions, tree copies or
+bag rebuilds, and its steps sorted by id, which is ``repr`` order
+(:class:`~repro.treewidth.decomposition.ElementIds`).  Figure 5 runs
+it on the ids its graph was interned into and checks the Section 2.2
+axioms once, on the nice id bags
+(:func:`repro.problems.three_coloring.prepare_ids`).  :func:`make_nice`
+is its value-level entry: intern, build, decode.  A
 :class:`NiceTreeDecomposition` is a :class:`TreeDecomposition`, so the
 Section 2.2 axioms are checked on its own bags.
 
@@ -37,8 +44,9 @@ from typing import Callable, Iterable
 from ..errors import Violation
 from ..structures.structure import Element, Structure
 from .decomposition import (
+    ElementIds,
+    IdDecomposition,
     NodeId,
-    RootedTree,
     TreeDecomposition,
     refinement_violations,
     validate_refinement,
@@ -154,16 +162,18 @@ def bottom_up(
 # ----------------------------------------------------------------------
 
 SortKey = Callable[[Element], object]
+IdKey = Callable[[int], object]
 
 
-def make_nice(
-    td: TreeDecomposition,
-    removal_key: SortKey | None = None,
-    introduction_key: SortKey | None = None,
-) -> NiceTreeDecomposition:
-    """Convert any valid decomposition into the Section 5 normal form.
+def make_nice_ids(
+    dec: IdDecomposition,
+    removal_key: IdKey | None = None,
+    introduction_key: IdKey | None = None,
+) -> IdDecomposition:
+    """The Section 5 normal form of ``dec`` (set bags of element ids,
+    root ``0``), its nodes numbered in preorder.
 
-    One top-down pass over ``td`` builds the nice tree directly.  At
+    One top-down pass over ``dec`` builds the nice tree directly.  At
     each node it
 
     * collapses the chain of one-child nodes below it whose bags equal
@@ -175,75 +185,113 @@ def make_nice(
       so both children of a branch carry its bag;
     * expands each one-child edge into single-element steps.  Walking
       bottom-up from child bag ``B'`` to parent bag ``B``, first the
-      elements of ``B' \\ B`` are removed one at a time, ordered by
-      ``(removal_key, repr)``, then the elements of ``B \\ B'`` are
-      introduced, ordered by ``(introduction_key, repr)``.  The keys
+      ids of ``B' \\ B`` are removed one at a time, ordered by
+      ``(removal_key, id)``, then the ids of ``B \\ B'`` are
+      introduced, ordered by ``(introduction_key, id)``.  Ids follow
+      ``repr`` order (:class:`~repro.treewidth.decomposition.ElementIds`),
+      so this is the ``(key, repr)`` order of the elements.  The keys
       let callers keep bag invariants along the chain: the PRIMALITY
       refinement removes FDs before attributes and introduces
       attributes before FDs, so that "f in bag implies rhs(f) in bag"
       survives.
 
-    Width is preserved (asserted), the root bag is ``td``'s, children
-    keep their order, and the result has passed its shape check
-    (:meth:`NiceTreeDecomposition.validate`).
+    A branch's second child waits on a stack until the first child's
+    subtree is built, so nodes are numbered as a preorder walk meets
+    them.  The root bag is ``dec``'s and children keep their order.
+    By construction every node is one of the five kinds and the width
+    and ``aliens`` are ``dec``'s, so nothing is checked here.
     """
-    removal_key = removal_key or (lambda e: 0)
-    introduction_key = introduction_key or (lambda e: 0)
-    removal_order = lambda e: (removal_key(e), repr(e))
-    introduction_order = lambda e: (introduction_key(e), repr(e))
-    source, children = td.bags, td.tree.children
-    tree = RootedTree()
-    bags = {tree.root: source[td.tree.root]}
-    stack = [(td.tree.root, tree.root)]
+    removal_order = _descending(removal_key)
+    introduction_order = _descending(introduction_key)
+    source, below = dec.bags, dec.children
+    parent = [-1]
+    bags = [source[0]]
+    children: list[list[int]] = [[]]
+    #: (branch node, source child) to hang below it, or (branch node,
+    #: source children) for an equal-bag copy of it over those
+    stack: list[tuple[int, object]] = []
 
-    def step_down(top: NodeId, node: NodeId) -> None:
-        """Hang ``node`` below ``top`` through single-element steps."""
-        upper, lower = bags[top], source[node]
-        # top-down, the chain undoes the introductions, then the removals
+    def add(top: int, bag: frozenset) -> int:
+        k = len(bags)
+        bags.append(bag)
+        parent.append(top)
+        children.append([])
+        children[top].append(k)
+        return k
+
+    top, node = 0, 0  # nice ``top`` carries source ``node``'s bag
+    while True:
+        bag = bags[top]
+        kids = below[node]
+        while len(kids) == 1 and source[kids[0]] == bag:
+            kids = below[kids[0]]
+        if len(kids) == 1:
+            node = kids[0]
+        else:
+            if kids:  # a branch: its children wait, the first on top
+                stack.append((top, kids[1] if len(kids) == 2 else kids[1:]))
+                stack.append((top, kids[0]))
+            while stack:
+                top, node = stack.pop()
+                bag = bags[top]
+                if type(node) is not int:  # the equal-bag copy over the rest
+                    k = add(top, bag)
+                    stack.append((k, node[1] if len(node) == 2 else node[1:]))
+                    stack.append((k, node[0]))
+                    continue
+                if source[node] != bag:  # an equal-bag node above it
+                    top = add(top, bag)
+                break
+            else:
+                break  # every subtree is built
+        # hang ``node`` below ``top`` through single-element steps
+        # (one equal-bag node if the bags are equal); top-down, the
+        # chain undoes the introductions, then the removals
+        upper = bags[top]
+        lower = source[node]
         steps = []
         current = upper
-        for v in reversed(sorted(upper - lower, key=introduction_order)):
+        for v in introduction_order(upper - lower):
             current = current - {v}
             steps.append(current)
-        for v in reversed(sorted(lower - upper, key=removal_order)):
+        for v in removal_order(lower - upper):
             current = current | {v}
             steps.append(current)
         steps[-1:] = [lower]  # the last step, or none, reaches ``node``
         for bag in steps:
-            top = tree.add_child(top)
-            bags[top] = bag
-        stack.append((node, top))
+            top = add(top, bag)
+    return IdDecomposition(parent, children, bags, dec.width, None, dec.aliens)
 
-    def below_branch(branch: NodeId, node: NodeId) -> None:
-        """Hang ``node`` below a branch node, through an equal-bag node
-        if its bag differs from the branch's."""
-        if source[node] != bags[branch]:
-            mid = tree.add_child(branch)
-            bags[mid] = bags[branch]
-            branch = mid
-        step_down(branch, node)
 
-    while stack:
-        node, here = stack.pop()
-        bag = bags[here]
-        kids = children(node)
-        while len(kids) == 1 and source[kids[0]] == bag:
-            kids = children(kids[0])
-        if len(kids) == 1:
-            step_down(here, kids[0])
-            continue
-        while len(kids) > 2:
-            below_branch(here, kids[0])
-            here = tree.add_child(here)
-            bags[here] = bag
-            kids = kids[1:]
-        for kid in kids:  # none at a leaf, else two
-            below_branch(here, kid)
-    nice = NiceTreeDecomposition(tree, bags)
-    if nice.width != td.width:
-        raise AssertionError(f"width changed: {td.width} -> {nice.width}")
-    nice.validate()
-    return nice
+def _descending(key: IdKey | None) -> Callable[[frozenset], list[int]]:
+    """Sort ids by descending ``(key, id)``."""
+    if key is None:
+        return lambda ids: sorted(ids, reverse=True)
+    return lambda ids: sorted(ids, key=lambda x: (key(x), x), reverse=True)
+
+
+def make_nice(
+    td: TreeDecomposition,
+    removal_key: SortKey | None = None,
+    introduction_key: SortKey | None = None,
+) -> NiceTreeDecomposition:
+    """:func:`make_nice_ids` on a value-level decomposition: intern its
+    elements (:meth:`~repro.treewidth.decomposition.ElementIds.
+    of_elements`), build the nice form over their ids, and decode it,
+    its nodes labelled ``0, 1, ...`` in preorder.  The keys take
+    elements and order as ``(key, repr)``."""
+    ids = ElementIds.of_elements(td.all_elements())
+    values = ids.values
+    nice = make_nice_ids(
+        ids.decomposition(td),
+        _on_ids(removal_key, values),
+        _on_ids(introduction_key, values),
+    )
+    return nice.decoded(values, NiceTreeDecomposition)
+
+
+def _on_ids(key: SortKey | None, values: list) -> IdKey | None:
+    return None if key is None else lambda x: key(values[x])
 
 
 def surround_branches(nice: NiceTreeDecomposition) -> NiceTreeDecomposition:
@@ -278,7 +326,8 @@ def ensure_elements_in_leaves(
     for node in tree.nodes():
         if tree.is_leaf(node):
             covered |= bags[node]
-    for element in sorted(set(elements) - covered, key=repr):
+    # in id order, which is repr order (ElementIds)
+    for element in ElementIds.of_elements(set(elements) - covered).values:
         host = next(
             n for n in tree.preorder() if element in bags[n]
         )

@@ -215,6 +215,71 @@ def staged_make_nice(td, removal_key=None, introduction_key=None):
     return nice
 
 
+def value_make_nice(td, removal_key=None, introduction_key=None):
+    """The one-pass value-level ``make_nice`` that ``make_nice_ids``
+    replaced: the same top-down pass over element values, each
+    one-child edge's steps sorted by ``(key, repr)``, nodes numbered
+    as they are created.  Asserts the width and checks the shape of
+    its result."""
+    removal_key = removal_key or (lambda e: 0)
+    introduction_key = introduction_key or (lambda e: 0)
+    removal_order = lambda e: (removal_key(e), repr(e))
+    introduction_order = lambda e: (introduction_key(e), repr(e))
+    source, children = td.bags, td.tree.children
+    tree = RootedTree()
+    bags = {tree.root: source[td.tree.root]}
+    stack = [(td.tree.root, tree.root)]
+
+    def step_down(top, node):
+        """Hang ``node`` below ``top`` through single-element steps."""
+        upper, lower = bags[top], source[node]
+        # top-down, the chain undoes the introductions, then the removals
+        steps = []
+        current = upper
+        for v in reversed(sorted(upper - lower, key=introduction_order)):
+            current = current - {v}
+            steps.append(current)
+        for v in reversed(sorted(lower - upper, key=removal_order)):
+            current = current | {v}
+            steps.append(current)
+        steps[-1:] = [lower]  # the last step, or none, reaches ``node``
+        for bag in steps:
+            top = tree.add_child(top)
+            bags[top] = bag
+        stack.append((node, top))
+
+    def below_branch(branch, node):
+        """Hang ``node`` below a branch node, through an equal-bag node
+        if its bag differs from the branch's."""
+        if source[node] != bags[branch]:
+            mid = tree.add_child(branch)
+            bags[mid] = bags[branch]
+            branch = mid
+        step_down(branch, node)
+
+    while stack:
+        node, here = stack.pop()
+        bag = bags[here]
+        kids = children(node)
+        while len(kids) == 1 and source[kids[0]] == bag:
+            kids = children(kids[0])
+        if len(kids) == 1:
+            step_down(here, kids[0])
+            continue
+        while len(kids) > 2:
+            below_branch(here, kids[0])
+            here = tree.add_child(here)
+            bags[here] = bag
+            kids = kids[1:]
+        for kid in kids:  # none at a leaf, else two
+            below_branch(here, kid)
+    nice = NiceTreeDecomposition(tree, bags)
+    if nice.width != td.width:
+        raise AssertionError(f"width changed: {td.width} -> {nice.width}")
+    nice.validate()
+    return nice
+
+
 def _contract_copy_edges(td):
     """Merge unary equal-bag edges left over from the input decomposition."""
     tree = td.tree.copy()

@@ -35,6 +35,7 @@ from repro.treewidth import (
     normalize,
     widen,
 )
+from repro.treewidth.decomposition import ElementIds
 
 
 def normalized_encoding(graph):
@@ -387,27 +388,40 @@ class TestLoadNice:
         assert set(map(primality.set_bits, range(len(primality)))) == {None}
 
     @staticmethod
-    def _with_extra(extra):
-        """A ``load_nice_ids`` ``bag_facts``: each bag is its own
-        payload, and ``extra(bag)`` gives its ``(predicate, values)``
-        facts."""
+    def _load_with_extra(graph, nice, extra):
+        """``load_nice_ids`` on ``graph`` and ``nice`` read into ids:
+        each bag, decoded, is its own payload, and ``extra(bag)`` gives
+        its ``(predicate, values)`` facts."""
+        structure = graph_to_structure(graph)
+        ids = ElementIds.of_structure(structure)
+        values = ids.values
 
         def bag_facts(interner):
             intern = interner.intern
-            return lambda bag: (
-                (intern(bag),),
-                [(p, tuple(map(intern, args))) for p, args in extra(bag)],
-            )
 
-        return bag_facts
+            def facts(bag):
+                bag = frozenset(map(values.__getitem__, bag))
+                by_predicate = {}
+                for p, args in extra(bag):
+                    by_predicate.setdefault(p, []).append(tuple(map(intern, args)))
+                return (intern(bag),), by_predicate
+
+            return facts
+
+        relations = {name: set(ids.relations[name]) for name in structure.signature}
+        return load_nice_ids(
+            structure.signature,
+            relations,
+            ids,
+            ids.decomposition(nice),
+            bag_facts,
+        )
 
     def test_extra_facts_of_a_node(self):
         g = Graph.path(3)
         nice = make_nice(decompose_graph(g))
-        loaded = load_nice_ids(
-            graph_to_structure(g),
-            nice,
-            self._with_extra(lambda bag: [("size", (len(bag),))] * 2),
+        loaded = self._load_with_extra(
+            g, nice, lambda bag: [("size", (len(bag),))] * 2
         )
         assert loaded.decode_relation("size") == {
             (TDNode(node), len(bag)) for node, bag in nice.bags.items()
@@ -417,16 +431,10 @@ class TestLoadNice:
         g = Graph.path(3)
         nice = make_nice(decompose_graph(g))
         with pytest.raises(ValueError, match="'bag' is already"):
-            load_nice_ids(
-                graph_to_structure(g),
-                nice,
-                self._with_extra(lambda bag: [("bag", (1,))]),
-            )
+            self._load_with_extra(g, nice, lambda bag: [("bag", (1,))])
         with pytest.raises(ValueError, match="mixes arities"):
-            load_nice_ids(
-                graph_to_structure(g),
-                nice,
-                self._with_extra(lambda bag: [("tag", ()), ("tag", (bag,))]),
+            self._load_with_extra(
+                g, nice, lambda bag: [("tag", ()), ("tag", (bag,))]
             )
 
     def test_payload_arity_must_be_fixed(self):

@@ -12,6 +12,13 @@ codes, messages, subjects and order, width), the decoded bags and tree,
 the normalized tuples (as an ordered tree: the id route numbers the
 nodes in preorder, the value walk as it created them), and a load that
 decodes to the ``encode_normalized`` + ``from_edb`` EDB.
+
+The Section 5 front end of Figure 5 runs on ids too: the graph is
+interned once, and min-fill, the nice form (``make_nice_ids``), its one
+axiom check and the load all use those ids.  Its nice trees must be the
+value-level one-pass ``make_nice``'s (``oracles.value_make_nice``),
+nodes relabelled in preorder, its violations those of the value-level
+check on that tree, and its fixpoint the value-level route's.
 """
 
 import random
@@ -21,9 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.admission import POLICIES, admit
-from repro.datalog import SetDatabase
+from repro.datalog import SetDatabase, solve
 from repro.errors import AdmissionRejected, InvalidDecomposition
-from repro.structures import Signature, Structure
+from repro.problems import random_schema
+from repro.problems.primality import _schema_sort_keys
+from repro.problems.three_coloring import (
+    ThreeColoringDatalog,
+    encode_for_three_coloring,
+    prepare_decomposition,
+)
+from repro.structures import Graph, Signature, Structure, graph_to_structure
 from repro.structures.graphs import gaifman_graph
 from repro.treewidth import (
     NormalizedTreeDecomposition,
@@ -36,7 +50,9 @@ from repro.treewidth import (
     normalize,
     widen,
 )
-from repro.treewidth.encode import load_ids
+from repro.treewidth.decomposition import ElementIds
+from repro.treewidth.encode import TDNode, load_ids
+from repro.treewidth.nice import NiceTreeDecomposition, make_nice, make_nice_ids
 from repro.treewidth.normalize import normalize_admitted
 
 from . import oracles
@@ -216,3 +232,127 @@ class TestPublicEntries:
         assert violations[0].code == "bag-repeats-elements"
         with pytest.raises(InvalidDecomposition, match="'a', 'a'"):
             broken.validate()
+
+
+# ----------------------------------------------------------------------
+# The Section 5 front end: nice form, its check and the Figure 5 load
+# ----------------------------------------------------------------------
+
+#: vertex labels whose ``repr`` order differs from their natural order
+VERTICES = {
+    "int": st.integers(min_value=-5, max_value=120),
+    "str": st.text(alphabet="ab19 ", max_size=3),
+    "tuple": st.tuples(st.integers(0, 12), st.text(alphabet="a1", max_size=1)),
+    "mixed": st.one_of(
+        st.integers(min_value=0, max_value=30),
+        st.text(alphabet="a19", max_size=2),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    ),
+}
+
+
+@st.composite
+def section5_graphs(draw, max_vertices: int = 10):
+    kind = draw(st.sampled_from(sorted(VERTICES)))
+    labels = draw(
+        st.lists(VERTICES[kind], unique=True, min_size=1, max_size=max_vertices)
+    )
+    graph = Graph(labels)
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            graph.add_edge(u, v)
+    return graph
+
+
+def _preorder(td):
+    """A decomposition as its ordered tree, whatever its node labels:
+    per node in preorder, its bag and its parent's preorder position."""
+    order = list(td.tree.preorder())
+    position = {node: k for k, node in enumerate(order)}
+    parent = td.tree.parent
+    return [
+        (td.bags[node], position[parent(node)] if k else -1)
+        for k, node in enumerate(order)
+    ]
+
+
+def assert_nice_route(td, removal_key=None, introduction_key=None):
+    """``make_nice`` (intern, ``make_nice_ids``, decode) builds the
+    value pass's tree, its nodes labelled in preorder."""
+    nice = make_nice(td, removal_key, introduction_key)
+    oracle = oracles.value_make_nice(td, removal_key, introduction_key)
+    assert _preorder(nice) == _preorder(oracle)
+    assert list(nice.tree.preorder()) == list(range(nice.node_count()))
+    assert nice.width == oracle.width == td.width
+    assert nice.shape_violations() == []
+    return nice
+
+
+class TestNiceRoute:
+    @settings(max_examples=150)
+    @given(section5_graphs(), st.integers(0, 2**16), st.integers(0, 8))
+    def test_nice_form_matches_the_value_pass(self, graph, seed, moves):
+        td = _reshape(decompose_graph(graph), random.Random(seed), moves)
+        nice = assert_nice_route(td)
+        ids = ElementIds.of_graph(graph)
+        dec = make_nice_ids(ids.decomposition(td))
+        assert dec.width == td.width
+        assert _tree(dec.decoded(ids.values, NiceTreeDecomposition)) == _tree(nice)
+        assert _tree(prepare_decomposition(graph, td)) == _tree(nice)
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(2, 7),
+        st.integers(1, 6),
+        st.integers(0, 6),
+    )
+    def test_primality_keys_match_the_value_pass(
+        self, seed, attributes, fds, moves
+    ):
+        rng = random.Random(seed)
+        schema = random_schema(rng, attributes, fds)
+        td = _reshape(decompose_structure(schema.to_structure()), rng, moves)
+        assert_nice_route(td, *_schema_sort_keys(schema))
+
+    @settings(max_examples=150)
+    @given(
+        section5_graphs(),
+        st.sampled_from(("alien", "dropped", "edge")),
+        st.integers(0, 2**16),
+    )
+    def test_a_bad_decomposition_raises_the_value_check_violations(
+        self, graph, how, seed
+    ):
+        rng = random.Random(seed)
+        td = _corrupt(decompose_graph(graph), graph_to_structure(graph), how, rng)
+        expected = oracles.value_graph_violations(
+            oracles.value_make_nice(td), graph
+        )
+        if not expected:
+            assert _tree(prepare_decomposition(graph, td)) == _tree(make_nice(td))
+            return
+        for route in (prepare_decomposition, ThreeColoringDatalog().run):
+            with pytest.raises(InvalidDecomposition) as caught:
+                route(graph, td)
+            assert list(caught.value.violations) == expected
+
+    @settings(max_examples=60)
+    @given(section5_graphs(max_vertices=9))
+    def test_figure5_fixpoint_matches_the_value_route(self, graph):
+        solver = ThreeColoringDatalog()
+        run = solver.run(graph)
+        want = solve(
+            solver.program,
+            encode_for_three_coloring(graph, prepare_decomposition(graph)),
+        )
+        assert run.database.relation("solve") == want.relation("solve")
+        assert run.colorable == want.contains("success", ())
+
+    def test_a_vertex_that_is_a_tree_node_is_refused(self):
+        graph = Graph([TDNode(0), "a"])
+        graph.add_edge(TDNode(0), "a")
+        with pytest.raises(ValueError, match="is a node of the tree"):
+            ThreeColoringDatalog().decide(graph)
+        # a TDNode that names no node of the tree is a plain vertex
+        assert ThreeColoringDatalog().decide(Graph([TDNode(99), "a"]))
