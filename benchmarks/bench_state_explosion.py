@@ -32,9 +32,18 @@ machine-readable baseline ``BENCH_compiler.json`` to the repo root
    a bug to be fixed, and this gate fails if a change accidentally
    "loses" the full type space;
 5. the checked-in ``BENCH_compiler.json`` must match the harness's
-   schema version and workload/field shape (drift fails CI until the
-   baseline is regenerated), mirroring the ``BENCH_engine.json``
-   drift rule.
+   schema version and workload/field shape, and every compile must
+   keep its checked-in program (``program_sha256``, the
+   ``repro.datalog.program_fingerprint`` of the emitted program) and
+   every count field; only ``ms`` may move.  Drift fails CI until the
+   baseline is regenerated;
+6. **work counts**: the width-2 grid-class compile builds at most
+   ``MAX_GRID2_STRUCTURES`` ``Structure`` objects and runs the
+   whole-structure class check at most ``MAX_GRID2_FILTER_CALLS``
+   times (the class is checked on bag summaries for glue and
+   replacement candidates, and a candidate is typed from its int
+   relations; building and checking each candidate took 32,512 and
+   31,168).  Counted on a separate, untimed compile.
 """
 
 import argparse
@@ -49,7 +58,7 @@ except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compiler.json"
-SCHEMA_VERSION = "bench-compiler/v3"
+SCHEMA_VERSION = "bench-compiler/v4"
 
 #: contract 3: the width-2 grid-class program must stay evaluable
 MAX_GRID2_RULES = 60000
@@ -59,7 +68,12 @@ MAX_GRID2_RULES = 60000
 #: land well under the evaluability bound
 MAX_GRID2_RULES_AFTER_PASSES = 10000
 
-#: the per-record fields whose *presence* the drift gate pins
+#: contract 6: work counts of the width-2 grid-class compile
+MAX_GRID2_STRUCTURES = 3000
+MAX_GRID2_FILTER_CALLS = 2000
+
+#: the per-record fields whose *presence* the drift gate pins; every
+#: one but ``ms`` must also keep its checked-in value
 RECORD_FIELDS = (
     "signature",
     "width",
@@ -76,7 +90,11 @@ RECORD_FIELDS = (
     "max_witness_typed",
     "type_computations",
     "glue_pairs",
+    "program_sha256",
 )
+
+#: the one field the drift gate lets move: wall time
+INFORMATIONAL_FIELDS = frozenset({"ms"})
 
 
 def _sentences():
@@ -184,6 +202,7 @@ def run_compiles(quick):
     """Compile every workload; returns (records, failures)."""
     from repro.core import CompilerLimitError
     from repro.core.mso_to_datalog import DEFAULT_MAX_WITNESS_SIZE
+    from repro.datalog import program_fingerprint
 
     records = {}
     failures = []
@@ -211,6 +230,7 @@ def run_compiles(quick):
             max_witness_typed=stats.max_witness_typed,
             type_computations=stats.type_computations,
             glue_pairs=stats.glue_pairs,
+            program_sha256=program_fingerprint(compiled.program),
         )
         records[name] = record
         if stats.max_reduced_witness > DEFAULT_MAX_WITNESS_SIZE:
@@ -251,6 +271,56 @@ def run_compiles(quick):
             f"{MAX_GRID2_RULES_AFTER_PASSES}-rule bound (ROADMAP D)"
         )
     return records, failures
+
+
+def run_work_counts():
+    """Contract 6: count ``Structure`` constructions and whole-structure
+    class checks over one width-2 grid-class compile (untimed)."""
+    from repro.core import MSOToDatalogCompiler, grid_graph_filter
+    from repro.mso import formulas
+    from repro.structures import GRAPH_SIGNATURE, Structure
+
+    counts = {"structures_built": 0, "filter_calls": 0}
+    predicate_type = type(grid_graph_filter)
+    real_init, real_call = Structure.__init__, predicate_type.__call__
+
+    def counting_init(self, *args, **kwargs):
+        counts["structures_built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_call(self, structure):
+        counts["filter_calls"] += 1
+        return real_call(self, structure)
+
+    Structure.__init__ = counting_init
+    predicate_type.__call__ = counting_call
+    try:
+        MSOToDatalogCompiler(
+            formulas.has_neighbor("x"),
+            GRAPH_SIGNATURE,
+            2,
+            free_var="x",
+            structure_filter=grid_graph_filter,
+        ).compile()
+    finally:
+        Structure.__init__ = real_init
+        predicate_type.__call__ = real_call
+    failures = []
+    for field, bound in (
+        ("structures_built", MAX_GRID2_STRUCTURES),
+        ("filter_calls", MAX_GRID2_FILTER_CALLS),
+    ):
+        if counts[field] > bound:
+            failures.append(
+                f"graph-neighbor-w2-grid: {field} {counts[field]} exceeds "
+                f"the work-count bound {bound}"
+            )
+    record = dict(
+        counts,
+        max_structures_built=MAX_GRID2_STRUCTURES,
+        max_filter_calls=MAX_GRID2_FILTER_CALLS,
+    )
+    return {"graph-neighbor-w2-grid": record}, failures
 
 
 def run_blowup_check():
@@ -300,12 +370,23 @@ def check_baseline_drift(previous, payload):
         )
     for name, record in payload.get("compiles", {}).items():
         old = previous.get("compiles", {}).get(name)
-        if old is not None and set(old) != set(record):
+        if old is None:
+            continue
+        if set(old) != set(record):
             failures.append(
                 f"baseline drift: fields of {name} changed "
                 f"{sorted(old)} -> {sorted(record)} -- regenerate "
                 "BENCH_compiler.json"
             )
+            continue
+        for field in sorted(set(record) - INFORMATIONAL_FIELDS):
+            if old[field] != record[field]:
+                failures.append(
+                    f"baseline drift: {name} {field} changed "
+                    f"{old[field]!r} -> {record[field]!r} -- the compiled "
+                    "program or its counts moved; regenerate "
+                    "BENCH_compiler.json if that is intended"
+                )
     return failures
 
 
@@ -369,6 +450,15 @@ def main(argv=None) -> int:
     blowup, blowup_failures = run_blowup_check()
     failures.extend(blowup_failures)
     print(f"\nunfiltered-blowup: {blowup}")
+    work, work_failures = run_work_counts()
+    failures.extend(work_failures)
+    for name, counts in work.items():
+        print(
+            f"work counts, {name}: {counts['structures_built']} Structures "
+            f"built (<= {counts['max_structures_built']}), "
+            f"{counts['filter_calls']} whole-structure class checks "
+            f"(<= {counts['max_filter_calls']})"
+        )
 
     from repro.core.mso_to_datalog import DEFAULT_MAX_WITNESS_SIZE
 
@@ -379,6 +469,7 @@ def main(argv=None) -> int:
         "default_max_witness_size": DEFAULT_MAX_WITNESS_SIZE,
         "compiles": records,
         "unfiltered_blowup": blowup,
+        "work_counts": work,
     }
     previous = None
     if args.out.exists():
@@ -399,8 +490,9 @@ def main(argv=None) -> int:
         "bound; reduced witnesses stay within the bound everywhere; "
         "minimization and the shrinking pass only shrink (grid-2 under "
         f"{MAX_GRID2_RULES_AFTER_PASSES} rules after passes); the "
-        "unfiltered type space still explodes; the baseline schema "
-        "matches the harness"
+        "unfiltered type space still explodes; every program and count "
+        "matches the checked-in baseline; the width-2 grid compile stays "
+        "within its work counts"
     )
     return 0
 

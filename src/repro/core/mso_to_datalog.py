@@ -39,6 +39,14 @@ nothing else.  Three structural facts keep the fixpoint small:
   (:attr:`~repro.core.typealg.TypeEntry.edb`), and the glued
   structure is symmetric in its arguments, so each *unordered*
   compatible pair is glued and typed exactly once.
+* **Candidates stay in ids.**  The class restriction is checked on
+  the bag: a glue or replacement candidate is admitted by the class
+  predicate's exact delta checks, which read per-witness bag summaries
+  (:mod:`repro.core.classes`), and one that passes is typed straight
+  from its int relations.  A :class:`Structure` is built only for a
+  new type's witness (to reduce and canonicalize it); the selection
+  answers of a glue are evaluated once per type, on its stored
+  witness.
 * **Witness reduction bounds growth.**  Witness size is bounded by
   the minimal-representative closure of the type space instead of
   growing monotonically up the induction, which is what moves the
@@ -97,13 +105,19 @@ from ..datalog.guards import td_key_dependencies
 from ..mso.eval import evaluate
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
-from ..structures.structure import Element, Fact, Structure
+from ..structures.structure import Element, Structure
+from .classes import (
+    as_class_predicate,
+    grid_graph_filter,
+    undirected_graph_filter,
+)
 from .typealg import (
     CompilerLimitError,
     TypeAlgebra,
     TypeEntry,
     TypeTable,
     fold_partition,
+    ids_structure,
 )
 
 ANSWER_PREDICATE = "phi"
@@ -261,18 +275,21 @@ class MSOToDatalogCompiler:
         self.max_types = max_types
         self.minimize = minimize
         self.fold = fold
-        #: Optional predicate restricting compilation to a *class* of
-        #: structures (e.g. symmetric loop-free graphs).  Sound whenever
-        #: the class is closed under induced substructures, which makes
-        #: every structure arising in a decomposition of a class member
-        #: (subtree structures and their bag-glued unions alike) a class
-        #: member again -- any class defined by universal constraints on
-        #: the relations qualifies.  Without it, the full generality of
-        #: Theorem 4.5 applies -- and so does its full exponential type
-        #: space.
-        self.structure_filter = structure_filter
+        #: The *class* of structures compilation is restricted to (e.g.
+        #: symmetric loop-free graphs), as a
+        #: :class:`~repro.core.classes.ClassPredicate` (a plain callable
+        #: is wrapped).  Sound whenever the class is closed under
+        #: induced substructures, which makes every structure arising in
+        #: a decomposition of a class member (subtree structures and
+        #: their bag-glued unions alike) a class member again -- any
+        #: class defined by universal constraints on the relations
+        #: qualifies.  Without one, the full generality of Theorem 4.5
+        #: applies -- and so does its full exponential type space.
+        self.structure_filter = as_class_predicate(structure_filter)
         self.patterns = _atom_patterns(signature, width + 1)
-        self.algebra = TypeAlgebra(self.k, max_witness_size, structure_filter)
+        self.algebra = TypeAlgebra(
+            self.k, max_witness_size, self.structure_filter
+        )
         self._table = TypeTable(max_types)
         self._canon_bag = tuple(range(width + 1))
         self._perms = tuple(itertools.permutations(range(width + 1)))
@@ -286,41 +303,56 @@ class MSOToDatalogCompiler:
                 [(name, idx) for name, idx in self.patterns if 0 in idx]
             )
         )
+        #: the deltas the class admits at all (a verdict on ``chosen``
+        #: alone, made once per compile)
+        self._chosen_in_class = tuple(
+            filter(self.structure_filter.chosen_ok, self._chosen_list)
+        )
         # step maps (the memoized induction steps over type ids)
         self._base_ids: list[int] = []
         self._perm: dict[tuple[int, tuple[int, ...]], int] = {}
         self._repl: dict[tuple[int, frozenset], int] = {}
         self._glue_map: dict[tuple[int, int], int] = {}
         self._sel: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._answers_by_type: dict = {}
+        #: selection answers per glued type id (see _answers_for)
+        self._answers: dict[int, tuple[int, ...]] = {}
         self._bag_vars = tuple(Variable(f"X{i}") for i in range(width + 1))
 
     # ------------------------------------------------------------------
     # the type fixpoint
     # ------------------------------------------------------------------
 
-    def _register_type(self, t, structure, bag) -> tuple[TypeEntry, bool]:
-        """Intern type ``t``; a *new* type's witness is reduced to its
-        minimal representative and stored in canonical coordinates."""
+    def _register_type(
+        self, t, bag: tuple[int, ...], n: int, relations: tuple
+    ) -> tuple[TypeEntry, bool]:
+        """Intern type ``t`` of the candidate over ``0..n-1`` with
+        ``relations``; only a *new* type's witness is built as a
+        :class:`Structure`, reduced to its minimal representative and
+        stored in canonical coordinates."""
         entry = self._table.get(t)
         if entry is not None:
             return entry, False
-        reduced = self.algebra.reduce(structure, bag, t)
-        canon, cbag = self.algebra.canonicalize(reduced, bag)
+        algebra = self.algebra
+        structure = ids_structure(self.signature, n, relations)
+        reduced = algebra.reduce(structure, bag, t)
+        canon, cbag = algebra.canonicalize(reduced, bag)
         edb = _facts_over(canon, cbag, self.patterns)
-        return self._table.add(t, canon, cbag, edb), True
+        summary = self.structure_filter.summarize(canon, cbag)
+        return self._table.add(t, canon, cbag, edb, summary), True
 
-    def _base_structures(self) -> Iterator[tuple[Structure, tuple[Element, ...]]]:
-        bag = tuple(range(self.width + 1))
+    def _base_structures(self) -> Iterator[Structure]:
+        """Every structure over the one bag ``0..w`` in the class."""
+        bag = self._canon_bag
+        in_class = self.structure_filter
         for chosen in powerset(self.patterns):
-            facts = [
-                Fact(name, tuple(bag[i] for i in indices))
-                for name, indices in chosen
-            ]
-            structure = Structure(self.signature, bag).with_facts(facts)
-            if self.structure_filter and not self.structure_filter(structure):
-                continue
-            yield structure, bag
+            relations: dict[str, set] = {}
+            for name, indices in chosen:
+                relations.setdefault(name, set()).add(
+                    tuple(bag[i] for i in indices)
+                )
+            structure = Structure(self.signature, bag, relations)
+            if in_class(structure):
+                yield structure
 
     def _perm_steps(self, entry: TypeEntry) -> Iterator[TypeEntry]:
         """Bag permutation: re-point the stored witness (the shared
@@ -329,79 +361,65 @@ class MSOToDatalogCompiler:
         for perm in self._perms:
             new_bag = tuple(entry.bag[perm[i]] for i in range(self.width + 1))
             t = type_of(entry.structure, new_bag)
-            result, new = self._register_type(t, entry.structure, new_bag)
+            result, new = self._register_type(
+                t, new_bag, entry.size, entry.relations
+            )
             self._perm[(entry.type_id, perm)] = result.type_id
             if new:
                 yield result
 
     def _repl_steps(self, entry: TypeEntry) -> Iterator[TypeEntry]:
         """Element replacement: position 0 of the bag is replaced by a
-        fresh element, under every EDB delta on the new element."""
-        fresh = len(entry.structure.domain)  # canonical coords: 0..n-1
-        grown = entry.structure.with_elements([fresh])
-        new_bag = (fresh,) + entry.bag[1:]
-        structure_filter = self.structure_filter
-        for chosen in self._chosen_list:
-            facts = [
-                Fact(name, tuple(new_bag[i] for i in indices))
-                for name, indices in chosen
-            ]
-            structure = grown.with_facts(facts)
-            if structure_filter and not structure_filter(structure):
+        fresh element, under every EDB delta on the new element the
+        class admits for this entry."""
+        new_bag = (entry.size,) + entry.bag[1:]  # canonical coords: 0..n-1
+        replace_ok = self.structure_filter.replace_ok
+        type_of_ids = self.algebra.type_of_ids
+        for chosen in self._chosen_in_class:
+            if not replace_ok(entry, chosen):
                 continue
-            t = self.algebra.type_of(structure, new_bag, transient=True)
-            result, new = self._register_type(t, structure, new_bag)
+            n, relations = entry.replaced(chosen)
+            t = type_of_ids(self.signature, n, relations, new_bag)
+            result, new = self._register_type(t, new_bag, n, relations)
             self._repl[(entry.type_id, chosen)] = result.type_id
             if new:
                 yield result
 
-    def _glue_structures(self, a: TypeEntry, b: TypeEntry) -> Structure:
-        """Union of two canonical witnesses overlapping exactly on the
-        bag ``0..w``: ``b``'s non-bag elements are shifted past ``a``'s
-        domain, facts are unioned -- no renaming maps, no validation
-        beyond the Structure constructor."""
-        w1 = self.width + 1
-        off = len(a.structure.domain) - w1
-        relations = {}
-        for name in self.signature:
-            merged = set(a.structure.relation(name))
-            for tup in b.structure.relation(name):
-                merged.add(tuple(x if x < w1 else x + off for x in tup))
-            relations[name] = merged
-        n = off + len(b.structure.domain)
-        return Structure(self.signature, range(n), relations)
-
-    def _answers_for(self, t, glued: Structure) -> tuple[int, ...]:
-        """Selection answers for a glued witness, cached by its type
-        (Lemma 3.7: the answer is a function of the type; φ has
-        quantifier depth k, so its truth at a bag point is determined
-        by the rank-k type)."""
-        found = self._answers_by_type.get(t)
+    def _answers_for(self, entry: TypeEntry) -> tuple[int, ...]:
+        """Selection answers for a glue of type ``entry``, evaluated
+        once per type on its stored witness (Lemma 3.7: the answer is
+        a function of the type; φ has quantifier depth k, so its truth
+        at a bag point is determined by the rank-k type, and the
+        stored witness has the glue's type over the same bag)."""
+        found = self._answers.get(entry.type_id)
         if found is None:
             formula, free = self.formula, self.free_var
             found = tuple(
                 i
                 for i in range(self.width + 1)
-                if evaluate(glued, formula, {free: i})
+                if evaluate(entry.structure, formula, {free: i})
             )
-            self._answers_by_type[t] = found
+            self._answers[entry.type_id] = found
         return found
 
     def _glue_step(self, a: TypeEntry, b: TypeEntry) -> TypeEntry | None:
         """Glue one unordered pair of same-EDB types; records the branch
-        result and (for unary queries) the selection answers."""
-        glued = self._glue_structures(a, b)
-        if self.structure_filter and not self.structure_filter(glued):
+        result and (for unary queries) the selection answers.  The
+        class is checked on the bag summaries and the glue is typed
+        from its int relations."""
+        if not self.structure_filter.glue_ok(a, b):
             return None
-        t = self.algebra.type_of(glued, self._canon_bag, transient=True)
-        result, new = self._register_type(t, glued, self._canon_bag)
+        n, relations = a.glued(b)
+        bag = self._canon_bag
+        t = self.algebra.type_of_ids(self.signature, n, relations, bag)
+        result, new = self._register_type(t, bag, n, relations)
         key = (a.type_id, b.type_id) if a.type_id <= b.type_id else (
             b.type_id,
             a.type_id,
         )
         self._glue_map[key] = result.type_id
         if self.free_var is not None:
-            self._sel[key] = self._answers_for(t, glued)
+            self._sel[key] = self._answers_for(result)
         return result if new else None
 
     def build_table(self) -> None:
@@ -410,9 +428,13 @@ class MSOToDatalogCompiler:
         same bag-EDB bucket, so each unordered compatible pair is
         attempted exactly once."""
         pending: deque[TypeEntry] = deque()
-        for structure, bag in self._base_structures():
+        bag = self._canon_bag
+        for structure in self._base_structures():
             t = self.algebra.type_of(structure, bag)
-            entry, new = self._register_type(t, structure, bag)
+            relations = tuple(
+                structure.relation(name) for name in self.signature
+            )
+            entry, new = self._register_type(t, bag, len(bag), relations)
             self._base_ids.append(entry.type_id)
             if new:
                 pending.append(entry)
@@ -869,54 +891,4 @@ class MSOToDatalogCompiler:
             down_type_count=0 if is_sentence else len(self._table),
             stats=stats,
         )
-
-
-def undirected_graph_filter(structure: Structure) -> bool:
-    """Restrict compilation to symmetric, loop-free {e}-structures.
-
-    The class of (encodings of) undirected simple graphs is closed under
-    induced substructures and bag-glued unions, so compiling relative to
-    it is sound; it shrinks the type space from the astronomically many
-    directed-graph types to a handful.
-    """
-    edges = structure.relation("e")
-    for u, v in edges:
-        if u == v or (v, u) not in edges:
-            return False
-    return True
-
-
-def grid_graph_filter(structure: Structure) -> bool:
-    """Restrict compilation to the grid class: symmetric, loop-free,
-    triangle-free {e}-structures of maximum degree 3.
-
-    Every induced subgraph of a 2 x n grid (ladder) graph satisfies all
-    three constraints, and the class is closed under induced
-    substructures (each constraint is universal), so compiling relative
-    to it is sound for ladder inputs -- the width-2 grid family of the
-    solver benchmarks.  Rejecting out-of-class glues additionally keeps
-    the fixpoint inside the class (a branch/selection structure of an
-    in-class input is an induced subgraph of that input), which is what
-    makes the width-2 type space practical: the rank-1 type count drops
-    from ~1000 (all undirected graphs) to a few hundred, and the
-    minimized program to a few hundred rules.
-
-    Linear in the number of edges: once every vertex is known to have
-    at most 3 neighbours, the triangle check scans a constant-size
-    neighbourhood per edge.
-    """
-    edges = structure.relation("e")
-    adjacent: dict = {}
-    for u, v in edges:
-        if u == v or (v, u) not in edges:
-            return False
-        neighbours = adjacent.setdefault(u, set())
-        neighbours.add(v)
-        if len(neighbours) > 3:
-            return False
-    for u, v in edges:
-        for y in adjacent[v]:
-            if y != u and u in adjacent[y]:
-                return False  # triangle u-v-y
-    return True
 

@@ -34,6 +34,15 @@ substructures and the filter's documented soundness condition is
 closure under induced substructures (the filter is still re-checked
 per deletion, so a non-closed filter degrades to less reduction, never
 to an out-of-class witness).
+
+Typing runs on int relations.  A stored entry keeps its witness's
+relations in signature order (:attr:`TypeEntry.relations`), and a glue
+or replacement candidate is the pair ``(n, relations)`` over ``0..n-1``
+(:meth:`TypeEntry.glued`, :meth:`TypeEntry.replaced`), typed by
+:meth:`TypeAlgebra.type_of_ids` with no :class:`Structure` built.  A
+:class:`Structure` is built (:func:`ids_structure`) only where one is
+read whole: a new type's witness, which :meth:`TypeAlgebra.reduce`
+shrinks and :meth:`TypeAlgebra.canonicalize` renames.
 """
 
 from __future__ import annotations
@@ -66,12 +75,59 @@ class TypeEntry:
     on the bag (the rank-0 bag data): two entries can share a branch /
     selection node iff their ``edb`` agree, which is what lets the
     compiler bucket glue candidates instead of attempting all pairs.
+    ``relations`` is the witness's relations in signature order (the
+    int form :meth:`glued` and :meth:`replaced` extend), ``summary``
+    what the compile's class predicate read off the witness for its
+    delta checks (:mod:`repro.core.classes`).
     """
 
     type_id: int
     structure: Structure
     bag: tuple[Element, ...]
     edb: frozenset[tuple[str, tuple[int, ...]]]
+    relations: tuple[frozenset[tuple[int, ...]], ...]
+    summary: object
+
+    @property
+    def size(self) -> int:
+        return len(self.structure.domain)
+
+    def glued(self, other: "TypeEntry") -> tuple[int, tuple]:
+        """The union of this witness and ``other``'s overlapping exactly
+        on the bag ``0..w``, as ``(n, relations)`` over ``0..n-1``:
+        ``other``'s non-bag elements are shifted past this domain."""
+        w1 = len(self.bag)
+        off = self.size - w1
+        relations = tuple(
+            mine | {tuple(x if x < w1 else x + off for x in t) for t in theirs}
+            for mine, theirs in zip(self.relations, other.relations)
+        )
+        return off + other.size, relations
+
+    def replaced(self, chosen: frozenset) -> tuple[int, tuple]:
+        """This witness grown by a fresh element ``n`` that takes bag
+        position 0, with the ``(predicate, index-tuple)`` facts of
+        ``chosen`` over the new bag ``(n, 1, ..., w)``, as
+        ``(n + 1, relations)``."""
+        fresh = self.size
+        new_bag = (fresh,) + self.bag[1:]
+        added: dict[str, set] = {}
+        for name, indices in chosen:
+            added.setdefault(name, set()).add(
+                tuple(new_bag[i] for i in indices)
+            )
+        relations = tuple(
+            rel | added[name] if name in added else rel
+            for name, rel in zip(self.structure.signature, self.relations)
+        )
+        return fresh + 1, relations
+
+
+def ids_structure(signature, n: int, relations: tuple) -> Structure:
+    """The :class:`Structure` over ``0..n-1`` with ``relations`` (in
+    signature order): built only where a candidate becomes a stored
+    witness, or where a plain callable filter must see it whole."""
+    return Structure(signature, range(n), dict(zip(signature, relations)))
 
 
 class TypeTable:
@@ -119,6 +175,7 @@ class TypeTable:
         structure: Structure,
         bag: tuple[Element, ...],
         edb: frozenset[tuple[str, tuple[int, ...]]],
+        summary: object = None,
     ) -> TypeEntry:
         """Intern ``t`` with its canonical witness; ``t`` must be new."""
         if t in self._ids:
@@ -132,7 +189,10 @@ class TypeTable:
                 "practical envelope -- consider a structure_filter"
             )
         type_id = len(self._entries)
-        entry = TypeEntry(type_id, structure, bag, edb)
+        relations = tuple(
+            structure.relation(name) for name in structure.signature
+        )
+        entry = TypeEntry(type_id, structure, bag, edb, relations, summary)
         self._ids[t] = type_id
         self._entries.append(entry)
         return entry
@@ -185,28 +245,16 @@ class TypeAlgebra:
             found = self._contexts[structure] = TypeContext(structure)
         return found
 
-    def type_of(
-        self,
-        structure: Structure,
-        bag: tuple[Element, ...],
-        transient: bool = False,
-    ) -> MSOType:
-        """The canonical rank-k type of ``(structure, bag)``.
+    def _count_typed(self, size: int) -> None:
+        """Count one type computation on a ``size``-element structure.
 
         ``max_witness_size`` bounds the *stored* working set (the
         reduced witnesses of the type tables; :meth:`reduce` enforces
-        it); a structure handed in here is transient -- at worst the
-        glue of two stored witnesses overlapping on a bag, hence under
+        it); a structure typed here is at worst the glue of two stored
+        witnesses overlapping on a bag, hence under
         ``2 * max_witness_size`` -- so that is the honest typing
         limit.  Exceeding it means growth is outrunning reduction and
-        the combination is genuinely outside the envelope.
-
-        ``transient`` skips the per-structure context memo: a glued
-        structure is typed exactly once (the compiler memoizes the
-        result by the pair of type ids), so storing its context would
-        only leak memory.
-        """
-        size = len(structure.domain)
+        the combination is genuinely outside the envelope."""
         if size > 2 * self.max_witness_size:
             raise CompilerLimitError(
                 f"transient witness grew to {size} elements "
@@ -219,9 +267,27 @@ class TypeAlgebra:
         stats.type_computations += 1
         if size > stats.max_witness_typed:
             stats.max_witness_typed = size
-        if transient:
-            return TypeContext(structure).type_of(bag, self.k)
+
+    def type_of(
+        self, structure: Structure, bag: tuple[Element, ...]
+    ) -> MSOType:
+        """The canonical rank-k type of ``(structure, bag)``, typed in
+        the structure's shared context (a stored witness is re-typed
+        under every bag order)."""
+        self._count_typed(len(structure.domain))
         return self.context(structure).type_of(bag, self.k)
+
+    def type_of_ids(
+        self, signature, n: int, relations: tuple, bag: tuple[int, ...]
+    ) -> MSOType:
+        """The canonical rank-k type of the structure over ``0..n-1``
+        with ``relations`` (signature order), pointed at ``bag`` --
+        typed straight from the int relations
+        (:meth:`TypeContext.of_ids`), with no :class:`Structure` and no
+        memo: a glued or replacement candidate is typed exactly once
+        (the compiler memoizes the result by its step key)."""
+        self._count_typed(n)
+        return TypeContext.of_ids(signature, n, relations).type_of(bag, self.k)
 
     def canonicalize(
         self, structure: Structure, bag: tuple[Element, ...]
@@ -238,7 +304,10 @@ class TypeAlgebra:
         for element in sorted(structure.domain - set(bag), key=repr):
             mapping[element] = fresh
             fresh += 1
-        return structure.renamed(mapping), tuple(range(len(bag)))
+        cbag = tuple(range(len(bag)))
+        if all(element == i for element, i in mapping.items()):
+            return structure, cbag  # already canonical: nothing to rename
+        return structure.renamed(mapping), cbag
 
     def reduce(
         self,

@@ -153,7 +153,7 @@ class Builtin:
 
     def id_kernel(self, mask: tuple[bool, ...]) -> IdKernel | None:
         """An id-level solver for ``mask`` over bitset sets
-        (:meth:`~repro.datalog.interning.Interner.set_bits`), or None
+        (:attr:`~repro.datalog.interning.Interner.set_bits`), or None
         if the built-in has none for it.  Decoded, its solutions are
         those :meth:`evaluate` yields; it returns ``None`` for a row
         it cannot solve in ids, which then takes the value path."""

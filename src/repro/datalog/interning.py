@@ -21,7 +21,7 @@ A set of interned values can also be interned *as a bitset*
 (:meth:`Interner.intern_set`): bit ``i`` stands for the value with id
 ``i``.  Such a set still has one ordinary id, and :meth:`Interner.value_of`
 still returns the frozenset of its members, so decoding never sees the
-difference; what the bitset adds is :meth:`Interner.set_bits`, which
+difference; what the bitset adds is :attr:`Interner.set_bits`, which
 lets the id-level built-in kernels run ``⊎`` and ``partition`` as
 integer operations (:class:`repro.datalog.builtins.BuiltinCall`).  A set
 is a bitset because it was interned as one, never because of its shape.
@@ -50,7 +50,9 @@ class Interner:
     domain occupies the low bits of every bitset built against it.
     """
 
-    __slots__ = ("_ids", "_values", "_identity", "_set_ids", "_set_bits")
+    __slots__ = (
+        "_ids", "_values", "_identity", "_set_ids", "_set_bits", "set_bits"
+    )
 
     def __init__(self, values: Iterable[Hashable] = ()):
         self._ids: dict[Hashable, int] = {}
@@ -62,6 +64,11 @@ class Interner:
         #: bitset -> id and id -> bitset of the sets interned as bitsets
         self._set_ids: dict[int, int] = {}
         self._set_bits: dict[int, int] = {}
+        #: ``set_bits(id)``: the bitset of an id that :meth:`intern_set`
+        #: handed out, or ``None`` for any other id, whatever its value.
+        #: The id map's bound ``get``, so an id kernel's lookup runs no
+        #: Python frame (it runs up to three per built-in memo miss)
+        self.set_bits = self._set_bits.get
         for value in values:
             self.intern(value)
 
@@ -125,7 +132,7 @@ class Interner:
         The set's value is the frozenset of those members, built once,
         when the bitset is first seen; a set equal to a value interned
         before (a frozenset domain element, say) keeps that value's id.
-        From then on :meth:`set_bits` maps the id back to ``bits``."""
+        From then on :attr:`set_bits` maps the id back to ``bits``."""
         found = self._set_ids.get(bits)
         if found is not None:
             return found
@@ -144,11 +151,6 @@ class Interner:
         self._set_ids[bits] = ident
         self._set_bits[ident] = bits
         return ident
-
-    def set_bits(self, ident: int) -> int | None:
-        """The bitset of an id that :meth:`intern_set` handed out, or
-        ``None`` for any other id, whatever its value."""
-        return self._set_bits.get(ident)
 
     def id_of(self, value: Hashable) -> int | None:
         """The id of ``value``, or ``None`` if it was never interned."""

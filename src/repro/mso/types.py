@@ -194,21 +194,44 @@ class TypeContext:
     )
 
     def __init__(self, structure: Structure):
-        self.structure = structure
-        self.domain: list[Element] = sorted(structure.domain, key=repr)
-        self._index: dict[Element, int] = {
-            element: i for i, element in enumerate(self.domain)
-        }
-        self._full_mask = (1 << len(self.domain)) - 1
+        domain = sorted(structure.domain, key=repr)
         signature = structure.signature
+        self._setup(
+            structure,
+            domain,
+            {element: i for i, element in enumerate(domain)},
+            signature,
+            tuple(structure.relation(name) for name in signature),
+        )
+
+    @classmethod
+    def of_ids(cls, signature, n: int, relations: tuple) -> "TypeContext":
+        """A context for the structure over ``0..n-1`` whose relations,
+        in signature order, are the tuple sets ``relations`` -- no
+        :class:`Structure` is built, and ``structure`` is ``None``.
+
+        The canonical type does not depend on the domain's index
+        order (point and set successors are sets, and a set's mask
+        only names its members), so an element is its own index here
+        and every type equals the one of the :class:`Structure` with
+        the same content."""
+        context = cls.__new__(cls)
+        ids = range(n)
+        context._setup(None, ids, ids, signature, relations)
+        return context
+
+    def _setup(self, structure, domain, index, signature, relations) -> None:
+        self.structure = structure
+        self.domain = domain
+        #: element -> bit position (a dict, or ``range(n)`` over ids)
+        self._index = index
+        self._full_mask = (1 << len(domain)) - 1
         self._arities = tuple(signature.arity(name) for name in signature)
         # relation data in signature order, matched to the getters of
         # _rel_tags: unary relations projected to their elements
         self._rels = tuple(
-            frozenset(t[0] for t in structure.relation(name))
-            if arity == 1
-            else structure.relation(name)
-            for name, arity in zip(signature, self._arities)
+            frozenset(t[0] for t in rel) if arity == 1 else rel
+            for rel, arity in zip(relations, self._arities)
         )
         self._cache: dict = {}
         #: point index j -> tag block for point j (see _block)

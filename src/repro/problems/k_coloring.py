@@ -21,7 +21,11 @@ from typing import Hashable, Mapping
 
 from ..structures.graphs import Graph
 from ..treewidth.decomposition import TreeDecomposition
-from .three_coloring import k_coloring_direct
+from .three_coloring import (
+    coloring_states,
+    k_coloring_direct,
+    prepare_decomposition,
+)
 
 __all__ = [
     "chromatic_number",
@@ -36,19 +40,21 @@ Vertex = Hashable
 def chromatic_number(graph: Graph, td: TreeDecomposition | None = None) -> int:
     """The chromatic number of a bounded-treewidth graph.
 
-    Tries k = 1, 2, ... -- each check is linear in the data for fixed
-    width, and chi(G) <= tw(G) + 1 bounds the search.
+    Tries k = 1, 2, ... on one nice form (built and checked once: it
+    does not depend on k) -- each check is Figure 5's dynamic program
+    with k colour classes, linear in the data for fixed width, and
+    chi(G) <= tw(G) + 1 bounds the search.
     """
     if graph.vertex_count() == 0:
         return 0
     if any(graph.has_edge(v, v) for v in graph.vertices):
         raise ValueError("chromatic number undefined with self-loops")
+    nice = prepare_decomposition(graph, td)
+    root = nice.tree.root
     k = 1
-    while True:
-        colorable, _ = k_coloring_direct(graph, k, td)
-        if colorable:
-            return k
+    while not coloring_states(graph, nice, k)[0][root]:
         k += 1
+    return k
 
 
 def k_coloring_bruteforce(graph: Graph, k: int) -> bool:

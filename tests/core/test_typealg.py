@@ -120,12 +120,17 @@ class TestTypeAlgebra:
         assert mso_type(s, ("b", "c"), 1) == mso_type(canon, (0, 1), 1)
 
     def test_transient_typing_matches_and_does_not_memoize(self):
+        """The transient route types the int relations of a candidate
+        (``type_of_ids``): same type as the stored-witness route, no
+        context kept, and counted like any other typing."""
         algebra = TypeAlgebra(k=1, max_witness_size=16)
         s = g2s(Graph(vertices=[0, 1], edges=[(0, 1)]))
         t_stored = algebra.type_of(s, (0,))
-        t_transient = algebra.type_of(s, (0,), transient=True)
+        relations = tuple(s.relation(name) for name in s.signature)
+        t_transient = algebra.type_of_ids(s.signature, 2, relations, (0,))
         assert t_stored == t_transient
         assert len(algebra._contexts) == 1  # only the stored path memoizes
+        assert algebra.stats.type_computations == 2
 
     def test_oversized_transient_witness_raises(self):
         algebra = TypeAlgebra(k=1, max_witness_size=2)

@@ -29,6 +29,27 @@ class TestKnownValues:
         assert chromatic_number(Graph(vertices=[1, 2])) == 1
         assert chromatic_number(Graph()) == 0
 
+    def test_chromatic_number_prepares_the_nice_form_once(self, monkeypatch):
+        """The nice form does not depend on k: one min-fill run, nice
+        form and axiom check per call, however many k are tried."""
+        from repro.problems import three_coloring
+
+        calls = []
+        real = three_coloring.prepare_ids
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(three_coloring, "prepare_ids", counting)
+        assert chromatic_number(Graph.complete(4)) == 4  # tries k = 1..4
+        assert len(calls) == 1
+        td_graph = Graph.cycle(5)
+        from repro.treewidth import decompose_graph
+
+        assert chromatic_number(td_graph, decompose_graph(td_graph)) == 3
+        assert len(calls) == 2
+
     def test_bipartite_detection_is_2_coloring(self):
         assert k_coloring_direct(Graph.grid(3, 4), 2)[0]
         assert not k_coloring_direct(Graph.cycle(5), 2)[0]
